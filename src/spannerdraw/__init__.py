@@ -30,6 +30,7 @@ from .errors import (
     NotPlanarError,
     SpannerDrawError,
     TooSmallError,
+    ZeroLengthEdgeError,
 )
 from .exact import Interval, sqrt_interval
 from .graph import (
@@ -68,4 +69,4 @@ from .metrics import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .drawing import Drawing, Point
+from .errors import ZeroLengthEdgeError
 from .exact import Interval, sqrt_interval
 from .geometry import dist_sq, on_segment_closed
 from .graph import Graph, hamiltonian_path, hamiltonian_path_exists
@@ -48,6 +49,8 @@ def annulus_census(d: Drawing, center: int) -> AnnulusCensus:
         raise ValueError("annulus census needs a vertex of degree >= 1")
     p = d.coords[center]
     min_sq = min(dist_sq(p, d.coords[u]) for u in g.adj[center])
+    if min_sq == 0:
+        raise ZeroLengthEdgeError(f"vertex {center} coincides with a neighbor")
     counts: dict[int, int] = {}
     inside_unit = 0
     for u in g.adj[center]:

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 parse/usage error, 3 precondition violation
-(NotPlanar, NotConnected, NotATree, ...), 4 internal inconsistency,
-5 I/O error.
+(NotPlanar, NotConnected, NotATree, a zero-length edge in verify, ...),
+4 internal inconsistency, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import (
     NotPlanarError,
     SpannerDrawError,
     TooSmallError,
+    ZeroLengthEdgeError,
 )
 from .exact import Interval
 from .graph import RootedTree
@@ -89,22 +90,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _interval_obj(iv: Optional[Interval], infinite: bool = False):
+def _float_or_none(q: Fraction) -> Optional[float]:
+    """q as a float, or None when it is out of the range of a double."""
+    try:
+        return float(q)
+    except OverflowError:
+        return None
+
+
+def _interval_obj(iv: Optional[Interval]):
     if iv is None:
         return None
-    if infinite:
+    if iv.is_infinite:
         return {"infinite": True}
     return {
         "lo": fileio.format_rational(iv.lo),
         "hi": fileio.format_rational(iv.hi),
-        "lo_float": float(iv.lo),
-        "hi_float": float(iv.hi),
+        "lo_float": _float_or_none(iv.lo),
+        "hi_float": _float_or_none(iv.hi),
     }
+
+
+def _interval_text(val: dict) -> str:
+    """The text form of an _interval_obj: the exact bounds, then their floats
+    when both fit a double."""
+    if val.get("infinite"):
+        return "infinite"
+    text = f"[{val['lo']}, {val['hi']}]"
+    if val["lo_float"] is not None and val["hi_float"] is not None:
+        text += f" ~ [{val['lo_float']:.12g}, {val['hi_float']:.12g}]"
+    return text
 
 
 def _report_obj(report: metrics.MetricReport) -> dict:
     return {
-        "spanning_ratio": _interval_obj(report.spanning_ratio, report.spanning_ratio_infinite),
+        "spanning_ratio": _interval_obj(report.spanning_ratio),
         "edge_length_ratio": _interval_obj(report.edge_length_ratio),
         "width": fileio.format_rational(report.width),
         "height": fileio.format_rational(report.height),
@@ -126,27 +146,8 @@ def _print_report(report: metrics.MetricReport, fmt: str, out) -> None:
 
         out.write(json.dumps(obj, indent=2) + "\n")
         return
-    for key in (
-        "spanning_ratio",
-        "edge_length_ratio",
-        "width",
-        "height",
-        "planar",
-        "proper",
-        "no_three_collinear",
-        "min_pairwise_distance_sq",
-    ):
-        val = obj[key]
-        if isinstance(val, dict):
-            if val.get("infinite"):
-                out.write(f"{key}: infinite\n")
-            else:
-                out.write(
-                    f"{key}: [{val['lo']}, {val['hi']}] "
-                    f"~ [{val['lo_float']:.12g}, {val['hi_float']:.12g}]\n"
-                )
-        else:
-            out.write(f"{key}: {val}\n")
+    for key, val in obj.items():
+        out.write(f"{key}: {_interval_text(val) if isinstance(val, dict) else val}\n")
 
 
 def _cmd_draw(args) -> int:
@@ -207,14 +208,13 @@ def _cmd_verify(args) -> int:
         }
         print(json.dumps(obj, indent=2))
     else:
-        print(f"s: {result.s}  threshold (48*s^2): {float(result.threshold):.6g}")
+        print(f"s: {result.s}  threshold (48*s^2): {result.threshold}")
         if not result.violations:
             print("violations: none")
         for v in result.violations:
             print(f"violation: vertex {v.vertex}, annulus {v.annulus}, count {v.count}")
         if result.spanning_ratio is not None:
-            iv = result.spanning_ratio
-            print(f"spanning_ratio: [{float(iv.lo):.9g}, {float(iv.hi):.9g}]")
+            print(f"spanning_ratio: {_interval_text(_interval_obj(result.spanning_ratio))}")
         print(f"verdict: {result.verdict}")
     return EXIT_OK if result.verdict == "Consistent" else EXIT_INTERNAL
 
@@ -257,7 +257,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except fileio.FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (NotPlanarError, NotConnectedError, NotATreeError, TooSmallError) as exc:
+    except (NotPlanarError, NotConnectedError, NotATreeError, TooSmallError,
+            ZeroLengthEdgeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except OSError as exc:

@@ -38,6 +38,10 @@ class NoEdgesError(SpannerDrawError):
     """Metric is undefined because the drawing has no edges."""
 
 
+class ZeroLengthEdgeError(SpannerDrawError):
+    """A measure normalized by an edge length is undefined: the edge has length 0."""
+
+
 class DegreeTargetMissed(SpannerDrawError):
     """Local search produced a spanning tree whose maximum degree exceeds the target.
 

@@ -15,17 +15,26 @@ from fractions import Fraction
 
 @dataclass(frozen=True)
 class Interval:
-    """A closed rational interval certified to contain the true real value."""
+    """A closed rational interval certified to contain the true real value.
 
-    lo: Fraction
-    hi: Fraction
+    lo = hi = math.inf is the infinite interval: the value is certainly
+    infinite, as the spanning ratio of a drawing with coincident vertices is.
+    """
+
+    lo: Fraction | float
+    hi: Fraction | float
 
     def __post_init__(self):
         assert self.lo <= self.hi
 
-    def rel_width(self) -> Fraction:
-        if self.lo <= 0:
-            return Fraction(10**18)
+    @property
+    def is_infinite(self) -> bool:
+        return self.lo == math.inf
+
+    def rel_width(self) -> Fraction | float:
+        """hi/lo - 1, or math.inf when lo <= 0 or the interval is infinite."""
+        if self.lo <= 0 or self.is_infinite:
+            return math.inf
         return self.hi / self.lo - 1
 
     def contains(self, x) -> bool:
@@ -58,14 +67,3 @@ def sqrt_interval(q: Fraction, bits: int = 64) -> Interval:
     lo, hi = isqrt_scaled(q.numerator, q.denominator, bits)
     scale = Fraction(1, 1 << bits)
     return Interval(lo * scale, hi * scale)
-
-
-def sqrt_lower_int(num: int, den: int, bits: int) -> int:
-    """Largest s with (s/2**bits)**2 <= num/den."""
-    return math.isqrt((num << (2 * bits)) // den)
-
-
-def sqrt_upper_int(num: int, den: int, bits: int) -> int:
-    """Smallest practical s with (s/2**bits)**2 >= num/den (lower bound + 1 unless exact)."""
-    lo, hi = isqrt_scaled(num, den, bits)
-    return hi

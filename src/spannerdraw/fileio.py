@@ -9,6 +9,7 @@ parse -> serialize round-trips byte-identically.
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -41,7 +42,12 @@ def parse_rational(value) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        # More digits than sys.get_int_max_str_digits() lets int print; that
+        # limit guards the parsing of outside input, and decimal has none.
+        return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 def _parse_graph_fields(obj) -> tuple[Graph, Optional[list[str]]]:
@@ -163,16 +169,18 @@ def export_svg(d: Drawing, viewport: int = 800) -> str:
             f'height="{viewport}"/>'
         )
         return "\n".join(lines) + "\n"
-    xs = [float(x) for x, _ in d.coords]
-    ys = [float(y) for _, y in d.coords]
-    span_x = max(xs) - min(xs)
-    span_y = max(ys) - min(ys)
-    scale = (viewport - 2 * margin) / max(span_x, span_y, 1e-12)
+    xs = [x for x, _ in d.coords]
+    ys = [y for _, y in d.coords]
+    xmin, ymin = min(xs), min(ys)
+    # Normalized exactly, so that coordinates beyond the range of a double
+    # reach float() only as fractions of the span.
+    span = max(max(xs) - xmin, max(ys) - ymin) or 1
+    scale = viewport - 2 * margin
 
-    def to_px(x: float, y: float) -> tuple[float, float]:
+    def to_px(x: Fraction, y: Fraction) -> tuple[float, float]:
         return (
-            margin + (x - min(xs)) * scale,
-            viewport - margin - (y - min(ys)) * scale,  # flip y for screen axes
+            margin + float((x - xmin) / span) * scale,
+            viewport - margin - float((y - ymin) / span) * scale,  # flip y for screen axes
         )
 
     lines.append(

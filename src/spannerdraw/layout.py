@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .drawing import Drawing, Point
 from .embedding import augment_to_maximal_with_canonical_order
 from .errors import DegreeTargetMissed, NotConnectedError
-from .exact import sqrt_upper_int
+from .exact import isqrt_scaled
 from .geometry import direction_key
 from .graph import (
     Graph,
@@ -41,12 +41,9 @@ class Epsilon:
     value: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "value", Fraction(self.value))
         if self.value <= 0:
             raise ValueError("epsilon must be positive")
-
-    @staticmethod
-    def of(x) -> "Epsilon":
-        return Epsilon(Fraction(x))
 
     @property
     def gamma(self) -> int:
@@ -123,7 +120,7 @@ def draw_planar_spanner(h: Graph, eps: Epsilon) -> Drawing:
     half = e / 2
     leg_sq = 1 - (e / 4) ** 2
     y3 = Fraction(
-        sqrt_upper_int(leg_sq.numerator, leg_sq.denominator, _LEG_BITS), 1 << _LEG_BITS
+        isqrt_scaled(leg_sq.numerator, leg_sq.denominator, _LEG_BITS)[1], 1 << _LEG_BITS
     )
     coords[order[0]] = (Fraction(0), Fraction(0))
     coords[order[1]] = (half, Fraction(0))

@@ -4,20 +4,25 @@ Spanning and edge-length ratios involve square roots, so they are reported as
 certified rational enclosures: every edge length is bracketed between two
 dyadic rationals (integers at scale 2**bits), shortest paths are computed once
 with all-lower and once with all-upper brackets, and the working precision is
-doubled until the enclosure is relatively tight. Planarity, properness, and
-collinearity are decided exactly in rational arithmetic.
+doubled until the enclosure is relatively tight. A certainly infinite ratio
+(coincident vertices, a zero-length edge) is the interval lo = hi = math.inf;
+the CLI prints it as `infinite`, and a bound beyond the range of a double
+with a null float. Planarity, properness, and collinearity are decided
+exactly in rational arithmetic.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from .drawing import Drawing
 from .errors import DisconnectedDrawingError, NoEdgesError
-from .exact import Interval, isqrt_scaled
+from .exact import Interval, isqrt_scaled, sqrt_interval
 from .geometry import (
     any_three_collinear,
     dist_sq,
@@ -27,7 +32,6 @@ from .geometry import (
 from .graph import is_connected
 
 DEFAULT_REL_TOL = Fraction(1, 10**9)
-INFINITE_RATIO = Interval(Fraction(10**30), Fraction(10**30))
 _START_BITS = 64
 _MAX_BITS = 16384
 
@@ -46,17 +50,71 @@ class MetricReport:
     proper: bool
     no_three_collinear: bool
     min_pairwise_distance_sq: Optional[Fraction]
-    spanning_ratio_infinite: bool = False
 
 
-def _edge_weight_brackets(d: Drawing, bits: int) -> dict[tuple[int, int], tuple[int, int]]:
-    """Integer brackets at scale 2**bits for every edge length."""
-    out = {}
-    for u, v in d.graph.edges():
-        q = dist_sq(d.coords[u], d.coords[v])
-        lo, hi = isqrt_scaled(q.numerator, q.denominator, bits)
-        out[(u, v)] = (lo, hi)
-    return out
+def _certify(
+    attempt: Callable[[int], Optional[Interval]], rel_tol: Fraction, start_bits: int
+) -> Interval:
+    """The first enclosure attempt(bits) returns, at bits = start_bits,
+    2*start_bits, ... up to _MAX_BITS, whose relative width is within rel_tol.
+    attempt returns None when it cannot enclose at that precision."""
+    bits = start_bits
+    while bits <= _MAX_BITS:
+        ivl = attempt(bits)
+        if ivl is not None and ivl.rel_width() <= rel_tol:
+            return ivl
+        bits *= 2
+    raise RuntimeError("precision escalation exhausted")
+
+
+def _ratio_enclosure(d: Drawing, rel_tol: Fraction, start_bits: int, rows: Callable) -> Interval:
+    """Certified spanning ratio, from rows(lo_w, hi_w): for each source u in
+    order, its graph distances under the lower and the upper integer
+    edge-length brackets.
+
+    Each pair's ratio lies in [dist_lo/e_hi, dist_hi/e_lo], where e_lo, e_hi
+    bracket its Euclidean distance at the same scale, so the scales cancel.
+    A pair too close to bracket away from 0 shifts the scale by the bits the
+    closest pair needs, so the escalation cap counts from there.
+    """
+    g = d.graph
+    if g.n < 2:
+        raise ValueError("spanning ratio needs at least 2 vertices")
+    if not is_connected(g):
+        raise DisconnectedDrawingError("spanning ratio undefined: graph disconnected")
+    if has_coincident_vertices(d):
+        return Interval(math.inf, math.inf)
+    coords = d.coords
+    shift = 0
+
+    def attempt(bits: int) -> Optional[Interval]:
+        nonlocal shift
+        bits += shift
+        lo_w, hi_w = {}, {}
+        for e in g.edges():
+            q = dist_sq(coords[e[0]], coords[e[1]])
+            lo_w[e], hi_w[e] = isqrt_scaled(q.numerator, q.denominator, bits)
+        best_lo = (0, 1)  # ratio bounds as num/den over scaled ints
+        best_hi = (0, 1)
+        for u, (dist_lo, dist_hi) in enumerate(rows(lo_w, hi_w)):
+            for v in range(u + 1, g.n):
+                q = dist_sq(coords[u], coords[v])
+                e_lo, e_hi = isqrt_scaled(q.numerator, q.denominator, bits)
+                if e_lo == 0:
+                    # Shift by the least b with closest * 4**b >= 1, so that
+                    # every pair brackets to >= 1.
+                    closest = min_pairwise_distance_sq(d)
+                    inverse = -(-closest.denominator // closest.numerator)  # ceil(1/closest)
+                    shift = ((inverse - 1).bit_length() + 1) // 2
+                    return None
+                if dist_lo[v] * best_lo[1] > best_lo[0] * e_hi:
+                    best_lo = (dist_lo[v], e_hi)
+                if dist_hi[v] * best_hi[1] > best_hi[0] * e_lo:
+                    best_hi = (dist_hi[v], e_lo)
+        lo = max(Fraction(*best_lo), Fraction(1))
+        return Interval(lo, max(Fraction(*best_hi), lo))
+
+    return _certify(attempt, rel_tol, start_bits)
 
 
 def _sssp(d: Drawing, source: int, weights: dict[tuple[int, int], int]) -> list[int]:
@@ -94,139 +152,61 @@ def _sssp_tree(d: Drawing, source: int, weights: dict[tuple[int, int], int]) -> 
     return dist
 
 
+def _all_pairs(n: int, weights: dict[tuple[int, int], int]) -> list[list[int]]:
+    """All-pairs shortest paths of a connected graph (Floyd–Warshall)."""
+    big = sum(weights.values()) + 1  # longer than any shortest path
+    dist = [[big] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = 0
+    for (u, v), w in weights.items():
+        dist[u][v] = dist[v][u] = w
+    for k in range(n):
+        dk = dist[k]
+        for i in range(n):
+            di = dist[i]
+            dik = di[k]
+            for j in range(n):
+                if dik + dk[j] < di[j]:
+                    di[j] = dik + dk[j]
+    return dist
+
+
 def spanning_ratio(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:
     """Certified enclosure of max over pairs of (graph distance / Euclidean distance).
 
-    Coincident vertices make the ratio infinite; an enclosure at the infinity
-    sentinel INFINITE_RATIO is returned in that case.
+    Coincident vertices make the ratio infinite: the result is then the
+    infinite interval (lo = hi = math.inf, `is_infinite` true).
     """
-    g = d.graph
-    if g.n < 2:
-        raise ValueError("spanning ratio needs at least 2 vertices")
-    if not is_connected(g):
-        raise DisconnectedDrawingError("spanning ratio undefined: graph disconnected")
-    if has_coincident_vertices(d):
-        return INFINITE_RATIO
+    sssp = _sssp_tree if d.graph.m == d.graph.n - 1 else _sssp
 
-    is_tree = g.m == g.n - 1
-    sssp = _sssp_tree if is_tree else _sssp
-    bits = _START_BITS
-    while True:
-        weights = _edge_weight_brackets(d, bits)
-        lo_w = {e: w[0] for e, w in weights.items()}
-        hi_w = {e: w[1] for e, w in weights.items()}
-        ok = all(w > 0 for w in lo_w.values())
-        if ok:
-            best_lo = (0, 1)  # ratio lower bound as num/den over scaled ints
-            best_hi = (0, 1)
-            failed = False
-            for u in range(g.n):
-                dist_lo = sssp(d, u, lo_w)
-                dist_hi = sssp(d, u, hi_w)
-                for v in range(u + 1, g.n):
-                    q = dist_sq(d.coords[u], d.coords[v])
-                    e_lo, e_hi = isqrt_scaled(q.numerator, q.denominator, bits)
-                    if e_lo == 0:
-                        failed = True
-                        break
-                    # ratio in [dist_lo/e_hi, dist_hi/e_lo]; scales cancel
-                    if dist_lo[v] * best_lo[1] > best_lo[0] * e_hi:
-                        best_lo = (dist_lo[v], e_hi)
-                    if dist_hi[v] * best_hi[1] > best_hi[0] * e_lo:
-                        best_hi = (dist_hi[v], e_lo)
-                if failed:
-                    break
-            if not failed:
-                lo = max(Fraction(*best_lo), Fraction(1))
-                hi = max(Fraction(*best_hi), lo)
-                if hi / lo - 1 <= rel_tol:
-                    return Interval(lo, hi)
-        bits *= 2
-        if bits > _MAX_BITS:
-            raise RuntimeError("precision escalation exhausted in spanning_ratio")
+    def rows(lo_w, hi_w):
+        for u in range(d.graph.n):
+            yield sssp(d, u, lo_w), sssp(d, u, hi_w)
+
+    return _ratio_enclosure(d, rel_tol, _START_BITS, rows)
 
 
 def spanning_ratio_bruteforce(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:
     """Independent oracle: Floyd–Warshall all-pairs at doubled starting precision."""
-    g = d.graph
-    if g.n < 2:
-        raise ValueError("spanning ratio needs at least 2 vertices")
-    if not is_connected(g):
-        raise DisconnectedDrawingError("spanning ratio undefined: graph disconnected")
-    if has_coincident_vertices(d):
-        return INFINITE_RATIO
-    n = g.n
-    bits = 2 * _START_BITS
-    while True:
-        weights = _edge_weight_brackets(d, bits)
-        BIG = 1 << (4 * bits + 2 * n.bit_length() + 64)
-        dlo = [[BIG] * n for _ in range(n)]
-        dhi = [[BIG] * n for _ in range(n)]
-        for i in range(n):
-            dlo[i][i] = dhi[i][i] = 0
-        for (u, v), (wl, wh) in weights.items():
-            dlo[u][v] = dlo[v][u] = wl
-            dhi[u][v] = dhi[v][u] = wh
-        for k in range(n):
-            dlk = dlo[k]
-            dhk = dhi[k]
-            for i in range(n):
-                dli = dlo[i]
-                dhi_i = dhi[i]
-                lik = dli[k]
-                hik = dhi_i[k]
-                for j in range(n):
-                    if lik + dlk[j] < dli[j]:
-                        dli[j] = lik + dlk[j]
-                    if hik + dhk[j] < dhi_i[j]:
-                        dhi_i[j] = hik + dhk[j]
-        best_lo = (0, 1)
-        best_hi = (0, 1)
-        failed = False
-        for u in range(n):
-            for v in range(u + 1, n):
-                q = dist_sq(d.coords[u], d.coords[v])
-                e_lo, e_hi = isqrt_scaled(q.numerator, q.denominator, bits)
-                if e_lo == 0:
-                    failed = True
-                    break
-                if dlo[u][v] * best_lo[1] > best_lo[0] * e_hi:
-                    best_lo = (dlo[u][v], e_hi)
-                if dhi[u][v] * best_hi[1] > best_hi[0] * e_lo:
-                    best_hi = (dhi[u][v], e_lo)
-            if failed:
-                break
-        if not failed:
-            lo = max(Fraction(*best_lo), Fraction(1))
-            hi = max(Fraction(*best_hi), lo)
-            if hi / lo - 1 <= rel_tol:
-                return Interval(lo, hi)
-        bits *= 2
-        if bits > _MAX_BITS:
-            raise RuntimeError("precision escalation exhausted in spanning_ratio_bruteforce")
+
+    def rows(lo_w, hi_w):
+        return zip(_all_pairs(d.graph.n, lo_w), _all_pairs(d.graph.n, hi_w))
+
+    return _ratio_enclosure(d, rel_tol, 2 * _START_BITS, rows)
 
 
 def edge_length_ratio(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:
-    """Certified enclosure of (longest edge)/(shortest edge)."""
+    """Certified enclosure of (longest edge)/(shortest edge); the infinite
+    interval when an edge has length 0."""
     edges = d.graph.edges()
     if not edges:
         raise NoEdgesError("edge-length ratio undefined: no edges")
     sqs = [dist_sq(d.coords[u], d.coords[v]) for u, v in edges]
-    mx = max(sqs)
     mn = min(sqs)
     if mn == 0:
-        return INFINITE_RATIO
-    ratio_sq = mx / mn
-    bits = _START_BITS
-    while True:
-        lo, hi = isqrt_scaled(ratio_sq.numerator, ratio_sq.denominator, bits)
-        if lo > 0:
-            ivl = Interval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
-            if ivl.hi / ivl.lo - 1 <= rel_tol:
-                return ivl
-        bits *= 2
-        if bits > _MAX_BITS:
-            raise RuntimeError("precision escalation exhausted in edge_length_ratio")
+        return Interval(math.inf, math.inf)
+    ratio_sq = max(sqs) / mn
+    return _certify(partial(sqrt_interval, ratio_sq), rel_tol, _START_BITS)
 
 
 def is_planar_drawing(d: Drawing) -> bool:
@@ -324,10 +304,8 @@ def compute_metrics(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> MetricRe
     width, height, _ = bounding_box(d) if g.n >= 1 else (Fraction(0), Fraction(0), None)
     proper = is_proper_drawing(d)
     sr: Optional[Interval] = None
-    sr_inf = False
     if g.n >= 2 and is_connected(g):
         sr = spanning_ratio(d, rel_tol)
-        sr_inf = sr == INFINITE_RATIO
     elr: Optional[Interval] = None
     if g.m >= 1:
         elr = edge_length_ratio(d, rel_tol)
@@ -340,5 +318,4 @@ def compute_metrics(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> MetricRe
         proper=proper,
         no_three_collinear=no_three_collinear(d),
         min_pairwise_distance_sq=min_pairwise_distance_sq(d) if g.n >= 2 else None,
-        spanning_ratio_infinite=sr_inf,
     )

@@ -49,6 +49,10 @@ class TestInterval:
         assert iv.rel_width() == F(1, 200)
         assert iv.contains(F(2))
         assert not iv.contains(F(3))
+        assert not iv.is_infinite
+        infinite = Interval(math.inf, math.inf)
+        assert infinite.is_infinite and infinite.rel_width() == math.inf
+        assert not infinite.contains(F(10**400))
 
     def test_intersects(self):
         assert Interval(F(1), F(2)).intersects(Interval(F(2), F(3)))

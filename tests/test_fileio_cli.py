@@ -83,8 +83,28 @@ class TestSvg:
 
     def test_huge_coordinates_render(self):
         g = Graph.from_edges(2, [(0, 1)])
-        d = Drawing.of(g, [(0, 0), (F(10**40), F(10**39))])
-        assert "<line" in fileio.export_svg(d)
+        for far in (F(10**40), F(10**400)):  # the second is beyond a double
+            d = Drawing.of(g, [(0, 0), (far, far / 10)])
+            assert "<line" in fileio.export_svg(d)
+
+
+def drawing_file(tmp_path, n, edges, coords):
+    p = tmp_path / "d.json"
+    p.write_text(
+        json.dumps({"version": "spannerdraw/1", "n": n, "edges": edges, "coords": coords})
+    )
+    return str(p)
+
+
+def test_version_matches_pyproject():
+    import os
+    import tomllib
+
+    import spannerdraw
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        assert spannerdraw.__version__ == tomllib.load(fh)["project"]["version"]
 
 
 class TestCli:
@@ -142,6 +162,33 @@ class TestCli:
         obj = json.loads(capsys.readouterr().out)
         assert obj["spanning_ratio"]["lo"] == "1/1"
         assert obj["planar"] is True
+
+    @pytest.mark.parametrize(
+        "command, coords, code, expect",
+        [
+            # A zero-length edge: the edge-length ratio is certainly infinite.
+            (["metrics"], [["0", "0"], ["0", "0"], ["1", "0"]], 0,
+             "edge_length_ratio: infinite"),
+            # An edge below 2**-16384, the escalation cap counted from 2**-64.
+            (["metrics"], [["0", "0"], ["1e-5000", "0"], ["1", "1"]], 0,
+             "spanning_ratio: ["),
+            # An edge-length ratio of 10**400, beyond the range of a double.
+            (["metrics", "--format", "json"], [["0", "0"], ["1", "0"], ["1e400", "0"]], 0,
+             '"hi_float": null'),
+            # The annulus census normalizes by a zero-length incident edge.
+            (["verify", "--s", "1"], [["0", "0"], ["0", "0"], ["1", "0"]], 3, ""),
+        ],
+        ids=["zero-length-edge", "tiny-edge", "huge-ratio", "verify-coincident"],
+    )
+    def test_degenerate_drawings(self, tmp_path, capsys, command, coords, code, expect):
+        path = drawing_file(tmp_path, 3, [[0, 1], [1, 2]], coords)
+        assert cli.main([command[0], path, *command[1:]]) == code
+        out = capsys.readouterr()
+        assert expect in out.out
+        if "json" in command:
+            json.loads(out.out, parse_constant=lambda c: pytest.fail(f"not strict JSON: {c}"))
+        if code == 3:
+            assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
     def test_recognize(self, tmp_path, capsys):
         path = graph_file(tmp_path, 4, [[0, 1], [1, 2], [2, 3]], "p.json")

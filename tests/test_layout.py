@@ -39,6 +39,10 @@ class TestEpsilon:
         assert Epsilon(F(1, 2)).gamma == 4
         assert Epsilon(F(2, 3)).gamma == 3
         assert Epsilon(F(3)).gamma == 1
+        # Plain numbers are coerced to Fraction.
+        assert Epsilon(1).gamma == 2
+        assert Epsilon(0.5).value == F(1, 2)
+        assert Epsilon("2/3").gamma == 3
 
     def test_tree_gamma_doubles(self):
         assert Epsilon(F(1)).tree_gamma == 4

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from spannerdraw.exact import sqrt_interval
 from spannerdraw.graph import Graph
 from spannerdraw.metrics import (
     DEFAULT_REL_TOL,
-    INFINITE_RATIO,
     bounding_box,
     compute_metrics,
     edge_length_ratio,
@@ -61,7 +61,8 @@ class TestSpanningRatio:
 
     def test_coincident_sentinel(self):
         d = drawing(3, [(0, 1), (1, 2)], [(0, 0), (0, 0), (1, 0)])
-        assert spanning_ratio(d) == INFINITE_RATIO
+        sr = spanning_ratio(d)
+        assert sr.is_infinite and sr.lo == sr.hi == math.inf
 
     def test_matches_bruteforce_on_random_drawings(self):
         for seed in range(25):
@@ -77,6 +78,10 @@ class TestSpanningRatio:
             4, [(0, 1), (1, 2), (1, 3)], [(0, 0), (3, 1), (5, 0), (2, 7)]
         )
         assert spanning_ratio(d).intersects(spanning_ratio_bruteforce(d))
+        # An edge of 10**-5000 < 2**-16384 needs more bits than the escalation cap.
+        tiny = drawing(3, [(0, 1), (1, 2)], [(0, 0), (F(1, 10**5000), 0), (1, 1)])
+        a, b = spanning_ratio(tiny), spanning_ratio_bruteforce(tiny)
+        assert a.intersects(b) and a.rel_width() <= DEFAULT_REL_TOL
 
 
 class TestEdgeLengthRatio:
@@ -160,10 +165,10 @@ class TestComputeMetrics:
         assert r.no_three_collinear is True
         assert r.width == 1 and r.height == 1
         assert r.min_pairwise_distance_sq == 1
-        assert not r.spanning_ratio_infinite
+        assert not r.spanning_ratio.is_infinite
 
     def test_coincident_report(self):
         d = drawing(2, [(0, 1)], [(0, 0), (0, 0)])
         r = compute_metrics(d)
         assert not r.proper
-        assert r.spanning_ratio_infinite
+        assert r.spanning_ratio.is_infinite
