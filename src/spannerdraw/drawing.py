@@ -18,9 +18,11 @@ class Drawing:
     coords: tuple[Point, ...]
 
     def __post_init__(self):
-        assert len(self.coords) == self.graph.n
-        for x, y in self.coords:
-            assert isinstance(x, Fraction) and isinstance(y, Fraction)
+        if len(self.coords) != self.graph.n:
+            raise ValueError(f"{len(self.coords)} points for {self.graph.n} vertices")
+        for p in self.coords:
+            if len(p) != 2 or not all(isinstance(c, Fraction) for c in p):
+                raise TypeError(f"point {p!r} is not a pair of Fractions; use Drawing.of")
 
     @staticmethod
     def of(graph: Graph, coords) -> "Drawing":

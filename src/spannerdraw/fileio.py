@@ -9,6 +9,7 @@ parse -> serialize round-trips byte-identically.
 from __future__ import annotations
 
 import json
+import re
 from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
@@ -18,6 +19,12 @@ from .errors import SpannerDrawError
 from .graph import Graph
 
 FORMAT_VERSION = "spannerdraw/1"
+# The longest coordinate string accepted on input. Converting a decimal string
+# to an int takes time quadratic in its length: about 2 s at this length, and
+# 40 s at 10**6 characters. It admits the 100003 characters that the
+# coordinate 10**-100000 serializes to.
+MAX_RATIONAL_CHARS = 200_000
+_INTEGER_RATIO = re.compile(r"\s*(-?\d+)(?:/(\d+))?\s*")
 
 
 class FileFormatError(SpannerDrawError):
@@ -34,11 +41,31 @@ def parse_rational(value) -> Fraction:
         # JSON floats are accepted and converted via their shortest decimal form.
         value = repr(value)
     if isinstance(value, str):
+        if len(value) > MAX_RATIONAL_CHARS:
+            raise FileFormatError(
+                f"rational of {len(value)} characters, more than {MAX_RATIONAL_CHARS}"
+            )
         try:
-            return Fraction(value)
+            return _parse_rational_str(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise FileFormatError(f"bad rational {value!r}: {exc}") from exc
+            raise FileFormatError(f"bad rational {value[:80]!r}: {exc}") from exc
     raise FileFormatError(f"bad rational {value!r}")
+
+
+def _parse_rational_str(value: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except ValueError:
+        ratio = _INTEGER_RATIO.fullmatch(value)
+        if ratio is None:
+            raise
+        # An integer longer than sys.get_int_max_str_digits() digits, which
+        # int() refuses; format_rational prints it through decimal, which has
+        # no such limit, and it parses back the same way.
+        num, den = (int(Decimal(part or "1")) for part in ratio.groups())
+        if den == 0:
+            raise ZeroDivisionError("zero denominator") from None
+        return Fraction(num, den)
 
 
 def format_rational(q: Fraction) -> str:
@@ -137,7 +164,7 @@ def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int literal beyond int()'s digit limit
             raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 

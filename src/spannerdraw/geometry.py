@@ -1,4 +1,8 @@
-"""Exact geometric predicates on rational points."""
+"""Exact geometric predicates on rational points.
+
+Coordinates may be Fractions or ints: the metrics run these predicates on
+integer numerators over a common denominator, and layout on Fractions.
+"""
 
 from __future__ import annotations
 

@@ -7,8 +7,16 @@ with all-lower and once with all-upper brackets, and the working precision is
 doubled until the enclosure is relatively tight. A certainly infinite ratio
 (coincident vertices, a zero-length edge) is the interval lo = hi = math.inf;
 the CLI prints it as `infinite`, and a bound beyond the range of a double
-with a null float. Planarity, properness, and collinearity are decided
-exactly in rational arithmetic.
+with a null float.
+
+Every metric first rescales the drawing to integers: L is the least common
+denominator of all coordinates, and each coordinate becomes its integer
+numerator over L. The exact predicates (planarity, properness, collinearity,
+coincidence) then run on ints, with no gcd per operation. Scaling by L > 0
+keeps every sign and every ratio: orientations scale by L**2, and graph and
+Euclidean distances both scale by L, so the spanning and edge-length ratios
+need no correction. The two metrics that carry units are rescaled on the way
+out: the minimum squared distance divides by L**2, the bounding box by L.
 """
 
 from __future__ import annotations
@@ -35,9 +43,23 @@ DEFAULT_REL_TOL = Fraction(1, 10**9)
 _START_BITS = 64
 _MAX_BITS = 16384
 
+IntPoint = tuple[int, int]
+
+
+def _scaled(d: Drawing) -> tuple[list[IntPoint], int]:
+    """(coords, L): L is the least common denominator of all coordinates, and
+    coords[v] is vertex v's point times L, in integers."""
+    L = math.lcm(*{c.denominator for p in d.coords for c in p})
+    return [(x.numerator * (L // x.denominator), y.numerator * (L // y.denominator))
+            for x, y in d.coords], L
+
+
+def _coincident(coords: list[IntPoint]) -> bool:
+    return len(set(coords)) < len(coords)
+
 
 def has_coincident_vertices(d: Drawing) -> bool:
-    return len(set(d.coords)) < d.graph.n
+    return _coincident(_scaled(d)[0])
 
 
 @dataclass(frozen=True)
@@ -74,6 +96,8 @@ def _ratio_enclosure(d: Drawing, rel_tol: Fraction, start_bits: int, rows: Calla
 
     Each pair's ratio lies in [dist_lo/e_hi, dist_hi/e_lo], where e_lo, e_hi
     bracket its Euclidean distance at the same scale, so the scales cancel.
+    A distance is bracketed from its integer square Q over L**2, which gives
+    the same brackets as the reduced rational Q/L**2 would.
     A pair too close to bracket away from 0 shifts the scale by the bits the
     closest pair needs, so the escalation cap counts from there.
     """
@@ -82,9 +106,10 @@ def _ratio_enclosure(d: Drawing, rel_tol: Fraction, start_bits: int, rows: Calla
         raise ValueError("spanning ratio needs at least 2 vertices")
     if not is_connected(g):
         raise DisconnectedDrawingError("spanning ratio undefined: graph disconnected")
-    if has_coincident_vertices(d):
+    coords, L = _scaled(d)
+    if _coincident(coords):
         return Interval(math.inf, math.inf)
-    coords = d.coords
+    den = L * L
     shift = 0
 
     def attempt(bits: int) -> Optional[Interval]:
@@ -92,19 +117,17 @@ def _ratio_enclosure(d: Drawing, rel_tol: Fraction, start_bits: int, rows: Calla
         bits += shift
         lo_w, hi_w = {}, {}
         for e in g.edges():
-            q = dist_sq(coords[e[0]], coords[e[1]])
-            lo_w[e], hi_w[e] = isqrt_scaled(q.numerator, q.denominator, bits)
+            lo_w[e], hi_w[e] = isqrt_scaled(dist_sq(coords[e[0]], coords[e[1]]), den, bits)
         best_lo = (0, 1)  # ratio bounds as num/den over scaled ints
         best_hi = (0, 1)
         for u, (dist_lo, dist_hi) in enumerate(rows(lo_w, hi_w)):
+            cu = coords[u]
             for v in range(u + 1, g.n):
-                q = dist_sq(coords[u], coords[v])
-                e_lo, e_hi = isqrt_scaled(q.numerator, q.denominator, bits)
+                e_lo, e_hi = isqrt_scaled(dist_sq(cu, coords[v]), den, bits)
                 if e_lo == 0:
                     # Shift by the least b with closest * 4**b >= 1, so that
                     # every pair brackets to >= 1.
-                    closest = min_pairwise_distance_sq(d)
-                    inverse = -(-closest.denominator // closest.numerator)  # ceil(1/closest)
+                    inverse = -(-den // _closest_sq(coords))  # ceil(1/closest), closest = Q/den
                     shift = ((inverse - 1).bit_length() + 1) // 2
                     return None
                 if dist_lo[v] * best_lo[1] > best_lo[0] * e_hi:
@@ -201,11 +224,12 @@ def edge_length_ratio(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interv
     edges = d.graph.edges()
     if not edges:
         raise NoEdgesError("edge-length ratio undefined: no edges")
-    sqs = [dist_sq(d.coords[u], d.coords[v]) for u, v in edges]
+    coords, _ = _scaled(d)
+    sqs = [dist_sq(coords[u], coords[v]) for u, v in edges]
     mn = min(sqs)
     if mn == 0:
         return Interval(math.inf, math.inf)
-    ratio_sq = max(sqs) / mn
+    ratio_sq = Fraction(max(sqs), mn)
     return _certify(partial(sqrt_interval, ratio_sq), rel_tol, _START_BITS)
 
 
@@ -214,9 +238,10 @@ def is_planar_drawing(d: Drawing) -> bool:
 
     Edge pairs are pruned with an x-interval sweep before the exact predicate.
     """
+    coords, _ = _scaled(d)
     segs = []
     for u, v in d.graph.edges():
-        a, b = d.coords[u], d.coords[v]
+        a, b = coords[u], coords[v]
         if a == b:
             return False
         xmin, xmax = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
@@ -244,16 +269,16 @@ def is_planar_drawing(d: Drawing) -> bool:
 
 def is_proper_drawing(d: Drawing) -> bool:
     """Exact: all vertex points distinct and no vertex interior to an edge segment."""
-    if has_coincident_vertices(d):
+    coords, _ = _scaled(d)
+    if _coincident(coords):
         return False
     for u, v in d.graph.edges():
-        a, b = d.coords[u], d.coords[v]
+        a, b = coords[u], coords[v]
         xmin, xmax = min(a[0], b[0]), max(a[0], b[0])
         ymin, ymax = min(a[1], b[1]), max(a[1], b[1])
-        for w in range(d.graph.n):
+        for w, p in enumerate(coords):
             if w == u or w == v:
                 continue
-            p = d.coords[w]
             if not (xmin <= p[0] <= xmax and ymin <= p[1] <= ymax):
                 continue
             if in_segment_interior(a, b, p):
@@ -263,24 +288,24 @@ def is_proper_drawing(d: Drawing) -> bool:
 
 def no_three_collinear(d: Drawing) -> bool:
     """Exact verdict over all vertex triples."""
-    return not any_three_collinear(d.coords)
+    return not any_three_collinear(_scaled(d)[0])
 
 
 def bounding_box(d: Drawing) -> tuple[Fraction, Fraction, tuple]:
     """(width, height, ((xmin, ymin), (xmax, ymax))) of the smallest enclosing axis-parallel box."""
     if d.graph.n < 1:
         raise ValueError("bounding box needs at least one vertex")
-    xs = [p[0] for p in d.coords]
-    ys = [p[1] for p in d.coords]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
+    coords, L = _scaled(d)
+    xs = [p[0] for p in coords]
+    ys = [p[1] for p in coords]
+    xmin, xmax = Fraction(min(xs), L), Fraction(max(xs), L)
+    ymin, ymax = Fraction(min(ys), L), Fraction(max(ys), L)
     return (xmax - xmin, ymax - ymin, ((xmin, ymin), (xmax, ymax)))
 
 
-def min_pairwise_distance_sq(d: Drawing) -> Fraction:
-    if d.graph.n < 2:
-        raise ValueError("needs at least 2 vertices")
-    pts = sorted(d.coords)
+def _closest_sq(coords: list[IntPoint]) -> int:
+    """Least squared distance between two of at least 2 points."""
+    pts = sorted(coords)
     best = None
     # Sorted-by-x scan with the classic divide-free pruning: only compare
     # against predecessors whose squared x-gap is below the current best.
@@ -296,6 +321,13 @@ def min_pairwise_distance_sq(d: Drawing) -> Fraction:
             j -= 1
     assert best is not None
     return best
+
+
+def min_pairwise_distance_sq(d: Drawing) -> Fraction:
+    if d.graph.n < 2:
+        raise ValueError("needs at least 2 vertices")
+    coords, L = _scaled(d)
+    return Fraction(_closest_sq(coords), L * L)
 
 
 def compute_metrics(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> MetricReport:

@@ -71,6 +71,36 @@ def random_drawing(n: int, seed: int) -> Drawing:
     return Drawing.of(g, coords)
 
 
+def random_rational_drawing(n: int, seed: int) -> Drawing:
+    """Random connected graph on points with pairwise coprime, non-dyadic
+    denominators and negative coordinates. Some points are placed on the line
+    through two earlier ones, and every fifth seed repeats a point, so that
+    collinear triples, vertices inside edges and coincident vertices occur.
+    Every third seed draws an x-monotone path, which is mostly planar."""
+    rng = random.Random(seed)
+    if seed % 3 == 0:
+        g = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    else:
+        g = random_connected_graph(n, rng.randrange(n + 1), seed + 2 * 10**6)
+    dens = (3, 5, 7, 11, 13, 17, 19, 23)
+    coords: list[tuple[Fraction, Fraction]] = []
+    while len(coords) < n:
+        if len(coords) >= 2 and rng.random() < 0.25:
+            a, b = rng.sample(coords, 2)
+            t = Fraction(rng.randrange(-3, 10), rng.choice(dens))
+            p = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+        else:
+            p = tuple(Fraction(rng.randrange(-20 * q, 20 * q + 1), q)
+                      for q in (rng.choice(dens), rng.choice(dens)))
+        if p not in coords:
+            coords.append(p)
+    if seed % 3 == 0:
+        coords.sort()
+    if seed % 5 == 0:
+        coords[rng.randrange(1, n)] = coords[0]
+    return Drawing(g, tuple(coords))
+
+
 def unit_circle_star(leaves: int = 100) -> Drawing:
     """Star with the hub at the origin and leaves on the unit circle at equal
     angles, rounded to rationals with denominator 10**15."""

@@ -34,6 +34,30 @@ class TestRationals:
 
 
 class TestRoundTrip:
+    def test_coordinates_beyond_int_digit_limit_round_trip(self, tmp_path):
+        # 10**5000 has more digits than int() parses from a string by default.
+        g = Graph.from_edges(2, [(0, 1)])
+        d = Drawing.of(g, [(0, F(-1, 3)), (10**5000, F(1, 10**5000 + 1))])
+        path = str(tmp_path / "d.json")
+        fileio.save_drawing(d, path)
+        assert fileio.load_drawing(path) == d
+        assert cli.main(["metrics", path]) == 0
+        assert len(fileio.format_rational(F(1, 10**100000))) <= fileio.MAX_RATIONAL_CHARS
+
+    def test_overlong_coordinate_exits_2(self, tmp_path):
+        long = "1" * (fileio.MAX_RATIONAL_CHARS + 1)
+        for coord in (long, f"1/{long}"):
+            p = tmp_path / "d.json"
+            p.write_text(json.dumps({
+                "version": "spannerdraw/1", "n": 2, "edges": [[0, 1]],
+                "coords": [["0", "0"], [coord, "1"]],
+            }))
+            assert cli.main(["metrics", str(p)]) == 2
+        # A JSON integer literal past int()'s digit limit is a parse error too.
+        p.write_text('{"version": "spannerdraw/1", "n": 1, "edges": [], "coords": [[0, %s]]}'
+                     % ("1" * 5000))
+        assert cli.main(["metrics", str(p)]) == 2
+
     def test_drawing_round_trip_byte_identical(self):
         g = Graph.from_edges(3, [(2, 0), (0, 1)])
         d = Drawing.of(g, [(0, 0), (F(1, 3), 2), (-4, F(7, 2))])
@@ -65,6 +89,19 @@ class TestRoundTrip:
         obj = {"version": "spannerdraw/1", "n": 2, "edges": [[0, 1]], "names": ["a"]}
         with pytest.raises(fileio.FileFormatError):
             fileio.graph_from_obj(obj)
+
+
+class TestDrawingValidation:
+    def test_wrong_point_count_raises_value_error(self):
+        with pytest.raises(ValueError):
+            Drawing(Graph.from_edges(2, [(0, 1)]), ((F(0), F(0)),))
+
+    def test_non_fraction_coordinate_raises_type_error(self):
+        g = Graph.from_edges(2, [(0, 1)])
+        for point in ((0.5, F(0)), (F(0), 1), (F(0), F(0), F(0))):
+            with pytest.raises(TypeError):
+                Drawing(g, ((F(0), F(0)), point))
+        assert Drawing.of(g, [(0, 0), (0.5, 1)]).coords[1] == (F(1, 2), F(1))
 
 
 class TestSvg:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_drawing
+from conftest import random_drawing, random_rational_drawing
 from spannerdraw.drawing import Drawing
 from spannerdraw.exact import sqrt_interval
 from spannerdraw.graph import Graph
@@ -12,6 +12,7 @@ from spannerdraw.metrics import (
     bounding_box,
     compute_metrics,
     edge_length_ratio,
+    has_coincident_vertices,
     is_planar_drawing,
     is_proper_drawing,
     min_pairwise_distance_sq,
@@ -172,3 +173,91 @@ class TestComputeMetrics:
         r = compute_metrics(d)
         assert not r.proper
         assert r.spanning_ratio.is_infinite
+
+
+def _float_spanning_ratio(d):
+    """Floating-point spanning ratio by Floyd–Warshall on the Fraction
+    coordinates, for a drawing with distinct points."""
+    n = d.graph.n
+    pts = [(float(x), float(y)) for x, y in d.coords]
+    dist = [[0.0 if i == j else math.inf for j in range(n)] for i in range(n)]
+    for u, v in d.graph.edges():
+        dist[u][v] = dist[v][u] = math.dist(pts[u], pts[v])
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+    return max(
+        dist[i][j] / math.dist(pts[i], pts[j]) for i in range(n) for j in range(i + 1, n)
+    )
+
+
+class TestMixedDenominators:
+    """Every metric rescales the drawing to integer numerators over the least
+    common denominator L. On points with coprime denominators, each metric
+    must equal a reference computed directly on the Fraction coordinates."""
+
+    def test_metrics_match_fraction_references(self):
+        from spannerdraw.geometry import (
+            collinear,
+            dist_sq,
+            in_segment_interior,
+            segments_cross_improperly,
+        )
+
+        seen = set()
+        for seed in range(30):
+            n = 5 + seed % 8
+            d = random_rational_drawing(n, 4000 + seed)
+            c, edges = d.coords, d.graph.edges()
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            coincident = len(set(c)) < n
+            planar = not any(c[u] == c[v] for u, v in edges) and not any(
+                segments_cross_improperly(c[e[0]], c[e[1]], c[f[0]], c[f[1]])
+                for i, e in enumerate(edges)
+                for f in edges[i + 1:]
+            )
+            proper = not coincident and not any(
+                in_segment_interior(c[u], c[v], c[w])
+                for u, v in edges
+                for w in range(n)
+                if w not in (u, v)
+            )
+            collinear_triple = any(
+                collinear(c[i], c[j], c[k]) for i, j in pairs for k in range(j + 1, n)
+            )
+            min_sq = min(dist_sq(c[i], c[j]) for i, j in pairs)
+            xs, ys = [p[0] for p in c], [p[1] for p in c]
+            box = (max(xs) - min(xs), max(ys) - min(ys), ((min(xs), min(ys)), (max(xs), max(ys))))
+            seen.add((planar, proper, collinear_triple, coincident))
+
+            assert has_coincident_vertices(d) == coincident, seed
+            assert is_planar_drawing(d) == planar, seed
+            assert is_proper_drawing(d) == proper, seed
+            assert no_three_collinear(d) == (not collinear_triple), seed
+            assert min_pairwise_distance_sq(d) == min_sq, seed
+            assert bounding_box(d) == box, seed
+
+            sqs = [dist_sq(c[u], c[v]) for u, v in edges]
+            elr = edge_length_ratio(d)
+            if min(sqs) == 0:
+                assert elr.is_infinite, seed
+            else:
+                assert elr.lo ** 2 <= max(sqs) / min(sqs) <= elr.hi ** 2, seed
+
+            sr = spanning_ratio(d)
+            assert sr.intersects(spanning_ratio_bruteforce(d)), seed
+            if coincident:
+                assert sr.is_infinite, seed
+            else:
+                est = _float_spanning_ratio(d)
+                assert float(sr.lo) * (1 - 1e-12) <= est <= float(sr.hi) * (1 + 1e-12), seed
+
+            r = compute_metrics(d)
+            assert (r.width, r.height, r.min_pairwise_distance_sq) == (box[0], box[1], min_sq)
+            assert (r.planar, r.proper, r.no_three_collinear) == (
+                planar, proper, not collinear_triple
+            )
+        # Both verdicts of every predicate occur, so none passes vacuously.
+        for k in range(4):
+            assert {s[k] for s in seen} == {False, True}, k
