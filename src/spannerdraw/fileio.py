@@ -22,9 +22,11 @@ FORMAT_VERSION = "spannerdraw/1"
 # The longest coordinate string accepted on input. Converting a decimal string
 # to an int takes time quadratic in its length: about 2 s at this length, and
 # 40 s at 10**6 characters. It admits the 100003 characters that the
-# coordinate 10**-100000 serializes to.
+# coordinate 10**-100000 serializes to. It also bounds the magnitude of a
+# decimal exponent, since Fraction("1e1000000000") builds 10**1000000000.
 MAX_RATIONAL_CHARS = 200_000
 _INTEGER_RATIO = re.compile(r"\s*(-?\d+)(?:/(\d+))?\s*")
+_DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*")
 
 
 class FileFormatError(SpannerDrawError):
@@ -45,6 +47,15 @@ def parse_rational(value) -> Fraction:
             raise FileFormatError(
                 f"rational of {len(value)} characters, more than {MAX_RATIONAL_CHARS}"
             )
+        exponent = _DECIMAL_EXPONENT.search(value)
+        if exponent is not None:
+            digits = exponent.group(1).replace("_", "").lstrip("0") or "0"
+            # Lengths first: int() refuses more than 4300 digits.
+            if len(digits) > len(str(MAX_RATIONAL_CHARS)) or int(digits) > MAX_RATIONAL_CHARS:
+                raise FileFormatError(
+                    f"decimal exponent {exponent.group(0).strip()[:80]!r} beyond "
+                    f"+-{MAX_RATIONAL_CHARS}"
+                )
         try:
             return _parse_rational_str(value)
         except (ValueError, ZeroDivisionError) as exc:

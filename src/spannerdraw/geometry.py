@@ -87,7 +87,9 @@ def direction_key(a: Point, b: Point) -> tuple[int, int]:
 
 
 def any_three_collinear(points: Sequence[Point]) -> bool:
-    """Exact check over all triples; O(n^2 log n) via per-point direction sorting."""
+    """Exact check over all triples in O(n^2) direction keys: for each point,
+    two others lie on one line through it iff their keys from it are equal,
+    which a hash set of the keys detects."""
     n = len(points)
     for i in range(n):
         seen: set[tuple[int, int]] = set()

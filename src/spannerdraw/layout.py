@@ -8,13 +8,14 @@ only enlarges distances and therefore preserves every bound being targeted).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .drawing import Drawing, Point
 from .embedding import augment_to_maximal_with_canonical_order
-from .errors import DegreeTargetMissed, NotConnectedError
+from .errors import DegreeTargetMissed, NotConnectedError, TooSmallError
 from .exact import isqrt_scaled
 from .geometry import direction_key
 from .graph import (
@@ -67,11 +68,12 @@ def _bbox(points: Sequence[Point]):
 
 
 def _enclosing_disk(points: Sequence[Point]) -> tuple[Point, int]:
-    """Center and an integer radius of a disk strictly containing all points."""
+    """Center and an integer radius of a disk strictly containing all points,
+    which may be Fractions or ints."""
     xmin, xmax, ymin, ymax = _bbox(points)
-    cx = (xmin + xmax) / 2
-    cy = (ymin + ymax) / 2
-    r_sq = ((xmax - xmin) / 2) ** 2 + ((ymax - ymin) / 2) ** 2
+    cx = Fraction(xmin + xmax, 2)
+    cy = Fraction(ymin + ymax, 2)
+    r_sq = Fraction(xmax - xmin, 2) ** 2 + Fraction(ymax - ymin, 2) ** 2
     radius = math.isqrt(_ceil(r_sq)) + 1
     return (cx, cy), radius
 
@@ -136,37 +138,51 @@ def draw_planar_spanner(h: Graph, eps: Epsilon) -> Drawing:
 
 def draw_proper_spanner(g: Graph, eps: Epsilon) -> Drawing:
     """Proper drawing of any connected graph: no three vertices collinear,
-    spanning ratio strictly below 1 + epsilon."""
+    spanning ratio strictly below 1 + epsilon.
+
+    Vertex k goes far to the right of the vertices before it, at the least
+    integer height y >= 0 that puts it on no line through two of them. A
+    height that already holds two vertices is blocked by their horizontal
+    line and is skipped unchecked; the first other height gets the full
+    direction check. All coordinates are integers, so the construction costs
+    O(n^2) direction keys.
+    """
+    n = g.n
+    if n == 0:
+        raise TooSmallError("the proper construction requires at least 1 vertex")
     if not is_connected(g):
         raise NotConnectedError("input graph must be connected")
-    n = g.n
     if n == 1:
         return Drawing.of(g, [(0, 0)])
     tree = _bfs_spanning_tree(g)
     order = list(connected_prefix_order(tree))
-    coords: list[Optional[Point]] = [None] * n
-    coords[order[0]] = (Fraction(0), Fraction(0))
+    placed = [(0, 0)]  # in the order of `order`; x strictly increasing, y >= 0
+    at_height = Counter([0])  # number of placed vertices per height
+    y_max = 0
     for k in range(2, n + 1):
-        placed = [coords[v] for v in order[: k - 1]]
-        (cx, cy), radius = _enclosing_disk(placed)
+        # The first vertex is (0, 0) and no coordinate is negative, so this
+        # box is the bounding box of all placed vertices.
+        (cx, _), radius = _enclosing_disk([(0, 0), (placed[-1][0], y_max)])
         delta = 2 * radius
-        x_k = Fraction(_ceil(cx + radius + Fraction(k * delta) / eps.value) + 1)
+        x_k = _ceil(cx + radius + Fraction(k * delta) / eps.value) + 1
         y = 0
-        while True:
-            z = (x_k, Fraction(y))
-            seen = set()
-            ok = True
-            for p in placed:
-                key = direction_key(z, p)
-                if key in seen:
-                    ok = False
-                    break
-                seen.add(key)
-            if ok:
-                coords[order[k - 1]] = z
-                break
+        while at_height[y] >= 2 or _on_line_through_two((x_k, y), placed):
             y += 1
-    return Drawing(g, tuple(coords))  # type: ignore[arg-type]
+        placed.append((x_k, y))
+        at_height[y] += 1
+        y_max = max(y_max, y)
+    return Drawing.of(g, [p for _, p in sorted(zip(order, placed))])
+
+
+def _on_line_through_two(z: Point, points: Sequence[Point]) -> bool:
+    """True iff some line through z passes through two of `points` (none equal to z)."""
+    seen = set()
+    for p in points:
+        key = direction_key(z, p)
+        if key in seen:
+            return True
+        seen.add(key)
+    return False
 
 
 def _bfs_spanning_tree(g: Graph) -> RootedTree:
@@ -238,15 +254,11 @@ def _tree_proper_rec(t: RootedTree, d: int, gamma: int, eta: Fraction) -> dict[i
 
 def _cross_collinear(pts1: list[Point], pts2: list[Point]) -> bool:
     """True iff some line through two points of one part hits a point of the other."""
-    for hub_side, other in ((pts1, pts2), (pts2, pts1)):
-        for hub in hub_side:
-            seen = set()
-            for q in other:
-                key = direction_key(hub, q)
-                if key in seen:
-                    return True
-                seen.add(key)
-    return False
+    return any(
+        _on_line_through_two(hub, other)
+        for hub_side, other in ((pts1, pts2), (pts2, pts1))
+        for hub in hub_side
+    )
 
 
 @dataclass(frozen=True)
@@ -265,6 +277,8 @@ def draw_graph_via_tough_tree(g: Graph, d_target: int, eps: Epsilon) -> ToughDra
     A missed degree target is reported as a warning (the edge-length-ratio
     exponent degrades) rather than a failure.
     """
+    if g.n == 0:
+        raise TooSmallError("the tough-tree construction requires at least 1 vertex")
     if not is_connected(g):
         raise NotConnectedError("input graph must be connected")
     warning = None
@@ -335,16 +349,13 @@ def draw_tree_planar_with_stats(t: RootedTree, eps: Epsilon) -> tuple[Drawing, T
     base = t.rerooted(root)
     children: list[list[int]] = [list(c) for c in base.children]
     next_id = n
-    is_dummy = []
     for v in range(n):
         if len(children[v]) == 1:
             children[v].append(next_id)
             children.append([])
-            is_dummy.append(True)
             next_id += 1
     n_prime = next_id
 
-    size = [1] * n_prime
     post = []
     stack = [(root, False)]
     while stack:
@@ -353,43 +364,37 @@ def draw_tree_planar_with_stats(t: RootedTree, eps: Epsilon) -> tuple[Drawing, T
             post.append(u)
             continue
         stack.append((u, True))
-        for c in children[u] if u < len(children) else []:
+        for c in children[u]:
             stack.append((c, False))
-    for u in post:
-        for c in children[u] if u < len(children) else []:
-            size[u] += size[c]
 
+    # Bottom-up: the subtrees of each vertex go left to right in increasing
+    # size, each at an offset from its parent; then top-down, absolute
+    # positions are the sums of the offsets along the path from the root.
+    size = [1] * n_prime
+    width = [0] * n_prime
+    height = [0] * n_prime
+    offset = [(0, 0)] * n_prime
     respected = True
-
-    def rec(u: int) -> tuple[dict[int, tuple[int, int]], int, int]:
-        nonlocal respected
-        kids = sorted(children[u], key=lambda c: (size[c], c))
-        if not kids:
-            return {u: (0, 0)}, 0, 0
+    for u in post:
+        kids = children[u]
+        size[u] += sum(size[c] for c in kids)
+        kids.sort(key=lambda c: (size[c], c))
         log_n = max(1, (size[u] - 1).bit_length())  # ceil(log2 of local size)
-        coords: dict[int, tuple[int, int]] = {u: (0, 0)}
         d_prev = 0
-        height = 0
         for i, c in enumerate(kids):
-            sub, w_c, h_c = rec(c)
             last = i == len(kids) - 1
-            if i == 0:
-                x_off = 0
-            else:
-                x_off = d_prev + gamma * (d_prev + log_n)
-            y_off = 0 if last else -1
-            for vtx, (x, y) in sub.items():
-                coords[vtx] = (x + x_off, y + y_off)
-            d_cur = x_off + w_c
-            if i > 0:
-                tracked = (gamma + 1) * d_prev + gamma * log_n + w_c
-                if d_cur > tracked:
-                    respected = False
+            x_off = 0 if i == 0 else d_prev + gamma * (d_prev + log_n)
+            offset[c] = (x_off, 0 if last else -1)
+            d_cur = x_off + width[c]
+            if i > 0 and d_cur > (gamma + 1) * d_prev + gamma * log_n + width[c]:
+                respected = False  # the realized width exceeds the tracked one
             d_prev = max(d_prev, d_cur)
-            height = max(height, h_c if last else h_c + 1)
-        return coords, d_prev, height
+            height[u] = max(height[u], height[c] if last else height[c] + 1)
+        width[u] = d_prev
 
-    coords_all, width, height = rec(root)
-    placements = {v: coords_all[v] for v in range(n)}
-    drawing = Drawing.of(t.graph, [placements[v] for v in range(n)])
-    return drawing, TreePlanarStats(n_prime, width, height, respected)
+    pos = [(0, 0)] * n_prime
+    for u in reversed(post):
+        for c in children[u]:
+            pos[c] = (pos[u][0] + offset[c][0], pos[u][1] + offset[c][1])
+    drawing = Drawing.of(t.graph, pos[:n])
+    return drawing, TreePlanarStats(n_prime, width[root], height[root], respected)

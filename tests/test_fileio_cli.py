@@ -58,6 +58,21 @@ class TestRoundTrip:
                      % ("1" * 5000))
         assert cli.main(["metrics", str(p)]) == 2
 
+    def test_decimal_exponent_bounded(self, tmp_path):
+        assert fileio.parse_rational("1e-100000") == F(1, 10**100000)
+        # Just past the bound: without the check these would parse (to a
+        # 664k-bit integer), so they stay cheap either way.
+        past = fileio.MAX_RATIONAL_CHARS + 1
+        for coord in (f"1e{past}", f"-2.5E-{past}", f"1e0{past}"):
+            with pytest.raises(fileio.FileFormatError, match="exponent"):
+                fileio.parse_rational(coord)
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps({
+            "version": "spannerdraw/1", "n": 2, "edges": [[0, 1]],
+            "coords": [["0", "0"], [f"1e{past}", "1"]],
+        }))
+        assert cli.main(["metrics", str(p)]) == 2
+
     def test_drawing_round_trip_byte_identical(self):
         g = Graph.from_edges(3, [(2, 0), (0, 1)])
         d = Drawing.of(g, [(0, 0), (F(1, 3), 2), (-4, F(7, 2))])
@@ -163,6 +178,12 @@ class TestCli:
     def test_draw_tree_on_cycle_exits_3(self, tmp_path):
         inp = graph_file(tmp_path, 4, [[0, 1], [1, 2], [2, 3], [0, 3]])
         assert cli.main(["draw", "tree-planar", inp, "-o", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("kind", ["planar", "proper", "tough"])
+    def test_empty_graph_exits_3(self, tmp_path, capsys, kind):
+        inp = graph_file(tmp_path, 0, [])
+        assert cli.main(["draw", kind, inp, "-o", str(tmp_path / "o")]) == 3
+        assert "TooSmallError" in capsys.readouterr().err
 
     def test_disconnected_exits_3(self, tmp_path):
         inp = graph_file(tmp_path, 4, [[0, 1], [2, 3]])

@@ -5,9 +5,11 @@ import pytest
 
 from conftest import random_connected_graph, random_connected_planar_graph, random_tree
 from spannerdraw.errors import NotConnectedError
-from spannerdraw.graph import Graph, RootedTree
+from spannerdraw.geometry import direction_key, dist_sq
+from spannerdraw.graph import Graph, RootedTree, connected_prefix_order
 from spannerdraw.layout import (
     Epsilon,
+    _bfs_spanning_tree,
     draw_graph_via_tough_tree,
     draw_planar_spanner,
     draw_proper_spanner,
@@ -108,7 +110,39 @@ class TestPlaceNextVertex:
         assert (x - cx) ** 2 + (y - cy) ** 2 > (r_int + F(k * delta, 1)) ** 2
 
 
+def proper_spanner_oracle(g, eps):
+    """Coordinates of the proper construction by its first, O(n^3) search:
+    at each step the enclosing disk of all placed points, then for
+    y = 0, 1, 2, ... a Fraction direction key from (x_k, y) to every placed
+    point, until all keys differ."""
+    order = list(connected_prefix_order(_bfs_spanning_tree(g)))
+    coords = [None] * g.n
+    coords[order[0]] = (F(0), F(0))
+    for k in range(2, g.n + 1):
+        placed = [coords[v] for v in order[: k - 1]]
+        xs = [x for x, _ in placed]
+        ys = [y for _, y in placed]
+        cx = (min(xs) + max(xs)) / 2
+        r_sq = ((max(xs) - min(xs)) / 2) ** 2 + ((max(ys) - min(ys)) / 2) ** 2
+        radius = math.isqrt(math.ceil(r_sq)) + 1
+        x_k = F(math.ceil(cx + radius + F(k * 2 * radius) / eps.value) + 1)
+        y = 0
+        while len({direction_key((x_k, F(y)), p) for p in placed}) < len(placed):
+            y += 1
+        coords[order[k - 1]] = (x_k, F(y))
+    return tuple(coords)
+
+
 class TestProperSpanner:
+    @pytest.mark.parametrize("eps", [F(1, 10), F(1, 2), F(1), F(3)])
+    def test_matches_oracle(self, eps):
+        eps = Epsilon(eps)
+        star = Graph.from_edges(12, [(0, i) for i in range(1, 12)])
+        graphs = [Graph.from_edges(1, []), path_graph(2), star, path_graph(40)]
+        graphs += [random_connected_graph(n, n, 900 + n) for n in (7, 20, 40, 60)]
+        for g in graphs:
+            assert draw_proper_spanner(g, eps).coords == proper_spanner_oracle(g, eps)
+
     def test_star(self):
         star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
         d = draw_proper_spanner(star, EPS1)
@@ -191,8 +225,6 @@ class TestTreePlanar:
         assert spanning_ratio(d).hi <= F(3, 2)
         assert stats.height <= math.log2(stats.n_prime)
         assert stats.recurrence_respected
-        from spannerdraw.geometry import dist_sq
-
         assert min(dist_sq(d.coords[u], d.coords[v]) for u, v in t.graph.edges()) >= 1
 
     def test_random_trees(self):
@@ -203,6 +235,17 @@ class TestTreePlanar:
             assert spanning_ratio(d).hi <= F(3, 2)
             assert stats.height <= math.log2(stats.n_prime)
             assert stats.recurrence_respected
+
+    def test_deep_caterpillar(self):
+        # A 1500-vertex spine with one leaf per spine vertex: 1500 levels deep.
+        k = 1500
+        edges = [(i, i + 1) for i in range(k - 1)] + [(i, k + i) for i in range(k)]
+        t = RootedTree.from_graph(Graph.from_edges(2 * k, edges), 0)
+        d, stats = draw_tree_planar_with_stats(t, EPS1)
+        assert is_planar_drawing(d)
+        assert stats.height <= math.log2(stats.n_prime)
+        assert stats.recurrence_respected
+        assert min(dist_sq(d.coords[u], d.coords[v]) for u, v in edges) >= 1
 
     def test_integer_coordinates(self):
         t = RootedTree.from_graph(random_tree(30, 3, 5), 0)
