@@ -33,11 +33,11 @@ EXIT_IO = 5
 
 
 def _rational(text: str) -> Fraction:
+    """A numeric argument, parsed and bounded as a coordinate in a file is."""
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
-    return value
+        return fileio.parse_rational(text)
+    except fileio.FileFormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _positive_rational(text: str) -> Fraction:

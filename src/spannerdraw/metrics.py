@@ -17,6 +17,16 @@ keeps every sign and every ratio: orientations scale by L**2, and graph and
 Euclidean distances both scale by L, so the spanning and edge-length ratios
 need no correction. The two metrics that carry units are rescaled on the way
 out: the minimum squared distance divides by L**2, the bounding box by L.
+
+The spanning ratio runs a float filter before the exact brackets. One float
+pass over all pairs keeps the candidates, the pairs whose float ratio is
+within a factor 1 - 2**-20 of the largest; each precision brackets only the
+candidates, and one exact inequality (_filter_proves) shows that no other
+pair can reach the certified lower bound, so the enclosure equals the full
+scan's. Where the inequality fails, that precision scans all pairs. The
+filter declines (all pairs at every precision) for coordinates past 1900
+bits, a float distance below 2**-900, or too many near-ties.
+spanning_ratio_bruteforce never filters.
 """
 
 from __future__ import annotations
@@ -26,7 +36,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional
+from itertools import repeat
+from operator import sub, truediv
+from typing import Callable, Iterator, Optional, Sequence
 
 from .drawing import Drawing
 from .errors import DisconnectedDrawingError, NoEdgesError
@@ -37,7 +49,7 @@ from .geometry import (
     in_segment_interior,
     segments_cross_improperly,
 )
-from .graph import is_connected
+from .graph import Graph, is_connected
 
 DEFAULT_REL_TOL = Fraction(1, 10**9)
 _START_BITS = 64
@@ -89,7 +101,34 @@ def _certify(
     raise RuntimeError("precision escalation exhausted")
 
 
-def _ratio_enclosure(d: Drawing, rel_tol: Fraction, start_bits: int, rows: Callable) -> Interval:
+class _ZeroBracket(Exception):
+    """A pair distance brackets to 0 at the current precision."""
+
+
+def _scan(coords: list[IntPoint], den: int, bits: int, groups, rows) -> Interval:
+    """The pair loop of every enclosure attempt: the ratio enclosure over the
+    pairs (u, v) for (u, targets) in groups and v in targets, where rows
+    yields u's exact distance rows under the lower and the upper edge
+    brackets. Raises _ZeroBracket when a pair distance brackets to 0."""
+    best_lo = (0, 1)  # ratio bounds as num/den over scaled ints
+    best_hi = (0, 1)
+    for (u, targets), (dist_lo, dist_hi) in zip(groups, rows):
+        cu = coords[u]
+        for v in targets:
+            e_lo, e_hi = isqrt_scaled(dist_sq(cu, coords[v]), den, bits)
+            if e_lo == 0:
+                raise _ZeroBracket
+            if dist_lo[v] * best_lo[1] > best_lo[0] * e_hi:
+                best_lo = (dist_lo[v], e_hi)
+            if dist_hi[v] * best_hi[1] > best_hi[0] * e_lo:
+                best_hi = (dist_hi[v], e_lo)
+    lo = max(Fraction(*best_lo), Fraction(1))
+    return Interval(lo, max(Fraction(*best_hi), lo))
+
+
+def _ratio_enclosure(
+    d: Drawing, rel_tol: Fraction, start_bits: int, rows: Callable, filtered: bool = False
+) -> Interval:
     """Certified spanning ratio, from rows(lo_w, hi_w): for each source u in
     order, its graph distances under the lower and the upper integer
     edge-length brackets.
@@ -100,6 +139,11 @@ def _ratio_enclosure(d: Drawing, rel_tol: Fraction, start_bits: int, rows: Calla
     the same brackets as the reduced rational Q/L**2 would.
     A pair too close to bracket away from 0 shifts the scale by the bits the
     closest pair needs, so the escalation cap counts from there.
+
+    With filtered, rows(lo_w, hi_w, sources) yields the rows of the given
+    sources only. Each attempt then scans the float filter's candidate pairs
+    first, and scans every pair only when _filter_proves fails; the
+    enclosure is the same either way.
     """
     g = d.graph
     if g.n < 2:
@@ -111,6 +155,8 @@ def _ratio_enclosure(d: Drawing, rel_tol: Fraction, start_bits: int, rows: Calla
         return Interval(math.inf, math.inf)
     den = L * L
     shift = 0
+    flt = _float_filter(g, coords) if filtered else None
+    every = [(u, range(u + 1, g.n)) for u in range(g.n)]
 
     def attempt(bits: int) -> Optional[Interval]:
         nonlocal shift
@@ -118,33 +164,253 @@ def _ratio_enclosure(d: Drawing, rel_tol: Fraction, start_bits: int, rows: Calla
         lo_w, hi_w = {}, {}
         for e in g.edges():
             lo_w[e], hi_w[e] = isqrt_scaled(dist_sq(coords[e[0]], coords[e[1]]), den, bits)
-        best_lo = (0, 1)  # ratio bounds as num/den over scaled ints
-        best_hi = (0, 1)
-        for u, (dist_lo, dist_hi) in enumerate(rows(lo_w, hi_w)):
-            cu = coords[u]
-            for v in range(u + 1, g.n):
-                e_lo, e_hi = isqrt_scaled(dist_sq(cu, coords[v]), den, bits)
-                if e_lo == 0:
-                    # Shift by the least b with closest * 4**b >= 1, so that
-                    # every pair brackets to >= 1.
-                    inverse = -(-den // _closest_sq(coords))  # ceil(1/closest), closest = Q/den
-                    shift = ((inverse - 1).bit_length() + 1) // 2
-                    return None
-                if dist_lo[v] * best_lo[1] > best_lo[0] * e_hi:
-                    best_lo = (dist_lo[v], e_hi)
-                if dist_hi[v] * best_hi[1] > best_hi[0] * e_lo:
-                    best_hi = (dist_hi[v], e_lo)
-        lo = max(Fraction(*best_lo), Fraction(1))
-        return Interval(lo, max(Fraction(*best_hi), lo))
+        try:
+            if flt is not None:
+                ivl = _scan(coords, den, bits, flt.pairs.items(), rows(lo_w, hi_w, flt.pairs))
+                if _filter_proves(flt, ivl.lo, L, bits):
+                    return ivl
+            return _scan(coords, den, bits, every, rows(lo_w, hi_w))
+        except _ZeroBracket:
+            # Shift by the least b with closest * 4**b >= 1, so that every
+            # pair brackets to >= 1.
+            inverse = -(-den // _closest_sq(coords))  # ceil(1/closest), closest = Q/den
+            shift = ((inverse - 1).bit_length() + 1) // 2
+            return None
 
     return _certify(attempt, rel_tol, start_bits)
 
 
+# The float filter in front of the exact pair scan: the float-filter-then-exact
+# scheme of Shewchuk, "Adaptive precision floating-point arithmetic and fast
+# robust geometric predicates" (DCG 1997), applied to the dilation scan of
+# Narasimhan and Smid, "Geometric Spanner Networks" (2007).
+_U = Fraction(1, 2**53)  # unit roundoff of a double
+_FILTER_ETA = 2.0**-20  # candidates: float ratio at least 1 - eta times the largest
+_FILTER_BITS = 1000  # coordinates are scaled down to at most this many bits
+_FILTER_LIMIT = 900  # declines beyond a scaling by 2**-900 or a distance below 2**-900
+
+
+@dataclass(frozen=True)
+class _Filter:
+    """What the float pass knows about the pairs it skips.
+
+    pairs maps a source vertex to its candidate partners. Every other pair has
+    a float ratio below cut. Distances are in float units, the integer
+    coordinates over 2**s; efmin is at most every float pair distance, and
+    rel_err, abs_err bound the float errors as _filter_proves uses them."""
+
+    pairs: dict[int, list[int]]
+    cut: Fraction
+    efmin: Fraction
+    rel_err: Fraction
+    abs_err: Fraction
+    n: int
+    s: int
+
+
+def _filter_proves(flt: _Filter, t: Fraction, L: int, bits: int) -> bool:
+    """True when no pair the filter skipped can move an enclosure with lower
+    bound t at scale 2**bits, which then equals the full scan's.
+
+    In float units let g, e be a skipped pair's true graph and Euclidean
+    distances, gf, ef the float ones, and beta = L / 2**(bits + s) one
+    bracket unit (the real coordinates are the integers over L).
+    - Brackets: an edge's upper bracket exceeds its length by less than one
+      unit, and a shortest path has at most n - 1 edges, so
+      dist_hi <= g + (n - 1) beta, while e_lo > e - beta.
+    - Floats, with delta = rel_err: a weight or pair distance is within a
+      factor 1 + 4u of the truth (one rounding per coordinate difference,
+      under 1 ulp in hypot); a float path sum of at most n - 1 terms loses at
+      most (n - 2)u more, and delta = (n + 8)u covers both; a tree row adds
+      at most abs_err A (see _tree_rows). So e >= ef/(1 + delta) and
+      g <= (gf + A)(1 + delta); a skipped pair's rounded ratio is below cut,
+      so gf < cut (1 + delta) ef.
+    - Together: dist_hi/e_lo <= ((cut (1 + delta) ef + A)(1 + delta)
+      + (n - 1) beta) / (ef/(1 + delta) - beta). This decreases in ef, so its
+      value at efmin bounds every skipped pair.
+    If that bound is below t, each skipped pair has
+    dist_lo/e_hi <= dist_hi/e_lo < t <= lo <= hi, so neither maximum of the
+    scan moves. If efmin/(1 + delta) <= beta, a skipped pair may bracket to
+    0: the bound is infinite, the full scan runs, and the scale shift fires
+    as it would without the filter. The test runs in exact rationals.
+    """
+    one = 1 + flt.rel_err
+    beta = Fraction(L, 1 << (bits + flt.s))
+    den = flt.efmin / one - beta
+    num = (flt.cut * one * flt.efmin + flt.abs_err) * one + (flt.n - 1) * beta
+    return den > 0 and num < t * den
+
+
+def _float_filter(g: Graph, coords: list[IntPoint]) -> Optional[_Filter]:
+    """One float pass over all pairs of a connected graph on distinct points:
+    the pairs whose float ratio is within a factor 1 - _FILTER_ETA of the
+    largest, judged against the running largest. None when the filter
+    declines: the coordinates need a scaling beyond 2**-_FILTER_LIMIT, a
+    float distance is at most 2**-_FILTER_LIMIT, a float ratio overflows, or
+    the candidates are not few.
+
+    Float distances are math.hypot of the exact integer differences, each
+    divided by 2**s, so coordinates of up to _FILTER_BITS + _FILTER_LIMIT
+    bits keep their small gaps. Rows are streamed, never stored n by n.
+    """
+    n = g.n
+    s = max(0, max(abs(c).bit_length() for p in coords for c in p) - _FILTER_BITS)
+    if s > _FILTER_LIMIT:
+        return None
+    edges = g.edges()
+    xs, ys = zip(*coords)
+    weight = dict(zip(edges, _dists([xs[u] for u, _ in edges], [ys[u] for u, _ in edges],
+                                    [xs[v] for _, v in edges], [ys[v] for _, v in edges], s)))
+    if g.m == n - 1:
+        flt = _candidates(coords, s, *_tree_rows(g, weight))
+        # A tree whose lengths span many scales can make the rerooting error
+        # swamp its closest pairs. Unless it takes at most a quarter of the
+        # margin, take Dijkstra rows, whose error is relative only.
+        if flt is None or 4 * flt.abs_err < Fraction(_FILTER_ETA) * flt.cut * flt.efmin:
+            return flt
+    return _candidates(coords, s, range(n), _graph_rows(g, weight), Fraction(0))
+
+
+def _dists(x0, y0, xs: list[int], ys: list[int], s: int) -> list[float]:
+    """Float distances from (x0[j], y0[j]) to (xs[j], ys[j]); x0, y0 are lists
+    or repeat() of one point. Each exact integer difference is divided by
+    2**s and rounded once before math.hypot."""
+    dx = map(sub, x0, xs)
+    dy = map(sub, y0, ys)
+    if s:
+        dx = map(truediv, dx, repeat(1 << s))
+        dy = map(truediv, dy, repeat(1 << s))
+    return list(map(math.hypot, dx, dy))
+
+
+def _candidates(
+    coords: list[IntPoint],
+    s: int,
+    order: Sequence[int],
+    rows: Iterator[tuple[int, list[float]]],
+    abs_err: Fraction,
+) -> Optional[_Filter]:
+    """The filter pass of _float_filter over rows, which yields (i, row) with
+    row[j] the float distance between order[i] and order[j]. Each row is
+    judged for the pairs (i, j > i). The candidate list is pruned to the
+    current cut whenever it doubles past cap, and the filter declines when
+    more than cap candidates remain."""
+    n = len(coords)
+    xs = [coords[v][0] for v in order]
+    ys = [coords[v][1] for v in order]
+    cap = 4 * n + 256
+    rmax, efmin, cut = 0.0, math.inf, 0.0
+    cands: list[tuple[float, int, int]] = []  # (float ratio, i, j), positions in order
+    for i, row in rows:
+        if i == n - 1:
+            continue
+        efs = _dists(repeat(xs[i]), repeat(ys[i]), xs[i + 1:], ys[i + 1:], s)
+        efmin = min(efmin, min(efs))
+        ratios = list(map(truediv, row[i + 1:], efs))
+        top = max(ratios)
+        rmax = max(rmax, top)
+        cut = rmax * (1 - _FILTER_ETA)
+        if top >= cut:
+            cands += [(r, i, j) for j, r in enumerate(ratios, i + 1) if r >= cut]
+            if len(cands) > 2 * cap:
+                cands = [c for c in cands if c[0] >= cut]
+                if len(cands) > cap:
+                    return None
+    if not (efmin > 2.0**-_FILTER_LIMIT and math.isfinite(rmax)):
+        return None
+    pairs: dict[int, list[int]] = {}
+    for r, i, j in cands:
+        if r >= cut:
+            pairs.setdefault(order[i], []).append(order[j])
+    return _Filter(pairs, Fraction(cut), Fraction(efmin), (n + 8) * _U, abs_err, n, s)
+
+
+def _graph_rows(g: Graph, weight: dict[tuple[int, int], float]) -> Iterator[tuple[int, list[float]]]:
+    """(u, float distances from u) for every vertex u, by float Dijkstra."""
+    adj = [[(v, weight[(u, v) if u < v else (v, u)]) for v in g.adj[u]] for u in range(g.n)]
+    for source in range(g.n):
+        dist = [math.inf] * g.n
+        dist[source] = 0.0
+        heap = [(0.0, source)]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if du > dist[u]:
+                continue
+            for v, w in adj[u]:
+                if du + w < dist[v]:
+                    dist[v] = du + w
+                    heapq.heappush(heap, (dist[v], v))
+        yield source, dist
+
+
+def _tree_rows(
+    g: Graph, weight: dict[tuple[int, int], float]
+) -> tuple[list[int], Iterator[tuple[int, list[float]]], Fraction]:
+    """(order, rows, abs_err) for a tree, by rerooting along a preorder.
+
+    order is a preorder of the vertices, so every subtree is a contiguous
+    slice of positions. rows yields (i, row) for every position i, where
+    row[j] is the float distance between order[i] and order[j]. A child's
+    row is its parent's row plus the edge weight w outside the child's
+    subtree and minus w inside it: O(n) list work per source. The heaviest
+    child goes last, so a parent's row stays alive only while a lighter
+    child's subtree is walked, and O(log n) rows are alive at once.
+
+    abs_err bounds the absolute rounding error of every entry against the
+    exact sum of the float weights on its path: an entry takes at most
+    depth(source) + depth(target) <= 2h roundings, h the height in edges,
+    each at most u times a path length <= 2 rmax, rmax the largest root
+    distance; 4 (h + 1) u rmax also covers the error in rmax (for h < 2**25).
+    """
+    n = g.n
+    order, up, w_up = [], [0] * n, [0.0] * n  # up, w_up: parent's position, edge weight
+    pos = [0] * n
+    seen = [False] * n
+    seen[0] = True
+    stack: list[tuple[int, int]] = [(0, 0)]
+    while stack:
+        u, parent = stack.pop()
+        pos[u] = i = len(order)
+        order.append(u)
+        if i:
+            up[i] = pos[parent]
+            w_up[i] = weight[(u, parent) if u < parent else (parent, u)]
+        for v in g.adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append((v, u))
+    size, depth, root_row = [1] * n, [0] * n, [0.0] * n
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for i in range(1, n):
+        depth[i] = depth[up[i]] + 1
+        root_row[i] = root_row[up[i]] + w_up[i]
+        kids[up[i]].append(i)
+    for i in range(n - 1, 0, -1):
+        size[up[i]] += size[i]
+    abs_err = 4 * (max(depth) + 1) * _U * Fraction(max(root_row))
+
+    def rows():
+        pending = [(0, root_row)]  # (position, its parent's row; the root's own)
+        while pending:
+            i, prow = pending.pop()
+            if i == 0:
+                row = prow
+            else:
+                a, b, w = i, i + size[i], w_up[i]
+                row = [x + w for x in prow[:a]]
+                row += [x - w for x in prow[a:b]]
+                row += [x + w for x in prow[b:]]
+            yield i, row
+            pending += [(c, row) for c in sorted(kids[i], key=size.__getitem__, reverse=True)]
+
+    return order, rows(), abs_err
+
+
 def _sssp(d: Drawing, source: int, weights: dict[tuple[int, int], int]) -> list[int]:
-    """Single-source shortest paths with nonnegative integer weights (Dijkstra)."""
+    """Single-source shortest paths with nonnegative integer weights
+    (Dijkstra) on a connected graph."""
     n = d.graph.n
-    INF = -1
-    dist = [INF] * n
+    dist: list[Optional[int]] = [None] * n
     dist[source] = 0
     heap = [(0, source)]
     while heap:
@@ -154,24 +420,9 @@ def _sssp(d: Drawing, source: int, weights: dict[tuple[int, int], int]) -> list[
         for v in d.graph.adj[u]:
             w = weights[(u, v) if u < v else (v, u)]
             nd = du + w
-            if dist[v] == INF or nd < dist[v]:
+            if dist[v] is None or nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return dist
-
-
-def _sssp_tree(d: Drawing, source: int, weights: dict[tuple[int, int], int]) -> list[int]:
-    """Path lengths from source when the graph is a tree (plain DFS accumulation)."""
-    n = d.graph.n
-    dist = [-1] * n
-    dist[source] = 0
-    stack = [source]
-    while stack:
-        u = stack.pop()
-        for v in d.graph.adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + weights[(u, v) if u < v else (v, u)]
-                stack.append(v)
     return dist
 
 
@@ -200,13 +451,12 @@ def spanning_ratio(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:
     Coincident vertices make the ratio infinite: the result is then the
     infinite interval (lo = hi = math.inf, `is_infinite` true).
     """
-    sssp = _sssp_tree if d.graph.m == d.graph.n - 1 else _sssp
 
-    def rows(lo_w, hi_w):
-        for u in range(d.graph.n):
-            yield sssp(d, u, lo_w), sssp(d, u, hi_w)
+    def rows(lo_w, hi_w, sources=range(d.graph.n)):
+        for u in sources:
+            yield _sssp(d, u, lo_w), _sssp(d, u, hi_w)
 
-    return _ratio_enclosure(d, rel_tol, _START_BITS, rows)
+    return _ratio_enclosure(d, rel_tol, _START_BITS, rows, filtered=True)
 
 
 def spanning_ratio_bruteforce(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:

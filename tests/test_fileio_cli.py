@@ -149,14 +149,16 @@ def drawing_file(tmp_path, n, edges, coords):
 
 
 def test_version_matches_pyproject():
+    # A regex rather than tomllib, which Python 3.10 does not have.
     import os
-    import tomllib
+    import re
 
     import spannerdraw
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
-        assert spannerdraw.__version__ == tomllib.load(fh)["project"]["version"]
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        version = re.search(r'^version\s*=\s*"([^"]+)"', fh.read(), re.MULTILINE)
+    assert version is not None and spannerdraw.__version__ == version.group(1)
 
 
 class TestCli:
@@ -196,6 +198,23 @@ class TestCli:
 
     def test_missing_file_exits_5(self, tmp_path):
         assert cli.main(["metrics", str(tmp_path / "absent.json")]) == 5
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [("draw", "--epsilon"), ("draw", "--rel-tol"), ("metrics", "--rel-tol"), ("verify", "--s")],
+    )
+    def test_numeric_argument_bounded(self, tmp_path, capsys, command, option):
+        # Just past the exponent bound of fileio.parse_rational: Fraction alone
+        # would build a 664k-bit integer from it.
+        value = f"1e{fileio.MAX_RATIONAL_CHARS + 1}"
+        if command == "draw":
+            argv = ["draw", "planar", graph_file(tmp_path, 2, [[0, 1]]), "-o", str(tmp_path / "o")]
+        else:
+            argv = [command, drawing_file(tmp_path, 2, [[0, 1]], [["0", "0"], ["1", "0"]])]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + [option, value])
+        assert exc.value.code == 2
+        assert "exponent" in capsys.readouterr().err
 
     def test_verify_s_below_one_exits_2(self, tmp_path):
         inp = graph_file(tmp_path, 2, [[0, 1]])

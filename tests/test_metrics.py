@@ -1,12 +1,17 @@
+import heapq
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_drawing, random_rational_drawing
+from conftest import random_drawing, random_rational_drawing, random_tree
+from spannerdraw import metrics
 from spannerdraw.drawing import Drawing
-from spannerdraw.exact import sqrt_interval
-from spannerdraw.graph import Graph
+from spannerdraw.exact import Interval, isqrt_scaled, sqrt_interval
+from spannerdraw.geometry import dist_sq
+from spannerdraw.graph import Graph, RootedTree
+from spannerdraw.layout import Epsilon, draw_planar_spanner, draw_tree_planar
 from spannerdraw.metrics import (
     DEFAULT_REL_TOL,
     bounding_box,
@@ -83,6 +88,197 @@ class TestSpanningRatio:
         tiny = drawing(3, [(0, 1), (1, 2)], [(0, 0), (F(1, 10**5000), 0), (1, 1)])
         a, b = spanning_ratio(tiny), spanning_ratio_bruteforce(tiny)
         assert a.intersects(b) and a.rel_width() <= DEFAULT_REL_TOL
+
+
+def spanning_ratio_oracle(d, rel_tol=DEFAULT_REL_TOL):
+    """The enclosure spanning_ratio certified before it had a float filter:
+    on the integer numerators over the least common denominator L, exact
+    Dijkstra rows under the lower and the upper edge brackets from every
+    source, and a bracket on every pair, at 64, 128, ... bits; a pair that
+    brackets to 0 shifts the scale by the bits the closest pair needs."""
+    g, n = d.graph, d.graph.n
+    L = math.lcm(*{c.denominator for p in d.coords for c in p})
+    pts = [(int(x * L), int(y * L)) for x, y in d.coords]
+    if len(set(pts)) < n:
+        return Interval(math.inf, math.inf)
+    den = L * L
+
+    def row(source, weights):
+        dist = {source: 0}
+        heap = [(0, source)]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if dist[u] == du:
+                for v in g.adj[u]:
+                    nd = du + weights[(min(u, v), max(u, v))]
+                    if v not in dist or nd < dist[v]:
+                        dist[v] = nd
+                        heapq.heappush(heap, (nd, v))
+        return dist
+
+    def attempt(bits):
+        brackets = {e: isqrt_scaled(dist_sq(pts[e[0]], pts[e[1]]), den, bits) for e in g.edges()}
+        lo_w = {e: b[0] for e, b in brackets.items()}
+        hi_w = {e: b[1] for e, b in brackets.items()}
+        best_lo, best_hi = (0, 1), (0, 1)
+        for u in range(n):
+            dist_lo, dist_hi = row(u, lo_w), row(u, hi_w)
+            for v in range(u + 1, n):
+                e_lo, e_hi = isqrt_scaled(dist_sq(pts[u], pts[v]), den, bits)
+                if e_lo == 0:
+                    return None
+                if dist_lo[v] * best_lo[1] > best_lo[0] * e_hi:
+                    best_lo = (dist_lo[v], e_hi)
+                if dist_hi[v] * best_hi[1] > best_hi[0] * e_lo:
+                    best_hi = (dist_hi[v], e_lo)
+        lo = max(F(*best_lo), F(1))
+        return Interval(lo, max(F(*best_hi), lo))
+
+    shift, bits = 0, 64
+    while bits <= 16384:
+        ivl = attempt(bits + shift)
+        if ivl is None:
+            closest = min(dist_sq(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
+            shift = ((-(-den // closest) - 1).bit_length() + 1) // 2
+        elif ivl.rel_width() <= rel_tol:
+            return ivl
+        bits *= 2
+    raise RuntimeError("precision escalation exhausted")
+
+
+def strip_graph(n):
+    """A path with a chord over every other vertex: planar, not a tree."""
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(0, n - 2, 2)])
+
+
+def zigzag_tree(k):
+    """A path whose edge lengths halve, turning 90 degrees at every vertex."""
+    pts, x, y = [(F(0), F(0))], F(0), F(0)
+    for i in range(k):
+        x, y = (x + F(1, 2**i), y) if i % 2 == 0 else (x, y + F(1, 2**i))
+        pts.append((x, y))
+    return drawing(k + 1, [(i, i + 1) for i in range(k)], pts)
+
+
+def two_triangles(apex, gap, scale):
+    """Two isosceles paths joined by an edge: D-F-E with base 1 and apex
+    height `apex`, and a copy A-C-B shrunk to base `scale` whose ratio is
+    lower by `gap` times 2**-20, the filter's margin. At the precision where
+    one bracket unit is about 2**-20 of the small base, the skipped pair
+    (A, B) has an upper ratio bound above the certified lower bound."""
+    r = 2 * math.sqrt(0.25 + apex * apex)
+    small = F(round(math.sqrt((r * (1 - gap * 2**-20) / 2) ** 2 - 0.25) * 2**40), 2**40)
+    a = F(-2)
+    pts = [(0, 0), (F(1, 2), apex), (1, 0), (a, 0), (a + scale / 2, small * scale), (a + scale, 0)]
+    return drawing(6, [(0, 1), (1, 2), (0, 3), (3, 4), (4, 5)], pts)
+
+
+def two_scales(far, gap):
+    """A tree of two isosceles paths 2**40 apart, joined by a long edge:
+    near the origin with apex height 1 - gap, far away with height 1, so the
+    far one holds the largest ratio. Rerooted float rows lose about 2**-12
+    of the far path's distances, far more than the gap between the two."""
+    pts = [(0, 0), (F(1, 2), 1 - gap), (1, 0), (far, 0), (far + F(1, 2), 1), (far + 1, 0)]
+    return drawing(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], pts)
+
+
+class TestFloatFilter:
+    """spanning_ratio scans the float filter's candidate pairs first and all
+    pairs only when the filter cannot prove that the others do not matter.
+    Its enclosures must equal the full scan's exactly, whichever way it went."""
+
+    def test_matches_full_scan_oracle(self, monkeypatch):
+        outcomes = Counter()
+        float_filter, filter_proves = metrics._float_filter, metrics._filter_proves
+
+        def counted_filter(*args):
+            flt = float_filter(*args)
+            outcomes["declined" if flt is None else "filtered"] += 1
+            return flt
+
+        def counted_proves(*args):
+            proven = filter_proves(*args)
+            outcomes["proven" if proven else "fallback"] += 1
+            return proven
+
+        monkeypatch.setattr(metrics, "_float_filter", counted_filter)
+        monkeypatch.setattr(metrics, "_filter_proves", counted_proves)
+
+        cases = [random_drawing(4 + seed % 12, seed) for seed in range(20)]
+        cases += [random_rational_drawing(5 + seed % 8, 5000 + seed) for seed in range(20)]
+        cases += [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
+                  for n in (30, 120, 300)]
+        # Coordinates past 1400 bits, so the float pass scales them down.
+        wide = draw_planar_spanner(strip_graph(140), Epsilon(F(1, 10)))
+        assert max(abs(c).bit_length() for p in metrics._scaled(wide)[0] for c in p) > 1400
+        cases += [wide, draw_planar_spanner(random_tree(60, 4, 60), Epsilon(F(1, 10)))]
+        # Lengths over 40 scales: the rerooted tree rows are too coarse, so
+        # the filter takes the Dijkstra rows, for which the proof holds.
+        cases.append(zigzag_tree(40))
+        cases.append(two_scales(F(2**40 + 12345), F(1, 10**6)))
+        cases = [(d, "proven") for d in cases]
+        # The closest pair, an edge, is below 2**-64, so at 64 bits the proof
+        # cannot exclude a zero bracket and the full scan shifts.
+        cases.append((drawing(4, [(0, 1), (1, 2), (2, 3)],
+                              [(0, 0), (F(1, 2**70), 0), (0, 1), (1, 1)]), "fallback"))
+        # Beyond the filter's range, and a path whose pairs all tie.
+        cases.append((drawing(3, [(0, 1), (1, 2)], [(0, 0), (F(1, 10**5000), 0), (1, 1)]),
+                      "declined"))
+        cases.append((drawing(60, [(i, i + 1) for i in range(59)], [(i, 0) for i in range(60)]),
+                      "declined"))
+
+        for k, (d, outcome) in enumerate(cases):
+            outcomes.clear()
+            a, b = spanning_ratio(d), spanning_ratio_oracle(d)
+            assert (a.lo, a.hi) == (b.lo, b.hi), k
+            if a.is_infinite:
+                continue  # coincident points: no scan at all
+            # Each case takes its path; the "proven" ones never scan all pairs.
+            assert outcomes[outcome], (k, outcomes)
+            if outcome == "proven":
+                assert set(outcomes) == {"filtered", "proven"}, (k, outcomes)
+
+    def test_proof_implies_full_scan_at_every_precision(self):
+        # At a few bits the brackets are coarse, so every error term of the
+        # proof is tested, not only at the precision that certifies.
+        cases = [random_drawing(4 + seed % 9, 700 + seed) for seed in range(12)]
+        cases += [random_rational_drawing(5 + seed % 6, 7000 + seed) for seed in range(12)]
+        cases += [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
+                  for n in (8, 20)]
+        # Built so that at one precision a skipped pair moves the enclosure
+        # and only one of the two bracket terms of the proof (the one of the
+        # pair distance, then the one of the path) stops the proof.
+        base = F(2**20, 2**50)
+        cases += [two_triangles(F(199, 40), 1.05, base * F(10**6 + 997, 10**6)),
+                  two_triangles(F(1), 1.02, base * F(10**6 + 997, 10**6))]
+        checked = Counter()
+        for k, d in enumerate(cases):
+            g = d.graph
+            coords, L = metrics._scaled(d)
+            if len(set(coords)) < g.n:
+                continue
+            flt = metrics._float_filter(g, coords)
+            every = [(u, range(u + 1, g.n)) for u in range(g.n)]
+            for bits in range(1, 60):
+                lo_w, hi_w = {}, {}
+                for u, v in g.edges():
+                    lo_w[(u, v)], hi_w[(u, v)] = isqrt_scaled(dist_sq(coords[u], coords[v]), L * L, bits)
+
+                def enclosure(groups):
+                    rows = ((metrics._sssp(d, u, lo_w), metrics._sssp(d, u, hi_w)) for u, _ in groups)
+                    try:
+                        return metrics._scan(coords, L * L, bits, groups, rows)
+                    except metrics._ZeroBracket:
+                        return None
+
+                candidates = enclosure(list(flt.pairs.items()))
+                if candidates is None or not metrics._filter_proves(flt, candidates.lo, L, bits):
+                    checked["unproven"] += 1
+                    continue
+                full = enclosure(every)
+                assert full is not None and (full.lo, full.hi) == (candidates.lo, candidates.hi), (k, bits)
+                checked["proven"] += 1
+        assert checked["proven"] > 100 and checked["unproven"] > 100, checked
 
 
 class TestEdgeLengthRatio:
