@@ -1,7 +1,8 @@
 """Exact geometric predicates on rational points.
 
-Coordinates may be Fractions or ints: the metrics run these predicates on
-integer numerators over a common denominator, and layout on Fractions.
+Coordinates may be Fractions or ints. The metrics and the layout
+constructions run these predicates on integer numerators over a common
+denominator; the test oracles run them on Fractions.
 """
 
 from __future__ import annotations

@@ -23,9 +23,7 @@ from .graph import (
     RootedTree,
     connected_prefix_order,
     degree_bounded_spanning_tree,
-    edge_separator,
     is_connected,
-    split_at_edge,
 )
 
 _LEG_BITS = 80  # dyadic approximation scale for the base triangle apex height
@@ -128,10 +126,14 @@ def draw_planar_spanner(h: Graph, eps: Epsilon) -> Drawing:
     coords[order[1]] = (half, Fraction(0))
     coords[order[2]] = (half / 2, y3)
 
+    # Each later vertex goes midway in x between two placed ones and above the
+    # disk of all of them, so (0, 0) and (half, y of the last one) span the
+    # bounding box of the placed vertices, and their disk is the disk of all.
+    top = y3
     for k in range(4, h.n + 1):
-        placed = [coords[v] for v in order[: k - 1]]
         attachment = [coords[w] for w in co.attachments[k]]
-        coords[order[k - 1]] = place_next_vertex(placed, attachment, k, eps)
+        x, top = place_next_vertex([(Fraction(0), Fraction(0)), (half, top)], attachment, k, eps)
+        coords[order[k - 1]] = (x, top)
 
     return Drawing(h, tuple(coords))  # type: ignore[arg-type]
 
@@ -205,49 +207,108 @@ def _bfs_spanning_tree(g: Graph) -> RootedTree:
     return RootedTree.from_graph(Graph.from_edges(n, edges), 0)
 
 
+# A drawn part: its vertices, their points as integer numerators, and the
+# common denominator of those numerators.
+_TreePart = tuple[list[int], list[tuple[int, int]], int]
+
+
 def draw_tree_proper(t: RootedTree, eps: Epsilon) -> Drawing:
     """Proper tree drawing: no three vertices collinear, pairwise distances at
     least 1, spanning ratio at most (tree_gamma+2)/tree_gamma <= 1 + epsilon/2,
-    width polynomial in n."""
+    width polynomial in n.
+
+    A separator edge splits the tree into the part holding the root and the
+    part below the edge. Each part is drawn with its root at (0, 0), x >= 0
+    and y in [-3^-k, 0] at separator depth k, and the lower part goes to the
+    right of the upper one, shifted down by the first of a fixed sequence of
+    amounts that puts no three of their points on a line.
+
+    The separator tree is built top-down and merged bottom-up with no
+    recursion, since a star is n - 1 levels deep. Each part holds integer
+    numerators over its own denominator, a product of powers of 2 and 3, so
+    the merge search runs direction keys on integers; the coordinates become
+    Fractions once, at the end.
+    """
     gamma = eps.tree_gamma
-    d = max(2, t.graph.max_degree())
-    coords = _tree_proper_rec(t, d, gamma, Fraction(1))
-    return Drawing.of(t.graph, [coords[v] for v in range(t.n)])
+    # Top-down, breadth first: a part is a preorder of its vertices, root
+    # first, so the side below its separator edge is a contiguous slice.
+    parts = [(t._preorder(), 0)]  # (preorder, separator depth)
+    halves: list[Optional[tuple[int, int]]] = []  # indices of the two halves
+    size = [1] * t.n
+    i = 0
+    while i < len(parts):
+        vs, k = parts[i]
+        if len(vs) == 1:
+            halves.append(None)
+        else:
+            start = _separator_index(vs, t.parent, size)
+            stop = start + size[vs[start]]
+            halves.append((len(parts), len(parts) + 1))
+            parts += [(vs[:start] + vs[stop:], k + 1), (vs[start:stop], k + 1)]
+        i += 1
+
+    # Bottom-up: every half comes after its part in `parts`.
+    drawn: list[Optional[_TreePart]] = [None] * len(parts)
+    for i in reversed(range(len(parts))):
+        vs, k = parts[i]
+        if halves[i] is None:
+            drawn[i] = (vs, [(0, 0)], 1)
+        else:
+            upper, lower = halves[i]
+            drawn[i] = _merge_tree_parts(drawn[upper], drawn[lower], k, gamma)
+            drawn[upper] = drawn[lower] = None
+    verts, pts, den = drawn[0]
+    coords: list[Optional[Point]] = [None] * t.n
+    for v, (x, y) in zip(verts, pts):
+        coords[v] = (Fraction(x, den), Fraction(y, den))
+    return Drawing(t.graph, tuple(coords))  # type: ignore[arg-type]
 
 
-def _subtree(t: RootedTree, vertices: list[int], root: int) -> tuple[RootedTree, list[int]]:
-    """Rooted subtree induced by `vertices`, relabeled; returns (tree, local->global)."""
-    local = sorted(vertices)
-    sub = t.graph.induced(local)
-    return RootedTree.from_graph(sub, local.index(root)), local
+def _separator_index(vs: list[int], parent: Sequence[Optional[int]], size: list[int]) -> int:
+    """Index in the preorder `vs` of the lower endpoint v of the separator edge
+    that `graph.edge_separator` picks for the subtree spanned by `vs`.
+
+    That rule minimizes (larger part, parent of v, v) over local labels, which
+    are the ranks of the vertex ids, so comparing the ids gives the same edge.
+    Leaves size[w] set to the size of w's subtree within `vs`.
+    """
+    m = len(vs)
+    for w in vs:
+        size[w] = 1
+    for w in reversed(vs[1:]):
+        size[parent[w]] += size[w]  # type: ignore[index]
+    return min(
+        range(1, m),
+        key=lambda j: (max(size[vs[j]], m - size[vs[j]]), parent[vs[j]], vs[j]),
+    )
 
 
-def _tree_proper_rec(t: RootedTree, d: int, gamma: int, eta: Fraction) -> dict[int, Point]:
-    """Coordinates with the root at (0, 0), all x >= 0, all y in [-eta, 0]."""
-    if t.n == 1:
-        return {t.root: (Fraction(0), Fraction(0))}
-    u, v = edge_separator(t, d)
-    part1, part2 = split_at_edge(t, u, v)
-    t1, map1 = _subtree(t, part1, t.root)
-    t2, map2 = _subtree(t, part2, v)
-    c1 = {map1[lv]: p for lv, p in _tree_proper_rec(t1, d, gamma, eta / 3).items()}
-    c2 = {map2[lv]: p for lv, p in _tree_proper_rec(t2, d, gamma, eta / 3).items()}
-    w1 = max(p[0] for p in c1.values())
-    x_off = w1 + gamma * (w1 + eta + 1)
-    y_base = -eta / 3
+def _merge_tree_parts(upper: _TreePart, lower: _TreePart, k: int, gamma: int) -> _TreePart:
+    """The two parts of a depth-k part, drawn as one over a reduced denominator.
 
-    pts1 = list(c1.values())
-    j = 1
-    span = 8
+    With eta = 3^-k, the lower part moves right by w + gamma*(w + eta + 1),
+    w the width of the upper part, and down by eta/3 + eta/3 * step/span for
+    the first step/span in 1/8, ..., 7/8, 8/64, ..., 63/64, ... that puts no
+    three points on a line. Everything is counted in units of 1/L,
+    L = lcm(D1, D2, 3^(k+1) * span), in which every term is an integer.
+    """
+    verts1, pts1, den1 = upper
+    verts2, pts2, den2 = lower
+    w1 = max(x for x, _ in pts1)
+    j, span = 1, 8
     while True:
+        den = math.lcm(den1, den2, 3 ** (k + 1) * span)
+        third = den // 3 ** (k + 1)  # eta/3
+        s1, s2 = den // den1, den // den2
+        left = [(x * s1, y * s1) for x, y in pts1]
+        x_off = (gamma + 1) * w1 * s1 + gamma * (3 * third + den)
         for step in range(j, span):
-            delta = (eta / 3) * Fraction(step, span)
-            pts2 = [(p[0] + x_off, p[1] + y_base - delta) for p in c2.values()]
-            if not _cross_collinear(pts1, pts2):
-                merged = dict(c1)
-                for gv, p in c2.items():
-                    merged[gv] = (p[0] + x_off, p[1] + y_base - delta)
-                return merged
+            y_off = -third - step * (third // span)
+            right = [(x * s2 + x_off, y * s2 + y_off) for x, y in pts2]
+            if not _cross_collinear(left, right):
+                pts = left + right
+                g = math.gcd(den, *(c for p in pts for c in p))
+                return verts1 + verts2, [(x // g, y // g) for x, y in pts], den // g
         j = span
         span *= 8
 

@@ -1,15 +1,26 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_connected_graph, random_connected_planar_graph, random_tree
+from spannerdraw.embedding import augment_to_maximal_with_canonical_order
 from spannerdraw.errors import NotConnectedError
+from spannerdraw.exact import isqrt_scaled
 from spannerdraw.geometry import direction_key, dist_sq
-from spannerdraw.graph import Graph, RootedTree, connected_prefix_order
+from spannerdraw.graph import (
+    Graph,
+    RootedTree,
+    connected_prefix_order,
+    edge_separator,
+    split_at_edge,
+)
 from spannerdraw.layout import (
+    _LEG_BITS,
     Epsilon,
     _bfs_spanning_tree,
+    _cross_collinear,
     draw_graph_via_tough_tree,
     draw_planar_spanner,
     draw_proper_spanner,
@@ -35,6 +46,10 @@ def path_graph(n):
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def star_graph(n):
+    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+
+
 class TestEpsilon:
     def test_gamma(self):
         assert Epsilon(F(1)).gamma == 2
@@ -55,7 +70,34 @@ class TestEpsilon:
             Epsilon(F(0))
 
 
+def planar_spanner_oracle(h, eps):
+    """Coordinates of the planar construction as first written: each vertex
+    is placed against the enclosing disk of the list of all placed points."""
+    co = augment_to_maximal_with_canonical_order(h)
+    e = min(eps.value, F(1))
+    order = list(co.order)
+    coords = [None] * h.n
+    leg_sq = 1 - (e / 4) ** 2
+    y3 = F(isqrt_scaled(leg_sq.numerator, leg_sq.denominator, _LEG_BITS)[1], 1 << _LEG_BITS)
+    coords[order[0]] = (F(0), F(0))
+    coords[order[1]] = (e / 2, F(0))
+    coords[order[2]] = (e / 4, y3)
+    for k in range(4, h.n + 1):
+        placed = [coords[v] for v in order[: k - 1]]
+        attachment = [coords[w] for w in co.attachments[k]]
+        coords[order[k - 1]] = place_next_vertex(placed, attachment, k, eps)
+    return tuple(coords)
+
+
 class TestPlanarSpanner:
+    @pytest.mark.parametrize("eps", [F(1, 10), F(1), F(3)])
+    def test_matches_oracle(self, eps):
+        eps = Epsilon(eps)
+        graphs = [path_graph(3), path_graph(12), star_graph(12)]
+        graphs += [random_connected_planar_graph(n, 960 + n) for n in (6, 15, 30)]
+        for g in graphs:
+            assert draw_planar_spanner(g, eps).coords == planar_spanner_oracle(g, eps)
+
     def test_path3_base_case_ratio(self):
         d = draw_planar_spanner(path_graph(3), EPS1)
         sr = spanning_ratio(d, F(1, 10**13))
@@ -167,7 +209,70 @@ class TestProperSpanner:
             draw_proper_spanner(Graph.from_edges(3, [(0, 1)]), EPS1)
 
 
+def tree_proper_oracle(t, eps):
+    """Coordinates of the proper tree construction by its first, recursive
+    search on Fractions: each part is relabeled as its own RootedTree,
+    split at `edge_separator`, drawn recursively with eta / 3 and merged."""
+    d = max(2, t.graph.max_degree())
+    coords = _tree_proper_oracle_rec(t, d, eps.tree_gamma, F(1))
+    return tuple(coords[v] for v in range(t.n))
+
+
+def _tree_proper_oracle_rec(t, d, gamma, eta):
+    if t.n == 1:
+        return {t.root: (F(0), F(0))}
+    u, v = edge_separator(t, d)
+    c = []
+    for part, root in zip(split_at_edge(t, u, v), (t.root, v)):
+        local = sorted(part)
+        sub = RootedTree.from_graph(t.graph.induced(local), local.index(root))
+        drawn = _tree_proper_oracle_rec(sub, d, gamma, eta / 3)
+        c.append({local[lv]: p for lv, p in drawn.items()})
+    c1, c2 = c
+    w1 = max(p[0] for p in c1.values())
+    x_off = w1 + gamma * (w1 + eta + 1)
+    j, span = 1, 8
+    while True:
+        for step in range(j, span):
+            y_off = -eta / 3 - (eta / 3) * F(step, span)
+            shifted = {gv: (p[0] + x_off, p[1] + y_off) for gv, p in c2.items()}
+            if not _cross_collinear(list(c1.values()), list(shifted.values())):
+                return {**c1, **shifted}
+        j = span
+        span *= 8
+
+
+def caterpillar(k):
+    """A k-vertex spine with one leaf on every spine vertex."""
+    spine = [(i, i + 1) for i in range(k - 1)]
+    return Graph.from_edges(2 * k, spine + [(i, k + i) for i in range(k)])
+
+
 class TestTreeProper:
+    @pytest.mark.parametrize("eps", [F(1, 10), F(1), F(3)])
+    def test_matches_oracle(self, eps):
+        eps = Epsilon(eps)
+        graphs = [Graph.from_edges(1, []), path_graph(2), star_graph(12), path_graph(40)]
+        graphs.append(caterpillar(30))
+        graphs += [random_tree(n, 3 + n % 3, 950 + n) for n in (7, 25, 60, 110, 200)]
+        for g in graphs:
+            t = RootedTree.from_graph(g, g.n // 2)
+            assert draw_tree_proper(t, eps).coords == tree_proper_oracle(t, eps)
+
+    def test_deep_star_needs_no_recursion(self):
+        # A star splits off one leaf per separator level: 149 levels here.
+        t = RootedTree.from_graph(star_graph(150), 0)
+        limit = sys.getrecursionlimit()
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        sys.setrecursionlimit(depth + 100)
+        try:
+            d = draw_tree_proper(t, EPS1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert no_three_collinear(d)
+
     def test_single_vertex(self):
         t = RootedTree.from_graph(Graph.from_edges(1, []), 0)
         d = draw_tree_proper(t, EPS1)

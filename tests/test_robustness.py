@@ -1,9 +1,12 @@
-"""Every input to the CLI maps to a documented exit code.
+"""Every input to the CLI maps to a documented exit code, and every input to
+a construction gives a drawing or a documented error.
 
 Random small graphs and drawings, degenerate ones included (coincident points,
 collinear triples, pairs a hair apart, coordinates far apart), go through
 `draw`, `metrics` and `verify`. Each call must return 0, 2, 3, 4 or 5 (an
-argparse usage error exits 2 through SystemExit) and raise nothing else.
+argparse usage error exits 2 through SystemExit) and raise nothing else. The
+constructions, called directly on small graphs, return a drawing of every
+vertex or raise `SpannerDrawError` or `ValueError`.
 """
 
 import contextlib
@@ -11,11 +14,20 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spannerdraw import cli
+from spannerdraw import Graph, RootedTree, cli
+from spannerdraw.errors import SpannerDrawError
+from spannerdraw.layout import (
+    Epsilon,
+    draw_graph_via_tough_tree,
+    draw_planar_spanner,
+    draw_proper_spanner,
+    draw_tree_proper,
+)
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -80,3 +92,42 @@ def test_metrics_exits_documented(obj, fmt):
 @given(drawings(), st.sampled_from(["1", "3/2", "4"]))
 def test_verify_exits_documented(obj, s):
     assert run(obj, lambda inp, _: ["verify", inp, "--s", s]) in EXIT_CODES
+
+
+@st.composite
+def small_graphs(draw):
+    """Stars, paths and random edge sets (isolated vertices, cycles and
+    disconnected graphs among them) on at most 8 vertices."""
+    n = draw(st.integers(0, 8))
+    shape = draw(st.sampled_from(["star", "path", "random"]))
+    if shape == "star":
+        edges = [(0, v) for v in range(1, n)]
+    elif shape == "path":
+        edges = [(v, v + 1) for v in range(n - 1)]
+    else:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    small_graphs(),
+    st.fractions(min_value=Fraction(1, 100), max_value=5, max_denominator=100),
+    st.integers(0, 7),
+    st.integers(1, 4),
+)
+def test_constructions_raise_only_documented_errors(g, epsilon, root, d_target):
+    eps = Epsilon(epsilon)
+    constructions = [
+        lambda: draw_tree_proper(RootedTree.from_graph(g, min(root, max(g.n - 1, 0))), eps),
+        lambda: draw_graph_via_tough_tree(g, d_target, eps).drawing,
+        lambda: draw_proper_spanner(g, eps),
+        lambda: draw_planar_spanner(g, eps),
+    ]
+    for construct in constructions:
+        try:
+            drawing = construct()
+        except (SpannerDrawError, ValueError):
+            continue
+        assert drawing.graph is g and len(drawing.coords) == g.n
