@@ -18,7 +18,7 @@ from .drawing import Drawing, Point
 from .errors import ZeroLengthEdgeError
 from .exact import Interval, sqrt_interval
 from .geometry import dist_sq, on_segment_closed
-from .graph import Graph, hamiltonian_path, hamiltonian_path_exists
+from .graph import Graph, hamiltonian_path, hamiltonian_path_exists, path_order
 from .metrics import DEFAULT_REL_TOL, is_planar_drawing, spanning_ratio
 
 # Explicit packing constant from the annulus argument: each annulus around a
@@ -148,27 +148,6 @@ def sr1_witness(g: Graph) -> Optional[Drawing]:
     return Drawing.of(g, coords)
 
 
-def _path_order(g: Graph) -> Optional[list[int]]:
-    """Vertices of g in path order if g is a path graph (n >= 1), else None."""
-    n = g.n
-    if n == 1:
-        return [0]
-    if g.m != n - 1 or g.max_degree() > 2:
-        return None
-    ends = [v for v in range(n) if g.degree(v) == 1]
-    if len(ends) != 2:
-        return None
-    order = [min(ends)]
-    prev = -1
-    while len(order) < n:
-        nxt = [w for w in g.adj[order[-1]] if w != prev]
-        if len(nxt) != 1:
-            return None
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
-
-
 def _fan_decomposition(g: Graph, apex_count: int) -> Optional[tuple[list[int], list[int]]]:
     """If g is a path plus `apex_count` vertices each adjacent to every other
     vertex except possibly each other, return (apexes, path order)."""
@@ -185,7 +164,7 @@ def _fan_decomposition(g: Graph, apex_count: int) -> Optional[tuple[list[int], l
         if any(not all(g.has_edge(a, v) for v in rest) for a in apexes):
             continue
         sub = g.induced(rest)
-        order = _path_order(sub)
+        order = path_order(sub)
         if order is not None:
             return list(apexes), [rest[i] for i in order]
     return None
@@ -215,7 +194,7 @@ def planar_sr1_witness(g: Graph) -> Optional[Drawing]:
     n = g.n
     if n == 0:
         return None
-    order = _path_order(g)
+    order = path_order(g)
     if order is not None:
         coords: list[Point] = [None] * n  # type: ignore[list-item]
         for i, v in enumerate(order):

@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     draw.add_argument("--epsilon", type=_positive_rational, default=Fraction(1))
     draw.add_argument("--rel-tol", type=_positive_rational, default=metrics.DEFAULT_REL_TOL)
     draw.add_argument("--d-target", type=int, default=3)
-    draw.add_argument("--seed", type=int, default=0, help="accepted for reproducibility; the constructions are deterministic")
     draw.add_argument("--format", choices=["text", "json"], default="text")
 
     met = sub.add_parser("metrics", help="exact/certified metric report of a drawing")

@@ -1,9 +1,11 @@
 """Certified enclosures for irrational quantities built from exact rationals.
 
-All constructions in this package use `fractions.Fraction`; square roots are
-never materialized. When a length or a ratio involving square roots must be
-reported, it is enclosed in a rational interval [lo, hi] whose width is driven
-below any requested relative tolerance by raising the working precision.
+Coordinates are exact rationals: `fractions.Fraction` in a `Drawing`, and
+integer numerators over a common denominator inside the constructions and
+the metrics. Square roots are never materialized. When a length or a ratio
+involving square roots must be reported, it is enclosed in a rational
+interval [lo, hi] whose width is driven below any requested relative
+tolerance by raising the working precision.
 """
 
 from __future__ import annotations

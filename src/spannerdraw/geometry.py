@@ -1,17 +1,21 @@
 """Exact geometric predicates on rational points.
 
-Coordinates may be Fractions or ints. The metrics and the layout
-constructions run these predicates on integer numerators over a common
-denominator; the test oracles run them on Fractions.
+The plain arithmetic predicates (`orientation`, `collinear`, `dist_sq` and
+the segment tests) take Fractions or ints; `bounds` runs them on Fractions.
+The direction keys and the collinearity scans built on them
+(`direction_key`, `on_line_through_two`, `any_three_collinear`) take integer
+points only: the metrics and the layout constructions run them on integer
+numerators over a common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Point = tuple[Fraction, Fraction]
+IntPoint = tuple[int, int]
 
 
 def orientation(a: Point, b: Point, c: Point):
@@ -67,40 +71,40 @@ def dist_sq(a: Point, b: Point) -> Fraction:
     return dx * dx + dy * dy
 
 
-def direction_key(a: Point, b: Point) -> tuple[int, int]:
-    """Canonical key identifying the undirected direction of the line through a and b.
+def direction_key(a: IntPoint, b: IntPoint) -> tuple[int, int]:
+    """Canonical key identifying the undirected direction of the line through
+    the integer points a and b.
 
     Two pairs are parallel (as undirected lines) iff their keys are equal.
     Requires a != b.
     """
     dx = b[0] - a[0]
     dy = b[1] - a[1]
-    # Clear denominators, reduce, canonicalize sign.
-    num_x = dx.numerator * dy.denominator
-    num_y = dy.numerator * dx.denominator
-    g = gcd(abs(num_x), abs(num_y))
-    assert g > 0
-    num_x //= g
-    num_y //= g
-    if num_x < 0 or (num_x == 0 and num_y < 0):
-        num_x, num_y = -num_x, -num_y
-    return (num_x, num_y)
+    g = gcd(dx, dy)
+    dx //= g
+    dy //= g
+    if dx < 0 or (dx == 0 and dy < 0):
+        dx, dy = -dx, -dy
+    return (dx, dy)
 
 
-def any_three_collinear(points: Sequence[Point]) -> bool:
-    """Exact check over all triples in O(n^2) direction keys: for each point,
-    two others lie on one line through it iff their keys from it are equal,
-    which a hash set of the keys detects."""
-    n = len(points)
-    for i in range(n):
-        seen: set[tuple[int, int]] = set()
-        for j in range(n):
-            if j == i:
-                continue
-            if points[j] == points[i]:
-                return True
-            key = direction_key(points[i], points[j])
-            if key in seen:
-                return True
-            seen.add(key)
+def on_line_through_two(z: IntPoint, points: Iterable[IntPoint]) -> bool:
+    """True iff some line through the integer point z passes through two of
+    `points` (none equal to z): two of them give z the same direction key."""
+    seen = set()
+    for p in points:
+        key = direction_key(z, p)
+        if key in seen:
+            return True
+        seen.add(key)
     return False
+
+
+def any_three_collinear(points: Sequence[IntPoint]) -> bool:
+    """Exact check over all triples of integer points in O(n^2) direction
+    keys; coincident points count as collinear."""
+    if len(set(points)) < len(points):
+        return True
+    return any(
+        on_line_through_two(z, points[:i] + points[i + 1:]) for i, z in enumerate(points)
+    )

@@ -78,17 +78,10 @@ class RootedTree:
             raise NotATreeError(f"graph with n={g.n}, m={g.m} is not a tree")
         parent: list[Optional[int]] = [None] * g.n
         children: list[list[int]] = [[] for _ in range(g.n)]
-        seen = [False] * g.n
-        seen[root] = True
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v] = u
-                    children[u].append(v)
-                    stack.append(v)
+        for u in bfs_order(g, root):  # a vertex comes after its parent
+            children[u] = [v for v in g.adj[u] if v != parent[u]]
+            for v in children[u]:
+                parent[v] = u
         return RootedTree(g, root, parent, children)
 
     @property
@@ -133,58 +126,65 @@ class VertexOrder:
         return iter(self.order)
 
 
+def bfs_order(g: Graph, root: int = 0) -> list[int]:
+    """The vertices reachable from root, in breadth-first order with
+    neighbors in adjacency order. Every prefix induces a connected subgraph,
+    and a vertex's BFS parent is its neighbor that comes first."""
+    order = [root]
+    seen = {root}
+    for u in order:  # the list grows while it is walked: a FIFO queue
+        for v in g.adj[u]:
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+    return order
+
+
 def is_connected(g: Graph) -> bool:
     """True iff g has a single connected component (vacuously true for n=0)."""
-    if g.n == 0:
-        return True
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in g.adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == g.n
+    return g.n == 0 or len(bfs_order(g)) == g.n
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     seen = [False] * g.n
     comps = []
     for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(comp)
+        if not seen[s]:
+            comps.append(bfs_order(g, s))
+            for v in comps[-1]:
+                seen[v] = True
     return comps
 
 
 def connected_prefix_order(t: RootedTree) -> VertexOrder:
     """Order starting at the root in which every prefix induces a connected subtree.
 
-    BFS order from the root; children are visited in stored child order.
+    BFS order from the root; children are visited in stored child order,
+    which `RootedTree.from_graph` keeps sorted, as the adjacency lists are.
     """
-    order = []
-    queue = [t.root]
-    i = 0
-    while i < len(queue):
-        u = queue[i]
-        i += 1
-        order.append(u)
-        queue.extend(t.children[u])
-    return VertexOrder(tuple(order))
+    return VertexOrder(tuple(bfs_order(t.graph, t.root)))
+
+
+def path_order(g: Graph) -> Optional[list[int]]:
+    """Vertices of g in path order, from the end with the smaller id, if g is
+    a path graph (n >= 1); else None."""
+    n = g.n
+    if n == 1:
+        return [0]
+    if g.m != n - 1 or g.max_degree() > 2:
+        return None
+    ends = [v for v in range(n) if g.degree(v) == 1]
+    if len(ends) != 2:
+        return None
+    order = [min(ends)]
+    prev = -1
+    while len(order) < n:
+        nxt = [w for w in g.adj[order[-1]] if w != prev]
+        if len(nxt) != 1:
+            return None
+        prev = order[-1]
+        order.append(nxt[0])
+    return order
 
 
 def hamiltonian_path_exists(g: Graph, limit: int = HAMILTONIAN_DP_LIMIT) -> bool:
@@ -319,25 +319,18 @@ def degree_bounded_spanning_tree(g: Graph, d_target: int) -> RootedTree:
     to relieve maximum-degree vertices. Raises DegreeTargetMissed (carrying the
     best tree found) if the search stalls above d_target.
     """
-    if not is_connected(g):
-        raise NotConnectedError("graph must be connected")
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
+    order = bfs_order(g)
+    if len(order) < n:
+        raise NotConnectedError("graph must be connected")
+    rank = {v: i for i, v in enumerate(order)}
     tree_adj: list[set[int]] = [set() for _ in range(n)]
-    seen = [False] * n
-    seen[0] = True
-    queue = [0]
-    i = 0
-    while i < len(queue):
-        u = queue[i]
-        i += 1
-        for v in g.adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                tree_adj[u].add(v)
-                tree_adj[v].add(u)
-                queue.append(v)
+    for v in order[1:]:
+        u = min(g.adj[v], key=rank.__getitem__)  # v's BFS parent
+        tree_adj[u].add(v)
+        tree_adj[v].add(u)
 
     def max_deg() -> int:
         return max((len(a) for a in tree_adj), default=0)

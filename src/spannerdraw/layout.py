@@ -17,13 +17,14 @@ from .drawing import Drawing, Point
 from .embedding import augment_to_maximal_with_canonical_order
 from .errors import DegreeTargetMissed, NotConnectedError, TooSmallError
 from .exact import isqrt_scaled
-from .geometry import direction_key
+from .geometry import IntPoint, on_line_through_two
 from .graph import (
     Graph,
     RootedTree,
-    connected_prefix_order,
+    bfs_order,
     degree_bounded_spanning_tree,
     is_connected,
+    path_order,
 )
 
 _LEG_BITS = 80  # dyadic approximation scale for the base triangle apex height
@@ -142,7 +143,8 @@ def draw_proper_spanner(g: Graph, eps: Epsilon) -> Drawing:
     """Proper drawing of any connected graph: no three vertices collinear,
     spanning ratio strictly below 1 + epsilon.
 
-    Vertex k goes far to the right of the vertices before it, at the least
+    Vertices are placed in BFS order, so every prefix is connected. Vertex
+    k goes far to the right of the vertices before it, at the least
     integer height y >= 0 that puts it on no line through two of them. A
     height that already holds two vertices is blocked by their horizontal
     line and is skipped unchecked; the first other height gets the full
@@ -152,12 +154,9 @@ def draw_proper_spanner(g: Graph, eps: Epsilon) -> Drawing:
     n = g.n
     if n == 0:
         raise TooSmallError("the proper construction requires at least 1 vertex")
-    if not is_connected(g):
+    order = bfs_order(g)
+    if len(order) < n:
         raise NotConnectedError("input graph must be connected")
-    if n == 1:
-        return Drawing.of(g, [(0, 0)])
-    tree = _bfs_spanning_tree(g)
-    order = list(connected_prefix_order(tree))
     placed = [(0, 0)]  # in the order of `order`; x strictly increasing, y >= 0
     at_height = Counter([0])  # number of placed vertices per height
     y_max = 0
@@ -168,43 +167,12 @@ def draw_proper_spanner(g: Graph, eps: Epsilon) -> Drawing:
         delta = 2 * radius
         x_k = _ceil(cx + radius + Fraction(k * delta) / eps.value) + 1
         y = 0
-        while at_height[y] >= 2 or _on_line_through_two((x_k, y), placed):
+        while at_height[y] >= 2 or on_line_through_two((x_k, y), placed):
             y += 1
         placed.append((x_k, y))
         at_height[y] += 1
         y_max = max(y_max, y)
     return Drawing.of(g, [p for _, p in sorted(zip(order, placed))])
-
-
-def _on_line_through_two(z: Point, points: Sequence[Point]) -> bool:
-    """True iff some line through z passes through two of `points` (none equal to z)."""
-    seen = set()
-    for p in points:
-        key = direction_key(z, p)
-        if key in seen:
-            return True
-        seen.add(key)
-    return False
-
-
-def _bfs_spanning_tree(g: Graph) -> RootedTree:
-    n = g.n
-    parent: list[Optional[int]] = [None] * n
-    seen = [False] * n
-    seen[0] = True
-    queue = [0]
-    i = 0
-    edges = []
-    while i < len(queue):
-        u = queue[i]
-        i += 1
-        for v in g.adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                edges.append((u, v))
-                queue.append(v)
-    return RootedTree.from_graph(Graph.from_edges(n, edges), 0)
 
 
 # A drawn part: its vertices, their points as integer numerators, and the
@@ -313,10 +281,10 @@ def _merge_tree_parts(upper: _TreePart, lower: _TreePart, k: int, gamma: int) ->
         span *= 8
 
 
-def _cross_collinear(pts1: list[Point], pts2: list[Point]) -> bool:
+def _cross_collinear(pts1: list[IntPoint], pts2: list[IntPoint]) -> bool:
     """True iff some line through two points of one part hits a point of the other."""
     return any(
-        _on_line_through_two(hub, other)
+        on_line_through_two(hub, other)
         for hub_side, other in ((pts1, pts2), (pts2, pts1))
         for hub in hub_side
     )
@@ -383,27 +351,13 @@ def draw_tree_planar_with_stats(t: RootedTree, eps: Epsilon) -> tuple[Drawing, T
     """
     n = t.n
     gamma = eps.tree_gamma
-    if n == 1:
-        return (
-            Drawing.of(t.graph, [(0, 0)]),
-            TreePlanarStats(1, 0, 0, True),
-        )
-    if t.graph.max_degree() <= 2:
+    path = path_order(t.graph)
+    if path is not None:
         # The tree is a path: unit-spaced collinear placement is exact.
-        ends = [v for v in range(n) if t.graph.degree(v) == 1]
-        start = min(ends)
-        coords: list[Optional[tuple[int, int]]] = [None] * n
-        prev = -1
-        cur = start
-        for i in range(n):
-            coords[cur] = (i, 0)
-            nxt = [w for w in t.graph.adj[cur] if w != prev]
-            if nxt:
-                prev, cur = cur, nxt[0]
-        return (
-            Drawing.of(t.graph, coords),
-            TreePlanarStats(n, n - 1, 0, True),
-        )
+        coords = [(0, 0)] * n
+        for i, v in enumerate(path):
+            coords[v] = (i, 0)
+        return Drawing.of(t.graph, coords), TreePlanarStats(n, n - 1, 0, True)
 
     # Root at the smallest-id leaf, then give every lone child a dummy sibling.
     root = min(v for v in range(n) if t.graph.degree(v) == 1)

@@ -44,6 +44,7 @@ from .drawing import Drawing
 from .errors import DisconnectedDrawingError, NoEdgesError
 from .exact import Interval, isqrt_scaled, sqrt_interval
 from .geometry import (
+    IntPoint,
     any_three_collinear,
     dist_sq,
     in_segment_interior,
@@ -54,8 +55,6 @@ from .graph import Graph, is_connected
 DEFAULT_REL_TOL = Fraction(1, 10**9)
 _START_BITS = 64
 _MAX_BITS = 16384
-
-IntPoint = tuple[int, int]
 
 
 def _scaled(d: Drawing) -> tuple[list[IntPoint], int]:
@@ -327,20 +326,8 @@ def _candidates(
 
 def _graph_rows(g: Graph, weight: dict[tuple[int, int], float]) -> Iterator[tuple[int, list[float]]]:
     """(u, float distances from u) for every vertex u, by float Dijkstra."""
-    adj = [[(v, weight[(u, v) if u < v else (v, u)]) for v in g.adj[u]] for u in range(g.n)]
-    for source in range(g.n):
-        dist = [math.inf] * g.n
-        dist[source] = 0.0
-        heap = [(0.0, source)]
-        while heap:
-            du, u = heapq.heappop(heap)
-            if du > dist[u]:
-                continue
-            for v, w in adj[u]:
-                if du + w < dist[v]:
-                    dist[v] = du + w
-                    heapq.heappush(heap, (dist[v], v))
-        yield source, dist
+    adj = _weighted_adj(g.n, weight)
+    return ((source, _dijkstra(adj, source)) for source in range(g.n))
 
 
 def _tree_rows(
@@ -406,23 +393,29 @@ def _tree_rows(
     return order, rows(), abs_err
 
 
-def _sssp(d: Drawing, source: int, weights: dict[tuple[int, int], int]) -> list[int]:
-    """Single-source shortest paths with nonnegative integer weights
-    (Dijkstra) on a connected graph."""
-    n = d.graph.n
-    dist: list[Optional[int]] = [None] * n
+def _weighted_adj(n: int, weight: dict) -> list[list[tuple]]:
+    """Adjacency lists of (neighbor, weight) pairs from the weights of the edges."""
+    adj: list[list[tuple]] = [[] for _ in range(n)]
+    for (u, v), w in weight.items():
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return adj
+
+
+def _dijkstra(adj: list[list[tuple]], source: int) -> list:
+    """Shortest-path distances from source over (neighbor, weight) adjacency
+    lists with nonnegative int or float weights; math.inf where unreached."""
+    dist = [math.inf] * len(adj)
     dist[source] = 0
     heap = [(0, source)]
     while heap:
         du, u = heapq.heappop(heap)
-        if dist[u] != du:
+        if du > dist[u]:
             continue
-        for v in d.graph.adj[u]:
-            w = weights[(u, v) if u < v else (v, u)]
-            nd = du + w
-            if dist[v] is None or nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+        for v, w in adj[u]:
+            if du + w < dist[v]:
+                dist[v] = du + w
+                heapq.heappush(heap, (dist[v], v))
     return dist
 
 
@@ -453,8 +446,9 @@ def spanning_ratio(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:
     """
 
     def rows(lo_w, hi_w, sources=range(d.graph.n)):
+        adj_lo, adj_hi = _weighted_adj(d.graph.n, lo_w), _weighted_adj(d.graph.n, hi_w)
         for u in sources:
-            yield _sssp(d, u, lo_w), _sssp(d, u, hi_w)
+            yield _dijkstra(adj_lo, u), _dijkstra(adj_hi, u)
 
     return _ratio_enclosure(d, rel_tol, _START_BITS, rows, filtered=True)
 

@@ -208,8 +208,6 @@ def test_acceptance_9_determinism(tmp_path, capsys):
                     str(src),
                     "--epsilon",
                     "1/2",
-                    "--seed",
-                    "12345",
                     "-o",
                     str(out),
                 ]

@@ -10,6 +10,7 @@ from spannerdraw.geometry import (
     direction_key,
     dist_sq,
     in_segment_interior,
+    on_line_through_two,
     on_segment_closed,
     orientation,
     segments_cross_improperly,
@@ -96,24 +97,34 @@ class TestPredicates:
 
 class TestDirectionKey:
     def test_parallel_same_key(self):
-        assert direction_key(P(0, 0), P(2, 4)) == direction_key(P(5, 5), P(6, 7))
+        assert direction_key((0, 0), (2, 4)) == direction_key((5, 5), (6, 7))
 
     def test_opposite_directions_same_key(self):
-        assert direction_key(P(0, 0), P(1, 3)) == direction_key(P(1, 3), P(0, 0))
+        assert direction_key((0, 0), (1, 3)) == direction_key((1, 3), (0, 0))
 
     def test_distinct_directions_differ(self):
-        assert direction_key(P(0, 0), P(1, 2)) != direction_key(P(0, 0), P(2, 1))
+        assert direction_key((0, 0), (1, 2)) != direction_key((0, 0), (2, 1))
+
+    def test_canonical_sign(self):
+        assert direction_key((3, 5), (1, 9)) == direction_key((0, 0), (1, -2)) == (1, -2)
+        assert direction_key((0, 4), (0, -2)) == (0, 1)
+
+
+class TestOnLineThroughTwo:
+    def test_detects_a_line(self):
+        assert on_line_through_two((0, 0), [(1, 2), (5, 1), (-3, -6)])
+        assert not on_line_through_two((0, 0), [(1, 2), (5, 1), (-3, 6)])
 
 
 class TestAnyThreeCollinear:
     def test_triangle_false(self):
-        assert not any_three_collinear([P(0, 0), P(1, 0), P(0, 1)])
+        assert not any_three_collinear([(0, 0), (1, 0), (0, 1)])
 
     def test_collinear_true(self):
-        assert any_three_collinear([P(0, 0), P(1, 1), P(3, 3), P(0, 1)])
+        assert any_three_collinear([(0, 0), (1, 1), (3, 3), (0, 1)])
 
     def test_coincident_true(self):
-        assert any_three_collinear([P(0, 0), P(0, 0), P(1, 5)])
+        assert any_three_collinear([(0, 0), (0, 0), (1, 5)])
 
     def test_matches_bruteforce_on_random_points(self):
         import itertools
@@ -121,7 +132,7 @@ class TestAnyThreeCollinear:
 
         rng = random.Random(42)
         for _ in range(30):
-            pts = [P(rng.randrange(6), rng.randrange(6)) for _ in range(6)]
+            pts = [(rng.randrange(6), rng.randrange(6)) for _ in range(6)]
             if len(set(pts)) < len(pts):
                 continue
             brute = any(

@@ -8,19 +8,12 @@ from conftest import random_connected_graph, random_connected_planar_graph, rand
 from spannerdraw.embedding import augment_to_maximal_with_canonical_order
 from spannerdraw.errors import NotConnectedError
 from spannerdraw.exact import isqrt_scaled
-from spannerdraw.geometry import direction_key, dist_sq
-from spannerdraw.graph import (
-    Graph,
-    RootedTree,
-    connected_prefix_order,
-    edge_separator,
-    split_at_edge,
-)
+from spannerdraw.geometry import dist_sq
+from spannerdraw.graph import Graph, RootedTree, edge_separator, split_at_edge
 from spannerdraw.layout import (
     _LEG_BITS,
     Epsilon,
-    _bfs_spanning_tree,
-    _cross_collinear,
+    _merge_tree_parts,
     draw_graph_via_tough_tree,
     draw_planar_spanner,
     draw_proper_spanner,
@@ -152,12 +145,39 @@ class TestPlaceNextVertex:
         assert (x - cx) ** 2 + (y - cy) ** 2 > (r_int + F(k * delta, 1)) ** 2
 
 
+def fraction_direction_key(a, b):
+    """The direction key as first written, on Fraction points: the
+    denominators are cleared by cross-multiplying."""
+    dx = b[0] - a[0]
+    dy = b[1] - a[1]
+    num_x = dx.numerator * dy.denominator
+    num_y = dy.numerator * dx.denominator
+    g = math.gcd(num_x, num_y)
+    num_x //= g
+    num_y //= g
+    if num_x < 0 or (num_x == 0 and num_y < 0):
+        num_x, num_y = -num_x, -num_y
+    return (num_x, num_y)
+
+
+def bfs_order_oracle(g):
+    """Breadth-first order from vertex 0, neighbors in adjacency order."""
+    order, seen, i = [0], {0}, 0
+    while i < len(order):
+        for v in g.adj[order[i]]:
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+        i += 1
+    return order
+
+
 def proper_spanner_oracle(g, eps):
     """Coordinates of the proper construction by its first, O(n^3) search:
-    at each step the enclosing disk of all placed points, then for
-    y = 0, 1, 2, ... a Fraction direction key from (x_k, y) to every placed
-    point, until all keys differ."""
-    order = list(connected_prefix_order(_bfs_spanning_tree(g)))
+    vertices in BFS order, at each step the enclosing disk of all placed
+    points, then for y = 0, 1, 2, ... a Fraction direction key from (x_k, y)
+    to every placed point, until all keys differ."""
+    order = bfs_order_oracle(g)
     coords = [None] * g.n
     coords[order[0]] = (F(0), F(0))
     for k in range(2, g.n + 1):
@@ -169,7 +189,7 @@ def proper_spanner_oracle(g, eps):
         radius = math.isqrt(math.ceil(r_sq)) + 1
         x_k = F(math.ceil(cx + radius + F(k * 2 * radius) / eps.value) + 1)
         y = 0
-        while len({direction_key((x_k, F(y)), p) for p in placed}) < len(placed):
+        while len({fraction_direction_key((x_k, F(y)), p) for p in placed}) < len(placed):
             y += 1
         coords[order[k - 1]] = (x_k, F(y))
     return tuple(coords)
@@ -236,10 +256,20 @@ def _tree_proper_oracle_rec(t, d, gamma, eta):
         for step in range(j, span):
             y_off = -eta / 3 - (eta / 3) * F(step, span)
             shifted = {gv: (p[0] + x_off, p[1] + y_off) for gv, p in c2.items()}
-            if not _cross_collinear(list(c1.values()), list(shifted.values())):
+            if not _cross_collinear_oracle(list(c1.values()), list(shifted.values())):
                 return {**c1, **shifted}
         j = span
         span *= 8
+
+
+def _cross_collinear_oracle(pts1, pts2):
+    """True iff some line through two Fraction points of one part hits a
+    point of the other."""
+    for hubs, other in ((pts1, pts2), (pts2, pts1)):
+        for hub in hubs:
+            if len({fraction_direction_key(hub, p) for p in other}) < len(other):
+                return True
+    return False
 
 
 def caterpillar(k):
@@ -258,6 +288,19 @@ class TestTreeProper:
         for g in graphs:
             t = RootedTree.from_graph(g, g.n // 2)
             assert draw_tree_proper(t, eps).coords == tree_proper_oracle(t, eps)
+
+    def test_merge_second_span_round(self):
+        # Every first-round shift (step/8 of eta/3 below, span 8) puts the
+        # lower point on a line through the origin and one upper point, as
+        # does step 8 of span 64; step 9 is the first that fits.
+        gamma = 4
+        upper = (list(range(8)), [(0, 0)] + [(-48 * gamma, 8 + j) for j in range(1, 8)], 1)
+        lower = ([8], [(0, 0)], 1)
+        verts, pts, den = _merge_tree_parts(upper, lower, 0, gamma)
+        assert verts == list(range(9))
+        coords = [(F(x, den), F(y, den)) for x, y in pts]
+        assert coords[:8] == [(0, 0)] + [(-48 * gamma, 8 + j) for j in range(1, 8)]
+        assert coords[8] == (8, F(-73, 192))
 
     def test_deep_star_needs_no_recursion(self):
         # A star splits off one leaf per separator level: 149 levels here.

@@ -264,8 +264,10 @@ class TestFloatFilter:
                 for u, v in g.edges():
                     lo_w[(u, v)], hi_w[(u, v)] = isqrt_scaled(dist_sq(coords[u], coords[v]), L * L, bits)
 
+                adj_lo, adj_hi = metrics._weighted_adj(g.n, lo_w), metrics._weighted_adj(g.n, hi_w)
+
                 def enclosure(groups):
-                    rows = ((metrics._sssp(d, u, lo_w), metrics._sssp(d, u, hi_w)) for u, _ in groups)
+                    rows = ((metrics._dijkstra(adj_lo, u), metrics._dijkstra(adj_hi, u)) for u, _ in groups)
                     try:
                         return metrics._scan(coords, L * L, bits, groups, rows)
                     except metrics._ZeroBracket:

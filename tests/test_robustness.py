@@ -6,7 +6,8 @@ collinear triples, pairs a hair apart, coordinates far apart), go through
 `draw`, `metrics` and `verify`. Each call must return 0, 2, 3, 4 or 5 (an
 argparse usage error exits 2 through SystemExit) and raise nothing else. The
 constructions, called directly on small graphs, return a drawing of every
-vertex or raise `SpannerDrawError` or `ValueError`.
+vertex or raise `SpannerDrawError` or `ValueError`; so do the certificates,
+called directly on the parsed drawings.
 """
 
 import contextlib
@@ -19,7 +20,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spannerdraw import Graph, RootedTree, cli
+from spannerdraw import Graph, RootedTree, cli, fileio
+from spannerdraw.bounds import annulus_bound_check
 from spannerdraw.errors import SpannerDrawError
 from spannerdraw.layout import (
     Epsilon,
@@ -28,6 +30,7 @@ from spannerdraw.layout import (
     draw_proper_spanner,
     draw_tree_proper,
 )
+from spannerdraw.metrics import compute_metrics, edge_length_ratio, spanning_ratio
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -131,3 +134,23 @@ def test_constructions_raise_only_documented_errors(g, epsilon, root, d_target):
         except (SpannerDrawError, ValueError):
             continue
         assert drawing.graph is g and len(drawing.coords) == g.n
+
+
+@SETTINGS
+@given(drawings(), st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(4)]))
+def test_certificates_raise_only_documented_errors(obj, s):
+    try:
+        d = fileio.drawing_from_obj(obj)
+    except SpannerDrawError:
+        return  # an unparsable coordinate; the CLI tests cover the exit code
+    certificates = [
+        compute_metrics,
+        spanning_ratio,
+        edge_length_ratio,
+        lambda d: annulus_bound_check(d, s),
+    ]
+    for certify in certificates:
+        try:
+            certify(d)
+        except (SpannerDrawError, ValueError):
+            pass
