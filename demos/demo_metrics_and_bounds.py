@@ -43,7 +43,7 @@ def main():
         th = 2 * math.pi * j / 100
         coords.append((F(round(math.cos(th) * 10**15), 10**15),
                        F(round(math.sin(th) * 10**15), 10**15)))
-    star = Drawing(Graph.from_edges(101, [(0, j) for j in range(1, 101)]), tuple(coords))
+    star = Drawing.of(Graph.from_edges(101, [(0, j) for j in range(1, 101)]), coords)
     print(f"K(1,100) on the unit circle, hub census: {annulus_census(star, 0).counts}")
     res = annulus_bound_check(star, F(14, 10))
     print(f"  violations: {[(v.vertex, v.annulus, v.count) for v in res.violations]}")

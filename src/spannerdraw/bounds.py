@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .drawing import Drawing, Point
+from .drawing import Drawing
 from .errors import ZeroLengthEdgeError
 from .exact import Interval, sqrt_interval
-from .geometry import dist_sq, on_segment_closed
+from .geometry import IntPoint, dist_sq, on_segment_closed
 from .graph import Graph, hamiltonian_path, hamiltonian_path_exists, path_order
-from .metrics import DEFAULT_REL_TOL, is_planar_drawing, spanning_ratio
+from .metrics import spanning_ratio
 
 # Explicit packing constant from the annulus argument: each annulus around a
 # vertex of a drawing with spanning ratio at most s holds at most this many
@@ -47,24 +47,24 @@ def annulus_census(d: Drawing, center: int) -> AnnulusCensus:
     g = d.graph
     if g.degree(center) == 0:
         raise ValueError("annulus census needs a vertex of degree >= 1")
-    p = d.coords[center]
-    min_sq = min(dist_sq(p, d.coords[u]) for u in g.adj[center])
+    p = d.points[center]
+    min_sq = min(dist_sq(p, d.points[u]) for u in g.adj[center])
     if min_sq == 0:
         raise ZeroLengthEdgeError(f"vertex {center} coincides with a neighbor")
     counts: dict[int, int] = {}
     inside_unit = 0
     for u in g.adj[center]:
-        r_sq = dist_sq(p, d.coords[u]) / min_sq  # exact rational, no sqrt needed
-        if r_sq < 1:
+        r_sq = dist_sq(p, d.points[u])  # in units of min_sq: no sqrt, no division
+        if r_sq < min_sq:
             inside_unit += 1
             continue
         i = 1
-        bound = Fraction(4)
+        bound = 4 * min_sq
         while r_sq > bound:
             bound *= 4
             i += 1
         counts[i] = counts.get(i, 0) + 1
-    return AnnulusCensus(center, sqrt_interval(min_sq), counts, inside_unit)
+    return AnnulusCensus(center, sqrt_interval(Fraction(min_sq, d.den**2)), counts, inside_unit)
 
 
 @dataclass(frozen=True)
@@ -142,10 +142,10 @@ def sr1_witness(g: Graph) -> Optional[Drawing]:
     path = hamiltonian_path(g)
     if path is None:
         return None
-    coords: list[tuple[int, int]] = [(0, 0)] * g.n
+    coords: list[IntPoint] = [(0, 0)] * g.n
     for i, v in enumerate(path):
         coords[v] = (i, 0)
-    return Drawing.of(g, coords)
+    return Drawing(g, tuple(coords))
 
 
 def _fan_decomposition(g: Graph, apex_count: int) -> Optional[tuple[list[int], list[int]]]:
@@ -196,18 +196,18 @@ def planar_sr1_witness(g: Graph) -> Optional[Drawing]:
         return None
     order = path_order(g)
     if order is not None:
-        coords: list[Point] = [None] * n  # type: ignore[list-item]
+        coords: list[IntPoint] = [None] * n  # type: ignore[list-item]
         for i, v in enumerate(order):
-            coords[v] = (Fraction(i), Fraction(0))
+            coords[v] = (i, 0)
         return Drawing(g, tuple(coords))
 
     fan = _fan_decomposition(g, 1)
     if fan is not None and g.m == (n - 2) + (n - 1):
         (apex,), path = fan
         coords = [None] * n  # type: ignore[list-item]
-        coords[apex] = (Fraction(0), Fraction(1))
+        coords[apex] = (0, 1)
         for i, v in enumerate(path):
-            coords[v] = (Fraction(i), Fraction(0))
+            coords[v] = (i, 0)
         return Drawing(g, tuple(coords))
 
     fan2 = _fan_decomposition(g, 2)
@@ -220,17 +220,17 @@ def planar_sr1_witness(g: Graph) -> Optional[Drawing]:
             if apex_edge:
                 # Apexes flank the start of the path; their connecting segment
                 # avoids every path vertex.
-                coords[a] = (Fraction(0), Fraction(1))
-                coords[b] = (Fraction(0), Fraction(-1))
+                coords[a] = (0, 1)
+                coords[b] = (0, -1)
                 for i, v in enumerate(path):
-                    coords[v] = (Fraction(i + 1), Fraction(0))
+                    coords[v] = (i + 1, 0)
             else:
                 # Non-adjacent apexes sit on opposite sides of one path vertex
                 # so their segment is covered by a two-edge chain through it.
-                coords[a] = (Fraction(-1), Fraction(0))
-                coords[b] = (Fraction(1), Fraction(0))
+                coords[a] = (-1, 0)
+                coords[b] = (1, 0)
                 for i, v in enumerate(path):
-                    coords[v] = (Fraction(0), Fraction(i))
+                    coords[v] = (0, i)
             return Drawing(g, tuple(coords))
 
     if _is_octahedron(g):
@@ -240,9 +240,9 @@ def planar_sr1_witness(g: Graph) -> Optional[Drawing]:
             (u, v) for u in range(6) for v in range(u + 1, 6) if not g.has_edge(u, v)
         )
         blocked_pairs = [
-            ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(3))),
-            ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(2))),
-            ((Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))),
+            ((1, 1), (1, 3)),
+            ((1, 2), (3, 2)),
+            ((0, 0), (2, 2)),
         ]
         coords = [None] * 6  # type: ignore[list-item]
         for (u, v), (pu, pv) in zip(non_edges, blocked_pairs):
@@ -262,7 +262,7 @@ def is_sr1_drawing(d: Drawing) -> bool:
     """
     g = d.graph
     n = g.n
-    pts = d.coords
+    pts = d.points
     if len(set(pts)) != n:
         return False
     for u in range(n):

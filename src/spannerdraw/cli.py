@@ -8,12 +8,12 @@ Exit codes: 0 success, 2 parse/usage error, 3 precondition violation
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from fractions import Fraction
 from typing import Optional
 
 from . import bounds, fileio, layout, metrics
-from .drawing import Drawing
 from .errors import (
     NotATreeError,
     NotConnectedError,
@@ -45,6 +45,13 @@ def _positive_rational(text: str) -> Fraction:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
     return value
+
+
+def _viewport(text: str) -> int:
+    value = _positive_rational(text)
+    if value.denominator != 1 or value > 10**6:
+        raise argparse.ArgumentTypeError(f"must be a whole number of pixels up to 10**6: {text!r}")
+    return int(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     svg = sub.add_parser("export-svg", help="lossy SVG rendering of a drawing")
     svg.add_argument("input", help="drawing file (JSON)")
     svg.add_argument("-o", "--output", required=True, help="SVG file to write")
-    svg.add_argument("--viewport", type=int, default=800)
+    svg.add_argument("--viewport", type=_viewport, default=800)
 
     return parser
 
@@ -141,8 +148,6 @@ def _report_obj(report: metrics.MetricReport) -> dict:
 def _print_report(report: metrics.MetricReport, fmt: str, out) -> None:
     obj = _report_obj(report)
     if fmt == "json":
-        import json
-
         out.write(json.dumps(obj, indent=2) + "\n")
         return
     for key, val in obj.items():
@@ -193,8 +198,6 @@ def _cmd_verify(args) -> int:
     drawing = fileio.load_drawing(args.input)
     result = bounds.annulus_bound_check(drawing, args.s)
     if args.format == "json":
-        import json
-
         obj = {
             "s": fileio.format_rational(result.s),
             "threshold": fileio.format_rational(result.threshold),
@@ -225,8 +228,6 @@ def _cmd_recognize(args) -> int:
     else:
         answer = bounds.recognize_planar_sr1(g)
     if args.format == "json":
-        import json
-
         print(json.dumps({"kind": args.kind, "result": answer}))
     else:
         print("true" if answer else "false")
@@ -234,8 +235,7 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_export_svg(args) -> int:
-    drawing = fileio.load_drawing(args.input)
-    svg = fileio.export_svg(drawing, args.viewport)
+    svg = fileio.export_svg(fileio.load_drawing(args.input), args.viewport)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return EXIT_OK

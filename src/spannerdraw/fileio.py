@@ -139,7 +139,7 @@ def drawing_from_obj(obj) -> Drawing:
         if not isinstance(c, list) or len(c) != 2:
             raise FileFormatError(f"bad coordinate {c!r}")
         points.append((parse_rational(c[0]), parse_rational(c[1])))
-    return Drawing(g, tuple(points))
+    return Drawing.of(g, points)
 
 
 def graph_to_obj(g: Graph, names: Optional[list[str]] = None) -> dict:
@@ -207,18 +207,18 @@ def export_svg(d: Drawing, viewport: int = 800) -> str:
             f'height="{viewport}"/>'
         )
         return "\n".join(lines) + "\n"
-    xs = [x for x, _ in d.coords]
-    ys = [y for _, y in d.coords]
+    xs = [x for x, _ in d.points]
+    ys = [y for _, y in d.points]
     xmin, ymin = min(xs), min(ys)
-    # Normalized exactly, so that coordinates beyond the range of a double
-    # reach float() only as fractions of the span.
+    # Integer numerators over the span, so that coordinates beyond the range
+    # of a double reach a float only as correctly rounded fractions of it.
     span = max(max(xs) - xmin, max(ys) - ymin) or 1
     scale = viewport - 2 * margin
 
-    def to_px(x: Fraction, y: Fraction) -> tuple[float, float]:
+    def to_px(x: int, y: int) -> tuple[float, float]:
         return (
-            margin + float((x - xmin) / span) * scale,
-            viewport - margin - float((y - ymin) / span) * scale,  # flip y for screen axes
+            margin + (x - xmin) / span * scale,
+            viewport - margin - (y - ymin) / span * scale,  # flip y for screen axes
         )
 
     lines.append(

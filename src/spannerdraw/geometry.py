@@ -1,33 +1,29 @@
-"""Exact geometric predicates on rational points.
+"""Exact geometric predicates on integer points.
 
-The plain arithmetic predicates (`orientation`, `collinear`, `dist_sq` and
-the segment tests) take Fractions or ints; `bounds` runs them on Fractions.
-The direction keys and the collinearity scans built on them
-(`direction_key`, `on_line_through_two`, `any_three_collinear`) take integer
-points only: the metrics and the layout constructions run them on integer
-numerators over a common denominator.
+Every predicate takes integer points: a Drawing's numerators over its common
+denominator, or a construction's. Scaling all points by one positive factor
+keeps every sign, every collinearity and every ratio of squared distances,
+so the predicates need no division.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-Point = tuple[Fraction, Fraction]
 IntPoint = tuple[int, int]
 
 
-def orientation(a: Point, b: Point, c: Point):
+def orientation(a: IntPoint, b: IntPoint, c: IntPoint) -> int:
     """Sign of the cross product (b-a) x (c-a): >0 left turn, <0 right, 0 collinear."""
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def collinear(a: Point, b: Point, c: Point) -> bool:
+def collinear(a: IntPoint, b: IntPoint, c: IntPoint) -> bool:
     return orientation(a, b, c) == 0
 
 
-def on_segment_closed(a: Point, b: Point, p: Point) -> bool:
+def on_segment_closed(a: IntPoint, b: IntPoint, p: IntPoint) -> bool:
     """True iff p lies on the closed segment ab (a, b may coincide)."""
     if orientation(a, b, p) != 0:
         return False
@@ -37,12 +33,12 @@ def on_segment_closed(a: Point, b: Point, p: Point) -> bool:
     )
 
 
-def in_segment_interior(a: Point, b: Point, p: Point) -> bool:
+def in_segment_interior(a: IntPoint, b: IntPoint, p: IntPoint) -> bool:
     """True iff p lies on segment ab strictly between a and b."""
     return on_segment_closed(a, b, p) and p != a and p != b
 
 
-def segments_cross_improperly(a: Point, b: Point, c: Point, d: Point) -> bool:
+def segments_cross_improperly(a: IntPoint, b: IntPoint, c: IntPoint, d: IntPoint) -> bool:
     """True iff closed segments ab and cd share a point other than a common endpoint.
 
     Segments that merely touch at an identical endpoint are not flagged; any
@@ -65,7 +61,7 @@ def segments_cross_improperly(a: Point, b: Point, c: Point, d: Point) -> bool:
     return False
 
 
-def dist_sq(a: Point, b: Point) -> Fraction:
+def dist_sq(a: IntPoint, b: IntPoint) -> int:
     dx = a[0] - b[0]
     dy = a[1] - b[1]
     return dx * dx + dy * dy

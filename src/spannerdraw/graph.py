@@ -90,20 +90,9 @@ class RootedTree:
 
     def subtree_sizes(self) -> list[int]:
         size = [1] * self.n
-        for v in reversed(self._preorder()):
-            p = self.parent[v]
-            if p is not None:
-                size[p] += size[v]
+        for v in reversed(preorder(self.children, self.root)):
+            size[v] += sum(size[c] for c in self.children[v])
         return size
-
-    def _preorder(self) -> list[int]:
-        out = []
-        stack = [self.root]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(reversed(self.children[u]))
-        return out
 
     def rerooted(self, new_root: int) -> "RootedTree":
         return RootedTree.from_graph(self.graph, new_root)
@@ -138,6 +127,16 @@ def bfs_order(g: Graph, root: int = 0) -> list[int]:
                 seen.add(v)
                 order.append(v)
     return order
+
+
+def preorder(children: Sequence[Sequence[int]], root: int) -> list[int]:
+    """The vertices below root in preorder, children in the given order: each
+    subtree is a contiguous slice that starts at its root."""
+    out, stack = [], [root]
+    while stack:
+        out.append(stack.pop())
+        stack.extend(reversed(children[out[-1]]))
+    return out
 
 
 def is_connected(g: Graph) -> bool:

@@ -1,8 +1,11 @@
 """Drawing constructions with spanning ratio close to 1.
 
-All coordinates are exact rationals. Incremental placements keep strict
-inequalities checkable by rounding required thresholds up to integers (which
-only enlarges distances and therefore preserves every bound being targeted).
+All coordinates are exact. The proper, tree-proper, tough and tree-planar
+constructions compute on integer numerators over a common denominator and
+hand them to Drawing as they are; the planar one computes on Fractions and
+ends with Drawing.of. Incremental placements keep strict inequalities
+checkable by rounding required thresholds up to integers (which only
+enlarges distances and therefore preserves every bound being targeted).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .graph import (
     degree_bounded_spanning_tree,
     is_connected,
     path_order,
+    preorder,
 )
 
 _LEG_BITS = 80  # dyadic approximation scale for the base triangle apex height
@@ -108,9 +112,9 @@ def draw_planar_spanner(h: Graph, eps: Epsilon) -> Drawing:
     if not is_connected(h):
         raise NotConnectedError("input graph must be connected")
     if h.n == 1:
-        return Drawing.of(h, [(0, 0)])
+        return Drawing(h, ((0, 0),))
     if h.n == 2:
-        return Drawing.of(h, [(0, 0), (1, 0)])
+        return Drawing(h, ((0, 0), (1, 0)))
     co = augment_to_maximal_with_canonical_order(h)
     e = min(eps.value, Fraction(1))
     order = list(co.order)
@@ -136,7 +140,7 @@ def draw_planar_spanner(h: Graph, eps: Epsilon) -> Drawing:
         x, top = place_next_vertex([(Fraction(0), Fraction(0)), (half, top)], attachment, k, eps)
         coords[order[k - 1]] = (x, top)
 
-    return Drawing(h, tuple(coords))  # type: ignore[arg-type]
+    return Drawing.of(h, coords)
 
 
 def draw_proper_spanner(g: Graph, eps: Epsilon) -> Drawing:
@@ -172,7 +176,7 @@ def draw_proper_spanner(g: Graph, eps: Epsilon) -> Drawing:
         placed.append((x_k, y))
         at_height[y] += 1
         y_max = max(y_max, y)
-    return Drawing.of(g, [p for _, p in sorted(zip(order, placed))])
+    return Drawing(g, tuple(p for _, p in sorted(zip(order, placed))))
 
 
 # A drawn part: its vertices, their points as integer numerators, and the
@@ -194,13 +198,13 @@ def draw_tree_proper(t: RootedTree, eps: Epsilon) -> Drawing:
     The separator tree is built top-down and merged bottom-up with no
     recursion, since a star is n - 1 levels deep. Each part holds integer
     numerators over its own denominator, a product of powers of 2 and 3, so
-    the merge search runs direction keys on integers; the coordinates become
-    Fractions once, at the end.
+    the merge search runs direction keys on integers, and the drawing keeps
+    the root part's numerators and denominator.
     """
     gamma = eps.tree_gamma
     # Top-down, breadth first: a part is a preorder of its vertices, root
     # first, so the side below its separator edge is a contiguous slice.
-    parts = [(t._preorder(), 0)]  # (preorder, separator depth)
+    parts = [(preorder(t.children, t.root), 0)]  # (preorder, separator depth)
     halves: list[Optional[tuple[int, int]]] = []  # indices of the two halves
     size = [1] * t.n
     i = 0
@@ -226,10 +230,7 @@ def draw_tree_proper(t: RootedTree, eps: Epsilon) -> Drawing:
             drawn[i] = _merge_tree_parts(drawn[upper], drawn[lower], k, gamma)
             drawn[upper] = drawn[lower] = None
     verts, pts, den = drawn[0]
-    coords: list[Optional[Point]] = [None] * t.n
-    for v, (x, y) in zip(verts, pts):
-        coords[v] = (Fraction(x, den), Fraction(y, den))
-    return Drawing(t.graph, tuple(coords))  # type: ignore[arg-type]
+    return Drawing(t.graph, tuple(p for _, p in sorted(zip(verts, pts))), den)
 
 
 def _separator_index(vs: list[int], parent: Sequence[Optional[int]], size: list[int]) -> int:
@@ -318,7 +319,7 @@ def draw_graph_via_tough_tree(g: Graph, d_target: int, eps: Epsilon) -> ToughDra
         warning = str(exc)
     tree_drawing = draw_tree_proper(tree, eps)
     return ToughDrawResult(
-        drawing=Drawing(g, tree_drawing.coords),
+        drawing=Drawing(g, tree_drawing.points, tree_drawing.den),
         tree=tree,
         achieved_degree=tree.graph.max_degree(),
         warning=warning,
@@ -357,7 +358,7 @@ def draw_tree_planar_with_stats(t: RootedTree, eps: Epsilon) -> tuple[Drawing, T
         coords = [(0, 0)] * n
         for i, v in enumerate(path):
             coords[v] = (i, 0)
-        return Drawing.of(t.graph, coords), TreePlanarStats(n, n - 1, 0, True)
+        return Drawing(t.graph, tuple(coords)), TreePlanarStats(n, n - 1, 0, True)
 
     # Root at the smallest-id leaf, then give every lone child a dummy sibling.
     root = min(v for v in range(n) if t.graph.degree(v) == 1)
@@ -371,16 +372,7 @@ def draw_tree_planar_with_stats(t: RootedTree, eps: Epsilon) -> tuple[Drawing, T
             next_id += 1
     n_prime = next_id
 
-    post = []
-    stack = [(root, False)]
-    while stack:
-        u, done = stack.pop()
-        if done:
-            post.append(u)
-            continue
-        stack.append((u, True))
-        for c in children[u]:
-            stack.append((c, False))
+    order = preorder(children, root)
 
     # Bottom-up: the subtrees of each vertex go left to right in increasing
     # size, each at an offset from its parent; then top-down, absolute
@@ -390,7 +382,7 @@ def draw_tree_planar_with_stats(t: RootedTree, eps: Epsilon) -> tuple[Drawing, T
     height = [0] * n_prime
     offset = [(0, 0)] * n_prime
     respected = True
-    for u in post:
+    for u in reversed(order):
         kids = children[u]
         size[u] += sum(size[c] for c in kids)
         kids.sort(key=lambda c: (size[c], c))
@@ -408,8 +400,8 @@ def draw_tree_planar_with_stats(t: RootedTree, eps: Epsilon) -> tuple[Drawing, T
         width[u] = d_prev
 
     pos = [(0, 0)] * n_prime
-    for u in reversed(post):
+    for u in order:
         for c in children[u]:
             pos[c] = (pos[u][0] + offset[c][0], pos[u][1] + offset[c][1])
-    drawing = Drawing.of(t.graph, pos[:n])
+    drawing = Drawing(t.graph, tuple(pos[:n]))
     return drawing, TreePlanarStats(n_prime, width[root], height[root], respected)

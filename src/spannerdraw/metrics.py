@@ -9,14 +9,14 @@ doubled until the enclosure is relatively tight. A certainly infinite ratio
 the CLI prints it as `infinite`, and a bound beyond the range of a double
 with a null float.
 
-Every metric first rescales the drawing to integers: L is the least common
-denominator of all coordinates, and each coordinate becomes its integer
-numerator over L. The exact predicates (planarity, properness, collinearity,
-coincidence) then run on ints, with no gcd per operation. Scaling by L > 0
-keeps every sign and every ratio: orientations scale by L**2, and graph and
-Euclidean distances both scale by L, so the spanning and edge-length ratios
-need no correction. The two metrics that carry units are rescaled on the way
-out: the minimum squared distance divides by L**2, the bounding box by L.
+Every metric reads the drawing's integer numerators d.points over its least
+common denominator L = d.den. The exact predicates (planarity, properness,
+collinearity, coincidence) run on these ints, with no gcd per operation.
+Scaling by L > 0 keeps every sign and every ratio: orientations scale by
+L**2, and graph and Euclidean distances both scale by L, so the spanning and
+edge-length ratios need no correction. The two metrics that carry units are
+rescaled on the way out: the minimum squared distance divides by L**2, the
+bounding box by L.
 
 The spanning ratio runs a float filter before the exact brackets. One float
 pass over all pairs keeps the candidates, the pairs whose float ratio is
@@ -57,20 +57,12 @@ _START_BITS = 64
 _MAX_BITS = 16384
 
 
-def _scaled(d: Drawing) -> tuple[list[IntPoint], int]:
-    """(coords, L): L is the least common denominator of all coordinates, and
-    coords[v] is vertex v's point times L, in integers."""
-    L = math.lcm(*{c.denominator for p in d.coords for c in p})
-    return [(x.numerator * (L // x.denominator), y.numerator * (L // y.denominator))
-            for x, y in d.coords], L
-
-
-def _coincident(coords: list[IntPoint]) -> bool:
+def _coincident(coords: Sequence[IntPoint]) -> bool:
     return len(set(coords)) < len(coords)
 
 
 def has_coincident_vertices(d: Drawing) -> bool:
-    return _coincident(_scaled(d)[0])
+    return _coincident(d.points)
 
 
 @dataclass(frozen=True)
@@ -104,7 +96,7 @@ class _ZeroBracket(Exception):
     """A pair distance brackets to 0 at the current precision."""
 
 
-def _scan(coords: list[IntPoint], den: int, bits: int, groups, rows) -> Interval:
+def _scan(coords: Sequence[IntPoint], den: int, bits: int, groups, rows) -> Interval:
     """The pair loop of every enclosure attempt: the ratio enclosure over the
     pairs (u, v) for (u, targets) in groups and v in targets, where rows
     yields u's exact distance rows under the lower and the upper edge
@@ -149,7 +141,7 @@ def _ratio_enclosure(
         raise ValueError("spanning ratio needs at least 2 vertices")
     if not is_connected(g):
         raise DisconnectedDrawingError("spanning ratio undefined: graph disconnected")
-    coords, L = _scaled(d)
+    coords, L = d.points, d.den
     if _coincident(coords):
         return Interval(math.inf, math.inf)
     den = L * L
@@ -240,7 +232,7 @@ def _filter_proves(flt: _Filter, t: Fraction, L: int, bits: int) -> bool:
     return den > 0 and num < t * den
 
 
-def _float_filter(g: Graph, coords: list[IntPoint]) -> Optional[_Filter]:
+def _float_filter(g: Graph, coords: Sequence[IntPoint]) -> Optional[_Filter]:
     """One float pass over all pairs of a connected graph on distinct points:
     the pairs whose float ratio is within a factor 1 - _FILTER_ETA of the
     largest, judged against the running largest. None when the filter
@@ -283,7 +275,7 @@ def _dists(x0, y0, xs: list[int], ys: list[int], s: int) -> list[float]:
 
 
 def _candidates(
-    coords: list[IntPoint],
+    coords: Sequence[IntPoint],
     s: int,
     order: Sequence[int],
     rows: Iterator[tuple[int, list[float]]],
@@ -468,7 +460,7 @@ def edge_length_ratio(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interv
     edges = d.graph.edges()
     if not edges:
         raise NoEdgesError("edge-length ratio undefined: no edges")
-    coords, _ = _scaled(d)
+    coords = d.points
     sqs = [dist_sq(coords[u], coords[v]) for u, v in edges]
     mn = min(sqs)
     if mn == 0:
@@ -482,7 +474,7 @@ def is_planar_drawing(d: Drawing) -> bool:
 
     Edge pairs are pruned with an x-interval sweep before the exact predicate.
     """
-    coords, _ = _scaled(d)
+    coords = d.points
     segs = []
     for u, v in d.graph.edges():
         a, b = coords[u], coords[v]
@@ -513,7 +505,7 @@ def is_planar_drawing(d: Drawing) -> bool:
 
 def is_proper_drawing(d: Drawing) -> bool:
     """Exact: all vertex points distinct and no vertex interior to an edge segment."""
-    coords, _ = _scaled(d)
+    coords = d.points
     if _coincident(coords):
         return False
     for u, v in d.graph.edges():
@@ -532,14 +524,14 @@ def is_proper_drawing(d: Drawing) -> bool:
 
 def no_three_collinear(d: Drawing) -> bool:
     """Exact verdict over all vertex triples."""
-    return not any_three_collinear(_scaled(d)[0])
+    return not any_three_collinear(d.points)
 
 
 def bounding_box(d: Drawing) -> tuple[Fraction, Fraction, tuple]:
     """(width, height, ((xmin, ymin), (xmax, ymax))) of the smallest enclosing axis-parallel box."""
     if d.graph.n < 1:
         raise ValueError("bounding box needs at least one vertex")
-    coords, L = _scaled(d)
+    coords, L = d.points, d.den
     xs = [p[0] for p in coords]
     ys = [p[1] for p in coords]
     xmin, xmax = Fraction(min(xs), L), Fraction(max(xs), L)
@@ -547,7 +539,7 @@ def bounding_box(d: Drawing) -> tuple[Fraction, Fraction, tuple]:
     return (xmax - xmin, ymax - ymin, ((xmin, ymin), (xmax, ymax)))
 
 
-def _closest_sq(coords: list[IntPoint]) -> int:
+def _closest_sq(coords: Sequence[IntPoint]) -> int:
     """Least squared distance between two of at least 2 points."""
     pts = sorted(coords)
     best = None
@@ -570,8 +562,7 @@ def _closest_sq(coords: list[IntPoint]) -> int:
 def min_pairwise_distance_sq(d: Drawing) -> Fraction:
     if d.graph.n < 2:
         raise ValueError("needs at least 2 vertices")
-    coords, L = _scaled(d)
-    return Fraction(_closest_sq(coords), L * L)
+    return Fraction(_closest_sq(d.points), d.den**2)
 
 
 def compute_metrics(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> MetricReport:

@@ -98,7 +98,7 @@ def random_rational_drawing(n: int, seed: int) -> Drawing:
         coords.sort()
     if seed % 5 == 0:
         coords[rng.randrange(1, n)] = coords[0]
-    return Drawing(g, tuple(coords))
+    return Drawing.of(g, coords)
 
 
 def unit_circle_star(leaves: int = 100) -> Drawing:
@@ -116,4 +116,4 @@ def unit_circle_star(leaves: int = 100) -> Drawing:
             )
         )
     g = Graph.from_edges(leaves + 1, [(0, j) for j in range(1, leaves + 1)])
-    return Drawing(g, tuple(coords))
+    return Drawing.of(g, coords)

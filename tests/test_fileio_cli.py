@@ -1,8 +1,10 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
+from conftest import random_rational_drawing
 from spannerdraw import cli, fileio
 from spannerdraw.drawing import Drawing
 from spannerdraw.graph import Graph
@@ -109,14 +111,37 @@ class TestRoundTrip:
 class TestDrawingValidation:
     def test_wrong_point_count_raises_value_error(self):
         with pytest.raises(ValueError):
-            Drawing(Graph.from_edges(2, [(0, 1)]), ((F(0), F(0)),))
+            Drawing(Graph.from_edges(2, [(0, 1)]), ((0, 0),))
 
-    def test_non_fraction_coordinate_raises_type_error(self):
+    def test_non_int_coordinate_raises_type_error(self):
         g = Graph.from_edges(2, [(0, 1)])
-        for point in ((0.5, F(0)), (F(0), 1), (F(0), F(0), F(0))):
-            with pytest.raises(TypeError):
-                Drawing(g, ((F(0), F(0)), point))
+        for point in ((0.5, 0), (0, F(1)), (F(0), F(0)), (True, 0), (0, 0, 0), [0, 0]):
+            with pytest.raises(TypeError, match="Drawing.of"):
+                Drawing(g, ((0, 0), point))
         assert Drawing.of(g, [(0, 0), (0.5, 1)]).coords[1] == (F(1, 2), F(1))
+
+    def test_non_positive_denominator_raises_value_error(self):
+        g = Graph.from_edges(2, [(0, 1)])
+        for den in (0, -3, F(1, 2), 2.0, True):
+            with pytest.raises(ValueError):
+                Drawing(g, ((0, 0), (1, 0)), den)
+
+    def test_lowest_terms(self):
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        d = Drawing(g, ((0, -6), (4, 2), (10, 0)), 12)
+        assert (d.points, d.den) == (((0, -3), (2, 1), (5, 0)), 6)
+        assert d == Drawing.of(g, [(0, F(-1, 2)), (F(1, 3), F(1, 6)), (F(5, 6), 0)])
+        assert d.coords == ((0, F(-1, 2)), (F(1, 3), F(1, 6)), (F(5, 6), 0))
+        assert Drawing(g, ((0, 0), (6, 0), (-9, 3)), 3) == Drawing(g, ((0, 0), (2, 0), (-3, 1)))
+
+    def test_rational_drawings_round_trip(self):
+        # den is the least common denominator L of the coordinates, which the
+        # float filter's scaling and the bracket unit of _filter_proves assume.
+        for seed in range(40):
+            d = random_rational_drawing(4 + seed % 9, seed)
+            assert Drawing.of(d.graph, d.coords) == d
+            assert fileio.drawing_from_obj(fileio.drawing_to_obj(d)) == d
+            assert d.den == math.lcm(*(c.denominator for p in d.coords for c in p))
 
 
 class TestSvg:
@@ -282,6 +307,22 @@ class TestCli:
         svg = str(tmp_path / "d.svg")
         assert cli.main(["export-svg", out, "-o", svg]) == 0
         assert "<svg" in open(svg).read()
+
+    @pytest.mark.parametrize(
+        "viewport, code",
+        [("1", 0), ("1000000", 0), ("0", 2), ("-5", 2), (str(10**400), 2), ("1/2", 2)],
+        ids=["1", "10**6", "0", "-5", "10**400", "1/2"],
+    )
+    def test_export_svg_viewport_bounded(self, tmp_path, viewport, code):
+        path = drawing_file(tmp_path, 2, [[0, 1]], [["0", "0"], ["1", "0"]])
+        svg = tmp_path / "d.svg"
+        try:
+            got = cli.main(["export-svg", path, "-o", str(svg), "--viewport", viewport])
+        except SystemExit as exc:  # argparse rejects the value
+            got = exc.code
+        assert got == code and svg.exists() == (code == 0)
+        if code == 0:
+            assert f'width="{viewport}"' in svg.read_text()
 
     def test_draw_metrics_agree_with_metrics_command(self, tmp_path, capsys):
         inp = graph_file(tmp_path, 4, [[0, 1], [1, 2], [2, 3], [0, 3]])

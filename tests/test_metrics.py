@@ -210,7 +210,7 @@ class TestFloatFilter:
                   for n in (30, 120, 300)]
         # Coordinates past 1400 bits, so the float pass scales them down.
         wide = draw_planar_spanner(strip_graph(140), Epsilon(F(1, 10)))
-        assert max(abs(c).bit_length() for p in metrics._scaled(wide)[0] for c in p) > 1400
+        assert max(abs(c).bit_length() for p in wide.points for c in p) > 1400
         cases += [wide, draw_planar_spanner(random_tree(60, 4, 60), Epsilon(F(1, 10)))]
         # Lengths over 40 scales: the rerooted tree rows are too coarse, so
         # the filter takes the Dijkstra rows, for which the proof holds.
@@ -254,7 +254,7 @@ class TestFloatFilter:
         checked = Counter()
         for k, d in enumerate(cases):
             g = d.graph
-            coords, L = metrics._scaled(d)
+            coords, L = d.points, d.den
             if len(set(coords)) < g.n:
                 continue
             flt = metrics._float_filter(g, coords)

@@ -3,11 +3,12 @@ a construction gives a drawing or a documented error.
 
 Random small graphs and drawings, degenerate ones included (coincident points,
 collinear triples, pairs a hair apart, coordinates far apart), go through
-`draw`, `metrics` and `verify`. Each call must return 0, 2, 3, 4 or 5 (an
-argparse usage error exits 2 through SystemExit) and raise nothing else. The
-constructions, called directly on small graphs, return a drawing of every
-vertex or raise `SpannerDrawError` or `ValueError`; so do the certificates,
-called directly on the parsed drawings.
+`draw`, `metrics`, `verify` and `export-svg` (with viewports out of range
+too). Each call must return 0, 2, 3, 4 or 5 (an argparse usage error exits 2
+through SystemExit) and raise nothing else. The constructions, called
+directly on small graphs, return a drawing of every vertex or raise
+`SpannerDrawError` or `ValueError`; so do the certificates, called directly
+on the parsed drawings.
 """
 
 import contextlib
@@ -95,6 +96,13 @@ def test_metrics_exits_documented(obj, fmt):
 @given(drawings(), st.sampled_from(["1", "3/2", "4"]))
 def test_verify_exits_documented(obj, s):
     assert run(obj, lambda inp, _: ["verify", inp, "--s", s]) in EXIT_CODES
+
+
+@SETTINGS
+@given(drawings(), st.sampled_from(["1", "800", "1000000", "0", "-5", str(10**400), "1/2"]))
+def test_export_svg_exits_documented(obj, viewport):
+    code = run(obj, lambda inp, out: ["export-svg", inp, "-o", out, "--viewport", viewport])
+    assert code in EXIT_CODES
 
 
 @st.composite
