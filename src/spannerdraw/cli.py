@@ -48,10 +48,11 @@ def _positive_rational(text: str) -> Fraction:
 
 
 def _viewport(text: str) -> int:
-    value = _positive_rational(text)
-    if value.denominator != 1 or value > 10**6:
-        raise argparse.ArgumentTypeError(f"must be a whole number of pixels up to 10**6: {text!r}")
-    return int(value)
+    value = _rational(text)
+    try:
+        return fileio.check_viewport(int(value) if value.denominator == 1 else value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}: {text!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

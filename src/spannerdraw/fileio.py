@@ -189,12 +189,25 @@ def save_drawing(d: Drawing, path: str, names: Optional[list[str]] = None) -> No
         fh.write(serialize(drawing_to_obj(d, names)))
 
 
+MAX_VIEWPORT = 10**6
+
+
+def check_viewport(viewport) -> int:
+    """viewport, if it is an int from 1 to MAX_VIEWPORT pixels; else ValueError."""
+    if not (isinstance(viewport, int) and not isinstance(viewport, bool)
+            and 1 <= viewport <= MAX_VIEWPORT):
+        raise ValueError(f"viewport must be a whole number of pixels from 1 to {MAX_VIEWPORT}")
+    return viewport
+
+
 def export_svg(d: Drawing, viewport: int = 800) -> str:
-    """SVG rendering of a drawing, affinely scaled to the viewport.
+    """SVG rendering of a drawing, affinely scaled to the viewport, an int
+    from 1 to MAX_VIEWPORT pixels (ValueError otherwise).
 
     Display only: coordinates are converted to floating point and must never
     feed back into the exact pipeline.
     """
+    check_viewport(viewport)
     n = d.graph.n
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -43,6 +43,9 @@ def segments_cross_improperly(a: IntPoint, b: IntPoint, c: IntPoint, d: IntPoint
 
     Segments that merely touch at an identical endpoint are not flagged; any
     crossing, overlap, or endpoint lying in the other segment's interior is.
+    A common endpoint is a point, compared by coordinates, that is an end of
+    both segments: two equal segments share both ends and are not flagged,
+    though they overlap.
     """
     shared = {p for p in (a, b) if p in (c, d)}
     o1 = orientation(a, b, c)

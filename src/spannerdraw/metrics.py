@@ -27,12 +27,23 @@ scan's. Where the inequality fails, that precision scans all pairs. The
 filter declines (all pairs at every precision) for coordinates past 1900
 bits, a float distance below 2**-900, or too many near-ties.
 spanning_ratio_bruteforce never filters.
+
+Three certificates sweep the integer points instead of scanning all pairs,
+with the same verdicts and values:
+- is_planar_drawing: a Shamos–Hoey sweep (Shamos and Hoey, "Geometric
+  intersection problems", FOCS 1976) in lexicographic order, O(m log m)
+  orientations and at most 3m exact crossing tests;
+- min_pairwise_distance_sq: a closest-pair plane sweep (Hinrichs, Nievergelt
+  and Schorn, IPL 1988), O(n log n);
+- is_proper_drawing: per edge, the vertices in its bounding box, found by
+  bisection in the vertices sorted by x and by y.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -48,6 +59,7 @@ from .geometry import (
     any_three_collinear,
     dist_sq,
     in_segment_interior,
+    orientation,
     segments_cross_improperly,
 )
 from .graph import Graph, is_connected
@@ -472,52 +484,91 @@ def edge_length_ratio(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interv
 def is_planar_drawing(d: Drawing) -> bool:
     """Exact: no two edges share a point except a common endpoint.
 
-    Edge pairs are pruned with an x-interval sweep before the exact predicate.
+    A common endpoint is compared by coordinates, not by vertex, as in
+    segments_cross_improperly, so two edges on the same segment (through
+    coincident vertices) do not cross. A zero-length edge makes the drawing
+    non-planar.
+
+    A Shamos–Hoey sweep over the edges in lexicographic (x, y) order, which
+    treats a vertical edge as slightly rotated: O(m log m) orientations and
+    at most 3m calls of segments_cross_improperly, one per pair of edges that
+    become neighbors in the sweep status. Every False is a pair that predicate
+    confirmed.
     """
     coords = d.points
-    segs = []
+    segs = set()
     for u, v in d.graph.edges():
         a, b = coords[u], coords[v]
         if a == b:
             return False
-        xmin, xmax = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
-        segs.append((xmin, xmax, a, b))
-    segs.sort(key=lambda s: s[0])
-    active: list[tuple] = []
-    for s in segs:
-        still = []
-        for t in active:
-            if t[1] < s[0]:
-                continue
-            still.append(t)
-            ymin_s = min(s[2][1], s[3][1])
-            ymax_s = max(s[2][1], s[3][1])
-            ymin_t = min(t[2][1], t[3][1])
-            ymax_t = max(t[2][1], t[3][1])
-            if ymax_t < ymin_s or ymax_s < ymin_t:
-                continue
-            if segments_cross_improperly(s[2], s[3], t[2], t[3]):
+        segs.add((a, b) if a < b else (b, a))
+    segs = sorted(segs)  # each segment once: two edges on one segment do not cross
+    # (point, kind, index): at a point, deletions (0) before insertions (1),
+    # so edges that meet end to end are never in the status together.
+    events = sorted([(s[1], 0, i) for i, s in enumerate(segs)]
+                    + [(s[0], 1, i) for i, s in enumerate(segs)])
+    status: list[int] = []  # active segments, bottom to top
+
+    def crosses(i: int, j: int) -> bool:
+        return segments_cross_improperly(*segs[i], *segs[j])
+
+    for p, insert, i in events:
+        if not insert:
+            k = status.index(i)
+            del status[k]
+            if 0 < k < len(status) and crosses(status[k - 1], status[k]):
                 return False
-        still.append(s)
-        active = still
+            continue
+        r = segs[i][1]
+        lo, hi = 0, len(status)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            a, b = segs[status[mid]]
+            o = orientation(a, b, p)
+            if o == 0 and a == p:
+                o = orientation(p, b, r)  # a common left end: compare the right ends
+            # p inside an active segment, or a collinear overlap from p.
+            if o == 0 and crosses(i, status[mid]):
+                return False
+            if o > 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        status.insert(lo, i)
+        if lo > 0 and crosses(status[lo - 1], i):
+            return False
+        if lo + 1 < len(status) and crosses(i, status[lo + 1]):
+            return False
     return True
 
 
 def is_proper_drawing(d: Drawing) -> bool:
-    """Exact: all vertex points distinct and no vertex interior to an edge segment."""
+    """Exact: all vertex points distinct and no vertex interior to an edge segment.
+
+    Not a sweep: once two edges cross, a sweep's status order no longer holds.
+    The vertices are sorted once by x and once by y. For each edge, bisection
+    finds the vertices in its closed bounding box's x range and in its y
+    range; the shorter of the two is walked, and in_segment_interior tests
+    each vertex in the box other than the edge's ends. The candidates are
+    those of the O(n*m) scan, so the verdict is the same.
+    """
     coords = d.points
     if _coincident(coords):
         return False
+    by_x = sorted(coords)
+    by_y = sorted(coords, key=lambda p: (p[1], p[0]))
+    xs = [p[0] for p in by_x]
+    ys = [p[1] for p in by_y]
     for u, v in d.graph.edges():
         a, b = coords[u], coords[v]
         xmin, xmax = min(a[0], b[0]), max(a[0], b[0])
         ymin, ymax = min(a[1], b[1]), max(a[1], b[1])
-        for w, p in enumerate(coords):
-            if w == u or w == v:
-                continue
-            if not (xmin <= p[0] <= xmax and ymin <= p[1] <= ymax):
-                continue
-            if in_segment_interior(a, b, p):
+        x0, x1 = bisect_left(xs, xmin), bisect_right(xs, xmax)
+        y0, y1 = bisect_left(ys, ymin), bisect_right(ys, ymax)
+        near = by_x[x0:x1] if x1 - x0 <= y1 - y0 else by_y[y0:y1]
+        for p in near:
+            if (xmin <= p[0] <= xmax and ymin <= p[1] <= ymax and p != a and p != b
+                    and in_segment_interior(a, b, p)):
                 return False
     return True
 
@@ -540,22 +591,30 @@ def bounding_box(d: Drawing) -> tuple[Fraction, Fraction, tuple]:
 
 
 def _closest_sq(coords: Sequence[IntPoint]) -> int:
-    """Least squared distance between two of at least 2 points."""
+    """Least squared distance between two of at least 2 points.
+
+    A plane sweep in x order (Hinrichs, Nievergelt and Schorn, IPL 1988):
+    the window holds, sorted by (y, x), the points left of the sweep whose
+    squared x gap is below the best so far, and each point is compared only
+    with the window's points within that distance in y. Those are at most 8
+    (they are at least that distance apart), so it takes O(n log n)
+    comparisons whichever axis the points spread along.
+    """
     pts = sorted(coords)
-    best = None
-    # Sorted-by-x scan with the classic divide-free pruning: only compare
-    # against predecessors whose squared x-gap is below the current best.
-    for i, p in enumerate(pts):
-        j = i - 1
-        while j >= 0:
-            dx = p[0] - pts[j][0]
-            if best is not None and dx * dx >= best:
-                break
-            q = dist_sq(p, pts[j])
-            if best is None or q < best:
-                best = q
-            j -= 1
-    assert best is not None
+    best = dist_sq(pts[0], pts[1])
+    window: list[IntPoint] = []  # (y, x) of pts[tail] up to the current point
+    tail = 0
+    for x, y in pts:
+        if best == 0:
+            return 0
+        while (x - pts[tail][0]) ** 2 >= best:
+            qx, qy = pts[tail]
+            del window[bisect_left(window, (qy, qx))]
+            tail += 1
+        r = math.isqrt(best - 1)  # dy**2 < best iff |dy| <= r
+        for q in window[bisect_left(window, (y - r,)):bisect_left(window, (y + r + 1,))]:
+            best = min(best, dist_sq((y, x), q))  # swapping both points' axes keeps it
+        insort(window, (y, x))
     return best
 
 

@@ -164,6 +164,17 @@ class TestSvg:
             d = Drawing.of(g, [(0, 0), (far, far / 10)])
             assert "<line" in fileio.export_svg(d)
 
+    @pytest.mark.parametrize("viewport", [1, 10**6], ids=["1", "10**6"])
+    def test_viewport_in_range(self, viewport):
+        d = Drawing.of(Graph.from_edges(2, [(0, 1)]), [(0, 0), (1, 0)])
+        assert f'width="{viewport}" height="{viewport}"' in fileio.export_svg(d, viewport)
+
+    @pytest.mark.parametrize("viewport", [-5, 0, 10**400], ids=["-5", "0", "10**400"])
+    def test_viewport_out_of_range_raises(self, viewport):
+        d = Drawing.of(Graph.from_edges(2, [(0, 1)]), [(0, 0), (1, 0)])
+        with pytest.raises(ValueError, match="viewport"):
+            fileio.export_svg(d, viewport)
+
 
 def drawing_file(tmp_path, n, edges, coords):
     p = tmp_path / "d.json"

@@ -1,15 +1,18 @@
 import heapq
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_drawing, random_rational_drawing, random_tree
 from spannerdraw import metrics
 from spannerdraw.drawing import Drawing
 from spannerdraw.exact import Interval, isqrt_scaled, sqrt_interval
-from spannerdraw.geometry import dist_sq
+from spannerdraw.geometry import dist_sq, in_segment_interior, segments_cross_improperly
 from spannerdraw.graph import Graph, RootedTree
 from spannerdraw.layout import Epsilon, draw_planar_spanner, draw_tree_planar
 from spannerdraw.metrics import (
@@ -318,6 +321,175 @@ class TestPlanarity:
         d = drawing(3, [(0, 1), (1, 2)], [(0, 0), (0, 0), (1, 0)])
         assert not is_planar_drawing(d)
 
+    def test_same_segment_twice_through_coincident_vertices(self):
+        # Common endpoints compare by coordinates: equal segments share both
+        # ends, so they do not cross, though the drawing is not proper.
+        d = drawing(4, [(0, 1), (2, 3)], [(0, 0), (2, 1), (0, 0), (2, 1)])
+        assert is_planar_drawing(d)
+        assert not is_proper_drawing(d)
+
+    def test_collinear_overlap_from_common_left_end_false(self):
+        d = drawing(3, [(0, 1), (0, 2)], [(0, 0), (2, 1), (4, 2)])
+        assert not is_planar_drawing(d)
+
+    def test_vertex_inside_vertical_edge_false(self):
+        d = drawing(4, [(0, 1), (2, 3)], [(0, 0), (0, 4), (0, 2), (3, 2)])
+        assert not is_planar_drawing(d)
+
+    def test_edge_ending_inside_another_false(self):
+        d = drawing(4, [(0, 1), (2, 3)], [(0, 0), (4, 0), (1, 3), (2, 0)])
+        assert not is_planar_drawing(d)
+
+    def test_crossing_found_when_an_edge_between_ends(self):
+        # The edge from (0, 5) separates the crossing pair in the sweep until
+        # it ends at (1, 5); only then do they become neighbors.
+        d = drawing(6, [(0, 1), (2, 3), (4, 5)],
+                    [(0, 0), (10, 10), (0, 5), (1, 5), (0, 10), (10, 0)])
+        assert not is_planar_drawing(d)
+
+    def test_edge_ending_where_another_starts_true(self):
+        # End to end on one line: the first edge leaves the sweep before the
+        # second enters it at the shared point.
+        d = drawing(3, [(0, 1), (1, 2)], [(0, 0), (2, 0), (4, 0)])
+        assert is_planar_drawing(d)
+
+
+def planar_oracle(d):
+    """The planarity verdict by an x-interval sweep: each edge is tested with
+    segments_cross_improperly against every earlier edge whose x and y
+    ranges overlap its own."""
+    coords = d.points
+    segs = []
+    for u, v in d.graph.edges():
+        a, b = coords[u], coords[v]
+        if a == b:
+            return False
+        xmin, xmax = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
+        segs.append((xmin, xmax, a, b))
+    segs.sort(key=lambda s: s[0])
+    active = []
+    for s in segs:
+        still = []
+        for t in active:
+            if t[1] < s[0]:
+                continue
+            still.append(t)
+            if (max(t[2][1], t[3][1]) < min(s[2][1], s[3][1])
+                    or max(s[2][1], s[3][1]) < min(t[2][1], t[3][1])):
+                continue
+            if segments_cross_improperly(s[2], s[3], t[2], t[3]):
+                return False
+        still.append(s)
+        active = still
+    return True
+
+
+def proper_oracle(d):
+    """The properness verdict by testing every vertex in every edge's box."""
+    coords = d.points
+    if len(set(coords)) < len(coords):
+        return False
+    for u, v in d.graph.edges():
+        a, b = coords[u], coords[v]
+        xmin, xmax = min(a[0], b[0]), max(a[0], b[0])
+        ymin, ymax = min(a[1], b[1]), max(a[1], b[1])
+        for w, p in enumerate(coords):
+            if w in (u, v) or not (xmin <= p[0] <= xmax and ymin <= p[1] <= ymax):
+                continue
+            if in_segment_interior(a, b, p):
+                return False
+    return True
+
+
+def closest_sq_oracle(points):
+    """The least squared distance by an x-sorted scan that stops at an x gap
+    whose square is at least the best so far."""
+    pts = sorted(points)
+    best = None
+    for i, p in enumerate(pts):
+        for q in reversed(pts[:i]):
+            if best is not None and (p[0] - q[0]) ** 2 >= best:
+                break
+            if best is None or dist_sq(p, q) < best:
+                best = dist_sq(p, q)
+    return best
+
+
+def stacked_triangulation(n, seed):
+    """A maximal planar graph (3n - 6 edges): a triangle, then each vertex
+    joined to the three corners of a random face, which it splits in three."""
+    rng = random.Random(seed)
+    edges, faces = [(0, 1), (1, 2), (0, 2)], [(0, 1, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += [(a, v), (b, v), (c, v)]
+        faces += [(a, b, v), (b, c, v), (a, c, v)]
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
+def grid_drawings(draw):
+    """Up to 9 points on the grid -3..3 (coincident ones too) and any edges."""
+    n = draw(st.integers(2, 9))
+    points = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return Drawing(Graph.from_edges(n, edges), tuple(points))
+
+
+class TestSweepsMatchOracles:
+    """is_planar_drawing, is_proper_drawing and _closest_sq sweep the points;
+    each must give the verdict or value of the scan it replaced."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(grid_drawings())
+    def test_degenerate_grid_drawings(self, d):
+        assert is_planar_drawing(d) == planar_oracle(d)
+        assert is_proper_drawing(d) == proper_oracle(d)
+        assert metrics._closest_sq(d.points) == closest_sq_oracle(d.points)
+
+    def test_planar_spanner_drawings(self):
+        # Each vertex sits far above the ones before it: y spreads
+        # exponentially, x barely.
+        graphs = [stacked_triangulation(40, seed) for seed in range(3)] + [strip_graph(40)]
+        for k, g in enumerate(graphs):
+            for eps in (F(1), F(1, 10)):
+                d = draw_planar_spanner(g, Epsilon(eps))
+                assert is_planar_drawing(d) and planar_oracle(d), k
+                assert is_proper_drawing(d) == proper_oracle(d), k
+                assert metrics._closest_sq(d.points) == closest_sq_oracle(d.points), k
+                # The last vertex moved to the midpoint of an edge away from
+                # it: its own edges now end inside that edge.
+                w = g.n - 1
+                a, b = next(e for e in g.edges() if w not in e)
+                pts = [(2 * x, 2 * y) for x, y in d.points]
+                pts[w] = (d.points[a][0] + d.points[b][0], d.points[a][1] + d.points[b][1])
+                bent = Drawing(g, tuple(pts), 2 * d.den)
+                assert is_planar_drawing(bent) == planar_oracle(bent) is False, k
+                assert is_proper_drawing(bent) == proper_oracle(bent) is False, k
+                assert metrics._closest_sq(bent.points) == closest_sq_oracle(bent.points), k
+
+    def test_work_counts(self, monkeypatch):
+        # Counted, not timed: a quadratic scan in place of a sweep fails here.
+        g = stacked_triangulation(160, 1)
+        d = draw_planar_spanner(g, Epsilon(1))
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(metrics, "segments_cross_improperly",
+                            counted("cross", metrics.segments_cross_improperly))
+        monkeypatch.setattr(metrics, "dist_sq", counted("dist_sq", metrics.dist_sq))
+        assert is_planar_drawing(d)
+        assert 0 < calls["cross"] <= 3 * g.m, (calls, g.m)
+        assert metrics._closest_sq(d.points) == closest_sq_oracle(d.points)
+        # At most 8 window points are compared with each point.
+        assert calls["dist_sq"] <= 8 * g.n, (calls, g.n)
+
 
 class TestProperAndCollinear:
     def test_proper_rejects_vertex_inside_edge(self):
@@ -345,7 +517,7 @@ class TestBoxAndDistance:
         assert min_pairwise_distance_sq(d) == 2
 
     def test_min_pairwise_matches_bruteforce(self):
-        from spannerdraw.geometry import dist_sq
+        from spannerdraw.geometry import dist_sq, in_segment_interior, segments_cross_improperly
 
         for seed in range(10):
             d = random_drawing(12, 300 + seed)
