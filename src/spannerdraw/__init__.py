@@ -53,7 +53,6 @@ from .layout import (
     draw_tree_planar,
     draw_tree_planar_with_stats,
     draw_tree_proper,
-    place_next_vertex,
 )
 from .metrics import (
     DEFAULT_REL_TOL,

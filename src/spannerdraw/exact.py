@@ -1,11 +1,11 @@
 """Certified enclosures for irrational quantities built from exact rationals.
 
-Coordinates are exact rationals: integer numerators over a common
-denominator in a `Drawing`, and `fractions.Fraction` only inside the planar
-construction. Square roots are never materialized. When a length or a ratio
-involving square roots must be reported, it is enclosed in a rational
-interval [lo, hi] whose width is driven below any requested relative
-tolerance by raising the working precision.
+Coordinates are exact rationals, held as integer numerators over a common
+denominator in a `Drawing` and in every construction. Square roots are
+never materialized. When a length or a ratio involving square roots must be
+reported, it is enclosed in a rational interval [lo, hi] whose width is
+driven below any requested relative tolerance by raising the working
+precision.
 """
 
 from __future__ import annotations

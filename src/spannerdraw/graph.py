@@ -76,6 +76,8 @@ class RootedTree:
     def from_graph(g: Graph, root: int = 0) -> "RootedTree":
         if not g.is_tree():
             raise NotATreeError(f"graph with n={g.n}, m={g.m} is not a tree")
+        if not isinstance(root, int) or isinstance(root, bool) or not 0 <= root < g.n:
+            raise ValueError(f"root {root!r} is not a vertex of a tree with n={g.n}")
         parent: list[Optional[int]] = [None] * g.n
         children: list[list[int]] = [[] for _ in range(g.n)]
         for u in bfs_order(g, root):  # a vertex comes after its parent
@@ -153,15 +155,6 @@ def connected_components(g: Graph) -> list[list[int]]:
             for v in comps[-1]:
                 seen[v] = True
     return comps
-
-
-def connected_prefix_order(t: RootedTree) -> VertexOrder:
-    """Order starting at the root in which every prefix induces a connected subtree.
-
-    BFS order from the root; children are visited in stored child order,
-    which `RootedTree.from_graph` keeps sorted, as the adjacency lists are.
-    """
-    return VertexOrder(tuple(bfs_order(t.graph, t.root)))
 
 
 def path_order(g: Graph) -> Optional[list[int]]:

@@ -1,11 +1,12 @@
 """Drawing constructions with spanning ratio close to 1.
 
-All coordinates are exact. The proper, tree-proper, tough and tree-planar
-constructions compute on integer numerators over a common denominator and
-hand them to Drawing as they are; the planar one computes on Fractions and
-ends with Drawing.of. Incremental placements keep strict inequalities
-checkable by rounding required thresholds up to integers (which only
-enlarges distances and therefore preserves every bound being targeted).
+All coordinates are exact. Every construction computes on integer
+numerators over a common denominator and hands them to Drawing as they are:
+the planar one fixes its denominator before it places a vertex, and the
+tree-proper one refines it as parts merge. Incremental placements keep
+strict inequalities checkable by rounding required thresholds up to
+integers (which only enlarges distances and therefore preserves every bound
+being targeted).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .drawing import Drawing, Point
+from .drawing import Drawing
 from .embedding import augment_to_maximal_with_canonical_order
 from .errors import DegreeTargetMissed, NotConnectedError, TooSmallError
 from .exact import isqrt_scaled
@@ -34,13 +35,14 @@ from .graph import (
 _LEG_BITS = 80  # dyadic approximation scale for the base triangle apex height
 
 
-def _ceil(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
+def _ceil_div(a: int, b: int) -> int:
+    """ceil(a / b) for b > 0."""
+    return -(-a // b)
 
 
 @dataclass(frozen=True)
 class Epsilon:
-    """The accuracy parameter: a positive rational and its derived gamma."""
+    """The accuracy parameter: a positive rational."""
 
     value: Fraction
 
@@ -50,10 +52,6 @@ class Epsilon:
             raise ValueError("epsilon must be positive")
 
     @property
-    def gamma(self) -> int:
-        return _ceil(2 / self.value)
-
-    @property
     def tree_gamma(self) -> int:
         """Gap multiplier for the tree constructions.
 
@@ -61,54 +59,26 @@ class Epsilon:
         then satisfy ratio <= (tree_gamma+2)/tree_gamma <= 1 + epsilon/2, so a
         drawing at epsilon = 1 is certified at spanning ratio 1.5.
         """
-        return _ceil(4 / self.value)
+        return _ceil_div(4 * self.value.denominator, self.value.numerator)
 
 
-def _bbox(points: Sequence[Point]):
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    return min(xs), max(xs), min(ys), max(ys)
-
-
-def _enclosing_disk(points: Sequence[Point]) -> tuple[Point, int]:
-    """Center and an integer radius of a disk strictly containing all points,
-    which may be Fractions or ints."""
-    xmin, xmax, ymin, ymax = _bbox(points)
-    cx = Fraction(xmin + xmax, 2)
-    cy = Fraction(ymin + ymax, 2)
-    r_sq = Fraction(xmax - xmin, 2) ** 2 + Fraction(ymax - ymin, 2) ** 2
-    radius = math.isqrt(_ceil(r_sq)) + 1
-    return (cx, cy), radius
-
-
-def place_next_vertex(
-    placed: Sequence[Point], attachment: Sequence[Point], k: int, eps: Epsilon
-) -> Point:
-    """A point satisfying the incremental placement conditions.
-
-    The returned point lies strictly between the attachment endpoints in x,
-    strictly above every line through consecutive attachment points (evaluated
-    at the endpoint verticals), and at distance greater than k*delta/epsilon
-    from a disk containing all placed points, where delta is its diameter.
-    """
-    e = min(eps.value, Fraction(1))
-    wp, wq = attachment[0], attachment[-1]
-    assert wp[0] < wq[0]
-    x_v = (wp[0] + wq[0]) / 2
-    y_req = max(wp[1], wq[1])
-    for (x1, y1), (x2, y2) in zip(attachment, attachment[1:]):
-        assert x1 < x2
-        slope = (y2 - y1) / (x2 - x1)
-        y_req = max(y_req, y1 + slope * (wp[0] - x1), y1 + slope * (wq[0] - x1))
-    (cx, cy), radius = _enclosing_disk(placed)
-    delta = 2 * radius
-    y_v = max(_ceil(y_req), _ceil(cy + radius)) + _ceil(Fraction(k * delta) / e) + 1
-    return (x_v, Fraction(y_v))
+def _radius(w: int, h: int, den: int = 1) -> int:
+    """An integer radius of a disk about the center of the box
+    [0, w/den] x [0, h/den] that strictly contains the box."""
+    return math.isqrt(_ceil_div(w * w + h * h, 4 * den * den)) + 1
 
 
 def draw_planar_spanner(h: Graph, eps: Epsilon) -> Drawing:
     """Planar straight-line drawing of a connected planar graph with spanning
-    ratio strictly below 1 + epsilon."""
+    ratio strictly below 1 + epsilon.
+
+    Vertices are placed in canonical order, on integer numerators over one
+    denominator den = e.denominator * 2**b, e = min(epsilon, 1), fixed
+    before placement. A vertex's x is the midpoint of its attachment's ends,
+    one halving deeper than the deeper end, and b covers the deepest x and
+    the 2**-_LEG_BITS scale of the apex height; every later y is a whole
+    number.
+    """
     if not is_connected(h):
         raise NotConnectedError("input graph must be connected")
     if h.n == 1:
@@ -117,30 +87,42 @@ def draw_planar_spanner(h: Graph, eps: Epsilon) -> Drawing:
         return Drawing(h, ((0, 0), (1, 0)))
     co = augment_to_maximal_with_canonical_order(h)
     e = min(eps.value, Fraction(1))
-    order = list(co.order)
-    coords: list[Optional[Point]] = [None] * h.n
+    order = co.order.order
+    depth = [0] * h.n  # halvings in the x of each vertex
+    for k in range(3, h.n + 1):
+        ends = co.attachments[k]
+        depth[order[k - 1]] = 1 + max(depth[ends[0]], depth[ends[-1]])
+    b = max(max(depth) + 1, _LEG_BITS)
+    den = e.denominator << b
+    pts: list[IntPoint] = [(0, 0)] * h.n
 
     # Base triangle: horizontal side of length e/2, the other two sides of
     # length in [1, 1 + 2**-78] (apex height rounded up to a dyadic rational).
-    half = e / 2
+    half = e.numerator << (b - 1)
     leg_sq = 1 - (e / 4) ** 2
-    y3 = Fraction(
-        isqrt_scaled(leg_sq.numerator, leg_sq.denominator, _LEG_BITS)[1], 1 << _LEG_BITS
-    )
-    coords[order[0]] = (Fraction(0), Fraction(0))
-    coords[order[1]] = (half, Fraction(0))
-    coords[order[2]] = (half / 2, y3)
+    y3 = isqrt_scaled(leg_sq.numerator, leg_sq.denominator, _LEG_BITS)[1]
+    top = y3 * e.denominator << (b - _LEG_BITS)
+    pts[order[1]] = (half, 0)
+    pts[order[2]] = (half // 2, top)
 
-    # Each later vertex goes midway in x between two placed ones and above the
-    # disk of all of them, so (0, 0) and (half, y of the last one) span the
-    # bounding box of the placed vertices, and their disk is the disk of all.
-    top = y3
+    # Each later vertex goes midway in x between the ends of its attachment,
+    # strictly above every line through consecutive attachment points at
+    # those ends, and more than k*delta/e above the disk of all placed
+    # vertices, of diameter delta. That disk is the disk of the box spanned
+    # by (0, 0) and (half, top), the last vertex's height.
     for k in range(4, h.n + 1):
-        attachment = [coords[w] for w in co.attachments[k]]
-        x, top = place_next_vertex([(Fraction(0), Fraction(0)), (half, top)], attachment, k, eps)
-        coords[order[k - 1]] = (x, top)
-
-    return Drawing.of(h, coords)
+        att = [pts[w] for w in co.attachments[k]]
+        xp, xq = att[0][0], att[-1][0]
+        y = 0
+        for (x1, y1), (x2, y2) in zip(att, att[1:]):
+            assert x1 < x2
+            for x in (xp, xq):
+                y = max(y, _ceil_div(y1 * (x2 - x1) + (y2 - y1) * (x - x1), (x2 - x1) * den))
+        radius = _radius(half, top, den)
+        y = max(y, _ceil_div(top, 2 * den) + radius)
+        top = (y + _ceil_div(2 * k * radius * e.denominator, e.numerator) + 1) * den
+        pts[order[k - 1]] = ((xp + xq) // 2, top)
+    return Drawing(h, tuple(pts), den)
 
 
 def draw_proper_spanner(g: Graph, eps: Epsilon) -> Drawing:
@@ -161,15 +143,18 @@ def draw_proper_spanner(g: Graph, eps: Epsilon) -> Drawing:
     order = bfs_order(g)
     if len(order) < n:
         raise NotConnectedError("input graph must be connected")
+    e_num, e_den = eps.value.numerator, eps.value.denominator
     placed = [(0, 0)]  # in the order of `order`; x strictly increasing, y >= 0
     at_height = Counter([0])  # number of placed vertices per height
     y_max = 0
     for k in range(2, n + 1):
-        # The first vertex is (0, 0) and no coordinate is negative, so this
-        # box is the bounding box of all placed vertices.
-        (cx, _), radius = _enclosing_disk([(0, 0), (placed[-1][0], y_max)])
-        delta = 2 * radius
-        x_k = _ceil(cx + radius + Fraction(k * delta) / eps.value) + 1
+        # The first vertex is (0, 0) and no coordinate is negative, so the
+        # box up to the last vertex's x and y_max holds every placed vertex.
+        # x_k = ceil(w/2 + radius + k*delta/eps) + 1: right of the disk of
+        # that box, centered at x = w/2, by k*delta/eps, delta = 2*radius.
+        w = placed[-1][0]
+        radius = _radius(w, y_max)
+        x_k = radius + _ceil_div(w * e_num + 4 * k * radius * e_den, 2 * e_num) + 1
         y = 0
         while at_height[y] >= 2 or on_line_through_two((x_k, y), placed):
             y += 1

@@ -10,8 +10,8 @@ from spannerdraw.graph import (
     Graph,
     RootedTree,
     VertexOrder,
+    bfs_order,
     connected_components,
-    connected_prefix_order,
     degree_bounded_spanning_tree,
     edge_separator,
     hamiltonian_path,
@@ -77,9 +77,16 @@ class TestRootedTree:
         with pytest.raises(NotATreeError):
             RootedTree.from_graph(cycle_graph(4), 0)
 
+    @pytest.mark.parametrize("root", [3, -1, -4, True, 1.0])
+    def test_root_not_a_vertex_rejected(self, root):
+        # n, -1 and -(n + 1) on a 3-vertex path: n and -(n + 1) raised
+        # IndexError, and -1 built a tree whose parents form a cycle.
+        with pytest.raises(ValueError, match="root"):
+            RootedTree.from_graph(path_graph(3), root)
+
     def test_prefix_order_connected_prefixes(self):
         t = RootedTree.from_graph(random_tree(20, 3, seed=5), 0)
-        order = list(connected_prefix_order(t))
+        order = bfs_order(t.graph, t.root)
         assert sorted(order) == list(range(20))
         for k in range(1, 21):
             assert is_connected(t.graph.induced(order[:k]))

@@ -20,7 +20,6 @@ from spannerdraw.layout import (
     draw_tree_planar,
     draw_tree_planar_with_stats,
     draw_tree_proper,
-    place_next_vertex,
 )
 from spannerdraw.metrics import (
     compute_metrics,
@@ -45,14 +44,13 @@ def star_graph(n):
 
 class TestEpsilon:
     def test_gamma(self):
-        assert Epsilon(F(1)).gamma == 2
-        assert Epsilon(F(1, 2)).gamma == 4
-        assert Epsilon(F(2, 3)).gamma == 3
-        assert Epsilon(F(3)).gamma == 1
         # Plain numbers are coerced to Fraction.
-        assert Epsilon(1).gamma == 2
+        assert Epsilon(1).value == F(1)
         assert Epsilon(0.5).value == F(1, 2)
-        assert Epsilon("2/3").gamma == 3
+        assert Epsilon("2/3").value == F(2, 3)
+        assert Epsilon(1).tree_gamma == 4
+        assert Epsilon("2/3").tree_gamma == 6
+        assert Epsilon(F(3)).tree_gamma == 2
 
     def test_tree_gamma_doubles(self):
         assert Epsilon(F(1)).tree_gamma == 4
@@ -63,9 +61,44 @@ class TestEpsilon:
             Epsilon(F(0))
 
 
+def enclosing_disk(points):
+    """Center and an integer radius of a disk strictly containing all
+    points, which may be Fractions or ints."""
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    cx = F(min(xs) + max(xs), 2)
+    cy = F(min(ys) + max(ys), 2)
+    r_sq = F(max(xs) - min(xs), 2) ** 2 + F(max(ys) - min(ys), 2) ** 2
+    return (cx, cy), math.isqrt(math.ceil(r_sq)) + 1
+
+
+def place_next_vertex(placed, attachment, k, eps):
+    """A point satisfying the incremental placement conditions, on Fractions.
+
+    The returned point lies strictly between the attachment endpoints in x,
+    strictly above every line through consecutive attachment points (evaluated
+    at the endpoint verticals), and at distance greater than k*delta/epsilon
+    from a disk containing all placed points, where delta is its diameter.
+    """
+    e = min(eps.value, F(1))
+    wp, wq = attachment[0], attachment[-1]
+    assert wp[0] < wq[0]
+    x_v = (wp[0] + wq[0]) / 2
+    y_req = max(wp[1], wq[1])
+    for (x1, y1), (x2, y2) in zip(attachment, attachment[1:]):
+        assert x1 < x2
+        slope = (y2 - y1) / (x2 - x1)
+        y_req = max(y_req, y1 + slope * (wp[0] - x1), y1 + slope * (wq[0] - x1))
+    (cx, cy), radius = enclosing_disk(placed)
+    delta = 2 * radius
+    y_v = max(math.ceil(y_req), math.ceil(cy + radius)) + math.ceil(F(k * delta) / e) + 1
+    return (x_v, F(y_v))
+
+
 def planar_spanner_oracle(h, eps):
-    """Coordinates of the planar construction as first written: each vertex
-    is placed against the enclosing disk of the list of all placed points."""
+    """Coordinates of the planar construction as first written, on
+    Fractions: each vertex is placed against the enclosing disk of the list
+    of all placed points."""
     co = augment_to_maximal_with_canonical_order(h)
     e = min(eps.value, F(1))
     order = list(co.order)
@@ -83,13 +116,22 @@ def planar_spanner_oracle(h, eps):
 
 
 class TestPlanarSpanner:
-    @pytest.mark.parametrize("eps", [F(1, 10), F(1), F(3)])
+    @pytest.mark.parametrize("eps", [F(1, 10), F(1), F(3), F(2, 3), F(5, 7), F(1, 1000)])
     def test_matches_oracle(self, eps):
         eps = Epsilon(eps)
         graphs = [path_graph(3), path_graph(12), star_graph(12)]
         graphs += [random_connected_planar_graph(n, 960 + n) for n in (6, 15, 30)]
         for g in graphs:
             assert draw_planar_spanner(g, eps).coords == planar_spanner_oracle(g, eps)
+
+    @pytest.mark.parametrize("g", [path_graph(100), star_graph(101)], ids=["path", "star"])
+    def test_matches_oracle_past_leg_bits(self, g):
+        # Some x here is halved more than _LEG_BITS times, so the halvings,
+        # not the apex height, size the drawing's denominator.
+        for eps in (EPS1, Epsilon(F(1, 10))):
+            d = draw_planar_spanner(g, eps)
+            assert d.coords == planar_spanner_oracle(g, eps)
+            assert max(x.denominator for x, _ in d.coords) > 1 << _LEG_BITS
 
     def test_path3_base_case_ratio(self):
         d = draw_planar_spanner(path_graph(3), EPS1)

@@ -29,6 +29,7 @@ from spannerdraw.layout import (
     draw_graph_via_tough_tree,
     draw_planar_spanner,
     draw_proper_spanner,
+    draw_tree_planar,
     draw_tree_proper,
 )
 from spannerdraw.metrics import compute_metrics, edge_length_ratio, spanning_ratio
@@ -130,8 +131,10 @@ def small_graphs(draw):
 )
 def test_constructions_raise_only_documented_errors(g, epsilon, root, d_target):
     eps = Epsilon(epsilon)
+    root = min(root, max(g.n - 1, 0))
     constructions = [
-        lambda: draw_tree_proper(RootedTree.from_graph(g, min(root, max(g.n - 1, 0))), eps),
+        lambda: draw_tree_proper(RootedTree.from_graph(g, root), eps),
+        lambda: draw_tree_planar(RootedTree.from_graph(g, root), eps),
         lambda: draw_graph_via_tough_tree(g, d_target, eps).drawing,
         lambda: draw_proper_spanner(g, eps),
         lambda: draw_planar_spanner(g, eps),

@@ -31,3 +31,57 @@ def test_no_unused_imports():
     assert modules
     unused = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def private_names(node: ast.stmt) -> list[str]:
+    """The names starting with one underscore that a module-level statement
+    defines as a function, class or constant."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def references(node: ast.AST) -> set[str]:
+    """The names a statement reads, as bare names, attributes or imports."""
+    read = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            read.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            read.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            read |= {alias.name for alias in sub.names}
+    return read
+
+
+def dead_private_helpers(sources: dict[str, str]) -> list[str]:
+    """module:name for each private module-level definition that no
+    statement of any module reads, other than the definition itself."""
+    statements = [(module, node) for module, source in sources.items()
+                  for node in ast.parse(source).body]
+    read = [references(node) for _, node in statements]
+    return sorted(
+        f"{module}:{name}"
+        for i, (module, node) in enumerate(statements)
+        for name in private_names(node)
+        if not any(name in r for j, r in enumerate(read) if j != i)
+    )
+
+
+def test_dead_private_helpers_found():
+    sources = {
+        "a": "_K = 1\n_T = int\ndef _used(x: _T): return _K\ndef _dead(): return _dead()\n",
+        "b": "from a import _used\n_used(1)\n",
+    }
+    assert dead_private_helpers(sources) == ["a:_dead"]
+
+
+def test_no_dead_private_helpers():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert dead_private_helpers(sources) == []
