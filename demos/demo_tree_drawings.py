@@ -54,7 +54,7 @@ def main():
     print(f"  spanning ratio <= {float(sr.hi):.6f} (guarantee: 1.5)")
     print(
         f"  height {stats.height} <= log2(n') = {math.log2(stats.n_prime):.2f}, "
-        f"width {stats.width}, recurrence respected: {stats.recurrence_respected}"
+        f"width {stats.width}"
     )
 
     # General graphs: route through a degree-bounded spanning tree; remaining

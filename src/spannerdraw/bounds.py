@@ -19,7 +19,7 @@ from .errors import ZeroLengthEdgeError
 from .exact import Interval, sqrt_interval
 from .geometry import IntPoint, dist_sq, on_segment_closed
 from .graph import Graph, hamiltonian_path, hamiltonian_path_exists, path_order
-from .metrics import spanning_ratio
+from .metrics import _certify, _spanning_ratios
 
 # Explicit packing constant from the annulus argument: each annulus around a
 # vertex of a drawing with spanning ratio at most s holds at most this many
@@ -104,15 +104,12 @@ def annulus_bound_check(d: Drawing, s: Fraction) -> AnnulusCheckResult:
                 violations.append(AnnulusViolation(v, i, count))
     if not violations:
         return AnnulusCheckResult(s, threshold, (), None, "Consistent")
-    # A violation implies spanning ratio > s; certify by tightening the
-    # enclosure until it separates from s.
-    rel_tol = Fraction(1, 10**6)
-    sr = spanning_ratio(d, rel_tol)
-    for _ in range(8):
+    # A violation implies spanning ratio > s; certify it on one stream of
+    # enclosures at relative tolerances 10**-6, 10**-9, ..., 10**-30, up to
+    # the first that separates from s.
+    for sr in _certify(_spanning_ratios(d), (Fraction(1, 10**k) for k in range(6, 31, 3))):
         if sr.lo > s or sr.hi <= s:
             break
-        rel_tol /= 10**3
-        sr = spanning_ratio(d, rel_tol)
     verdict = "Consistent" if sr.lo > s else "InconsistentWithTheorem"
     return AnnulusCheckResult(s, threshold, tuple(violations), sr, verdict)
 

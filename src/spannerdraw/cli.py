@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 parse/usage error, 3 precondition violation
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -95,6 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
     svg.add_argument("--viewport", type=_viewport, default=800)
 
     return parser
+
+
+# main's parser, built once: each build costs about 1 ms and leaves cyclic garbage.
+_parser = functools.cache(build_parser)
 
 
 def _float_or_none(q: Fraction) -> Optional[float]:
@@ -243,8 +248,7 @@ def _cmd_export_svg(args) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "draw": _cmd_draw,
         "metrics": _cmd_metrics,

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import networkx as nx
-
 from .errors import NotConnectedError, NotPlanarError, TooSmallError
 from .graph import Graph, VertexOrder, is_connected
 
@@ -67,6 +65,8 @@ def planarity_test_embed(g: Graph) -> Optional[RotationSystem]:
     """A rotation system with a deterministic outer face, or None if g is nonplanar."""
     if not is_connected(g):
         raise NotConnectedError("embedding requires a connected graph")
+    import networkx as nx  # here, not at module level: it doubles the package's import time
+
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n))
     nxg.add_edges_from(g.edges())
@@ -331,6 +331,8 @@ def canonical_order_validate(co: CanonicalOrder, reason: Optional[list] = None) 
     for u, w in co.host_edges:
         host_adj[u].add(w)
         host_adj[w].add(u)
+
+    import networkx as nx  # here, as in planarity_test_embed
 
     nxg = nx.Graph()
     nxg.add_nodes_from(range(n))

@@ -12,7 +12,6 @@ import json
 import re
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional
 
 from .drawing import Drawing
 from .errors import SpannerDrawError
@@ -88,7 +87,7 @@ def format_rational(q: Fraction) -> str:
         return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
-def _parse_graph_fields(obj) -> tuple[Graph, Optional[list[str]]]:
+def _parse_graph_fields(obj) -> Graph:
     if not isinstance(obj, dict):
         raise FileFormatError("top-level value must be an object")
     if obj.get("version") != FORMAT_VERSION:
@@ -122,15 +121,15 @@ def _parse_graph_fields(obj) -> tuple[Graph, Optional[list[str]]]:
             isinstance(s, str) for s in names
         ):
             raise FileFormatError("field 'names' must be a list of n strings")
-    return Graph.from_edges(n, edges), names
+    return Graph.from_edges(n, edges)
 
 
 def graph_from_obj(obj) -> Graph:
-    return _parse_graph_fields(obj)[0]
+    return _parse_graph_fields(obj)
 
 
 def drawing_from_obj(obj) -> Drawing:
-    g, _ = _parse_graph_fields(obj)
+    g = _parse_graph_fields(obj)
     coords = obj.get("coords")
     if not isinstance(coords, list) or len(coords) != g.n:
         raise FileFormatError("field 'coords' must be a list of n [x, y] pairs")
@@ -142,19 +141,16 @@ def drawing_from_obj(obj) -> Drawing:
     return Drawing.of(g, points)
 
 
-def graph_to_obj(g: Graph, names: Optional[list[str]] = None) -> dict:
-    obj: dict = {
+def graph_to_obj(g: Graph) -> dict:
+    return {
         "version": FORMAT_VERSION,
         "n": g.n,
         "edges": [[u, v] for u, v in g.edges()],
     }
-    if names is not None:
-        obj["names"] = list(names)
-    return obj
 
 
-def drawing_to_obj(d: Drawing, names: Optional[list[str]] = None) -> dict:
-    obj = graph_to_obj(d.graph, names)
+def drawing_to_obj(d: Drawing) -> dict:
+    obj = graph_to_obj(d.graph)
     obj["coords"] = [[format_rational(x), format_rational(y)] for x, y in d.coords]
     return obj
 
@@ -179,14 +175,9 @@ def _load_json(path: str):
             raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def save_graph(g: Graph, path: str, names: Optional[list[str]] = None) -> None:
+def save_drawing(d: Drawing, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(graph_to_obj(g, names)))
-
-
-def save_drawing(d: Drawing, path: str, names: Optional[list[str]] = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(drawing_to_obj(d, names)))
+        fh.write(serialize(drawing_to_obj(d)))
 
 
 MAX_VIEWPORT = 10**6

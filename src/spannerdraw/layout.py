@@ -318,7 +318,6 @@ class TreePlanarStats:
     n_prime: int  # size after every lone child received a sibling
     width: int
     height: int
-    recurrence_respected: bool  # realized widths never exceeded the tracked recurrence
 
 
 def draw_tree_planar(t: RootedTree, eps: Epsilon) -> Drawing:
@@ -343,7 +342,7 @@ def draw_tree_planar_with_stats(t: RootedTree, eps: Epsilon) -> tuple[Drawing, T
         coords = [(0, 0)] * n
         for i, v in enumerate(path):
             coords[v] = (i, 0)
-        return Drawing(t.graph, tuple(coords)), TreePlanarStats(n, n - 1, 0, True)
+        return Drawing(t.graph, tuple(coords)), TreePlanarStats(n, n - 1, 0)
 
     # Root at the smallest-id leaf, then give every lone child a dummy sibling.
     root = min(v for v in range(n) if t.graph.degree(v) == 1)
@@ -366,7 +365,6 @@ def draw_tree_planar_with_stats(t: RootedTree, eps: Epsilon) -> tuple[Drawing, T
     width = [0] * n_prime
     height = [0] * n_prime
     offset = [(0, 0)] * n_prime
-    respected = True
     for u in reversed(order):
         kids = children[u]
         size[u] += sum(size[c] for c in kids)
@@ -377,10 +375,7 @@ def draw_tree_planar_with_stats(t: RootedTree, eps: Epsilon) -> tuple[Drawing, T
             last = i == len(kids) - 1
             x_off = 0 if i == 0 else d_prev + gamma * (d_prev + log_n)
             offset[c] = (x_off, 0 if last else -1)
-            d_cur = x_off + width[c]
-            if i > 0 and d_cur > (gamma + 1) * d_prev + gamma * log_n + width[c]:
-                respected = False  # the realized width exceeds the tracked one
-            d_prev = max(d_prev, d_cur)
+            d_prev = max(d_prev, x_off + width[c])
             height[u] = max(height[u], height[c] if last else height[c] + 1)
         width[u] = d_prev
 
@@ -389,4 +384,4 @@ def draw_tree_planar_with_stats(t: RootedTree, eps: Epsilon) -> tuple[Drawing, T
         for c in children[u]:
             pos[c] = (pos[u][0] + offset[c][0], pos[u][1] + offset[c][1])
     drawing = Drawing(t.graph, tuple(pos[:n]))
-    return drawing, TreePlanarStats(n_prime, width[root], height[root], respected)
+    return drawing, TreePlanarStats(n_prime, width[root], height[root])

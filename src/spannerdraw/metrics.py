@@ -3,8 +3,9 @@
 Spanning and edge-length ratios involve square roots, so they are reported as
 certified rational enclosures: every edge length is bracketed between two
 dyadic rationals (integers at scale 2**bits), shortest paths are computed once
-with all-lower and once with all-upper brackets, and the working precision is
-doubled until the enclosure is relatively tight. A certainly infinite ratio
+with all-lower and once with all-upper brackets. Each ratio is a stream of
+enclosures, one per precision of _precisions, and _certify takes the first
+within the tolerance. A certainly infinite ratio
 (coincident vertices, a zero-length edge) is the interval lo = hi = math.inf;
 the CLI prints it as `infinite`, and a bound beyond the range of a double
 with a null float.
@@ -49,7 +50,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from operator import sub, truediv
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .drawing import Drawing
 from .errors import DisconnectedDrawingError, NoEdgesError
@@ -89,38 +90,41 @@ class MetricReport:
     min_pairwise_distance_sq: Optional[Fraction]
 
 
-def _certify(
-    attempt: Callable[[int], Optional[Interval]], rel_tol: Fraction, start_bits: int
-) -> Interval:
-    """The first enclosure attempt(bits) returns, at bits = start_bits,
-    2*start_bits, ... up to _MAX_BITS, whose relative width is within rel_tol.
-    attempt returns None when it cannot enclose at that precision."""
+def _precisions(start_bits: int, shift: int = 0) -> Iterator[int]:
+    """The working precisions of a certified value: start_bits, 2*start_bits,
+    ... up to _MAX_BITS, each plus shift. The one loop that raises precision."""
     bits = start_bits
     while bits <= _MAX_BITS:
-        ivl = attempt(bits)
-        if ivl is not None and ivl.rel_width() <= rel_tol:
-            return ivl
+        yield bits + shift
         bits *= 2
+
+
+def _certify(enclosures: Iterable[Interval], rel_tols: Iterable[Fraction]) -> Iterator[Interval]:
+    """For each tolerance of rel_tols in turn, the first enclosure from the
+    last one yielded on whose relative width is within it; an infinite one
+    meets every tolerance. RuntimeError when the enclosures run out first."""
+    tols = iter(rel_tols)
+    tol = next(tols)
+    for ivl in enclosures:
+        while ivl.is_infinite or ivl.rel_width() <= tol:
+            yield ivl
+            tol = next(tols, None)
+            if tol is None:
+                return
     raise RuntimeError("precision escalation exhausted")
 
 
-class _ZeroBracket(Exception):
-    """A pair distance brackets to 0 at the current precision."""
-
-
 def _scan(coords: Sequence[IntPoint], den: int, bits: int, groups, rows) -> Interval:
-    """The pair loop of every enclosure attempt: the ratio enclosure over the
-    pairs (u, v) for (u, targets) in groups and v in targets, where rows
-    yields u's exact distance rows under the lower and the upper edge
-    brackets. Raises _ZeroBracket when a pair distance brackets to 0."""
+    """The pair loop of every enclosure: the ratio enclosure over the pairs
+    (u, v) for (u, targets) in groups and v in targets, where rows yields u's
+    exact distance rows under the lower and the upper edge brackets. Every
+    pair distance must bracket away from 0 at bits."""
     best_lo = (0, 1)  # ratio bounds as num/den over scaled ints
     best_hi = (0, 1)
     for (u, targets), (dist_lo, dist_hi) in zip(groups, rows):
         cu = coords[u]
         for v in targets:
             e_lo, e_hi = isqrt_scaled(dist_sq(cu, coords[v]), den, bits)
-            if e_lo == 0:
-                raise _ZeroBracket
             if dist_lo[v] * best_lo[1] > best_lo[0] * e_hi:
                 best_lo = (dist_lo[v], e_hi)
             if dist_hi[v] * best_hi[1] > best_hi[0] * e_lo:
@@ -129,24 +133,27 @@ def _scan(coords: Sequence[IntPoint], den: int, bits: int, groups, rows) -> Inte
     return Interval(lo, max(Fraction(*best_hi), lo))
 
 
-def _ratio_enclosure(
-    d: Drawing, rel_tol: Fraction, start_bits: int, rows: Callable, filtered: bool = False
-) -> Interval:
-    """Certified spanning ratio, from rows(lo_w, hi_w): for each source u in
-    order, its graph distances under the lower and the upper integer
-    edge-length brackets.
+def _ratio_enclosures(
+    d: Drawing, start_bits: int, rows: Callable, float_filter: Optional[Callable] = None
+) -> Iterator[Interval]:
+    """Certified spanning-ratio enclosures, one per working precision, from
+    rows(lo_w, hi_w, sources): for each of the sources in order, its graph
+    distances under the lower and the upper integer edge-length brackets.
+    Coincident vertices give the one infinite interval.
 
     Each pair's ratio lies in [dist_lo/e_hi, dist_hi/e_lo], where e_lo, e_hi
     bracket its Euclidean distance at the same scale, so the scales cancel.
     A distance is bracketed from its integer square Q over L**2, which gives
     the same brackets as the reduced rational Q/L**2 would.
-    A pair too close to bracket away from 0 shifts the scale by the bits the
-    closest pair needs, so the escalation cap counts from there.
 
-    With filtered, rows(lo_w, hi_w, sources) yields the rows of the given
-    sources only. Each attempt then scans the float filter's candidate pairs
-    first, and scans every pair only when _filter_proves fails; the
-    enclosure is the same either way.
+    At b bits or more, with b the least integer with closest * 4**b >= L**2
+    (closest the least squared pair distance), every pair brackets away from
+    0. The precisions are start_bits, 2*start_bits, ..., or, when b exceeds
+    start_bits, 2*start_bits + b, 4*start_bits + b, ...
+
+    float_filter(g, coords), when given, is the float pass (_float_filter).
+    Each precision then scans its candidate pairs first, and every pair only
+    when _filter_proves fails; the enclosure is the same either way.
     """
     g = d.graph
     if g.n < 2:
@@ -155,32 +162,24 @@ def _ratio_enclosure(
         raise DisconnectedDrawingError("spanning ratio undefined: graph disconnected")
     coords, L = d.points, d.den
     if _coincident(coords):
-        return Interval(math.inf, math.inf)
+        yield Interval(math.inf, math.inf)
+        return
     den = L * L
-    shift = 0
-    flt = _float_filter(g, coords) if filtered else None
+    inverse = -(-den // _closest_sq(coords))  # ceil(L**2 / closest)
+    b = ((inverse - 1).bit_length() + 1) // 2
+    precisions = _precisions(start_bits) if b <= start_bits else _precisions(2 * start_bits, b)
+    flt = float_filter(g, coords) if float_filter else None
     every = [(u, range(u + 1, g.n)) for u in range(g.n)]
-
-    def attempt(bits: int) -> Optional[Interval]:
-        nonlocal shift
-        bits += shift
+    for bits in precisions:
         lo_w, hi_w = {}, {}
         for e in g.edges():
             lo_w[e], hi_w[e] = isqrt_scaled(dist_sq(coords[e[0]], coords[e[1]]), den, bits)
-        try:
-            if flt is not None:
-                ivl = _scan(coords, den, bits, flt.pairs.items(), rows(lo_w, hi_w, flt.pairs))
-                if _filter_proves(flt, ivl.lo, L, bits):
-                    return ivl
-            return _scan(coords, den, bits, every, rows(lo_w, hi_w))
-        except _ZeroBracket:
-            # Shift by the least b with closest * 4**b >= 1, so that every
-            # pair brackets to >= 1.
-            inverse = -(-den // _closest_sq(coords))  # ceil(1/closest), closest = Q/den
-            shift = ((inverse - 1).bit_length() + 1) // 2
-            return None
-
-    return _certify(attempt, rel_tol, start_bits)
+        if flt is not None:
+            ivl = _scan(coords, den, bits, flt.pairs.items(), rows(lo_w, hi_w, flt.pairs))
+            if _filter_proves(flt, ivl.lo, L, bits):
+                yield ivl
+                continue
+        yield _scan(coords, den, bits, every, rows(lo_w, hi_w, range(g.n)))
 
 
 # The float filter in front of the exact pair scan: the float-filter-then-exact
@@ -233,9 +232,8 @@ def _filter_proves(flt: _Filter, t: Fraction, L: int, bits: int) -> bool:
       value at efmin bounds every skipped pair.
     If that bound is below t, each skipped pair has
     dist_lo/e_hi <= dist_hi/e_lo < t <= lo <= hi, so neither maximum of the
-    scan moves. If efmin/(1 + delta) <= beta, a skipped pair may bracket to
-    0: the bound is infinite, the full scan runs, and the scale shift fires
-    as it would without the filter. The test runs in exact rationals.
+    scan moves. If efmin/(1 + delta) <= beta, the bound is infinite and the
+    full scan runs. The test runs in exact rationals.
     """
     one = 1 + flt.rel_err
     beta = Fraction(L, 1 << (bits + flt.s))
@@ -442,28 +440,37 @@ def _all_pairs(n: int, weights: dict[tuple[int, int], int]) -> list[list[int]]:
     return dist
 
 
+def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
+    """spanning_ratio's enclosures, one per precision: exact Dijkstra rows
+    behind the float filter."""
+    n = d.graph.n
+
+    def rows(lo_w, hi_w, sources):
+        adj_lo, adj_hi = _weighted_adj(n, lo_w), _weighted_adj(n, hi_w)
+        for u in sources:
+            yield _dijkstra(adj_lo, u), _dijkstra(adj_hi, u)
+
+    return _ratio_enclosures(d, _START_BITS, rows, _float_filter)
+
+
 def spanning_ratio(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:
     """Certified enclosure of max over pairs of (graph distance / Euclidean distance).
 
     Coincident vertices make the ratio infinite: the result is then the
     infinite interval (lo = hi = math.inf, `is_infinite` true).
     """
-
-    def rows(lo_w, hi_w, sources=range(d.graph.n)):
-        adj_lo, adj_hi = _weighted_adj(d.graph.n, lo_w), _weighted_adj(d.graph.n, hi_w)
-        for u in sources:
-            yield _dijkstra(adj_lo, u), _dijkstra(adj_hi, u)
-
-    return _ratio_enclosure(d, rel_tol, _START_BITS, rows, filtered=True)
+    return next(_certify(_spanning_ratios(d), [rel_tol]))
 
 
 def spanning_ratio_bruteforce(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:
     """Independent oracle: Floyd–Warshall all-pairs at doubled starting precision."""
+    n = d.graph.n
 
-    def rows(lo_w, hi_w):
-        return zip(_all_pairs(d.graph.n, lo_w), _all_pairs(d.graph.n, hi_w))
+    def rows(lo_w, hi_w, sources):
+        dist_lo, dist_hi = _all_pairs(n, lo_w), _all_pairs(n, hi_w)
+        return ((dist_lo[u], dist_hi[u]) for u in sources)
 
-    return _ratio_enclosure(d, rel_tol, 2 * _START_BITS, rows)
+    return next(_certify(_ratio_enclosures(d, 2 * _START_BITS, rows), [rel_tol]))
 
 
 def edge_length_ratio(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:
@@ -477,8 +484,8 @@ def edge_length_ratio(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interv
     mn = min(sqs)
     if mn == 0:
         return Interval(math.inf, math.inf)
-    ratio_sq = Fraction(max(sqs), mn)
-    return _certify(partial(sqrt_interval, ratio_sq), rel_tol, _START_BITS)
+    enclosures = map(partial(sqrt_interval, Fraction(max(sqs), mn)), _precisions(_START_BITS))
+    return next(_certify(enclosures, [rel_tol]))
 
 
 def is_planar_drawing(d: Drawing) -> bool:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_connected_graph, unit_circle_star
+from spannerdraw import bounds
 from spannerdraw.bounds import (
     ANNULUS_PACKING_CONSTANT,
     annulus_bound_check,
@@ -16,6 +17,7 @@ from spannerdraw.bounds import (
     star_elr_lower_bound,
 )
 from spannerdraw.drawing import Drawing
+from spannerdraw.exact import Interval
 from spannerdraw.geometry import in_segment_interior, segments_cross_improperly
 from spannerdraw.graph import Graph, hamiltonian_path_exists
 from spannerdraw.metrics import is_planar_drawing, spanning_ratio
@@ -77,6 +79,55 @@ class TestAnnulusBoundCheck:
         d = unit_circle_star(10)
         with pytest.raises(ValueError):
             annulus_bound_check(d, F(1, 2))
+
+    @staticmethod
+    def feed(monkeypatch, enclosures):
+        """Make annulus_bound_check read the given spanning-ratio enclosures
+        as its stream; the list it returns fills with those it takes."""
+        taken = []
+
+        def stream(d):
+            for ivl in enclosures:
+                taken.append(ivl)
+                yield ivl
+
+        monkeypatch.setattr(bounds, "_spanning_ratios", stream)
+        return taken
+
+    S = F(7, 5)  # unit_circle_star(100) has an annulus of 100 > 48 * S**2 neighbors
+
+    def test_stream_tightens_until_separated(self, monkeypatch):
+        s = self.S
+        straddles = Interval(s - F(1, 10**7), s + F(1, 10**7))  # meets 10**-6 only
+        too_wide = Interval(s + F(1, 10**8), s + F(3, 10**8))  # separates, misses 10**-9
+        separates = Interval(s + F(1, 10**10), s + F(2, 10**10))
+        taken = self.feed(monkeypatch, [straddles, too_wide, separates, separates])
+        res = annulus_bound_check(unit_circle_star(100), s)
+        assert res.spanning_ratio == separates and res.verdict == "Consistent"
+        assert taken == [straddles, too_wide, separates]
+
+    def test_one_enclosure_meets_several_tolerances(self, monkeypatch):
+        s = self.S
+        straddles = Interval(s - F(1, 10**14), s + F(1, 10**14))  # 10**-6 to 10**-12
+        separates = Interval(s + F(1, 10**17), s + F(2, 10**17))
+        taken = self.feed(monkeypatch, [straddles, separates, separates])
+        res = annulus_bound_check(unit_circle_star(100), s)
+        assert res.spanning_ratio == separates and res.verdict == "Consistent"
+        assert taken == [straddles, separates]
+
+    def test_schedule_ends_at_tolerance_1e_30(self, monkeypatch):
+        s = self.S
+        at_30 = Interval(s - F(1, 10**31), s + F(1, 10**31))
+        taken = self.feed(monkeypatch, [Interval(s - F(1, 10**28), s + F(1, 10**28)), at_30, at_30])
+        res = annulus_bound_check(unit_circle_star(100), s)
+        assert res.spanning_ratio == at_30 and res.verdict == "InconsistentWithTheorem"
+        assert len(taken) == 2
+
+    def test_stream_exhausted(self, monkeypatch):
+        s = self.S
+        self.feed(monkeypatch, [Interval(s, 2 * s)])
+        with pytest.raises(RuntimeError, match="exhausted"):
+            annulus_bound_check(unit_circle_star(100), s)
 
 
 class TestStarElrLowerBound:

@@ -343,3 +343,21 @@ class TestCli:
         cli.main(["metrics", out, "--format", "json"])
         metrics_report = json.loads(capsys.readouterr().out)
         assert draw_report == metrics_report
+
+    def test_parser_built_once(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # networkx is imported only by the embedding functions that call it.
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = "import sys, spannerdraw.cli; print('networkx' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr

@@ -219,11 +219,15 @@ class TestFloatFilter:
         # the filter takes the Dijkstra rows, for which the proof holds.
         cases.append(zigzag_tree(40))
         cases.append(two_scales(F(2**40 + 12345), F(1, 10**6)))
+        # The closest pair, an edge, is below 2**-64, so the precisions are
+        # shifted by its 70 bits and start at 128 + 70, where the proof holds.
+        cases.append(drawing(4, [(0, 1), (1, 2), (2, 3)],
+                             [(0, 0), (F(1, 2**70), 0), (0, 1), (1, 1)]))
         cases = [(d, "proven") for d in cases]
-        # The closest pair, an edge, is below 2**-64, so at 64 bits the proof
-        # cannot exclude a zero bracket and the full scan shifts.
+        # An edge of 2**-60 brackets away from 0 at 64 bits, unshifted, but
+        # too coarsely for the proof, so that precision scans all pairs.
         cases.append((drawing(4, [(0, 1), (1, 2), (2, 3)],
-                              [(0, 0), (F(1, 2**70), 0), (0, 1), (1, 1)]), "fallback"))
+                              [(0, 0), (F(1, 2**60), 0), (0, 1), (1, 1)]), "fallback"))
         # Beyond the filter's range, and a path whose pairs all tie.
         cases.append((drawing(3, [(0, 1), (1, 2)], [(0, 0), (F(1, 10**5000), 0), (1, 1)]),
                       "declined"))
@@ -262,7 +266,10 @@ class TestFloatFilter:
                 continue
             flt = metrics._float_filter(g, coords)
             every = [(u, range(u + 1, g.n)) for u in range(g.n)]
+            closest = metrics._closest_sq(coords)
             for bits in range(1, 60):
+                if 4**bits * closest < L * L:
+                    continue  # a pair brackets to 0: no enclosure runs at these bits
                 lo_w, hi_w = {}, {}
                 for u, v in g.edges():
                     lo_w[(u, v)], hi_w[(u, v)] = isqrt_scaled(dist_sq(coords[u], coords[v]), L * L, bits)
@@ -271,17 +278,14 @@ class TestFloatFilter:
 
                 def enclosure(groups):
                     rows = ((metrics._dijkstra(adj_lo, u), metrics._dijkstra(adj_hi, u)) for u, _ in groups)
-                    try:
-                        return metrics._scan(coords, L * L, bits, groups, rows)
-                    except metrics._ZeroBracket:
-                        return None
+                    return metrics._scan(coords, L * L, bits, groups, rows)
 
                 candidates = enclosure(list(flt.pairs.items()))
-                if candidates is None or not metrics._filter_proves(flt, candidates.lo, L, bits):
+                if not metrics._filter_proves(flt, candidates.lo, L, bits):
                     checked["unproven"] += 1
                     continue
                 full = enclosure(every)
-                assert full is not None and (full.lo, full.hi) == (candidates.lo, candidates.hi), (k, bits)
+                assert (full.lo, full.hi) == (candidates.lo, candidates.hi), (k, bits)
                 checked["proven"] += 1
         assert checked["proven"] > 100 and checked["unproven"] > 100, checked
 
