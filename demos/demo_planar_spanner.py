@@ -45,7 +45,8 @@ def main():
     # Step 1: augment to a maximal planar supergraph and compute a canonical
     # vertex order. The validator re-derives every structural property.
     co = augment_to_maximal_with_canonical_order(g)
-    canonical_order_validate(co)
+    reason = []
+    assert canonical_order_validate(co, reason), reason
     print(f"augmented to maximal planar: m={co.supergraph.m} (= 3n-6 = {3*g.n-6})")
     print(f"canonical order: {list(co.order)}")
 

@@ -36,7 +36,6 @@ from .exact import Interval, sqrt_interval
 from .graph import (
     Graph,
     RootedTree,
-    VertexOrder,
     degree_bounded_spanning_tree,
     edge_separator,
     hamiltonian_path,

@@ -23,7 +23,7 @@ from .errors import (
     TooSmallError,
     ZeroLengthEdgeError,
 )
-from .exact import Interval
+from .exact import Interval, format_rational
 from .graph import RootedTree
 
 EXIT_OK = 0
@@ -116,8 +116,8 @@ def _interval_obj(iv: Optional[Interval]):
     if iv.is_infinite:
         return {"infinite": True}
     return {
-        "lo": fileio.format_rational(iv.lo),
-        "hi": fileio.format_rational(iv.hi),
+        "lo": format_rational(iv.lo),
+        "hi": format_rational(iv.hi),
         "lo_float": _float_or_none(iv.lo),
         "hi_float": _float_or_none(iv.hi),
     }
@@ -138,15 +138,15 @@ def _report_obj(report: metrics.MetricReport) -> dict:
     return {
         "spanning_ratio": _interval_obj(report.spanning_ratio),
         "edge_length_ratio": _interval_obj(report.edge_length_ratio),
-        "width": fileio.format_rational(report.width),
-        "height": fileio.format_rational(report.height),
+        "width": format_rational(report.width),
+        "height": format_rational(report.height),
         "planar": report.planar,
         "proper": report.proper,
         "no_three_collinear": report.no_three_collinear,
         "min_pairwise_distance_sq": (
             None
             if report.min_pairwise_distance_sq is None
-            else fileio.format_rational(report.min_pairwise_distance_sq)
+            else format_rational(report.min_pairwise_distance_sq)
         ),
     }
 
@@ -205,8 +205,8 @@ def _cmd_verify(args) -> int:
     result = bounds.annulus_bound_check(drawing, args.s)
     if args.format == "json":
         obj = {
-            "s": fileio.format_rational(result.s),
-            "threshold": fileio.format_rational(result.threshold),
+            "s": format_rational(result.s),
+            "threshold": format_rational(result.threshold),
             "violations": [
                 {"vertex": v.vertex, "annulus": v.annulus, "count": v.count}
                 for v in result.violations

@@ -12,6 +12,10 @@ runs entirely on the rotation system: the partially built graph keeps an
 explicit outer contour [w_1..w_x], and for every contour vertex the "outer
 arc" (the neighbors lying in the outer region) is the cyclic slice of its
 rotation strictly between its contour successor and its contour predecessor.
+Every step attaches one vertex v by one rule: v joins a contour path
+w_a..w_b, gaining the missing edges to it, and the contour becomes
+w_1..w_a, v, w_b..w_x. A vertex with a single contour neighbor joins it and
+one of its contour neighbors; the last vertex joins the whole contour.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotConnectedError, NotPlanarError, TooSmallError
-from .graph import Graph, VertexOrder, is_connected
+from .graph import Graph, is_connected
 
 
 @dataclass(frozen=True)
@@ -85,20 +89,19 @@ def planarity_test_embed(g: Graph) -> Optional[RotationSystem]:
 
 @dataclass(frozen=True)
 class CanonicalOrder:
-    """Ordering and per-step structure produced by the augmentation.
+    """A canonical ordering of a maximal planar supergraph.
 
-    order[k-1] is the k-th placed vertex. attachments[k] (k >= 3) is the
-    contour subpath of step k-1 that the k-th vertex connects to, in contour
-    order. contours[k] is the outer path w_1..w_x of the prefix graph G_k.
+    order[k-1] is the k-th placed vertex. attachments[k] (k >= 3) is the path
+    contour[a..b] of the contour before step k that the k-th vertex v joins;
+    the contour after step k is contour[:a+1] + [v] + contour[b:], starting
+    from [order[0], order[1]]. supergraph is the maximal planar supergraph and
     host_edges are the edges of the original input graph.
     """
 
-    order: VertexOrder
+    order: tuple[int, ...]
+    attachments: dict[int, tuple[int, ...]]
     supergraph: Graph
     host_edges: frozenset[tuple[int, int]]
-    attachments: dict[int, tuple[int, ...]]
-    contours: dict[int, tuple[int, ...]]
-    rotation: tuple[tuple[int, ...], ...]
 
 
 def _arc(rot: list[list[int]], contour: list[int], i: int) -> list[int]:
@@ -135,105 +138,75 @@ def augment_to_maximal_with_canonical_order(h: Graph) -> CanonicalOrder:
 
     # Base edge: lexicographically smallest undirected edge on the outer face,
     # oriented so that the outer walk contains (v2 -> v1).
-    best = None
-    for p, q in rs.outer_face:
-        key = (min(p, q), max(p, q), p)
-        if best is None or key < best:
-            best = key
-            v2, v1 = p, q
-    assert best is not None
+    v2, v1 = min(rs.outer_face, key=lambda e: (min(e), max(e), e[0]))
 
     placed = [False] * n
     placed[v1] = placed[v2] = True
     contour = [v1, v2]
     order = [v1, v2]
     attachments: dict[int, tuple[int, ...]] = {}
-    contours: dict[int, tuple[int, ...]] = {2: (v1, v2)}
 
     for k in range(3, n + 1):
         x = len(contour)
-        cpos = {w: i for i, w in enumerate(contour)}
-
         if k == n:
             v = next(u for u in range(n) if not placed[u])
-            _place_last(rot, adj, contour, v)
-            attachments[k] = tuple(contour)
-            order.append(v)
-            placed[v] = True
-            contour = [v1, v, v2]
-            contours[k] = tuple(contour)
-            continue
-
-        arcs = [_arc(rot, contour, i) for i in range(x)]
-        for i, a in enumerate(arcs):
-            assert all(not placed[e] for e in a), "placed vertex in outer arc"
-
-        candidates: set[int] = set()
-        for i in range(x):
-            if not arcs[i]:
-                continue
-            if i <= x - 2:
-                candidates.add(arcs[i][0])
-            if i >= 1:
-                candidates.add(arcs[i][-1])
-
-        chosen = None
-        for v in sorted(candidates, key=lambda u: (min(cpos[w] for w in adj[u] if w in cpos), u)):
-            idxs = sorted(cpos[w] for w in adj[v] if w in cpos)
-            a, b = idxs[0], idxs[-1]
-            if not _blocked(arcs, a, b, v):
-                chosen = (v, a, b)
-                break
-        assert chosen is not None, "no unblocked candidate vertex found"
-        v, a, b = chosen
-
-        if a == b:
-            arc_a = arcs[a]
-            if a <= x - 2 and arc_a[0] == v:
-                partner = contour[a + 1]
-                wa = contour[a]
-                adj[v].add(partner)
-                adj[partner].add(v)
-                rot[partner].insert(rot[partner].index(wa), v)
-                rot[v].insert(rot[v].index(wa) + 1, partner)
-                attachments[k] = (wa, partner)
-                contour = contour[: a + 1] + [v] + contour[a + 1 :]
-            else:
-                assert a >= 1 and arc_a[-1] == v
-                partner = contour[a - 1]
-                wa = contour[a]
-                adj[v].add(partner)
-                adj[partner].add(v)
-                rot[partner].insert(rot[partner].index(wa) + 1, v)
-                rot[v].insert(rot[v].index(wa), partner)
-                attachments[k] = (partner, wa)
-                contour = contour[:a] + [v] + contour[a:]
+            assert adj[v] <= set(contour), "final vertex still has unplaced neighbors"
+            a, b = 0, x - 1
         else:
-            _place_fan(rot, adj, contour, v, a, b)
-            attachments[k] = tuple(contour[a : b + 1])
-            contour = contour[: a + 1] + [v] + contour[b:]
-
+            v, a, b = _next_vertex(rot, adj, contour, placed)
+        _place_fan(rot, adj, contour, v, a, b)
+        attachments[k] = tuple(contour[a : b + 1])
+        contour = contour[: a + 1] + [v] + contour[b:]
         order.append(v)
         placed[v] = True
-        contours[k] = tuple(contour)
 
     edges = [(u, w) for u in range(n) for w in adj[u] if u < w]
     g = Graph.from_edges(n, edges)
     assert g.m == 3 * n - 6, f"augmented graph has {g.m} edges, expected {3 * n - 6}"
     return CanonicalOrder(
-        order=VertexOrder(tuple(order)),
+        order=tuple(order),
+        attachments=attachments,
         supergraph=g,
         host_edges=frozenset((min(u, w), max(u, w)) for u, w in h.edges()),
-        attachments=attachments,
-        contours=contours,
-        rotation=tuple(tuple(r) for r in rot),
     )
+
+
+def _next_vertex(rot, adj, contour, placed) -> tuple[int, int, int]:
+    """(v, a, b): the next vertex and the contour path contour[a..b] it joins.
+
+    A vertex with one contour neighbor contour[a] joins (a, a+1) when it is
+    the first vertex of that neighbor's outer arc, and (a-1, a) otherwise.
+    """
+    x = len(contour)
+    cpos = {w: i for i, w in enumerate(contour)}
+    arcs = [_arc(rot, contour, i) for i in range(x)]
+    for arc in arcs:
+        assert all(not placed[e] for e in arc), "placed vertex in outer arc"
+
+    candidates: set[int] = set()
+    for i in range(x):
+        if not arcs[i]:
+            continue
+        if i <= x - 2:
+            candidates.add(arcs[i][0])
+        if i >= 1:
+            candidates.add(arcs[i][-1])
+
+    for v in sorted(candidates, key=lambda u: (min(cpos[w] for w in adj[u] if w in cpos), u)):
+        idxs = sorted(cpos[w] for w in adj[v] if w in cpos)
+        a, b = idxs[0], idxs[-1]
+        if a == b:
+            if a <= x - 2 and arcs[a][0] == v:
+                return v, a, a + 1
+            assert a >= 1 and arcs[a][-1] == v
+            return v, a - 1, a
+        if not _blocked(arcs, a, b, v):
+            return v, a, b
+    raise AssertionError("no unblocked candidate vertex found")
 
 
 def _blocked(arcs: list[list[int]], a: int, b: int, v: int) -> bool:
     """True iff some foreign attachment lies inside the reference cycle of v."""
-    if a == b:
-        return False
     for i in range(a + 1, b):
         if any(e != v for e in arcs[i]):
             return True
@@ -248,52 +221,32 @@ def _blocked(arcs: list[list[int]], a: int, b: int, v: int) -> bool:
     return False
 
 
-def _fan_rotation_blocks(rot_v: list[int], contour_slice: list[int]) -> tuple[list[int], list[int]]:
-    """Split rot_v (cyclic) into (inside, outside) unplaced blocks relative to
-    the fan of contour neighbors, rotating so the slice's first vertex leads.
-
-    Asserts that the contour neighbors of v occur in contour order in rot_v.
-    """
-    members = set(contour_slice) & set(rot_v)
-    ordered = [w for w in contour_slice if w in members]
-    start = rot_v.index(ordered[0])
-    rotated = rot_v[start:] + rot_v[:start]
-    seen_placed = [w for w in rotated if w in members]
-    assert seen_placed == ordered, "contour neighbors out of cyclic order around vertex"
-    last_pos = rotated.index(ordered[-1])
-    inside = [e for e in rotated[:last_pos] if e not in members]
-    outside = rotated[last_pos + 1 :]
-    return inside, outside
-
-
 def _place_fan(rot, adj, contour, v: int, a: int, b: int) -> None:
-    """The a < b placement: fan edges to contour[a..b], bridges of v moved outside."""
-    slice_ = contour[a : b + 1]
-    inside, outside = _fan_rotation_blocks(rot[v], slice_)
-    rot[v] = list(slice_) + inside + outside
-    for i in range(a + 1, b):
+    """Attach v to the contour path contour[a..b]: add each missing edge and
+    move v's other neighbors (its bridges) outside the new inner faces.
+
+    v enters the rotation of contour[i] next to its contour neighbor on the
+    side of the path: just before contour[i-1] for i > a, just after
+    contour[a+1] for i = a. Asserts that v's contour neighbors occur in
+    contour order in its rotation.
+    """
+    path = contour[a : b + 1]
+    on_path = set(path)
+    r = rot[v]
+    start = r.index(next(w for w in path if w in adj[v]))
+    rotated = r[start:] + r[:start]
+    assert [w for w in rotated if w in on_path] == [w for w in path if w in adj[v]], (
+        "contour neighbors out of cyclic order around vertex"
+    )
+    rot[v] = path + [e for e in rotated if e not in on_path]
+    for i in range(a, b + 1):
         w = contour[i]
-        if v not in adj[w]:
-            adj[v].add(w)
-            adj[w].add(v)
-            rot[w].insert(rot[w].index(contour[i + 1]) + 1, v)
-
-
-def _place_last(rot, adj, contour, v: int) -> None:
-    """The k = n closure: edges from the final vertex to the whole contour."""
-    x = len(contour)
-    inside, outside = _fan_rotation_blocks(rot[v], [w for w in contour if w in adj[v]])
-    assert not inside and not outside, "final vertex still has unplaced neighbors"
-    rot[v] = list(contour)
-    for i, w in enumerate(contour):
         if v in adj[w]:
             continue
         adj[v].add(w)
         adj[w].add(v)
-        if i == 0:
-            rot[w].insert(rot[w].index(contour[-1]), v)
-        elif i == x - 1:
-            rot[w].insert(rot[w].index(contour[0]) + 1, v)
+        if i > a:
+            rot[w].insert(rot[w].index(contour[i - 1]), v)
         else:
             rot[w].insert(rot[w].index(contour[i + 1]) + 1, v)
 
@@ -302,8 +255,9 @@ def canonical_order_validate(co: CanonicalOrder, reason: Optional[list] = None) 
     """Independent check of every CanonicalOrder invariant.
 
     Uses its own machinery (networkx biconnectivity/planarity, an apex test for
-    the contour being a face) rather than the construction's bookkeeping. On
-    failure, appends a human-readable reason to `reason` if provided.
+    the contour being a face) rather than the construction's bookkeeping: each
+    contour is rebuilt from the previous one and attachments[k]. On failure,
+    appends a human-readable reason to `reason` if provided.
     """
 
     def fail(msg: str) -> bool:
@@ -340,6 +294,7 @@ def canonical_order_validate(co: CanonicalOrder, reason: Optional[list] = None) 
     if not nx.check_planarity(nxg)[0]:
         return fail("supergraph not planar")
 
+    contour = (v1, v2)
     for k in range(2, n + 1):
         prefix = order[:k]
         pset = set(prefix)
@@ -358,9 +313,18 @@ def canonical_order_validate(co: CanonicalOrder, reason: Optional[list] = None) 
         )
         if k >= 3 and not nx.is_biconnected(gsub):
             return fail(f"G-prefix not 2-connected at k={k}")
-        contour = co.contours.get(k)
-        if contour is None:
-            return fail(f"missing contour at k={k}")
+        if k >= 3:
+            # The contour after step k, rebuilt from the one before it.
+            att = co.attachments.get(k)
+            if not att:
+                return fail(f"missing attachments at k={k}")
+            if not set(att) <= set(contour):
+                return fail(f"attachments off the contour at k={k}")
+            # attachments must be a consecutive subpath of the previous contour
+            idx = [contour.index(w) for w in att]
+            if idx != list(range(idx[0], idx[0] + len(idx))):
+                return fail(f"attachments not consecutive on contour at k={k}")
+            contour = contour[: idx[0] + 1] + (order[k - 1],) + contour[idx[-1] :]
         if contour[0] != v1 or contour[-1] != v2:
             return fail(f"contour endpoints wrong at k={k}")
         if order[k - 1] not in contour and k > 2:
@@ -377,16 +341,7 @@ def canonical_order_validate(co: CanonicalOrder, reason: Optional[list] = None) 
         if not nx.check_planarity(gsub)[0]:
             return fail(f"contour does not bound a face at k={k}")
         if k >= 3:
-            att = co.attachments.get(k)
-            if att is None:
-                return fail(f"missing attachments at k={k}")
-            vk = order[k - 1]
-            prev_contour = co.contours[k - 1]
-            nbrs = {w for w in g.adj[vk] if w in set(order[: k - 1])}
+            nbrs = {w for w in g.adj[order[k - 1]] if w in set(order[: k - 1])}
             if set(att) != nbrs:
                 return fail(f"attachments != prefix neighbors at k={k}")
-            # attachments must be a consecutive subpath of the previous contour
-            idx = [prev_contour.index(w) for w in att]
-            if idx != list(range(idx[0], idx[0] + len(idx))):
-                return fail(f"attachments not consecutive on contour at k={k}")
     return True

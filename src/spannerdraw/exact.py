@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -46,7 +47,17 @@ class Interval:
         return self.lo <= other.hi and other.lo <= self.hi
 
     def __repr__(self):
-        return f"Interval({self.lo}, {self.hi})"
+        lo, hi = (b if b == math.inf else format_rational(b) for b in (self.lo, self.hi))
+        return f"Interval({lo}, {hi})"
+
+
+def format_rational(q: Fraction) -> str:
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        # More digits than sys.get_int_max_str_digits() lets int print; that
+        # limit guards the parsing of outside input, and decimal has none.
+        return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 def isqrt_scaled(num: int, den: int, bits: int) -> tuple[int, int]:

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .drawing import Drawing
 from .errors import SpannerDrawError
+from .exact import format_rational
 from .graph import Graph
 
 FORMAT_VERSION = "spannerdraw/1"
@@ -76,15 +77,6 @@ def _parse_rational_str(value: str) -> Fraction:
         if den == 0:
             raise ZeroDivisionError("zero denominator") from None
         return Fraction(num, den)
-
-
-def format_rational(q: Fraction) -> str:
-    try:
-        return f"{q.numerator}/{q.denominator}"
-    except ValueError:
-        # More digits than sys.get_int_max_str_digits() lets int print; that
-        # limit guards the parsing of outside input, and decimal has none.
-        return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 def _parse_graph_fields(obj) -> Graph:

@@ -100,23 +100,6 @@ class RootedTree:
         return RootedTree.from_graph(self.graph, new_root)
 
 
-@dataclass(frozen=True)
-class VertexOrder:
-    """A permutation of 0..n-1."""
-
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.order) != list(range(len(self.order))):
-            raise ValueError("not a permutation")
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def __iter__(self):
-        return iter(self.order)
-
-
 def bfs_order(g: Graph, root: int = 0) -> list[int]:
     """The vertices reachable from root, in breadth-first order with
     neighbors in adjacency order. Every prefix induces a connected subgraph,

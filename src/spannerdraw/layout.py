@@ -87,7 +87,7 @@ def draw_planar_spanner(h: Graph, eps: Epsilon) -> Drawing:
         return Drawing(h, ((0, 0), (1, 0)))
     co = augment_to_maximal_with_canonical_order(h)
     e = min(eps.value, Fraction(1))
-    order = co.order.order
+    order = co.order
     depth = [0] * h.n  # halvings in the x of each vertex
     for k in range(3, h.n + 1):
         ends = co.attachments[k]

@@ -1,8 +1,11 @@
+import hashlib
 import itertools
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from conftest import random_connected_planar_graph
+from conftest import random_connected_planar_graph, random_tree
 from spannerdraw.embedding import (
     augment_to_maximal_with_canonical_order,
     canonical_order_validate,
@@ -18,6 +21,36 @@ def complete_graph(n):
 
 def cycle_graph(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def pin_graphs():
+    """Stars, paths, cycles and fans, and seeded random planar graphs and
+    trees, with n <= 40."""
+    for n in (3, 4, 5, 9, 16, 40):
+        yield Graph.from_edges(n, [(0, i) for i in range(1, n)])
+        yield Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        yield cycle_graph(n)
+        yield Graph.from_edges(n, [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)])
+    for seed in range(8):
+        n = (6, 11, 17, 24, 40)[seed % 5]
+        yield random_connected_planar_graph(n, 300 + seed)
+        yield random_tree(n, 2 + seed % 3, 300 + seed)
+
+
+def attachment_cases(co):
+    """How each step attaches its vertex v: "closing" for the last one;
+    otherwise "fan" when v has two or more host neighbors on the path it
+    joins, and "left" or "right" when its one host neighbor leads or ends
+    that path."""
+    for k, path in co.attachments.items():
+        v = co.order[k - 1]
+        host = [w for w in path if (min(v, w), max(v, w)) in co.host_edges]
+        if k == len(co.order):
+            yield "closing"
+        elif len(host) >= 2:
+            yield "fan"
+        else:
+            yield "left" if host == [path[0]] else "right"
 
 
 class TestPlanarityTestEmbed:
@@ -72,18 +105,21 @@ class TestAugmentation:
     def test_path3_validates(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         co = augment_to_maximal_with_canonical_order(g)
-        canonical_order_validate(co)
+        reason = []
+        assert canonical_order_validate(co, reason), reason
         assert co.supergraph.m == 3  # triangle
         assert {(0, 1), (1, 2)} <= co.host_edges
 
     def test_c4_validates(self):
         co = augment_to_maximal_with_canonical_order(cycle_graph(4))
-        canonical_order_validate(co)
+        reason = []
+        assert canonical_order_validate(co, reason), reason
         assert co.supergraph.m == 6  # 3n - 6 = 6: K4
 
     def test_k4_already_maximal(self):
         co = augment_to_maximal_with_canonical_order(complete_graph(4))
-        canonical_order_validate(co)
+        reason = []
+        assert canonical_order_validate(co, reason), reason
         assert co.supergraph.m == 6
 
     def test_host_edges_preserved(self):
@@ -100,17 +136,82 @@ class TestAugmentation:
             n = [6, 9, 13, 20, 32][seed % 5]
             g = random_connected_planar_graph(n, 50 + seed)
             co = augment_to_maximal_with_canonical_order(g)
-            canonical_order_validate(co)
+            reason = []
+            assert canonical_order_validate(co, reason), (seed, reason)
 
     def test_deterministic(self):
         g = random_connected_planar_graph(18, 77)
         a = augment_to_maximal_with_canonical_order(g)
         b = augment_to_maximal_with_canonical_order(g)
-        assert a.order.order == b.order.order
-        assert a.rotation == b.rotation
+        assert a == b
 
     def test_trees_and_stars_augment(self):
         star = Graph.from_edges(6, [(0, i) for i in range(1, 6)])
         co = augment_to_maximal_with_canonical_order(star)
-        canonical_order_validate(co)
+        reason = []
+        assert canonical_order_validate(co, reason), reason
         assert co.supergraph.m == 3 * 6 - 6
+
+    def test_pinned(self):
+        # The digest was recorded when the augmentation inserted a vertex by
+        # one of four code paths, one per attachment case; every case occurs.
+        cases = Counter()
+        cos = []
+        for g in pin_graphs():
+            co = augment_to_maximal_with_canonical_order(g)
+            cases.update(attachment_cases(co))
+            cos.append((co.order, sorted(co.attachments.items()), co.supergraph.adj))
+        assert set(cases) == {"left", "right", "fan", "closing"}, cases
+        digest = hashlib.sha256(repr(cos).encode()).hexdigest()
+        assert digest == "0aa8969f92172507d159e691795e5950f7e56596bd04c10783d32be71109acf9"
+
+
+def rejection(co):
+    """The validator's first reason for rejecting co; fails if it accepts."""
+    reason = []
+    assert not canonical_order_validate(co, reason)
+    assert reason
+    return reason[0]
+
+
+class TestValidatorRejects:
+    @pytest.fixture
+    def co(self):
+        return augment_to_maximal_with_canonical_order(random_connected_planar_graph(14, 5))
+
+    def test_two_order_entries_swapped(self, co):
+        order = list(co.order)
+        order[3], order[8] = order[8], order[3]
+        assert rejection(replace(co, order=tuple(order))) == "H-prefix disconnected at k=4"
+
+    def test_order_not_a_permutation(self, co):
+        repeated = replace(co, order=co.order[:-1] + co.order[:1])
+        assert rejection(repeated) == "order is not a permutation"
+
+    def test_vertex_dropped_from_attachment(self, co):
+        k = next(k for k, path in co.attachments.items() if len(path) >= 3)
+        path = co.attachments[k]
+        ends = replace(co, attachments={**co.attachments, k: path[1:]})
+        assert rejection(ends) == f"contour does not bound a face at k={k}"
+        middle = replace(co, attachments={**co.attachments, k: path[:1] + path[2:]})
+        assert rejection(middle) == f"attachments not consecutive on contour at k={k}"
+
+    def test_attachment_shifted_along_contour(self, co):
+        contour = co.order[:2]
+        for k in range(3, len(co.order)):
+            path = co.attachments[k]
+            a, b = contour.index(path[0]), contour.index(path[-1])
+            if b + 1 < len(contour):
+                break
+            contour = contour[: a + 1] + (co.order[k - 1],) + contour[b:]
+        shifted = contour[a + 1 : b + 2]
+        assert rejection(replace(co, attachments={**co.attachments, k: shifted})) == (
+            f"contour not a path in G_k at k={k}"
+        )
+
+    def test_host_edge_missing_from_supergraph(self, co):
+        g = co.supergraph
+        missing = next((u, w) for u in range(g.n) for w in range(u + 1, g.n) if not g.has_edge(u, w))
+        assert rejection(replace(co, host_edges=co.host_edges | {missing})) == (
+            "host edge missing from supergraph"
+        )

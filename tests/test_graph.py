@@ -9,7 +9,6 @@ from spannerdraw.errors import DegreeTargetMissed, InstanceTooLarge, NotATreeErr
 from spannerdraw.graph import (
     Graph,
     RootedTree,
-    VertexOrder,
     bfs_order,
     connected_components,
     degree_bounded_spanning_tree,
@@ -176,9 +175,3 @@ class TestToughness:
         with pytest.raises(InstanceTooLarge):
             toughness_bruteforce(path_graph(13))
 
-
-class TestVertexOrder:
-    def test_permutation_validated(self):
-        VertexOrder((2, 0, 1))
-        with pytest.raises(ValueError):
-            VertexOrder((0, 0, 1))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import random_drawing, random_rational_drawing, random_tree
 from spannerdraw import metrics
 from spannerdraw.drawing import Drawing
-from spannerdraw.exact import Interval, isqrt_scaled, sqrt_interval
+from spannerdraw.exact import Interval, format_rational, isqrt_scaled, sqrt_interval
 from spannerdraw.geometry import dist_sq, in_segment_interior, segments_cross_improperly
 from spannerdraw.graph import Graph, RootedTree
 from spannerdraw.layout import Epsilon, draw_planar_spanner, draw_tree_planar
@@ -91,6 +91,14 @@ class TestSpanningRatio:
         tiny = drawing(3, [(0, 1), (1, 2)], [(0, 0), (F(1, 10**5000), 0), (1, 1)])
         a, b = spanning_ratio(tiny), spanning_ratio_bruteforce(tiny)
         assert a.intersects(b) and a.rel_width() <= DEFAULT_REL_TOL
+
+    def test_repr_past_int_digit_limit(self):
+        # The lower bound's denominator has more decimal digits than int
+        # prints by default (4300).
+        tiny = drawing(3, [(0, 1), (1, 2)], [(0, 0), (F(1, 10**5000), 0), (1, 1)])
+        iv = spanning_ratio(tiny)
+        assert repr(iv) == f"Interval({format_rational(iv.lo)}, {format_rational(iv.hi)})"
+        assert repr(Interval(math.inf, math.inf)) == "Interval(inf, inf)"
 
 
 def spanning_ratio_oracle(d, rel_tol=DEFAULT_REL_TOL):

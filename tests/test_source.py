@@ -1,9 +1,12 @@
-"""Static checks on the package source, in place of a linter."""
+"""Static checks on the package, test and demo source, in place of a linter."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "spannerdraw"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "spannerdraw"
+DEMOS = TESTS.parent / "demos"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -85,3 +88,34 @@ def test_dead_private_helpers_found():
 def test_no_dead_private_helpers():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert dead_private_helpers(sources) == []
+
+
+VERDICT = re.compile(r"\w+_validate|is_\w+|has_\w+")
+
+
+def discarded_verdicts(source: str) -> list[int]:
+    """The lines of bare expression statements that call a function named
+    *_validate, is_* or has_*: a verdict computed and thrown away."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+            func = node.value.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if VERDICT.fullmatch(name):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_discarded_verdicts_found():
+    source = (
+        "assert is_a(x)\nis_a(x)\nm.has_b(y)\nok = c_validate(z)\n"
+        "def f():\n    c_validate(z)\nthis_is(x)\nvalidate(x)\n"
+    )
+    assert discarded_verdicts(source) == [2, 3, 6]
+
+
+def test_no_discarded_verdicts():
+    files = sorted([*TESTS.glob("*.py"), *DEMOS.glob("*.py")])
+    assert files
+    found = {p.name: discarded_verdicts(p.read_text(encoding="utf-8")) for p in files}
+    assert {name: lines for name, lines in found.items() if lines} == {}
