@@ -21,13 +21,21 @@ bounding box by L.
 
 The spanning ratio runs a float filter before the exact brackets. One float
 pass over all pairs keeps the candidates, the pairs whose float ratio is
-within a factor 1 - 2**-20 of the largest; each precision brackets only the
-candidates, and one exact inequality (_filter_proves) shows that no other
-pair can reach the certified lower bound, so the enclosure equals the full
-scan's. Where the inequality fails, that precision scans all pairs. The
-filter declines (all pairs at every precision) for coordinates past 1900
-bits, a float distance below 2**-900, or too many near-ties.
-spanning_ratio_bruteforce never filters.
+within a factor 1 - 2**-20 of the largest. It walks the sources along a
+spanning tree in preorder (the tree itself, else the breadth-first tree),
+and each row holds only the pairs to later positions. A tree's rows are
+rerooted exactly from the parent's. On any other graph a row starts as the
+parent's plus the edge between them, an upper bound, and Dijkstra from the
+source stops once every pair whose bounded ratio reaches the running cut is
+settled; a pair left bounded is below the cut, as it would be on exact rows.
+Each precision brackets only the candidates, and one exact inequality
+(_filter_proves) shows that no other pair can reach the certified lower
+bound, so the enclosure equals the full scan's; its float error covers a
+bounded entry's sum of up to 2n - 2 weights. Where the inequality fails,
+that precision scans all pairs, a tree's on integer rows rerooted along the
+same walk. The filter declines (all pairs at every precision) for
+coordinates past 1900 bits, a float distance below 2**-900, or too many
+near-ties. spanning_ratio_bruteforce never filters.
 
 Three certificates sweep the integer points instead of scanning all pairs,
 with the same verdicts and values:
@@ -48,8 +56,8 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
-from operator import sub, truediv
+from itertools import compress, repeat
+from operator import add, ge, sub, truediv
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .drawing import Drawing
@@ -63,7 +71,7 @@ from .geometry import (
     orientation,
     segments_cross_improperly,
 )
-from .graph import Graph, is_connected
+from .graph import Graph, bfs_order, is_connected, preorder
 
 DEFAULT_REL_TOL = Fraction(1, 10**9)
 _START_BITS = 64
@@ -114,21 +122,22 @@ def _certify(enclosures: Iterable[Interval], rel_tols: Iterable[Fraction]) -> It
     raise RuntimeError("precision escalation exhausted")
 
 
-def _scan(coords: Sequence[IntPoint], den: int, bits: int, groups, rows) -> Interval:
+def _scan(coords: Sequence[IntPoint], den: int, bits: int, rows) -> Interval:
     """The pair loop of every enclosure: the ratio enclosure over the pairs
-    (u, v) for (u, targets) in groups and v in targets, where rows yields u's
-    exact distance rows under the lower and the upper edge brackets. Every
-    pair distance must bracket away from 0 at bits."""
+    (u, v), for each (u, targets, dist_lo, dist_hi) that rows yields and v in
+    targets, where dist_lo and dist_hi hold u's exact graph distances to the
+    targets, in their order, under the lower and the upper edge brackets.
+    Every pair distance must bracket away from 0 at bits."""
     best_lo = (0, 1)  # ratio bounds as num/den over scaled ints
     best_hi = (0, 1)
-    for (u, targets), (dist_lo, dist_hi) in zip(groups, rows):
+    for u, targets, dist_lo, dist_hi in rows:
         cu = coords[u]
-        for v in targets:
+        for v, g_lo, g_hi in zip(targets, dist_lo, dist_hi):
             e_lo, e_hi = isqrt_scaled(dist_sq(cu, coords[v]), den, bits)
-            if dist_lo[v] * best_lo[1] > best_lo[0] * e_hi:
-                best_lo = (dist_lo[v], e_hi)
-            if dist_hi[v] * best_hi[1] > best_hi[0] * e_lo:
-                best_hi = (dist_hi[v], e_lo)
+            if g_lo * best_lo[1] > best_lo[0] * e_hi:
+                best_lo = (g_lo, e_hi)
+            if g_hi * best_hi[1] > best_hi[0] * e_lo:
+                best_hi = (g_hi, e_lo)
     lo = max(Fraction(*best_lo), Fraction(1))
     return Interval(lo, max(Fraction(*best_hi), lo))
 
@@ -137,9 +146,12 @@ def _ratio_enclosures(
     d: Drawing, start_bits: int, rows: Callable, float_filter: Optional[Callable] = None
 ) -> Iterator[Interval]:
     """Certified spanning-ratio enclosures, one per working precision, from
-    rows(lo_w, hi_w, sources): for each of the sources in order, its graph
+    rows(lo_w, hi_w, groups): for each (u, targets) of groups, in any order,
+    (u, targets, dist_lo, dist_hi) as _scan reads them, with the graph
     distances under the lower and the upper integer edge-length brackets.
-    Coincident vertices give the one infinite interval.
+    groups None asks for every pair once, grouped as rows chooses (_every
+    for a row per vertex). Coincident vertices give the one infinite
+    interval.
 
     Each pair's ratio lies in [dist_lo/e_hi, dist_hi/e_lo], where e_lo, e_hi
     bracket its Euclidean distance at the same scale, so the scales cancel.
@@ -169,17 +181,21 @@ def _ratio_enclosures(
     b = ((inverse - 1).bit_length() + 1) // 2
     precisions = _precisions(start_bits) if b <= start_bits else _precisions(2 * start_bits, b)
     flt = float_filter(g, coords) if float_filter else None
-    every = [(u, range(u + 1, g.n)) for u in range(g.n)]
     for bits in precisions:
         lo_w, hi_w = {}, {}
         for e in g.edges():
             lo_w[e], hi_w[e] = isqrt_scaled(dist_sq(coords[e[0]], coords[e[1]]), den, bits)
         if flt is not None:
-            ivl = _scan(coords, den, bits, flt.pairs.items(), rows(lo_w, hi_w, flt.pairs))
+            ivl = _scan(coords, den, bits, rows(lo_w, hi_w, flt.pairs.items()))
             if _filter_proves(flt, ivl.lo, L, bits):
                 yield ivl
                 continue
-        yield _scan(coords, den, bits, every, rows(lo_w, hi_w, range(g.n)))
+        yield _scan(coords, den, bits, rows(lo_w, hi_w, None))
+
+
+def _every(n: int) -> Iterator[tuple[int, range]]:
+    """Every pair of range(n) once, as (u, the vertices after u)."""
+    return ((u, range(u + 1, n)) for u in range(n))
 
 
 # The float filter in front of the exact pair scan: the float-filter-then-exact
@@ -222,11 +238,15 @@ def _filter_proves(flt: _Filter, t: Fraction, L: int, bits: int) -> bool:
       dist_hi <= g + (n - 1) beta, while e_lo > e - beta.
     - Floats, with delta = rel_err: a weight or pair distance is within a
       factor 1 + 4u of the truth (one rounding per coordinate difference,
-      under 1 ulp in hypot); a float path sum of at most n - 1 terms loses at
-      most (n - 2)u more, and delta = (n + 8)u covers both; a tree row adds
-      at most abs_err A (see _tree_rows). So e >= ef/(1 + delta) and
-      g <= (gf + A)(1 + delta); a skipped pair's rounded ratio is below cut,
-      so gf < cut (1 + delta) ef.
+      under 1 ulp in hypot). A Dijkstra or bounded row entry is a float sum
+      of the weights along a walk between the pair, whose true length is at
+      least g: of at most n - 1 terms on a Dijkstra row, of at most
+      (n - 1) + depth <= 2n - 2 on a bounded one (see _candidates). A float
+      sum of k terms loses at most (k - 1)u more, and delta = (n + 8)u, or
+      (2n + 8)u on bounded rows, covers both. A rerooted tree row is within
+      abs_err A of the exact sum of the float weights on the path (see
+      _float_filter). So e >= ef/(1 + delta) and g <= (gf + A)(1 + delta);
+      a skipped pair's rounded ratio is below cut, so gf < cut (1 + delta) ef.
     - Together: dist_hi/e_lo <= ((cut (1 + delta) ef + A)(1 + delta)
       + (n - 1) beta) / (ef/(1 + delta) - beta). This decreases in ef, so its
       value at efmin bounds every skipped pair.
@@ -250,26 +270,63 @@ def _float_filter(g: Graph, coords: Sequence[IntPoint]) -> Optional[_Filter]:
     float distance is at most 2**-_FILTER_LIMIT, a float ratio overflows, or
     the candidates are not few.
 
+    The sources are walked along the spanning tree of _spanning_tree, and
+    each row holds only the positions after its source's (see _walk). On a
+    tree the rows are rerooted exactly; each entry then takes at most
+    depth(source) + depth(target) <= 2h roundings, h the height in edges,
+    each at most u times a path length <= 2 rmax, rmax the largest root
+    distance, so 4 (h + 1) u rmax bounds its absolute error against the
+    exact sum of the float weights on its path, and also covers the error in
+    rmax (for h < 2**25). Where that takes more than a quarter of the margin
+    at the closest pairs, or on any other graph, the rows are bounded and
+    refined by Dijkstra near the cut (see _candidates), with no absolute
+    error.
+
     Float distances are math.hypot of the exact integer differences, each
     divided by 2**s, so coordinates of up to _FILTER_BITS + _FILTER_LIMIT
-    bits keep their small gaps. Rows are streamed, never stored n by n.
+    bits keep their small gaps. When every coordinate is below 2**53 (so
+    s = 0), pair distances are math.dist of the float points, the same
+    floats: the points are exact, and the one float subtraction rounds each
+    difference as converting the integer difference does.
     """
     n = g.n
-    s = max(0, max(abs(c).bit_length() for p in coords for c in p) - _FILTER_BITS)
+    bits = max(abs(c).bit_length() for p in coords for c in p)
+    s = max(0, bits - _FILTER_BITS)
     if s > _FILTER_LIMIT:
         return None
     edges = g.edges()
     xs, ys = zip(*coords)
     weight = dict(zip(edges, _dists([xs[u] for u, _ in edges], [ys[u] for u, _ in edges],
                                     [xs[v] for _, v in edges], [ys[v] for _, v in edges], s)))
+    order, up, size = _spanning_tree(g)
+    xs = [xs[v] for v in order]
+    ys = [ys[v] for v in order]
+    if bits <= 53:
+        pts = list(zip(map(float, xs), map(float, ys)))
+
+        def dists(i: int) -> list[float]:
+            return list(map(math.dist, repeat(pts[i]), pts[i + 1:]))
+    else:
+        def dists(i: int) -> list[float]:
+            return _dists(repeat(xs[i]), repeat(ys[i]), xs[i + 1:], ys[i + 1:], s)
+
+    w_up, root = _tree_weights(order, up, weight)
     if g.m == n - 1:
-        flt = _candidates(coords, s, *_tree_rows(g, weight))
+        depth = [0] * n
+        for i in range(1, n):
+            depth[i] = depth[up[i]] + 1
+        abs_err = 4 * (max(depth) + 1) * _U * Fraction(max(root))
+        rows = _walk(up, size, w_up, root[1:], sub)
+        flt = _candidates(order, dists, rows, None, s, (n + 8) * _U, abs_err)
         # A tree whose lengths span many scales can make the rerooting error
         # swamp its closest pairs. Unless it takes at most a quarter of the
-        # margin, take Dijkstra rows, whose error is relative only.
+        # margin, take bounded rows, whose error is relative only.
         if flt is None or 4 * flt.abs_err < Fraction(_FILTER_ETA) * flt.cut * flt.efmin:
             return flt
-    return _candidates(coords, s, range(n), _graph_rows(g, weight), Fraction(0))
+    pos = dict(zip(order, range(n)))
+    adj = _weighted_adj(n, {(pos[u], pos[v]): w for (u, v), w in weight.items()})
+    rows = _walk(up, size, w_up, [math.inf] * (n - 1), add)
+    return _candidates(order, dists, rows, adj, s, (2 * n + 8) * _U, Fraction(0))
 
 
 def _dists(x0, y0, xs: list[int], ys: list[int], s: int) -> list[float]:
@@ -285,29 +342,48 @@ def _dists(x0, y0, xs: list[int], ys: list[int], s: int) -> list[float]:
 
 
 def _candidates(
-    coords: Sequence[IntPoint],
-    s: int,
-    order: Sequence[int],
+    order: list[int],
+    dists: Callable[[int], list[float]],
     rows: Iterator[tuple[int, list[float]]],
+    adj: Optional[list[list[tuple]]],
+    s: int,
+    rel_err: Fraction,
     abs_err: Fraction,
 ) -> Optional[_Filter]:
-    """The filter pass of _float_filter over rows, which yields (i, row) with
-    row[j] the float distance between order[i] and order[j]. Each row is
-    judged for the pairs (i, j > i). The candidate list is pruned to the
-    current cut whenever it doubles past cap, and the filter declines when
-    more than cap candidates remain."""
-    n = len(coords)
-    xs = [coords[v][0] for v in order]
-    ys = [coords[v][1] for v in order]
+    """The filter pass of _float_filter over the rows of _walk, which yields
+    (i, row) with row[k] the float distance between positions i and
+    i + 1 + k of order; dists(i) gives the float pair distances in the same
+    places. Each row is judged against the running cut, the largest ratio
+    so far times 1 - _FILTER_ETA, for the pairs it holds: every pair once.
+
+    With adj, the float weights by position, the rows are upper bounds: the
+    root's is all math.inf, and a child's is its parent's plus the weight of
+    the edge between them. Before a row is judged, _dijkstra from i settles
+    every later position whose bounded ratio reaches the running cut, and
+    the row takes the minimum with what it found, in place, so the
+    children start from it. An entry is thus a float sum along a walk, a
+    path from some ancestor plus the tree edges down to i: at most
+    (n - 1) + depth(i) <= 2n - 2 terms. The cut only rises, so a pair left
+    bounded has a ratio below the cut it is judged against, as a pair on
+    exact rows would, and the enclosure is unchanged (see _filter_proves).
+
+    The candidate list is pruned to the current cut whenever it doubles past
+    cap, and the filter declines when more than cap candidates remain."""
+    n = len(order)
     cap = 4 * n + 256
     rmax, efmin, cut = 0.0, math.inf, 0.0
     cands: list[tuple[float, int, int]] = []  # (float ratio, i, j), positions in order
     for i, row in rows:
         if i == n - 1:
             continue
-        efs = _dists(repeat(xs[i]), repeat(ys[i]), xs[i + 1:], ys[i + 1:], s)
+        efs = dists(i)
         efmin = min(efmin, min(efs))
-        ratios = list(map(truediv, row[i + 1:], efs))
+        ratios = list(map(truediv, row, efs))
+        if adj is not None:
+            near = list(compress(range(i + 1, n), map(ge, ratios, repeat(cut))))
+            if near:
+                row[:] = map(min, row, _dijkstra(adj, i, near)[i + 1:])
+                ratios = list(map(truediv, row, efs))
         top = max(ratios)
         rmax = max(rmax, top)
         cut = rmax * (1 - _FILTER_ETA)
@@ -323,76 +399,71 @@ def _candidates(
     for r, i, j in cands:
         if r >= cut:
             pairs.setdefault(order[i], []).append(order[j])
-    return _Filter(pairs, Fraction(cut), Fraction(efmin), (n + 8) * _U, abs_err, n, s)
+    return _Filter(pairs, Fraction(cut), Fraction(efmin), rel_err, abs_err, n, s)
 
 
-def _graph_rows(g: Graph, weight: dict[tuple[int, int], float]) -> Iterator[tuple[int, list[float]]]:
-    """(u, float distances from u) for every vertex u, by float Dijkstra."""
-    adj = _weighted_adj(g.n, weight)
-    return ((source, _dijkstra(adj, source)) for source in range(g.n))
-
-
-def _tree_rows(
-    g: Graph, weight: dict[tuple[int, int], float]
-) -> tuple[list[int], Iterator[tuple[int, list[float]]], Fraction]:
-    """(order, rows, abs_err) for a tree, by rerooting along a preorder.
-
-    order is a preorder of the vertices, so every subtree is a contiguous
-    slice of positions. rows yields (i, row) for every position i, where
-    row[j] is the float distance between order[i] and order[j]. A child's
-    row is its parent's row plus the edge weight w outside the child's
-    subtree and minus w inside it: O(n) list work per source. The heaviest
-    child goes last, so a parent's row stays alive only while a lighter
-    child's subtree is walked, and O(log n) rows are alive at once.
-
-    abs_err bounds the absolute rounding error of every entry against the
-    exact sum of the float weights on its path: an entry takes at most
-    depth(source) + depth(target) <= 2h roundings, h the height in edges,
-    each at most u times a path length <= 2 rmax, rmax the largest root
-    distance; 4 (h + 1) u rmax also covers the error in rmax (for h < 2**25).
-    """
+def _spanning_tree(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """(order, up, size): the breadth-first tree of a connected graph from
+    vertex 0 (graph.bfs_order; on a tree, the tree itself) in preorder.
+    order[i] is the vertex at position i, up[i] the position of its parent
+    (up[0] = 0), and its subtree is positions i .. i + size[i] - 1. Children
+    come in reverse adjacency order, so on a tree the order is that of a
+    depth-first walk over the adjacency lists with a stack."""
     n = g.n
-    order, up, w_up = [], [0] * n, [0.0] * n  # up, w_up: parent's position, edge weight
-    pos = [0] * n
-    seen = [False] * n
-    seen[0] = True
-    stack: list[tuple[int, int]] = [(0, 0)]
-    while stack:
-        u, parent = stack.pop()
-        pos[u] = i = len(order)
-        order.append(u)
-        if i:
-            up[i] = pos[parent]
-            w_up[i] = weight[(u, parent) if u < parent else (parent, u)]
+    parent = [-1] * n
+    parent[0] = 0
+    for u in bfs_order(g):
         for v in g.adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append((v, u))
-    size, depth, root_row = [1] * n, [0] * n, [0.0] * n
-    kids: list[list[int]] = [[] for _ in range(n)]
-    for i in range(1, n):
-        depth[i] = depth[up[i]] + 1
-        root_row[i] = root_row[up[i]] + w_up[i]
-        kids[up[i]].append(i)
+            if parent[v] < 0:
+                parent[v] = u  # the neighbor first in the order: the BFS parent
+    order = preorder([[v for v in reversed(g.adj[u]) if parent[v] == u] for u in range(n)], 0)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    up = [pos[parent[v]] for v in order]
+    size = [1] * n
     for i in range(n - 1, 0, -1):
         size[up[i]] += size[i]
-    abs_err = 4 * (max(depth) + 1) * _U * Fraction(max(root_row))
+    return order, up, size
 
-    def rows():
-        pending = [(0, root_row)]  # (position, its parent's row; the root's own)
-        while pending:
-            i, prow = pending.pop()
-            if i == 0:
-                row = prow
-            else:
-                a, b, w = i, i + size[i], w_up[i]
-                row = [x + w for x in prow[:a]]
-                row += [x - w for x in prow[a:b]]
-                row += [x + w for x in prow[b:]]
-            yield i, row
-            pending += [(c, row) for c in sorted(kids[i], key=size.__getitem__, reverse=True)]
 
-    return order, rows(), abs_err
+def _tree_weights(order: list[int], up: list[int], weight: dict) -> tuple[list, list]:
+    """(w_up, root) by position of _spanning_tree's order: the weight of the
+    edge to the parent (w_up[0] = 0) and the distance from the root along
+    the tree."""
+    w_up, root = [0] * len(order), [0] * len(order)
+    for i in range(1, len(order)):
+        u, p = order[i], order[up[i]]
+        w_up[i] = weight[(u, p) if u < p else (p, u)]
+        root[i] = root[up[i]] + w_up[i]
+    return w_up, root
+
+
+def _walk(up: list[int], size: list[int], w_up: list, root_row: list,
+          inside: Callable) -> Iterator[tuple[int, list]]:
+    """(i, row) for every position i of _spanning_tree's preorder, row[k]
+    standing for position i + 1 + k: root_row at the root, and at a child
+    the later entries of its parent's row plus w, its edge weight, except
+    that inside(x, w) maps the entries of its own subtree. With sub that
+    reroots a tree's distances exactly (the subtree comes w closer), with
+    add it bounds a graph's from above.
+
+    A parent comes before its children, and the heaviest child last, so a
+    parent's row stays alive only while a lighter child's subtree is walked
+    and O(log n) rows are alive at once. A row may be changed in place
+    before the next is drawn: its children start from what is left."""
+    kids: list[list[int]] = [[] for _ in up]
+    for i in range(1, len(up)):
+        kids[up[i]].append(i)
+    pending = [(0, root_row)]  # (position, its parent's row; the root's own)
+    while pending:
+        i, row = pending.pop()
+        if i:
+            p, w = up[i], w_up[i]
+            b = i + size[i] - p - 1  # where the subtree ends in the parent's row
+            row = list(map(inside, row[i - p:b], repeat(w))) + list(map(add, row[b:], repeat(w)))
+        yield i, row
+        pending += [(c, row) for c in sorted(kids[i], key=size.__getitem__, reverse=True)]
 
 
 def _weighted_adj(n: int, weight: dict) -> list[list[tuple]]:
@@ -404,16 +475,23 @@ def _weighted_adj(n: int, weight: dict) -> list[list[tuple]]:
     return adj
 
 
-def _dijkstra(adj: list[list[tuple]], source: int) -> list:
+def _dijkstra(adj: list[list[tuple]], source: int, stop: Optional[Iterable[int]] = None) -> list:
     """Shortest-path distances from source over (neighbor, weight) adjacency
-    lists with nonnegative int or float weights; math.inf where unreached."""
+    lists with nonnegative int or float weights; math.inf where unreached.
+    With stop, it returns as soon as every vertex of stop is settled: their
+    distances are final, and every other entry is at least its own."""
     dist = [math.inf] * len(adj)
     dist[source] = 0
+    left = None if stop is None else set(stop)
     heap = [(0, source)]
     while heap:
         du, u = heapq.heappop(heap)
         if du > dist[u]:
             continue
+        if left is not None:
+            left.discard(u)
+            if not left:
+                break
         for v, w in adj[u]:
             if du + w < dist[v]:
                 dist[v] = du + w
@@ -441,14 +519,23 @@ def _all_pairs(n: int, weights: dict[tuple[int, int], int]) -> list[list[int]]:
 
 
 def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
-    """spanning_ratio's enclosures, one per precision: exact Dijkstra rows
-    behind the float filter."""
-    n = d.graph.n
+    """spanning_ratio's enclosures, one per precision: exact rows behind the
+    float filter. Every pair of a tree takes its rows from _walk, rerooted
+    exactly on the integer brackets; other rows come from Dijkstra."""
+    g, n = d.graph, d.graph.n
 
-    def rows(lo_w, hi_w, sources):
+    def rows(lo_w, hi_w, groups):
+        if groups is None and g.m == n - 1:
+            order, up, size = _spanning_tree(g)
+            walks = [_walk(up, size, w_up, root[1:], sub)
+                     for w_up, root in (_tree_weights(order, up, lo_w), _tree_weights(order, up, hi_w))]
+            for (i, row_lo), (_, row_hi) in zip(*walks):
+                yield order[i], order[i + 1:], row_lo, row_hi
+            return
         adj_lo, adj_hi = _weighted_adj(n, lo_w), _weighted_adj(n, hi_w)
-        for u in sources:
-            yield _dijkstra(adj_lo, u), _dijkstra(adj_hi, u)
+        for u, targets in _every(n) if groups is None else groups:
+            dist_lo, dist_hi = _dijkstra(adj_lo, u), _dijkstra(adj_hi, u)
+            yield u, targets, [dist_lo[v] for v in targets], [dist_hi[v] for v in targets]
 
     return _ratio_enclosures(d, _START_BITS, rows, _float_filter)
 
@@ -466,9 +553,10 @@ def spanning_ratio_bruteforce(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -
     """Independent oracle: Floyd–Warshall all-pairs at doubled starting precision."""
     n = d.graph.n
 
-    def rows(lo_w, hi_w, sources):
+    def rows(lo_w, hi_w, groups):
         dist_lo, dist_hi = _all_pairs(n, lo_w), _all_pairs(n, hi_w)
-        return ((dist_lo[u], dist_hi[u]) for u in sources)
+        for u, targets in _every(n) if groups is None else groups:
+            yield u, targets, [dist_lo[u][v] for v in targets], [dist_hi[u][v] for v in targets]
 
     return next(_certify(_ratio_enclosures(d, 2 * _START_BITS, rows), [rel_tol]))
 

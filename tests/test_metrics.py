@@ -3,18 +3,19 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_drawing, random_rational_drawing, random_tree
+from conftest import random_connected_graph, random_drawing, random_rational_drawing, random_tree
 from spannerdraw import metrics
 from spannerdraw.drawing import Drawing
 from spannerdraw.exact import Interval, format_rational, isqrt_scaled, sqrt_interval
 from spannerdraw.geometry import dist_sq, in_segment_interior, segments_cross_improperly
 from spannerdraw.graph import Graph, RootedTree
-from spannerdraw.layout import Epsilon, draw_planar_spanner, draw_tree_planar
+from spannerdraw.layout import Epsilon, draw_planar_spanner, draw_proper_spanner, draw_tree_planar
 from spannerdraw.metrics import (
     DEFAULT_REL_TOL,
     bounding_box,
@@ -99,6 +100,36 @@ class TestSpanningRatio:
         iv = spanning_ratio(tiny)
         assert repr(iv) == f"Interval({format_rational(iv.lo)}, {format_rational(iv.hi)})"
         assert repr(Interval(math.inf, math.inf)) == "Interval(inf, inf)"
+
+    def test_tree_rows_rerooted_on_integers(self, monkeypatch):
+        # Every pair of a tree takes integer rows rerooted along its
+        # preorder: a tree whose filter declines runs no Dijkstra.
+        calls = Counter()
+        dijkstra = metrics._dijkstra
+
+        def counted(*args):
+            calls["dijkstra"] += 1
+            return dijkstra(*args)
+
+        monkeypatch.setattr(metrics, "_dijkstra", counted)
+        path = drawing(60, [(i, i + 1) for i in range(59)], [(i, 0) for i in range(60)])
+        assert metrics._float_filter(path.graph, path.points) is None  # every pair ties
+        a = spanning_ratio(path)
+        assert a.lo == a.hi == 1 and calls["dijkstra"] == 0
+        zigzag = zigzag_tree(40)  # filtered on bounded rows, with Dijkstra
+        a, b = spanning_ratio(zigzag), spanning_ratio_oracle(zigzag)
+        assert (a.lo, a.hi) == (b.lo, b.hi)
+        calls.clear()
+        # With no filter at all, every precision scans every pair.
+        monkeypatch.setattr(metrics, "_float_filter", lambda g, coords: None)
+        trees = [zigzag, two_scales(F(2**40 + 12345), F(1, 10**6))]
+        trees += [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
+                  for n in (2, 7, 40)]
+        trees += [Drawing(random_tree(n, 4, n), tuple(random_points(n, 30, n))) for n in (3, 25)]
+        for k, d in enumerate(trees):
+            a, b = spanning_ratio(d), spanning_ratio_oracle(d)
+            assert (a.lo, a.hi) == (b.lo, b.hi), k
+        assert calls["dijkstra"] == 0
 
 
 def spanning_ratio_oracle(d, rel_tol=DEFAULT_REL_TOL):
@@ -285,8 +316,11 @@ class TestFloatFilter:
                 adj_lo, adj_hi = metrics._weighted_adj(g.n, lo_w), metrics._weighted_adj(g.n, hi_w)
 
                 def enclosure(groups):
-                    rows = ((metrics._dijkstra(adj_lo, u), metrics._dijkstra(adj_hi, u)) for u, _ in groups)
-                    return metrics._scan(coords, L * L, bits, groups, rows)
+                    rows = ((u, targets, metrics._dijkstra(adj_lo, u), metrics._dijkstra(adj_hi, u))
+                            for u, targets in groups)
+                    return metrics._scan(coords, L * L, bits, (
+                        (u, targets, [lo[v] for v in targets], [hi[v] for v in targets])
+                        for u, targets, lo, hi in rows))
 
                 candidates = enclosure(list(flt.pairs.items()))
                 if not metrics._filter_proves(flt, candidates.lo, L, bits):
@@ -296,6 +330,186 @@ class TestFloatFilter:
                 assert (full.lo, full.hi) == (candidates.lo, candidates.hi), (k, bits)
                 checked["proven"] += 1
         assert checked["proven"] > 100 and checked["unproven"] > 100, checked
+
+
+def float_filter_oracle(g, coords):
+    """The float pass _float_filter made before it walked a spanning tree,
+    with the float ratio of each candidate pair: (filter, {(u, v): ratio}).
+    Full float rows from every source, by Dijkstra in vertex order, or on a
+    tree rerooted along a preorder; each row judged for the later positions
+    against the running largest ratio."""
+    n = g.n
+    s = max(0, max(abs(c).bit_length() for p in coords for c in p) - metrics._FILTER_BITS)
+    if s > metrics._FILTER_LIMIT:
+        return None, {}
+
+    def dist(p, q):
+        return math.hypot((p[0] - q[0]) / 2**s, (p[1] - q[1]) / 2**s)
+
+    weight = {(u, v): dist(coords[u], coords[v]) for u, v in g.edges()}
+    if g.m == n - 1:
+        flt, ratios = oracle_candidates(coords, dist, *oracle_tree_rows(g, weight), s)
+        if flt is None or 4 * flt.abs_err < F(metrics._FILTER_ETA) * flt.cut * flt.efmin:
+            return flt, ratios
+    adj = metrics._weighted_adj(n, weight)
+    rows = ((u, metrics._dijkstra(adj, u)) for u in range(n))
+    return oracle_candidates(coords, dist, range(n), rows, F(0), s)
+
+
+def oracle_candidates(coords, dist, order, rows, abs_err, s):
+    """The judging pass of float_filter_oracle over (i, row), row[j] the
+    float distance between order[i] and order[j]."""
+    n = len(coords)
+    cap = 4 * n + 256
+    rmax, efmin, cut = 0.0, math.inf, 0.0
+    cands = []
+    for i, row in rows:
+        efs = [dist(coords[order[i]], coords[order[j]]) for j in range(i + 1, n)]
+        if not efs:
+            continue
+        efmin = min(efmin, min(efs))
+        ratios = [row[j] / ef for j, ef in enumerate(efs, i + 1)]
+        top = max(ratios)
+        rmax = max(rmax, top)
+        cut = rmax * (1 - metrics._FILTER_ETA)
+        if top >= cut:
+            cands += [(r, i, j) for j, r in enumerate(ratios, i + 1) if r >= cut]
+            if len(cands) > 2 * cap:
+                cands = [c for c in cands if c[0] >= cut]
+                if len(cands) > cap:
+                    return None, {}
+    if not (efmin > 2.0**-metrics._FILTER_LIMIT and math.isfinite(rmax)):
+        return None, {}
+    pairs, kept = {}, {}
+    for r, i, j in cands:
+        if r >= cut:
+            pairs.setdefault(order[i], []).append(order[j])
+            kept[(order[i], order[j])] = r
+    flt = metrics._Filter(pairs, F(cut), F(efmin), (n + 8) * metrics._U, abs_err, n, s)
+    return flt, kept
+
+
+def oracle_tree_rows(g, weight):
+    """(order, rows, abs_err) for a tree: a stack preorder from vertex 0, and
+    every position's full row, a child's from its parent's by +w outside
+    and -w inside the child's subtree, lightest child first."""
+    n = g.n
+    order, up, w_up, pos = [], [0] * n, [0.0] * n, [0] * n
+    seen = [False] * n
+    seen[0] = True
+    stack = [(0, 0)]
+    while stack:
+        u, parent = stack.pop()
+        pos[u] = i = len(order)
+        order.append(u)
+        if i:
+            up[i] = pos[parent]
+            w_up[i] = weight[(min(u, parent), max(u, parent))]
+        for v in g.adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append((v, u))
+    size, depth, root_row = [1] * n, [0] * n, [0.0] * n
+    kids = [[] for _ in range(n)]
+    for i in range(1, n):
+        depth[i] = depth[up[i]] + 1
+        root_row[i] = root_row[up[i]] + w_up[i]
+        kids[up[i]].append(i)
+    for i in range(n - 1, 0, -1):
+        size[up[i]] += size[i]
+    abs_err = 4 * (max(depth) + 1) * metrics._U * F(max(root_row))
+
+    def rows():
+        pending = [(0, root_row)]
+        while pending:
+            i, prow = pending.pop()
+            if i == 0:
+                row = prow
+            else:
+                a, b, w = i, i + size[i], w_up[i]
+                row = [x + w for x in prow[:a]] + [x - w for x in prow[a:b]] + [x + w for x in prow[b:]]
+            yield i, row
+            pending += [(c, row) for c in sorted(kids[i], key=size.__getitem__, reverse=True)]
+
+    return order, rows(), abs_err
+
+
+def random_points(n, bits, seed):
+    """n distinct integer points with coordinates of absolute value below 2**bits."""
+    rng = random.Random(seed)
+    points = set()
+    while len(points) < n:
+        points.add((rng.randrange(1 - 2**bits, 2**bits), rng.randrange(1 - 2**bits, 2**bits)))
+    return sorted(points, key=lambda p: rng.random())
+
+
+class TestFloatFilterOracle:
+    """_float_filter walks a spanning tree and runs Dijkstra only near the
+    cut; float_filter_oracle is the full-row pass it replaced."""
+
+    def test_tree_filters_equal_oracle(self):
+        cases = [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
+                 for n in (30, 120, 300)]
+        # Below 2**53 the filter takes math.dist of float points, whose
+        # differences round past 2**53; above it, the integer differences.
+        for k, bits in enumerate((20, 53, 54, 60, 1200)):
+            for n in (2, 9, 40, 130):
+                g = random_tree(n, 4, 100 * k + n)
+                cases.append(Drawing(g, tuple(random_points(n, bits, 100 * k + n))))
+        for k, d in enumerate(cases):
+            ref, _ = float_filter_oracle(d.graph, d.points)
+            assert ref is not None and ref.abs_err > 0, k  # rerooted rows
+            assert metrics._float_filter(d.graph, d.points) == ref, k
+
+    def test_graph_filters_keep_oracle_candidates(self):
+        cases = [random_drawing(4 + seed % 12, seed) for seed in range(20)]
+        cases += [d for d in (random_rational_drawing(5 + seed % 8, 5000 + seed) for seed in range(20))
+                  if not has_coincident_vertices(d)]
+        cases += [draw_planar_spanner(stacked_triangulation(60, seed), Epsilon(eps))
+                  for seed in range(2) for eps in (F(1), F(1, 10))]
+        cases += [draw_planar_spanner(strip_graph(140), Epsilon(F(1, 10)))]
+        cases += [draw_proper_spanner(random_connected_graph(n, n, n), Epsilon(F(1, 2))) for n in (30, 90)]
+        for k, bits in enumerate((30, 53, 60)):
+            g = random_connected_graph(50, 40, k)
+            cases.append(Drawing(g, tuple(random_points(50, bits, k))))
+        # Trees whose rerooting error is too large take the bounded rows.
+        cases += [zigzag_tree(40), two_scales(F(2**40 + 12345), F(1, 10**6))]
+        bounded = 0
+        for k, d in enumerate(cases):
+            g, n = d.graph, d.graph.n
+            flt = metrics._float_filter(g, d.points)
+            ref, ratios = float_filter_oracle(g, d.points)
+            assert flt is not None and ref is not None, k
+            if ref.abs_err:  # a tree on rerooted rows
+                assert flt == ref, k
+                continue
+            bounded += 1
+            assert abs(flt.cut / ref.cut - 1) <= F(1, 2**40), k
+            assert (flt.efmin, flt.n, flt.s) == (ref.efmin, ref.n, ref.s), k
+            assert (flt.rel_err, flt.abs_err) == ((2 * n + 8) * metrics._U, 0), k
+            pairs = {(u, v) for u, vs in flt.pairs.items() for v in vs}
+            for (u, v), r in ratios.items():
+                if F(r) >= flt.cut * (1 + F(1, 2**40)):
+                    assert (u, v) in pairs or (v, u) in pairs, (k, u, v)
+        assert bounded >= len(cases) - 10, (bounded, len(cases))
+
+    def test_dijkstra_work_counts(self, monkeypatch):
+        # Counted, not timed: full rows settle n vertices from each source.
+        # Every settled vertex is one heap pop.
+        pops = Counter()
+
+        def heappop(heap):
+            pops["pops"] += 1
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(metrics, "heapq", SimpleNamespace(heappop=heappop, heappush=heapq.heappush))
+        planar = draw_planar_spanner(stacked_triangulation(80, 1), Epsilon(1))
+        proper = draw_proper_spanner(random_connected_graph(80, 80, 1), Epsilon(F(1, 2)))
+        # Measured: 0.32 n**2 and 0.03 n**2 pops.
+        for d, share in ((planar, 0.5), (proper, 0.1)):
+            pops.clear()
+            assert metrics._float_filter(d.graph, d.points) is not None
+            assert 0 < pops["pops"] <= share * d.graph.n ** 2, (pops, d.graph.n)
 
 
 class TestEdgeLengthRatio:

@@ -2,6 +2,8 @@
 
 import ast
 import re
+import sys
+import tomllib
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -34,6 +36,44 @@ def test_no_unused_imports():
     assert modules
     unused = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def undeclared_imports(source: str, declared: set[str]) -> list[str]:
+    """The top-level modules a source imports that are neither in the
+    standard library nor declared: relative imports are the package's own."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found - set(sys.stdlib_module_names) - declared)
+
+
+def declared_dependencies() -> set[str]:
+    """The names of the runtime dependencies in pyproject.toml."""
+    project = tomllib.loads((TESTS.parent / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower() for spec in project["dependencies"]}
+
+
+def test_undeclared_imports_found():
+    source = (
+        "from __future__ import annotations\nimport os.path, numpy as np\n"
+        "from . import graph\nfrom .exact import Interval\nfrom networkx import Graph\n"
+        "def f():\n    import sortedcontainers.sortedlist\n"
+    )
+    assert undeclared_imports(source, {"networkx"}) == ["numpy", "sortedcontainers"]
+
+
+def test_imports_are_declared():
+    # The package runs on the standard library and its declared
+    # dependencies only, though more may be installed.
+    declared = declared_dependencies()
+    assert "networkx" in declared
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {p.name: undeclared_imports(p.read_text(encoding="utf-8"), declared) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def private_names(node: ast.stmt) -> list[str]:
