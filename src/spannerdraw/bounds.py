@@ -17,7 +17,7 @@ from typing import Optional
 from .drawing import Drawing
 from .errors import ZeroLengthEdgeError
 from .exact import Interval, sqrt_interval
-from .geometry import IntPoint, dist_sq, on_segment_closed
+from .geometry import IntPoint, coincident, dist_sq, on_segment_closed
 from .graph import Graph, hamiltonian_path, hamiltonian_path_exists, path_order
 from .metrics import _certify, _spanning_ratios
 
@@ -137,12 +137,7 @@ def sr1_witness(g: Graph) -> Optional[Drawing]:
     """A collinear drawing of spanning ratio exactly 1, when one exists:
     Hamiltonian path laid out at (0,0), (1,0), (2,0), ..."""
     path = hamiltonian_path(g)
-    if path is None:
-        return None
-    coords: list[IntPoint] = [(0, 0)] * g.n
-    for i, v in enumerate(path):
-        coords[v] = (i, 0)
-    return Drawing(g, tuple(coords))
+    return None if path is None else Drawing.on_x_axis(g, path)
 
 
 def _fan_decomposition(g: Graph, apex_count: int) -> Optional[tuple[list[int], list[int]]]:
@@ -193,15 +188,12 @@ def planar_sr1_witness(g: Graph) -> Optional[Drawing]:
         return None
     order = path_order(g)
     if order is not None:
-        coords: list[IntPoint] = [None] * n  # type: ignore[list-item]
-        for i, v in enumerate(order):
-            coords[v] = (i, 0)
-        return Drawing(g, tuple(coords))
+        return Drawing.on_x_axis(g, order)
 
     fan = _fan_decomposition(g, 1)
     if fan is not None and g.m == (n - 2) + (n - 1):
         (apex,), path = fan
-        coords = [None] * n  # type: ignore[list-item]
+        coords: list[IntPoint] = [None] * n  # type: ignore[list-item]
         coords[apex] = (0, 1)
         for i, v in enumerate(path):
             coords[v] = (i, 0)
@@ -260,7 +252,7 @@ def is_sr1_drawing(d: Drawing) -> bool:
     g = d.graph
     n = g.n
     pts = d.points
-    if len(set(pts)) != n:
+    if coincident(pts):
         return False
     for u in range(n):
         for v in range(u + 1, n):

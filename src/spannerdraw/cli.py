@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 parse/usage error, 3 precondition violation
-(NotPlanar, NotConnected, NotATree, a zero-length edge in verify, ...),
-4 internal inconsistency, 5 I/O error.
+(NotPlanar, NotConnected, NotATree, InstanceTooLarge, a zero-length edge in
+verify, ...), 4 internal inconsistency, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from typing import Optional
 
 from . import bounds, fileio, layout, metrics
 from .errors import (
+    InstanceTooLarge,
     NotATreeError,
     NotConnectedError,
     NotPlanarError,
@@ -262,7 +263,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (NotPlanarError, NotConnectedError, NotATreeError, TooSmallError,
-            ZeroLengthEdgeError) as exc:
+            ZeroLengthEdgeError, InstanceTooLarge) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except OSError as exc:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterable
 
 from .geometry import IntPoint
 from .graph import Graph
@@ -54,6 +55,15 @@ class Drawing:
             (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
             for x, y in rational
         ), den)
+
+    @staticmethod
+    def on_x_axis(graph: Graph, order: Iterable[int]) -> Drawing:
+        """The drawing with order[i] at (i, 0), for an order of all the
+        vertices: a Hamiltonian path in that order has spanning ratio 1."""
+        points: list = [None] * graph.n
+        for i, v in enumerate(order):
+            points[v] = (i, 0)
+        return Drawing(graph, tuple(points))
 
     @cached_property
     def coords(self) -> tuple[Point, ...]:

@@ -35,19 +35,6 @@ class RotationSystem:
     rotation: tuple[tuple[int, ...], ...]
     outer_face: tuple[tuple[int, int], ...]  # directed edge walk
 
-    def face_of(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
-        """The face walk containing directed edge (u, v)."""
-        walk = [(u, v)]
-        cur = (u, v)
-        while True:
-            a, b = cur
-            r = self.rotation[b]
-            w = r[(r.index(a) - 1) % len(r)]
-            cur = (b, w)
-            if cur == walk[0]:
-                return tuple(walk)
-            walk.append(cur)
-
     def faces(self) -> list[tuple[tuple[int, int], ...]]:
         seen: set[tuple[int, int]] = set()
         out = []
@@ -55,7 +42,7 @@ class RotationSystem:
             for v in self.graph.adj[u]:
                 if (u, v) in seen:
                     continue
-                f = self.face_of(u, v)
+                f = _face(self.rotation, u, v)
                 seen.update(f)
                 out.append(f)
         return out
@@ -63,6 +50,18 @@ class RotationSystem:
     def euler_ok(self) -> bool:
         g = self.graph
         return g.n - g.m + len(self.faces()) == 2
+
+
+def _face(rotation: tuple[tuple[int, ...], ...], u: int, v: int) -> tuple[tuple[int, int], ...]:
+    """The face walk of a rotation system containing directed edge (u, v)."""
+    walk = [(u, v)]
+    while True:
+        a, b = walk[-1]
+        r = rotation[b]
+        nxt = (b, r[(r.index(a) - 1) % len(r)])
+        if nxt == walk[0]:
+            return tuple(walk)
+        walk.append(nxt)
 
 
 def planarity_test_embed(g: Graph) -> Optional[RotationSystem]:
@@ -79,11 +78,8 @@ def planarity_test_embed(g: Graph) -> Optional[RotationSystem]:
         return None
     data = emb.get_data()  # clockwise neighbor order per vertex
     rotation = tuple(tuple(reversed(data[v])) for v in range(g.n))
-    if g.m == 0:
-        return RotationSystem(g, rotation, ())
-    anchor = next(u for u in range(g.n) if g.adj[u])
-    rs = RotationSystem(g, rotation, ())
-    outer = rs.face_of(anchor, min(g.adj[anchor]))
+    # g is connected: unless n <= 1 it has an edge, and vertex 0 has one.
+    outer = _face(rotation, 0, g.adj[0][0]) if g.m else ()
     return RotationSystem(g, rotation, outer)
 
 
@@ -167,7 +163,7 @@ def augment_to_maximal_with_canonical_order(h: Graph) -> CanonicalOrder:
         order=tuple(order),
         attachments=attachments,
         supergraph=g,
-        host_edges=frozenset((min(u, w), max(u, w)) for u, w in h.edges()),
+        host_edges=frozenset(h.edges()),
     )
 
 

@@ -79,7 +79,9 @@ def _parse_rational_str(value: str) -> Fraction:
         return Fraction(num, den)
 
 
-def _parse_graph_fields(obj) -> Graph:
+def graph_from_obj(obj) -> Graph:
+    """The graph of a graph or drawing file's JSON value; FileFormatError
+    when it is malformed."""
     if not isinstance(obj, dict):
         raise FileFormatError("top-level value must be an object")
     if obj.get("version") != FORMAT_VERSION:
@@ -116,12 +118,8 @@ def _parse_graph_fields(obj) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def graph_from_obj(obj) -> Graph:
-    return _parse_graph_fields(obj)
-
-
 def drawing_from_obj(obj) -> Drawing:
-    g = _parse_graph_fields(obj)
+    g = graph_from_obj(obj)
     coords = obj.get("coords")
     if not isinstance(coords, list) or len(coords) != g.n:
         raise FileFormatError("field 'coords' must be a list of n [x, y] pairs")

@@ -99,11 +99,16 @@ def on_line_through_two(z: IntPoint, points: Iterable[IntPoint]) -> bool:
     return False
 
 
+def coincident(points: Sequence[IntPoint]) -> bool:
+    """True iff two of the points are equal."""
+    return len(set(points)) < len(points)
+
+
 def any_three_collinear(points: Sequence[IntPoint]) -> bool:
-    """Exact check over all triples of integer points in O(n^2) direction
-    keys; coincident points count as collinear."""
-    if len(set(points)) < len(points):
+    """Exact check over all triples of integer points; coincident points
+    count as collinear. A collinear triple is found from its first point,
+    so each point is keyed only against the points after it: n(n-1)/2
+    direction keys."""
+    if coincident(points):
         return True
-    return any(
-        on_line_through_two(z, points[:i] + points[i + 1:]) for i, z in enumerate(points)
-    )
+    return any(on_line_through_two(z, points[i + 1:]) for i, z in enumerate(points))

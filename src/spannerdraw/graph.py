@@ -78,12 +78,8 @@ class RootedTree:
             raise NotATreeError(f"graph with n={g.n}, m={g.m} is not a tree")
         if not isinstance(root, int) or isinstance(root, bool) or not 0 <= root < g.n:
             raise ValueError(f"root {root!r} is not a vertex of a tree with n={g.n}")
-        parent: list[Optional[int]] = [None] * g.n
-        children: list[list[int]] = [[] for _ in range(g.n)]
-        for u in bfs_order(g, root):  # a vertex comes after its parent
-            children[u] = [v for v in g.adj[u] if v != parent[u]]
-            for v in children[u]:
-                parent[v] = u
+        parent = bfs_parents(g, root)
+        children = [[v for v in g.adj[u] if parent[v] == u] for u in range(g.n)]
         return RootedTree(g, root, parent, children)
 
     @property
@@ -112,6 +108,17 @@ def bfs_order(g: Graph, root: int = 0) -> list[int]:
                 seen.add(v)
                 order.append(v)
     return order
+
+
+def bfs_parents(g: Graph, root: int = 0) -> list[Optional[int]]:
+    """Each vertex's BFS parent from root: its neighbor that comes first in
+    bfs_order. None at the root and at the vertices root does not reach."""
+    parent: list[Optional[int]] = [None] * g.n
+    for u in bfs_order(g, root):
+        for v in g.adj[u]:
+            if parent[v] is None and v != root:
+                parent[v] = u
+    return parent
 
 
 def preorder(children: Sequence[Sequence[int]], root: int) -> list[int]:
@@ -162,16 +169,16 @@ def path_order(g: Graph) -> Optional[list[int]]:
     return order
 
 
-def hamiltonian_path_exists(g: Graph, limit: int = HAMILTONIAN_DP_LIMIT) -> bool:
+def hamiltonian_path_exists(g: Graph) -> bool:
     """Exact Hamiltonian-path decision by subset dynamic programming."""
-    return hamiltonian_path(g, limit) is not None
+    return hamiltonian_path(g) is not None
 
 
-def hamiltonian_path(g: Graph, limit: int = HAMILTONIAN_DP_LIMIT) -> Optional[list[int]]:
+def hamiltonian_path(g: Graph) -> Optional[list[int]]:
     """A Hamiltonian path as a vertex list, or None. Subset DP over 2^n states."""
     n = g.n
-    if n > limit:
-        raise InstanceTooLarge(n, limit)
+    if n > HAMILTONIAN_DP_LIMIT:
+        raise InstanceTooLarge(n, HAMILTONIAN_DP_LIMIT)
     if n == 0:
         return []
     if n == 1:
@@ -297,13 +304,11 @@ def degree_bounded_spanning_tree(g: Graph, d_target: int) -> RootedTree:
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
-    order = bfs_order(g)
-    if len(order) < n:
+    parent = bfs_parents(g)
+    if None in parent[1:]:  # a vertex other than the root 0 is unreached
         raise NotConnectedError("graph must be connected")
-    rank = {v: i for i, v in enumerate(order)}
     tree_adj: list[set[int]] = [set() for _ in range(n)]
-    for v in order[1:]:
-        u = min(g.adj[v], key=rank.__getitem__)  # v's BFS parent
+    for v, u in enumerate(parent[1:], 1):
         tree_adj[u].add(v)
         tree_adj[v].add(u)
 
@@ -366,15 +371,15 @@ def _tree_path(tree_adj: list[set[int]], s: int, t: int) -> list[int]:
     return path
 
 
-def toughness_bruteforce(g: Graph, limit: int = TOUGHNESS_LIMIT):
+def toughness_bruteforce(g: Graph):
     """Exact toughness: min over cut sets S of |S| / (#components of G-S).
 
     Returns a Fraction, or math.inf for graphs no vertex removal splits
     (complete graphs and graphs with n <= 2).
     """
     n = g.n
-    if n > limit:
-        raise InstanceTooLarge(n, limit)
+    if n > TOUGHNESS_LIMIT:
+        raise InstanceTooLarge(n, TOUGHNESS_LIMIT)
     best: Optional[Fraction] = None
     for mask in range(1, 1 << n):
         removed = [v for v in range(n) if mask & (1 << v)]

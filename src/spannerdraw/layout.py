@@ -81,10 +81,8 @@ def draw_planar_spanner(h: Graph, eps: Epsilon) -> Drawing:
     """
     if not is_connected(h):
         raise NotConnectedError("input graph must be connected")
-    if h.n == 1:
-        return Drawing(h, ((0, 0),))
-    if h.n == 2:
-        return Drawing(h, ((0, 0), (1, 0)))
+    if 0 < h.n < 3:  # n = 0 is left to the augmentation, which refuses it
+        return Drawing.on_x_axis(h, range(h.n))
     co = augment_to_maximal_with_canonical_order(h)
     e = min(eps.value, Fraction(1))
     order = co.order
@@ -339,10 +337,7 @@ def draw_tree_planar_with_stats(t: RootedTree, eps: Epsilon) -> tuple[Drawing, T
     path = path_order(t.graph)
     if path is not None:
         # The tree is a path: unit-spaced collinear placement is exact.
-        coords = [(0, 0)] * n
-        for i, v in enumerate(path):
-            coords[v] = (i, 0)
-        return Drawing(t.graph, tuple(coords)), TreePlanarStats(n, n - 1, 0)
+        return Drawing.on_x_axis(t.graph, path), TreePlanarStats(n, n - 1, 0)
 
     # Root at the smallest-id leaf, then give every lone child a dummy sibling.
     root = min(v for v in range(n) if t.graph.degree(v) == 1)

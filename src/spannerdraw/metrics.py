@@ -66,24 +66,21 @@ from .exact import Interval, isqrt_scaled, sqrt_interval
 from .geometry import (
     IntPoint,
     any_three_collinear,
+    coincident,
     dist_sq,
     in_segment_interior,
     orientation,
     segments_cross_improperly,
 )
-from .graph import Graph, bfs_order, is_connected, preorder
+from .graph import Graph, bfs_parents, is_connected, preorder
 
 DEFAULT_REL_TOL = Fraction(1, 10**9)
 _START_BITS = 64
 _MAX_BITS = 16384
 
 
-def _coincident(coords: Sequence[IntPoint]) -> bool:
-    return len(set(coords)) < len(coords)
-
-
 def has_coincident_vertices(d: Drawing) -> bool:
-    return _coincident(d.points)
+    return coincident(d.points)
 
 
 @dataclass(frozen=True)
@@ -173,7 +170,7 @@ def _ratio_enclosures(
     if not is_connected(g):
         raise DisconnectedDrawingError("spanning ratio undefined: graph disconnected")
     coords, L = d.points, d.den
-    if _coincident(coords):
+    if coincident(coords):
         yield Interval(math.inf, math.inf)
         return
     den = L * L
@@ -404,23 +401,18 @@ def _candidates(
 
 def _spanning_tree(g: Graph) -> tuple[list[int], list[int], list[int]]:
     """(order, up, size): the breadth-first tree of a connected graph from
-    vertex 0 (graph.bfs_order; on a tree, the tree itself) in preorder.
+    vertex 0 (graph.bfs_parents; on a tree, the tree itself) in preorder.
     order[i] is the vertex at position i, up[i] the position of its parent
     (up[0] = 0), and its subtree is positions i .. i + size[i] - 1. Children
     come in reverse adjacency order, so on a tree the order is that of a
     depth-first walk over the adjacency lists with a stack."""
     n = g.n
-    parent = [-1] * n
-    parent[0] = 0
-    for u in bfs_order(g):
-        for v in g.adj[u]:
-            if parent[v] < 0:
-                parent[v] = u  # the neighbor first in the order: the BFS parent
+    parent = bfs_parents(g)
     order = preorder([[v for v in reversed(g.adj[u]) if parent[v] == u] for u in range(n)], 0)
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    up = [pos[parent[v]] for v in order]
+    up = [0] + [pos[parent[v]] for v in order[1:]]
     size = [1] * n
     for i in range(n - 1, 0, -1):
         size[up[i]] += size[i]
@@ -648,7 +640,7 @@ def is_proper_drawing(d: Drawing) -> bool:
     those of the O(n*m) scan, so the verdict is the same.
     """
     coords = d.points
-    if _coincident(coords):
+    if coincident(coords):
         return False
     by_x = sorted(coords)
     by_y = sorted(coords, key=lambda p: (p[1], p[0]))

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from spannerdraw import geometry
 from spannerdraw.exact import Interval, isqrt_scaled, sqrt_interval
 from spannerdraw.geometry import (
     any_three_collinear,
+    coincident,
     collinear,
     direction_key,
     dist_sq,
@@ -125,6 +127,19 @@ class TestAnyThreeCollinear:
 
     def test_coincident_true(self):
         assert any_three_collinear([(0, 0), (0, 0), (1, 5)])
+        assert coincident([(1, 5), (0, 0), (1, 5)])
+        assert not coincident([(0, 0), (1, 5)])
+
+    def test_each_pair_keyed_once(self, monkeypatch):
+        # Points on a parabola, no three collinear: every hub is keyed
+        # against the points after it only, n(n-1)/2 direction keys in all.
+        calls = []
+        key = geometry.direction_key
+        monkeypatch.setattr(geometry, "direction_key", lambda a, b: calls.append(1) or key(a, b))
+        for n in (3, 10, 25):
+            calls.clear()
+            assert not any_three_collinear([(i, i * i) for i in range(n)])
+            assert len(calls) == n * (n - 1) // 2
 
     def test_matches_bruteforce_on_random_points(self):
         import itertools

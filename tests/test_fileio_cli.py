@@ -311,6 +311,14 @@ class TestCli:
         assert cli.main(["recognize", "planar-sr1", claw]) == 0
         assert capsys.readouterr().out.strip() == "false"
 
+    def test_recognize_sr1_too_large_exits_3(self, tmp_path, capsys):
+        # A size precondition of the exact Hamiltonian-path search, not an
+        # internal inconsistency.
+        path = graph_file(tmp_path, 25, [[i, i + 1] for i in range(24)])
+        assert cli.main(["recognize", "sr1", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: InstanceTooLarge") and err.count("\n") == 1
+
     def test_export_svg(self, tmp_path):
         inp = graph_file(tmp_path, 3, [[0, 1], [1, 2]])
         out = str(tmp_path / "d.json")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,9 @@ from spannerdraw.errors import DegreeTargetMissed, InstanceTooLarge, NotATreeErr
 from spannerdraw.graph import (
     Graph,
     RootedTree,
+    _tree_path,
     bfs_order,
+    bfs_parents,
     connected_components,
     degree_bounded_spanning_tree,
     edge_separator,
@@ -66,6 +69,104 @@ class TestGraphBasics:
         assert not cycle_graph(5).is_tree()
 
 
+def bfs_parent_oracle(g, root):
+    """BFS parents as degree_bounded_spanning_tree once derived them: each
+    reached vertex other than root takes its neighbor of least BFS rank."""
+    order = bfs_order(g, root)
+    rank = {v: i for i, v in enumerate(order)}
+    parent = [None] * g.n
+    for v in order[1:]:
+        parent[v] = min(g.adj[v], key=rank.__getitem__)
+    return parent
+
+
+def rooted_tree_oracle(g, root):
+    """(parent, children) as RootedTree.from_graph once derived them: in BFS
+    order, a vertex's children are its neighbors other than its parent."""
+    parent = [None] * g.n
+    children = [[] for _ in range(g.n)]
+    for u in bfs_order(g, root):
+        children[u] = [v for v in g.adj[u] if v != parent[u]]
+        for v in children[u]:
+            parent[v] = u
+    return parent, children
+
+
+def degree_bounded_tree_oracle(g, d_target):
+    """(adjacency, achieved degree) of degree_bounded_spanning_tree's tree as
+    it was first built: the BFS tree by least BFS rank, then the same swaps."""
+    n = g.n
+    tree_adj = [set() for _ in range(n)]
+    for v, u in enumerate(bfs_parent_oracle(g, 0)):
+        if u is not None:
+            tree_adj[u].add(v)
+            tree_adj[v].add(u)
+    non_tree = [(u, v) for u in range(n) for v in g.adj[u] if u < v and v not in tree_adj[u]]
+    while True:
+        k = max(len(a) for a in tree_adj)
+        if k <= d_target:
+            break
+        hot = {w for w in range(n) if len(tree_adj[w]) == k}
+        for u, v in non_tree:
+            if len(tree_adj[u]) >= k - 1 or len(tree_adj[v]) >= k - 1:
+                continue
+            cycle = _tree_path(tree_adj, u, v)
+            swap = next(((a, b) for a, b in zip(cycle, cycle[1:]) if a in hot or b in hot), None)
+            if swap is not None:
+                break
+        else:
+            break
+        a, b = swap
+        tree_adj[a].discard(b)
+        tree_adj[b].discard(a)
+        tree_adj[u].add(v)
+        tree_adj[v].add(u)
+        non_tree.remove((u, v))
+        non_tree.append((min(a, b), max(a, b)))
+    return tuple(tuple(sorted(a)) for a in tree_adj), k
+
+
+class TestBfsParents:
+    def test_path_and_unreached(self):
+        assert bfs_parents(path_graph(4), 2) == [1, 2, None, 2]
+        g = Graph.from_edges(7, [(0, 3), (3, 5), (1, 2), (4, 6)])
+        assert bfs_parents(g, 3) == bfs_parent_oracle(g, 3) == [3, None, None, None, None, 3, None]
+
+    def test_matches_least_bfs_rank_oracle(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randrange(1, 40)
+            g = random_connected_graph(n, rng.randrange(2 * n + 1), seed)
+            t = random_tree(n, rng.choice((2, 3, 4, n)), seed)
+            for h in (g, t):
+                root = rng.randrange(n)
+                assert bfs_parents(h, root) == bfs_parent_oracle(h, root)
+
+    def test_rooted_tree_matches_children_loop_oracle(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randrange(1, 60)
+            t = random_tree(n, rng.choice((2, 3, 4, n)), 500 + seed)
+            root = rng.randrange(n)
+            rt = RootedTree.from_graph(t, root)
+            assert (rt.parent, rt.children) == rooted_tree_oracle(t, root)
+
+    def test_degree_bounded_tree_matches_oracle(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randrange(2, 30)
+            g = random_connected_graph(n, rng.randrange(2 * n + 1), 900 + seed)
+            for d in (2, 3, 4):
+                adj, achieved = degree_bounded_tree_oracle(g, d)
+                try:
+                    t = degree_bounded_spanning_tree(g, d)
+                except DegreeTargetMissed as exc:
+                    assert exc.achieved == achieved > d
+                    t = exc.tree
+                assert t.graph.adj == adj
+                assert t.graph.max_degree() == achieved
+
+
 class TestRootedTree:
     def test_parent_children_and_sizes(self):
         t = RootedTree.from_graph(path_graph(4), 0)
@@ -108,7 +209,7 @@ class TestHamiltonianPath:
 
     def test_limit_enforced(self):
         with pytest.raises(InstanceTooLarge):
-            hamiltonian_path_exists(path_graph(30), limit=24)
+            hamiltonian_path_exists(path_graph(30))
 
     def test_matches_permutation_bruteforce(self):
         for seed in range(40):

@@ -1,15 +1,25 @@
 import math
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_connected_graph, random_connected_planar_graph, random_tree
+from spannerdraw.bounds import planar_sr1_witness, sr1_witness
+from spannerdraw.drawing import Drawing
 from spannerdraw.embedding import augment_to_maximal_with_canonical_order
 from spannerdraw.errors import NotConnectedError
 from spannerdraw.exact import isqrt_scaled
 from spannerdraw.geometry import dist_sq
-from spannerdraw.graph import Graph, RootedTree, edge_separator, split_at_edge
+from spannerdraw.graph import (
+    Graph,
+    RootedTree,
+    edge_separator,
+    hamiltonian_path,
+    path_order,
+    split_at_edge,
+)
 from spannerdraw.layout import (
     _LEG_BITS,
     Epsilon,
@@ -391,6 +401,41 @@ class TestTreeProper:
         width = float(compute_metrics(d).width)
         exponent = math.log2(gamma + 2) / math.log2(dd / (dd - 1))
         assert width <= 2 * ((gamma + 2) / (gamma + 1)) * (gamma + 2) * 100**exponent
+
+
+def line_placement_oracle(n, order):
+    """The points that sr1_witness, planar_sr1_witness and draw_tree_planar
+    once each placed by their own loop: order[i] at (i, 0)."""
+    points = [None] * n
+    for i, v in enumerate(order):
+        points[v] = (i, 0)
+    return tuple(points)
+
+
+class TestLineDrawing:
+    def test_shuffled_paths_placed_as_before(self):
+        for n in range(1, 13):
+            for seed in range(5):
+                perm = list(range(n))
+                random.Random(100 * n + seed).shuffle(perm)
+                g = Graph.from_edges(n, [(perm[i], perm[i + 1]) for i in range(n - 1)])
+                tree = RootedTree.from_graph(g, perm[seed % n])
+                expected = line_placement_oracle(n, path_order(g))
+                drawings = [
+                    (sr1_witness(g), line_placement_oracle(n, hamiltonian_path(g))),
+                    (planar_sr1_witness(g), expected),
+                    (draw_tree_planar(tree, EPS1), expected),
+                ]
+                for d, points in drawings:
+                    assert (d.points, d.den) == (points, 1)
+
+    def test_planar_spanner_below_three_vertices(self):
+        assert draw_planar_spanner(path_graph(1), EPS1).points == ((0, 0),)
+        assert draw_planar_spanner(path_graph(2), EPS_HALF).points == ((0, 0), (1, 0))
+
+    def test_order_must_cover_every_vertex(self):
+        with pytest.raises(TypeError):
+            Drawing.on_x_axis(path_graph(3), [2, 0])
 
 
 class TestTreePlanar:

@@ -3,7 +3,6 @@
 import ast
 import re
 import sys
-import tomllib
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -51,9 +50,12 @@ def undeclared_imports(source: str, declared: set[str]) -> list[str]:
 
 
 def declared_dependencies() -> set[str]:
-    """The names of the runtime dependencies in pyproject.toml."""
-    project = tomllib.loads((TESTS.parent / "pyproject.toml").read_text(encoding="utf-8"))["project"]
-    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower() for spec in project["dependencies"]}
+    """The names of the runtime dependencies in pyproject.toml. A regex
+    rather than tomllib, which Python 3.10 does not have."""
+    text = (TESTS.parent / "pyproject.toml").read_text(encoding="utf-8")
+    specs = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text, re.MULTILINE | re.DOTALL).group(1)
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
+            for spec in re.findall(r'"([^"]+)"', specs)}
 
 
 def test_undeclared_imports_found():
