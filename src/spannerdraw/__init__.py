@@ -39,7 +39,6 @@ from .graph import (
     degree_bounded_spanning_tree,
     edge_separator,
     hamiltonian_path,
-    hamiltonian_path_exists,
     is_connected,
     toughness_bruteforce,
 )

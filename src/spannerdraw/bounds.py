@@ -18,7 +18,7 @@ from .drawing import Drawing
 from .errors import ZeroLengthEdgeError
 from .exact import Interval, sqrt_interval
 from .geometry import IntPoint, coincident, dist_sq, on_segment_closed
-from .graph import Graph, hamiltonian_path, hamiltonian_path_exists, path_order
+from .graph import Graph, hamiltonian_path, path_order
 from .metrics import _certify, _spanning_ratios
 
 # Explicit packing constant from the annulus argument: each annulus around a
@@ -130,7 +130,7 @@ def star_elr_lower_bound(degree: int, s: Fraction) -> Fraction:
 def recognize_sr1(g: Graph) -> bool:
     """True iff g admits a straight-line drawing with spanning ratio exactly 1,
     i.e. iff g has a Hamiltonian path."""
-    return hamiltonian_path_exists(g)
+    return hamiltonian_path(g) is not None
 
 
 def sr1_witness(g: Graph) -> Optional[Drawing]:

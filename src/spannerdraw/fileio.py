@@ -25,6 +25,10 @@ FORMAT_VERSION = "spannerdraw/1"
 # coordinate 10**-100000 serializes to. It also bounds the magnitude of a
 # decimal exponent, since Fraction("1e1000000000") builds 10**1000000000.
 MAX_RATIONAL_CHARS = 200_000
+# The most vertices a graph file may declare. Graph.from_edges builds one
+# adjacency set per vertex, so an unbounded n allocates without bound before
+# any edge is read.
+MAX_VERTICES = 10**6
 _INTEGER_RATIO = re.compile(r"\s*(-?\d+)(?:/(\d+))?\s*")
 _DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*")
 
@@ -87,8 +91,10 @@ def graph_from_obj(obj) -> Graph:
     if obj.get("version") != FORMAT_VERSION:
         raise FileFormatError(f"unsupported version {obj.get('version')!r}")
     n = obj.get("n")
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise FileFormatError("field 'n' must be a nonnegative integer")
+    if n > MAX_VERTICES:
+        raise FileFormatError(f"field 'n' is {n}, more than {MAX_VERTICES}")
     raw_edges = obj.get("edges", [])
     if not isinstance(raw_edges, list):
         raise FileFormatError("field 'edges' must be a list")

@@ -1,8 +1,15 @@
-"""Undirected simple graphs, rooted trees, orderings, and small exact oracles."""
+"""Undirected simple graphs, rooted trees, orderings, and small exact oracles.
+
+The oracles are exponential and refuse large inputs with InstanceTooLarge:
+hamiltonian_path, one subset-DP table of 4 * 2^n bytes for n up to
+HAMILTONIAN_DP_LIMIT, and toughness_bruteforce, over all 2^n cut sets for n
+up to TOUGHNESS_LIMIT. No function here recurses.
+"""
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -169,87 +176,54 @@ def path_order(g: Graph) -> Optional[list[int]]:
     return order
 
 
-def hamiltonian_path_exists(g: Graph) -> bool:
-    """Exact Hamiltonian-path decision by subset dynamic programming."""
-    return hamiltonian_path(g) is not None
-
-
 def hamiltonian_path(g: Graph) -> Optional[list[int]]:
-    """A Hamiltonian path as a vertex list, or None. Subset DP over 2^n states."""
+    """A Hamiltonian path as a vertex list, or None: the subset DP of Bellman
+    and Held-Karp. ends[mask] is the bitset of the vertices that end a path
+    through exactly the vertices of mask (4 * 2^n bytes). The forward pass
+    walks only the masks reached, one popcount layer at a time, extends each
+    by every unvisited neighbor of any of its ends, and stops at the first
+    empty layer; the path is read back from the same table."""
     n = g.n
     if n > HAMILTONIAN_DP_LIMIT:
         raise InstanceTooLarge(n, HAMILTONIAN_DP_LIMIT)
-    if n == 0:
-        return []
-    if n == 1:
-        return [0]
     if not is_connected(g):
         return None
-    masks = [0] * n
-    for u in range(n):
-        for v in g.adj[u]:
-            masks[u] |= 1 << v
-    full = (1 << n) - 1
-    # reach[mask] = bitset of possible path endpoints using exactly `mask`
-    reach: dict[int, int] = {1 << v: 1 << v for v in range(n)}
-    frontier = list(reach)
+    nbr = [sum(1 << v for v in g.adj[u]) for u in range(n)]
+    ends = array("I", [0]) * (1 << n)
+    frontier = [1 << v for v in range(n)]
+    for mask in frontier:
+        ends[mask] = mask
     for _ in range(n - 1):
-        nxt: dict[int, int] = {}
+        nxt = []
         for mask in frontier:
-            ends = reach[mask]
-            e = ends
+            e, cand = ends[mask], 0
             while e:
                 u_bit = e & -e
                 e ^= u_bit
-                u = u_bit.bit_length() - 1
-                cand = masks[u] & ~mask
-                while cand:
-                    v_bit = cand & -cand
-                    cand ^= v_bit
-                    nm = mask | v_bit
-                    nxt[nm] = nxt.get(nm, 0) | v_bit
-        reach = nxt
-        frontier = list(reach)
-        if not frontier:
+                cand |= nbr[u_bit.bit_length() - 1]
+            cand &= ~mask
+            while cand:
+                v_bit = cand & -cand
+                cand ^= v_bit
+                nm = mask | v_bit
+                if not ends[nm]:
+                    nxt.append(nm)
+                ends[nm] |= v_bit
+        if not nxt:
             return None
-    if full not in reach:
-        return None
-    # Reconstruct one path backwards.
+        frontier = nxt
+    # Backwards from the least end of the full mask: each step takes the
+    # least neighbor that ends a path through the vertices left.
     path = []
-    mask = full
-    end = (reach[full] & -reach[full]).bit_length() - 1
-    path.append(end)
-    while mask != (1 << end):
-        pmask = mask ^ (1 << end)
-        found = False
-        for u in g.adj[end]:
-            if pmask & (1 << u) and _subset_path_ends_at(g, pmask, u, masks):
-                path.append(u)
-                mask = pmask
-                end = u
-                found = True
-                break
-        assert found, "DP reconstruction failed"
+    mask = (1 << n) - 1
+    e = ends[mask]
+    while mask:
+        v = (e & -e).bit_length() - 1
+        path.append(v)
+        mask ^= 1 << v
+        e = ends[mask] & nbr[v]
     path.reverse()
     return path
-
-
-def _subset_path_ends_at(g: Graph, mask: int, u: int, masks: list[int]) -> bool:
-    """True iff the vertices of `mask` admit a Hamiltonian path of the induced subgraph ending at u."""
-    memo: dict[tuple[int, int], bool] = {}
-
-    def rec(m: int, end: int) -> bool:
-        if m == (1 << end):
-            return True
-        key = (m, end)
-        if key in memo:
-            return memo[key]
-        pm = m ^ (1 << end)
-        ok = any(pm & (1 << w) and rec(pm, w) for w in g.adj[end] if masks[end] & (1 << w))
-        memo[key] = ok
-        return ok
-
-    return rec(mask, u)
 
 
 def edge_separator(t: RootedTree, d: int) -> tuple[int, int]:

@@ -715,7 +715,10 @@ def compute_metrics(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> MetricRe
     """Full report; spanning ratio omitted (None) when undefined by disconnection."""
     g = d.graph
     width, height, _ = bounding_box(d) if g.n >= 1 else (Fraction(0), Fraction(0), None)
-    proper = is_proper_drawing(d)
+    # Coincident points count as collinear, and a vertex inside an edge is
+    # collinear with the edge's ends: a drawing with no such triple is proper.
+    collinear_free = no_three_collinear(d)
+    proper = collinear_free or is_proper_drawing(d)
     sr: Optional[Interval] = None
     if g.n >= 2 and is_connected(g):
         sr = spanning_ratio(d, rel_tol)
@@ -729,6 +732,6 @@ def compute_metrics(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> MetricRe
         height=height,
         planar=is_planar_drawing(d),
         proper=proper,
-        no_three_collinear=no_three_collinear(d),
+        no_three_collinear=collinear_free,
         min_pairwise_distance_sq=min_pairwise_distance_sq(d) if g.n >= 2 else None,
     )

@@ -19,7 +19,7 @@ from spannerdraw.bounds import (
 from spannerdraw.drawing import Drawing
 from spannerdraw.exact import Interval
 from spannerdraw.geometry import in_segment_interior, segments_cross_improperly
-from spannerdraw.graph import Graph, hamiltonian_path_exists
+from spannerdraw.graph import Graph
 from spannerdraw.metrics import is_planar_drawing, spanning_ratio
 
 F = Fraction

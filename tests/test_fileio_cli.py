@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -101,6 +102,20 @@ class TestRoundTrip:
         for edges in ([[0, 0]], [[0, 2]], [[0, 1], [1, 0]]):
             with pytest.raises(fileio.FileFormatError):
                 fileio.graph_from_obj({**base, "edges": edges})
+
+    def test_vertex_count_validated(self, monkeypatch):
+        # Graph construction is stubbed out, so a missing bound fails the
+        # test instead of allocating one adjacency set per declared vertex.
+        built = []
+        monkeypatch.setattr(fileio, "Graph", SimpleNamespace(
+            from_edges=lambda n, edges: built.append(n)))
+        base = {"version": "spannerdraw/1", "edges": []}
+        for n in (True, False, -1, 1.0, "3", fileio.MAX_VERTICES + 1, 10**9):
+            with pytest.raises(fileio.FileFormatError, match="'n'"):
+                fileio.graph_from_obj({**base, "n": n})
+        assert built == []
+        fileio.graph_from_obj({**base, "n": fileio.MAX_VERTICES})
+        assert built == [fileio.MAX_VERTICES]
 
     def test_names_validated(self):
         obj = {"version": "spannerdraw/1", "n": 2, "edges": [[0, 1]], "names": ["a"]}
@@ -231,6 +246,14 @@ class TestCli:
         p = tmp_path / "bad.json"
         p.write_text("{nope")
         assert cli.main(["metrics", str(p)]) == 2
+
+    @pytest.mark.parametrize("n", [True, fileio.MAX_VERTICES + 1])
+    def test_bad_vertex_count_exits_2(self, tmp_path, monkeypatch, n):
+        monkeypatch.setattr(fileio, "Graph", None)  # nothing may be built
+        inp = graph_file(tmp_path, n, [])
+        out = tmp_path / "o.json"
+        assert cli.main(["draw", "proper", inp, "-o", str(out)]) == 2
+        assert not out.exists()
 
     def test_missing_file_exits_5(self, tmp_path):
         assert cli.main(["metrics", str(tmp_path / "absent.json")]) == 5

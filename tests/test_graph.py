@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -6,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_connected_graph, random_tree
+from spannerdraw import graph
 from spannerdraw.errors import DegreeTargetMissed, InstanceTooLarge, NotATreeError
 from spannerdraw.graph import (
+    HAMILTONIAN_DP_LIMIT,
     Graph,
     RootedTree,
     _tree_path,
@@ -17,7 +20,6 @@ from spannerdraw.graph import (
     degree_bounded_spanning_tree,
     edge_separator,
     hamiltonian_path,
-    hamiltonian_path_exists,
     is_connected,
     split_at_edge,
     toughness_bruteforce,
@@ -192,24 +194,65 @@ class TestRootedTree:
             assert is_connected(t.graph.induced(order[:k]))
 
 
+def is_hamiltonian_path(g, p):
+    return sorted(p) == list(range(g.n)) and all(
+        g.has_edge(p[i], p[i + 1]) for i in range(g.n - 1)
+    )
+
+
 class TestHamiltonianPath:
+    # SHA-256 of the paths below, one repr per line. Each path takes the
+    # least end, then the least neighbor, at every step of the rebuild;
+    # sr1_witness draws whichever path comes back, so the choice is pinned.
+    PINNED_PATHS = "66c87e108d18d2a15853c7f64d194fd6b2a098f20bcf615769a3a77737060d8b"
+
     def test_known_instances(self):
-        assert hamiltonian_path_exists(cycle_graph(4))
-        assert hamiltonian_path_exists(complete_graph(4))
-        assert hamiltonian_path_exists(cycle_graph(5))
-        assert not hamiltonian_path_exists(star_graph(3))
+        assert hamiltonian_path(cycle_graph(4)) is not None
+        assert hamiltonian_path(complete_graph(4)) is not None
+        assert hamiltonian_path(cycle_graph(5)) is not None
+        assert hamiltonian_path(star_graph(3)) is None
+
+    def test_small_sizes(self):
+        assert hamiltonian_path(Graph.from_edges(0, [])) == []
+        assert hamiltonian_path(Graph.from_edges(1, [])) == [0]
+        assert hamiltonian_path(Graph.from_edges(2, [])) is None
+        assert hamiltonian_path(Graph.from_edges(2, [(0, 1)])) == [1, 0]
 
     def test_path_reconstruction_is_valid(self):
         for seed in range(20):
             g = random_connected_graph(7, seed % 4, seed)
             p = hamiltonian_path(g)
             if p is not None:
-                assert sorted(p) == list(range(7))
-                assert all(g.has_edge(p[i], p[i + 1]) for i in range(6))
+                assert is_hamiltonian_path(g, p)
 
-    def test_limit_enforced(self):
-        with pytest.raises(InstanceTooLarge):
-            hamiltonian_path_exists(path_graph(30))
+    def test_paths_pinned(self):
+        lines = [
+            repr(hamiltonian_path(random_connected_graph(n, seed * n // 4, 100 * n + seed)))
+            for n in range(1, 15)
+            for seed in range(12)
+        ]
+        assert sum(line != "None" for line in lines) == 146
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.PINNED_PATHS
+
+    def test_limit_size_path_and_star(self):
+        n = HAMILTONIAN_DP_LIMIT
+        label = list(range(n))
+        random.Random(24).shuffle(label)
+        g = Graph.from_edges(n, [(label[i], label[i + 1]) for i in range(n - 1)])
+        p = hamiltonian_path(g)
+        assert is_hamiltonian_path(g, p)
+        # The path ends at its smaller end, where the rebuild starts.
+        assert p == (label if label[-1] < label[0] else label[::-1])
+        assert hamiltonian_path(star_graph(n - 1)) is None
+
+    def test_limit_enforced(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("table allocated")
+
+        monkeypatch.setattr(graph, "array", no_table)
+        for n in (HAMILTONIAN_DP_LIMIT + 1, 30):
+            with pytest.raises(InstanceTooLarge):
+                hamiltonian_path(path_graph(n))
 
     def test_matches_permutation_bruteforce(self):
         for seed in range(40):
@@ -218,7 +261,7 @@ class TestHamiltonianPath:
                 all(g.has_edge(p[i], p[i + 1]) for i in range(5))
                 for p in itertools.permutations(range(6))
             )
-            assert hamiltonian_path_exists(g) == brute
+            assert (hamiltonian_path(g) is not None) == brute
 
 
 class TestSeparatorAndSplit:

@@ -770,6 +770,24 @@ class TestComputeMetrics:
         assert not r.proper
         assert r.spanning_ratio.is_infinite
 
+    def test_proper_follows_from_no_collinear_triple(self, monkeypatch):
+        # The seeds cover coincident points, vertices inside edges, collinear
+        # triples off the edges and drawings with none of these.
+        checked = []
+        monkeypatch.setattr(metrics, "is_proper_drawing",
+                            lambda d: checked.append(d) or is_proper_drawing(d))
+        verdicts = set()
+        for seed in range(60):
+            d = random_rational_drawing(6 + seed % 5, seed)
+            checked.clear()
+            r = compute_metrics(d)
+            proper = is_proper_drawing(d)
+            assert r.proper == proper, seed
+            # The properness check runs only when there is a collinear triple.
+            assert checked == ([] if r.no_three_collinear else [d]), seed
+            verdicts.add((r.no_three_collinear, proper))
+        assert verdicts == {(True, True), (False, True), (False, False)}
+
 
 def _float_spanning_ratio(d):
     """Floating-point spanning ratio by Floyd–Warshall on the Fraction

@@ -132,6 +132,34 @@ def test_no_dead_private_helpers():
     assert dead_private_helpers(sources) == []
 
 
+def self_calls(source: str) -> list[str]:
+    """The functions, nested ones included, that call themselves by bare
+    name: recursion, which fails at the interpreter's recursion limit.
+    A call through an attribute, such as super().__init__(), is not one."""
+    return sorted(
+        f"{node.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                and sub.func.id == node.name for sub in ast.walk(node))
+    )
+
+
+def test_self_calls_found():
+    source = (
+        "def f(n):\n    return f(n - 1) if n else 0\n"
+        "class A(B):\n    def __init__(self):\n        super().__init__()\n"
+        "    def g(self):\n        return self.g() + h()\n"
+        "def h():\n    def rec(m):\n        return rec(m)\n    return rec(1)\n"
+    )
+    assert self_calls(source) == ["f:1", "rec:9"]
+
+
+def test_no_recursion():
+    found = {p.name: self_calls(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
 VERDICT = re.compile(r"\w+_validate|is_\w+|has_\w+")
 
 
