@@ -49,6 +49,16 @@ def _positive_rational(text: str) -> Fraction:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return value
+
+
 def _viewport(text: str) -> int:
     value = _rational(text)
     try:
@@ -73,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     draw.add_argument("-o", "--output", help="drawing file to write (default: stdout)")
     draw.add_argument("--epsilon", type=_positive_rational, default=Fraction(1))
     draw.add_argument("--rel-tol", type=_positive_rational, default=metrics.DEFAULT_REL_TOL)
-    draw.add_argument("--d-target", type=int, default=3)
+    draw.add_argument("--d-target", type=_positive_int, default=3)
     draw.add_argument("--format", choices=["text", "json"], default="text")
 
     met = sub.add_parser("metrics", help="exact/certified metric report of a drawing")

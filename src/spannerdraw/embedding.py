@@ -16,6 +16,12 @@ Every step attaches one vertex v by one rule: v joins a contour path
 w_a..w_b, gaining the missing edges to it, and the contour becomes
 w_1..w_a, v, w_b..w_x. A vertex with a single contour neighbor joins it and
 one of its contour neighbors; the last vertex joins the whole contour.
+
+The outer arcs are kept from step to step, keyed by vertex. An attachment
+changes the rotation or the contour neighbors of w_a, v and w_b only, so
+only their three arcs are recomputed; w_a+1..w_b-1 leave the contour, and
+every other arc stays as it was (after Kant, "Drawing planar graphs using
+the canonical ordering", Algorithmica 1996).
 """
 
 from __future__ import annotations
@@ -139,6 +145,9 @@ def augment_to_maximal_with_canonical_order(h: Graph) -> CanonicalOrder:
     placed = [False] * n
     placed[v1] = placed[v2] = True
     contour = [v1, v2]
+    # The outer arc of every contour vertex; entries of vertices that left
+    # the contour are stale and never read.
+    arcs = {w: _arc(rot, contour, i) for i, w in enumerate(contour)}
     order = [v1, v2]
     attachments: dict[int, tuple[int, ...]] = {}
 
@@ -149,12 +158,18 @@ def augment_to_maximal_with_canonical_order(h: Graph) -> CanonicalOrder:
             assert adj[v] <= set(contour), "final vertex still has unplaced neighbors"
             a, b = 0, x - 1
         else:
-            v, a, b = _next_vertex(rot, adj, contour, placed)
+            v, a, b = _next_vertex(arcs, adj, contour)
         _place_fan(rot, adj, contour, v, a, b)
         attachments[k] = tuple(contour[a : b + 1])
         contour = contour[: a + 1] + [v] + contour[b:]
         order.append(v)
         placed[v] = True
+        # Only contour[a], v and contour[b] changed rotation or contour
+        # neighbors. A contour vertex whose arc held v is a neighbor of v, so
+        # it was on contour[a..b] and either is one of the three or has left.
+        for i in range(a, a + 3):
+            arcs[contour[i]] = arc = _arc(rot, contour, i)
+            assert not any(placed[e] for e in arc), "placed vertex in outer arc"
 
     edges = [(u, w) for u in range(n) for w in adj[u] if u < w]
     g = Graph.from_edges(n, edges)
@@ -167,17 +182,16 @@ def augment_to_maximal_with_canonical_order(h: Graph) -> CanonicalOrder:
     )
 
 
-def _next_vertex(rot, adj, contour, placed) -> tuple[int, int, int]:
-    """(v, a, b): the next vertex and the contour path contour[a..b] it joins.
+def _next_vertex(arc_of, adj, contour) -> tuple[int, int, int]:
+    """(v, a, b): the next vertex and the contour path contour[a..b] it joins;
+    arc_of maps each contour vertex to its outer arc.
 
     A vertex with one contour neighbor contour[a] joins (a, a+1) when it is
     the first vertex of that neighbor's outer arc, and (a-1, a) otherwise.
     """
     x = len(contour)
     cpos = {w: i for i, w in enumerate(contour)}
-    arcs = [_arc(rot, contour, i) for i in range(x)]
-    for arc in arcs:
-        assert all(not placed[e] for e in arc), "placed vertex in outer arc"
+    arcs = [arc_of[w] for w in contour]
 
     candidates: set[int] = set()
     for i in range(x):

@@ -22,7 +22,7 @@ bounding box by L.
 The spanning ratio runs a float filter before the exact brackets. One float
 pass over all pairs keeps the candidates, the pairs whose float ratio is
 within a factor 1 - 2**-20 of the largest. It walks the sources along a
-spanning tree in preorder (the tree itself, else the breadth-first tree),
+spanning tree in preorder (the tree itself, else a minimum spanning tree),
 and each row holds only the pairs to later positions. A tree's rows are
 rerooted exactly from the parent's. On any other graph a row starts as the
 parent's plus the edge between them, an upper bound, and Dijkstra from the
@@ -267,9 +267,12 @@ def _float_filter(g: Graph, coords: Sequence[IntPoint]) -> Optional[_Filter]:
     float distance is at most 2**-_FILTER_LIMIT, a float ratio overflows, or
     the candidates are not few.
 
-    The sources are walked along the spanning tree of _spanning_tree, and
-    each row holds only the positions after its source's (see _walk). On a
-    tree the rows are rerooted exactly; each entry then takes at most
+    The sources are walked in the preorder of _spanning_tree: on a tree the
+    tree itself (graph.bfs_parents), on any other graph a minimum spanning
+    tree of the float weights (_prim), whose short edges keep the bounded
+    rows tight. The bounds need only that it is a spanning tree. Each row
+    holds only the positions after its source's (see _walk). On a tree the
+    rows are rerooted exactly; each entry then takes at most
     depth(source) + depth(target) <= 2h roundings, h the height in edges,
     each at most u times a path length <= 2 rmax, rmax the largest root
     distance, so 4 (h + 1) u rmax bounds its absolute error against the
@@ -295,7 +298,8 @@ def _float_filter(g: Graph, coords: Sequence[IntPoint]) -> Optional[_Filter]:
     xs, ys = zip(*coords)
     weight = dict(zip(edges, _dists([xs[u] for u, _ in edges], [ys[u] for u, _ in edges],
                                     [xs[v] for _, v in edges], [ys[v] for _, v in edges], s)))
-    order, up, size = _spanning_tree(g)
+    parent = bfs_parents(g) if g.m == n - 1 else _prim(_weighted_adj(n, weight))
+    order, up, size = _spanning_tree(g, parent)
     xs = [xs[v] for v in order]
     ys = [ys[v] for v in order]
     if bits <= 53:
@@ -399,15 +403,15 @@ def _candidates(
     return _Filter(pairs, Fraction(cut), Fraction(efmin), rel_err, abs_err, n, s)
 
 
-def _spanning_tree(g: Graph) -> tuple[list[int], list[int], list[int]]:
-    """(order, up, size): the breadth-first tree of a connected graph from
-    vertex 0 (graph.bfs_parents; on a tree, the tree itself) in preorder.
-    order[i] is the vertex at position i, up[i] the position of its parent
-    (up[0] = 0), and its subtree is positions i .. i + size[i] - 1. Children
-    come in reverse adjacency order, so on a tree the order is that of a
-    depth-first walk over the adjacency lists with a stack."""
+def _spanning_tree(g: Graph, parent: list) -> tuple[list[int], list[int], list[int]]:
+    """(order, up, size): the spanning tree of a connected graph given by
+    parent (None at the root, vertex 0) in preorder. order[i] is the vertex
+    at position i, up[i] the position of its parent (up[0] = 0), and its
+    subtree is positions i .. i + size[i] - 1. Children come in reverse
+    adjacency order, so on a tree, whose one spanning tree is itself, the
+    order is that of a depth-first walk over the adjacency lists with a
+    stack."""
     n = g.n
-    parent = bfs_parents(g)
     order = preorder([[v for v in reversed(g.adj[u]) if parent[v] == u] for u in range(n)], 0)
     pos = [0] * n
     for i, v in enumerate(order):
@@ -417,6 +421,25 @@ def _spanning_tree(g: Graph) -> tuple[list[int], list[int], list[int]]:
     for i in range(n - 1, 0, -1):
         size[up[i]] += size[i]
     return order, up, size
+
+
+def _prim(adj: list[list[tuple]]) -> list:
+    """The parents of a minimum spanning tree of a connected graph, from
+    (neighbor, weight) adjacency lists (Prim, from vertex 0; None at the
+    root). Heap ties break by (weight, vertex)."""
+    parent: list = [None] * len(adj)
+    done = [False] * len(adj)
+    heap = [(0, 0, None)]
+    while heap:
+        _, v, p = heapq.heappop(heap)
+        if done[v]:
+            continue
+        done[v] = True
+        parent[v] = p
+        for u, w in adj[v]:
+            if not done[u]:
+                heapq.heappush(heap, (w, u, v))
+    return parent
 
 
 def _tree_weights(order: list[int], up: list[int], weight: dict) -> tuple[list, list]:
@@ -518,7 +541,7 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
 
     def rows(lo_w, hi_w, groups):
         if groups is None and g.m == n - 1:
-            order, up, size = _spanning_tree(g)
+            order, up, size = _spanning_tree(g, bfs_parents(g))
             walks = [_walk(up, size, w_up, root[1:], sub)
                      for w_up, root in (_tree_weights(order, up, lo_w), _tree_weights(order, up, hi_w))]
             for (i, row_lo), (_, row_hi) in zip(*walks):

@@ -117,3 +117,49 @@ def unit_circle_star(leaves: int = 100) -> Drawing:
         )
     g = Graph.from_edges(leaves + 1, [(0, j) for j in range(1, leaves + 1)])
     return Drawing.of(g, coords)
+
+
+def stacked_triangulation(n: int, seed: int) -> Graph:
+    """A maximal planar graph (3n - 6 edges): a triangle, then each vertex
+    joined to the three corners of a random face, which it splits in three."""
+    rng = random.Random(seed)
+    edges, faces = [(0, 1), (1, 2), (0, 2)], [(0, 1, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += [(a, v), (b, v), (c, v)]
+        faces += [(a, b, v), (b, c, v), (a, c, v)]
+    return Graph.from_edges(n, edges)
+
+
+def kruskal(n: int, edges) -> list[tuple[int, int]]:
+    """The edges, in the given order, that join two components of the forest
+    taken so far (Kruskal): a minimum spanning forest when the edges come
+    sorted by weight."""
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    tree = []
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            root[ru] = rv
+            tree.append((u, v))
+    return tree
+
+
+def thinned_triangulation(n: int, keep: float, seed: int) -> Graph:
+    """A connected planar graph: a random spanning tree of
+    stacked_triangulation(n, seed) and each of its other edges with
+    probability keep."""
+    rng = random.Random(seed)
+    edges = stacked_triangulation(n, seed).edges()
+    rng.shuffle(edges)
+    tree = kruskal(n, edges)
+    chosen = set(tree)
+    chords = [e for e in edges if e not in chosen and rng.random() < keep]
+    return Graph.from_edges(n, tree + chords)

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import random_connected_planar_graph, random_tree
+from conftest import random_connected_planar_graph, random_tree, thinned_triangulation
 from spannerdraw.embedding import (
     augment_to_maximal_with_canonical_order,
     canonical_order_validate,
@@ -35,6 +35,26 @@ def pin_graphs():
         n = (6, 11, 17, 24, 40)[seed % 5]
         yield random_connected_planar_graph(n, 300 + seed)
         yield random_tree(n, 2 + seed % 3, 300 + seed)
+
+
+def large_pin_graphs():
+    """Seeded thinned stacked triangulations, from a spanning tree to the
+    whole triangulation, and random trees, with n from 80 to 160."""
+    for seed in range(12):
+        n = (80, 100, 120, 140, 160)[seed % 5]
+        yield thinned_triangulation(n, (0, 0.3, 0.7, 1)[seed % 4], 400 + seed)
+        yield random_tree(n, 2 + seed % 3, 400 + seed)
+
+
+def pin_digest(graphs):
+    """(attachment cases, SHA-256 of every order, attachments and supergraph)."""
+    cases = Counter()
+    cos = []
+    for g in graphs:
+        co = augment_to_maximal_with_canonical_order(g)
+        cases.update(attachment_cases(co))
+        cos.append((co.order, sorted(co.attachments.items()), co.supergraph.adj))
+    return cases, hashlib.sha256(repr(cos).encode()).hexdigest()
 
 
 def attachment_cases(co):
@@ -155,15 +175,16 @@ class TestAugmentation:
     def test_pinned(self):
         # The digest was recorded when the augmentation inserted a vertex by
         # one of four code paths, one per attachment case; every case occurs.
-        cases = Counter()
-        cos = []
-        for g in pin_graphs():
-            co = augment_to_maximal_with_canonical_order(g)
-            cases.update(attachment_cases(co))
-            cos.append((co.order, sorted(co.attachments.items()), co.supergraph.adj))
+        cases, digest = pin_digest(pin_graphs())
         assert set(cases) == {"left", "right", "fan", "closing"}, cases
-        digest = hashlib.sha256(repr(cos).encode()).hexdigest()
         assert digest == "0aa8969f92172507d159e691795e5950f7e56596bd04c10783d32be71109acf9"
+
+    def test_pinned_large(self):
+        # The digest was recorded when every step recomputed the outer arc of
+        # every contour vertex, before the arcs were cached.
+        cases, digest = pin_digest(large_pin_graphs())
+        assert set(cases) == {"left", "right", "fan", "closing"}, cases
+        assert digest == "665db2f619eb35bb9f9ab28608ea9cba8f44e9a11131607c5a05387db894d0ba"
 
 
 def rejection(co):

@@ -275,6 +275,16 @@ class TestCli:
         assert exc.value.code == 2
         assert "exponent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d_target", ["0", "-3", "2.5"])
+    def test_d_target_below_one_exits_2(self, tmp_path, capsys, d_target):
+        inp = graph_file(tmp_path, 3, [[0, 1], [1, 2]])
+        out = tmp_path / "o.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["draw", "tough", inp, "-o", str(out), "--d-target", d_target])
+        assert exc.value.code == 2
+        assert "--d-target" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_s_below_one_exits_2(self, tmp_path):
         inp = graph_file(tmp_path, 2, [[0, 1]])
         out = str(tmp_path / "d.json")

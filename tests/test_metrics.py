@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import math
 import random
@@ -9,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph, random_drawing, random_rational_drawing, random_tree
+from conftest import (
+    kruskal,
+    random_connected_graph,
+    random_drawing,
+    random_rational_drawing,
+    random_tree,
+    stacked_triangulation,
+)
 from spannerdraw import metrics
 from spannerdraw.drawing import Drawing
 from spannerdraw.exact import Interval, format_rational, isqrt_scaled, sqrt_interval
@@ -505,11 +513,64 @@ class TestFloatFilterOracle:
         monkeypatch.setattr(metrics, "heapq", SimpleNamespace(heappop=heappop, heappush=heapq.heappush))
         planar = draw_planar_spanner(stacked_triangulation(80, 1), Epsilon(1))
         proper = draw_proper_spanner(random_connected_graph(80, 80, 1), Epsilon(F(1, 2)))
-        # Measured: 0.32 n**2 and 0.03 n**2 pops.
-        for d, share in ((planar, 0.5), (proper, 0.1)):
+        # Measured, with the pops of the walk tree's Prim (one per edge plus
+        # one): 0.095 n**2 (610) and 0.052 n**2 (335). On the breadth-first
+        # tree the planar drawing took 0.32 n**2 (2057); the proper one took
+        # 0.027 n**2 (172), as its Dijkstra still does (175) without Prim's.
+        for d, share in ((planar, 0.15), (proper, 0.1)):
             pops.clear()
             assert metrics._float_filter(d.graph, d.points) is not None
             assert 0 < pops["pops"] <= share * d.graph.n ** 2, (pops, d.graph.n)
+
+    @pytest.fixture
+    def walk_trees(self, monkeypatch):
+        """The (order, up, size) of every spanning tree the filter walks."""
+        trees = []
+        spanning_tree = metrics._spanning_tree
+
+        def recorded(g, parent):
+            trees.append(spanning_tree(g, parent))
+            return trees[-1]
+
+        monkeypatch.setattr(metrics, "_spanning_tree", recorded)
+        return trees
+
+    def test_walk_tree_is_minimum(self, walk_trees):
+        # Any two minimum spanning trees have the same multiset of weights,
+        # so the walk tree's sorted float weights equal Kruskal's.
+        cases = [random_drawing(4 + seed % 30, seed) for seed in range(30)]
+        cases += [draw_planar_spanner(stacked_triangulation(n, seed), Epsilon(eps))
+                  for seed, n in enumerate((20, 60, 120)) for eps in (F(1), F(1, 10))]
+        cases += [draw_planar_spanner(strip_graph(140), Epsilon(F(1, 10)))]
+        cases += [draw_proper_spanner(random_connected_graph(n, n, n), Epsilon(F(1, 2))) for n in (30, 90)]
+        graphs = 0
+        for k, d in enumerate(cases):
+            g, n = d.graph, d.graph.n
+            s = max(0, max(abs(c).bit_length() for p in d.points for c in p) - metrics._FILTER_BITS)
+
+            def weight(u, v):
+                (x0, y0), (x1, y1) = d.points[u], d.points[v]
+                return math.hypot((x0 - x1) / 2**s, (y0 - y1) / 2**s)
+
+            walk_trees.clear()
+            metrics._float_filter(g, d.points)
+            [(order, up, size)] = walk_trees
+            walk = [(order[i], order[up[i]]) for i in range(1, n)]
+            assert sorted(order) == list(range(n)) and all(up[i] < i for i in range(1, n)), k
+            assert all(g.has_edge(u, v) for u, v in walk), k
+            oracle = kruskal(n, sorted(g.edges(), key=lambda e: weight(*e)))
+            assert sorted(weight(u, v) for u, v in walk) == sorted(weight(u, v) for u, v in oracle), k
+            graphs += g.m > n - 1
+        assert graphs >= len(cases) - 3, graphs
+
+    def test_tree_walks_itself(self, walk_trees):
+        # On a tree the filter walks the tree itself, rooted at vertex 0. The
+        # digest of the walk trees' (order, up, size) was recorded when the
+        # filter walked the breadth-first tree of every graph.
+        for k, n in enumerate((2, 3, 9, 40, 130, 300) * 2):
+            metrics._float_filter(random_tree(n, 2 + k % 4, 700 + k), random_points(n, 30, k))
+        digest = hashlib.sha256(repr(walk_trees).encode()).hexdigest()
+        assert digest == "a27e129fbaf72f690f6eeeceb460e0054052630e78984e524c85b81db1226eeb"
 
 
 class TestEdgeLengthRatio:
@@ -639,18 +700,6 @@ def closest_sq_oracle(points):
             if best is None or dist_sq(p, q) < best:
                 best = dist_sq(p, q)
     return best
-
-
-def stacked_triangulation(n, seed):
-    """A maximal planar graph (3n - 6 edges): a triangle, then each vertex
-    joined to the three corners of a random face, which it splits in three."""
-    rng = random.Random(seed)
-    edges, faces = [(0, 1), (1, 2), (0, 2)], [(0, 1, 2)]
-    for v in range(3, n):
-        a, b, c = faces.pop(rng.randrange(len(faces)))
-        edges += [(a, v), (b, v), (c, v)]
-        faces += [(a, b, v), (b, c, v), (a, c, v)]
-    return Graph.from_edges(n, edges)
 
 
 @st.composite
