@@ -22,9 +22,9 @@ bounding box by L.
 The spanning ratio runs a float filter before the exact brackets. One float
 pass over all pairs keeps the candidates, the pairs whose float ratio is
 within a factor 1 - 2**-20 of the largest. It walks the sources along a
-spanning tree in preorder (the tree itself, else a minimum spanning tree),
-and each row holds only the pairs to later positions. A tree's rows are
-rerooted exactly from the parent's. On any other graph a row starts as the
+minimum spanning tree in preorder (on a tree, the tree itself), and each
+row holds only the pairs to later positions. A tree's rows are rerooted
+exactly from the parent's. On any other graph a row starts as the
 parent's plus the edge between them, an upper bound, and Dijkstra from the
 source stops once every pair whose bounded ratio reaches the running cut is
 settled; a pair left bounded is below the cut, as it would be on exact rows.
@@ -267,15 +267,14 @@ def _float_filter(g: Graph, coords: Sequence[IntPoint]) -> Optional[_Filter]:
     float distance is at most 2**-_FILTER_LIMIT, a float ratio overflows, or
     the candidates are not few.
 
-    The sources are walked in the preorder of _spanning_tree: on a tree the
-    tree itself (graph.bfs_parents), on any other graph a minimum spanning
-    tree of the float weights (_prim), whose short edges keep the bounded
-    rows tight. The bounds need only that it is a spanning tree. Each row
-    holds only the positions after its source's (see _walk). On a tree the
-    rows are rerooted exactly; each entry then takes at most
-    depth(source) + depth(target) <= 2h roundings, h the height in edges,
-    each at most u times a path length <= 2 rmax, rmax the largest root
-    distance, so 4 (h + 1) u rmax bounds its absolute error against the
+    The sources are walked in the preorder of _spanning_tree along a minimum
+    spanning tree of the float weights (_prim), whose short edges keep the
+    bounded rows tight; a tree is its own. The bounds need only that it is a
+    spanning tree. Each row holds only the positions after its source's (see
+    _walk). On a tree the rows are rerooted exactly; each entry then takes at
+    most depth(source) + depth(target) <= 2h roundings, h the height in
+    edges, each at most u times a path length <= 2 rmax, rmax the largest
+    root distance, so 4 (h + 1) u rmax bounds its absolute error against the
     exact sum of the float weights on its path, and also covers the error in
     rmax (for h < 2**25). Where that takes more than a quarter of the margin
     at the closest pairs, or on any other graph, the rows are bounded and
@@ -298,8 +297,7 @@ def _float_filter(g: Graph, coords: Sequence[IntPoint]) -> Optional[_Filter]:
     xs, ys = zip(*coords)
     weight = dict(zip(edges, _dists([xs[u] for u, _ in edges], [ys[u] for u, _ in edges],
                                     [xs[v] for _, v in edges], [ys[v] for _, v in edges], s)))
-    parent = bfs_parents(g) if g.m == n - 1 else _prim(_weighted_adj(n, weight))
-    order, up, size = _spanning_tree(g, parent)
+    order, up, size = _spanning_tree(g, _prim(_weighted_adj(n, weight)))
     xs = [xs[v] for v in order]
     ys = [ys[v] for v in order]
     if bits <= 53:

@@ -564,7 +564,8 @@ class TestFloatFilterOracle:
         assert graphs >= len(cases) - 3, graphs
 
     def test_tree_walks_itself(self, walk_trees):
-        # On a tree the filter walks the tree itself, rooted at vertex 0. The
+        # On a tree the minimum spanning tree is the tree itself, rooted at
+        # vertex 0, so the walk trees equal the breadth-first ones. The
         # digest of the walk trees' (order, up, size) was recorded when the
         # filter walked the breadth-first tree of every graph.
         for k, n in enumerate((2, 3, 9, 40, 130, 300) * 2):
