@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .geometry import IntPoint
+from .geometry import IntPoint, closest_pair_sq
 from .graph import Graph
 
 Point = tuple[Fraction, Fraction]
@@ -70,3 +70,10 @@ class Drawing:
         """The coordinates as Fractions, for serialization and display; the
         exact computations read points and den."""
         return tuple((Fraction(x, self.den), Fraction(y, self.den)) for x, y in self.points)
+
+    @cached_property
+    def closest_sq(self) -> int:
+        """The least squared distance between two of the (at least 2) points,
+        in numerator units (over den**2); 0 when two coincide. Kept, so that
+        one report's spanning ratio and minimum distance share one sweep."""
+        return closest_pair_sq(self.points)

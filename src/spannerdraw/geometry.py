@@ -1,4 +1,4 @@
-"""Exact geometric predicates on integer points.
+"""Exact geometric predicates, and the closest pair, on integer points.
 
 Every predicate takes integer points: a Drawing's numerators over its common
 denominator, or a construction's. Scaling all points by one positive factor
@@ -8,6 +8,8 @@ so the predicates need no division.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -97,6 +99,34 @@ def on_line_through_two(z: IntPoint, points: Iterable[IntPoint]) -> bool:
             return True
         seen.add(key)
     return False
+
+
+def closest_pair_sq(points: Sequence[IntPoint]) -> int:
+    """Least squared distance between two of at least 2 points.
+
+    A plane sweep in x order (Hinrichs, Nievergelt and Schorn, IPL 1988):
+    the window holds, sorted by (y, x), the points left of the sweep whose
+    squared x gap is below the best so far, and each point is compared only
+    with the window's points within that distance in y. Those are at most 8
+    (they are at least that distance apart), so it takes O(n log n)
+    comparisons whichever axis the points spread along.
+    """
+    pts = sorted(points)
+    best = dist_sq(pts[0], pts[1])
+    window: list[IntPoint] = []  # (y, x) of pts[tail] up to the current point
+    tail = 0
+    for x, y in pts:
+        if best == 0:
+            return 0
+        while (x - pts[tail][0]) ** 2 >= best:
+            qx, qy = pts[tail]
+            del window[bisect_left(window, (qy, qx))]
+            tail += 1
+        r = math.isqrt(best - 1)  # dy**2 < best iff |dy| <= r
+        for q in window[bisect_left(window, (y - r,)):bisect_left(window, (y + r + 1,))]:
+            best = min(best, dist_sq((y, x), q))  # swapping both points' axes keeps it
+        insort(window, (y, x))
+    return best
 
 
 def coincident(points: Sequence[IntPoint]) -> bool:

@@ -22,19 +22,24 @@ bounding box by L.
 The spanning ratio runs a float filter before the exact brackets. One float
 pass over all pairs keeps the candidates, the pairs whose float ratio is
 within a factor 1 - 2**-20 of the largest. It walks the sources along a
-minimum spanning tree in preorder (on a tree, the tree itself), and each
-row holds only the pairs to later positions. A tree's rows are rerooted
-exactly from the parent's. On any other graph a row starts as the
-parent's plus the edge between them, an upper bound, and Dijkstra from the
-source stops once every pair whose bounded ratio reaches the running cut is
-settled; a pair left bounded is below the cut, as it would be on exact rows.
-Each precision brackets only the candidates, and one exact inequality
-(_filter_proves) shows that no other pair can reach the certified lower
-bound, so the enclosure equals the full scan's; its float error covers a
-bounded entry's sum of up to 2n - 2 weights. Where the inequality fails,
-that precision scans all pairs, a tree's on integer rows rerooted along the
-same walk. The filter declines (all pairs at every precision) for
-coordinates past 1900 bits, a float distance below 2**-900, or too many
+minimum spanning tree in preorder (on a tree, the tree itself), and judges
+each source against the later positions only. On a tree a pair's float
+path length is its source's offset plus the target's root distance, one
+offset per range of subtrees, and a subtree whose largest root distance
+over its bounding box's distance is below the running cut is skipped
+whole (the well-separated pruning of Narasimhan and Smid). On any other
+graph a row starts as the parent's plus the edge between them, an upper
+bound, and Dijkstra from the source stops once every pair whose bounded
+ratio reaches the running cut is settled; a pair left bounded is below the
+cut, as it would be on exact rows. Each precision brackets only the
+candidates, and one exact inequality (_filter_proves) shows that no other
+pair can reach the certified lower bound, so the enclosure equals the full
+scan's; its float error covers a bounded entry's sum of up to 2n - 2
+weights. The candidates of a tree take their exact distances from integer
+root distances, R[u] + R[v] - 2 R[lca]. Where the inequality fails, that
+precision scans all pairs, a tree's on integer rows rerooted along its
+breadth-first tree. The filter declines (all pairs at every precision) for
+coordinates past 1900 bits, a closest distance below 2**-900, or too many
 near-ties. spanning_ratio_bruteforce never filters.
 
 Three certificates sweep the integer points instead of scanning all pairs,
@@ -42,8 +47,9 @@ with the same verdicts and values:
 - is_planar_drawing: a Shamos–Hoey sweep (Shamos and Hoey, "Geometric
   intersection problems", FOCS 1976) in lexicographic order, O(m log m)
   orientations and at most 3m exact crossing tests;
-- min_pairwise_distance_sq: a closest-pair plane sweep (Hinrichs, Nievergelt
-  and Schorn, IPL 1988), O(n log n);
+- min_pairwise_distance_sq: Drawing.closest_sq, a closest-pair plane sweep
+  (geometry.closest_pair_sq, after Hinrichs, Nievergelt and Schorn, IPL
+  1988), O(n log n), kept on the drawing for the spanning ratio;
 - is_proper_drawing: per edge, the vertices in its bounding box, found by
   bisection in the vertices sorted by x and by y.
 """
@@ -52,7 +58,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -160,7 +166,8 @@ def _ratio_enclosures(
     0. The precisions are start_bits, 2*start_bits, ..., or, when b exceeds
     start_bits, 2*start_bits + b, 4*start_bits + b, ...
 
-    float_filter(g, coords), when given, is the float pass (_float_filter).
+    float_filter(g, coords, closest), when given, is the float pass
+    (_float_filter).
     Each precision then scans its candidate pairs first, and every pair only
     when _filter_proves fails; the enclosure is the same either way.
     """
@@ -169,15 +176,15 @@ def _ratio_enclosures(
         raise ValueError("spanning ratio needs at least 2 vertices")
     if not is_connected(g):
         raise DisconnectedDrawingError("spanning ratio undefined: graph disconnected")
-    coords, L = d.points, d.den
-    if coincident(coords):
+    coords, L, closest = d.points, d.den, d.closest_sq
+    if closest == 0:
         yield Interval(math.inf, math.inf)
         return
     den = L * L
-    inverse = -(-den // _closest_sq(coords))  # ceil(L**2 / closest)
+    inverse = -(-den // closest)  # ceil(L**2 / closest)
     b = ((inverse - 1).bit_length() + 1) // 2
     precisions = _precisions(start_bits) if b <= start_bits else _precisions(2 * start_bits, b)
-    flt = float_filter(g, coords) if float_filter else None
+    flt = float_filter(g, coords, closest) if float_filter else None
     for bits in precisions:
         lo_w, hi_w = {}, {}
         for e in g.edges():
@@ -210,9 +217,12 @@ class _Filter:
     """What the float pass knows about the pairs it skips.
 
     pairs maps a source vertex to its candidate partners. Every other pair has
-    a float ratio below cut. Distances are in float units, the integer
-    coordinates over 2**s; efmin is at most every float pair distance, and
-    rel_err, abs_err bound the float errors as _filter_proves uses them."""
+    a float ratio below cut, judged or pruned with its subtree (see
+    _tree_candidates). Distances are in float units, the integer coordinates
+    over 2**s; efmin is at most every float pair distance, and rel_err,
+    abs_err bound the float errors as _filter_proves uses them. judged
+    counts the float ratios the pass computed, of n (n - 1) / 2 pairs, and
+    tests its subtree tests."""
 
     pairs: dict[int, list[int]]
     cut: Fraction
@@ -221,15 +231,20 @@ class _Filter:
     abs_err: Fraction
     n: int
     s: int
+    judged: int
+    tests: int
 
 
 def _filter_proves(flt: _Filter, t: Fraction, L: int, bits: int) -> bool:
     """True when no pair the filter skipped can move an enclosure with lower
     bound t at scale 2**bits, which then equals the full scan's.
 
-    In float units let g, e be a skipped pair's true graph and Euclidean
-    distances, gf, ef the float ones, and beta = L / 2**(bits + s) one
-    bracket unit (the real coordinates are the integers over L).
+    A skipped pair was judged below the cut, or pruned with its subtree by
+    _tree_candidates. In float units let g, e be its true graph and
+    Euclidean distances, gf, ef the float ones (for a pruned pair, gf is
+    fl(off + root[j]), which the pass never computes), and
+    beta = L / 2**(bits + s) one bracket unit (the real coordinates are the
+    integers over L).
     - Brackets: an edge's upper bracket exceeds its length by less than one
       unit, and a shortest path has at most n - 1 edges, so
       dist_hi <= g + (n - 1) beta, while e_lo > e - beta.
@@ -240,10 +255,11 @@ def _filter_proves(flt: _Filter, t: Fraction, L: int, bits: int) -> bool:
       least g: of at most n - 1 terms on a Dijkstra row, of at most
       (n - 1) + depth <= 2n - 2 on a bounded one (see _candidates). A float
       sum of k terms loses at most (k - 1)u more, and delta = (n + 8)u, or
-      (2n + 8)u on bounded rows, covers both. A rerooted tree row is within
+      (2n + 8)u on bounded rows, covers both. A tree's entry is within
       abs_err A of the exact sum of the float weights on the path (see
       _float_filter). So e >= ef/(1 + delta) and g <= (gf + A)(1 + delta);
-      a skipped pair's rounded ratio is below cut, so gf < cut (1 + delta) ef.
+      a judged pair's rounded ratio is below cut, and a pruned pair has
+      gf < cut ef, so gf < cut (1 + delta) ef either way.
     - Together: dist_hi/e_lo <= ((cut (1 + delta) ef + A)(1 + delta)
       + (n - 1) beta) / (ef/(1 + delta) - beta). This decreases in ef, so its
       value at efmin bounds every skipped pair.
@@ -259,27 +275,34 @@ def _filter_proves(flt: _Filter, t: Fraction, L: int, bits: int) -> bool:
     return den > 0 and num < t * den
 
 
-def _float_filter(g: Graph, coords: Sequence[IntPoint]) -> Optional[_Filter]:
-    """One float pass over all pairs of a connected graph on distinct points:
-    the pairs whose float ratio is within a factor 1 - _FILTER_ETA of the
-    largest, judged against the running largest. None when the filter
-    declines: the coordinates need a scaling beyond 2**-_FILTER_LIMIT, a
-    float distance is at most 2**-_FILTER_LIMIT, a float ratio overflows, or
-    the candidates are not few.
+def _float_filter(g: Graph, coords: Sequence[IntPoint], closest: int) -> Optional[_Filter]:
+    """One float pass over all pairs of a connected graph on distinct points,
+    closest their least squared distance: the pairs whose float ratio is
+    within a factor 1 - _FILTER_ETA of the largest, judged against the
+    running largest. None when the filter declines: the coordinates need a
+    scaling beyond 2**-_FILTER_LIMIT, the closest distance is at most
+    2**-_FILTER_LIMIT, a float ratio overflows, or the candidates are not few.
+
+    efmin is a lower bracket of the closest distance in float units,
+    sqrt(closest) / 2**s, to 64 significant bits, over 1 + 4u, so at most
+    every float pair distance (see _filter_proves); no row is built to
+    find it.
 
     The sources are walked in the preorder of _spanning_tree along a minimum
     spanning tree of the float weights (_prim), whose short edges keep the
     bounded rows tight; a tree is its own. The bounds need only that it is a
-    spanning tree. Each row holds only the positions after its source's (see
-    _walk). On a tree the rows are rerooted exactly; each entry then takes at
-    most depth(source) + depth(target) <= 2h roundings, h the height in
-    edges, each at most u times a path length <= 2 rmax, rmax the largest
-    root distance, so 4 (h + 1) u rmax bounds its absolute error against the
-    exact sum of the float weights on its path, and also covers the error in
-    rmax (for h < 2**25). Where that takes more than a quarter of the margin
-    at the closest pairs, or on any other graph, the rows are bounded and
-    refined by Dijkstra near the cut (see _candidates), with no absolute
-    error.
+    spanning tree. Each source is judged against the positions after its
+    own. On a tree _tree_candidates judges fl(off + root[j]), root the float
+    root distances and off one offset per range of targets, and skips whole
+    subtrees that its bounds put below the cut. Such an entry takes at most
+    depth(i) + depth(j) + 2 depth(lca) <= 4h roundings in the root
+    distances, h the height in edges, and two more in off and the sum, each
+    at most u times rmax or 2 rmax, rmax the largest root distance; so
+    4 (h + 1) u rmax bounds its absolute error against the exact sum of the
+    float weights on its path. Where that takes more than a quarter of the
+    margin at the closest pair, or on any other graph, the rows are bounded
+    and refined by Dijkstra near the cut (see _candidates), with no
+    absolute error.
 
     Float distances are math.hypot of the exact integer differences, each
     divided by 2**s, so coordinates of up to _FILTER_BITS + _FILTER_LIMIT
@@ -291,7 +314,10 @@ def _float_filter(g: Graph, coords: Sequence[IntPoint]) -> Optional[_Filter]:
     n = g.n
     bits = max(abs(c).bit_length() for p in coords for c in p)
     s = max(0, bits - _FILTER_BITS)
-    if s > _FILTER_LIMIT:
+    k = (closest.bit_length() + 1) // 2 - 64  # sqrt(closest) has 64 bits over 2**k
+    lo = math.isqrt(closest >> 2 * k if k > 0 else closest << -2 * k)
+    efmin = Fraction(lo << max(k - s, 0), 1 << max(s - k, 0)) / (1 + 4 * _U)
+    if s > _FILTER_LIMIT or efmin <= Fraction(1, 1 << _FILTER_LIMIT):
         return None
     edges = g.edges()
     xs, ys = zip(*coords)
@@ -300,14 +326,28 @@ def _float_filter(g: Graph, coords: Sequence[IntPoint]) -> Optional[_Filter]:
     order, up, size = _spanning_tree(g, _prim(_weighted_adj(n, weight)))
     xs = [xs[v] for v in order]
     ys = [ys[v] for v in order]
+    gap = math.hypot
     if bits <= 53:
-        pts = list(zip(map(float, xs), map(float, ys)))
+        xs, ys = list(map(float, xs)), list(map(float, ys))
+        pts = list(zip(xs, ys))
 
-        def dists(i: int) -> list[float]:
-            return list(map(math.dist, repeat(pts[i]), pts[i + 1:]))
+        def dists(i: int, segs: Iterable[tuple]) -> list[float]:
+            qs: list[tuple[float, float]] = []
+            for lo, hi, _ in segs:
+                qs += pts[lo:hi]
+            return list(map(math.dist, repeat(pts[i]), qs))
     else:
-        def dists(i: int) -> list[float]:
-            return _dists(repeat(xs[i]), repeat(ys[i]), xs[i + 1:], ys[i + 1:], s)
+        if s:
+            def gap(dx: int, dy: int) -> float:
+                return math.hypot(dx / (1 << s), dy / (1 << s))
+
+        def dists(i: int, segs: Iterable[tuple]) -> list[float]:
+            xk: list[int] = []
+            yk: list[int] = []
+            for lo, hi, _ in segs:
+                xk += xs[lo:hi]
+                yk += ys[lo:hi]
+            return _dists(repeat(xs[i]), repeat(ys[i]), xk, yk, s)
 
     w_up, root = _tree_weights(order, up, weight)
     if g.m == n - 1:
@@ -315,17 +355,20 @@ def _float_filter(g: Graph, coords: Sequence[IntPoint]) -> Optional[_Filter]:
         for i in range(1, n):
             depth[i] = depth[up[i]] + 1
         abs_err = 4 * (max(depth) + 1) * _U * Fraction(max(root))
-        rows = _walk(up, size, w_up, root[1:], sub)
-        flt = _candidates(order, dists, rows, None, s, (n + 8) * _U, abs_err)
-        # A tree whose lengths span many scales can make the rerooting error
-        # swamp its closest pairs. Unless it takes at most a quarter of the
-        # margin, take bounded rows, whose error is relative only.
+        judge = _tree_candidates(up, size, root, xs, ys, gap, dists)
+        if judge is None:
+            return None
+        flt = judge.filter(order, efmin, (n + 8) * _U, abs_err, s)
+        # A tree whose lengths span many scales can make the rounding of its
+        # root distances swamp its closest pairs. Unless it takes at most a
+        # quarter of the margin, take bounded rows, whose error is relative only.
         if flt is None or 4 * flt.abs_err < Fraction(_FILTER_ETA) * flt.cut * flt.efmin:
             return flt
     pos = dict(zip(order, range(n)))
     adj = _weighted_adj(n, {(pos[u], pos[v]): w for (u, v), w in weight.items()})
     rows = _walk(up, size, w_up, [math.inf] * (n - 1), add)
-    return _candidates(order, dists, rows, adj, s, (2 * n + 8) * _U, Fraction(0))
+    judge = _candidates(dists, rows, adj)
+    return None if judge is None else judge.filter(order, efmin, (2 * n + 8) * _U, Fraction(0), s)
 
 
 def _dists(x0, y0, xs: list[int], ys: list[int], s: int) -> list[float]:
@@ -340,65 +383,188 @@ def _dists(x0, y0, xs: list[int], ys: list[int], s: int) -> list[float]:
     return list(map(math.hypot, dx, dy))
 
 
-def _candidates(
-    order: list[int],
-    dists: Callable[[int], list[float]],
-    rows: Iterator[tuple[int, list[float]]],
-    adj: Optional[list[list[tuple]]],
-    s: int,
-    rel_err: Fraction,
-    abs_err: Fraction,
-) -> Optional[_Filter]:
-    """The filter pass of _float_filter over the rows of _walk, which yields
-    (i, row) with row[k] the float distance between positions i and
-    i + 1 + k of order; dists(i) gives the float pair distances in the same
-    places. Each row is judged against the running cut, the largest ratio
-    so far times 1 - _FILTER_ETA, for the pairs it holds: every pair once.
+class _Cut:
+    """The running cut of a float pass: rmax, the largest float ratio judged
+    so far, cut = rmax (1 - _FILTER_ETA), and the judged pairs of positions
+    at or above the cut of their time. The list is pruned to the current cut
+    whenever it doubles past cap; judge is False, and the filter declines,
+    when more than cap remain. judged counts the ratios, tests the subtree
+    tests of _tree_candidates."""
 
-    With adj, the float weights by position, the rows are upper bounds: the
-    root's is all math.inf, and a child's is its parent's plus the weight of
-    the edge between them. Before a row is judged, _dijkstra from i settles
-    every later position whose bounded ratio reaches the running cut, and
-    the row takes the minimum with what it found, in place, so the
-    children start from it. An entry is thus a float sum along a walk, a
+    def __init__(self, n: int):
+        self.cap = 4 * n + 256
+        self.rmax = self.cut = 0.0
+        self.cands: list[tuple[float, int, int]] = []  # (float ratio, i, j)
+        self.judged = self.tests = 0
+
+    def judge(self, i: int, ratios: list[float], targets: Iterable[int]) -> bool:
+        """Judge the ratios of the pairs (i, j), j in targets, in their order."""
+        self.judged += len(ratios)
+        top = max(ratios)
+        self.rmax = max(self.rmax, top)
+        cut = self.cut = self.rmax * (1 - _FILTER_ETA)
+        if top >= cut:
+            self.cands += [(r, i, j) for j, r in zip(targets, ratios) if r >= cut]
+            if len(self.cands) > 2 * self.cap:
+                self.cands = [c for c in self.cands if c[0] >= cut]
+                return len(self.cands) <= self.cap
+        return True
+
+    def filter(self, order: list[int], efmin: Fraction, rel_err: Fraction, abs_err: Fraction,
+               s: int) -> Optional[_Filter]:
+        """The _Filter of the pass, the positions mapped to vertices by order;
+        None when a ratio overflowed."""
+        if not math.isfinite(self.rmax):
+            return None
+        pairs: dict[int, list[int]] = {}
+        for r, i, j in self.cands:
+            if r >= self.cut:
+                pairs.setdefault(order[i], []).append(order[j])
+        return _Filter(pairs, Fraction(self.cut), efmin, rel_err, abs_err, len(order), s,
+                       self.judged, self.tests)
+
+
+# _tree_candidates judges a subtree of at most _BLOCK positions whole and
+# tests larger ones against the cut, until _PROBE tests have pruned fewer
+# than _PAY positions each. By measurement: a test costs about as much as
+# judging a few pairs; _BLOCK from 2 to 5 gave the same time on the
+# benchmark's tree-planar drawings, whose tests prune 7.6 positions each
+# or more, and random-point trees prune 2.3 or fewer.
+_BLOCK = 4
+_PROBE = 256
+_PAY = 4
+_SLACK = 1 - 2.0**-48
+
+
+def _tree_candidates(up: list[int], size: list[int], root: list[float], xs: list, ys: list,
+                     gap: Callable, dists: Callable) -> Optional[_Cut]:
+    """The float pass of _float_filter on a tree, by position of
+    _spanning_tree's preorder; root[j] is the float root distance of
+    position j, (xs[j], ys[j]) its point, gap(dx, dy) the float length of a
+    difference of two coordinates, and dists(i, segs) the float distances
+    from position i to those of each (lo, hi, _) of segs, lo .. hi - 1 in
+    turn. None when the candidates are not few.
+
+    The positions after source i split into ranges, each of whole subtrees
+    with one offset: i's own subtree, at off = -root[i], and for each
+    ancestor a of i whose child c toward i has later siblings, the
+    positions after c's subtree in a's, at off = root[i] - 2 root[a]. A
+    target j of a range is at float path length fl(off + root[j]), judged in
+    one batch per source over the kept positions.
+
+    A subtree T of more than _BLOCK positions is skipped when
+    fl(off + hmax[T]) < cut (1 - 2**-48) D, hmax[T] its largest root
+    distance and D the float distance from i to the nearest point of its
+    bounding box; otherwise its top is kept and its children's subtrees are
+    tested in turn. For each j of a skipped T rounding is monotone, so
+    fl(off + root[j]) <= fl(off + hmax[T]), and D <= (1 + 9u) ef, ef the
+    float distance of (i, j); the slack covers that and the two roundings
+    of the product, so fl(off + root[j]) < cut ef: j's float ratio is below
+    the cut, as a pair judged and skipped has it (see _filter_proves).
+
+    The tests stop for good once _PROBE of them have pruned fewer than _PAY
+    positions each; every later source is judged on its whole ranges."""
+    n = len(up)
+    end = [i + k for i, k in enumerate(size)]
+    hmax = root[:]
+    xlo, ylo = xs[:], ys[:]
+    xhi, yhi = xs[:], ys[:]
+    for c in range(n - 1, 0, -1):
+        a = up[c]
+        if hmax[c] > hmax[a]:
+            hmax[a] = hmax[c]
+        if xlo[c] < xlo[a]:
+            xlo[a] = xlo[c]
+        if xhi[c] > xhi[a]:
+            xhi[a] = xhi[c]
+        if ylo[c] < ylo[a]:
+            ylo[a] = ylo[c]
+        if yhi[c] > yhi[a]:
+            yhi[a] = yhi[c]
+    # hop[c]: the nearest ancestor-or-self of c, not the root, whose subtree
+    # ends before its parent's, so one with later siblings; 0 if none.
+    hop = [0] * n
+    for c in range(1, n):
+        hop[c] = c if end[c] < end[up[c]] else hop[up[c]]
+    judge = _Cut(n)
+    tests = pruned = 0
+    for i in range(n - 1):
+        ri = root[i]
+        runs = [(i + 1, end[i], -ri)]
+        c = hop[i]
+        while c:
+            a = up[c]
+            runs.append((end[c], end[a], ri - 2 * root[a]))
+            c = hop[a]
+        if judge.cut and (tests < _PROBE or pruned >= _PAY * tests):
+            px, py = xs[i], ys[i]
+            bound = judge.cut * _SLACK
+            segs = []
+            for lo, hi, off in runs:
+                x = start = lo
+                while x < hi:
+                    e = end[x]
+                    if e - x <= _BLOCK:
+                        x = e
+                        continue
+                    tests += 1
+                    dx = xlo[x] - px if px < xlo[x] else px - xhi[x] if px > xhi[x] else 0
+                    dy = ylo[x] - py if py < ylo[x] else py - yhi[x] if py > yhi[x] else 0
+                    if off + hmax[x] < bound * gap(dx, dy):
+                        pruned += e - x
+                        if start < x:
+                            segs.append((start, x, off))
+                        start = x = e
+                    else:
+                        x += 1  # keep x, go on to its first child's subtree
+                if start < hi:
+                    segs.append((start, hi, off))
+        else:
+            segs = runs
+        gs: list[float] = []
+        for lo, hi, off in segs:
+            gs += map(add, repeat(off), root[lo:hi])
+        if gs and not judge.judge(i, list(map(truediv, gs, dists(i, segs))),
+                                  (j for lo, hi, _ in segs for j in range(lo, hi))):
+            return None
+    judge.tests = tests
+    return judge
+
+
+def _candidates(dists: Callable, rows: Iterator[tuple[int, list[float]]],
+                adj: list[list[tuple]]) -> Optional[_Cut]:
+    """The float pass of _float_filter on bounded rows, by position of
+    _spanning_tree's preorder: _walk yields (i, row) with row[k] an upper
+    bound on the float distance between positions i and i + 1 + k, and
+    dists(i, ((i + 1, n, 0),)) gives the float distances in its places. The
+    root's row is all math.inf, and a child's is its parent's plus the
+    weight of the edge between them. Before a row is judged, _dijkstra from
+    i over adj, the float weights by position, settles every later position
+    whose bounded ratio reaches the running cut, and the row takes the
+    minimum with what it found, in place, so the children start from it.
+    Only those positions' ratios are recomputed: every other one was below
+    the cut and can only fall, so the largest ratio and the candidates are
+    those of fresh ratios. An entry is thus a float sum along a walk, a
     path from some ancestor plus the tree edges down to i: at most
     (n - 1) + depth(i) <= 2n - 2 terms. The cut only rises, so a pair left
     bounded has a ratio below the cut it is judged against, as a pair on
     exact rows would, and the enclosure is unchanged (see _filter_proves).
-
-    The candidate list is pruned to the current cut whenever it doubles past
-    cap, and the filter declines when more than cap candidates remain."""
-    n = len(order)
-    cap = 4 * n + 256
-    rmax, efmin, cut = 0.0, math.inf, 0.0
-    cands: list[tuple[float, int, int]] = []  # (float ratio, i, j), positions in order
+    None when the candidates are not few."""
+    n = len(adj)
+    judge = _Cut(n)
     for i, row in rows:
         if i == n - 1:
             continue
-        efs = dists(i)
-        efmin = min(efmin, min(efs))
+        efs = dists(i, ((i + 1, n, 0),))
         ratios = list(map(truediv, row, efs))
-        if adj is not None:
-            near = list(compress(range(i + 1, n), map(ge, ratios, repeat(cut))))
-            if near:
-                row[:] = map(min, row, _dijkstra(adj, i, near)[i + 1:])
-                ratios = list(map(truediv, row, efs))
-        top = max(ratios)
-        rmax = max(rmax, top)
-        cut = rmax * (1 - _FILTER_ETA)
-        if top >= cut:
-            cands += [(r, i, j) for j, r in enumerate(ratios, i + 1) if r >= cut]
-            if len(cands) > 2 * cap:
-                cands = [c for c in cands if c[0] >= cut]
-                if len(cands) > cap:
-                    return None
-    if not (efmin > 2.0**-_FILTER_LIMIT and math.isfinite(rmax)):
-        return None
-    pairs: dict[int, list[int]] = {}
-    for r, i, j in cands:
-        if r >= cut:
-            pairs.setdefault(order[i], []).append(order[j])
-    return _Filter(pairs, Fraction(cut), Fraction(efmin), rel_err, abs_err, n, s)
+        near = list(compress(range(i + 1, n), map(ge, ratios, repeat(judge.cut))))
+        if near:
+            row[:] = map(min, row, _dijkstra(adj, i, near)[i + 1:])
+            for j in near:
+                ratios[j - i - 1] = row[j - i - 1] / efs[j - i - 1]
+        if not judge.judge(i, ratios, range(i + 1, n)):
+            return None
+    return judge
 
 
 def _spanning_tree(g: Graph, parent: list) -> tuple[list[int], list[int], list[int]]:
@@ -533,17 +699,35 @@ def _all_pairs(n: int, weights: dict[tuple[int, int], int]) -> list[list[int]]:
 
 def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     """spanning_ratio's enclosures, one per precision: exact rows behind the
-    float filter. Every pair of a tree takes its rows from _walk, rerooted
-    exactly on the integer brackets; other rows come from Dijkstra."""
+    float filter. A tree takes them from its integer root distances R along
+    its breadth-first tree: every pair from _walk, rerooted exactly, and the
+    candidates as R[u] + R[v] - 2 R[lca]. Other rows come from Dijkstra."""
     g, n = d.graph, d.graph.n
 
     def rows(lo_w, hi_w, groups):
-        if groups is None and g.m == n - 1:
+        if g.m == n - 1:
             order, up, size = _spanning_tree(g, bfs_parents(g))
-            walks = [_walk(up, size, w_up, root[1:], sub)
-                     for w_up, root in (_tree_weights(order, up, lo_w), _tree_weights(order, up, hi_w))]
-            for (i, row_lo), (_, row_hi) in zip(*walks):
-                yield order[i], order[i + 1:], row_lo, row_hi
+            (w_lo, r_lo), (w_hi, r_hi) = _tree_weights(order, up, lo_w), _tree_weights(order, up, hi_w)
+            if groups is None:
+                walks = _walk(up, size, w_lo, r_lo[1:], sub), _walk(up, size, w_hi, r_hi[1:], sub)
+                for (i, row_lo), (_, row_hi) in zip(*walks):
+                    yield order[i], order[i + 1:], row_lo, row_hi
+                return
+            pos = [0] * n
+            for i, v in enumerate(order):
+                pos[v] = i
+
+            def lca(i: int, j: int) -> int:
+                while not i <= j < i + size[i]:
+                    i = up[i]
+                return i
+
+            for u, targets in groups:
+                i = pos[u]
+                js = [pos[v] for v in targets]
+                tops = [lca(i, j) for j in js]
+                yield (u, targets, [r_lo[i] + r_lo[j] - 2 * r_lo[a] for j, a in zip(js, tops)],
+                       [r_hi[i] + r_hi[j] - 2 * r_hi[a] for j, a in zip(js, tops)])
             return
         adj_lo, adj_hi = _weighted_adj(n, lo_w), _weighted_adj(n, hi_w)
         for u, targets in _every(n) if groups is None else groups:
@@ -698,38 +882,10 @@ def bounding_box(d: Drawing) -> tuple[Fraction, Fraction, tuple]:
     return (xmax - xmin, ymax - ymin, ((xmin, ymin), (xmax, ymax)))
 
 
-def _closest_sq(coords: Sequence[IntPoint]) -> int:
-    """Least squared distance between two of at least 2 points.
-
-    A plane sweep in x order (Hinrichs, Nievergelt and Schorn, IPL 1988):
-    the window holds, sorted by (y, x), the points left of the sweep whose
-    squared x gap is below the best so far, and each point is compared only
-    with the window's points within that distance in y. Those are at most 8
-    (they are at least that distance apart), so it takes O(n log n)
-    comparisons whichever axis the points spread along.
-    """
-    pts = sorted(coords)
-    best = dist_sq(pts[0], pts[1])
-    window: list[IntPoint] = []  # (y, x) of pts[tail] up to the current point
-    tail = 0
-    for x, y in pts:
-        if best == 0:
-            return 0
-        while (x - pts[tail][0]) ** 2 >= best:
-            qx, qy = pts[tail]
-            del window[bisect_left(window, (qy, qx))]
-            tail += 1
-        r = math.isqrt(best - 1)  # dy**2 < best iff |dy| <= r
-        for q in window[bisect_left(window, (y - r,)):bisect_left(window, (y + r + 1,))]:
-            best = min(best, dist_sq((y, x), q))  # swapping both points' axes keeps it
-        insort(window, (y, x))
-    return best
-
-
 def min_pairwise_distance_sq(d: Drawing) -> Fraction:
     if d.graph.n < 2:
         raise ValueError("needs at least 2 vertices")
-    return Fraction(_closest_sq(d.points), d.den**2)
+    return Fraction(d.closest_sq, d.den**2)
 
 
 def compute_metrics(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> MetricReport:

@@ -18,10 +18,11 @@ from conftest import (
     random_tree,
     stacked_triangulation,
 )
+from spannerdraw import drawing as drawing_module
 from spannerdraw import metrics
 from spannerdraw.drawing import Drawing
 from spannerdraw.exact import Interval, format_rational, isqrt_scaled, sqrt_interval
-from spannerdraw.geometry import dist_sq, in_segment_interior, segments_cross_improperly
+from spannerdraw.geometry import closest_pair_sq, dist_sq, in_segment_interior, segments_cross_improperly
 from spannerdraw.graph import Graph, RootedTree
 from spannerdraw.layout import Epsilon, draw_planar_spanner, draw_proper_spanner, draw_tree_planar
 from spannerdraw.metrics import (
@@ -111,7 +112,8 @@ class TestSpanningRatio:
 
     def test_tree_rows_rerooted_on_integers(self, monkeypatch):
         # Every pair of a tree takes integer rows rerooted along its
-        # preorder: a tree whose filter declines runs no Dijkstra.
+        # preorder, and its candidates take root distances: a tree whose
+        # filter declines, or proves on its root distances, runs no Dijkstra.
         calls = Counter()
         dijkstra = metrics._dijkstra
 
@@ -121,15 +123,19 @@ class TestSpanningRatio:
 
         monkeypatch.setattr(metrics, "_dijkstra", counted)
         path = drawing(60, [(i, i + 1) for i in range(59)], [(i, 0) for i in range(60)])
-        assert metrics._float_filter(path.graph, path.points) is None  # every pair ties
+        assert metrics._float_filter(path.graph, path.points, path.closest_sq) is None  # every pair ties
         a = spanning_ratio(path)
         assert a.lo == a.hi == 1 and calls["dijkstra"] == 0
+        for n in (2, 30, 120):
+            d = draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
+            a, b = spanning_ratio(d), spanning_ratio_oracle(d)
+            assert (a.lo, a.hi) == (b.lo, b.hi) and calls["dijkstra"] == 0, n
         zigzag = zigzag_tree(40)  # filtered on bounded rows, with Dijkstra
         a, b = spanning_ratio(zigzag), spanning_ratio_oracle(zigzag)
         assert (a.lo, a.hi) == (b.lo, b.hi)
         calls.clear()
         # With no filter at all, every precision scans every pair.
-        monkeypatch.setattr(metrics, "_float_filter", lambda g, coords: None)
+        monkeypatch.setattr(metrics, "_float_filter", lambda g, coords, closest: None)
         trees = [zigzag, two_scales(F(2**40 + 12345), F(1, 10**6))]
         trees += [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
                   for n in (2, 7, 40)]
@@ -311,9 +317,9 @@ class TestFloatFilter:
             coords, L = d.points, d.den
             if len(set(coords)) < g.n:
                 continue
-            flt = metrics._float_filter(g, coords)
+            closest = d.closest_sq
+            flt = metrics._float_filter(g, coords, closest)
             every = [(u, range(u + 1, g.n)) for u in range(g.n)]
-            closest = metrics._closest_sq(coords)
             for bits in range(1, 60):
                 if 4**bits * closest < L * L:
                     continue  # a pair brackets to 0: no enclosure runs at these bits
@@ -393,7 +399,7 @@ def oracle_candidates(coords, dist, order, rows, abs_err, s):
         if r >= cut:
             pairs.setdefault(order[i], []).append(order[j])
             kept[(order[i], order[j])] = r
-    flt = metrics._Filter(pairs, F(cut), F(efmin), (n + 8) * metrics._U, abs_err, n, s)
+    flt = metrics._Filter(pairs, F(cut), F(efmin), (n + 8) * metrics._U, abs_err, n, s, n * (n - 1) // 2, 0)
     return flt, kept
 
 
@@ -451,11 +457,26 @@ def random_points(n, bits, seed):
     return sorted(points, key=lambda p: rng.random())
 
 
+def assert_keeps_oracle_candidates(flt, ref, ratios, k):
+    """flt, a filter of _float_filter, against the oracle's filter ref and
+    ratios: the cuts agree within 2**-40, efmin is at most the oracle's least
+    float distance and within 2**-40 of it, and every oracle pair above the
+    cut by more than 2**-40 is a candidate."""
+    assert flt is not None and ref is not None, k
+    assert abs(flt.cut / ref.cut - 1) <= F(1, 2**40), k
+    assert ref.efmin * (1 - F(1, 2**40)) <= flt.efmin <= ref.efmin, k
+    assert (flt.n, flt.s) == (ref.n, ref.s), k
+    pairs = {(u, v) for u, vs in flt.pairs.items() for v in vs}
+    for (u, v), r in ratios.items():
+        if F(r) >= flt.cut * (1 + F(1, 2**40)):
+            assert (u, v) in pairs or (v, u) in pairs, (k, u, v)
+
+
 class TestFloatFilterOracle:
     """_float_filter walks a spanning tree and runs Dijkstra only near the
     cut; float_filter_oracle is the full-row pass it replaced."""
 
-    def test_tree_filters_equal_oracle(self):
+    def test_tree_filters_keep_oracle_candidates(self):
         cases = [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
                  for n in (30, 120, 300)]
         # Below 2**53 the filter takes math.dist of float points, whose
@@ -464,10 +485,24 @@ class TestFloatFilterOracle:
             for n in (2, 9, 40, 130):
                 g = random_tree(n, 4, 100 * k + n)
                 cases.append(Drawing(g, tuple(random_points(n, bits, 100 * k + n))))
+        # One range per source on a path, n - 1 subtrees of one vertex at
+        # the center of a star, and a caterpillar: spine 40 .. 79, leaf i on
+        # spine vertex 40 + i, rooted at leaf 0. The walk takes each spine
+        # child before its leaf, so a source deep on the spine has a range
+        # at every ancestor (up to 39).
+        spine = [(40 + i, 41 + i) for i in range(39)]
+        shapes = [Graph.from_edges(80, [(i, i + 1) for i in range(79)]),
+                  Graph.from_edges(80, [(0, i) for i in range(1, 80)]),
+                  Graph.from_edges(80, spine + [(i, 40 + i) for i in range(40)])]
+        for k, g in enumerate(shapes):
+            cases.append(Drawing(g, tuple(random_points(g.n, 30, 900 + k))))
+        cases.append(zigzag_tree(12))
         for k, d in enumerate(cases):
-            ref, _ = float_filter_oracle(d.graph, d.points)
-            assert ref is not None and ref.abs_err > 0, k  # rerooted rows
-            assert metrics._float_filter(d.graph, d.points) == ref, k
+            n = d.graph.n
+            flt = metrics._float_filter(d.graph, d.points, d.closest_sq)
+            ref, ratios = float_filter_oracle(d.graph, d.points)
+            assert_keeps_oracle_candidates(flt, ref, ratios, k)
+            assert ref.abs_err > 0 and flt.abs_err > 0 and flt.rel_err == (n + 8) * metrics._U, k
 
     def test_graph_filters_keep_oracle_candidates(self):
         cases = [random_drawing(4 + seed % 12, seed) for seed in range(20)]
@@ -480,25 +515,19 @@ class TestFloatFilterOracle:
         for k, bits in enumerate((30, 53, 60)):
             g = random_connected_graph(50, 40, k)
             cases.append(Drawing(g, tuple(random_points(50, bits, k))))
-        # Trees whose rerooting error is too large take the bounded rows.
+        # Trees whose rounding error is too large take the bounded rows.
         cases += [zigzag_tree(40), two_scales(F(2**40 + 12345), F(1, 10**6))]
         bounded = 0
         for k, d in enumerate(cases):
             g, n = d.graph, d.graph.n
-            flt = metrics._float_filter(g, d.points)
+            flt = metrics._float_filter(g, d.points, d.closest_sq)
             ref, ratios = float_filter_oracle(g, d.points)
-            assert flt is not None and ref is not None, k
-            if ref.abs_err:  # a tree on rerooted rows
-                assert flt == ref, k
+            assert_keeps_oracle_candidates(flt, ref, ratios, k)
+            assert bool(flt.abs_err) == bool(ref.abs_err), k
+            if ref.abs_err:  # a tree on its root distances
                 continue
             bounded += 1
-            assert abs(flt.cut / ref.cut - 1) <= F(1, 2**40), k
-            assert (flt.efmin, flt.n, flt.s) == (ref.efmin, ref.n, ref.s), k
             assert (flt.rel_err, flt.abs_err) == ((2 * n + 8) * metrics._U, 0), k
-            pairs = {(u, v) for u, vs in flt.pairs.items() for v in vs}
-            for (u, v), r in ratios.items():
-                if F(r) >= flt.cut * (1 + F(1, 2**40)):
-                    assert (u, v) in pairs or (v, u) in pairs, (k, u, v)
         assert bounded >= len(cases) - 10, (bounded, len(cases))
 
     def test_dijkstra_work_counts(self, monkeypatch):
@@ -519,8 +548,55 @@ class TestFloatFilterOracle:
         # 0.027 n**2 (172), as its Dijkstra still does (175) without Prim's.
         for d, share in ((planar, 0.15), (proper, 0.1)):
             pops.clear()
-            assert metrics._float_filter(d.graph, d.points) is not None
+            assert metrics._float_filter(d.graph, d.points, d.closest_sq) is not None
             assert 0 < pops["pops"] <= share * d.graph.n ** 2, (pops, d.graph.n)
+
+    def test_tree_pass_work_counts(self):
+        # Counted, not timed: the float ratios judged and the subtree tests
+        # run. A planar tree drawing prunes most pairs: 6.0-6.5% are judged.
+        n, pairs = 300, 300 * 299 // 2
+        for seed in (300, 301, 7):
+            d = draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, seed), 0), Epsilon(1))
+            flt = metrics._float_filter(d.graph, d.points, d.closest_sq)
+            assert flt.abs_err > 0 and 0 < flt.judged <= 0.25 * pairs, (seed, flt.judged)
+        # Random points: a subtree's box holds most sources, so almost
+        # nothing prunes, and the tests stop after _PROBE and the source
+        # that passes it (measured: 278-290 of them).
+        for k, bits in enumerate((20, 60, 1200)):
+            g = random_tree(n, 2 + k, bits)
+            points = random_points(n, bits, bits)
+            flt = metrics._float_filter(g, points, closest_pair_sq(points))
+            assert flt.abs_err > 0 and flt.judged >= 0.9 * pairs, k
+            assert metrics._PROBE <= flt.tests < 2 * metrics._PROBE, (k, flt.tests)
+
+    def test_pruning_keeps_its_margin(self):
+        # A subtree whose bound is below the cut by less than 2**-48 is
+        # judged, not skipped: the margin covers the rounding of the box
+        # distance. Position 0 is the root at the origin, 1 a leaf at
+        # (-1, 0), and 2 .. 21 a path along the x axis, so every float ratio
+        # is 1 and the cut after the root is 1 - 2**-20. From the leaf the
+        # path's subtree (off 1, largest root distance 20) is tested once,
+        # against the distance gap returns first: one that puts its bound
+        # 2**-49 below the cut.
+        n = 22
+        up = [0, 0, 0] + list(range(2, 21))
+        size = [n, 1] + list(range(20, 0, -1))
+        xs = [0.0, -1.0] + [float(k) for k in range(1, 21)]
+        ys = [0.0] * n
+        root = [abs(x) for x in xs]
+        cut = 1 - 2.0**-20
+        gaps = []
+
+        def gap(dx, dy):
+            gaps.append((dx, dy))
+            return 21 / (cut * (1 - 2.0**-49)) if len(gaps) == 1 else 0.0
+
+        def dists(i, segs):
+            return [abs(xs[j] - xs[i]) for lo, hi, _ in segs for j in range(lo, hi)]
+
+        judge = metrics._tree_candidates(up, size, root, xs, ys, gap, dists)
+        assert gaps[0] == (2.0, 0) and judge.tests == len(gaps)
+        assert judge.judged == n * (n - 1) // 2 and judge.cut == cut
 
     @pytest.fixture
     def walk_trees(self, monkeypatch):
@@ -553,7 +629,7 @@ class TestFloatFilterOracle:
                 return math.hypot((x0 - x1) / 2**s, (y0 - y1) / 2**s)
 
             walk_trees.clear()
-            metrics._float_filter(g, d.points)
+            metrics._float_filter(g, d.points, d.closest_sq)
             [(order, up, size)] = walk_trees
             walk = [(order[i], order[up[i]]) for i in range(1, n)]
             assert sorted(order) == list(range(n)) and all(up[i] < i for i in range(1, n)), k
@@ -569,7 +645,8 @@ class TestFloatFilterOracle:
         # digest of the walk trees' (order, up, size) was recorded when the
         # filter walked the breadth-first tree of every graph.
         for k, n in enumerate((2, 3, 9, 40, 130, 300) * 2):
-            metrics._float_filter(random_tree(n, 2 + k % 4, 700 + k), random_points(n, 30, k))
+            points = random_points(n, 30, k)
+            metrics._float_filter(random_tree(n, 2 + k % 4, 700 + k), points, closest_pair_sq(points))
         digest = hashlib.sha256(repr(walk_trees).encode()).hexdigest()
         assert digest == "a27e129fbaf72f690f6eeeceb460e0054052630e78984e524c85b81db1226eeb"
 
@@ -714,7 +791,7 @@ def grid_drawings(draw):
 
 
 class TestSweepsMatchOracles:
-    """is_planar_drawing, is_proper_drawing and _closest_sq sweep the points;
+    """is_planar_drawing, is_proper_drawing and closest_pair_sq sweep the points;
     each must give the verdict or value of the scan it replaced."""
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -722,7 +799,7 @@ class TestSweepsMatchOracles:
     def test_degenerate_grid_drawings(self, d):
         assert is_planar_drawing(d) == planar_oracle(d)
         assert is_proper_drawing(d) == proper_oracle(d)
-        assert metrics._closest_sq(d.points) == closest_sq_oracle(d.points)
+        assert closest_pair_sq(d.points) == closest_sq_oracle(d.points)
 
     def test_planar_spanner_drawings(self):
         # Each vertex sits far above the ones before it: y spreads
@@ -733,7 +810,7 @@ class TestSweepsMatchOracles:
                 d = draw_planar_spanner(g, Epsilon(eps))
                 assert is_planar_drawing(d) and planar_oracle(d), k
                 assert is_proper_drawing(d) == proper_oracle(d), k
-                assert metrics._closest_sq(d.points) == closest_sq_oracle(d.points), k
+                assert closest_pair_sq(d.points) == closest_sq_oracle(d.points), k
                 # The last vertex moved to the midpoint of an edge away from
                 # it: its own edges now end inside that edge.
                 w = g.n - 1
@@ -743,7 +820,7 @@ class TestSweepsMatchOracles:
                 bent = Drawing(g, tuple(pts), 2 * d.den)
                 assert is_planar_drawing(bent) == planar_oracle(bent) is False, k
                 assert is_proper_drawing(bent) == proper_oracle(bent) is False, k
-                assert metrics._closest_sq(bent.points) == closest_sq_oracle(bent.points), k
+                assert closest_pair_sq(bent.points) == closest_sq_oracle(bent.points), k
 
     def test_work_counts(self, monkeypatch):
         # Counted, not timed: a quadratic scan in place of a sweep fails here.
@@ -762,7 +839,7 @@ class TestSweepsMatchOracles:
         monkeypatch.setattr(metrics, "dist_sq", counted("dist_sq", metrics.dist_sq))
         assert is_planar_drawing(d)
         assert 0 < calls["cross"] <= 3 * g.m, (calls, g.m)
-        assert metrics._closest_sq(d.points) == closest_sq_oracle(d.points)
+        assert closest_pair_sq(d.points) == closest_sq_oracle(d.points)
         # At most 8 window points are compared with each point.
         assert calls["dist_sq"] <= 8 * g.n, (calls, g.n)
 
@@ -813,6 +890,19 @@ class TestComputeMetrics:
         assert r.width == 1 and r.height == 1
         assert r.min_pairwise_distance_sq == 1
         assert not r.spanning_ratio.is_infinite
+
+    def test_one_closest_pair_per_report(self, monkeypatch):
+        # The spanning ratio's shift and efmin, and the minimum distance,
+        # share one closest-pair sweep.
+        calls = []
+        monkeypatch.setattr(drawing_module, "closest_pair_sq",
+                            lambda points: calls.append(1) or closest_pair_sq(points))
+        for d in (draw_tree_planar(RootedTree.from_graph(random_tree(40, 3, 40), 0), Epsilon(1)),
+                  random_drawing(9, 4), drawing(2, [(0, 1)], [(0, 0), (0, 0)])):
+            calls.clear()
+            r = compute_metrics(d)
+            assert len(calls) == 1
+            assert r.min_pairwise_distance_sq == F(closest_sq_oracle(d.points), d.den**2)
 
     def test_coincident_report(self):
         d = drawing(2, [(0, 1)], [(0, 0), (0, 0)])
