@@ -37,7 +37,6 @@ from .graph import (
     Graph,
     RootedTree,
     degree_bounded_spanning_tree,
-    edge_separator,
     hamiltonian_path,
     is_connected,
     toughness_bruteforce,

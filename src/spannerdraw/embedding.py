@@ -41,22 +41,6 @@ class RotationSystem:
     rotation: tuple[tuple[int, ...], ...]
     outer_face: tuple[tuple[int, int], ...]  # directed edge walk
 
-    def faces(self) -> list[tuple[tuple[int, int], ...]]:
-        seen: set[tuple[int, int]] = set()
-        out = []
-        for u in range(self.graph.n):
-            for v in self.graph.adj[u]:
-                if (u, v) in seen:
-                    continue
-                f = _face(self.rotation, u, v)
-                seen.update(f)
-                out.append(f)
-        return out
-
-    def euler_ok(self) -> bool:
-        g = self.graph
-        return g.n - g.m + len(self.faces()) == 2
-
 
 def _face(rotation: tuple[tuple[int, ...], ...], u: int, v: int) -> tuple[tuple[int, int], ...]:
     """The face walk of a rotation system containing directed edge (u, v)."""

@@ -171,11 +171,6 @@ def _load_json(path: str):
             raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def save_drawing(d: Drawing, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(drawing_to_obj(d)))
-
-
 MAX_VIEWPORT = 10**6
 
 

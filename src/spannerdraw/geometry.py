@@ -21,18 +21,17 @@ def orientation(a: IntPoint, b: IntPoint, c: IntPoint) -> int:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def collinear(a: IntPoint, b: IntPoint, c: IntPoint) -> bool:
-    return orientation(a, b, c) == 0
-
-
-def on_segment_closed(a: IntPoint, b: IntPoint, p: IntPoint) -> bool:
-    """True iff p lies on the closed segment ab (a, b may coincide)."""
-    if orientation(a, b, p) != 0:
-        return False
+def _in_box(a: IntPoint, b: IntPoint, p: IntPoint) -> bool:
+    """True iff p lies in the closed axis-parallel bounding box of a and b."""
     return (
         min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
         and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
     )
+
+
+def on_segment_closed(a: IntPoint, b: IntPoint, p: IntPoint) -> bool:
+    """True iff p lies on the closed segment ab (a, b may coincide)."""
+    return orientation(a, b, p) == 0 and _in_box(a, b, p)
 
 
 def in_segment_interior(a: IntPoint, b: IntPoint, p: IntPoint) -> bool:
@@ -49,7 +48,6 @@ def segments_cross_improperly(a: IntPoint, b: IntPoint, c: IntPoint, d: IntPoint
     both segments: two equal segments share both ends and are not flagged,
     though they overlap.
     """
-    shared = {p for p in (a, b) if p in (c, d)}
     o1 = orientation(a, b, c)
     o2 = orientation(a, b, d)
     o3 = orientation(c, d, a)
@@ -57,11 +55,11 @@ def segments_cross_improperly(a: IntPoint, b: IntPoint, c: IntPoint, d: IntPoint
     if ((o1 > 0) != (o2 > 0) and o1 != 0 and o2 != 0
             and (o3 > 0) != (o4 > 0) and o3 != 0 and o4 != 0):
         return True
-    # Collinear / endpoint contacts.
-    for p, (s, t) in ((c, (a, b)), (d, (a, b)), (a, (c, d)), (b, (c, d))):
-        if p in shared:
-            continue
-        if on_segment_closed(s, t, p):
+    # Contacts: an end p of one segment on the other one, st, with o the
+    # orientation of (s, t, p), except at an end of st, which makes p a
+    # common endpoint.
+    for o, p, s, t in ((o1, c, a, b), (o2, d, a, b), (o3, a, c, d), (o4, b, c, d)):
+        if o == 0 and p != s and p != t and _in_box(s, t, p):
             return True
     return False
 

@@ -93,12 +93,6 @@ class RootedTree:
     def n(self) -> int:
         return self.graph.n
 
-    def subtree_sizes(self) -> list[int]:
-        size = [1] * self.n
-        for v in reversed(preorder(self.children, self.root)):
-            size[v] += sum(size[c] for c in self.children[v])
-        return size
-
     def rerooted(self, new_root: int) -> "RootedTree":
         return RootedTree.from_graph(self.graph, new_root)
 
@@ -224,48 +218,6 @@ def hamiltonian_path(g: Graph) -> Optional[list[int]]:
         e = ends[mask] & nbr[v]
     path.reverse()
     return path
-
-
-def edge_separator(t: RootedTree, d: int) -> tuple[int, int]:
-    """Tree edge (u, v), u on the root side, splitting t into parts of size <= ceil((d-1)/d * n).
-
-    Among valid edges the one minimizing the larger part is chosen, ties broken
-    by smallest (u, v).
-    """
-    n = t.n
-    if n < 2:
-        raise ValueError("edge_separator needs at least 2 vertices")
-    if t.graph.max_degree() > d:
-        raise ValueError(f"tree max degree {t.graph.max_degree()} exceeds d={d}")
-    size = t.subtree_sizes()
-    best: Optional[tuple[int, int, int]] = None  # (larger part, u, v)
-    for v in range(n):
-        p = t.parent[v]
-        if p is None:
-            continue
-        larger = max(size[v], n - size[v])
-        key = (larger, p, v)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    larger, u, v = best
-    bound = -((-(d - 1) * n) // d)  # ceil((d-1)/d * n)
-    assert larger <= bound, f"separator bound violated: {larger} > {bound}"
-    return (u, v)
-
-
-def split_at_edge(t: RootedTree, u: int, v: int) -> tuple[list[int], list[int]]:
-    """Vertex sets of the two components of t minus edge (u, v); first contains the root."""
-    assert t.parent[v] == u
-    sub = []
-    stack = [v]
-    while stack:
-        w = stack.pop()
-        sub.append(w)
-        stack.extend(t.children[w])
-    sub_set = set(sub)
-    rest = [w for w in range(t.n) if w not in sub_set]
-    return rest, sub
 
 
 def degree_bounded_spanning_tree(g: Graph, d_target: int) -> RootedTree:

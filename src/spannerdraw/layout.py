@@ -218,10 +218,11 @@ def draw_tree_proper(t: RootedTree, eps: Epsilon) -> Drawing:
 
 def _separator_index(vs: list[int], parent: Sequence[Optional[int]], size: list[int]) -> int:
     """Index in the preorder `vs` of the lower endpoint v of the separator edge
-    that `graph.edge_separator` picks for the subtree spanned by `vs`.
+    of the subtree spanned by `vs`: the edge (parent of v, v) that minimizes
+    the larger of its two parts, ties going to the least parent id, then the
+    least v. With at most d neighbors per vertex, neither part of m vertices
+    exceeds ceil((d - 1) / d * m).
 
-    That rule minimizes (larger part, parent of v, v) over local labels, which
-    are the ranks of the vertex ids, so comparing the ids gives the same edge.
     Leaves size[w] set to the size of w's subtree within `vs`.
     """
     m = len(vs)

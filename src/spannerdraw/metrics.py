@@ -85,10 +85,6 @@ _START_BITS = 64
 _MAX_BITS = 16384
 
 
-def has_coincident_vertices(d: Drawing) -> bool:
-    return coincident(d.points)
-
-
 @dataclass(frozen=True)
 class MetricReport:
     spanning_ratio: Optional[Interval]
@@ -701,7 +697,8 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     """spanning_ratio's enclosures, one per precision: exact rows behind the
     float filter. A tree takes them from its integer root distances R along
     its breadth-first tree: every pair from _walk, rerooted exactly, and the
-    candidates as R[u] + R[v] - 2 R[lca]. Other rows come from Dijkstra."""
+    candidates as R[u] + R[v] - 2 R[lca]. Other rows come from Dijkstra,
+    stopped once their targets are settled."""
     g, n = d.graph, d.graph.n
 
     def rows(lo_w, hi_w, groups):
@@ -731,7 +728,7 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
             return
         adj_lo, adj_hi = _weighted_adj(n, lo_w), _weighted_adj(n, hi_w)
         for u, targets in _every(n) if groups is None else groups:
-            dist_lo, dist_hi = _dijkstra(adj_lo, u), _dijkstra(adj_hi, u)
+            dist_lo, dist_hi = _dijkstra(adj_lo, u, targets), _dijkstra(adj_hi, u, targets)
             yield u, targets, [dist_lo[v] for v in targets], [dist_hi[v] for v in targets]
 
     return _ratio_enclosures(d, _START_BITS, rows, _float_filter)

@@ -11,8 +11,6 @@ import math
 import time
 from fractions import Fraction
 
-import pytest
-
 from conftest import (
     random_connected_graph,
     random_connected_planar_graph,

@@ -198,6 +198,17 @@ class TestRecognizePlanarSr1:
         k5 = Graph.from_edges(5, list(itertools.combinations(range(5), 2)))
         assert not recognize_planar_sr1(k5)
 
+    def test_dense_graphs_false_by_edge_count(self, monkeypatch):
+        # Every admissible class has at most 3n - 6 edges, so a complete
+        # graph on 5 or more vertices is refused before any apex is tried.
+        def refuse(g, apex_count):
+            raise AssertionError("fan decomposition tried")
+
+        monkeypatch.setattr(bounds, "_fan_decomposition", refuse)
+        for n in range(5, 41):
+            kn = Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
+            assert not recognize_planar_sr1(kn), n
+
     def test_c4_and_claw_false(self):
         c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert not recognize_planar_sr1(c4)

@@ -41,10 +41,10 @@ class TestRoundTrip:
         # 10**5000 has more digits than int() parses from a string by default.
         g = Graph.from_edges(2, [(0, 1)])
         d = Drawing.of(g, [(0, F(-1, 3)), (10**5000, F(1, 10**5000 + 1))])
-        path = str(tmp_path / "d.json")
-        fileio.save_drawing(d, path)
-        assert fileio.load_drawing(path) == d
-        assert cli.main(["metrics", path]) == 0
+        path = tmp_path / "d.json"
+        path.write_text(fileio.serialize(fileio.drawing_to_obj(d)), encoding="utf-8")
+        assert fileio.load_drawing(str(path)) == d
+        assert cli.main(["metrics", str(path)]) == 0
         assert len(fileio.format_rational(F(1, 10**100000))) <= fileio.MAX_RATIONAL_CHARS
 
     def test_overlong_coordinate_exits_2(self, tmp_path):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_connected_graph, random_tree
+from oracles import edge_separator, split_at_edge, subtree_sizes
 from spannerdraw import graph
 from spannerdraw.errors import DegreeTargetMissed, InstanceTooLarge, NotATreeError
 from spannerdraw.graph import (
@@ -18,10 +19,8 @@ from spannerdraw.graph import (
     bfs_parents,
     connected_components,
     degree_bounded_spanning_tree,
-    edge_separator,
     hamiltonian_path,
     is_connected,
-    split_at_edge,
     toughness_bruteforce,
 )
 
@@ -173,7 +172,7 @@ class TestRootedTree:
     def test_parent_children_and_sizes(self):
         t = RootedTree.from_graph(path_graph(4), 0)
         assert t.parent == [None, 0, 1, 2]
-        assert t.subtree_sizes() == [4, 3, 2, 1]
+        assert subtree_sizes(t) == [4, 3, 2, 1]
 
     def test_rejects_non_tree(self):
         with pytest.raises(NotATreeError):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_connected_graph, random_connected_planar_graph, random_tree
+from oracles import edge_separator, split_at_edge
 from spannerdraw.bounds import planar_sr1_witness, sr1_witness
 from spannerdraw.drawing import Drawing
 from spannerdraw.embedding import augment_to_maximal_with_canonical_order
@@ -15,10 +16,8 @@ from spannerdraw.geometry import dist_sq
 from spannerdraw.graph import (
     Graph,
     RootedTree,
-    edge_separator,
     hamiltonian_path,
     path_order,
-    split_at_edge,
 )
 from spannerdraw.layout import (
     _LEG_BITS,

@@ -4,6 +4,7 @@ import ast
 import re
 import sys
 from pathlib import Path
+from typing import Callable, Iterable
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "spannerdraw"
@@ -31,9 +32,11 @@ def test_unused_imports_found():
 
 def test_no_unused_imports():
     # __init__.py imports to re-export.
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    unused = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in modules}
+    package = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    files = sorted([*package, *TESTS.glob("*.py"), *DEMOS.glob("*.py")])
+    assert package and len(files) > len(package)
+    unused = {str(p.relative_to(TESTS.parent)): unused_imports(p.read_text(encoding="utf-8"))
+              for p in files}
     assert {name: names for name, names in unused.items() if names} == {}
 
 
@@ -105,18 +108,42 @@ def references(node: ast.AST) -> set[str]:
     return read
 
 
-def dead_private_helpers(sources: dict[str, str]) -> list[str]:
-    """module:name for each private module-level definition that no
-    statement of any module reads, other than the definition itself."""
+def public_functions(node: ast.stmt) -> list[str]:
+    """The name of a module-level function that does not start with an
+    underscore; classes and their methods are not looked at."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+        return [node.name]
+    return []
+
+
+def unread_definitions(sources: dict[str, str], defined: Callable[[ast.stmt], list[str]],
+                       readers: Iterable[str] = ()) -> list[str]:
+    """module:name for each name that defined(statement) gives for a
+    module-level statement of sources, and that neither another statement
+    of any source nor any of the reader sources reads."""
     statements = [(module, node) for module, source in sources.items()
                   for node in ast.parse(source).body]
     read = [references(node) for _, node in statements]
+    outside = set().union(*(references(ast.parse(source)) for source in readers))
     return sorted(
         f"{module}:{name}"
         for i, (module, node) in enumerate(statements)
-        for name in private_names(node)
-        if not any(name in r for j, r in enumerate(read) if j != i)
+        for name in defined(node)
+        if name not in outside and not any(name in r for j, r in enumerate(read) if j != i)
     )
+
+
+def dead_private_helpers(sources: dict[str, str]) -> list[str]:
+    """module:name for each private module-level definition that no
+    statement of any module reads, other than the definition itself."""
+    return unread_definitions(sources, private_names)
+
+
+def unread_public_functions(package: dict[str, str], readers: Iterable[str]) -> list[str]:
+    """module:name for each public module-level function of the package that
+    no other statement of the package, and no reader, reads. __init__'s
+    re-exports read the names they export; the tests are not readers."""
+    return unread_definitions(package, public_functions, readers)
 
 
 def test_dead_private_helpers_found():
@@ -130,6 +157,27 @@ def test_dead_private_helpers_found():
 def test_no_dead_private_helpers():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert dead_private_helpers(sources) == []
+
+
+def test_unread_public_functions_found():
+    package = {
+        "__init__": "from .a import exported\n",
+        "a": ("def exported(): pass\ndef read(): pass\ndef demoed(): pass\n"
+              "def unread(): return unread()\ndef _private(): pass\n"
+              "class C:\n    def method(self): pass\n"),
+        "b": "from .a import read\nK = read\n",
+    }
+    demo = "import a\na.demoed()\n"
+    assert unread_public_functions(package, [demo]) == ["a:unread"]
+
+
+def test_no_unread_public_functions():
+    # Only what the package, its CLI or a demo reads ships in src/; a
+    # function only the tests read belongs in tests/oracles.py.
+    package = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    demos = [p.read_text(encoding="utf-8") for p in sorted(DEMOS.glob("*.py"))]
+    assert demos
+    assert unread_public_functions(package, demos) == []
 
 
 def self_calls(source: str) -> list[str]:
