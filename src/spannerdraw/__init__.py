@@ -23,11 +23,11 @@ from .embedding import (
     planarity_test_embed,
 )
 from .errors import (
-    DegreeTargetMissed,
     InstanceTooLarge,
     NotATreeError,
     NotConnectedError,
     NotPlanarError,
+    PreconditionError,
     SpannerDrawError,
     TooSmallError,
     ZeroLengthEdgeError,

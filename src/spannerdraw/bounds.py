@@ -187,7 +187,7 @@ def planar_sr1_witness(g: Graph) -> Optional[Drawing]:
     # Every admissible class has at most 3n - 6 edges (the double fan with
     # its apex edge); below that, at most 6 vertices have degree n - 2 or
     # more, so _fan_decomposition tries at most 15 apex pairs.
-    if n == 0 or (n >= 3 and g.m > 3 * n - 6):
+    if n >= 3 and g.m > 3 * n - 6:
         return None
     order = path_order(g)
     if order is not None:

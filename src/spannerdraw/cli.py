@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 parse/usage error, 3 precondition violation
-(NotPlanar, NotConnected, NotATree, InstanceTooLarge, a zero-length edge in
-verify, ...), 4 internal inconsistency, 5 I/O error.
+Exit codes: 0 success, 2 parse/usage error, 3 precondition violation (any
+errors.PreconditionError: a graph that is not planar, connected or a tree, a
+zero-length edge or a disconnected drawing in verify, an instance too large
+for an exact routine, a tolerance the precision cap cannot reach), 4 internal
+inconsistency, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -15,15 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import bounds, fileio, layout, metrics
-from .errors import (
-    InstanceTooLarge,
-    NotATreeError,
-    NotConnectedError,
-    NotPlanarError,
-    SpannerDrawError,
-    TooSmallError,
-    ZeroLengthEdgeError,
-)
+from .errors import PreconditionError
 from .exact import Interval, format_rational
 from .graph import RootedTree
 
@@ -272,14 +266,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except fileio.FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (NotPlanarError, NotConnectedError, NotATreeError, TooSmallError,
-            ZeroLengthEdgeError, InstanceTooLarge) as exc:
+    except PreconditionError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (AssertionError, SpannerDrawError) as exc:
+    except AssertionError as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

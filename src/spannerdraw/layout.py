@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .drawing import Drawing
 from .embedding import augment_to_maximal_with_canonical_order
-from .errors import DegreeTargetMissed, NotConnectedError, TooSmallError
+from .errors import NotConnectedError, TooSmallError
 from .exact import isqrt_scaled
 from .geometry import IntPoint, on_line_through_two
 from .graph import (
@@ -295,18 +295,15 @@ def draw_graph_via_tough_tree(g: Graph, d_target: int, eps: Epsilon) -> ToughDra
         raise TooSmallError("the tough-tree construction requires at least 1 vertex")
     if not is_connected(g):
         raise NotConnectedError("input graph must be connected")
-    warning = None
-    try:
-        tree = degree_bounded_spanning_tree(g, d_target)
-    except DegreeTargetMissed as exc:
-        tree = exc.tree
-        warning = str(exc)
+    tree = degree_bounded_spanning_tree(g, d_target)
+    achieved = tree.graph.max_degree()
     tree_drawing = draw_tree_proper(tree, eps)
     return ToughDrawResult(
         drawing=Drawing(g, tree_drawing.points, tree_drawing.den),
         tree=tree,
-        achieved_degree=tree.graph.max_degree(),
-        warning=warning,
+        achieved_degree=achieved,
+        warning=(f"spanning tree max degree {achieved} exceeds target {d_target}"
+                 if achieved > d_target else None),
     )
 
 
@@ -342,7 +339,7 @@ def draw_tree_planar_with_stats(t: RootedTree, eps: Epsilon) -> tuple[Drawing, T
 
     # Root at the smallest-id leaf, then give every lone child a dummy sibling.
     root = min(v for v in range(n) if t.graph.degree(v) == 1)
-    base = t.rerooted(root)
+    base = RootedTree.from_graph(t.graph, root)
     children: list[list[int]] = [list(c) for c in base.children]
     next_id = n
     for v in range(n):

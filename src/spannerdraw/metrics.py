@@ -67,7 +67,7 @@ from operator import add, ge, sub, truediv
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .drawing import Drawing
-from .errors import DisconnectedDrawingError, NoEdgesError
+from .errors import DisconnectedDrawingError, NoEdgesError, PrecisionExhausted
 from .exact import Interval, isqrt_scaled, sqrt_interval
 from .geometry import (
     IntPoint,
@@ -109,7 +109,7 @@ def _precisions(start_bits: int, shift: int = 0) -> Iterator[int]:
 def _certify(enclosures: Iterable[Interval], rel_tols: Iterable[Fraction]) -> Iterator[Interval]:
     """For each tolerance of rel_tols in turn, the first enclosure from the
     last one yielded on whose relative width is within it; an infinite one
-    meets every tolerance. RuntimeError when the enclosures run out first."""
+    meets every tolerance. PrecisionExhausted when the enclosures run out first."""
     tols = iter(rel_tols)
     tol = next(tols)
     for ivl in enclosures:
@@ -118,7 +118,7 @@ def _certify(enclosures: Iterable[Interval], rel_tols: Iterable[Fraction]) -> It
             tol = next(tols, None)
             if tol is None:
                 return
-    raise RuntimeError("precision escalation exhausted")
+    raise PrecisionExhausted("precision escalation exhausted")
 
 
 def _scan(coords: Sequence[IntPoint], den: int, bits: int, rows) -> Interval:
@@ -650,23 +650,22 @@ def _weighted_adj(n: int, weight: dict) -> list[list[tuple]]:
     return adj
 
 
-def _dijkstra(adj: list[list[tuple]], source: int, stop: Optional[Iterable[int]] = None) -> list:
+def _dijkstra(adj: list[list[tuple]], source: int, stop: Iterable[int]) -> list:
     """Shortest-path distances from source over (neighbor, weight) adjacency
     lists with nonnegative int or float weights; math.inf where unreached.
-    With stop, it returns as soon as every vertex of stop is settled: their
-    distances are final, and every other entry is at least its own."""
+    It returns as soon as every vertex of stop is settled: their distances
+    are final, and every other entry is at least its own."""
     dist = [math.inf] * len(adj)
     dist[source] = 0
-    left = None if stop is None else set(stop)
+    left = set(stop)
     heap = [(0, source)]
     while heap:
         du, u = heapq.heappop(heap)
         if du > dist[u]:
             continue
-        if left is not None:
-            left.discard(u)
-            if not left:
-                break
+        left.discard(u)
+        if not left:
+            break
         for v, w in adj[u]:
             if du + w < dist[v]:
                 dist[v] = du + w

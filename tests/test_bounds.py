@@ -17,6 +17,7 @@ from spannerdraw.bounds import (
     star_elr_lower_bound,
 )
 from spannerdraw.drawing import Drawing
+from spannerdraw.errors import PrecisionExhausted
 from spannerdraw.exact import Interval
 from spannerdraw.geometry import in_segment_interior, segments_cross_improperly
 from spannerdraw.graph import Graph
@@ -126,7 +127,7 @@ class TestAnnulusBoundCheck:
     def test_stream_exhausted(self, monkeypatch):
         s = self.S
         self.feed(monkeypatch, [Interval(s, 2 * s)])
-        with pytest.raises(RuntimeError, match="exhausted"):
+        with pytest.raises(PrecisionExhausted, match="exhausted"):
             annulus_bound_check(unit_circle_star(100), s)
 
 
@@ -193,6 +194,17 @@ class TestRecognizePlanarSr1:
         for n in (1, 2, 3, 6):
             g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
             assert recognize_planar_sr1(g)
+
+    def test_tiny_graphs_agree_with_sr1(self):
+        # The empty graph, one vertex, two vertices with and without the edge.
+        for n, edges in ((0, []), (1, []), (2, []), (2, [(0, 1)])):
+            g = Graph.from_edges(n, edges)
+            assert recognize_planar_sr1(g) == recognize_sr1(g) == bool(edges or n < 2), n
+            w, pw = sr1_witness(g), planar_sr1_witness(g)
+            assert (w is None) == (pw is None)
+            if w is not None:
+                assert is_sr1_drawing(w)
+                assert is_sr1_drawing(pw) and is_planar_drawing(pw)
 
     def test_k5_false(self):
         k5 = Graph.from_edges(5, list(itertools.combinations(range(5), 2)))

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import random_rational_drawing
+from conftest import random_rational_drawing, unit_circle_star
 from spannerdraw import cli, fileio
 from spannerdraw.drawing import Drawing
 from spannerdraw.graph import Graph
@@ -322,19 +322,46 @@ class TestCli:
             (["metrics", "--format", "json"], [["0", "0"], ["1", "0"], ["1e400", "0"]], 0,
              '"hi_float": null'),
             # The annulus census normalizes by a zero-length incident edge.
-            (["verify", "--s", "1"], [["0", "0"], ["0", "0"], ["1", "0"]], 3, ""),
+            (["verify", "--s", "1"], [["0", "0"], ["0", "0"], ["1", "0"]], 3,
+             "error: ZeroLengthEdgeError:"),
+            # No enclosure up to the 16384-bit cap is 10**-6000 wide.
+            (["metrics", "--rel-tol", "1e-6000"], [["0", "0"], ["1", "0"], ["3", "1"]], 3,
+             "error: PrecisionExhausted:"),
         ],
-        ids=["zero-length-edge", "tiny-edge", "huge-ratio", "verify-coincident"],
+        ids=["zero-length-edge", "tiny-edge", "huge-ratio", "verify-coincident",
+             "unreachable-tolerance"],
     )
     def test_degenerate_drawings(self, tmp_path, capsys, command, coords, code, expect):
         path = drawing_file(tmp_path, 3, [[0, 1], [1, 2]], coords)
         assert cli.main([command[0], path, *command[1:]]) == code
         out = capsys.readouterr()
-        assert expect in out.out
+        assert expect in (out.err if code == 3 else out.out)
         if "json" in command:
             json.loads(out.out, parse_constant=lambda c: pytest.fail(f"not strict JSON: {c}"))
         if code == 3:
             assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+    def test_verify_disconnected_overfull_exits_3(self, tmp_path, capsys):
+        # 60 neighbors in one annulus exceed 48 * 1**2, and certifying the
+        # spanning ratio then meets the isolated vertex.
+        star = unit_circle_star(60)
+        g = Graph.from_edges(62, star.graph.edges())
+        path = tmp_path / "d.json"
+        path.write_text(fileio.serialize(fileio.drawing_to_obj(
+            Drawing.of(g, [*star.coords, (F(5), F(5))]))))
+        assert cli.main(["verify", str(path), "--s", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: DisconnectedDrawingError:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("d_target, warning", [
+        ("2", "warning: spanning tree max degree 5 exceeds target 2\n"),
+        ("5", ""),
+    ], ids=["missed", "met"])
+    def test_draw_tough_reports_degree(self, tmp_path, capsys, d_target, warning):
+        inp = graph_file(tmp_path, 6, [[0, i] for i in range(1, 6)])
+        out = str(tmp_path / "d.json")
+        assert cli.main(["draw", "tough", inp, "-o", out, "--d-target", d_target]) == 0
+        assert capsys.readouterr().err == warning + "achieved tree degree: 5\n"
 
     def test_recognize(self, tmp_path, capsys):
         path = graph_file(tmp_path, 4, [[0, 1], [1, 2], [2, 3]], "p.json")

@@ -329,7 +329,8 @@ class TestFloatFilter:
                 adj_lo, adj_hi = metrics._weighted_adj(g.n, lo_w), metrics._weighted_adj(g.n, hi_w)
 
                 def enclosure(groups):
-                    rows = ((u, targets, metrics._dijkstra(adj_lo, u), metrics._dijkstra(adj_hi, u))
+                    rows = ((u, targets, metrics._dijkstra(adj_lo, u, range(g.n)),
+                             metrics._dijkstra(adj_hi, u, range(g.n)))
                             for u, targets in groups)
                     return metrics._scan(coords, L * L, bits, (
                         (u, targets, [lo[v] for v in targets], [hi[v] for v in targets])
@@ -365,7 +366,7 @@ def float_filter_oracle(g, coords):
         if flt is None or 4 * flt.abs_err < F(metrics._FILTER_ETA) * flt.cut * flt.efmin:
             return flt, ratios
     adj = metrics._weighted_adj(n, weight)
-    rows = ((u, metrics._dijkstra(adj, u)) for u in range(n))
+    rows = ((u, metrics._dijkstra(adj, u, range(n))) for u in range(n))
     return oracle_candidates(coords, dist, range(n), rows, F(0), s)
 
 

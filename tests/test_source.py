@@ -237,3 +237,58 @@ def test_no_discarded_verdicts():
     assert files
     found = {p.name: discarded_verdicts(p.read_text(encoding="utf-8")) for p in files}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# What src/ may raise besides a PreconditionError subclass: a malformed file,
+# and the builtins of a caller's misuse or a bug; anything else would reach
+# the CLI as neither exit 3 nor exit 4.
+ALLOWED_RAISES = {"FileFormatError", "ValueError", "TypeError", "ZeroDivisionError",
+                  "AssertionError", "argparse.ArgumentTypeError"}
+
+
+def subclasses(sources: dict[str, str], base: str) -> set[str]:
+    """The classes the sources define that derive from base, by name."""
+    bases = {node.name: {ast.unparse(b).split(".")[-1] for b in node.bases}
+             for source in sources.values() for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.ClassDef)}
+    found = {base}
+    while grown := {name for name, bs in bases.items() if bs & found} - found:
+        found |= grown
+    return found - {base}
+
+
+def unexpected_raises(sources: dict[str, str]) -> list[str]:
+    """module:line:name for each raise of the sources whose exception is
+    neither a PreconditionError subclass nor in ALLOWED_RAISES; a bare
+    re-raise passes."""
+    allowed = ALLOWED_RAISES | subclasses(sources, "PreconditionError")
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if ast.unparse(exc) not in allowed:
+                    found.append(f"{module}:{node.lineno}:{ast.unparse(exc)}")
+    return sorted(found)
+
+
+def test_unexpected_raises_found():
+    sources = {
+        "errors": ("class PreconditionError(Exception): pass\n"
+                   "class Small(PreconditionError): pass\nclass Tiny(Small): pass\n"
+                   "class Missed(Exception): pass\n"),
+        "a": ("import argparse\nfrom .errors import Tiny\n"
+              "def f(x):\n    if x:\n        raise Tiny('t')\n    raise ValueError\n"
+              "def g():\n    try:\n        f(0)\n    except ValueError as exc:\n"
+              "        raise argparse.ArgumentTypeError(str(exc)) from exc\n"
+              "    except KeyError:\n        raise\n"),
+        "b": "def h(x):\n    raise RuntimeError('exhausted')\n    raise Missed(x)\n    raise x\n",
+    }
+    assert unexpected_raises(sources) == ["b:2:RuntimeError", "b:3:Missed", "b:4:x"]
+
+
+def test_raises_map_to_exit_codes():
+    # cli.main gives exit 3 to a PreconditionError and exit 2 to a
+    # FileFormatError; the builtins are faults, never an input's answer.
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unexpected_raises(sources) == []
