@@ -12,6 +12,7 @@ import json
 import re
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .drawing import Drawing
 from .errors import SpannerDrawError
@@ -152,7 +153,30 @@ def drawing_to_obj(d: Drawing) -> dict:
 
 
 def serialize(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """json.dumps(obj, indent=2) + "\n" for a graph or drawing object, whose
+    values are scalars or lists of pairs. The layout is written directly:
+    json's indenting encoder is pure Python and takes several generator steps
+    per coordinate."""
+    rows = [f"  {_json_scalar(key)}: {_json_value(value)}" for key, value in obj.items()]
+    return "{\n" + ",\n".join(rows) + "\n}\n"
+
+
+def _json_scalar(x) -> str:
+    """x as json.dumps writes it, a string or an int without its overhead."""
+    if type(x) is str:
+        return encode_basestring_ascii(x)
+    return str(x) if type(x) is int else json.dumps(x)
+
+
+def _json_value(value) -> str:
+    """A value of serialize's object, written at an indent of two spaces."""
+    if not isinstance(value, list):
+        return _json_scalar(value)
+    if not value:
+        return "[]"
+    rows = ["[\n      " + ",\n      ".join([_json_scalar(x) for x in row]) + "\n    ]"
+            for row in value]
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
 
 
 def load_graph(path: str) -> Graph:

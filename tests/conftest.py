@@ -6,9 +6,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import networkx as nx
-
 from spannerdraw import Drawing, Graph
+from spannerdraw.embedding import planarity_test_embed
 
 
 def random_tree(n: int, maxdeg: int, seed: int) -> Graph:
@@ -45,18 +44,16 @@ def random_connected_planar_graph(n: int, seed: int) -> Graph:
     """Random spanning tree densified by random edges kept only while the
     graph stays planar."""
     rng = random.Random(seed)
-    tree = random_tree(n, n, seed)
-    G = nx.Graph(tree.edges())
-    G.add_nodes_from(range(n))
+    edges = set(random_tree(n, n, seed).edges())
     for _ in range(6 * n):
         u, v = rng.randrange(n), rng.randrange(n)
-        if u == v or G.has_edge(u, v):
+        e = (min(u, v), max(u, v))
+        if u == v or e in edges:
             continue
-        G.add_edge(u, v)
-        ok, _ = nx.check_planarity(G)
-        if not ok:
-            G.remove_edge(u, v)
-    return Graph.from_edges(n, sorted((min(u, v), max(u, v)) for u, v in G.edges()))
+        edges.add(e)
+        if planarity_test_embed(Graph.from_edges(n, edges)) is None:
+            edges.remove(e)
+    return Graph.from_edges(n, sorted(edges))
 
 
 def random_drawing(n: int, seed: int) -> Drawing:

@@ -1,13 +1,15 @@
-"""Test-only oracles: the tree edge separator and the face walk of a rotation
-system, written apart from the package's own walks so that the tests check
-those against independent code."""
+"""Test-only oracles: the tree edge separator, the face walk of a rotation
+system and networkx's planar embedding, written apart from the package's own
+code so that the tests check it against independent code."""
 
 from __future__ import annotations
 
 from typing import Optional
 
+import networkx as nx
+
 from spannerdraw.embedding import RotationSystem
-from spannerdraw.graph import RootedTree
+from spannerdraw.graph import Graph, RootedTree
 
 
 def subtree_sizes(t: RootedTree) -> list[int]:
@@ -88,3 +90,17 @@ def euler_ok(rs: RotationSystem) -> bool:
     """True iff the faces of rs satisfy Euler's formula n - m + f = 2."""
     g = rs.graph
     return g.n - g.m + len(faces(rs)) == 2
+
+
+def networkx_rotation(g: Graph) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The counterclockwise rotation of each vertex in networkx's embedding of
+    g, None if g is nonplanar: `check_planarity`'s clockwise neighbor lists,
+    each starting at its leftmost neighbor, reversed."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    ok, emb = nx.check_planarity(nxg)
+    if not ok:
+        return None
+    data = emb.get_data()
+    return tuple(tuple(reversed(data[v])) for v in range(g.n))

@@ -1,12 +1,22 @@
+import functools
 import hashlib
 import itertools
+import random
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from networkx.algorithms.planarity import ConflictPair
 
-from conftest import random_connected_planar_graph, random_tree, thinned_triangulation
-from oracles import euler_ok, faces
+from conftest import (
+    random_connected_graph,
+    random_connected_planar_graph,
+    random_tree,
+    thinned_triangulation,
+)
+from oracles import euler_ok, faces, networkx_rotation
 from spannerdraw.embedding import (
     augment_to_maximal_with_canonical_order,
     canonical_order_validate,
@@ -22,6 +32,79 @@ def complete_graph(n):
 
 def cycle_graph(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def relabeled(g, rng):
+    """g with its vertices renamed by a random permutation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def subdivided(g, times, rng):
+    """g with `times` random edges each split by a new vertex."""
+    n, edges = g.n, g.edges()
+    for _ in range(times):
+        u, v = edges.pop(rng.randrange(len(edges)))
+        edges += [(u, n), (n, v)]
+        n += 1
+    return Graph.from_edges(n, edges)
+
+
+BENCH = str(Path(__file__).resolve().parent.parent / "bench")
+
+
+def bench_workloads():
+    """bench/workloads.py, whose planar generator draws chords inside faces."""
+    if BENCH not in sys.path:
+        sys.path.insert(0, BENCH)
+    import workloads
+
+    return workloads
+
+
+@functools.cache
+def embedder_families():
+    """Seeded graphs by family for the comparison with networkx: planar
+    ones of n 1-160 of every density, then nonplanar ones and random graphs
+    on both sides of 3n - 6 edges."""
+    workloads = bench_workloads()
+    families = {}
+    # n from 3 to 160, most of them small.
+    families["bench planar"] = [
+        Graph.from_edges(n, workloads.random_planar_edges(n, random.Random(k), extra))
+        for k in range(300)
+        for n in [3 + round(157 * (k / 299) ** 2)]
+        for extra in [(0, n // 4, n // 2, n, 3 * n // 2)[k % 5]]
+    ]
+    families["thinned triangulations"] = [
+        thinned_triangulation(4 + 13 * k % 157, (0, 0.2, 0.5, 0.8, 1)[k % 5], k)
+        for k in range(160)
+    ]
+    families["trees"] = [random_tree(1 + 11 * k % 160, 2 + k % 5, k) for k in range(160)]
+    small = []
+    for n in (3, 4, 5, 6, 7, 8, 10, 13, 17, 25, 40, 80, 160):
+        small.append(Graph.from_edges(n, [(0, i) for i in range(1, n)]))
+        small.append(Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)]))
+        small.append(cycle_graph(n))
+        small.append(Graph.from_edges(n, [(0, i) for i in range(1, n)]
+                                      + [(i, i + 1) for i in range(1, n - 1)]))
+    small += [complete_graph(n) for n in range(5)]
+    families["stars, paths, cycles, fans, K0-K4"] = small
+    rng = random.Random(2009)
+    k33 = Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+    families["K5 and K3,3 subdivided"] = [
+        relabeled(subdivided(base, k % 12, rng), rng)
+        for k in range(60)
+        for base in (complete_graph(5), k33)
+    ]
+    families["random"] = [
+        random_connected_graph(n, extra, 500 + k)
+        for k in range(260)
+        for n in [5 + k % 56]
+        for extra in [(n // 2, n, 2 * n - 4, 3 * n)[k % 4]]
+    ]
+    return families
 
 
 def pin_graphs():
@@ -75,6 +158,51 @@ def attachment_cases(co):
 
 
 class TestPlanarityTestEmbed:
+    @pytest.mark.parametrize("family", ["bench planar", "thinned triangulations", "trees",
+                                        "stars, paths, cycles, fans, K0-K4",
+                                        "K5 and K3,3 subdivided", "random"])
+    def test_matches_networkx(self, family):
+        # The canonical order, and so every planar drawing, depends on the
+        # exact rotations: they and the verdicts must be networkx's.
+        graphs = embedder_families()[family]
+        verdicts = Counter()
+        for g in graphs:
+            want = networkx_rotation(g)
+            rs = planarity_test_embed(g)
+            assert (None if rs is None else rs.rotation) == want, (family, g.n, g.edges())
+            dense = g.n > 2 and g.m > 3 * g.n - 6
+            verdicts[want is not None, dense] += 1
+        if family == "random":
+            assert verdicts[True, False] and verdicts[False, False] and verdicts[False, True]
+        elif family.startswith("K5"):
+            assert not verdicts[True, False]
+        else:
+            assert set(verdicts) == {(True, False)}
+        # networkx's ConflictPair shares its default Interval objects across
+        # calls; had any call written them, its answers would depend on the
+        # calls made before.
+        assert all(interval.empty() for interval in ConflictPair.__init__.__defaults__)
+
+    def test_enough_graphs_against_networkx(self):
+        assert sum(map(len, embedder_families().values())) >= 1000
+
+    def test_pinned_bench_rotations(self):
+        # Recorded from networkx's embedding on the seed-301 planar benchmark
+        # graphs.
+        ops = bench_workloads().build("planar", 301)
+        rotations = [planarity_test_embed(Graph.from_edges(op.n, op.edges)).rotation for op in ops]
+        assert len(rotations) == 88
+        digest = hashlib.sha256(repr(rotations).encode()).hexdigest()
+        assert digest == "c674c1bf8c84758af2b21d20e634c2a9a525bf6b197faf2a880ca9dc7f3fdd6c"
+
+    def test_planar_generator_pinned(self):
+        # The 60 graphs of test_acceptance_1, recorded when the generator
+        # asked networkx whether each candidate edge kept the graph planar.
+        graphs = [random_connected_planar_graph(n, 1000 * n + i)
+                  for n in (10, 20, 40) for i in range(20)]
+        digest = hashlib.sha256(repr([g.adj for g in graphs]).encode()).hexdigest()
+        assert digest == "ae7241b45d559023aa22ead7afa631a8912459f7824d4742594f916f33a0c357"
+
     def test_k4_has_four_triangular_faces(self):
         rs = planarity_test_embed(complete_graph(4))
         assert rs is not None

@@ -85,6 +85,20 @@ class TestRoundTrip:
         assert d2.coords == d.coords
         assert d2.graph.edges() == d.graph.edges()
 
+    def test_serialize_matches_json_dumps(self):
+        # serialize writes json.dumps's indent=2 layout itself.
+        drawings = [random_rational_drawing(n, seed) for seed in range(12) for n in [2 + 5 * seed]]
+        drawings += [
+            Drawing.of(Graph.from_edges(0, []), []),
+            Drawing.of(Graph.from_edges(1, []), [(F(-3, 7), 0)]),
+            # Past the 4300 digits that int() and str() take by default.
+            Drawing.of(Graph.from_edges(2, [(0, 1)]),
+                       [(0, F(-1, 3)), (10**5000, F(1, 10**5000 + 1))]),
+        ]
+        for d in drawings:
+            obj = fileio.drawing_to_obj(d)
+            assert fileio.serialize(obj) == json.dumps(obj, indent=2) + "\n"
+
     def test_decimal_input_converts_exactly(self):
         obj = {
             "version": "spannerdraw/1",
@@ -417,8 +431,9 @@ class TestCli:
         assert cli.build_parser() is not cli.build_parser()
 
 
-def test_cli_import_leaves_networkx_unloaded():
-    # networkx is imported only by the embedding functions that call it.
+def test_cli_import_leaves_networkx_unloaded(tmp_path):
+    # networkx is imported only by canonical_order_validate; importing the
+    # CLI and drawing a planar graph never load it.
     import os
     import subprocess
     import sys
@@ -429,3 +444,10 @@ def test_cli_import_leaves_networkx_unloaded():
     code = "import sys, spannerdraw.cli; print('networkx' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
+    inp = graph_file(tmp_path, 6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5], [0, 3], [1, 4]])
+    code = ("import sys\nfrom spannerdraw import cli\n"
+            "rc = cli.main(['draw', 'planar', sys.argv[1], '-o', sys.argv[2]])\n"
+            "print(rc, 'networkx' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, inp, str(tmp_path / "d.json")], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "0 False"), proc.stderr
