@@ -16,6 +16,7 @@ from spannerdraw import (
     recognize_planar_sr1,
     recognize_sr1,
     spanning_ratio,
+    sr1_witness,
     star_elr_lower_bound,
 )
 from spannerdraw.bounds import is_sr1_drawing
@@ -55,6 +56,9 @@ def main():
     # Recognizers: spanning ratio exactly 1.
     c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     print(f"C5 admits a ratio-1 drawing (Hamiltonian path): {recognize_sr1(c5)}")
+    w = sr1_witness(c5)
+    print(f"  collinear witness: {[(str(x), str(y)) for x, y in w.coords]}, "
+          f"exact ratio-1 check: {is_sr1_drawing(w)}")
     fan = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4)] + [(0, i) for i in range(1, 5)])
     print(f"fan admits a *planar* ratio-1 drawing: {recognize_planar_sr1(fan)}")
     w = planar_sr1_witness(fan)

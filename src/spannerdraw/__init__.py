@@ -19,7 +19,6 @@ from .embedding import (
     CanonicalOrder,
     RotationSystem,
     augment_to_maximal_with_canonical_order,
-    canonical_order_validate,
     planarity_test_embed,
 )
 from .errors import (
@@ -39,7 +38,6 @@ from .graph import (
     degree_bounded_spanning_tree,
     hamiltonian_path,
     is_connected,
-    toughness_bruteforce,
 )
 from .layout import (
     Epsilon,
@@ -61,7 +59,6 @@ from .metrics import (
     min_pairwise_distance_sq,
     no_three_collinear,
     spanning_ratio,
-    spanning_ratio_bruteforce,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

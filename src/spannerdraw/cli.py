@@ -156,10 +156,23 @@ def _report_obj(report: metrics.MetricReport) -> dict:
     }
 
 
+def _verify_obj(result: bounds.AnnulusCheckResult) -> dict:
+    return {
+        "s": format_rational(result.s),
+        "threshold": format_rational(result.threshold),
+        "violations": [
+            {"vertex": v.vertex, "annulus": v.annulus, "count": v.count}
+            for v in result.violations
+        ],
+        "spanning_ratio": _interval_obj(result.spanning_ratio),
+        "verdict": result.verdict,
+    }
+
+
 def _print_report(report: metrics.MetricReport, fmt: str, out) -> None:
     obj = _report_obj(report)
     if fmt == "json":
-        out.write(json.dumps(obj, indent=2) + "\n")
+        out.write(fileio.serialize(obj))
         return
     for key, val in obj.items():
         out.write(f"{key}: {_interval_text(val) if isinstance(val, dict) else val}\n")
@@ -209,17 +222,7 @@ def _cmd_verify(args) -> int:
     drawing = fileio.load_drawing(args.input)
     result = bounds.annulus_bound_check(drawing, args.s)
     if args.format == "json":
-        obj = {
-            "s": format_rational(result.s),
-            "threshold": format_rational(result.threshold),
-            "violations": [
-                {"vertex": v.vertex, "annulus": v.annulus, "count": v.count}
-                for v in result.violations
-            ],
-            "spanning_ratio": _interval_obj(result.spanning_ratio),
-            "verdict": result.verdict,
-        }
-        print(json.dumps(obj, indent=2))
+        sys.stdout.write(fileio.serialize(_verify_obj(result)))
     else:
         print(f"s: {result.s}  threshold (48*s^2): {result.threshold}")
         if not result.violations:

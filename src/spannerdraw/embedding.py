@@ -26,8 +26,9 @@ the canonical ordering", Algorithmica 1996).
 The rotation system comes from the package's own left-right planarity test
 (`planarity_test_embed`, after Brandes 2009), on plain lists. It gives
 networkx 3.6's rotations exactly, by the four order rules its docstring
-states; networkx serves only the independent check
-`canonical_order_validate`.
+states. The package needs no networkx: the tests compare these rotations
+with networkx's, and check every canonical order with an independent
+validator in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -505,99 +506,3 @@ def _place_fan(rot, adj, contour, v: int, a: int, b: int) -> None:
             rot[w].insert(rot[w].index(contour[i - 1]), v)
         else:
             rot[w].insert(rot[w].index(contour[i + 1]) + 1, v)
-
-
-def canonical_order_validate(co: CanonicalOrder, reason: Optional[list] = None) -> bool:
-    """Independent check of every CanonicalOrder invariant.
-
-    Uses its own machinery (networkx biconnectivity/planarity, an apex test for
-    the contour being a face) rather than the construction's bookkeeping: each
-    contour is rebuilt from the previous one and attachments[k]. On failure,
-    appends a human-readable reason to `reason` if provided.
-    """
-
-    def fail(msg: str) -> bool:
-        if reason is not None:
-            reason.append(msg)
-        return False
-
-    g = co.supergraph
-    n = g.n
-    order = list(co.order)
-    if sorted(order) != list(range(n)):
-        return fail("order is not a permutation")
-    if n < 3:
-        return fail("too small")
-    v1, v2 = order[0], order[1]
-    if not g.has_edge(v1, v2):
-        return fail("v1v2 is not an edge")
-    if g.m != 3 * n - 6:
-        return fail(f"edge count {g.m} != 3n-6")
-    for u, w in co.host_edges:
-        if not g.has_edge(u, w):
-            return fail("host edge missing from supergraph")
-
-    host_adj: list[set[int]] = [set() for _ in range(n)]
-    for u, w in co.host_edges:
-        host_adj[u].add(w)
-        host_adj[w].add(u)
-
-    import networkx as nx  # here, as in planarity_test_embed
-
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(n))
-    nxg.add_edges_from(g.edges())
-    if not nx.check_planarity(nxg)[0]:
-        return fail("supergraph not planar")
-
-    contour = (v1, v2)
-    for k in range(2, n + 1):
-        prefix = order[:k]
-        pset = set(prefix)
-        # H-prefix connectivity
-        hsub = nx.Graph()
-        hsub.add_nodes_from(prefix)
-        hsub.add_edges_from(
-            (u, w) for u in prefix for w in host_adj[u] if w in pset and u < w
-        )
-        if not nx.is_connected(hsub):
-            return fail(f"H-prefix disconnected at k={k}")
-        gsub = nx.Graph()
-        gsub.add_nodes_from(prefix)
-        gsub.add_edges_from(
-            (u, w) for u in prefix for w in g.adj[u] if w in pset and u < w
-        )
-        if k >= 3 and not nx.is_biconnected(gsub):
-            return fail(f"G-prefix not 2-connected at k={k}")
-        if k >= 3:
-            # The contour after step k, rebuilt from the one before it.
-            att = co.attachments.get(k)
-            if not att:
-                return fail(f"missing attachments at k={k}")
-            if not set(att) <= set(contour):
-                return fail(f"attachments off the contour at k={k}")
-            # attachments must be a consecutive subpath of the previous contour
-            idx = [contour.index(w) for w in att]
-            if idx != list(range(idx[0], idx[0] + len(idx))):
-                return fail(f"attachments not consecutive on contour at k={k}")
-            contour = contour[: idx[0] + 1] + (order[k - 1],) + contour[idx[-1] :]
-        if contour[0] != v1 or contour[-1] != v2:
-            return fail(f"contour endpoints wrong at k={k}")
-        if order[k - 1] not in contour and k > 2:
-            return fail(f"v_k not on contour at k={k}")
-        if len(set(contour)) != len(contour) or set(contour) - pset:
-            return fail(f"contour malformed at k={k}")
-        for i in range(len(contour) - 1):
-            if not g.has_edge(contour[i], contour[i + 1]):
-                return fail(f"contour not a path in G_k at k={k}")
-        # The contour cycle must bound a face of some planar embedding of G_k:
-        # adding an apex adjacent to every contour vertex must stay planar.
-        apex = n
-        gsub.add_edges_from((apex, w) for w in contour)
-        if not nx.check_planarity(gsub)[0]:
-            return fail(f"contour does not bound a face at k={k}")
-        if k >= 3:
-            nbrs = {w for w in g.adj[order[k - 1]] if w in set(order[: k - 1])}
-            if set(att) != nbrs:
-                return fail(f"attachments != prefix neighbors at k={k}")
-    return True

@@ -3,16 +3,20 @@
 Files are JSON with a version tag. Coordinates are exact: they serialize as
 "num/den" strings and parse from either that form or decimal strings. The
 serializer emits a canonical form (sorted edges, reduced rationals), so
-parse -> serialize round-trips byte-identically.
+parse -> serialize round-trips byte-identically. It also writes the CLI's
+JSON reports.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from typing import Callable, Optional
 
 from .drawing import Drawing
 from .errors import SpannerDrawError
@@ -152,31 +156,110 @@ def drawing_to_obj(d: Drawing) -> dict:
     return obj
 
 
-def serialize(obj: dict) -> str:
-    """json.dumps(obj, indent=2) + "\n" for a graph or drawing object, whose
-    values are scalars or lists of pairs. The layout is written directly:
-    json's indenting encoder is pure Python and takes several generator steps
-    per coordinate."""
-    rows = [f"  {_json_scalar(key)}: {_json_value(value)}" for key, value in obj.items()]
-    return "{\n" + ",\n".join(rows) + "\n}\n"
+def serialize(obj) -> str:
+    """The text json.dumps writes for obj at an indent of 2, plus "\n", for
+    a value built of dicts with str keys, lists and JSON scalars: a graph or
+    drawing file, or a report.
+
+    The layout is written directly, from a stack rather than by recursion.
+    json's indenting encoder is pure Python: it takes several generator steps
+    per item, and its nested closures leave cyclic garbage after every call.
+    A container whose items _flat writes, such as a drawing or a report, is
+    written in one step."""
+    out = []
+    todo = [("", obj, "\n")]  # text to write, then a value to write at an indent
+    while todo:
+        text, value, indent = todo.pop()
+        out.append(text)
+        if indent is None:
+            continue
+        if not isinstance(value, _CONTAINERS):
+            out.append(_json_scalar(value))
+            continue
+        heads, items, brackets = _split(value)
+        inner = indent + "  "
+        rows = [_flat(item, inner) for item in items]
+        if None not in rows:
+            out.append(_join(heads, rows, brackets, indent))
+            continue
+        # The items _flat cannot write go on the stack, the others as text.
+        out.append(brackets[0])
+        todo.append((indent + brackets[1], None, None))
+        todo += reversed([
+            ("," * (k > 0) + inner + (heads[k] if heads else "") + (row or ""),
+             item, None if row else inner)
+            for k, (item, row) in enumerate(zip(items, rows))
+        ])
+    out.append("\n")
+    return "".join(out)
+
+
+_CONTAINERS = (dict, list, tuple)
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _json_scalar(x) -> str:
-    """x as json.dumps writes it, a string or an int without its overhead."""
+    """x, a scalar, as json.dumps writes it, without its overhead."""
     if type(x) is str:
         return encode_basestring_ascii(x)
-    return str(x) if type(x) is int else json.dumps(x)
+    if type(x) is int:
+        return int.__repr__(x)
+    if type(x) is float and math.isfinite(x):
+        return float.__repr__(x)
+    if x is None or type(x) is bool:
+        return _LITERALS[x]
+    return json.dumps(x)  # a float that is not finite, or a subclass of a scalar
 
 
-def _json_value(value) -> str:
-    """A value of serialize's object, written at an indent of two spaces."""
-    if not isinstance(value, list):
+def _writer(kinds: set) -> Optional[Callable[[object], str]]:
+    """_json_scalar for values of the given types, or the C function it
+    calls where they are all str or all int; None if a type is a container."""
+    if kinds == {str}:
+        return encode_basestring_ascii
+    if kinds == {int}:
+        return int.__repr__
+    return None if any(issubclass(kind, _CONTAINERS) for kind in kinds) else _json_scalar
+
+
+def _split(value) -> tuple:
+    """The "key": heads of a dict (None for a list), its values or the
+    list's items, and the brackets."""
+    if isinstance(value, dict):
+        return [encode_basestring_ascii(key) + ": " for key in value], list(value.values()), "{}"
+    return None, value, "[]"
+
+
+def _join(heads: Optional[list], rows, brackets: str, indent: str) -> str:
+    """A container at indent whose items are written as rows."""
+    inner = indent + "  "
+    if heads:
+        rows = map(str.__add__, heads, rows)
+    body = ("," + inner).join(rows)
+    return brackets[0] + inner + body + indent + brackets[1] if body else brackets
+
+
+def _flat(value, indent: str) -> Optional[str]:
+    """value as serialize writes it at indent, where that needs no stack: a
+    scalar, a container of scalars, or a list of equally long, nonempty
+    lists of scalars, such as the coordinate pairs, whose scalars are
+    written in one pass; else None."""
+    if not isinstance(value, _CONTAINERS):
         return _json_scalar(value)
-    if not value:
-        return "[]"
-    rows = ["[\n      " + ",\n      ".join([_json_scalar(x) for x in row]) + "\n    ]"
-            for row in value]
-    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+    heads, items, brackets = _split(value)
+    kinds = set(map(type, items))
+    write = _writer(kinds)
+    if write is not None:
+        return _join(heads, map(write, items), brackets, indent)
+    if heads is not None or kinds != {list}:
+        return None
+    lengths = set(map(len, items))
+    write = _writer(set(map(type, chain.from_iterable(items))))
+    if write is None or len(lengths) != 1 or lengths == {0}:
+        return None
+    inner, deeper = indent + "  ", indent + "    "
+    rows = map(("," + deeper).join, zip(*[map(write, chain.from_iterable(items))] * lengths.pop()))
+    return ("[" + inner + "[" + deeper + (inner + "]," + inner + "[" + deeper).join(rows)
+            + inner + "]" + indent + "]")
 
 
 def load_graph(path: str) -> Graph:

@@ -1,23 +1,21 @@
-"""Undirected simple graphs, rooted trees, orderings, and small exact oracles.
+"""Undirected simple graphs, rooted trees, orderings, and an exact
+Hamiltonian path search.
 
-The oracles are exponential and refuse large inputs with InstanceTooLarge:
-hamiltonian_path, one subset-DP table of 4 * 2^n bytes for n up to
-HAMILTONIAN_DP_LIMIT, and toughness_bruteforce, over all 2^n cut sets for n
-up to TOUGHNESS_LIMIT. No function here recurses.
+hamiltonian_path is exponential and refuses large inputs with
+InstanceTooLarge: one subset-DP table of 4 * 2^n bytes for n up to
+HAMILTONIAN_DP_LIMIT. No function here recurses. The brute-force toughness
+oracle lives in tests/oracles.py; no caller of the package needs it.
 """
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import InstanceTooLarge, NotATreeError, NotConnectedError
 
 HAMILTONIAN_DP_LIMIT = 24
-TOUGHNESS_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -132,17 +130,6 @@ def preorder(children: Sequence[Sequence[int]], root: int) -> list[int]:
 def is_connected(g: Graph) -> bool:
     """True iff g has a single connected component (vacuously true for n=0)."""
     return g.n == 0 or len(bfs_order(g)) == g.n
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if not seen[s]:
-            comps.append(bfs_order(g, s))
-            for v in comps[-1]:
-                seen[v] = True
-    return comps
 
 
 def path_order(g: Graph) -> Optional[list[int]]:
@@ -287,27 +274,3 @@ def _tree_path(tree_adj: list[set[int]], s: int, t: int) -> list[int]:
         path.append(prev[path[-1]])
     path.reverse()
     return path
-
-
-def toughness_bruteforce(g: Graph):
-    """Exact toughness: min over cut sets S of |S| / (#components of G-S).
-
-    Returns a Fraction, or math.inf for graphs no vertex removal splits
-    (complete graphs and graphs with n <= 2).
-    """
-    n = g.n
-    if n > TOUGHNESS_LIMIT:
-        raise InstanceTooLarge(n, TOUGHNESS_LIMIT)
-    best: Optional[Fraction] = None
-    for mask in range(1, 1 << n):
-        removed = [v for v in range(n) if mask & (1 << v)]
-        if len(removed) == n:
-            continue
-        kept = [v for v in range(n) if not (mask & (1 << v))]
-        sub = g.induced(kept)
-        k = len(connected_components(sub))
-        if k >= 2:
-            val = Fraction(len(removed), k)
-            if best is None or val < best:
-                best = val
-    return best if best is not None else math.inf

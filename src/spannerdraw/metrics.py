@@ -40,7 +40,8 @@ root distances, R[u] + R[v] - 2 R[lca]. Where the inequality fails, that
 precision scans all pairs, a tree's on integer rows rerooted along its
 breadth-first tree. The filter declines (all pairs at every precision) for
 coordinates past 1900 bits, a closest distance below 2**-900, or too many
-near-ties. spanning_ratio_bruteforce never filters.
+near-ties. The brute-force oracle in tests/oracles.py never filters: it
+takes Floyd–Warshall rows through the same precisions.
 
 Three certificates sweep the integer points instead of scanning all pairs,
 with the same verdicts and values:
@@ -673,25 +674,6 @@ def _dijkstra(adj: list[list[tuple]], source: int, stop: Iterable[int]) -> list:
     return dist
 
 
-def _all_pairs(n: int, weights: dict[tuple[int, int], int]) -> list[list[int]]:
-    """All-pairs shortest paths of a connected graph (Floyd–Warshall)."""
-    big = sum(weights.values()) + 1  # longer than any shortest path
-    dist = [[big] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = 0
-    for (u, v), w in weights.items():
-        dist[u][v] = dist[v][u] = w
-    for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            di = dist[i]
-            dik = di[k]
-            for j in range(n):
-                if dik + dk[j] < di[j]:
-                    di[j] = dik + dk[j]
-    return dist
-
-
 def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     """spanning_ratio's enclosures, one per precision: exact rows behind the
     float filter. A tree takes them from its integer root distances R along
@@ -740,18 +722,6 @@ def spanning_ratio(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:
     infinite interval (lo = hi = math.inf, `is_infinite` true).
     """
     return next(_certify(_spanning_ratios(d), [rel_tol]))
-
-
-def spanning_ratio_bruteforce(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:
-    """Independent oracle: Floyd–Warshall all-pairs at doubled starting precision."""
-    n = d.graph.n
-
-    def rows(lo_w, hi_w, groups):
-        dist_lo, dist_hi = _all_pairs(n, lo_w), _all_pairs(n, hi_w)
-        for u, targets in _every(n) if groups is None else groups:
-            yield u, targets, [dist_lo[u][v] for v in targets], [dist_hi[u][v] for v in targets]
-
-    return next(_certify(_ratio_enclosures(d, 2 * _START_BITS, rows), [rel_tol]))
 
 
 def edge_length_ratio(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:

@@ -18,6 +18,7 @@ from conftest import (
     random_tree,
     unit_circle_star,
 )
+from oracles import spanning_ratio_bruteforce
 from spannerdraw import cli
 from spannerdraw.bounds import annulus_bound_check, recognize_sr1, sr1_witness
 from spannerdraw.drawing import Drawing
@@ -35,7 +36,6 @@ from spannerdraw.metrics import (
     min_pairwise_distance_sq,
     no_three_collinear,
     spanning_ratio,
-    spanning_ratio_bruteforce,
 )
 
 F = Fraction

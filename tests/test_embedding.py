@@ -16,12 +16,8 @@ from conftest import (
     random_tree,
     thinned_triangulation,
 )
-from oracles import euler_ok, faces, networkx_rotation
-from spannerdraw.embedding import (
-    augment_to_maximal_with_canonical_order,
-    canonical_order_validate,
-    planarity_test_embed,
-)
+from oracles import canonical_order_validate, euler_ok, faces, networkx_rotation
+from spannerdraw.embedding import augment_to_maximal_with_canonical_order, planarity_test_embed
 from spannerdraw.errors import NotConnectedError, NotPlanarError, TooSmallError
 from spannerdraw.graph import Graph
 

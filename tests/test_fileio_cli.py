@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from fractions import Fraction
@@ -5,8 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import random_rational_drawing, unit_circle_star
-from spannerdraw import cli, fileio
+from conftest import random_rational_drawing, thinned_triangulation, unit_circle_star
+from spannerdraw import bounds, cli, fileio, metrics
 from spannerdraw.drawing import Drawing
 from spannerdraw.graph import Graph
 
@@ -98,6 +99,39 @@ class TestRoundTrip:
         for d in drawings:
             obj = fileio.drawing_to_obj(d)
             assert fileio.serialize(obj) == json.dumps(obj, indent=2) + "\n"
+
+    def test_serialize_matches_json_dumps_on_reports(self):
+        # The CLI's --format json reports go through serialize too, nested
+        # dicts and the verify report's list of dicts included.
+        reports = [cli._report_obj(metrics.compute_metrics(random_rational_drawing(2 + 5 * seed, seed)))
+                   for seed in range(12)]
+        # A zero-length edge: infinite intervals.
+        reports.append(cli._report_obj(metrics.compute_metrics(
+            Drawing.of(Graph.from_edges(3, [(0, 1), (1, 2)]), [(0, 0), (0, 0), (1, 0)]))))
+        assert reports[-1]["edge_length_ratio"] == {"infinite": True}
+        # An edge-length ratio of 10**400, whose bounds are beyond a double.
+        reports.append(cli._report_obj(metrics.compute_metrics(
+            Drawing.of(Graph.from_edges(3, [(0, 1), (1, 2)]), [(0, 0), (1, 0), (10**400, 0)]))))
+        assert reports[-1]["edge_length_ratio"]["hi_float"] is None
+        path = Drawing.of(Graph.from_edges(3, [(0, 1), (1, 2)]), [(0, 0), (1, 0), (2, 0)])
+        reports.append(cli._verify_obj(bounds.annulus_bound_check(path, F(3, 2))))
+        assert reports[-1]["violations"] == []
+        reports.append(cli._verify_obj(bounds.annulus_bound_check(unit_circle_star(), F(14, 10))))
+        assert reports[-1]["violations"]
+        for obj in reports:
+            assert fileio.serialize(obj) == json.dumps(obj, indent=2) + "\n"
+
+    def test_serialize_matches_json_dumps_on_any_nesting(self):
+        # Scalars of every kind, empty containers, lists of lists of equal
+        # and unequal length, dicts in lists and lists in dicts.
+        values = [
+            0, -7, 2.5, math.inf, None, True, "quote\" é",
+            [], {}, [[]], [[], []], [[1, 2], [3]], [[1, [2]], [3, 4]], [["a", 1], [None, 2.5]],
+            [[[1]], [[2]]], [{"a": 1}, {}], {"k": [[1, 2], [3, 4]], "e": {}, "n": {"m": [[]]}},
+            [1, [2, [3, [4, {"five": [5]}]]]], ((1, 2), (3, 4)),
+        ]
+        for value in values:
+            assert fileio.serialize(value) == json.dumps(value, indent=2) + "\n"
 
     def test_decimal_input_converts_exactly(self):
         obj = {
@@ -426,28 +460,100 @@ class TestCli:
         metrics_report = json.loads(capsys.readouterr().out)
         assert draw_report == metrics_report
 
+    def test_draw_json_leaves_no_cyclic_garbage(self, tmp_path):
+        # json.dumps(obj, indent=2) left 33 objects of cyclic garbage behind
+        # on every report, the closures of its indenting encoder.
+        g = thinned_triangulation(160, 0.3, 1)
+        inp = graph_file(tmp_path, g.n, [list(e) for e in g.edges()])
+        argv = ["draw", "planar", inp, "-o", str(tmp_path / "d.json"), "--format", "json"]
+        cli._parser()  # built once per process, with garbage of its own
+        gc.collect()
+        gc.disable()
+        try:
+            assert cli.main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_parser_built_once(self):
         assert cli._parser() is cli._parser()
         assert cli.build_parser() is not cli.build_parser()
 
 
-def test_cli_import_leaves_networkx_unloaded(tmp_path):
-    # networkx is imported only by canonical_order_validate; importing the
-    # CLI and drawing a planar graph never load it.
+# A fresh interpreter runs this first: a finder that refuses networkx, so
+# that any import of it, however indirect, fails.
+REFUSE_NETWORKX = """
+import sys
+
+
+class RefuseNetworkx:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "networkx":
+            raise ModuleNotFoundError(f"{name} refused", name=name)
+        return None
+
+
+sys.meta_path.insert(0, RefuseNetworkx())
+"""
+
+# Then this: every CLI command given as JSON in argv[1], and every demo
+# named after it; it prints their exit codes.
+RUN_ALL = """
+import json
+import runpy
+
+try:
+    import networkx
+except ModuleNotFoundError:
+    pass
+else:
+    sys.exit("networkx was not refused")
+
+from spannerdraw import cli
+
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+for demo in sys.argv[2:]:
+    try:
+        runpy.run_path(demo, run_name="__main__")
+        codes.append(0)
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps(codes))
+"""
+
+
+def test_cli_and_demos_run_without_networkx(tmp_path):
+    # The package runs on the standard library alone: with networkx refused,
+    # every CLI command and every demo exits 0.
     import os
     import subprocess
     import sys
+    from pathlib import Path
 
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = "import sys, spannerdraw.cli; print('networkx' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
-    inp = graph_file(tmp_path, 6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5], [0, 3], [1, 4]])
-    code = ("import sys\nfrom spannerdraw import cli\n"
-            "rc = cli.main(['draw', 'planar', sys.argv[1], '-o', sys.argv[2]])\n"
-            "print(rc, 'networkx' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code, inp, str(tmp_path / "d.json")], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "0 False"), proc.stderr
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    planar = graph_file(tmp_path, 6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5], [0, 3], [1, 4]],
+                        "planar.json")
+    tree = graph_file(tmp_path, 5, [[0, 1], [1, 2], [1, 3], [3, 4]], "tree.json")
+    drawing = str(tmp_path / "planar-drawing.json")
+    commands = [["draw", kind, tree if kind.startswith("tree") else planar,
+                 "-o", str(tmp_path / f"{kind}-drawing.json"), "--format", fmt]
+                for kind, fmt in [("planar", "json"), ("proper", "text"), ("tree-proper", "text"),
+                                  ("tree-planar", "json"), ("tough", "text")]]
+    commands += [
+        ["metrics", drawing, "--format", "json"],
+        ["verify", drawing, "--s", "3/2", "--format", "json"],
+        ["recognize", "sr1", planar],
+        ["recognize", "planar-sr1", planar, "--format", "json"],
+        ["export-svg", drawing, "-o", str(tmp_path / "planar.svg")],
+    ]
+    demos = sorted(str(p) for p in (root / "demos").glob("*.py"))
+    assert len(demos) == 3
+    proc = subprocess.run(
+        [sys.executable, "-c", REFUSE_NETWORKX + RUN_ALL, json.dumps(commands), *demos],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * (len(commands) + len(demos))

@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_connected_graph, random_tree
-from oracles import edge_separator, split_at_edge, subtree_sizes
+from oracles import (
+    connected_components,
+    edge_separator,
+    split_at_edge,
+    subtree_sizes,
+    toughness_bruteforce,
+)
 from spannerdraw import graph
 from spannerdraw.errors import InstanceTooLarge, NotATreeError
 from spannerdraw.graph import (
@@ -17,11 +23,9 @@ from spannerdraw.graph import (
     _tree_path,
     bfs_order,
     bfs_parents,
-    connected_components,
     degree_bounded_spanning_tree,
     hamiltonian_path,
     is_connected,
-    toughness_bruteforce,
 )
 
 

@@ -18,6 +18,7 @@ from conftest import (
     random_tree,
     stacked_triangulation,
 )
+from oracles import spanning_ratio_bruteforce
 from spannerdraw import drawing as drawing_module
 from spannerdraw import geometry, metrics
 from spannerdraw.drawing import Drawing
@@ -35,7 +36,6 @@ from spannerdraw.metrics import (
     min_pairwise_distance_sq,
     no_three_collinear,
     spanning_ratio,
-    spanning_ratio_bruteforce,
 )
 
 F = Fraction
