@@ -231,10 +231,11 @@ def degree_bounded_spanning_tree(g: Graph, d_target: int) -> RootedTree:
         improved = False
         k = max_deg()
         hot = {w for w in range(n) if len(tree_adj[w]) == k}
+        up, depth = _rooted(tree_adj)
         for u, v in non_tree:
             if len(tree_adj[u]) >= k - 1 or len(tree_adj[v]) >= k - 1:
                 continue
-            cycle = _tree_path(tree_adj, u, v)
+            cycle = _tree_path(up, depth, u, v)
             swap = next(
                 (
                     (cycle[i], cycle[i + 1])
@@ -258,19 +259,31 @@ def degree_bounded_spanning_tree(g: Graph, d_target: int) -> RootedTree:
     return RootedTree.from_graph(Graph(n, tuple(tuple(sorted(a)) for a in tree_adj)), 0)
 
 
-def _tree_path(tree_adj: list[set[int]], s: int, t: int) -> list[int]:
-    prev: dict[int, int] = {s: s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        if u == t:
-            break
+def _rooted(tree_adj: list[set[int]]) -> tuple[list[int], list[int]]:
+    """(parent, depth) of a spanning tree given by adjacency sets, rooted at
+    vertex 0, whose parent is itself."""
+    n = len(tree_adj)
+    up, depth = [0] * n, [-1] * n
+    depth[0] = 0
+    order = [0]
+    for u in order:  # the list grows while it is walked: a FIFO queue
         for v in tree_adj[u]:
-            if v not in prev:
-                prev[v] = u
-                stack.append(v)
-    path = [t]
-    while path[-1] != s:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
+            if depth[v] < 0:
+                up[v], depth[v] = u, depth[u] + 1
+                order.append(v)
+    return up, depth
+
+
+def _tree_path(up: list[int], depth: list[int], s: int, t: int) -> list[int]:
+    """The path from s to t in the tree of _rooted: up from both ends, the
+    deeper one first, until they meet. A tree has one path between two
+    vertices, so no search is needed."""
+    head, tail = [s], [t]
+    while s != t:
+        if depth[s] >= depth[t]:
+            s = up[s]
+            head.append(s)
+        else:
+            t = up[t]
+            tail.append(t)
+    return head + tail[-2::-1]

@@ -40,8 +40,25 @@ root distances, R[u] + R[v] - 2 R[lca]. Where the inequality fails, that
 precision scans all pairs, a tree's on integer rows rerooted along its
 breadth-first tree. The filter declines (all pairs at every precision) for
 coordinates past 1900 bits, a closest distance below 2**-900, or too many
-near-ties. The brute-force oracle in tests/oracles.py never filters: it
-takes Floyd–Warshall rows through the same precisions.
+near-ties; past 1900 bits the far-placement pass below serves the planar
+and proper drawings instead. The brute-force oracle in tests/oracles.py
+never filters: it takes Floyd–Warshall rows through the same precisions.
+
+Where coordinates run past 53 bits, a far-placement pass (_far_scan) comes
+before the float filter. The planar and proper constructions put vertex k
+more than k delta / epsilon away from the vertices placed before it, and
+the paper's proof of the 1 + epsilon bound rests on that gap. Sorted by
+(y, x), or else by (x, y), each vertex v_k has an earlier neighbor w_k, so
+every pair of v_k with an earlier vertex has dist_hi at most hi(v_k, w_k)
+plus D_k, the upper-bracket weight of the tree that the earlier vertices
+attach by, and e_lo at least gap_k, the lower bracket of v_k's distance to
+their bounding box. Each precision brackets, by branch and bound, only the
+sources whose bound B_k = (hi(v_k, w_k) + D_k) / gap_k reaches the running
+lower bound, compared in exact integers, so the enclosure equals the full
+scan's at any bit size (the pruning of the dilation scan in Narasimhan and
+Smid). The benchmark's planar and proper drawings take 1-3 rows per
+precision. A drawing with no such order, or whose bounds leave more than
+_FAR_ROWS sources, goes to the float filter.
 
 Three certificates sweep the integer points instead of scanning all pairs,
 with the same verdicts and values:
@@ -122,36 +139,39 @@ def _certify(enclosures: Iterable[Interval], rel_tols: Iterable[Fraction]) -> It
     raise PrecisionExhausted("precision escalation exhausted")
 
 
-def _scan(coords: Sequence[IntPoint], den: int, bits: int, rows) -> Interval:
+def _scan(coords: Sequence[IntPoint], den: int, bits: int, rows, best: Optional[list] = None) -> Interval:
     """The pair loop of every enclosure: the ratio enclosure over the pairs
     (u, v), for each (u, targets, dist_lo, dist_hi) that rows yields and v in
     targets, where dist_lo and dist_hi hold u's exact graph distances to the
     targets, in their order, under the lower and the upper edge brackets.
-    Every pair distance must bracket away from 0 at bits."""
-    best_lo = (0, 1)  # ratio bounds as num/den over scaled ints
-    best_hi = (0, 1)
+    Every pair distance must bracket away from 0 at bits. best, when given,
+    is the list [(0, 1), (0, 1)], in which _scan keeps the running lower and
+    upper ratio bounds as (num, den) while the pairs come, so that a lazy
+    rows can read them."""
+    if best is None:
+        best = [(0, 1), (0, 1)]
+    best_lo, best_hi = best  # ratio bounds as num/den over scaled ints
     for u, targets, dist_lo, dist_hi in rows:
         cu = coords[u]
         for v, g_lo, g_hi in zip(targets, dist_lo, dist_hi):
             e_lo, e_hi = isqrt_scaled(dist_sq(cu, coords[v]), den, bits)
             if g_lo * best_lo[1] > best_lo[0] * e_hi:
-                best_lo = (g_lo, e_hi)
+                best_lo = best[0] = (g_lo, e_hi)
             if g_hi * best_hi[1] > best_hi[0] * e_lo:
-                best_hi = (g_hi, e_lo)
+                best_hi = best[1] = (g_hi, e_lo)
     lo = max(Fraction(*best_lo), Fraction(1))
     return Interval(lo, max(Fraction(*best_hi), lo))
 
 
-def _ratio_enclosures(
-    d: Drawing, start_bits: int, rows: Callable, float_filter: Optional[Callable] = None
-) -> Iterator[Interval]:
+def _ratio_enclosures(d: Drawing, start_bits: int, rows: Callable, prune: bool = False) -> Iterator[Interval]:
     """Certified spanning-ratio enclosures, one per working precision, from
     rows(lo_w, hi_w, groups): for each (u, targets) of groups, in any order,
     (u, targets, dist_lo, dist_hi) as _scan reads them, with the graph
     distances under the lower and the upper integer edge-length brackets.
     groups None asks for every pair once, grouped as rows chooses (_every
-    for a row per vertex). Coincident vertices give the one infinite
-    interval.
+    for a row per vertex); groups may be a generator that reads the running
+    bounds of _scan, so rows must draw a group only after it has yielded
+    the last one's row. Coincident vertices give the one infinite interval.
 
     Each pair's ratio lies in [dist_lo/e_hi, dist_hi/e_lo], where e_lo, e_hi
     bracket its Euclidean distance at the same scale, so the scales cancel.
@@ -163,10 +183,12 @@ def _ratio_enclosures(
     0. The precisions are start_bits, 2*start_bits, ..., or, when b exceeds
     start_bits, 2*start_bits + b, 4*start_bits + b, ...
 
-    float_filter(g, coords, closest), when given, is the float pass
-    (_float_filter).
-    Each precision then scans its candidate pairs first, and every pair only
-    when _filter_proves fails; the enclosure is the same either way.
+    With prune, where coordinates run past 53 bits, so that the float pass
+    would take big-integer differences, each precision first tries the
+    far-placement pass (_far_scan). Where it does not apply, or hands over,
+    _float_filter's float pass runs once, and each precision then scans its
+    candidate pairs first, and every pair only when _filter_proves fails.
+    The enclosure is the same whichever way it went.
     """
     g = d.graph
     if g.n < 2:
@@ -181,17 +203,150 @@ def _ratio_enclosures(
     inverse = -(-den // closest)  # ceil(L**2 / closest)
     b = ((inverse - 1).bit_length() + 1) // 2
     precisions = _precisions(start_bits) if b <= start_bits else _precisions(2 * start_bits, b)
-    flt = float_filter(g, coords, closest) if float_filter else None
+    far = _far_order(g, coords) if prune and _coord_bits(coords) > 53 else None
+    flt = _float_filter(g, coords, closest) if prune and far is None else None
     for bits in precisions:
         lo_w, hi_w = {}, {}
         for e in g.edges():
             lo_w[e], hi_w[e] = isqrt_scaled(dist_sq(coords[e[0]], coords[e[1]]), den, bits)
+        if far is not None:
+            ivl = _far_scan(far, coords, den, bits, partial(rows, lo_w, hi_w), hi_w)
+            if ivl is not None:
+                yield ivl
+                continue
+            far = None  # not far-placed enough: the float pass from here on
+            flt = _float_filter(g, coords, closest)
         if flt is not None:
             ivl = _scan(coords, den, bits, rows(lo_w, hi_w, flt.pairs.items()))
             if _filter_proves(flt, ivl.lo, L, bits):
                 yield ivl
                 continue
         yield _scan(coords, den, bits, rows(lo_w, hi_w, None))
+
+
+def _coord_bits(coords: Sequence[IntPoint]) -> int:
+    """The bit length of the largest absolute integer coordinate."""
+    return max(abs(c).bit_length() for p in coords for c in p)
+
+
+# The far-placement pass brackets at most _FAR_ROWS sources per precision
+# before it hands over to the float pass. By measurement: the benchmark's
+# planar and proper drawings past 53 bits need at most 3 (1.4 on average),
+# planar ones of n = 320 up to 6; a drawing that is not far-placed, such as
+# random points, needs nearly all of its sources, and the rows it brackets
+# before it hands over are lost.
+_FAR_ROWS = 8
+
+
+@dataclass(frozen=True)
+class _Far:
+    """A vertex order v_0, ..., v_{n-1} of a drawing for _far_scan, and for
+    each k >= 1, at steps[k - 1], the edge from v_k to its nearest earlier
+    neighbor w_k and the squared distance from v_k to the bounding box of
+    v_0 .. v_{k-1}, on the integer coordinates."""
+
+    order: list[int]
+    steps: list[tuple[tuple[int, int], int]]
+
+
+def _far_order(g: Graph, coords: Sequence[IntPoint]) -> Optional[_Far]:
+    """The vertices sorted by (y, x), or else by (x, y), the first of the two
+    in which every vertex after the first has a neighbor earlier in the
+    order; None when neither has. A drawing file holds no construction
+    order, so the order comes from the points: the planar construction puts
+    each vertex above the ones before it, the proper one to their right."""
+    n = g.n
+    for a, b in ((1, 0), (0, 1)):
+        order = sorted(range(n), key=lambda v: (coords[v][a], coords[v][b]))
+        pos = [0] * n
+        for k, v in enumerate(order):
+            pos[v] = k
+        x0, y0 = x1, y1 = coords[order[0]]
+        steps = []
+        for k in range(1, n):
+            v = order[k]
+            earlier = [w for w in g.adj[v] if pos[w] < k]
+            if not earlier:
+                break
+            w = min(earlier, key=lambda w: dist_sq(coords[v], coords[w]))
+            x, y = coords[v]
+            dx = x0 - x if x < x0 else x - x1 if x > x1 else 0
+            dy = y0 - y if y < y0 else y - y1 if y > y1 else 0
+            steps.append(((v, w) if v < w else (w, v), dx * dx + dy * dy))
+            x0, x1, y0, y1 = min(x0, x), max(x1, x), min(y0, y), max(y1, y)
+        else:
+            return _Far(order, steps)
+    return None
+
+
+def _far_scan(far: _Far, coords: Sequence[IntPoint], den: int, bits: int,
+              rows: Callable, hi_w: dict) -> Optional[Interval]:
+    """The enclosure at scale 2**bits by branch and bound over the sources of
+    far's order, each bracketed against the vertices before it: rows(groups)
+    gives their rows under the precision's edge brackets, of which hi_w are
+    the upper ones. None when more than _FAR_ROWS sources need brackets.
+
+    Every pair is (v_k, u) for exactly one k >= 1 and u before v_k. Let
+    hi(e) be the upper bracket of edge e, D_k the sum of hi over the edges
+    (v_j, w_j), 1 <= j < k, which form a spanning tree of v_0 .. v_{k-1},
+    and gap_k the lower isqrt_scaled bracket of v_k's squared distance to
+    their bounding box. The bound is B_k = (hi(v_k, w_k) + D_k) / gap_k,
+    infinite when gap_k = 0 (_far_bounds).
+    - dist_hi(v_k, u) <= hi(v_k, w_k) + D_k: dist_hi is the least weight of
+      a path under hi, and one path goes to w_k and then along the tree.
+    - e_lo(v_k, u) >= gap_k: the box holds u, so |v_k u| is at least v_k's
+      distance to it, and the lower bracket is monotone in the square.
+    - So every pair of source v_k has dist_lo/e_hi <= dist_hi/e_lo <= B_k.
+    The sources come by B_k from the largest, by a float key, which only
+    affects speed. When its turn comes, each is compared exactly with t,
+    the running largest dist_lo/e_hi of _scan, and passed over if B_k < t,
+    else bracketed. t only rises, so every pair passed over has
+    dist_lo/e_hi <= dist_hi/e_lo < T, T the final t. It moves neither the
+    lower bound, T, nor the upper bound, which is at least dist_hi/e_lo >= T
+    of the pair that set T. The enclosure is the full scan's, number for
+    number. The comparisons are exact integer products, with no float
+    error and no limit on the bits of the coordinates."""
+    sources = sorted(_far_bounds(far, den, bits, hi_w), key=lambda s: s[0], reverse=True)
+    order = far.order
+    best = [(0, 1), (0, 1)]
+    bracketed = 0
+
+    def groups():
+        nonlocal bracketed
+        for _, num, gap, k in sources:
+            t_num, t_den = best[0]
+            if num * t_den < t_num * gap:
+                continue  # B_k < t
+            bracketed += 1
+            if bracketed > _FAR_ROWS:
+                return
+            yield order[k], order[:k]
+
+    ivl = _scan(coords, den, bits, rows(groups()), best)
+    return ivl if bracketed <= _FAR_ROWS else None
+
+
+def _far_bounds(far: _Far, den: int, bits: int, hi_w: dict) -> list[tuple[float, int, int, int]]:
+    """(key, num, gap, k) for each k >= 1 of far's order: _far_scan's bound
+    B_k = num / gap at scale 2**bits from the upper edge brackets hi_w, and
+    key its float value."""
+    bounds = []
+    tree = 0  # D_k
+    for k, (edge, box_sq) in enumerate(far.steps, 1):
+        w = hi_w[edge]
+        gap = isqrt_scaled(box_sq, den, bits)[0]
+        bounds.append((_ratio_key(w + tree, gap), w + tree, gap, k))
+        tree += w
+    return bounds
+
+
+def _ratio_key(num: int, den: int) -> float:
+    """num / den as a float for ordering, math.inf when den is 0 or the
+    quotient is beyond a double."""
+    try:
+        return num / den if den else math.inf
+    except OverflowError:
+        return math.inf
 
 
 def _every(n: int) -> Iterator[tuple[int, range]]:
@@ -309,7 +464,7 @@ def _float_filter(g: Graph, coords: Sequence[IntPoint], closest: int) -> Optiona
     difference as converting the integer difference does.
     """
     n = g.n
-    bits = max(abs(c).bit_length() for p in coords for c in p)
+    bits = _coord_bits(coords)
     s = max(0, bits - _FILTER_BITS)
     k = (closest.bit_length() + 1) // 2 - 64  # sqrt(closest) has 64 bits over 2**k
     lo = math.isqrt(closest >> 2 * k if k > 0 else closest << -2 * k)
@@ -712,7 +867,7 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
             dist_lo, dist_hi = _dijkstra(adj_lo, u, targets), _dijkstra(adj_hi, u, targets)
             yield u, targets, [dist_lo[v] for v in targets], [dist_hi[v] for v in targets]
 
-    return _ratio_enclosures(d, _START_BITS, rows, _float_filter)
+    return _ratio_enclosures(d, _START_BITS, rows, prune=True)
 
 
 def spanning_ratio(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:

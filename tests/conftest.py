@@ -4,10 +4,24 @@ re-runs are deterministic."""
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from spannerdraw import Drawing, Graph
 from spannerdraw.embedding import planarity_test_embed
+
+BENCH = str(Path(__file__).resolve().parent.parent / "bench")
+
+
+def bench_workloads():
+    """bench/workloads.py: the benchmark's seeded op lists and generators,
+    among them the planar one that draws chords inside faces."""
+    if BENCH not in sys.path:
+        sys.path.insert(0, BENCH)
+    import workloads
+
+    return workloads
 
 
 def random_tree(n: int, maxdeg: int, seed: int) -> Graph:

@@ -1,8 +1,9 @@
 """Test-only oracles: the tree edge separator, the face walk of a rotation
 system, networkx's planar embedding, a canonical-order validator, the
-all-pairs spanning ratio and brute-force toughness, written apart from the
-package's own code so that the tests check it against independent code.
-Only the tests and bench/ import networkx; the package does not need it."""
+all-pairs spanning ratio, the depth-first tree path and brute-force
+toughness, written apart from the package's own code so that the tests
+check it against independent code. Only the tests and bench/ import
+networkx; the package does not need it."""
 
 from __future__ import annotations
 
@@ -239,6 +240,27 @@ def spanning_ratio_bruteforce(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -
             yield u, targets, [dist_lo[u][v] for v in targets], [dist_hi[u][v] for v in targets]
 
     return next(_certify(_ratio_enclosures(d, 2 * _START_BITS, rows), [rel_tol]))
+
+
+def tree_path_dfs(tree_adj: list[set[int]], s: int, t: int) -> list[int]:
+    """The path from s to t in a tree given by adjacency sets, by a
+    depth-first search of the whole tree from s, as
+    degree_bounded_spanning_tree once found each cycle."""
+    prev: dict[int, int] = {s: s}
+    stack = [s]
+    while stack:
+        u = stack.pop()
+        if u == t:
+            break
+        for v in tree_adj[u]:
+            if v not in prev:
+                prev[v] = u
+                stack.append(v)
+    path = [t]
+    while path[-1] != s:
+        path.append(prev[path[-1]])
+    path.reverse()
+    return path
 
 
 def connected_components(g: Graph) -> list[list[int]]:

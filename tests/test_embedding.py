@@ -2,15 +2,14 @@ import functools
 import hashlib
 import itertools
 import random
-import sys
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from networkx.algorithms.planarity import ConflictPair
 
 from conftest import (
+    bench_workloads,
     random_connected_graph,
     random_connected_planar_graph,
     random_tree,
@@ -45,18 +44,6 @@ def subdivided(g, times, rng):
         edges += [(u, n), (n, v)]
         n += 1
     return Graph.from_edges(n, edges)
-
-
-BENCH = str(Path(__file__).resolve().parent.parent / "bench")
-
-
-def bench_workloads():
-    """bench/workloads.py, whose planar generator draws chords inside faces."""
-    if BENCH not in sys.path:
-        sys.path.insert(0, BENCH)
-    import workloads
-
-    return workloads
 
 
 @functools.cache

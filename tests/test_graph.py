@@ -13,6 +13,7 @@ from oracles import (
     split_at_edge,
     subtree_sizes,
     toughness_bruteforce,
+    tree_path_dfs,
 )
 from spannerdraw import graph
 from spannerdraw.errors import InstanceTooLarge, NotATreeError
@@ -20,7 +21,6 @@ from spannerdraw.graph import (
     HAMILTONIAN_DP_LIMIT,
     Graph,
     RootedTree,
-    _tree_path,
     bfs_order,
     bfs_parents,
     degree_bounded_spanning_tree,
@@ -115,7 +115,7 @@ def degree_bounded_tree_oracle(g, d_target):
         for u, v in non_tree:
             if len(tree_adj[u]) >= k - 1 or len(tree_adj[v]) >= k - 1:
                 continue
-            cycle = _tree_path(tree_adj, u, v)
+            cycle = tree_path_dfs(tree_adj, u, v)
             swap = next(((a, b) for a, b in zip(cycle, cycle[1:]) if a in hot or b in hot), None)
             if swap is not None:
                 break
@@ -303,6 +303,39 @@ class TestDegreeBoundedSpanningTree:
         t = degree_bounded_spanning_tree(star_graph(5), 2)
         assert t.graph.max_degree() == 5
         assert t.graph.is_tree()
+
+    def test_tree_path_walks_up_as_the_search_finds(self):
+        # A tree has one path between two vertices: the walk up the parent
+        # pointers returns the depth-first search's path, vertex for vertex.
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randrange(1, 80)
+            t = random_tree(n, rng.choice((2, 3, 4, n)), 300 + seed)
+            tree_adj = [set(a) for a in t.adj]
+            up, depth = graph._rooted(tree_adj)
+            assert depth[0] == 0 and all(depth[v] == depth[up[v]] + 1 for v in range(1, n)), seed
+            for _ in range(50):
+                s, u = rng.randrange(n), rng.randrange(n)
+                assert graph._tree_path(up, depth, s, u) == tree_path_dfs(tree_adj, s, u), (seed, s, u)
+
+    def test_large_trees_match_oracle(self):
+        # The swaps of the search, on graphs larger than the oracle test's.
+        for k, n in enumerate((60, 150, 300)):
+            g = random_connected_graph(n, n // (1 + k), 40 + k)
+            for d in (2, 3):
+                adj, achieved = degree_bounded_tree_oracle(g, d)
+                t = degree_bounded_spanning_tree(g, d)
+                assert (t.graph.adj, t.graph.max_degree()) == (adj, achieved), (n, d)
+
+    def test_trees_pinned(self):
+        # Recorded when each cycle was found by a depth-first search.
+        trees = []
+        for k, n in enumerate((10, 20, 40, 80, 160, 300) * 2):
+            for d in (2, 3):
+                g = random_connected_graph(n, n // (1 + k % 3), 40 + k)
+                trees.append(degree_bounded_spanning_tree(g, d).parent)
+        digest = hashlib.sha256(repr(trees).encode()).hexdigest()
+        assert digest == "deb8223b6e17a18ddb94ed25e33d1f3d2e4af968844f7242335f760764ef170c"
 
 
 class TestToughness:

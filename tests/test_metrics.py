@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bench_workloads,
     kruskal,
     random_connected_graph,
+    random_connected_planar_graph,
     random_drawing,
     random_rational_drawing,
     random_tree,
@@ -25,7 +27,13 @@ from spannerdraw.drawing import Drawing
 from spannerdraw.exact import Interval, format_rational, isqrt_scaled, sqrt_interval
 from spannerdraw.geometry import closest_pair_sq, dist_sq, in_segment_interior, segments_cross_improperly
 from spannerdraw.graph import Graph, RootedTree
-from spannerdraw.layout import Epsilon, draw_planar_spanner, draw_proper_spanner, draw_tree_planar
+from spannerdraw.layout import (
+    Epsilon,
+    draw_graph_via_tough_tree,
+    draw_planar_spanner,
+    draw_proper_spanner,
+    draw_tree_planar,
+)
 from spannerdraw.metrics import (
     DEFAULT_REL_TOL,
     bounding_box,
@@ -258,6 +266,9 @@ class TestFloatFilter:
 
         monkeypatch.setattr(metrics, "_float_filter", counted_filter)
         monkeypatch.setattr(metrics, "_filter_proves", counted_proves)
+        # With no row to spend, the far-placement pass hands every drawing
+        # past 53 bits over to the float pass, whose paths this test counts.
+        monkeypatch.setattr(metrics, "_FAR_ROWS", 0)
 
         cases = [random_drawing(4 + seed % 12, seed) for seed in range(20)]
         cases += [random_rational_drawing(5 + seed % 8, 5000 + seed) for seed in range(20)]
@@ -567,6 +578,7 @@ class TestFloatFilterOracle:
         proper = draw_proper_spanner(random_connected_graph(80, 80, 1), Epsilon(F(1, 2)))
         filters = [(d, metrics._float_filter(d.graph, d.points, d.closest_sq)) for d in (planar, proper)]
         monkeypatch.setattr(metrics, "heapq", SimpleNamespace(heappop=heappop, heappush=heapq.heappush))
+        monkeypatch.setattr(metrics, "_FAR_ROWS", 0)  # the far-placement pass hands over at once
         for d, flt in filters:
             assert flt is not None and flt.pairs
             monkeypatch.setattr(metrics, "_float_filter", lambda *args: flt)
@@ -672,6 +684,218 @@ class TestFloatFilterOracle:
             metrics._float_filter(random_tree(n, 2 + k % 4, 700 + k), points, closest_pair_sq(points))
         digest = hashlib.sha256(repr(walk_trees).encode()).hexdigest()
         assert digest == "a27e129fbaf72f690f6eeeceb460e0054052630e78984e524c85b81db1226eeb"
+
+
+def shifted(d, s):
+    """d scaled by 2**s and moved by one unit of 1/den along both axes: no
+    ratio changes, and the coordinates keep no common factor 2**s."""
+    return Drawing(d.graph, tuple(((x << s) + 1, (y << s) + 1) for x, y in d.points), d.den)
+
+
+def small_far_drawings():
+    """Planar and proper spanner drawings of n <= 12, several seeds and eps."""
+    cases = []
+    for seed in range(8):
+        n, eps = 4 + seed, (F(1), F(1, 10), F(1, 2), F(3))[seed % 4]
+        cases.append(draw_planar_spanner(random_connected_planar_graph(n, 60 + seed), Epsilon(eps)))
+        cases.append(draw_proper_spanner(random_connected_graph(n, seed, 80 + seed), Epsilon(eps)))
+    return cases
+
+
+def y_ordered_drawing(n, bits, seed):
+    """Random points, each joined to a random lower one and by n // 2 more
+    random edges: the (y, x) order has an earlier neighbor everywhere, but
+    the points are not far apart."""
+    points = sorted(random_points(n, bits, seed), key=lambda p: (p[1], p[0]))
+    rng = random.Random(seed)
+    edges = {(rng.randrange(k), k) for k in range(1, n)}
+    while len(edges) < n - 1 + n // 2:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Drawing(Graph.from_edges(n, edges), tuple(points))
+
+
+def full_rows(g, lo_w, hi_w):
+    """rows(groups) for _far_scan and _scan: Dijkstra under both brackets,
+    every pair once when groups is None."""
+    adj_lo, adj_hi = metrics._weighted_adj(g.n, lo_w), metrics._weighted_adj(g.n, hi_w)
+
+    def rows(groups):
+        for u, targets in groups if groups is not None else metrics._every(g.n):
+            lo, hi = metrics._dijkstra(adj_lo, u, targets), metrics._dijkstra(adj_hi, u, targets)
+            yield u, targets, [lo[v] for v in targets], [hi[v] for v in targets]
+
+    return rows
+
+
+class TestFarPlacement:
+    """The far-placement pass brackets only the sources whose bound
+    B_k = (hi(v_k, w_k) + D_k) / gap_k reaches the running lower bound, and
+    its enclosure equals the full scan's, number for number."""
+
+    @pytest.fixture
+    def far_log(self, monkeypatch):
+        """Per call of _far_scan, (sources bracketed, handed over); and the
+        calls of _far_order and _float_filter under "order" and "filter"."""
+        log = {"scans": [], "order": 0, "filter": 0}
+        far_scan, far_order, float_filter = metrics._far_scan, metrics._far_order, metrics._float_filter
+
+        def scan(far, coords, den, bits, rows, hi_w):
+            count = [0]
+
+            def counted(groups):
+                for group in groups:
+                    count[0] += 1
+                    yield group
+
+            ivl = far_scan(far, coords, den, bits, lambda groups: rows(counted(groups)), hi_w)
+            log["scans"].append((count[0], ivl is None))
+            return ivl
+
+        def order(*args):
+            log["order"] += 1
+            return far_order(*args)
+
+        def flt(*args):
+            log["filter"] += 1
+            return float_filter(*args)
+
+        monkeypatch.setattr(metrics, "_far_scan", scan)
+        monkeypatch.setattr(metrics, "_far_order", order)
+        monkeypatch.setattr(metrics, "_float_filter", flt)
+        return log
+
+    def test_matches_oracles_on_small_drawings(self, far_log):
+        # Every case past 53 bits is certified by the pass alone (the
+        # proper ones of n <= 12 have 8-47 bits, the planar ones 85-119).
+        # Scaled by 2**3000 they are past the float filter's 1900 bits.
+        entered = 0
+        for k, d in enumerate(small_far_drawings()):
+            for case in (d, shifted(d, 3000)):
+                far_log["scans"].clear()
+                far_log["filter"] = 0
+                a, b, c = spanning_ratio(case), spanning_ratio_oracle(case), spanning_ratio_bruteforce(case)
+                assert (a.lo, a.hi) == (b.lo, b.hi), k
+                assert a.intersects(c) and c.rel_width() <= DEFAULT_REL_TOL, k
+                if metrics._coord_bits(case.points) > 53:
+                    assert far_log["scans"] and not any(fell for _, fell in far_log["scans"]), k
+                    assert far_log["filter"] == 0, k
+                    entered += 1
+                else:
+                    assert not far_log["scans"] and far_log["filter"] == 1, k
+            assert metrics._coord_bits(case.points) > 3000
+            assert metrics._float_filter(case.graph, case.points, case.closest_sq) is None, k
+        assert entered == 24
+
+    def test_equals_full_scan_at_every_precision(self):
+        # At a few bits the brackets are coarse and the bounds weak, so the
+        # pass is tested where it hands over, where it barely finishes and
+        # where it prunes almost everything. Every bound B_k must hold for
+        # every pair of its source: dist_hi / e_lo <= B_k.
+        cases = small_far_drawings()
+        cases += [shifted(d, 3000) for d in cases[:6]]
+        cases += [y_ordered_drawing(n, 30, n) for n in (3, 8, 20)]
+        # A tight bound: the path from (0, H) to (0, 0) runs through the
+        # whole tree of the prefix, and (0, 0) is the point of the prefix's
+        # box nearest to (0, H), so dist_hi / e_lo = B_2 for the pair.
+        cases.append(drawing(3, [(0, 1), (1, 2)], [(0, 0), (-3, -1), (0, 40)]))
+        checked = Counter()
+        for k, d in enumerate(cases):
+            g, coords, L = d.graph, d.points, d.den
+            far = metrics._far_order(g, coords)
+            assert far is not None, k
+            for bits in range(1, 60, 3):
+                if 4**bits * d.closest_sq < L * L:
+                    continue  # a pair brackets to 0: no enclosure runs at these bits
+                lo_w, hi_w = {}, {}
+                for u, v in g.edges():
+                    lo_w[(u, v)], hi_w[(u, v)] = isqrt_scaled(dist_sq(coords[u], coords[v]), L * L, bits)
+                rows = full_rows(g, lo_w, hi_w)
+                dist_hi = {u: hi for u, _, _, hi in rows((u, range(g.n)) for u in range(g.n))}
+                for _, num, gap, j in metrics._far_bounds(far, L * L, bits, hi_w):
+                    v = far.order[j]
+                    for u in far.order[:j]:
+                        e_lo = isqrt_scaled(dist_sq(coords[v], coords[u]), L * L, bits)[0]
+                        assert dist_hi[v][u] * gap <= num * e_lo, (k, bits, j, u)
+                        checked["tight"] += dist_hi[v][u] * gap == num * e_lo
+                ivl = metrics._far_scan(far, coords, L * L, bits, rows, hi_w)
+                if ivl is None:
+                    checked["handed over"] += 1
+                    continue
+                full = metrics._scan(coords, L * L, bits, rows(None))
+                assert (ivl.lo, ivl.hi) == (full.lo, full.hi), (k, bits)
+                checked["pruned"] += 1
+        assert checked["pruned"] > 400 and checked["handed over"] > 15 and checked["tight"] > 500, checked
+
+    def test_a_source_at_the_lower_bound_is_bracketed(self, far_log):
+        # Only B_k < t prunes. On a straight path every bracket is exact:
+        # the top vertex's row sets t = 1, and the middle one's bound is
+        # exactly 1, so it is bracketed too.
+        s = 2**60
+        d = drawing(3, [(0, 1), (1, 2)], [(1, 1), (1, s + 1), (1, 2 * s + 1)])
+        a = spanning_ratio(d)
+        assert a.lo == a.hi == 1 and far_log["scans"] == [(2, False)]
+
+    def test_far_placed_drawings_bracket_a_few_rows(self, far_log):
+        # Counted, not timed: a seeded n = 160 planar drawing at both eps,
+        # and a proper one, bracket at most 3 sources at every precision
+        # (measured: 1 or 2), and the float pass never runs.
+        workloads = bench_workloads()
+        graphs = [Graph.from_edges(160, workloads.random_planar_edges(160, random.Random(k), 160))
+                  for k in range(2)]
+        cases = [draw_planar_spanner(h, Epsilon(eps)) for h in graphs for eps in (F(1), F(1, 10))]
+        cases.append(draw_proper_spanner(random_connected_graph(160, 160, 5), Epsilon(F(1, 2))))
+        for k, d in enumerate(cases):
+            far_log["scans"].clear()
+            assert not spanning_ratio(d).is_infinite
+            assert far_log["scans"] and all(0 < rows <= 3 and not fell for rows, fell in far_log["scans"]), k
+        assert far_log["filter"] == 0
+
+    def test_small_coordinates_never_enter(self, far_log):
+        # Tough and tree-planar drawings keep their coordinates within 53
+        # bits, so the float pass serves them as before.
+        cases = [draw_graph_via_tough_tree(random_connected_graph(n, n, n), 3, Epsilon(1)).drawing
+                 for n in (20, 40, 80)]
+        cases += [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
+                  for n in (125, 300)]
+        for d in cases:
+            assert metrics._coord_bits(d.points) <= 53
+            spanning_ratio(d)
+        assert far_log["order"] == 0 and not far_log["scans"] and far_log["filter"] == len(cases)
+
+    def test_drawings_not_far_placed_hand_over(self, far_log):
+        # Random points past 53 bits with connected (y, x) prefixes: the pass
+        # spends its rows and hands over to the float pass. A star centered
+        # among its leaves has no order at all.
+        cases = [shifted(y_ordered_drawing(n, 30, n), 200) for n in (20, 40)]
+        cases += [shifted(random_drawing(12, seed), 200) for seed in range(4)]
+        star = drawing(5, [(0, 1), (0, 2), (0, 3), (0, 4)], [(0, 0), (-2, 1), (2, -1), (1, 2), (-1, -2)])
+        cases.append(shifted(star, 200))
+        fell = 0
+        for k, d in enumerate(cases):
+            far_log["scans"].clear()
+            far_log["filter"] = 0
+            a, b, c = spanning_ratio(d), spanning_ratio_oracle(d), spanning_ratio_bruteforce(d)
+            assert (a.lo, a.hi) == (b.lo, b.hi) and a.intersects(c), k
+            assert far_log["filter"] == 1, k
+            if far_log["scans"]:
+                assert far_log["scans"] == [(metrics._FAR_ROWS, True)], (k, far_log["scans"])
+                fell += 1
+        assert fell >= 2
+        assert metrics._far_order(star.graph, shifted(star, 200).points) is None
+
+    def test_enclosures_pinned(self):
+        # The seed-301 planar and proper benchmark drawings with n <= 40,
+        # recorded when every precision scanned all pairs (past 1900 bits)
+        # or the float filter's candidates.
+        workloads = bench_workloads()
+        draw = {"planar": draw_planar_spanner, "proper": draw_proper_spanner}
+        srs = [spanning_ratio(draw[op.kind](Graph.from_edges(op.n, op.edges), Epsilon(op.epsilon)))
+               for w in ("planar", "proper") for op in workloads.build(w, 301)
+               if op.kind in draw and op.n <= 40]
+        assert len(srs) == 128
+        digest = hashlib.sha256(repr([(s.lo, s.hi) for s in srs]).encode()).hexdigest()
+        assert digest == "ced2ed3de6e9b4d5c9aeb84f8f89dc85608f95bd7ecfbcc8aed6dfd7dd65ce9d"
 
 
 class TestEdgeLengthRatio:
