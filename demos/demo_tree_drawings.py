@@ -12,13 +12,14 @@ from spannerdraw import (
     Graph,
     RootedTree,
     draw_graph_via_tough_tree,
-    draw_tree_planar_with_stats,
+    draw_tree_planar,
     draw_tree_proper,
     is_planar_drawing,
     min_pairwise_distance_sq,
     no_three_collinear,
     spanning_ratio,
 )
+from spannerdraw.metrics import bounding_box
 
 
 def random_tree(n, maxdeg, seed):
@@ -47,15 +48,13 @@ def main():
 
     # Planar drawing: layered placement on the integer grid, subtrees ordered
     # by size with geometrically growing gaps, largest subtree kept level.
-    d, stats = draw_tree_planar_with_stats(t, eps)
+    d = draw_tree_planar(t, eps)
     sr = spanning_ratio(d)
+    width, height, _ = bounding_box(d)
     print("planar tree drawing:")
     print(f"  exact planarity: {is_planar_drawing(d)}")
     print(f"  spanning ratio <= {float(sr.hi):.6f} (guarantee: 1.5)")
-    print(
-        f"  height {stats.height} <= log2(n') = {math.log2(stats.n_prime):.2f}, "
-        f"width {stats.width}"
-    )
+    print(f"  bounding box: width {width}, height {height} <= log2(2n) = {math.log2(2 * t.n):.2f}")
 
     # General graphs: route through a degree-bounded spanning tree; remaining
     # edges only shorten paths. A missed degree target degrades the

@@ -46,7 +46,6 @@ from .layout import (
     draw_planar_spanner,
     draw_proper_spanner,
     draw_tree_planar,
-    draw_tree_planar_with_stats,
     draw_tree_proper,
 )
 from .metrics import (

@@ -307,20 +307,7 @@ def draw_graph_via_tough_tree(g: Graph, d_target: int, eps: Epsilon) -> ToughDra
     )
 
 
-@dataclass(frozen=True)
-class TreePlanarStats:
-    """Construction-time bookkeeping for the planar tree layout."""
-
-    n_prime: int  # size after every lone child received a sibling
-    width: int
-    height: int
-
-
 def draw_tree_planar(t: RootedTree, eps: Epsilon) -> Drawing:
-    return draw_tree_planar_with_stats(t, eps)[0]
-
-
-def draw_tree_planar_with_stats(t: RootedTree, eps: Epsilon) -> tuple[Drawing, TreePlanarStats]:
     """Planar tree drawing with integer coordinates, spanning ratio at most
     (tree_gamma+2)/tree_gamma <= 1 + epsilon/2, unit minimum edge length, and
     logarithmic height.
@@ -335,19 +322,18 @@ def draw_tree_planar_with_stats(t: RootedTree, eps: Epsilon) -> tuple[Drawing, T
     path = path_order(t.graph)
     if path is not None:
         # The tree is a path: unit-spaced collinear placement is exact.
-        return Drawing.on_x_axis(t.graph, path), TreePlanarStats(n, n - 1, 0)
+        return Drawing.on_x_axis(t.graph, path)
 
     # Root at the smallest-id leaf, then give every lone child a dummy sibling.
     root = min(v for v in range(n) if t.graph.degree(v) == 1)
     base = RootedTree.from_graph(t.graph, root)
     children: list[list[int]] = [list(c) for c in base.children]
-    next_id = n
+    n_prime = n
     for v in range(n):
         if len(children[v]) == 1:
-            children[v].append(next_id)
+            children[v].append(n_prime)
             children.append([])
-            next_id += 1
-    n_prime = next_id
+            n_prime += 1
 
     order = preorder(children, root)
 
@@ -356,7 +342,6 @@ def draw_tree_planar_with_stats(t: RootedTree, eps: Epsilon) -> tuple[Drawing, T
     # positions are the sums of the offsets along the path from the root.
     size = [1] * n_prime
     width = [0] * n_prime
-    height = [0] * n_prime
     offset = [(0, 0)] * n_prime
     for u in reversed(order):
         kids = children[u]
@@ -369,12 +354,10 @@ def draw_tree_planar_with_stats(t: RootedTree, eps: Epsilon) -> tuple[Drawing, T
             x_off = 0 if i == 0 else d_prev + gamma * (d_prev + log_n)
             offset[c] = (x_off, 0 if last else -1)
             d_prev = max(d_prev, x_off + width[c])
-            height[u] = max(height[u], height[c] if last else height[c] + 1)
         width[u] = d_prev
 
     pos = [(0, 0)] * n_prime
     for u in order:
         for c in children[u]:
             pos[c] = (pos[u][0] + offset[c][0], pos[u][1] + offset[c][1])
-    drawing = Drawing(t.graph, tuple(pos[:n]))
-    return drawing, TreePlanarStats(n_prime, width[root], height[root])
+    return Drawing(t.graph, tuple(pos[:n]))

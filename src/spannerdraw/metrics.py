@@ -35,13 +35,13 @@ cut, as it would be on exact rows. Each precision brackets only the
 candidates, and one exact inequality (_filter_proves) shows that no other
 pair can reach the certified lower bound, so the enclosure equals the full
 scan's; its float error covers a bounded entry's sum of up to 2n - 2
-weights. The candidates of a tree take their exact distances from integer
-root distances, R[u] + R[v] - 2 R[lca]. Where the inequality fails, that
-precision scans all pairs, a tree's on integer rows rerooted along its
-breadth-first tree. The filter declines (all pairs at every precision) for
-coordinates past 1900 bits, a closest distance below 2**-900, or too many
-near-ties; past 1900 bits the far-placement pass below serves the planar
-and proper drawings instead. The brute-force oracle in tests/oracles.py
+weights. Where the inequality fails, that precision scans all pairs. A
+tree is rooted once per call, at vertex 0, for the float pass and the
+exact rows alike, and every exact tree distance is R[u] + R[v] - 2 R[lca]
+on integer root distances. The filter declines (all pairs at every
+precision) for coordinates past 1900 bits, a closest distance below
+2**-900, or too many near-ties; past 1900 bits the far-placement pass below
+serves the planar and proper drawings instead. The brute-force oracle in tests/oracles.py
 never filters: it takes Floyd–Warshall rows through the same precisions.
 
 Where coordinates run past 53 bits, a far-placement pass (_far_scan) comes
@@ -183,12 +183,14 @@ def _ratio_enclosures(d: Drawing, start_bits: int, rows: Callable, prune: bool =
     0. The precisions are start_bits, 2*start_bits, ..., or, when b exceeds
     start_bits, 2*start_bits + b, 4*start_bits + b, ...
 
-    With prune, where coordinates run past 53 bits, so that the float pass
-    would take big-integer differences, each precision first tries the
-    far-placement pass (_far_scan). Where it does not apply, or hands over,
-    _float_filter's float pass runs once, and each precision then scans its
-    candidate pairs first, and every pair only when _filter_proves fails.
-    The enclosure is the same whichever way it went.
+    With prune, a tree's rows come from its breadth-first preorder tree
+    (_tree_rows), built once and walked by the float pass too. Where
+    coordinates run past 53 bits, so that the float pass would take
+    big-integer differences, each precision first tries the far-placement
+    pass (_far_scan). Where it does not apply, or hands over, the float
+    pass runs once, and each precision then scans its candidate pairs
+    first, and every pair only when _filter_proves fails. The enclosure is
+    the same whichever way it went.
     """
     g = d.graph
     if g.n < 2:
@@ -203,8 +205,11 @@ def _ratio_enclosures(d: Drawing, start_bits: int, rows: Callable, prune: bool =
     inverse = -(-den // closest)  # ceil(L**2 / closest)
     b = ((inverse - 1).bit_length() + 1) // 2
     precisions = _precisions(start_bits) if b <= start_bits else _precisions(2 * start_bits, b)
-    far = _far_order(g, coords) if prune and _coord_bits(coords) > 53 else None
-    flt = _float_filter(g, coords, closest) if prune and far is None else None
+    tree = _spanning_tree(g, bfs_parents(g)) if prune and g.m == g.n - 1 else None
+    rows = rows if tree is None else partial(_tree_rows, tree)
+    coord_bits = _coord_bits(coords) if prune else 0
+    far = _far_order(g, coords) if coord_bits > 53 else None
+    flt = _float_filter(g, coords, closest, coord_bits, tree) if prune and far is None else None
     for bits in precisions:
         lo_w, hi_w = {}, {}
         for e in g.edges():
@@ -215,7 +220,7 @@ def _ratio_enclosures(d: Drawing, start_bits: int, rows: Callable, prune: bool =
                 yield ivl
                 continue
             far = None  # not far-placed enough: the float pass from here on
-            flt = _float_filter(g, coords, closest)
+            flt = _float_filter(g, coords, closest, coord_bits, tree)
         if flt is not None:
             ivl = _scan(coords, den, bits, rows(lo_w, hi_w, flt.pairs.items()))
             if _filter_proves(flt, ivl.lo, L, bits):
@@ -427,26 +432,29 @@ def _filter_proves(flt: _Filter, t: Fraction, L: int, bits: int) -> bool:
     return den > 0 and num < t * den
 
 
-def _float_filter(g: Graph, coords: Sequence[IntPoint], closest: int) -> Optional[_Filter]:
-    """One float pass over all pairs of a connected graph on distinct points,
-    closest their least squared distance: the pairs whose float ratio is
-    within a factor 1 - _FILTER_ETA of the largest, judged against the
-    running largest. None when the filter declines: the coordinates need a
-    scaling beyond 2**-_FILTER_LIMIT, the closest distance is at most
-    2**-_FILTER_LIMIT, a float ratio overflows, or the candidates are not few.
+def _float_filter(g: Graph, coords: Sequence[IntPoint], closest: int, bits: int,
+                  tree: Optional[_Tree]) -> Optional[_Filter]:
+    """One float pass over all pairs of a connected graph on distinct points
+    (closest their least squared distance, bits the _coord_bits of coords):
+    the pairs whose float ratio is within a factor 1 - _FILTER_ETA of the
+    largest, judged against the running largest. None when the filter
+    declines: the coordinates need a scaling beyond 2**-_FILTER_LIMIT, the
+    closest distance is at most 2**-_FILTER_LIMIT, a float ratio overflows,
+    or the candidates are not few.
 
     efmin is a lower bracket of the closest distance in float units,
     sqrt(closest) / 2**s, to 64 significant bits, over 1 + 4u, so at most
     every float pair distance (see _filter_proves); no row is built to
     find it.
 
-    The sources are walked in the preorder of _spanning_tree along a minimum
-    spanning tree of the float weights (_prim), whose short edges keep the
-    bounded rows tight; a tree is its own. The bounds need only that it is a
-    spanning tree. Each source is judged against the positions after its
-    own. On a tree _tree_candidates judges fl(off + root[j]), root the float
-    root distances and off one offset per range of targets, and skips whole
-    subtrees that its bounds put below the cut. Such an entry takes at most
+    The sources are walked in preorder along tree, a tree's own (None on
+    any other graph, which walks a minimum spanning tree of the float
+    weights, _prim, whose short edges keep the bounded rows tight). The
+    bounds need only that it is a spanning tree. Each source is judged
+    against the positions after its own. On a tree _tree_candidates judges
+    fl(off + root[j]), root the float root distances and off one offset
+    per run of targets (_Tree.runs), and skips whole subtrees that its
+    bounds put below the cut. Such an entry takes at most
     depth(i) + depth(j) + 2 depth(lca) <= 4h roundings in the root
     distances, h the height in edges, and two more in off and the sum, each
     at most u times rmax or 2 rmax, rmax the largest root distance; so
@@ -464,7 +472,6 @@ def _float_filter(g: Graph, coords: Sequence[IntPoint], closest: int) -> Optiona
     difference as converting the integer difference does.
     """
     n = g.n
-    bits = _coord_bits(coords)
     s = max(0, bits - _FILTER_BITS)
     k = (closest.bit_length() + 1) // 2 - 64  # sqrt(closest) has 64 bits over 2**k
     lo = math.isqrt(closest >> 2 * k if k > 0 else closest << -2 * k)
@@ -475,9 +482,9 @@ def _float_filter(g: Graph, coords: Sequence[IntPoint], closest: int) -> Optiona
     xs, ys = zip(*coords)
     weight = dict(zip(edges, _dists([xs[u] for u, _ in edges], [ys[u] for u, _ in edges],
                                     [xs[v] for _, v in edges], [ys[v] for _, v in edges], s)))
-    order, up, size = _spanning_tree(g, _prim(_weighted_adj(n, weight)))
-    xs = [xs[v] for v in order]
-    ys = [ys[v] for v in order]
+    t = tree if tree is not None else _spanning_tree(g, _prim(_weighted_adj(n, weight)))
+    xs = [xs[v] for v in t.order]
+    ys = [ys[v] for v in t.order]
     gap = math.hypot
     if bits <= 53:
         xs, ys = list(map(float, xs)), list(map(float, ys))
@@ -501,26 +508,24 @@ def _float_filter(g: Graph, coords: Sequence[IntPoint], closest: int) -> Optiona
                 yk += ys[lo:hi]
             return _dists(repeat(xs[i]), repeat(ys[i]), xk, yk, s)
 
-    w_up, root = _tree_weights(order, up, weight)
-    if g.m == n - 1:
+    w_up, root = _tree_weights(t, weight)
+    if tree is not None:
         depth = [0] * n
         for i in range(1, n):
-            depth[i] = depth[up[i]] + 1
+            depth[i] = depth[t.up[i]] + 1
         abs_err = 4 * (max(depth) + 1) * _U * Fraction(max(root))
-        judge = _tree_candidates(up, size, root, xs, ys, gap, dists)
+        judge = _tree_candidates(t, root, xs, ys, gap, dists)
         if judge is None:
             return None
-        flt = judge.filter(order, efmin, (n + 8) * _U, abs_err, s)
+        flt = judge.filter(t.order, efmin, (n + 8) * _U, abs_err, s)
         # A tree whose lengths span many scales can make the rounding of its
         # root distances swamp its closest pairs. Unless it takes at most a
         # quarter of the margin, take bounded rows, whose error is relative only.
         if flt is None or 4 * flt.abs_err < Fraction(_FILTER_ETA) * flt.cut * flt.efmin:
             return flt
-    pos = dict(zip(order, range(n)))
-    adj = _weighted_adj(n, {(pos[u], pos[v]): w for (u, v), w in weight.items()})
-    rows = _walk(up, size, w_up, [math.inf] * (n - 1), add)
-    judge = _candidates(dists, rows, adj)
-    return None if judge is None else judge.filter(order, efmin, (2 * n + 8) * _U, Fraction(0), s)
+    adj = _weighted_adj(n, {(t.pos[u], t.pos[v]): w for (u, v), w in weight.items()})
+    judge = _candidates(dists, _walk(t, w_up), adj)
+    return None if judge is None else judge.filter(t.order, efmin, (2 * n + 8) * _U, Fraction(0), s)
 
 
 def _dists(x0, y0, xs: list[int], ys: list[int], s: int) -> list[float]:
@@ -588,21 +593,18 @@ _PAY = 4
 _SLACK = 1 - 2.0**-48
 
 
-def _tree_candidates(up: list[int], size: list[int], root: list[float], xs: list, ys: list,
+def _tree_candidates(t: _Tree, root: list[float], xs: list, ys: list,
                      gap: Callable, dists: Callable) -> Optional[_Cut]:
-    """The float pass of _float_filter on a tree, by position of
-    _spanning_tree's preorder; root[j] is the float root distance of
-    position j, (xs[j], ys[j]) its point, gap(dx, dy) the float length of a
-    difference of two coordinates, and dists(i, segs) the float distances
-    from position i to those of each (lo, hi, _) of segs, lo .. hi - 1 in
-    turn. None when the candidates are not few.
+    """The float pass of _float_filter on a tree, by position of its
+    preorder tree t; root[j] is the float root distance of position j,
+    (xs[j], ys[j]) its point, gap(dx, dy) the float length of a difference
+    of two coordinates, and dists(i, segs) the float distances from
+    position i to those of each (lo, hi, _) of segs, lo .. hi - 1 in turn.
+    None when the candidates are not few.
 
-    The positions after source i split into ranges, each of whole subtrees
-    with one offset: i's own subtree, at off = -root[i], and for each
-    ancestor a of i whose child c toward i has later siblings, the
-    positions after c's subtree in a's, at off = root[i] - 2 root[a]. A
-    target j of a range is at float path length fl(off + root[j]), judged in
-    one batch per source over the kept positions.
+    A target j of a run of t.runs(i, root), after source i, is at float
+    path length fl(off + root[j]), judged in one batch per source over the
+    kept positions.
 
     A subtree T of more than _BLOCK positions is skipped when
     fl(off + hmax[T]) < cut (1 - 2**-48) D, hmax[T] its largest root
@@ -616,8 +618,7 @@ def _tree_candidates(up: list[int], size: list[int], root: list[float], xs: list
 
     The tests stop for good once _PROBE of them have pruned fewer than _PAY
     positions each; every later source is judged on its whole ranges."""
-    n = len(up)
-    end = [i + k for i, k in enumerate(size)]
+    n, up, end = len(root), t.up, t.end
     hmax = root[:]
     xlo, ylo = xs[:], ys[:]
     xhi, yhi = xs[:], ys[:]
@@ -633,21 +634,10 @@ def _tree_candidates(up: list[int], size: list[int], root: list[float], xs: list
             ylo[a] = ylo[c]
         if yhi[c] > yhi[a]:
             yhi[a] = yhi[c]
-    # hop[c]: the nearest ancestor-or-self of c, not the root, whose subtree
-    # ends before its parent's, so one with later siblings; 0 if none.
-    hop = [0] * n
-    for c in range(1, n):
-        hop[c] = c if end[c] < end[up[c]] else hop[up[c]]
     judge = _Cut(n)
     tests = pruned = 0
     for i in range(n - 1):
-        ri = root[i]
-        runs = [(i + 1, end[i], -ri)]
-        c = hop[i]
-        while c:
-            a = up[c]
-            runs.append((end[c], end[a], ri - 2 * root[a]))
-            c = hop[a]
+        runs = t.runs(i, root)
         if judge.cut and (tests < _PROBE or pruned >= _PAY * tests):
             px, py = xs[i], ys[i]
             bound = judge.cut * _SLACK
@@ -673,9 +663,7 @@ def _tree_candidates(up: list[int], size: list[int], root: list[float], xs: list
                     segs.append((start, hi, off))
         else:
             segs = runs
-        gs: list[float] = []
-        for lo, hi, off in segs:
-            gs += map(add, repeat(off), root[lo:hi])
+        gs = _run_lengths(segs, root)
         if gs and not judge.judge(i, list(map(truediv, gs, dists(i, segs))),
                                   (j for lo, hi, _ in segs for j in range(lo, hi))):
             return None
@@ -685,12 +673,9 @@ def _tree_candidates(up: list[int], size: list[int], root: list[float], xs: list
 
 def _candidates(dists: Callable, rows: Iterator[tuple[int, list[float]]],
                 adj: list[list[tuple]]) -> Optional[_Cut]:
-    """The float pass of _float_filter on bounded rows, by position of
-    _spanning_tree's preorder: _walk yields (i, row) with row[k] an upper
-    bound on the float distance between positions i and i + 1 + k, and
-    dists(i, ((i + 1, n, 0),)) gives the float distances in its places. The
-    root's row is all math.inf, and a child's is its parent's plus the
-    weight of the edge between them. Before a row is judged, _dijkstra from
+    """The float pass of _float_filter on the bounded float rows of _walk,
+    by position of its tree; dists(i, ((i + 1, n, 0),)) gives the float
+    distances in a row's places. Before a row is judged, _dijkstra from
     i over adj, the float weights by position, settles every later position
     whose bounded ratio reaches the running cut, and the row takes the
     minimum with what it found, in place, so the children start from it.
@@ -719,14 +704,46 @@ def _candidates(dists: Callable, rows: Iterator[tuple[int, list[float]]],
     return judge
 
 
-def _spanning_tree(g: Graph, parent: list) -> tuple[list[int], list[int], list[int]]:
-    """(order, up, size): the spanning tree of a connected graph given by
-    parent (None at the root, vertex 0) in preorder. order[i] is the vertex
-    at position i, up[i] the position of its parent (up[0] = 0), and its
-    subtree is positions i .. i + size[i] - 1. Children come in reverse
-    adjacency order, so on a tree, whose one spanning tree is itself, the
-    order is that of a depth-first walk over the adjacency lists with a
-    stack."""
+@dataclass(frozen=True)
+class _Tree:
+    """A rooted spanning tree by preorder position: order[i] is the vertex at
+    position i and pos its inverse, up[i] the parent's position (up[0] = 0),
+    i .. end[i] - 1 the size[i] positions of i's subtree, and hop[i] its
+    nearest ancestor-or-self but the root with later siblings (0 if none)."""
+
+    order: list[int]
+    pos: list[int]
+    up: list[int]
+    size: list[int]
+    end: list[int]
+    hop: list[int]
+
+    def runs(self, i: int, root: list) -> list[tuple]:
+        """The positions after i as runs (lo, hi, off) of whole subtrees,
+        lo .. hi - 1, with one lowest common ancestor a with i and
+        off = root[i] - 2 root[a], so off + root[j] is their tree distance:
+        i's own subtree (a = i), then for each ancestor a whose child c toward
+        i has later siblings, the positions after c's subtree in a's."""
+        end, up, ri = self.end, self.up, root[i]
+        runs = [(i + 1, end[i], -ri)]
+        c = self.hop[i]
+        while c:
+            a = up[c]
+            runs.append((end[c], end[a], ri - 2 * root[a]))
+            c = self.hop[a]
+        return runs
+
+    def lca(self, i: int, j: int) -> int:
+        """The lowest common ancestor of positions i and j, walking up from i."""
+        while not i <= j < self.end[i]:
+            i = self.up[i]
+        return i
+
+
+def _spanning_tree(g: Graph, parent: list) -> _Tree:
+    """The preorder tree of the spanning tree of a connected graph given by
+    parent (None at the root, vertex 0), children in reverse adjacency
+    order: on a tree, a depth-first walk of its adjacency lists with a stack."""
     n = g.n
     order = preorder([[v for v in reversed(g.adj[u]) if parent[v] == u] for u in range(n)], 0)
     pos = [0] * n
@@ -736,7 +753,19 @@ def _spanning_tree(g: Graph, parent: list) -> tuple[list[int], list[int], list[i
     size = [1] * n
     for i in range(n - 1, 0, -1):
         size[up[i]] += size[i]
-    return order, up, size
+    end = [i + k for i, k in enumerate(size)]
+    hop = [0] * n
+    for c in range(1, n):
+        hop[c] = c if end[c] < end[up[c]] else hop[up[c]]
+    return _Tree(order, pos, up, size, end, hop)
+
+
+def _run_lengths(runs: Iterable[tuple], root: list) -> list:
+    """off + root[j] for each run (lo, hi, off) and lo <= j < hi, in turn."""
+    out: list = []
+    for lo, hi, off in runs:
+        out += map(add, repeat(off), root[lo:hi])
+    return out
 
 
 def _prim(adj: list[list[tuple]]) -> list:
@@ -758,10 +787,10 @@ def _prim(adj: list[list[tuple]]) -> list:
     return parent
 
 
-def _tree_weights(order: list[int], up: list[int], weight: dict) -> tuple[list, list]:
-    """(w_up, root) by position of _spanning_tree's order: the weight of the
-    edge to the parent (w_up[0] = 0) and the distance from the root along
-    the tree."""
+def _tree_weights(t: _Tree, weight: dict) -> tuple[list, list]:
+    """(w_up, root) by position of t: the weight of the edge to the parent
+    (w_up[0] = 0) and the distance from the root along the tree."""
+    order, up = t.order, t.up
     w_up, root = [0] * len(order), [0] * len(order)
     for i in range(1, len(order)):
         u, p = order[i], order[up[i]]
@@ -770,29 +799,23 @@ def _tree_weights(order: list[int], up: list[int], weight: dict) -> tuple[list, 
     return w_up, root
 
 
-def _walk(up: list[int], size: list[int], w_up: list, root_row: list,
-          inside: Callable) -> Iterator[tuple[int, list]]:
-    """(i, row) for every position i of _spanning_tree's preorder, row[k]
-    standing for position i + 1 + k: root_row at the root, and at a child
-    the later entries of its parent's row plus w, its edge weight, except
-    that inside(x, w) maps the entries of its own subtree. With sub that
-    reroots a tree's distances exactly (the subtree comes w closer), with
-    add it bounds a graph's from above.
-
-    A parent comes before its children, and the heaviest child last, so a
-    parent's row stays alive only while a lighter child's subtree is walked
-    and O(log n) rows are alive at once. A row may be changed in place
-    before the next is drawn: its children start from what is left."""
+def _walk(t: _Tree, w_up: list) -> Iterator[tuple[int, list]]:
+    """The bounded rows of _candidates: (i, row) for every position i of t,
+    row[k] an upper bound on the distance to position i + 1 + k, all
+    math.inf at the root, and at a child its parent's later entries plus
+    w_up[i], its edge weight. A parent comes before its children, and the
+    heaviest child last, so O(log n) rows are alive at once. A row may be
+    changed in place before the next is drawn: its children start from
+    what is left."""
+    up, size = t.up, t.size
     kids: list[list[int]] = [[] for _ in up]
     for i in range(1, len(up)):
         kids[up[i]].append(i)
-    pending = [(0, root_row)]  # (position, its parent's row; the root's own)
+    pending = [(0, [math.inf] * (len(up) - 1))]  # (position, its parent's row; the root's own)
     while pending:
         i, row = pending.pop()
         if i:
-            p, w = up[i], w_up[i]
-            b = i + size[i] - p - 1  # where the subtree ends in the parent's row
-            row = list(map(inside, row[i - p:b], repeat(w))) + list(map(add, row[b:], repeat(w)))
+            row = list(map(add, row[i - up[i]:], repeat(w_up[i])))
         yield i, row
         pending += [(c, row) for c in sorted(kids[i], key=size.__getitem__, reverse=True)]
 
@@ -829,39 +852,33 @@ def _dijkstra(adj: list[list[tuple]], source: int, stop: Iterable[int]) -> list:
     return dist
 
 
+def _tree_rows(t: _Tree, lo_w: dict, hi_w: dict, groups) -> Iterator[tuple]:
+    """The rows of _ratio_enclosures on a tree t: R[i] + R[j] - 2 R[a] under
+    either edge bracket, R the integer root distances and a the lowest common
+    ancestor, from _Tree.runs for every pair and _Tree.lca for a group."""
+    (_, r_lo), (_, r_hi) = _tree_weights(t, lo_w), _tree_weights(t, hi_w)
+    order, pos = t.order, t.pos
+    if groups is None:
+        for i in range(len(order)):
+            yield (order[i], order[i + 1:], _run_lengths(t.runs(i, r_lo), r_lo),
+                   _run_lengths(t.runs(i, r_hi), r_hi))
+        return
+    for u, targets in groups:
+        i = pos[u]
+        js = [pos[v] for v in targets]
+        tops = [t.lca(i, j) for j in js]
+        yield (u, targets, [r_lo[i] + r_lo[j] - 2 * r_lo[a] for j, a in zip(js, tops)],
+               [r_hi[i] + r_hi[j] - 2 * r_hi[a] for j, a in zip(js, tops)])
+
+
 def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     """spanning_ratio's enclosures, one per precision: exact rows behind the
-    float filter. A tree takes them from its integer root distances R along
-    its breadth-first tree: every pair from _walk, rerooted exactly, and the
-    candidates as R[u] + R[v] - 2 R[lca]. Other rows come from Dijkstra,
+    far-placement pass and the float filter. A tree takes them from its
+    integer root distances (_tree_rows); other rows come from Dijkstra,
     stopped once their targets are settled."""
-    g, n = d.graph, d.graph.n
+    n = d.graph.n
 
     def rows(lo_w, hi_w, groups):
-        if g.m == n - 1:
-            order, up, size = _spanning_tree(g, bfs_parents(g))
-            (w_lo, r_lo), (w_hi, r_hi) = _tree_weights(order, up, lo_w), _tree_weights(order, up, hi_w)
-            if groups is None:
-                walks = _walk(up, size, w_lo, r_lo[1:], sub), _walk(up, size, w_hi, r_hi[1:], sub)
-                for (i, row_lo), (_, row_hi) in zip(*walks):
-                    yield order[i], order[i + 1:], row_lo, row_hi
-                return
-            pos = [0] * n
-            for i, v in enumerate(order):
-                pos[v] = i
-
-            def lca(i: int, j: int) -> int:
-                while not i <= j < i + size[i]:
-                    i = up[i]
-                return i
-
-            for u, targets in groups:
-                i = pos[u]
-                js = [pos[v] for v in targets]
-                tops = [lca(i, j) for j in js]
-                yield (u, targets, [r_lo[i] + r_lo[j] - 2 * r_lo[a] for j, a in zip(js, tops)],
-                       [r_hi[i] + r_hi[j] - 2 * r_hi[a] for j, a in zip(js, tops)])
-            return
         adj_lo, adj_hi = _weighted_adj(n, lo_w), _weighted_adj(n, hi_w)
         for u, targets in _every(n) if groups is None else groups:
             dist_lo, dist_hi = _dijkstra(adj_lo, u, targets), _dijkstra(adj_hi, u, targets)

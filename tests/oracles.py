@@ -1,7 +1,7 @@
 """Test-only oracles: the tree edge separator, the face walk of a rotation
 system, networkx's planar embedding, a canonical-order validator, the
-all-pairs spanning ratio, the depth-first tree path and brute-force
-toughness, written apart from the package's own code so that the tests
+all-pairs spanning ratio, the depth-first tree path, the padded size of
+a planar tree drawing and brute-force toughness, written apart from the package's own code so that the tests
 check it against independent code. Only the tests and bench/ import
 networkx; the package does not need it."""
 
@@ -240,6 +240,14 @@ def spanning_ratio_bruteforce(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -
             yield u, targets, [dist_lo[u][v] for v in targets], [dist_hi[u][v] for v in targets]
 
     return next(_certify(_ratio_enclosures(d, 2 * _START_BITS, rows), [rel_tol]))
+
+
+def tree_planar_size(g: Graph) -> int:
+    """n', the vertex count of draw_tree_planar's tree once every lone child
+    has a sibling: n plus the vertices with exactly one child when the tree
+    (not a path) is rooted at its least leaf."""
+    root = min(v for v in range(g.n) if g.degree(v) == 1)
+    return g.n + sum(g.degree(v) - (v != root) == 1 for v in range(g.n))
 
 
 def tree_path_dfs(tree_adj: list[set[int]], s: int, t: int) -> list[int]:

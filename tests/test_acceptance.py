@@ -18,7 +18,7 @@ from conftest import (
     random_tree,
     unit_circle_star,
 )
-from oracles import spanning_ratio_bruteforce
+from oracles import spanning_ratio_bruteforce, tree_planar_size
 from spannerdraw import cli
 from spannerdraw.bounds import annulus_bound_check, recognize_sr1, sr1_witness
 from spannerdraw.drawing import Drawing
@@ -28,10 +28,11 @@ from spannerdraw.layout import (
     Epsilon,
     draw_planar_spanner,
     draw_proper_spanner,
-    draw_tree_planar_with_stats,
+    draw_tree_planar,
     draw_tree_proper,
 )
 from spannerdraw.metrics import (
+    bounding_box,
     is_planar_drawing,
     min_pairwise_distance_sq,
     no_three_collinear,
@@ -118,16 +119,17 @@ def test_acceptance_5_planar_tree_drawing(capsys):
         maxdeg = (3, 4)[i % 2]
         n = (30, 70, 120, 250, 500)[i % 5]
         t = RootedTree.from_graph(random_tree(n, maxdeg, seed=5000 + i), 0)
-        d, stats = draw_tree_planar_with_stats(t, eps)
+        d = draw_tree_planar(t, eps)
+        _, height, _ = bounding_box(d)
         assert is_planar_drawing(d), i
         sr = spanning_ratio(d, REL_TOL)
         assert sr.hi <= F(3, 2), (i, sr)
         assert all(
             dist_sq(d.coords[u], d.coords[v]) >= 1 for u, v in t.graph.edges()
         ), i
-        assert stats.height <= math.log2(stats.n_prime), (i, stats)
+        assert height <= math.log2(tree_planar_size(t.graph)), (i, height)
         ys = [y for _, y in d.coords]
-        assert max(ys) - min(ys) == stats.height, i
+        assert max(ys) - min(ys) == height, i
         _REGISTRY.append((f"tree-planar-i{i}", d, sr.hi))
     _announce(capsys, 5)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_connected_graph, random_connected_planar_graph, random_tree
-from oracles import edge_separator, split_at_edge
+from oracles import edge_separator, split_at_edge, tree_planar_size
 from spannerdraw.bounds import planar_sr1_witness, sr1_witness
 from spannerdraw.drawing import Drawing
 from spannerdraw.embedding import augment_to_maximal_with_canonical_order
@@ -27,10 +27,10 @@ from spannerdraw.layout import (
     draw_planar_spanner,
     draw_proper_spanner,
     draw_tree_planar,
-    draw_tree_planar_with_stats,
     draw_tree_proper,
 )
 from spannerdraw.metrics import (
+    bounding_box,
     compute_metrics,
     is_planar_drawing,
     min_pairwise_distance_sq,
@@ -454,28 +454,28 @@ class TestTreePlanar:
     def test_complete_binary_tree(self):
         edges = [(i, 2 * i + 1) for i in range(15)] + [(i, 2 * i + 2) for i in range(15)]
         t = RootedTree.from_graph(Graph.from_edges(31, edges), 0)
-        d, stats = draw_tree_planar_with_stats(t, EPS1)
+        d = draw_tree_planar(t, EPS1)
         assert is_planar_drawing(d)
         assert spanning_ratio(d).hi <= F(3, 2)
-        assert stats.height <= math.log2(stats.n_prime)
+        assert bounding_box(d)[1] <= math.log2(tree_planar_size(t.graph))
         assert min(dist_sq(d.coords[u], d.coords[v]) for u, v in t.graph.edges()) >= 1
 
     def test_random_trees(self):
         for seed in range(5):
             t = RootedTree.from_graph(random_tree(80, 4, 70 + seed), 0)
-            d, stats = draw_tree_planar_with_stats(t, EPS1)
+            d = draw_tree_planar(t, EPS1)
             assert is_planar_drawing(d)
             assert spanning_ratio(d).hi <= F(3, 2)
-            assert stats.height <= math.log2(stats.n_prime)
+            assert bounding_box(d)[1] <= math.log2(tree_planar_size(t.graph))
 
     def test_deep_caterpillar(self):
         # A 1500-vertex spine with one leaf per spine vertex: 1500 levels deep.
         k = 1500
         edges = [(i, i + 1) for i in range(k - 1)] + [(i, k + i) for i in range(k)]
         t = RootedTree.from_graph(Graph.from_edges(2 * k, edges), 0)
-        d, stats = draw_tree_planar_with_stats(t, EPS1)
+        d = draw_tree_planar(t, EPS1)
         assert is_planar_drawing(d)
-        assert stats.height <= math.log2(stats.n_prime)
+        assert bounding_box(d)[1] <= math.log2(tree_planar_size(t.graph))
         assert min(dist_sq(d.coords[u], d.coords[v]) for u, v in edges) >= 1
 
     def test_integer_coordinates(self):

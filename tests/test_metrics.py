@@ -26,7 +26,7 @@ from spannerdraw import geometry, metrics
 from spannerdraw.drawing import Drawing
 from spannerdraw.exact import Interval, format_rational, isqrt_scaled, sqrt_interval
 from spannerdraw.geometry import closest_pair_sq, dist_sq, in_segment_interior, segments_cross_improperly
-from spannerdraw.graph import Graph, RootedTree
+from spannerdraw.graph import Graph, RootedTree, bfs_parents
 from spannerdraw.layout import (
     Epsilon,
     draw_graph_via_tough_tree,
@@ -55,6 +55,13 @@ def drawing(n, edges, coords):
 
 def unit_square():
     return drawing(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [(0, 0), (1, 0), (1, 1), (0, 1)])
+
+
+def float_filter_of(g, coords, closest):
+    """metrics._float_filter as _ratio_enclosures calls it: with the bit size
+    of the coordinates and, on a tree, the tree's own breadth-first preorder."""
+    tree = metrics._spanning_tree(g, bfs_parents(g)) if g.m == g.n - 1 else None
+    return metrics._float_filter(g, coords, closest, metrics._coord_bits(coords), tree)
 
 
 class TestSpanningRatio:
@@ -130,7 +137,7 @@ class TestSpanningRatio:
 
         monkeypatch.setattr(metrics, "_dijkstra", counted)
         path = drawing(60, [(i, i + 1) for i in range(59)], [(i, 0) for i in range(60)])
-        assert metrics._float_filter(path.graph, path.points, path.closest_sq) is None  # every pair ties
+        assert float_filter_of(path.graph, path.points, path.closest_sq) is None  # every pair ties
         a = spanning_ratio(path)
         assert a.lo == a.hi == 1 and calls["dijkstra"] == 0
         for n in (2, 30, 120):
@@ -142,15 +149,66 @@ class TestSpanningRatio:
         assert (a.lo, a.hi) == (b.lo, b.hi)
         calls.clear()
         # With no filter at all, every precision scans every pair.
-        monkeypatch.setattr(metrics, "_float_filter", lambda g, coords, closest: None)
+        monkeypatch.setattr(metrics, "_float_filter", lambda *args: None)
         trees = [zigzag, two_scales(F(2**40 + 12345), F(1, 10**6))]
         trees += [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
                   for n in (2, 7, 40)]
         trees += [Drawing(random_tree(n, 4, n), tuple(random_points(n, 30, n))) for n in (3, 25)]
+        # Past 1900 bits, with no far-placement order: every precision's
+        # rows are big integers.
+        wide = shifted(Drawing(random_tree(12, 3, 12), tuple(random_points(12, 20, 12))), 1900)
+        assert metrics._coord_bits(wide.points) > 1900 and metrics._far_order(wide.graph, wide.points) is None
+        trees.append(wide)
         for k, d in enumerate(trees):
             a, b = spanning_ratio(d), spanning_ratio_oracle(d)
             assert (a.lo, a.hi) == (b.lo, b.hi), k
         assert calls["dijkstra"] == 0
+
+    def test_tree_built_once(self, monkeypatch):
+        # Counted: one spanning_ratio call on a tree builds its preorder tree
+        # once, for the float pass and the exact rows of every precision
+        # and pass, takes the coordinates' bit size once, and runs no Prim.
+        calls = Counter()
+
+        def counted(name):
+            function = getattr(metrics, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            monkeypatch.setattr(metrics, name, wrapper)
+
+        for name in ("_spanning_tree", "_prim", "_coord_bits", "_scan", "_far_scan", "_float_filter"):
+            counted(name)
+        monkeypatch.setattr(metrics, "_FAR_ROWS", 0)  # the far-placement pass hands over at once
+        column = drawing(6, [(i, i + 1) for i in range(5)], [(0, i) for i in range(6)])
+        # (far-placement passes, scans) of each: the candidates only; the
+        # far-placement pass, then the candidates and every pair at 64 bits;
+        # the float pass on bounded rows; the far-placement pass, then the
+        # candidates.
+        cases = [
+            (draw_tree_planar(RootedTree.from_graph(random_tree(120, 3, 120), 0), Epsilon(1)), (0, 1)),
+            (drawing(4, [(0, 1), (1, 2), (2, 3)], [(0, 0), (F(1, 2**60), 0), (0, 1), (1, 1)]), (1, 3)),
+            (zigzag_tree(40), (0, 2)),
+            (shifted(column, 200), (1, 2)),
+        ]
+        for k, (d, passes) in enumerate(cases):
+            calls.clear()
+            spanning_ratio(d)
+            assert (calls["_spanning_tree"], calls["_prim"], calls["_coord_bits"]) == (1, 0, 1), (k, calls)
+            assert (calls["_far_scan"], calls["_scan"]) == passes and calls["_float_filter"] == 1, (k, calls)
+
+    def test_tree_planar_enclosures_pinned(self):
+        # The 40 seed-301 tree-planar benchmark drawings; test_enclosures_pinned
+        # pins the planar and proper ones. Recorded when the float pass and
+        # the exact rows each rooted their own tree.
+        ops = bench_workloads().build("tree-planar", 301)
+        srs = [spanning_ratio(draw_tree_planar(RootedTree.from_graph(Graph.from_edges(op.n, op.edges), 0),
+                                               Epsilon(op.epsilon))) for op in ops]
+        assert len(srs) == 40
+        digest = hashlib.sha256(repr([(s.lo, s.hi) for s in srs]).encode()).hexdigest()
+        assert digest == "6db0b5aa104b2412d9f5eb87190b1a4d229979cf4a1e56d5bd002958c19e818c"
 
 
 def spanning_ratio_oracle(d, rel_tol=DEFAULT_REL_TOL):
@@ -328,7 +386,7 @@ class TestFloatFilter:
             if len(set(coords)) < g.n:
                 continue
             closest = d.closest_sq
-            flt = metrics._float_filter(g, coords, closest)
+            flt = float_filter_of(g, coords, closest)
             every = [(u, range(u + 1, g.n)) for u in range(g.n)]
             for bits in range(1, 60):
                 if 4**bits * closest < L * L:
@@ -510,7 +568,7 @@ class TestFloatFilterOracle:
         cases.append(zigzag_tree(12))
         for k, d in enumerate(cases):
             n = d.graph.n
-            flt = metrics._float_filter(d.graph, d.points, d.closest_sq)
+            flt = float_filter_of(d.graph, d.points, d.closest_sq)
             ref, ratios = float_filter_oracle(d.graph, d.points)
             assert_keeps_oracle_candidates(flt, ref, ratios, k)
             assert ref.abs_err > 0 and flt.abs_err > 0 and flt.rel_err == (n + 8) * metrics._U, k
@@ -531,7 +589,7 @@ class TestFloatFilterOracle:
         bounded = 0
         for k, d in enumerate(cases):
             g, n = d.graph, d.graph.n
-            flt = metrics._float_filter(g, d.points, d.closest_sq)
+            flt = float_filter_of(g, d.points, d.closest_sq)
             ref, ratios = float_filter_oracle(g, d.points)
             assert_keeps_oracle_candidates(flt, ref, ratios, k)
             assert bool(flt.abs_err) == bool(ref.abs_err), k
@@ -559,7 +617,7 @@ class TestFloatFilterOracle:
         # 0.027 n**2 (172), as its Dijkstra still does (175) without Prim's.
         for d, share in ((planar, 0.15), (proper, 0.1)):
             pops.clear()
-            assert metrics._float_filter(d.graph, d.points, d.closest_sq) is not None
+            assert float_filter_of(d.graph, d.points, d.closest_sq) is not None
             assert 0 < pops["pops"] <= share * d.graph.n ** 2, (pops, d.graph.n)
 
     def test_exact_rows_stop_at_their_targets(self, monkeypatch):
@@ -576,7 +634,7 @@ class TestFloatFilterOracle:
 
         planar = draw_planar_spanner(stacked_triangulation(80, 1), Epsilon(1))
         proper = draw_proper_spanner(random_connected_graph(80, 80, 1), Epsilon(F(1, 2)))
-        filters = [(d, metrics._float_filter(d.graph, d.points, d.closest_sq)) for d in (planar, proper)]
+        filters = [(d, float_filter_of(d.graph, d.points, d.closest_sq)) for d in (planar, proper)]
         monkeypatch.setattr(metrics, "heapq", SimpleNamespace(heappop=heappop, heappush=heapq.heappush))
         monkeypatch.setattr(metrics, "_FAR_ROWS", 0)  # the far-placement pass hands over at once
         for d, flt in filters:
@@ -592,7 +650,7 @@ class TestFloatFilterOracle:
         n, pairs = 300, 300 * 299 // 2
         for seed in (300, 301, 7):
             d = draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, seed), 0), Epsilon(1))
-            flt = metrics._float_filter(d.graph, d.points, d.closest_sq)
+            flt = float_filter_of(d.graph, d.points, d.closest_sq)
             assert flt.abs_err > 0 and 0 < flt.judged <= 0.25 * pairs, (seed, flt.judged)
         # Random points: a subtree's box holds most sources, so almost
         # nothing prunes, and the tests stop after _PROBE and the source
@@ -600,7 +658,7 @@ class TestFloatFilterOracle:
         for k, bits in enumerate((20, 60, 1200)):
             g = random_tree(n, 2 + k, bits)
             points = random_points(n, bits, bits)
-            flt = metrics._float_filter(g, points, closest_pair_sq(points))
+            flt = float_filter_of(g, points, closest_pair_sq(points))
             assert flt.abs_err > 0 and flt.judged >= 0.9 * pairs, k
             assert metrics._PROBE <= flt.tests < 2 * metrics._PROBE, (k, flt.tests)
 
@@ -616,6 +674,10 @@ class TestFloatFilterOracle:
         n = 22
         up = [0, 0, 0] + list(range(2, 21))
         size = [n, 1] + list(range(20, 0, -1))
+        # Vertex 21 is the leaf, 1 .. 20 the path: the root's larger neighbor comes first.
+        g = Graph.from_edges(n, [(0, 21)] + [(k, k + 1) for k in range(20)])
+        tree = metrics._spanning_tree(g, bfs_parents(g))
+        assert (tree.up, tree.size) == (up, size)
         xs = [0.0, -1.0] + [float(k) for k in range(1, 21)]
         ys = [0.0] * n
         root = [abs(x) for x in xs]
@@ -629,7 +691,7 @@ class TestFloatFilterOracle:
         def dists(i, segs):
             return [abs(xs[j] - xs[i]) for lo, hi, _ in segs for j in range(lo, hi)]
 
-        judge = metrics._tree_candidates(up, size, root, xs, ys, gap, dists)
+        judge = metrics._tree_candidates(tree, root, xs, ys, gap, dists)
         assert gaps[0] == (2.0, 0) and judge.tests == len(gaps)
         assert judge.judged == n * (n - 1) // 2 and judge.cut == cut
 
@@ -640,8 +702,9 @@ class TestFloatFilterOracle:
         spanning_tree = metrics._spanning_tree
 
         def recorded(g, parent):
-            trees.append(spanning_tree(g, parent))
-            return trees[-1]
+            t = spanning_tree(g, parent)
+            trees.append((t.order, t.up, t.size))
+            return t
 
         monkeypatch.setattr(metrics, "_spanning_tree", recorded)
         return trees
@@ -664,7 +727,7 @@ class TestFloatFilterOracle:
                 return math.hypot((x0 - x1) / 2**s, (y0 - y1) / 2**s)
 
             walk_trees.clear()
-            metrics._float_filter(g, d.points, d.closest_sq)
+            float_filter_of(g, d.points, d.closest_sq)
             [(order, up, size)] = walk_trees
             walk = [(order[i], order[up[i]]) for i in range(1, n)]
             assert sorted(order) == list(range(n)) and all(up[i] < i for i in range(1, n)), k
@@ -681,7 +744,7 @@ class TestFloatFilterOracle:
         # filter walked the breadth-first tree of every graph.
         for k, n in enumerate((2, 3, 9, 40, 130, 300) * 2):
             points = random_points(n, 30, k)
-            metrics._float_filter(random_tree(n, 2 + k % 4, 700 + k), points, closest_pair_sq(points))
+            float_filter_of(random_tree(n, 2 + k % 4, 700 + k), points, closest_pair_sq(points))
         digest = hashlib.sha256(repr(walk_trees).encode()).hexdigest()
         assert digest == "a27e129fbaf72f690f6eeeceb460e0054052630e78984e524c85b81db1226eeb"
 
@@ -784,7 +847,7 @@ class TestFarPlacement:
                 else:
                     assert not far_log["scans"] and far_log["filter"] == 1, k
             assert metrics._coord_bits(case.points) > 3000
-            assert metrics._float_filter(case.graph, case.points, case.closest_sq) is None, k
+            assert float_filter_of(case.graph, case.points, case.closest_sq) is None, k
         assert entered == 24
 
     def test_equals_full_scan_at_every_precision(self):

@@ -40,6 +40,40 @@ def test_no_unused_imports():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def unread_parameters(source: str) -> list[str]:
+    """function:line:parameter for each parameter of a function or lambda,
+    nested ones included, that its body never reads; a read inside a nested
+    function counts, a default or an annotation does not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *(a for a in (args.vararg, args.kwarg) if a is not None)]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            name = getattr(node, "name", "lambda")
+            found += [f"{name}:{node.lineno}:{p.arg}" for p in params if p.arg not in read]
+    return sorted(found)
+
+
+def test_unread_parameters_found():
+    source = (
+        "def f(a, b=1, *args, c, **kw):\n    return a + kw['x']\n"
+        "class A:\n    def m(self, x):\n        def inner():\n            return x\n        return inner\n"
+        "g = lambda y, z: y\n"
+        "def h(v: int = 0):\n    v = 2\n    return 0\n"
+    )
+    assert unread_parameters(source) == ["f:1:args", "f:1:b", "f:1:c", "h:9:v", "lambda:8:z", "m:4:self"]
+
+
+def test_no_unread_parameters():
+    # A parameter no caller's value reaches is an option nobody can use.
+    found = {p.name: unread_parameters(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert {name: params for name, params in found.items() if params} == {}
+
+
 def undeclared_imports(source: str, declared: set[str]) -> list[str]:
     """The top-level modules a source imports that are neither in the
     standard library nor declared: relative imports are the package's own."""
