@@ -3,7 +3,13 @@
 Every predicate takes integer points: a Drawing's numerators over its common
 denominator, or a construction's. Scaling all points by one positive factor
 keeps every sign, every collinearity and every ratio of squared distances,
-so the predicates need no division.
+so the predicates need no division, other than the exact one of a direction
+by the gcd of its coordinates.
+
+Collinearity is one scan: any_three_collinear keys each hub against the
+points after it with on_line_through_two, one set of exact direction keys
+per hub. It serves the no_three_collinear certificate and the tree-proper
+merge; the proper construction's height search calls on_line_through_two.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Optional, Sequence
 
 IntPoint = tuple[int, int]
 
@@ -70,33 +76,27 @@ def dist_sq(a: IntPoint, b: IntPoint) -> int:
     return dx * dx + dy * dy
 
 
-def direction_key(a: IntPoint, b: IntPoint) -> tuple[int, int]:
-    """Canonical key identifying the undirected direction of the line through
-    the integer points a and b.
-
-    Two pairs are parallel (as undirected lines) iff their keys are equal.
-    Requires a != b.
-    """
-    dx = b[0] - a[0]
-    dy = b[1] - a[1]
-    g = gcd(dx, dy)
-    dx //= g
-    dy //= g
-    if dx < 0 or (dx == 0 and dy < 0):
-        dx, dy = -dx, -dy
-    return (dx, dy)
-
-
-def on_line_through_two(z: IntPoint, points: Iterable[IntPoint]) -> bool:
+def on_line_through_two(z: IntPoint, points: Sequence[IntPoint]) -> bool:
     """True iff some line through the integer point z passes through two of
-    `points` (none equal to z): two of them give z the same direction key."""
-    seen = set()
-    for p in points:
-        key = direction_key(z, p)
-        if key in seen:
-            return True
-        seen.add(key)
-    return False
+    `points`, none equal to z.
+
+    Each point p is keyed by its direction from z, p - z reduced by the gcd
+    of its coordinates, with the sign fixed so that the first nonzero
+    coordinate is positive: (dx, dy) and (-dx, -dy) then give one key. Two
+    points are on one line through z exactly when they lie on one ray from
+    z or on opposite rays, that is when their keys are equal. The key is
+    exact at any size of integer, and the keys are built in one set, so the
+    test is whether the set is smaller than the points.
+    """
+    zx, zy = z
+    keys = {
+        (dx // g, dy // g)
+        for x, y in points
+        for dx in (x - zx,)
+        for dy in (y - zy,)
+        for g in (gcd(dx, dy) if dx > 0 or (dx == 0 and dy > 0) else -gcd(dx, dy),)
+    }
+    return len(keys) < len(points)
 
 
 def closest_pair_sq(points: Sequence[IntPoint]) -> int:
@@ -132,11 +132,18 @@ def coincident(points: Sequence[IntPoint]) -> bool:
     return len(set(points)) < len(points)
 
 
-def any_three_collinear(points: Sequence[IntPoint]) -> bool:
-    """Exact check over all triples of integer points; coincident points
-    count as collinear. A collinear triple is found from its first point,
-    so each point is keyed only against the points after it: n(n-1)/2
-    direction keys."""
+def any_three_collinear(points: Sequence[IntPoint], hubs: Optional[int] = None) -> bool:
+    """True iff two of the integer points coincide or three lie on a line,
+    where the line holds one of the first `hubs` points (all points when
+    None).
+
+    A collinear triple is found from its first point, so each hub is keyed
+    only against the points after it: sum over the hubs i of n - 1 - i
+    direction keys, n(n-1)/2 for all points, and a scan stops at the first
+    hub on a line. Vertex order is kept: a drawing's collinear triple tends
+    to come early in it.
+    """
     if coincident(points):
         return True
-    return any(on_line_through_two(z, points[i + 1:]) for i, z in enumerate(points))
+    return any(on_line_through_two(z, points[i + 1:])
+               for i, z in enumerate(points[:hubs]))

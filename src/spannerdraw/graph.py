@@ -222,18 +222,18 @@ def degree_bounded_spanning_tree(g: Graph, d_target: int) -> RootedTree:
         tree_adj[u].add(v)
         tree_adj[v].add(u)
 
-    def max_deg() -> int:
-        return max((len(a) for a in tree_adj), default=0)
-
     non_tree = [(u, v) for u in range(n) for v in g.adj[u] if u < v and v not in tree_adj[u]]
     improved = True
-    while max_deg() > d_target and improved:
+    while improved:
+        deg = list(map(len, tree_adj))
+        k = max(deg)
+        if k <= d_target:
+            break
         improved = False
-        k = max_deg()
-        hot = {w for w in range(n) if len(tree_adj[w]) == k}
+        hot = {w for w, dw in enumerate(deg) if dw == k}
         up, depth = _rooted(tree_adj)
         for u, v in non_tree:
-            if len(tree_adj[u]) >= k - 1 or len(tree_adj[v]) >= k - 1:
+            if deg[u] >= k - 1 or deg[v] >= k - 1:
                 continue
             cycle = _tree_path(up, depth, u, v)
             swap = next(

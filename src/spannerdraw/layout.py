@@ -21,7 +21,7 @@ from .drawing import Drawing
 from .embedding import augment_to_maximal_with_canonical_order
 from .errors import NotConnectedError, TooSmallError
 from .exact import isqrt_scaled
-from .geometry import IntPoint, on_line_through_two
+from .geometry import IntPoint, any_three_collinear, on_line_through_two
 from .graph import (
     Graph,
     RootedTree,
@@ -131,9 +131,10 @@ def draw_proper_spanner(g: Graph, eps: Epsilon) -> Drawing:
     k goes far to the right of the vertices before it, at the least
     integer height y >= 0 that puts it on no line through two of them. A
     height that already holds two vertices is blocked by their horizontal
-    line and is skipped unchecked; the first other height gets the full
-    direction check. All coordinates are integers, so the construction costs
-    O(n^2) direction keys.
+    line and is skipped unchecked; every other height gets the full
+    direction check, one exact key per placed vertex (on_line_through_two).
+    All coordinates are integers, so the construction costs O(n^2) direction
+    keys when few heights are tried.
     """
     n = g.n
     if n == 0:
@@ -182,7 +183,9 @@ def draw_tree_proper(t: RootedTree, eps: Epsilon) -> Drawing:
     recursion, since a star is n - 1 levels deep. Each part holds integer
     numerators over its own denominator, a product of powers of 2 and 3, so
     the merge search runs direction keys on integers, and the drawing keeps
-    the root part's numerators and denominator.
+    the root part's numerators and denominator. Every drawn part has no
+    three collinear points, so a merge keys only its smaller part's points
+    (see _merge_tree_parts).
     """
     gamma = eps.tree_gamma
     # Top-down, breadth first: a part is a preorder of its vertices, root
@@ -244,6 +247,13 @@ def _merge_tree_parts(upper: _TreePart, lower: _TreePart, k: int, gamma: int) ->
     the first step/span in 1/8, ..., 7/8, 8/64, ..., 63/64, ... that puts no
     three points on a line. Everything is counted in units of 1/L,
     L = lcm(D1, D2, 3^(k+1) * span), in which every term is an integer.
+
+    Each part has no three collinear points, by induction from the single
+    points, and the parts are apart in x. So a collinear triple of the union
+    has a point in the smaller part S, and any_three_collinear finds it with
+    S's points first and only they as hubs: a trial that fits makes
+    |S|(|S|-1)/2 + |S||L| direction keys, L the larger part, not the
+    2|S||L| of keying every point against the other part.
     """
     verts1, pts1, den1 = upper
     verts2, pts2, den2 = lower
@@ -258,21 +268,13 @@ def _merge_tree_parts(upper: _TreePart, lower: _TreePart, k: int, gamma: int) ->
         for step in range(j, span):
             y_off = -third - step * (third // span)
             right = [(x * s2 + x_off, y * s2 + y_off) for x, y in pts2]
-            if not _cross_collinear(left, right):
+            small, large = (left, right) if len(left) <= len(right) else (right, left)
+            if not any_three_collinear(small + large, len(small)):
                 pts = left + right
                 g = math.gcd(den, *(c for p in pts for c in p))
                 return verts1 + verts2, [(x // g, y // g) for x, y in pts], den // g
         j = span
         span *= 8
-
-
-def _cross_collinear(pts1: list[IntPoint], pts2: list[IntPoint]) -> bool:
-    """True iff some line through two points of one part hits a point of the other."""
-    return any(
-        on_line_through_two(hub, other)
-        for hub_side, other in ((pts1, pts2), (pts2, pts1))
-        for hub in hub_side
-    )
 
 
 @dataclass(frozen=True)

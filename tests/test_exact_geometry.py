@@ -6,7 +6,6 @@ from spannerdraw.exact import Interval, isqrt_scaled, sqrt_interval
 from spannerdraw.geometry import (
     any_three_collinear,
     coincident,
-    direction_key,
     dist_sq,
     in_segment_interior,
     on_line_through_two,
@@ -94,25 +93,39 @@ class TestPredicates:
         assert not segments_cross_improperly(P(0, 0), P(1, 0), P(2, 0), P(3, 0))
 
 
-class TestDirectionKey:
-    def test_parallel_same_key(self):
-        assert direction_key((0, 0), (2, 4)) == direction_key((5, 5), (6, 7))
-
-    def test_opposite_directions_same_key(self):
-        assert direction_key((0, 0), (1, 3)) == direction_key((1, 3), (0, 0))
-
-    def test_distinct_directions_differ(self):
-        assert direction_key((0, 0), (1, 2)) != direction_key((0, 0), (2, 1))
-
-    def test_canonical_sign(self):
-        assert direction_key((3, 5), (1, 9)) == direction_key((0, 0), (1, -2)) == (1, -2)
-        assert direction_key((0, 4), (0, -2)) == (0, 1)
-
-
 class TestOnLineThroughTwo:
+    # Outside test_same_ray the hub z lies between the two points on a line:
+    # their directions from z are opposite and must share one key.
     def test_detects_a_line(self):
         assert on_line_through_two((0, 0), [(1, 2), (5, 1), (-3, -6)])
         assert not on_line_through_two((0, 0), [(1, 2), (5, 1), (-3, 6)])
+
+    def test_opposite_rays(self):
+        assert on_line_through_two((0, 0), [(1, 3), (-1, -3)])
+        assert on_line_through_two((2, 2), [(5, 11), (0, -4)])
+        assert on_line_through_two((3, 5), [(1, 9), (4, 3)])  # directions (-2, 4) and (1, -2)
+        assert not on_line_through_two((3, 5), [(1, 9), (4, 7)])
+
+    def test_same_ray(self):
+        assert on_line_through_two((5, 5), [(6, 7), (7, 9)])
+        assert on_line_through_two((0, 0), [(-1, -3), (-2, -6)])
+
+    def test_distinct_directions(self):
+        assert not on_line_through_two((0, 0), [(1, 2), (2, 1)])
+        assert not on_line_through_two((0, 0), [(-1, -2), (2, 1)])
+        assert not on_line_through_two((0, 0), [(1, 2), (-1, 2)])
+
+    def test_vertical_through_z(self):
+        assert on_line_through_two((0, 4), [(0, -2), (0, 7)])
+        assert on_line_through_two((3, 0), [(3, 5), (3, -1)])
+        assert on_line_through_two((3, 0), [(3, -5), (3, -1)])
+        assert not on_line_through_two((0, 4), [(0, -2), (1, 7)])
+
+    def test_horizontal_through_z(self):
+        assert on_line_through_two((0, 0), [(-5, 0), (3, 0)])
+        assert on_line_through_two((-2, 7), [(5, 7), (-9, 7)])
+        assert on_line_through_two((0, 0), [(5, 0), (3, 0)])
+        assert not on_line_through_two((0, 0), [(-5, 0), (3, 1)])
 
 
 class TestAnyThreeCollinear:
@@ -129,14 +142,18 @@ class TestAnyThreeCollinear:
 
     def test_each_pair_keyed_once(self, monkeypatch):
         # Points on a parabola, no three collinear: every hub is keyed
-        # against the points after it only, n(n-1)/2 direction keys in all.
+        # against the points after it only, n(n-1)/2 direction keys in all,
+        # one gcd each.
         calls = []
-        key = geometry.direction_key
-        monkeypatch.setattr(geometry, "direction_key", lambda a, b: calls.append(1) or key(a, b))
+        monkeypatch.setattr(geometry, "gcd", lambda a, b: calls.append(1) or math.gcd(a, b))
         for n in (3, 10, 25):
             calls.clear()
             assert not any_three_collinear([(i, i * i) for i in range(n)])
             assert len(calls) == n * (n - 1) // 2
+        for n, hubs in ((10, 0), (10, 1), (10, 4), (10, 10), (10, 12)):
+            calls.clear()
+            assert not any_three_collinear([(i, i * i) for i in range(n)], hubs)
+            assert len(calls) == sum(n - 1 - i for i in range(min(hubs, n)))
 
     def test_matches_bruteforce_on_random_points(self):
         import itertools
@@ -151,6 +168,31 @@ class TestAnyThreeCollinear:
                 orientation(a, b, c) == 0 for a, b, c in itertools.combinations(pts, 3)
             )
             assert any_three_collinear(pts) == brute
+
+    def test_hubs_match_bruteforce(self):
+        # Every triple with a point among the first `hubs`, on small points
+        # with negative coordinates and on the same points scaled by 2**3000
+        # (and moved by a large offset), where a key's gcd runs on big ints.
+        import itertools
+        import random
+
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(300):
+            n = rng.randrange(3, 9)
+            pts = [(rng.randrange(-4, 5), rng.randrange(-4, 5)) for _ in range(n)]
+            big = [(x << 3000, y << 3000) for x, y in pts]
+            moved = [(x + 3**1900, y - 5**1300) for x, y in big]
+            for hubs in range(n + 1):
+                brute = len(set(pts)) < n or any(
+                    orientation(pts[i], pts[j], pts[k]) == 0
+                    for i, j, k in itertools.combinations(range(n), 3) if i < hubs
+                )
+                seen.add(brute)
+                for ps in (pts, big, moved):
+                    assert any_three_collinear(ps, hubs) == brute, (pts, hubs)
+            assert any_three_collinear(pts) == any_three_collinear(pts, n)
+        assert seen == {False, True}
 
     def test_dist_sq(self):
         assert dist_sq(P(0, 0), P(3, 4)) == 25

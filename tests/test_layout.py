@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_connected_graph, random_connected_planar_graph, random_tree
+from conftest import bench_workloads, random_connected_graph, random_connected_planar_graph, random_tree
 from oracles import edge_separator, split_at_edge, tree_planar_size
 from spannerdraw.bounds import planar_sr1_witness, sr1_witness
 from spannerdraw.drawing import Drawing
@@ -256,6 +257,21 @@ class TestProperSpanner:
         for g in graphs:
             assert draw_proper_spanner(g, eps).coords == proper_spanner_oracle(g, eps)
 
+    def test_drawings_pinned(self):
+        # The seed-301 proper and tough benchmark drawings with n <= 40; the
+        # oracles above cover small graphs only. Recorded when each
+        # tree-proper merge keyed every point of one part against the other.
+        ops = [op for op in bench_workloads().build("proper", 301) if op.n <= 40]
+        drawn = []
+        for op in ops:
+            g, eps = Graph.from_edges(op.n, op.edges), Epsilon(op.epsilon)
+            d = (draw_proper_spanner(g, eps) if op.kind == "proper"
+                 else draw_graph_via_tough_tree(g, op.d_target, eps).drawing)
+            drawn.append((d.points, d.den))
+        assert len(drawn) == 116 and {op.kind for op in ops} == {"proper", "tough"}
+        digest = hashlib.sha256(repr(drawn).encode()).hexdigest()
+        assert digest == "d118b17982296921fe8d6ceeba4f3cef6f95e31e5150ba170f9d769ca329dc33"
+
     def test_star(self):
         star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
         d = draw_proper_spanner(star, EPS1)
@@ -352,6 +368,33 @@ class TestTreeProper:
         coords = [(F(x, den), F(y, den)) for x, y in pts]
         assert coords[:8] == [(0, 0)] + [(-48 * gamma, 8 + j) for j in range(1, 8)]
         assert coords[8] == (8, F(-73, 192))
+
+    def test_merge_keys_from_the_smaller_part(self, monkeypatch):
+        # Each part is collinear-free, so a merge keys only its smaller part
+        # S against the points after it: |S|(|S|-1)/2 + |S||L| direction
+        # keys (one gcd each) on a merge whose first trial fits, as every
+        # merge here does, against 2|S||L| when each part keyed the other.
+        from spannerdraw import geometry, layout
+
+        keys, merges = [], []
+        monkeypatch.setattr(geometry, "gcd", lambda a, b: keys.append(1) or math.gcd(a, b))
+        merge = layout._merge_tree_parts
+
+        def counted(upper, lower, k, gamma):
+            before = len(keys)
+            drawn = merge(upper, lower, k, gamma)
+            merges.append((len(upper[0]), len(lower[0]), len(keys) - before))
+            return drawn
+
+        monkeypatch.setattr(layout, "_merge_tree_parts", counted)
+        for g in (star_graph(61), random_tree(200, 3, 7)):
+            keys.clear()
+            merges.clear()
+            draw_tree_proper(RootedTree.from_graph(g, 0), EPS1)
+            assert len(merges) == g.n - 1
+            want = [s * (s - 1) // 2 + s * l for a, b, _ in merges for s, l in [sorted((a, b))]]
+            assert [made for _, _, made in merges] == want
+            assert len(keys) == sum(want)
 
     def test_deep_star_needs_no_recursion(self):
         # A star splits off one leaf per separator level: 149 levels here.
