@@ -345,14 +345,12 @@ class CanonicalOrder:
     order[k-1] is the k-th placed vertex. attachments[k] (k >= 3) is the path
     contour[a..b] of the contour before step k that the k-th vertex v joins;
     the contour after step k is contour[:a+1] + [v] + contour[b:], starting
-    from [order[0], order[1]]. supergraph is the maximal planar supergraph and
-    host_edges are the edges of the original input graph.
+    from [order[0], order[1]]. supergraph is the maximal planar supergraph.
     """
 
     order: tuple[int, ...]
     attachments: dict[int, tuple[int, ...]]
     supergraph: Graph
-    host_edges: frozenset[tuple[int, int]]
 
 
 def _arc(rot: list[list[int]], contour: list[int], i: int) -> list[int]:
@@ -425,7 +423,6 @@ def augment_to_maximal_with_canonical_order(h: Graph) -> CanonicalOrder:
         order=tuple(order),
         attachments=attachments,
         supergraph=g,
-        host_edges=frozenset(h.edges()),
     )
 
 

@@ -229,12 +229,12 @@ def _split(value) -> tuple:
     return None, value, "[]"
 
 
-def _join(heads: Optional[list], rows, brackets: str, indent: str) -> str:
-    """A container at indent whose items are written as rows."""
+def _join(heads: Optional[list], parts, brackets: str, indent: str) -> str:
+    """A container at indent whose items are written as the strings parts."""
     inner = indent + "  "
     if heads:
-        rows = map(str.__add__, heads, rows)
-    body = ("," + inner).join(rows)
+        parts = map(str.__add__, heads, parts)
+    body = ("," + inner).join(parts)
     return brackets[0] + inner + body + indent + brackets[1] if body else brackets
 
 

@@ -170,8 +170,14 @@ _TreePart = tuple[list[int], list[tuple[int, int]], int]
 
 def draw_tree_proper(t: RootedTree, eps: Epsilon) -> Drawing:
     """Proper tree drawing: no three vertices collinear, pairwise distances at
-    least 1, spanning ratio at most (tree_gamma+2)/tree_gamma <= 1 + epsilon/2,
-    width polynomial in n.
+    least 1, spanning ratio at most (tree_gamma+2)/tree_gamma <= 1 + epsilon/2.
+
+    The width is below 2 (gamma + 2)^h, h the depth of the separator
+    recursion: a part of m vertices of degree at most d splits into parts of
+    at most ceil((d - 1) / d * m), so h = O(d log n), and the width is
+    polynomial in n when d is bounded. A star splits off one leaf per
+    level, and its width is about (gamma + 1)^(n - 1), exponential, as every
+    drawing of a star with constant spanning ratio must be.
 
     A separator edge splits the tree into the part holding the root and the
     part below the edge. Each part is drawn with its root at (0, 0), x >= 0

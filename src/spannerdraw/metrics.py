@@ -41,8 +41,11 @@ exact rows alike, and every exact tree distance is R[u] + R[v] - 2 R[lca]
 on integer root distances. The filter declines (all pairs at every
 precision) for coordinates past 1900 bits, a closest distance below
 2**-900, or too many near-ties; past 1900 bits the far-placement pass below
-serves the planar and proper drawings instead. The brute-force oracle in tests/oracles.py
-never filters: it takes Floyd–Warshall rows through the same precisions.
+serves the planar and proper drawings instead. The oracles of
+tests/oracles.py share none of this code: each checks connectivity, finds
+the closest pair and scans every pair itself, on Dijkstra rows at the same
+precisions, whose enclosure must be this one, or on Floyd–Warshall rows
+from 128 bits, whose enclosure must meet it.
 
 Where coordinates run past 53 bits, a far-placement pass (_far_scan) comes
 before the float filter. The planar and proper constructions put vertex k
@@ -115,10 +118,11 @@ class MetricReport:
     min_pairwise_distance_sq: Optional[Fraction]
 
 
-def _precisions(start_bits: int, shift: int = 0) -> Iterator[int]:
-    """The working precisions of a certified value: start_bits, 2*start_bits,
-    ... up to _MAX_BITS, each plus shift. The one loop that raises precision."""
-    bits = start_bits
+def _precisions(shift: int = 0) -> Iterator[int]:
+    """The working precisions of a certified value: _START_BITS,
+    2*_START_BITS, ... up to _MAX_BITS; with a shift, 2*_START_BITS + shift,
+    4*_START_BITS + shift, .... The one loop that raises precision."""
+    bits = 2 * _START_BITS if shift else _START_BITS
     while bits <= _MAX_BITS:
         yield bits + shift
         bits *= 2
@@ -139,19 +143,19 @@ def _certify(enclosures: Iterable[Interval], rel_tols: Iterable[Fraction]) -> It
     raise PrecisionExhausted("precision escalation exhausted")
 
 
-def _scan(coords: Sequence[IntPoint], den: int, bits: int, rows, best: Optional[list] = None) -> Interval:
+def _scan(coords: Sequence[IntPoint], den: int, bits: int, table, best: Optional[list] = None) -> Interval:
     """The pair loop of every enclosure: the ratio enclosure over the pairs
-    (u, v), for each (u, targets, dist_lo, dist_hi) that rows yields and v in
+    (u, v), for each (u, targets, dist_lo, dist_hi) that table yields and v in
     targets, where dist_lo and dist_hi hold u's exact graph distances to the
     targets, in their order, under the lower and the upper edge brackets.
     Every pair distance must bracket away from 0 at bits. best, when given,
     is the list [(0, 1), (0, 1)], in which _scan keeps the running lower and
     upper ratio bounds as (num, den) while the pairs come, so that a lazy
-    rows can read them."""
+    table can read them."""
     if best is None:
         best = [(0, 1), (0, 1)]
     best_lo, best_hi = best  # ratio bounds as num/den over scaled ints
-    for u, targets, dist_lo, dist_hi in rows:
+    for u, targets, dist_lo, dist_hi in table:
         cu = coords[u]
         for v, g_lo, g_hi in zip(targets, dist_lo, dist_hi):
             e_lo, e_hi = isqrt_scaled(dist_sq(cu, coords[v]), den, bits)
@@ -163,15 +167,9 @@ def _scan(coords: Sequence[IntPoint], den: int, bits: int, rows, best: Optional[
     return Interval(lo, max(Fraction(*best_hi), lo))
 
 
-def _ratio_enclosures(d: Drawing, start_bits: int, rows: Callable, prune: bool = False) -> Iterator[Interval]:
-    """Certified spanning-ratio enclosures, one per working precision, from
-    rows(lo_w, hi_w, groups): for each (u, targets) of groups, in any order,
-    (u, targets, dist_lo, dist_hi) as _scan reads them, with the graph
-    distances under the lower and the upper integer edge-length brackets.
-    groups None asks for every pair once, grouped as rows chooses (_every
-    for a row per vertex); groups may be a generator that reads the running
-    bounds of _scan, so rows must draw a group only after it has yielded
-    the last one's row. Coincident vertices give the one infinite interval.
+def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
+    """spanning_ratio's certified enclosures, one per working precision.
+    Coincident vertices give the one infinite interval.
 
     Each pair's ratio lies in [dist_lo/e_hi, dist_hi/e_lo], where e_lo, e_hi
     bracket its Euclidean distance at the same scale, so the scales cancel.
@@ -180,12 +178,14 @@ def _ratio_enclosures(d: Drawing, start_bits: int, rows: Callable, prune: bool =
 
     At b bits or more, with b the least integer with closest * 4**b >= L**2
     (closest the least squared pair distance), every pair brackets away from
-    0. The precisions are start_bits, 2*start_bits, ..., or, when b exceeds
-    start_bits, 2*start_bits + b, 4*start_bits + b, ...
+    0. The precisions are 64, 128, ..., or, when b exceeds 64, 128 + b,
+    256 + b, ... (_precisions).
 
-    With prune, a tree's rows come from its breadth-first preorder tree
-    (_tree_rows), built once and walked by the float pass too. Where
-    coordinates run past 53 bits, so that the float pass would take
+    The exact rows come from rows(lo_w, hi_w, groups), under the lower and
+    the upper integer edge-length brackets of a precision: on a tree from
+    its breadth-first preorder tree (_tree_rows), built once and walked by
+    the float pass too, and on any other graph from Dijkstra (_graph_rows).
+    Where coordinates run past 53 bits, so that the float pass would take
     big-integer differences, each precision first tries the far-placement
     pass (_far_scan). Where it does not apply, or hands over, the float
     pass runs once, and each precision then scans its candidate pairs
@@ -204,13 +204,12 @@ def _ratio_enclosures(d: Drawing, start_bits: int, rows: Callable, prune: bool =
     den = L * L
     inverse = -(-den // closest)  # ceil(L**2 / closest)
     b = ((inverse - 1).bit_length() + 1) // 2
-    precisions = _precisions(start_bits) if b <= start_bits else _precisions(2 * start_bits, b)
-    tree = _spanning_tree(g, bfs_parents(g)) if prune and g.m == g.n - 1 else None
-    rows = rows if tree is None else partial(_tree_rows, tree)
-    coord_bits = _coord_bits(coords) if prune else 0
+    tree = _spanning_tree(g, bfs_parents(g)) if g.m == g.n - 1 else None
+    rows = partial(_graph_rows, g.n) if tree is None else partial(_tree_rows, tree)
+    coord_bits = _coord_bits(coords)
     far = _far_order(g, coords) if coord_bits > 53 else None
-    flt = _float_filter(g, coords, closest, coord_bits, tree) if prune and far is None else None
-    for bits in precisions:
+    flt = _float_filter(g, coords, closest, coord_bits, tree) if far is None else None
+    for bits in _precisions(b if b > _START_BITS else 0):
         lo_w, hi_w = {}, {}
         for e in g.edges():
             lo_w[e], hi_w[e] = isqrt_scaled(dist_sq(coords[e[0]], coords[e[1]]), den, bits)
@@ -285,11 +284,11 @@ def _far_order(g: Graph, coords: Sequence[IntPoint]) -> Optional[_Far]:
 
 
 def _far_scan(far: _Far, coords: Sequence[IntPoint], den: int, bits: int,
-              rows: Callable, hi_w: dict) -> Optional[Interval]:
+              table_of: Callable, hi_w: dict) -> Optional[Interval]:
     """The enclosure at scale 2**bits by branch and bound over the sources of
-    far's order, each bracketed against the vertices before it: rows(groups)
-    gives their rows under the precision's edge brackets, of which hi_w are
-    the upper ones. None when more than _FAR_ROWS sources need brackets.
+    far's order, each bracketed against the vertices before it:
+    table_of(groups) gives their rows under the precision's edge brackets,
+    of which hi_w are the upper ones. None when more than _FAR_ROWS sources need brackets.
 
     Every pair is (v_k, u) for exactly one k >= 1 and u before v_k. Let
     hi(e) be the upper bracket of edge e, D_k the sum of hi over the edges
@@ -327,7 +326,7 @@ def _far_scan(far: _Far, coords: Sequence[IntPoint], den: int, bits: int,
                 return
             yield order[k], order[:k]
 
-    ivl = _scan(coords, den, bits, rows(groups()), best)
+    ivl = _scan(coords, den, bits, table_of(groups()), best)
     return ivl if bracketed <= _FAR_ROWS else None
 
 
@@ -352,11 +351,6 @@ def _ratio_key(num: int, den: int) -> float:
         return num / den if den else math.inf
     except OverflowError:
         return math.inf
-
-
-def _every(n: int) -> Iterator[tuple[int, range]]:
-    """Every pair of range(n) once, as (u, the vertices after u)."""
-    return ((u, range(u + 1, n)) for u in range(n))
 
 
 # The float filter in front of the exact pair scan: the float-filter-then-exact
@@ -671,9 +665,9 @@ def _tree_candidates(t: _Tree, root: list[float], xs: list, ys: list,
     return judge
 
 
-def _candidates(dists: Callable, rows: Iterator[tuple[int, list[float]]],
+def _candidates(dists: Callable, walk: Iterator[tuple[int, list[float]]],
                 adj: list[list[tuple]]) -> Optional[_Cut]:
-    """The float pass of _float_filter on the bounded float rows of _walk,
+    """The float pass of _float_filter on the bounded float rows of walk (_walk),
     by position of its tree; dists(i, ((i + 1, n, 0),)) gives the float
     distances in a row's places. Before a row is judged, _dijkstra from
     i over adj, the float weights by position, settles every later position
@@ -689,7 +683,7 @@ def _candidates(dists: Callable, rows: Iterator[tuple[int, list[float]]],
     None when the candidates are not few."""
     n = len(adj)
     judge = _Cut(n)
-    for i, row in rows:
+    for i, row in walk:
         if i == n - 1:
             continue
         efs = dists(i, ((i + 1, n, 0),))
@@ -852,10 +846,25 @@ def _dijkstra(adj: list[list[tuple]], source: int, stop: Iterable[int]) -> list:
     return dist
 
 
+def _graph_rows(n: int, lo_w: dict, hi_w: dict, groups) -> Iterator[tuple]:
+    """The exact rows of a connected graph on range(n) under the lower and
+    the upper integer edge brackets lo_w, hi_w: for each (u, targets) of
+    groups, in turn, (u, targets, dist_lo, dist_hi) as _scan reads them,
+    from Dijkstra stopped once the targets are settled; groups None asks
+    for every pair once, as (u, the vertices after u). Like _tree_rows, it
+    draws a group only after it has yielded the last one's row, so groups
+    may read the running bounds of _scan."""
+    adj_lo, adj_hi = _weighted_adj(n, lo_w), _weighted_adj(n, hi_w)
+    for u, targets in ((u, range(u + 1, n)) for u in range(n)) if groups is None else groups:
+        dist_lo, dist_hi = _dijkstra(adj_lo, u, targets), _dijkstra(adj_hi, u, targets)
+        yield u, targets, [dist_lo[v] for v in targets], [dist_hi[v] for v in targets]
+
+
 def _tree_rows(t: _Tree, lo_w: dict, hi_w: dict, groups) -> Iterator[tuple]:
-    """The rows of _ratio_enclosures on a tree t: R[i] + R[j] - 2 R[a] under
+    """The rows _graph_rows gives, on a tree t: R[i] + R[j] - 2 R[a] under
     either edge bracket, R the integer root distances and a the lowest common
-    ancestor, from _Tree.runs for every pair and _Tree.lca for a group."""
+    ancestor, from _Tree.runs for every pair, grouped by source position, and
+    _Tree.lca for a group."""
     (_, r_lo), (_, r_hi) = _tree_weights(t, lo_w), _tree_weights(t, hi_w)
     order, pos = t.order, t.pos
     if groups is None:
@@ -869,22 +878,6 @@ def _tree_rows(t: _Tree, lo_w: dict, hi_w: dict, groups) -> Iterator[tuple]:
         tops = [t.lca(i, j) for j in js]
         yield (u, targets, [r_lo[i] + r_lo[j] - 2 * r_lo[a] for j, a in zip(js, tops)],
                [r_hi[i] + r_hi[j] - 2 * r_hi[a] for j, a in zip(js, tops)])
-
-
-def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
-    """spanning_ratio's enclosures, one per precision: exact rows behind the
-    far-placement pass and the float filter. A tree takes them from its
-    integer root distances (_tree_rows); other rows come from Dijkstra,
-    stopped once their targets are settled."""
-    n = d.graph.n
-
-    def rows(lo_w, hi_w, groups):
-        adj_lo, adj_hi = _weighted_adj(n, lo_w), _weighted_adj(n, hi_w)
-        for u, targets in _every(n) if groups is None else groups:
-            dist_lo, dist_hi = _dijkstra(adj_lo, u, targets), _dijkstra(adj_hi, u, targets)
-            yield u, targets, [dist_lo[v] for v in targets], [dist_hi[v] for v in targets]
-
-    return _ratio_enclosures(d, _START_BITS, rows, prune=True)
 
 
 def spanning_ratio(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:
@@ -907,7 +900,7 @@ def edge_length_ratio(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interv
     mn = min(sqs)
     if mn == 0:
         return Interval(math.inf, math.inf)
-    enclosures = map(partial(sqrt_interval, Fraction(max(sqs), mn)), _precisions(_START_BITS))
+    enclosures = map(partial(sqrt_interval, Fraction(max(sqs), mn)), _precisions())
     return next(_certify(enclosures, [rel_tol]))
 
 

@@ -1,12 +1,14 @@
 """Test-only oracles: the tree edge separator, the face walk of a rotation
 system, networkx's planar embedding, a canonical-order validator, the
-all-pairs spanning ratio, the depth-first tree path, the padded size of
-a planar tree drawing and brute-force toughness, written apart from the package's own code so that the tests
+spanning ratio on Dijkstra and on Floyd–Warshall rows, the depth-first
+tree path, the padded size of a planar tree drawing and brute-force
+toughness, written apart from the package's own code so that the tests
 check it against independent code. Only the tests and bench/ import
 networkx; the package does not need it."""
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Optional
@@ -15,10 +17,11 @@ import networkx as nx
 
 from spannerdraw.drawing import Drawing
 from spannerdraw.embedding import CanonicalOrder, RotationSystem
-from spannerdraw.errors import InstanceTooLarge
-from spannerdraw.exact import Interval
+from spannerdraw.errors import DisconnectedDrawingError, InstanceTooLarge, PrecisionExhausted
+from spannerdraw.exact import Interval, isqrt_scaled
+from spannerdraw.geometry import dist_sq
 from spannerdraw.graph import Graph, RootedTree, bfs_order
-from spannerdraw.metrics import DEFAULT_REL_TOL, _START_BITS, _certify, _every, _ratio_enclosures
+from spannerdraw.metrics import DEFAULT_REL_TOL
 
 TOUGHNESS_LIMIT = 12
 
@@ -117,8 +120,9 @@ def networkx_rotation(g: Graph) -> Optional[tuple[tuple[int, ...], ...]]:
     return tuple(tuple(reversed(data[v])) for v in range(g.n))
 
 
-def canonical_order_validate(co: CanonicalOrder, reason: Optional[list] = None) -> bool:
-    """Independent check of every CanonicalOrder invariant.
+def canonical_order_validate(co: CanonicalOrder, h: Graph, reason: Optional[list] = None) -> bool:
+    """Independent check of every CanonicalOrder invariant of co, augmented
+    from the host graph h.
 
     Uses its own machinery (networkx biconnectivity/planarity, an apex test for
     the contour being a face) rather than the construction's bookkeeping: each
@@ -143,12 +147,12 @@ def canonical_order_validate(co: CanonicalOrder, reason: Optional[list] = None) 
         return fail("v1v2 is not an edge")
     if g.m != 3 * n - 6:
         return fail(f"edge count {g.m} != 3n-6")
-    for u, w in co.host_edges:
+    for u, w in h.edges():
         if not g.has_edge(u, w):
             return fail("host edge missing from supergraph")
 
     host_adj: list[set[int]] = [set() for _ in range(n)]
-    for u, w in co.host_edges:
+    for u, w in h.edges():
         host_adj[u].add(w)
         host_adj[w].add(u)
 
@@ -211,8 +215,27 @@ def canonical_order_validate(co: CanonicalOrder, reason: Optional[list] = None) 
     return True
 
 
-def _all_pairs(n: int, weights: dict[tuple[int, int], int]) -> list[list[int]]:
+def _dijkstra_rows(g: Graph, weights: dict[tuple[int, int], int]) -> list[dict[int, int]]:
+    """Shortest-path distances of a connected graph from every source (Dijkstra)."""
+    rows = []
+    for source in range(g.n):
+        dist = {source: 0}
+        heap = [(0, source)]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if dist[u] == du:
+                for v in g.adj[u]:
+                    nd = du + weights[(min(u, v), max(u, v))]
+                    if v not in dist or nd < dist[v]:
+                        dist[v] = nd
+                        heapq.heappush(heap, (nd, v))
+        rows.append(dist)
+    return rows
+
+
+def _floyd_warshall(g: Graph, weights: dict[tuple[int, int], int]) -> list[list[int]]:
     """All-pairs shortest paths of a connected graph (Floyd–Warshall)."""
+    n = g.n
     big = sum(weights.values()) + 1  # longer than any shortest path
     dist = [[big] * n for _ in range(n)]
     for i in range(n):
@@ -230,16 +253,67 @@ def _all_pairs(n: int, weights: dict[tuple[int, int], int]) -> list[list[int]]:
     return dist
 
 
+def _ratio_enclosure(d: Drawing, rel_tol: Fraction, start: int, all_pairs) -> Interval:
+    """The spanning ratio of d, every step its own: n >= 2 and
+    connectivity; on the integer numerators over the least common
+    denominator L, the closest of all pairs, which gives coincidence or, if
+    it brackets to 0 at start bits, a shift of the scale by the least b with
+    closest * 4**b >= L**2 and a start twice as large; then at start,
+    2 * start, ... bits up to 16384, each plus the shift, a bracket on
+    every pair with all_pairs(g, weights)[u][v] rows under the lower and
+    the upper edge brackets, until the relative width is within rel_tol."""
+    g, n = d.graph, d.graph.n
+    if n < 2:
+        raise ValueError("spanning ratio needs at least 2 vertices")
+    seen, stack = {0}, [0]
+    while stack:
+        new = set(g.adj[stack.pop()]) - seen
+        seen |= new
+        stack += new
+    if len(seen) < n:
+        raise DisconnectedDrawingError("spanning ratio undefined: graph disconnected")
+    L = math.lcm(*{c.denominator for p in d.coords for c in p})
+    pts = [(int(x * L), int(y * L)) for x, y in d.coords]
+    closest = min(dist_sq(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
+    if closest == 0:
+        return Interval(math.inf, math.inf)
+    den, shift, bits = L * L, 0, start
+    if closest << 2 * start < den:
+        while closest << 2 * shift < den:
+            shift += 1
+        bits *= 2
+    while bits <= 16384:
+        brackets = {e: isqrt_scaled(dist_sq(pts[e[0]], pts[e[1]]), den, bits + shift) for e in g.edges()}
+        dist_lo = all_pairs(g, {e: b[0] for e, b in brackets.items()})
+        dist_hi = all_pairs(g, {e: b[1] for e, b in brackets.items()})
+        best_lo, best_hi = (1, 1), (1, 1)
+        for u in range(n):
+            for v in range(u + 1, n):
+                e_lo, e_hi = isqrt_scaled(dist_sq(pts[u], pts[v]), den, bits + shift)
+                assert e_lo > 0
+                if dist_lo[u][v] * best_lo[1] > best_lo[0] * e_hi:
+                    best_lo = (dist_lo[u][v], e_hi)
+                if dist_hi[u][v] * best_hi[1] > best_hi[0] * e_lo:
+                    best_hi = (dist_hi[u][v], e_lo)
+        lo = Fraction(*best_lo)
+        ivl = Interval(lo, max(Fraction(*best_hi), lo))
+        if ivl.rel_width() <= rel_tol:
+            return ivl
+        bits *= 2
+    raise PrecisionExhausted("precision escalation exhausted")
+
+
+def spanning_ratio_oracle(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:
+    """The enclosure spanning_ratio must certify, number for number: Dijkstra
+    rows from every source at 64, 128, ... bits, as it certified before it
+    had a float filter."""
+    return _ratio_enclosure(d, rel_tol, 64, _dijkstra_rows)
+
+
 def spanning_ratio_bruteforce(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:
-    """Independent oracle: Floyd–Warshall all-pairs at doubled starting precision."""
-    n = d.graph.n
-
-    def rows(lo_w, hi_w, groups):
-        dist_lo, dist_hi = _all_pairs(n, lo_w), _all_pairs(n, hi_w)
-        for u, targets in _every(n) if groups is None else groups:
-            yield u, targets, [dist_lo[u][v] for v in targets], [dist_hi[u][v] for v in targets]
-
-    return next(_certify(_ratio_enclosures(d, 2 * _START_BITS, rows), [rel_tol]))
+    """An enclosure spanning_ratio's must meet: Floyd–Warshall rows at
+    doubled starting precision, 128, 256, ... bits."""
+    return _ratio_enclosure(d, rel_tol, 128, _floyd_warshall)
 
 
 def tree_planar_size(g: Graph) -> int:

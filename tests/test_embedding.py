@@ -119,19 +119,19 @@ def pin_digest(graphs):
     cos = []
     for g in graphs:
         co = augment_to_maximal_with_canonical_order(g)
-        cases.update(attachment_cases(co))
+        cases.update(attachment_cases(co, g))
         cos.append((co.order, sorted(co.attachments.items()), co.supergraph.adj))
     return cases, hashlib.sha256(repr(cos).encode()).hexdigest()
 
 
-def attachment_cases(co):
+def attachment_cases(co, h):
     """How each step attaches its vertex v: "closing" for the last one;
-    otherwise "fan" when v has two or more host neighbors on the path it
-    joins, and "left" or "right" when its one host neighbor leads or ends
-    that path."""
+    otherwise "fan" when v has two or more neighbors in the host graph h on
+    the path it joins, and "left" or "right" when its one host neighbor
+    leads or ends that path."""
     for k, path in co.attachments.items():
         v = co.order[k - 1]
-        host = [w for w in path if (min(v, w), max(v, w)) in co.host_edges]
+        host = [w for w in path if h.has_edge(v, w)]
         if k == len(co.order):
             yield "closing"
         elif len(host) >= 2:
@@ -238,27 +238,27 @@ class TestAugmentation:
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         co = augment_to_maximal_with_canonical_order(g)
         reason = []
-        assert canonical_order_validate(co, reason), reason
+        assert canonical_order_validate(co, g, reason), reason
         assert co.supergraph.m == 3  # triangle
-        assert {(0, 1), (1, 2)} <= co.host_edges
+        assert all(co.supergraph.has_edge(u, v) for u, v in g.edges())
 
     def test_c4_validates(self):
         co = augment_to_maximal_with_canonical_order(cycle_graph(4))
         reason = []
-        assert canonical_order_validate(co, reason), reason
+        assert canonical_order_validate(co, cycle_graph(4), reason), reason
         assert co.supergraph.m == 6  # 3n - 6 = 6: K4
 
     def test_k4_already_maximal(self):
         co = augment_to_maximal_with_canonical_order(complete_graph(4))
         reason = []
-        assert canonical_order_validate(co, reason), reason
+        assert canonical_order_validate(co, complete_graph(4), reason), reason
         assert co.supergraph.m == 6
 
     def test_host_edges_preserved(self):
         for seed in range(10):
             g = random_connected_planar_graph(12, seed)
             co = augment_to_maximal_with_canonical_order(g)
-            assert set(g.edges()) <= {tuple(sorted(e)) for e in co.host_edges}
+            assert all(co.supergraph.has_edge(u, v) for u, v in g.edges())
 
     def test_random_planar_graphs_validate(self):
         # The validator checks the full canonical-order contract: supergraph
@@ -269,7 +269,7 @@ class TestAugmentation:
             g = random_connected_planar_graph(n, 50 + seed)
             co = augment_to_maximal_with_canonical_order(g)
             reason = []
-            assert canonical_order_validate(co, reason), (seed, reason)
+            assert canonical_order_validate(co, g, reason), (seed, reason)
 
     def test_deterministic(self):
         g = random_connected_planar_graph(18, 77)
@@ -281,7 +281,7 @@ class TestAugmentation:
         star = Graph.from_edges(6, [(0, i) for i in range(1, 6)])
         co = augment_to_maximal_with_canonical_order(star)
         reason = []
-        assert canonical_order_validate(co, reason), reason
+        assert canonical_order_validate(co, star, reason), reason
         assert co.supergraph.m == 3 * 6 - 6
 
     def test_pinned(self):
@@ -299,37 +299,42 @@ class TestAugmentation:
         assert digest == "665db2f619eb35bb9f9ab28608ea9cba8f44e9a11131607c5a05387db894d0ba"
 
 
-def rejection(co):
-    """The validator's first reason for rejecting co; fails if it accepts."""
+def rejection(co, h):
+    """The validator's first reason for rejecting co of host graph h; fails
+    if it accepts."""
     reason = []
-    assert not canonical_order_validate(co, reason)
+    assert not canonical_order_validate(co, h, reason)
     assert reason
     return reason[0]
 
 
 class TestValidatorRejects:
     @pytest.fixture
-    def co(self):
-        return augment_to_maximal_with_canonical_order(random_connected_planar_graph(14, 5))
+    def host(self):
+        return random_connected_planar_graph(14, 5)
 
-    def test_two_order_entries_swapped(self, co):
+    @pytest.fixture
+    def co(self, host):
+        return augment_to_maximal_with_canonical_order(host)
+
+    def test_two_order_entries_swapped(self, co, host):
         order = list(co.order)
         order[3], order[8] = order[8], order[3]
-        assert rejection(replace(co, order=tuple(order))) == "H-prefix disconnected at k=4"
+        assert rejection(replace(co, order=tuple(order)), host) == "H-prefix disconnected at k=4"
 
-    def test_order_not_a_permutation(self, co):
+    def test_order_not_a_permutation(self, co, host):
         repeated = replace(co, order=co.order[:-1] + co.order[:1])
-        assert rejection(repeated) == "order is not a permutation"
+        assert rejection(repeated, host) == "order is not a permutation"
 
-    def test_vertex_dropped_from_attachment(self, co):
+    def test_vertex_dropped_from_attachment(self, co, host):
         k = next(k for k, path in co.attachments.items() if len(path) >= 3)
         path = co.attachments[k]
         ends = replace(co, attachments={**co.attachments, k: path[1:]})
-        assert rejection(ends) == f"contour does not bound a face at k={k}"
+        assert rejection(ends, host) == f"contour does not bound a face at k={k}"
         middle = replace(co, attachments={**co.attachments, k: path[:1] + path[2:]})
-        assert rejection(middle) == f"attachments not consecutive on contour at k={k}"
+        assert rejection(middle, host) == f"attachments not consecutive on contour at k={k}"
 
-    def test_attachment_shifted_along_contour(self, co):
+    def test_attachment_shifted_along_contour(self, co, host):
         contour = co.order[:2]
         for k in range(3, len(co.order)):
             path = co.attachments[k]
@@ -338,13 +343,13 @@ class TestValidatorRejects:
                 break
             contour = contour[: a + 1] + (co.order[k - 1],) + contour[b:]
         shifted = contour[a + 1 : b + 2]
-        assert rejection(replace(co, attachments={**co.attachments, k: shifted})) == (
+        assert rejection(replace(co, attachments={**co.attachments, k: shifted}), host) == (
             f"contour not a path in G_k at k={k}"
         )
 
-    def test_host_edge_missing_from_supergraph(self, co):
+    def test_host_edge_missing_from_supergraph(self, co, host):
         g = co.supergraph
         missing = next((u, w) for u in range(g.n) for w in range(u + 1, g.n) if not g.has_edge(u, w))
-        assert rejection(replace(co, host_edges=co.host_edges | {missing})) == (
+        assert rejection(co, Graph.from_edges(host.n, [*host.edges(), missing])) == (
             "host edge missing from supergraph"
         )

@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -20,7 +21,7 @@ from conftest import (
     random_tree,
     stacked_triangulation,
 )
-from oracles import spanning_ratio_bruteforce
+from oracles import spanning_ratio_bruteforce, spanning_ratio_oracle
 from spannerdraw import drawing as drawing_module
 from spannerdraw import geometry, metrics
 from spannerdraw.drawing import Drawing
@@ -58,7 +59,7 @@ def unit_square():
 
 
 def float_filter_of(g, coords, closest):
-    """metrics._float_filter as _ratio_enclosures calls it: with the bit size
+    """metrics._float_filter as _spanning_ratios calls it: with the bit size
     of the coordinates and, on a tree, the tree's own breadth-first preorder."""
     tree = metrics._spanning_tree(g, bfs_parents(g)) if g.m == g.n - 1 else None
     return metrics._float_filter(g, coords, closest, metrics._coord_bits(coords), tree)
@@ -209,62 +210,6 @@ class TestSpanningRatio:
         assert len(srs) == 40
         digest = hashlib.sha256(repr([(s.lo, s.hi) for s in srs]).encode()).hexdigest()
         assert digest == "6db0b5aa104b2412d9f5eb87190b1a4d229979cf4a1e56d5bd002958c19e818c"
-
-
-def spanning_ratio_oracle(d, rel_tol=DEFAULT_REL_TOL):
-    """The enclosure spanning_ratio certified before it had a float filter:
-    on the integer numerators over the least common denominator L, exact
-    Dijkstra rows under the lower and the upper edge brackets from every
-    source, and a bracket on every pair, at 64, 128, ... bits; a pair that
-    brackets to 0 shifts the scale by the bits the closest pair needs."""
-    g, n = d.graph, d.graph.n
-    L = math.lcm(*{c.denominator for p in d.coords for c in p})
-    pts = [(int(x * L), int(y * L)) for x, y in d.coords]
-    if len(set(pts)) < n:
-        return Interval(math.inf, math.inf)
-    den = L * L
-
-    def row(source, weights):
-        dist = {source: 0}
-        heap = [(0, source)]
-        while heap:
-            du, u = heapq.heappop(heap)
-            if dist[u] == du:
-                for v in g.adj[u]:
-                    nd = du + weights[(min(u, v), max(u, v))]
-                    if v not in dist or nd < dist[v]:
-                        dist[v] = nd
-                        heapq.heappush(heap, (nd, v))
-        return dist
-
-    def attempt(bits):
-        brackets = {e: isqrt_scaled(dist_sq(pts[e[0]], pts[e[1]]), den, bits) for e in g.edges()}
-        lo_w = {e: b[0] for e, b in brackets.items()}
-        hi_w = {e: b[1] for e, b in brackets.items()}
-        best_lo, best_hi = (0, 1), (0, 1)
-        for u in range(n):
-            dist_lo, dist_hi = row(u, lo_w), row(u, hi_w)
-            for v in range(u + 1, n):
-                e_lo, e_hi = isqrt_scaled(dist_sq(pts[u], pts[v]), den, bits)
-                if e_lo == 0:
-                    return None
-                if dist_lo[v] * best_lo[1] > best_lo[0] * e_hi:
-                    best_lo = (dist_lo[v], e_hi)
-                if dist_hi[v] * best_hi[1] > best_hi[0] * e_lo:
-                    best_hi = (dist_hi[v], e_lo)
-        lo = max(F(*best_lo), F(1))
-        return Interval(lo, max(F(*best_hi), lo))
-
-    shift, bits = 0, 64
-    while bits <= 16384:
-        ivl = attempt(bits + shift)
-        if ivl is None:
-            closest = min(dist_sq(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
-            shift = ((-(-den // closest) - 1).bit_length() + 1) // 2
-        elif ivl.rel_width() <= rel_tol:
-            return ivl
-        bits *= 2
-    raise RuntimeError("precision escalation exhausted")
 
 
 def strip_graph(n):
@@ -778,19 +723,6 @@ def y_ordered_drawing(n, bits, seed):
     return Drawing(Graph.from_edges(n, edges), tuple(points))
 
 
-def full_rows(g, lo_w, hi_w):
-    """rows(groups) for _far_scan and _scan: Dijkstra under both brackets,
-    every pair once when groups is None."""
-    adj_lo, adj_hi = metrics._weighted_adj(g.n, lo_w), metrics._weighted_adj(g.n, hi_w)
-
-    def rows(groups):
-        for u, targets in groups if groups is not None else metrics._every(g.n):
-            lo, hi = metrics._dijkstra(adj_lo, u, targets), metrics._dijkstra(adj_hi, u, targets)
-            yield u, targets, [lo[v] for v in targets], [hi[v] for v in targets]
-
-    return rows
-
-
 class TestFarPlacement:
     """The far-placement pass brackets only the sources whose bound
     B_k = (hi(v_k, w_k) + D_k) / gap_k reaches the running lower bound, and
@@ -873,7 +805,7 @@ class TestFarPlacement:
                 lo_w, hi_w = {}, {}
                 for u, v in g.edges():
                     lo_w[(u, v)], hi_w[(u, v)] = isqrt_scaled(dist_sq(coords[u], coords[v]), L * L, bits)
-                rows = full_rows(g, lo_w, hi_w)
+                rows = partial(metrics._graph_rows, g.n, lo_w, hi_w)
                 dist_hi = {u: hi for u, _, _, hi in rows((u, range(g.n)) for u in range(g.n))}
                 for _, num, gap, j in metrics._far_bounds(far, L * L, bits, hi_w):
                     v = far.order[j]
@@ -959,6 +891,18 @@ class TestFarPlacement:
         assert len(srs) == 128
         digest = hashlib.sha256(repr([(s.lo, s.hi) for s in srs]).encode()).hexdigest()
         assert digest == "ced2ed3de6e9b4d5c9aeb84f8f89dc85608f95bd7ecfbcc8aed6dfd7dd65ce9d"
+
+    def test_tough_enclosures_pinned(self):
+        # The seed-301 tough benchmark drawings with n <= 40, which no other
+        # digest covers: small coordinates, graphs that are not trees, each
+        # proved by the float pass on Prim, _walk and _candidates. Recorded
+        # when _spanning_ratios took its Dijkstra rows from a closure.
+        ops = [op for op in bench_workloads().build("proper", 301) if op.kind == "tough" and op.n <= 40]
+        srs = [spanning_ratio(draw_graph_via_tough_tree(Graph.from_edges(op.n, op.edges), op.d_target,
+                                                        Epsilon(op.epsilon)).drawing) for op in ops]
+        assert len(srs) == 58
+        digest = hashlib.sha256(repr([(s.lo, s.hi) for s in srs]).encode()).hexdigest()
+        assert digest == "7c45bed644af262cd3a381dbc95b1b4f592baf89701b9bbd1e2070d4090efe25"
 
 
 class TestEdgeLengthRatio:

@@ -40,6 +40,29 @@ def test_no_unused_imports():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def private_imports(source: str) -> list[str]:
+    """module:name for each name starting with an underscore that a source
+    imports from spannerdraw or one of its modules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "spannerdraw":
+            found += [f"{node.module}:{alias.name}" for alias in node.names if alias.name.startswith("_")]
+    return sorted(found)
+
+
+def test_private_imports_found():
+    source = (
+        "from spannerdraw.metrics import DEFAULT_REL_TOL, _certify\nfrom spannerdraw import _x as y\n"
+        "from os import _exit\nfrom .metrics import _scan\ndef f():\n    from spannerdraw.exact import _U\n"
+    )
+    assert private_imports(source) == ["spannerdraw.exact:_U", "spannerdraw.metrics:_certify", "spannerdraw:_x"]
+
+
+def test_oracles_import_no_private_names():
+    # An oracle that runs the package's private code would share its faults.
+    assert private_imports((TESTS / "oracles.py").read_text(encoding="utf-8")) == []
+
+
 def unread_parameters(source: str) -> list[str]:
     """function:line:parameter for each parameter of a function or lambda,
     nested ones included, that its body never reads; a read inside a nested
