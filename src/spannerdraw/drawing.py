@@ -5,8 +5,9 @@ positive common denominator, in lowest terms, so that the denominator is the
 least common denominator of the rational coordinates. Scaling by it keeps
 every sign and every ratio, so the metrics, the bounds and the exact
 predicates all run on the integers. This is the only module that converts
-between rationals and numerators: `Drawing.of` builds a drawing from
-rationals, and `coords` gives them back.
+between Fractions and numerators: `Drawing.of` builds a drawing from
+rationals, and `coords` gives them back. The serializer writes each
+numerator over the denominator as text, reduced by their gcd.
 """
 
 from __future__ import annotations

@@ -23,6 +23,15 @@ only their three arcs are recomputed; w_a+1..w_b-1 leave the contour, and
 every other arc stays as it was (after Kant, "Drawing planar graphs using
 the canonical ordering", Algorithmica 1996).
 
+Every unplaced vertex keeps its leftmost and rightmost contour neighbors.
+They change only when a neighbor of it is placed, since a vertex leaves
+the contour only when its arc holds nothing but the vertex placed. The
+next vertex comes from one left-to-right scan of the contour (_choose):
+at each position only the first and the last vertex of the arc there can
+be chosen, and the first position with one wins, the smaller id on a tie.
+That is the vertex, and the path, of sorting the candidates by (leftmost
+contour position, id) and taking the first unblocked one.
+
 The rotation system comes from the package's own left-right planarity test
 (`planarity_test_embed`, after Brandes 2009), on plain lists. It gives
 networkx 3.6's rotations exactly, by the four order rules its docstring
@@ -392,21 +401,30 @@ def augment_to_maximal_with_canonical_order(h: Graph) -> CanonicalOrder:
     contour = [v1, v2]
     # The outer arc of every contour vertex; entries of vertices that left
     # the contour are stale and never read.
-    arcs = {w: _arc(rot, contour, i) for i, w in enumerate(contour)}
+    arcs: list[list[int]] = [[]] * n
+    arcs[v1], arcs[v2] = _arc(rot, contour, 0), _arc(rot, contour, 1)
+    # The leftmost and rightmost contour neighbors of each unplaced vertex.
+    lv: list[Optional[int]] = [None] * n
+    rv: list[Optional[int]] = [None] * n
+    for u in arcs[v1]:
+        lv[u] = rv[u] = v1
+    for u in arcs[v2]:
+        if lv[u] is None:
+            lv[u] = v2
+        rv[u] = v2
     order = [v1, v2]
     attachments: dict[int, tuple[int, ...]] = {}
 
     for k in range(3, n + 1):
-        x = len(contour)
         if k == n:
             v = next(u for u in range(n) if not placed[u])
             assert adj[v] <= set(contour), "final vertex still has unplaced neighbors"
-            a, b = 0, x - 1
+            a, b = 0, len(contour) - 1
         else:
-            v, a, b = _next_vertex(arcs, adj, contour)
+            v, a, b = _choose(arcs, lv, rv, contour)
         _place_fan(rot, adj, contour, v, a, b)
         attachments[k] = tuple(contour[a : b + 1])
-        contour = contour[: a + 1] + [v] + contour[b:]
+        contour[a + 1 : b] = [v]
         order.append(v)
         placed[v] = True
         # Only contour[a], v and contour[b] changed rotation or contour
@@ -415,6 +433,15 @@ def augment_to_maximal_with_canonical_order(h: Graph) -> CanonicalOrder:
         for i in range(a, a + 3):
             arcs[contour[i]] = arc = _arc(rot, contour, i)
             assert not any(placed[e] for e in arc), "placed vertex in outer arc"
+        # v, now at a + 1, is a contour neighbor of the vertices of its arc,
+        # whose other contour neighbors all stayed, at positions <= a or > a + 1.
+        for u in arcs[v]:
+            if lv[u] is None:
+                lv[u] = rv[u] = v
+            elif contour.index(lv[u]) > a:
+                lv[u] = v
+            elif contour.index(rv[u]) <= a:
+                rv[u] = v
 
     edges = [(u, w) for u in range(n) for w in adj[u] if u < w]
     g = Graph.from_edges(n, edges)
@@ -426,53 +453,62 @@ def augment_to_maximal_with_canonical_order(h: Graph) -> CanonicalOrder:
     )
 
 
-def _next_vertex(arc_of, adj, contour) -> tuple[int, int, int]:
-    """(v, a, b): the next vertex and the contour path contour[a..b] it joins;
-    arc_of maps each contour vertex to its outer arc.
+def _choose(arcs, lv, rv, contour) -> tuple[int, int, int]:
+    """(v, a, b): the next vertex and the contour path contour[a..b] it
+    joins, from one left-to-right scan of the contour.
 
-    A vertex with one contour neighbor contour[a] joins (a, a+1) when it is
-    the first vertex of that neighbor's outer arc, and (a-1, a) otherwise.
+    arcs[w] is the outer arc of the contour vertex w; lv[u] and rv[u] are
+    the leftmost and rightmost contour neighbors of the unplaced vertex u.
+    At position i, of x, the vertices u with lv[u] = contour[i] that can be
+    chosen are at most two:
+    - the first of the arc at i, for i <= x - 2. With one contour neighbor
+      it joins (i, i + 1). With rv[u] = contour[b], b > i, it joins (i, b)
+      if it is the last of the arc at b and every arc strictly between is
+      empty or [u].
+    - the last of the arc at i, for i >= 1, with one contour neighbor: it
+      joins (i - 1, i), unless it is also the first and the first case took
+      it.
+    The first position with one gives the vertex, the smaller id on a tie.
+
+    This is the vertex and path of the rule that sorts the candidates (the
+    first vertex of each arc but the last contour vertex's, the last of
+    each arc but the first one's) by (position of the leftmost contour
+    neighbor, id) and takes the first one not blocked. A candidate with one
+    contour neighbor is never blocked, and it is the first or the last of
+    that neighbor's arc. One spanning contour[a..b], a < b, is blocked
+    unless it opens the arc at a, closes the arc at b and is alone in the
+    arcs between. So the unblocked candidates at position i are the ones
+    tested here, and the scan meets the positions in the sort's order.
+
+    Each position costs O(1), and each spanning test the arcs it crosses.
+    lv and rv stay current because a chosen vertex removes from the contour
+    only vertices whose arcs hold nothing but itself.
     """
     x = len(contour)
-    cpos = {w: i for i, w in enumerate(contour)}
-    arcs = [arc_of[w] for w in contour]
-
-    candidates: set[int] = set()
-    for i in range(x):
-        if not arcs[i]:
+    for i, w in enumerate(contour):
+        arc = arcs[w]
+        if not arc:
             continue
-        if i <= x - 2:
-            candidates.add(arcs[i][0])
-        if i >= 1:
-            candidates.add(arcs[i][-1])
-
-    for v in sorted(candidates, key=lambda u: (min(cpos[w] for w in adj[u] if w in cpos), u)):
-        idxs = sorted(cpos[w] for w in adj[v] if w in cpos)
-        a, b = idxs[0], idxs[-1]
-        if a == b:
-            if a <= x - 2 and arcs[a][0] == v:
-                return v, a, a + 1
-            assert a >= 1 and arcs[a][-1] == v
-            return v, a - 1, a
-        if not _blocked(arcs, a, b, v):
-            return v, a, b
+        found = []
+        first, last = arc[0], arc[-1]
+        if i <= x - 2 and lv[first] == w:
+            r = rv[first]
+            if r == w:
+                found.append((first, i, i + 1))
+            else:
+                b = i + 1
+                while contour[b] != r:
+                    between = arcs[contour[b]]
+                    if between and (len(between) > 1 or between[0] != first):
+                        break
+                    b += 1
+                if contour[b] == r and arcs[r][-1] == first:
+                    found.append((first, i, b))
+        if i >= 1 and lv[last] == w == rv[last] and (last != first or i == x - 1):
+            found.append((last, i - 1, i))
+        if found:
+            return min(found)
     raise AssertionError("no unblocked candidate vertex found")
-
-
-def _blocked(arcs: list[list[int]], a: int, b: int, v: int) -> bool:
-    """True iff some foreign attachment lies inside the reference cycle of v."""
-    for i in range(a + 1, b):
-        if any(e != v for e in arcs[i]):
-            return True
-    arc_a = arcs[a]
-    pos = arc_a.index(v)
-    if pos > 0:
-        return True
-    arc_b = arcs[b]
-    pos = arc_b.index(v)
-    if pos < len(arc_b) - 1:
-        return True
-    return False
 
 
 def _place_fan(rot, adj, contour, v: int, a: int, b: int) -> None:

@@ -52,12 +52,17 @@ class Interval:
 
 
 def format_rational(q: Fraction) -> str:
+    return format_ratio(q.numerator, q.denominator)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """The text num/den of a fraction in lowest terms, den > 0."""
     try:
-        return f"{q.numerator}/{q.denominator}"
+        return f"{num}/{den}"
     except ValueError:
         # More digits than sys.get_int_max_str_digits() lets int print; that
         # limit guards the parsing of outside input, and decimal has none.
-        return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+        return f"{Decimal(num)}/{Decimal(den)}"
 
 
 def isqrt_scaled(num: int, den: int, bits: int) -> tuple[int, int]:

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from .drawing import Drawing
 from .errors import SpannerDrawError
-from .exact import format_rational
+from .exact import format_ratio
 from .graph import Graph
 
 FORMAT_VERSION = "spannerdraw/1"
@@ -151,8 +151,15 @@ def graph_to_obj(g: Graph) -> dict:
 
 
 def drawing_to_obj(d: Drawing) -> dict:
+    """The JSON value of a drawing file: each coordinate is its numerator
+    over d.den in lowest terms, as format_rational writes it."""
     obj = graph_to_obj(d.graph)
-    obj["coords"] = [[format_rational(x), format_rational(y)] for x, y in d.coords]
+    den = d.den
+    obj["coords"] = [
+        [format_ratio(x // gx, den // gx), format_ratio(y // gy, den // gy)]
+        for x, y in d.points
+        for gx, gy in ((math.gcd(x, den), math.gcd(y, den)),)
+    ]
     return obj
 
 

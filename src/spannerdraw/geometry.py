@@ -53,7 +53,18 @@ def segments_cross_improperly(a: IntPoint, b: IntPoint, c: IntPoint, d: IntPoint
     A common endpoint is a point, compared by coordinates, that is an end of
     both segments: two equal segments share both ends and are not flagged,
     though they overlap.
+
+    Two segments of positive length with one common end p, and other ends
+    q and r, meet elsewhere iff they lie on one ray from p: orientation(p,
+    q, r) = 0, and the nearer of q and r lies in the box of p and the
+    farther one (on opposite rays, neither does). That takes one
+    orientation, not four.
     """
+    if a != b and c != d:
+        for p, q in ((a, b), (b, a)):
+            if p == c or p == d:
+                r = d if p == c else c
+                return q != r and orientation(p, q, r) == 0 and (_in_box(p, q, r) or _in_box(p, r, q))
     o1 = orientation(a, b, c)
     o2 = orientation(a, b, d)
     o3 = orientation(c, d, a)

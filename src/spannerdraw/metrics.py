@@ -1025,8 +1025,13 @@ def compute_metrics(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> MetricRe
     width, height, _ = bounding_box(d) if g.n >= 1 else (Fraction(0), Fraction(0), None)
     # Coincident points count as collinear, and a vertex inside an edge is
     # collinear with the edge's ends: a drawing with no such triple is proper.
+    # So is a planar drawing with distinct points and no isolated vertex: a
+    # vertex p with an edge pq, inside another edge ab, meets ab at p, an end
+    # of pq but not of ab, and is_planar_drawing flags exactly such a point.
     collinear_free = no_three_collinear(d)
-    proper = collinear_free or is_proper_drawing(d)
+    planar = is_planar_drawing(d)
+    proper = (collinear_free or (planar and all(g.adj) and not coincident(d.points))
+              or is_proper_drawing(d))
     sr: Optional[Interval] = None
     if g.n >= 2 and is_connected(g):
         sr = spanning_ratio(d, rel_tol)
@@ -1038,7 +1043,7 @@ def compute_metrics(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> MetricRe
         edge_length_ratio=elr,
         width=width,
         height=height,
-        planar=is_planar_drawing(d),
+        planar=planar,
         proper=proper,
         no_three_collinear=collinear_free,
         min_pairwise_distance_sq=min_pairwise_distance_sq(d) if g.n >= 2 else None,

@@ -1,8 +1,9 @@
 """Test-only oracles: the tree edge separator, the face walk of a rotation
 system, networkx's planar embedding, a canonical-order validator, the
-spanning ratio on Dijkstra and on Floyd–Warshall rows, the depth-first
-tree path, the padded size of a planar tree drawing and brute-force
-toughness, written apart from the package's own code so that the tests
+canonical order by sorting its candidates at every step, the spanning
+ratio on Dijkstra and on Floyd–Warshall rows, the depth-first tree path,
+the padded size of a planar tree drawing and brute-force toughness,
+written apart from the package's own code so that the tests
 check it against independent code. Only the tests and bench/ import
 networkx; the package does not need it."""
 
@@ -16,7 +17,7 @@ from typing import Optional
 import networkx as nx
 
 from spannerdraw.drawing import Drawing
-from spannerdraw.embedding import CanonicalOrder, RotationSystem
+from spannerdraw.embedding import CanonicalOrder, RotationSystem, planarity_test_embed
 from spannerdraw.errors import DisconnectedDrawingError, InstanceTooLarge, PrecisionExhausted
 from spannerdraw.exact import Interval, isqrt_scaled
 from spannerdraw.geometry import dist_sq
@@ -213,6 +214,89 @@ def canonical_order_validate(co: CanonicalOrder, h: Graph, reason: Optional[list
             if set(att) != nbrs:
                 return fail(f"attachments != prefix neighbors at k={k}")
     return True
+
+
+def canonical_order_by_sorting(h: Graph) -> CanonicalOrder:
+    """The augmentation of a connected planar graph h by the selection rule
+    that the contour scan of augment_to_maximal_with_canonical_order must
+    reproduce, with no state kept from step to step.
+
+    Every step rebuilds the contour positions and every outer arc (the
+    rotation slice of a contour vertex strictly between its contour
+    successor and predecessor). The candidates are the first vertex of each
+    arc but the last contour vertex's and the last vertex of each arc but
+    the first one's. Sorted by (position of the leftmost contour neighbor,
+    id), the first one that is not blocked is attached: a vertex with one
+    contour neighbor contour[a] joins (a, a + 1) if it opens that
+    neighbor's arc and (a - 1, a) otherwise; one with leftmost and
+    rightmost contour neighbors at a < b joins (a, b) unless some vertex
+    other than itself is in an arc strictly between, or precedes it in the
+    arc at a, or follows it in the arc at b. The last vertex joins the whole
+    contour.
+    """
+    n = h.n
+    rs = planarity_test_embed(h)
+    rot = [list(r) for r in rs.rotation]
+    adj = [set(a) for a in h.adj]
+    v2, v1 = min(rs.outer_face, key=lambda e: (min(e), max(e), e[0]))
+    contour = [v1, v2]
+    order = [v1, v2]
+    attachments = {}
+
+    def outer_arc(i: int) -> list[int]:
+        r = rot[contour[i]]
+        succ, pred = contour[(i + 1) % len(contour)], contour[i - 1]
+        j = r.index(succ)
+        turned = r[j + 1:] + r[:j]
+        return turned[:turned.index(pred)] if pred in turned else turned
+
+    def blocked(arcs: list[list[int]], a: int, b: int, v: int) -> bool:
+        inside = [e for i in range(a + 1, b) for e in arcs[i]]
+        return (any(e != v for e in inside) or arcs[a].index(v) > 0
+                or arcs[b].index(v) < len(arcs[b]) - 1)
+
+    def next_vertex() -> tuple[int, int, int]:
+        x = len(contour)
+        pos = {w: i for i, w in enumerate(contour)}
+        arcs = [outer_arc(i) for i in range(x)]
+        candidates = {arcs[i][0] for i in range(x - 1) if arcs[i]}
+        candidates |= {arcs[i][-1] for i in range(1, x) if arcs[i]}
+        contacts = {u: sorted(pos[w] for w in adj[u] if w in pos) for u in candidates}
+        for v in sorted(candidates, key=lambda u: (contacts[u][0], u)):
+            a, b = contacts[v][0], contacts[v][-1]
+            if a == b:
+                return (v, a, a + 1) if a <= x - 2 and arcs[a][0] == v else (v, a - 1, a)
+            if not blocked(arcs, a, b, v):
+                return v, a, b
+        raise AssertionError("no unblocked candidate")
+
+    for k in range(3, n + 1):
+        if k == n:
+            v = next(u for u in range(n) if u not in order)
+            a, b = 0, len(contour) - 1
+        else:
+            v, a, b = next_vertex()
+        path = contour[a:b + 1]
+        # v's rotation: the path, then its other neighbors in their cyclic
+        # order from the first path vertex it already had.
+        r = rot[v]
+        start = r.index(next(w for w in path if w in adj[v]))
+        rot[v] = path + [e for e in r[start:] + r[:start] if e not in path]
+        for i, w in enumerate(path):
+            if w not in adj[v]:
+                adj[v].add(w)
+                adj[w].add(v)
+                # Next to the path neighbor, on the side of the new face.
+                rw = rot[w]
+                if i == 0:
+                    rw.insert(rw.index(path[1]) + 1, v)
+                else:
+                    rw.insert(rw.index(path[i - 1]), v)
+        attachments[k] = tuple(path)
+        contour = contour[:a + 1] + [v] + contour[b:]
+        order.append(v)
+    supergraph = Graph.from_edges(n, [(u, w) for u in range(n) for w in adj[u] if u < w])
+    return CanonicalOrder(tuple(order), attachments, supergraph)
 
 
 def _dijkstra_rows(g: Graph, weights: dict[tuple[int, int], int]) -> list[dict[int, int]]:

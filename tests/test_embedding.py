@@ -15,7 +15,13 @@ from conftest import (
     random_tree,
     thinned_triangulation,
 )
-from oracles import canonical_order_validate, euler_ok, faces, networkx_rotation
+from oracles import (
+    canonical_order_by_sorting,
+    canonical_order_validate,
+    euler_ok,
+    faces,
+    networkx_rotation,
+)
 from spannerdraw.embedding import augment_to_maximal_with_canonical_order, planarity_test_embed
 from spannerdraw.errors import NotConnectedError, NotPlanarError, TooSmallError
 from spannerdraw.graph import Graph
@@ -283,6 +289,33 @@ class TestAugmentation:
         reason = []
         assert canonical_order_validate(co, star, reason), reason
         assert co.supergraph.m == 3 * 6 - 6
+
+    def test_matches_sorting_oracle(self):
+        # The contour scan picks the vertex and path that sorting every
+        # candidate at every step picks, so the whole canonical order is the
+        # oracle's, on stars, paths, cycles, fans, random trees, thinned
+        # triangulations and the benchmark's planar graphs up to n = 1000.
+        planar_edges = bench_workloads().random_planar_edges
+        graphs = []
+        for n in (3, 7, 30, 120, 400):
+            graphs.append(Graph.from_edges(n, [(0, i) for i in range(1, n)]))
+            graphs.append(Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)]))
+            graphs.append(cycle_graph(n))
+            graphs.append(Graph.from_edges(n, [(0, i) for i in range(1, n)]
+                                           + [(i, i + 1) for i in range(1, n - 1)]))
+        for k in range(20):
+            n = (8, 20, 60, 150, 300)[k % 5]
+            graphs.append(random_tree(n, 2 + k % 4, 600 + k))
+            graphs.append(thinned_triangulation(n, (0, 0.3, 0.7, 1)[k // 5], 700 + k))
+        for k in range(8):
+            n = (10, 40, 160, 1000)[k % 4]
+            extra = (n // 4, 2 * n)[k // 4]
+            graphs.append(Graph.from_edges(n, planar_edges(n, random.Random(800 + k), extra)))
+        for g in graphs:
+            co = augment_to_maximal_with_canonical_order(g)
+            want = canonical_order_by_sorting(g)
+            assert (co.order, co.attachments, co.supergraph) == (
+                want.order, want.attachments, want.supergraph), (g.n, g.edges())
 
     def test_pinned(self):
         # The digest was recorded when the augmentation inserted a vertex by

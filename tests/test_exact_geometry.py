@@ -92,6 +92,51 @@ class TestPredicates:
     def test_disjoint_collinear_not_flagged(self):
         assert not segments_cross_improperly(P(0, 0), P(1, 0), P(2, 0), P(3, 0))
 
+    def test_crossing_matches_brute_force_on_a_small_grid(self):
+        # Every ordered pair of segments, zero-length ones included, with
+        # ends on a 4 x 3 grid: shared ends, opposite rays, collinear
+        # overlaps and equal segments all occur.
+        grid = [(x, y) for x in range(4) for y in range(3)]
+        segments = [(s, t) for s in grid for t in grid]
+        kinds = set()
+        for a, b in segments:
+            for c, d in segments:
+                want = shares_a_point_not_an_end_of_both(a, b, c, d)
+                assert segments_cross_improperly(a, b, c, d) == want, (a, b, c, d)
+                if a != b and c != d and len({a, b} & {c, d}) == 1:
+                    kinds.add(("one common end", orientation(a, b, c) == orientation(a, b, d) == 0, want))
+                kinds.add(("equal" if {a, b} == {c, d} else "zero-length" if a == b or c == d
+                           else "other", want))
+        assert kinds >= {("one common end", True, True), ("one common end", True, False),
+                         ("one common end", False, False), ("equal", False),
+                         ("zero-length", True), ("zero-length", False), ("other", True)}
+
+
+def shares_a_point_not_an_end_of_both(a, b, c, d) -> bool:
+    """Brute force on Fractions: the closed segments ab and cd share a point
+    that is not an end of both, and are not equal. The points they share
+    form a point or a segment, whose ends are among the four ends and the
+    crossing of the two lines; two distinct shared points mean infinitely
+    many."""
+    if {a, b} == {c, d}:
+        return False
+
+    def on(s, t, p):
+        if s == t:
+            return p == s
+        (sx, sy), (tx, ty), (px, py) = s, t, p
+        dot = (px - sx) * (tx - sx) + (py - sy) * (ty - sy)
+        return (px - sx) * (ty - sy) == (py - sy) * (tx - sx) and 0 <= dot <= (tx - sx) ** 2 + (ty - sy) ** 2
+
+    shared = {p for p in (a, b) if on(c, d, p)} | {p for p in (c, d) if on(a, b, p)}
+    det = (b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0])
+    if det:
+        t = F((c[0] - a[0]) * (d[1] - c[1]) - (c[1] - a[1]) * (d[0] - c[0]), det)
+        p = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+        if on(a, b, p) and on(c, d, p):
+            shared.add(p)
+    return len(shared) > 1 or bool(shared - ({a, b} & {c, d}))
+
 
 class TestOnLineThroughTwo:
     # Outside test_same_ray the hub z lies between the two points on a line:

@@ -1166,21 +1166,52 @@ class TestComputeMetrics:
 
     def test_proper_follows_from_no_collinear_triple(self, monkeypatch):
         # The seeds cover coincident points, vertices inside edges, collinear
-        # triples off the edges and drawings with none of these.
+        # triples off the edges and drawings with none of these; the graphs
+        # are connected, so no vertex is isolated.
         checked = []
         monkeypatch.setattr(metrics, "is_proper_drawing",
                             lambda d: checked.append(d) or is_proper_drawing(d))
         verdicts = set()
+        shortcuts = 0
         for seed in range(60):
             d = random_rational_drawing(6 + seed % 5, seed)
             checked.clear()
             r = compute_metrics(d)
             proper = is_proper_drawing(d)
             assert r.proper == proper, seed
-            # The properness check runs only when there is a collinear triple.
-            assert checked == ([] if r.no_three_collinear else [d]), seed
+            # The properness check runs only when there is a collinear triple
+            # and the drawing is not planar with distinct points.
+            planar_distinct = r.planar and not geometry.coincident(d.points)
+            assert checked == ([] if r.no_three_collinear or planar_distinct else [d]), seed
+            shortcuts += planar_distinct and not r.no_three_collinear
             verdicts.add((r.no_three_collinear, proper))
         assert verdicts == {(True, True), (False, True), (False, False)}
+        assert shortcuts
+
+    def test_proper_on_plane_drawings_with_an_extra_vertex(self):
+        # A plane tree drawing plus one vertex: isolated inside an edge, off
+        # the edges or on a vertex, or a leaf inside an edge. Planarity
+        # decides properness only with distinct points and no isolated
+        # vertex, so each verdict must be is_proper_drawing's.
+        seen = set()
+        for seed in range(12):
+            t = random_tree(8 + seed, 3, seed)
+            d = draw_tree_planar(RootedTree.from_graph(t, 0), Epsilon(1))
+            rng = random.Random(seed)
+            (ax, ay), (bx, by) = (d.coords[v] for v in rng.choice(t.edges()))
+            w = rng.randrange(t.n)
+            inside = ((ax + bx) / 2, (ay + by) / 2)
+            off = (d.coords[w][0] + F(1, 3), d.coords[w][1] + F(1, 7))
+            for case, coord, edges in (("isolated inside an edge", inside, []),
+                                       ("isolated off the edges", off, []),
+                                       ("isolated on a vertex", d.coords[w], []),
+                                       ("leaf inside an edge", inside, [(w, t.n)])):
+                extra = drawing(t.n + 1, t.edges() + edges, d.coords + (coord,))
+                r = compute_metrics(extra)
+                assert r.proper == is_proper_drawing(extra), (seed, case)
+                seen.add((case, r.planar, r.proper))
+        assert {("isolated inside an edge", True, False), ("isolated off the edges", True, True),
+                ("isolated on a vertex", True, False), ("leaf inside an edge", False, False)} <= seen
 
 
 def _float_spanning_ratio(d):
