@@ -40,7 +40,6 @@ class AnnulusCensus:
     center: int
     shortest_incident_edge_len: Interval
     counts: dict[int, int]
-    inside_unit: int
 
 
 def annulus_census(d: Drawing, center: int) -> AnnulusCensus:
@@ -52,19 +51,15 @@ def annulus_census(d: Drawing, center: int) -> AnnulusCensus:
     if min_sq == 0:
         raise ZeroLengthEdgeError(f"vertex {center} coincides with a neighbor")
     counts: dict[int, int] = {}
-    inside_unit = 0
     for u in g.adj[center]:
         r_sq = dist_sq(p, d.points[u])  # in units of min_sq: no sqrt, no division
-        if r_sq < min_sq:
-            inside_unit += 1
-            continue
         i = 1
         bound = 4 * min_sq
         while r_sq > bound:
             bound *= 4
             i += 1
         counts[i] = counts.get(i, 0) + 1
-    return AnnulusCensus(center, sqrt_interval(Fraction(min_sq, d.den**2)), counts, inside_unit)
+    return AnnulusCensus(center, sqrt_interval(Fraction(min_sq, d.den**2)), counts)
 
 
 @dataclass(frozen=True)

@@ -19,49 +19,38 @@ edge-length ratios need no correction. The two metrics that carry units are
 rescaled on the way out: the minimum squared distance divides by L**2, the
 bounding box by L.
 
-The spanning ratio runs a float filter before the exact brackets. One float
-pass over all pairs keeps the candidates, the pairs whose float ratio is
-within a factor 1 - 2**-20 of the largest. It walks the sources along a
-minimum spanning tree in preorder (on a tree, the tree itself), and judges
-each source against the later positions only. On a tree a pair's float
-path length is its source's offset plus the target's root distance, one
-offset per range of subtrees, and a subtree whose largest root distance
-over its bounding box's distance is below the running cut is skipped
-whole (the well-separated pruning of Narasimhan and Smid). On any other
-graph a row starts as the parent's plus the edge between them, an upper
-bound, and Dijkstra from the source stops once every pair whose bounded
-ratio reaches the running cut is settled; a pair left bounded is below the
-cut, as it would be on exact rows. Each precision brackets only the
-candidates, and one exact inequality (_filter_proves) shows that no other
-pair can reach the certified lower bound, so the enclosure equals the full
-scan's; its float error covers a bounded entry's sum of up to 2n - 2
-weights. Where the inequality fails, that precision scans all pairs. A
-tree is rooted once per call, at vertex 0, for the float pass and the
-exact rows alike, and every exact tree distance is R[u] + R[v] - 2 R[lca]
-on integer root distances. The filter declines (all pairs at every
-precision) for coordinates past 1900 bits, a closest distance below
-2**-900, or too many near-ties; past 1900 bits the far-placement pass below
-serves the planar and proper drawings instead. The oracles of
-tests/oracles.py share none of this code: each checks connectivity, finds
-the closest pair and scans every pair itself, on Dijkstra rows at the same
-precisions, whose enclosure must be this one, or on Floyd–Warshall rows
-from 128 bits, whose enclosure must meet it.
-
-Where coordinates run past 53 bits, a far-placement pass (_far_scan) comes
-before the float filter. The planar and proper constructions put vertex k
-more than k delta / epsilon away from the vertices placed before it, and
-the paper's proof of the 1 + epsilon bound rests on that gap. Sorted by
-(y, x), or else by (x, y), each vertex v_k has an earlier neighbor w_k, so
-every pair of v_k with an earlier vertex has dist_hi at most hi(v_k, w_k)
-plus D_k, the upper-bracket weight of the tree that the earlier vertices
-attach by, and e_lo at least gap_k, the lower bracket of v_k's distance to
-their bounding box. Each precision brackets, by branch and bound, only the
-sources whose bound B_k = (hi(v_k, w_k) + D_k) / gap_k reaches the running
-lower bound, compared in exact integers, so the enclosure equals the full
-scan's at any bit size (the pruning of the dilation scan in Narasimhan and
-Smid). The benchmark's planar and proper drawings take 1-3 rows per
-precision. A drawing with no such order, or whose bounds leave more than
-_FAR_ROWS sources, goes to the float filter.
+The spanning ratio brackets only the pairs that can still reach its
+running lower bound t, in exact integers, so its enclosure equals the full
+scan's at any bit size (the pruned dilation computation of Narasimhan and
+Smid, "Geometric Spanner Networks", 2007). Two passes do it, each on
+_scan's running bounds:
+- the far-placement pass (_far_scan), where coordinates run past 53 bits.
+  The planar and proper constructions put vertex k more than k delta /
+  epsilon away from the vertices placed before it, and the paper's proof
+  of the 1 + epsilon bound rests on that gap. Sorted by (y, x), or else by
+  (x, y), each vertex v_k has an earlier neighbor w_k, so every pair of v_k
+  with an earlier vertex has dist_hi at most hi(v_k, w_k) plus D_k, the
+  upper-bracket weight of the tree that the earlier vertices attach by,
+  and e_lo at least gap_k, the lower bracket of v_k's distance to their
+  bounding box. Only the sources whose bound B_k = (hi(v_k, w_k) + D_k) /
+  gap_k reaches t are bracketed: 1-3 rows per precision on the
+  benchmark's planar and proper drawings. A drawing with no such order, or
+  whose bounds leave more than _FAR_ROWS sources, hands over to the next.
+- the pruned pass (_pruned_scan), everywhere else. It walks a spanning
+  tree in preorder (on a tree, the tree itself; on any other graph a
+  minimum spanning tree of the squared edge lengths, _prim), each source
+  against the positions after its own, where a pair's tree path under the
+  upper brackets, off + R[j] with one offset per range of whole subtrees
+  (_Tree.runs), bounds dist_hi. A subtree whose largest root distance is
+  too short for the distance to its bounding box to reach t is skipped
+  whole, and so is a position alone.
+A tree is rooted once per call, at vertex 0, and every exact tree distance
+is R[u] + R[v] - 2 R[lca] on integer root distances; any other graph takes
+Dijkstra rows, stopped at their targets. The oracles of tests/oracles.py
+share none of this code: each checks connectivity, finds the closest pair
+and scans every pair itself, on Dijkstra rows at the same precisions, whose
+enclosure must be this one, or on Floyd–Warshall rows from 128 bits, whose
+enclosure must meet it.
 
 Three certificates sweep the integer points instead of scanning all pairs,
 with the same verdicts and values:
@@ -83,8 +72,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import compress, repeat
-from operator import add, ge, sub, truediv
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .drawing import Drawing
@@ -184,13 +171,13 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     The exact rows come from rows(lo_w, hi_w, groups), under the lower and
     the upper integer edge-length brackets of a precision: on a tree from
     its breadth-first preorder tree (_tree_rows), built once and walked by
-    the float pass too, and on any other graph from Dijkstra (_graph_rows).
-    Where coordinates run past 53 bits, so that the float pass would take
-    big-integer differences, each precision first tries the far-placement
-    pass (_far_scan). Where it does not apply, or hands over, the float
-    pass runs once, and each precision then scans its candidate pairs
-    first, and every pair only when _filter_proves fails. The enclosure is
-    the same whichever way it went.
+    the pruned pass too, and on any other graph from Dijkstra (_graph_rows).
+    Where coordinates run past 53 bits, each precision first tries the
+    far-placement pass (_far_scan). Where it does not apply, or hands over,
+    the pruned pass (_pruned_scan) serves; on a graph that is not a tree
+    its spanning tree is built then, once. Both bracket only pairs that
+    can reach the running lower bound, so the enclosure is the full scan's
+    whichever way it went.
     """
     g = d.graph
     if g.n < 2:
@@ -206,26 +193,23 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     b = ((inverse - 1).bit_length() + 1) // 2
     tree = _spanning_tree(g, bfs_parents(g)) if g.m == g.n - 1 else None
     rows = partial(_graph_rows, g.n) if tree is None else partial(_tree_rows, tree)
-    coord_bits = _coord_bits(coords)
-    far = _far_order(g, coords) if coord_bits > 53 else None
-    flt = _float_filter(g, coords, closest, coord_bits, tree) if far is None else None
+    walk = tree  # the pruned pass's tree
+    far = _far_order(g, coords) if _coord_bits(coords) > 53 else None
     for bits in _precisions(b if b > _START_BITS else 0):
         lo_w, hi_w = {}, {}
         for e in g.edges():
             lo_w[e], hi_w[e] = isqrt_scaled(dist_sq(coords[e[0]], coords[e[1]]), den, bits)
+        table_of = partial(rows, lo_w, hi_w)
         if far is not None:
-            ivl = _far_scan(far, coords, den, bits, partial(rows, lo_w, hi_w), hi_w)
+            ivl = _far_scan(far, coords, den, bits, table_of, hi_w)
             if ivl is not None:
                 yield ivl
                 continue
-            far = None  # not far-placed enough: the float pass from here on
-            flt = _float_filter(g, coords, closest, coord_bits, tree)
-        if flt is not None:
-            ivl = _scan(coords, den, bits, rows(lo_w, hi_w, flt.pairs.items()))
-            if _filter_proves(flt, ivl.lo, L, bits):
-                yield ivl
-                continue
-        yield _scan(coords, den, bits, rows(lo_w, hi_w, None))
+            far = None  # not far-placed enough: the pruned pass from here on
+        if walk is None:
+            lengths = {(u, v): dist_sq(coords[u], coords[v]) for u, v in g.edges()}
+            walk = _spanning_tree(g, _prim(_weighted_adj(g.n, lengths)))
+        yield _pruned_scan(walk, coords, den, bits, table_of, hi_w)
 
 
 def _coord_bits(coords: Sequence[IntPoint]) -> int:
@@ -234,7 +218,7 @@ def _coord_bits(coords: Sequence[IntPoint]) -> int:
 
 
 # The far-placement pass brackets at most _FAR_ROWS sources per precision
-# before it hands over to the float pass. By measurement: the benchmark's
+# before it hands over to the pruned pass. By measurement: the benchmark's
 # planar and proper drawings past 53 bits need at most 3 (1.4 on average),
 # planar ones of n = 320 up to 6; a drawing that is not far-placed, such as
 # random points, needs nearly all of its sources, and the rows it brackets
@@ -353,267 +337,44 @@ def _ratio_key(num: int, den: int) -> float:
         return math.inf
 
 
-# The float filter in front of the exact pair scan: the float-filter-then-exact
-# scheme of Shewchuk, "Adaptive precision floating-point arithmetic and fast
-# robust geometric predicates" (DCG 1997), applied to the dilation scan of
-# Narasimhan and Smid, "Geometric Spanner Networks" (2007).
-_U = Fraction(1, 2**53)  # unit roundoff of a double
-_FILTER_ETA = 2.0**-20  # candidates: float ratio at least 1 - eta times the largest
-_FILTER_BITS = 1000  # coordinates are scaled down to at most this many bits
-_FILTER_LIMIT = 900  # declines beyond a scaling by 2**-900 or a distance below 2**-900
+def _pruned_scan(tree: _Tree, coords: Sequence[IntPoint], den: int, bits: int,
+                 table_of: Callable, hi_w: dict) -> Interval:
+    """The enclosure at scale 2**bits by branch and bound over the positions
+    of tree, a spanning tree of the drawing's graph in preorder: each source
+    position i, from n - 2 down to 0, is bracketed against the positions
+    after its own that it keeps, table_of(groups) giving their rows under
+    the precision's edge brackets, of which hi_w are the upper ones.
 
+    R holds the root distances of tree under hi_w, and for a subtree x,
+    hmax[x] its largest one and box its integer bounding box. For the
+    targets of a run (lo, hi, off) of tree.runs(i, R), off + R[j] is the
+    length of the tree path from i under hi, so
+    dist_hi <= off + R[j] <= off + hmax[x] for every j of a subtree x of
+    the run. Before each source, let t be the running largest dist_lo/e_hi
+    of _scan rounded down to p / 2**64.
+    - A subtree x of more than one position is skipped when
+      ((off + hmax[x]) 2**64 + p)**2 L**2 < p**2 box**2 2**(2 bits), where
+      box**2 is the squared integer distance from i's point to x's box and
+      L**2 = den. Let E = sqrt(box**2) 2**bits / L, at most the scaled
+      distance from i to any point of the box. Then every pair (i, j) of
+      x has e_lo > E - 1, and the test gives
+      dist_hi <= off + hmax[x] < (p / 2**64)(E - 1) <= t e_lo.
+    - Otherwise x alone is skipped under the same test with R[x] and x's
+      own point, and the walk goes on to x + 1.
+    t only rises, so every pair skipped has dist_lo/e_hi <= dist_hi/e_lo < T,
+    T the final t. It moves neither the lower bound, T, nor the upper
+    bound, which is at least dist_hi/e_lo >= T of the pair that set T. The
+    enclosure is the full scan's, number for number, at any bit size.
 
-@dataclass(frozen=True)
-class _Filter:
-    """What the float pass knows about the pairs it skips.
-
-    pairs maps a source vertex to its candidate partners. Every other pair has
-    a float ratio below cut, judged or pruned with its subtree (see
-    _tree_candidates). Distances are in float units, the integer coordinates
-    over 2**s; efmin is at most every float pair distance, and rel_err,
-    abs_err bound the float errors as _filter_proves uses them. judged
-    counts the float ratios the pass computed, of n (n - 1) / 2 pairs, and
-    tests its subtree tests."""
-
-    pairs: dict[int, list[int]]
-    cut: Fraction
-    efmin: Fraction
-    rel_err: Fraction
-    abs_err: Fraction
-    n: int
-    s: int
-    judged: int
-    tests: int
-
-
-def _filter_proves(flt: _Filter, t: Fraction, L: int, bits: int) -> bool:
-    """True when no pair the filter skipped can move an enclosure with lower
-    bound t at scale 2**bits, which then equals the full scan's.
-
-    A skipped pair was judged below the cut, or pruned with its subtree by
-    _tree_candidates. In float units let g, e be its true graph and
-    Euclidean distances, gf, ef the float ones (for a pruned pair, gf is
-    fl(off + root[j]), which the pass never computes), and
-    beta = L / 2**(bits + s) one bracket unit (the real coordinates are the
-    integers over L).
-    - Brackets: an edge's upper bracket exceeds its length by less than one
-      unit, and a shortest path has at most n - 1 edges, so
-      dist_hi <= g + (n - 1) beta, while e_lo > e - beta.
-    - Floats, with delta = rel_err: a weight or pair distance is within a
-      factor 1 + 4u of the truth (one rounding per coordinate difference,
-      under 1 ulp in hypot). A Dijkstra or bounded row entry is a float sum
-      of the weights along a walk between the pair, whose true length is at
-      least g: of at most n - 1 terms on a Dijkstra row, of at most
-      (n - 1) + depth <= 2n - 2 on a bounded one (see _candidates). A float
-      sum of k terms loses at most (k - 1)u more, and delta = (n + 8)u, or
-      (2n + 8)u on bounded rows, covers both. A tree's entry is within
-      abs_err A of the exact sum of the float weights on the path (see
-      _float_filter). So e >= ef/(1 + delta) and g <= (gf + A)(1 + delta);
-      a judged pair's rounded ratio is below cut, and a pruned pair has
-      gf < cut ef, so gf < cut (1 + delta) ef either way.
-    - Together: dist_hi/e_lo <= ((cut (1 + delta) ef + A)(1 + delta)
-      + (n - 1) beta) / (ef/(1 + delta) - beta). This decreases in ef, so its
-      value at efmin bounds every skipped pair.
-    If that bound is below t, each skipped pair has
-    dist_lo/e_hi <= dist_hi/e_lo < t <= lo <= hi, so neither maximum of the
-    scan moves. If efmin/(1 + delta) <= beta, the bound is infinite and the
-    full scan runs. The test runs in exact rationals.
-    """
-    one = 1 + flt.rel_err
-    beta = Fraction(L, 1 << (bits + flt.s))
-    den = flt.efmin / one - beta
-    num = (flt.cut * one * flt.efmin + flt.abs_err) * one + (flt.n - 1) * beta
-    return den > 0 and num < t * den
-
-
-def _float_filter(g: Graph, coords: Sequence[IntPoint], closest: int, bits: int,
-                  tree: Optional[_Tree]) -> Optional[_Filter]:
-    """One float pass over all pairs of a connected graph on distinct points
-    (closest their least squared distance, bits the _coord_bits of coords):
-    the pairs whose float ratio is within a factor 1 - _FILTER_ETA of the
-    largest, judged against the running largest. None when the filter
-    declines: the coordinates need a scaling beyond 2**-_FILTER_LIMIT, the
-    closest distance is at most 2**-_FILTER_LIMIT, a float ratio overflows,
-    or the candidates are not few.
-
-    efmin is a lower bracket of the closest distance in float units,
-    sqrt(closest) / 2**s, to 64 significant bits, over 1 + 4u, so at most
-    every float pair distance (see _filter_proves); no row is built to
-    find it.
-
-    The sources are walked in preorder along tree, a tree's own (None on
-    any other graph, which walks a minimum spanning tree of the float
-    weights, _prim, whose short edges keep the bounded rows tight). The
-    bounds need only that it is a spanning tree. Each source is judged
-    against the positions after its own. On a tree _tree_candidates judges
-    fl(off + root[j]), root the float root distances and off one offset
-    per run of targets (_Tree.runs), and skips whole subtrees that its
-    bounds put below the cut. Such an entry takes at most
-    depth(i) + depth(j) + 2 depth(lca) <= 4h roundings in the root
-    distances, h the height in edges, and two more in off and the sum, each
-    at most u times rmax or 2 rmax, rmax the largest root distance; so
-    4 (h + 1) u rmax bounds its absolute error against the exact sum of the
-    float weights on its path. Where that takes more than a quarter of the
-    margin at the closest pair, or on any other graph, the rows are bounded
-    and refined by Dijkstra near the cut (see _candidates), with no
-    absolute error.
-
-    Float distances are math.hypot of the exact integer differences, each
-    divided by 2**s, so coordinates of up to _FILTER_BITS + _FILTER_LIMIT
-    bits keep their small gaps. When every coordinate is below 2**53 (so
-    s = 0), pair distances are math.dist of the float points, the same
-    floats: the points are exact, and the one float subtraction rounds each
-    difference as converting the integer difference does.
-    """
-    n = g.n
-    s = max(0, bits - _FILTER_BITS)
-    k = (closest.bit_length() + 1) // 2 - 64  # sqrt(closest) has 64 bits over 2**k
-    lo = math.isqrt(closest >> 2 * k if k > 0 else closest << -2 * k)
-    efmin = Fraction(lo << max(k - s, 0), 1 << max(s - k, 0)) / (1 + 4 * _U)
-    if s > _FILTER_LIMIT or efmin <= Fraction(1, 1 << _FILTER_LIMIT):
-        return None
-    edges = g.edges()
-    xs, ys = zip(*coords)
-    weight = dict(zip(edges, _dists([xs[u] for u, _ in edges], [ys[u] for u, _ in edges],
-                                    [xs[v] for _, v in edges], [ys[v] for _, v in edges], s)))
-    t = tree if tree is not None else _spanning_tree(g, _prim(_weighted_adj(n, weight)))
-    xs = [xs[v] for v in t.order]
-    ys = [ys[v] for v in t.order]
-    gap = math.hypot
-    if bits <= 53:
-        xs, ys = list(map(float, xs)), list(map(float, ys))
-        pts = list(zip(xs, ys))
-
-        def dists(i: int, segs: Iterable[tuple]) -> list[float]:
-            qs: list[tuple[float, float]] = []
-            for lo, hi, _ in segs:
-                qs += pts[lo:hi]
-            return list(map(math.dist, repeat(pts[i]), qs))
-    else:
-        if s:
-            def gap(dx: int, dy: int) -> float:
-                return math.hypot(dx / (1 << s), dy / (1 << s))
-
-        def dists(i: int, segs: Iterable[tuple]) -> list[float]:
-            xk: list[int] = []
-            yk: list[int] = []
-            for lo, hi, _ in segs:
-                xk += xs[lo:hi]
-                yk += ys[lo:hi]
-            return _dists(repeat(xs[i]), repeat(ys[i]), xk, yk, s)
-
-    w_up, root = _tree_weights(t, weight)
-    if tree is not None:
-        depth = [0] * n
-        for i in range(1, n):
-            depth[i] = depth[t.up[i]] + 1
-        abs_err = 4 * (max(depth) + 1) * _U * Fraction(max(root))
-        judge = _tree_candidates(t, root, xs, ys, gap, dists)
-        if judge is None:
-            return None
-        flt = judge.filter(t.order, efmin, (n + 8) * _U, abs_err, s)
-        # A tree whose lengths span many scales can make the rounding of its
-        # root distances swamp its closest pairs. Unless it takes at most a
-        # quarter of the margin, take bounded rows, whose error is relative only.
-        if flt is None or 4 * flt.abs_err < Fraction(_FILTER_ETA) * flt.cut * flt.efmin:
-            return flt
-    adj = _weighted_adj(n, {(t.pos[u], t.pos[v]): w for (u, v), w in weight.items()})
-    judge = _candidates(dists, _walk(t, w_up), adj)
-    return None if judge is None else judge.filter(t.order, efmin, (2 * n + 8) * _U, Fraction(0), s)
-
-
-def _dists(x0, y0, xs: list[int], ys: list[int], s: int) -> list[float]:
-    """Float distances from (x0[j], y0[j]) to (xs[j], ys[j]); x0, y0 are lists
-    or repeat() of one point. Each exact integer difference is divided by
-    2**s and rounded once before math.hypot."""
-    dx = map(sub, x0, xs)
-    dy = map(sub, y0, ys)
-    if s:
-        dx = map(truediv, dx, repeat(1 << s))
-        dy = map(truediv, dy, repeat(1 << s))
-    return list(map(math.hypot, dx, dy))
-
-
-class _Cut:
-    """The running cut of a float pass: rmax, the largest float ratio judged
-    so far, cut = rmax (1 - _FILTER_ETA), and the judged pairs of positions
-    at or above the cut of their time. The list is pruned to the current cut
-    whenever it doubles past cap; judge is False, and the filter declines,
-    when more than cap remain. judged counts the ratios, tests the subtree
-    tests of _tree_candidates."""
-
-    def __init__(self, n: int):
-        self.cap = 4 * n + 256
-        self.rmax = self.cut = 0.0
-        self.cands: list[tuple[float, int, int]] = []  # (float ratio, i, j)
-        self.judged = self.tests = 0
-
-    def judge(self, i: int, ratios: list[float], targets: Iterable[int]) -> bool:
-        """Judge the ratios of the pairs (i, j), j in targets, in their order."""
-        self.judged += len(ratios)
-        top = max(ratios)
-        self.rmax = max(self.rmax, top)
-        cut = self.cut = self.rmax * (1 - _FILTER_ETA)
-        if top >= cut:
-            self.cands += [(r, i, j) for j, r in zip(targets, ratios) if r >= cut]
-            if len(self.cands) > 2 * self.cap:
-                self.cands = [c for c in self.cands if c[0] >= cut]
-                return len(self.cands) <= self.cap
-        return True
-
-    def filter(self, order: list[int], efmin: Fraction, rel_err: Fraction, abs_err: Fraction,
-               s: int) -> Optional[_Filter]:
-        """The _Filter of the pass, the positions mapped to vertices by order;
-        None when a ratio overflowed."""
-        if not math.isfinite(self.rmax):
-            return None
-        pairs: dict[int, list[int]] = {}
-        for r, i, j in self.cands:
-            if r >= self.cut:
-                pairs.setdefault(order[i], []).append(order[j])
-        return _Filter(pairs, Fraction(self.cut), efmin, rel_err, abs_err, len(order), s,
-                       self.judged, self.tests)
-
-
-# _tree_candidates judges a subtree of at most _BLOCK positions whole and
-# tests larger ones against the cut, until _PROBE tests have pruned fewer
-# than _PAY positions each. By measurement: a test costs about as much as
-# judging a few pairs; _BLOCK from 2 to 5 gave the same time on the
-# benchmark's tree-planar drawings, whose tests prune 7.6 positions each
-# or more, and random-point trees prune 2.3 or fewer.
-_BLOCK = 4
-_PROBE = 256
-_PAY = 4
-_SLACK = 1 - 2.0**-48
-
-
-def _tree_candidates(t: _Tree, root: list[float], xs: list, ys: list,
-                     gap: Callable, dists: Callable) -> Optional[_Cut]:
-    """The float pass of _float_filter on a tree, by position of its
-    preorder tree t; root[j] is the float root distance of position j,
-    (xs[j], ys[j]) its point, gap(dx, dy) the float length of a difference
-    of two coordinates, and dists(i, segs) the float distances from
-    position i to those of each (lo, hi, _) of segs, lo .. hi - 1 in turn.
-    None when the candidates are not few.
-
-    A target j of a run of t.runs(i, root), after source i, is at float
-    path length fl(off + root[j]), judged in one batch per source over the
-    kept positions.
-
-    A subtree T of more than _BLOCK positions is skipped when
-    fl(off + hmax[T]) < cut (1 - 2**-48) D, hmax[T] its largest root
-    distance and D the float distance from i to the nearest point of its
-    bounding box; otherwise its top is kept and its children's subtrees are
-    tested in turn. For each j of a skipped T rounding is monotone, so
-    fl(off + root[j]) <= fl(off + hmax[T]), and D <= (1 + 9u) ef, ef the
-    float distance of (i, j); the slack covers that and the two roundings
-    of the product, so fl(off + root[j]) < cut ef: j's float ratio is below
-    the cut, as a pair judged and skipped has it (see _filter_proves).
-
-    The tests stop for good once _PROBE of them have pruned fewer than _PAY
-    positions each; every later source is judged on its whole ranges."""
-    n, up, end = len(root), t.up, t.end
-    hmax = root[:]
+    The sources come in reverse preorder, so the first ones have short runs
+    and lift t early; the shift by 64 bits and the small p keep the
+    products short on big coordinates."""
+    order, up, end = tree.order, tree.up, tree.end
+    n = len(order)
+    R = _tree_weights(tree, hi_w)
+    xs = [coords[v][0] for v in order]
+    ys = [coords[v][1] for v in order]
+    hmax = R[:]
     xlo, ylo = xs[:], ys[:]
     xhi, yhi = xs[:], ys[:]
     for c in range(n - 1, 0, -1):
@@ -628,87 +389,48 @@ def _tree_candidates(t: _Tree, root: list[float], xs: list, ys: list,
             ylo[a] = ylo[c]
         if yhi[c] > yhi[a]:
             yhi[a] = yhi[c]
-    judge = _Cut(n)
-    tests = pruned = 0
-    for i in range(n - 1):
-        runs = t.runs(i, root)
-        if judge.cut and (tests < _PROBE or pruned >= _PAY * tests):
+    R64 = [r << 64 for r in R]
+    hmax64 = [h << 64 for h in hmax]
+    best = [(0, 1), (0, 1)]
+
+    def groups():
+        for i in range(n - 2, -1, -1):
+            t_num, t_den = best[0]
+            p = (t_num << 64) // t_den
             px, py = xs[i], ys[i]
-            bound = judge.cut * _SLACK
-            segs = []
-            for lo, hi, off in runs:
-                x = start = lo
+            bound = (p * p) << 2 * bits
+            keep = []
+            for lo, hi, off in tree.runs(i, R):
+                o = (off << 64) + p
+                x = lo
                 while x < hi:
                     e = end[x]
-                    if e - x <= _BLOCK:
-                        x = e
-                        continue
-                    tests += 1
-                    dx = xlo[x] - px if px < xlo[x] else px - xhi[x] if px > xhi[x] else 0
-                    dy = ylo[x] - py if py < ylo[x] else py - yhi[x] if py > yhi[x] else 0
-                    if off + hmax[x] < bound * gap(dx, dy):
-                        pruned += e - x
-                        if start < x:
-                            segs.append((start, x, off))
-                        start = x = e
-                    else:
-                        x += 1  # keep x, go on to its first child's subtree
-                if start < hi:
-                    segs.append((start, hi, off))
-        else:
-            segs = runs
-        gs = _run_lengths(segs, root)
-        if gs and not judge.judge(i, list(map(truediv, gs, dists(i, segs))),
-                                  (j for lo, hi, _ in segs for j in range(lo, hi))):
-            return None
-    judge.tests = tests
-    return judge
+                    if e - x > 1:
+                        dx = xlo[x] - px if px < xlo[x] else px - xhi[x] if px > xhi[x] else 0
+                        dy = ylo[x] - py if py < ylo[x] else py - yhi[x] if py > yhi[x] else 0
+                        if (o + hmax64[x]) ** 2 * den < bound * (dx * dx + dy * dy):
+                            x = e
+                            continue
+                    dx, dy = xs[x] - px, ys[x] - py
+                    if (o + R64[x]) ** 2 * den >= bound * (dx * dx + dy * dy):
+                        keep.append(order[x])
+                    x += 1
+            if keep:
+                yield order[i], keep
 
-
-def _candidates(dists: Callable, walk: Iterator[tuple[int, list[float]]],
-                adj: list[list[tuple]]) -> Optional[_Cut]:
-    """The float pass of _float_filter on the bounded float rows of walk (_walk),
-    by position of its tree; dists(i, ((i + 1, n, 0),)) gives the float
-    distances in a row's places. Before a row is judged, _dijkstra from
-    i over adj, the float weights by position, settles every later position
-    whose bounded ratio reaches the running cut, and the row takes the
-    minimum with what it found, in place, so the children start from it.
-    Only those positions' ratios are recomputed: every other one was below
-    the cut and can only fall, so the largest ratio and the candidates are
-    those of fresh ratios. An entry is thus a float sum along a walk, a
-    path from some ancestor plus the tree edges down to i: at most
-    (n - 1) + depth(i) <= 2n - 2 terms. The cut only rises, so a pair left
-    bounded has a ratio below the cut it is judged against, as a pair on
-    exact rows would, and the enclosure is unchanged (see _filter_proves).
-    None when the candidates are not few."""
-    n = len(adj)
-    judge = _Cut(n)
-    for i, row in walk:
-        if i == n - 1:
-            continue
-        efs = dists(i, ((i + 1, n, 0),))
-        ratios = list(map(truediv, row, efs))
-        near = list(compress(range(i + 1, n), map(ge, ratios, repeat(judge.cut))))
-        if near:
-            row[:] = map(min, row, _dijkstra(adj, i, near)[i + 1:])
-            for j in near:
-                ratios[j - i - 1] = row[j - i - 1] / efs[j - i - 1]
-        if not judge.judge(i, ratios, range(i + 1, n)):
-            return None
-    return judge
+    return _scan(coords, den, bits, table_of(groups()), best)
 
 
 @dataclass(frozen=True)
 class _Tree:
     """A rooted spanning tree by preorder position: order[i] is the vertex at
     position i and pos its inverse, up[i] the parent's position (up[0] = 0),
-    i .. end[i] - 1 the size[i] positions of i's subtree, and hop[i] its
-    nearest ancestor-or-self but the root with later siblings (0 if none)."""
+    i .. end[i] - 1 the positions of i's subtree, and hop[i] its nearest
+    ancestor-or-self but the root with later siblings (0 if none)."""
 
     order: list[int]
     pos: list[int]
     up: list[int]
-    size: list[int]
     end: list[int]
     hop: list[int]
 
@@ -751,15 +473,7 @@ def _spanning_tree(g: Graph, parent: list) -> _Tree:
     hop = [0] * n
     for c in range(1, n):
         hop[c] = c if end[c] < end[up[c]] else hop[up[c]]
-    return _Tree(order, pos, up, size, end, hop)
-
-
-def _run_lengths(runs: Iterable[tuple], root: list) -> list:
-    """off + root[j] for each run (lo, hi, off) and lo <= j < hi, in turn."""
-    out: list = []
-    for lo, hi, off in runs:
-        out += map(add, repeat(off), root[lo:hi])
-    return out
+    return _Tree(order, pos, up, end, hop)
 
 
 def _prim(adj: list[list[tuple]]) -> list:
@@ -781,37 +495,14 @@ def _prim(adj: list[list[tuple]]) -> list:
     return parent
 
 
-def _tree_weights(t: _Tree, weight: dict) -> tuple[list, list]:
-    """(w_up, root) by position of t: the weight of the edge to the parent
-    (w_up[0] = 0) and the distance from the root along the tree."""
+def _tree_weights(t: _Tree, weight: dict) -> list:
+    """The distance from the root along the tree, by position of t."""
     order, up = t.order, t.up
-    w_up, root = [0] * len(order), [0] * len(order)
+    root = [0] * len(order)
     for i in range(1, len(order)):
         u, p = order[i], order[up[i]]
-        w_up[i] = weight[(u, p) if u < p else (p, u)]
-        root[i] = root[up[i]] + w_up[i]
-    return w_up, root
-
-
-def _walk(t: _Tree, w_up: list) -> Iterator[tuple[int, list]]:
-    """The bounded rows of _candidates: (i, row) for every position i of t,
-    row[k] an upper bound on the distance to position i + 1 + k, all
-    math.inf at the root, and at a child its parent's later entries plus
-    w_up[i], its edge weight. A parent comes before its children, and the
-    heaviest child last, so O(log n) rows are alive at once. A row may be
-    changed in place before the next is drawn: its children start from
-    what is left."""
-    up, size = t.up, t.size
-    kids: list[list[int]] = [[] for _ in up]
-    for i in range(1, len(up)):
-        kids[up[i]].append(i)
-    pending = [(0, [math.inf] * (len(up) - 1))]  # (position, its parent's row; the root's own)
-    while pending:
-        i, row = pending.pop()
-        if i:
-            row = list(map(add, row[i - up[i]:], repeat(w_up[i])))
-        yield i, row
-        pending += [(c, row) for c in sorted(kids[i], key=size.__getitem__, reverse=True)]
+        root[i] = root[up[i]] + weight[(u, p) if u < p else (p, u)]
+    return root
 
 
 def _weighted_adj(n: int, weight: dict) -> list[list[tuple]]:
@@ -825,7 +516,7 @@ def _weighted_adj(n: int, weight: dict) -> list[list[tuple]]:
 
 def _dijkstra(adj: list[list[tuple]], source: int, stop: Iterable[int]) -> list:
     """Shortest-path distances from source over (neighbor, weight) adjacency
-    lists with nonnegative int or float weights; math.inf where unreached.
+    lists with nonnegative weights; math.inf where unreached.
     It returns as soon as every vertex of stop is settled: their distances
     are final, and every other entry is at least its own."""
     dist = [math.inf] * len(adj)
@@ -850,28 +541,21 @@ def _graph_rows(n: int, lo_w: dict, hi_w: dict, groups) -> Iterator[tuple]:
     """The exact rows of a connected graph on range(n) under the lower and
     the upper integer edge brackets lo_w, hi_w: for each (u, targets) of
     groups, in turn, (u, targets, dist_lo, dist_hi) as _scan reads them,
-    from Dijkstra stopped once the targets are settled; groups None asks
-    for every pair once, as (u, the vertices after u). Like _tree_rows, it
+    from Dijkstra stopped once the targets are settled. Like _tree_rows, it
     draws a group only after it has yielded the last one's row, so groups
     may read the running bounds of _scan."""
     adj_lo, adj_hi = _weighted_adj(n, lo_w), _weighted_adj(n, hi_w)
-    for u, targets in ((u, range(u + 1, n)) for u in range(n)) if groups is None else groups:
+    for u, targets in groups:
         dist_lo, dist_hi = _dijkstra(adj_lo, u, targets), _dijkstra(adj_hi, u, targets)
         yield u, targets, [dist_lo[v] for v in targets], [dist_hi[v] for v in targets]
 
 
 def _tree_rows(t: _Tree, lo_w: dict, hi_w: dict, groups) -> Iterator[tuple]:
     """The rows _graph_rows gives, on a tree t: R[i] + R[j] - 2 R[a] under
-    either edge bracket, R the integer root distances and a the lowest common
-    ancestor, from _Tree.runs for every pair, grouped by source position, and
-    _Tree.lca for a group."""
-    (_, r_lo), (_, r_hi) = _tree_weights(t, lo_w), _tree_weights(t, hi_w)
-    order, pos = t.order, t.pos
-    if groups is None:
-        for i in range(len(order)):
-            yield (order[i], order[i + 1:], _run_lengths(t.runs(i, r_lo), r_lo),
-                   _run_lengths(t.runs(i, r_hi), r_hi))
-        return
+    either edge bracket, R the integer root distances and a the lowest
+    common ancestor of positions i and j (_Tree.lca)."""
+    r_lo, r_hi = _tree_weights(t, lo_w), _tree_weights(t, hi_w)
+    pos = t.pos
     for u, targets in groups:
         i = pos[u]
         js = [pos[v] for v in targets]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 import networkx as nx
 
@@ -301,6 +301,7 @@ def canonical_order_by_sorting(h: Graph) -> CanonicalOrder:
 
 def _dijkstra_rows(g: Graph, weights: dict[tuple[int, int], int]) -> list[dict[int, int]]:
     """Shortest-path distances of a connected graph from every source (Dijkstra)."""
+    adj = [[(v, weights[(min(u, v), max(u, v))]) for v in g.adj[u]] for u in range(g.n)]
     rows = []
     for source in range(g.n):
         dist = {source: 0}
@@ -308,8 +309,8 @@ def _dijkstra_rows(g: Graph, weights: dict[tuple[int, int], int]) -> list[dict[i
         while heap:
             du, u = heapq.heappop(heap)
             if dist[u] == du:
-                for v in g.adj[u]:
-                    nd = du + weights[(min(u, v), max(u, v))]
+                for v, w in adj[u]:
+                    nd = du + w
                     if v not in dist or nd < dist[v]:
                         dist[v] = nd
                         heapq.heappush(heap, (nd, v))
@@ -337,15 +338,15 @@ def _floyd_warshall(g: Graph, weights: dict[tuple[int, int], int]) -> list[list[
     return dist
 
 
-def _ratio_enclosure(d: Drawing, rel_tol: Fraction, start: int, all_pairs) -> Interval:
-    """The spanning ratio of d, every step its own: n >= 2 and
+def _ratio_enclosures(d: Drawing, start: int, all_pairs) -> Iterator[Interval]:
+    """The spanning ratio's enclosures of d, every step its own: n >= 2 and
     connectivity; on the integer numerators over the least common
-    denominator L, the closest of all pairs, which gives coincidence or, if
-    it brackets to 0 at start bits, a shift of the scale by the least b with
-    closest * 4**b >= L**2 and a start twice as large; then at start,
-    2 * start, ... bits up to 16384, each plus the shift, a bracket on
-    every pair with all_pairs(g, weights)[u][v] rows under the lower and
-    the upper edge brackets, until the relative width is within rel_tol."""
+    denominator L, the closest of all pairs, which gives coincidence (the
+    one infinite interval) or, if it brackets to 0 at start bits, a shift
+    of the scale by the least b with closest * 4**b >= L**2 and a start
+    twice as large; then at start, 2 * start, ... bits up to 16384, each
+    plus the shift, a bracket on every pair with all_pairs(g, weights)[u][v]
+    rows under the lower and the upper edge brackets."""
     g, n = d.graph, d.graph.n
     if n < 2:
         raise ValueError("spanning ratio needs at least 2 vertices")
@@ -360,7 +361,8 @@ def _ratio_enclosure(d: Drawing, rel_tol: Fraction, start: int, all_pairs) -> In
     pts = [(int(x * L), int(y * L)) for x, y in d.coords]
     closest = min(dist_sq(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
     if closest == 0:
-        return Interval(math.inf, math.inf)
+        yield Interval(math.inf, math.inf)
+        return
     den, shift, bits = L * L, 0, start
     if closest << 2 * start < den:
         while closest << 2 * shift < den:
@@ -380,18 +382,30 @@ def _ratio_enclosure(d: Drawing, rel_tol: Fraction, start: int, all_pairs) -> In
                 if dist_hi[u][v] * best_hi[1] > best_hi[0] * e_lo:
                     best_hi = (dist_hi[u][v], e_lo)
         lo = Fraction(*best_lo)
-        ivl = Interval(lo, max(Fraction(*best_hi), lo))
-        if ivl.rel_width() <= rel_tol:
-            return ivl
+        yield Interval(lo, max(Fraction(*best_hi), lo))
         bits *= 2
+
+
+def _ratio_enclosure(d: Drawing, rel_tol: Fraction, start: int, all_pairs) -> Interval:
+    """The first of _ratio_enclosures(d, start, all_pairs) that is infinite
+    or whose relative width is within rel_tol."""
+    for ivl in _ratio_enclosures(d, start, all_pairs):
+        if ivl.is_infinite or ivl.rel_width() <= rel_tol:
+            return ivl
     raise PrecisionExhausted("precision escalation exhausted")
 
 
 def spanning_ratio_oracle(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:
     """The enclosure spanning_ratio must certify, number for number: Dijkstra
     rows from every source at 64, 128, ... bits, as it certified before it
-    had a float filter."""
+    pruned any pair."""
     return _ratio_enclosure(d, rel_tol, 64, _dijkstra_rows)
+
+
+def spanning_ratio_oracle_enclosures(d: Drawing) -> Iterator[Interval]:
+    """The enclosures of spanning_ratio_oracle, one per precision, which
+    each precision of the certificate must equal."""
+    return _ratio_enclosures(d, 64, _dijkstra_rows)
 
 
 def spanning_ratio_bruteforce(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:

@@ -33,7 +33,6 @@ class TestAnnulusCensus:
         d = Drawing.of(g, [(0, 0), (1, 0), (F(3, 2), 0), (3, 0)])
         census = annulus_census(d, 0)
         assert census.counts == {1: 2, 2: 1}
-        assert census.inside_unit == 0
         assert census.shortest_incident_edge_len.contains(1)
 
     def test_single_edge_boundary_to_lower_annulus(self):

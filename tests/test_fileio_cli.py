@@ -211,8 +211,8 @@ class TestDrawingValidation:
         assert Drawing(g, ((0, 0), (6, 0), (-9, 3)), 3) == Drawing(g, ((0, 0), (2, 0), (-3, 1)))
 
     def test_rational_drawings_round_trip(self):
-        # den is the least common denominator L of the coordinates, which the
-        # float filter's scaling and the bracket unit of _filter_proves assume.
+        # den is the least common denominator L of the coordinates, over
+        # which every metric reads the integer points.
         for seed in range(40):
             d = random_rational_drawing(4 + seed % 9, seed)
             assert Drawing.of(d.graph, d.coords) == d

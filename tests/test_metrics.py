@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
@@ -21,7 +22,7 @@ from conftest import (
     random_tree,
     stacked_triangulation,
 )
-from oracles import spanning_ratio_bruteforce, spanning_ratio_oracle
+from oracles import spanning_ratio_bruteforce, spanning_ratio_oracle, spanning_ratio_oracle_enclosures
 from spannerdraw import drawing as drawing_module
 from spannerdraw import geometry, metrics
 from spannerdraw.drawing import Drawing
@@ -56,13 +57,6 @@ def drawing(n, edges, coords):
 
 def unit_square():
     return drawing(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [(0, 0), (1, 0), (1, 1), (0, 1)])
-
-
-def float_filter_of(g, coords, closest):
-    """metrics._float_filter as _spanning_ratios calls it: with the bit size
-    of the coordinates and, on a tree, the tree's own breadth-first preorder."""
-    tree = metrics._spanning_tree(g, bfs_parents(g)) if g.m == g.n - 1 else None
-    return metrics._float_filter(g, coords, closest, metrics._coord_bits(coords), tree)
 
 
 class TestSpanningRatio:
@@ -127,8 +121,8 @@ class TestSpanningRatio:
 
     def test_tree_rows_rerooted_on_integers(self, monkeypatch):
         # Every pair of a tree takes integer rows rerooted along its
-        # preorder, and its candidates take root distances: a tree whose
-        # filter declines, or proves on its root distances, runs no Dijkstra.
+        # preorder, and the pruned pass walks that same tree on integer
+        # root distances: no tree runs Dijkstra, at any scale or bit size.
         calls = Counter()
         dijkstra = metrics._dijkstra
 
@@ -137,23 +131,16 @@ class TestSpanningRatio:
             return dijkstra(*args)
 
         monkeypatch.setattr(metrics, "_dijkstra", counted)
-        path = drawing(60, [(i, i + 1) for i in range(59)], [(i, 0) for i in range(60)])
-        assert float_filter_of(path.graph, path.points, path.closest_sq) is None  # every pair ties
+        path = drawing(60, [(i, i + 1) for i in range(59)], [(i, 0) for i in range(60)])  # every pair ties
         a = spanning_ratio(path)
-        assert a.lo == a.hi == 1 and calls["dijkstra"] == 0
-        for n in (2, 30, 120):
-            d = draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
-            a, b = spanning_ratio(d), spanning_ratio_oracle(d)
-            assert (a.lo, a.hi) == (b.lo, b.hi) and calls["dijkstra"] == 0, n
-        zigzag = zigzag_tree(40)  # filtered on bounded rows, with Dijkstra
-        a, b = spanning_ratio(zigzag), spanning_ratio_oracle(zigzag)
-        assert (a.lo, a.hi) == (b.lo, b.hi)
-        calls.clear()
-        # With no filter at all, every precision scans every pair.
-        monkeypatch.setattr(metrics, "_float_filter", lambda *args: None)
-        trees = [zigzag, two_scales(F(2**40 + 12345), F(1, 10**6))]
-        trees += [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
-                  for n in (2, 7, 40)]
+        assert a.lo == a.hi == 1
+        trees = [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
+                 for n in (2, 7, 30, 40, 120)]
+        # Deep tree drawings of 29 and 34 bits, whose root distances span
+        # many scales.
+        trees += [draw_tree_planar(RootedTree.from_graph(random_tree(300, 3, 300), 0), Epsilon(eps))
+                  for eps in (F(1, 10), F(1, 20))]
+        trees += [zigzag_tree(40), two_scales(F(2**40 + 12345), F(1, 10**6))]
         trees += [Drawing(random_tree(n, 4, n), tuple(random_points(n, 30, n))) for n in (3, 25)]
         # Past 1900 bits, with no far-placement order: every precision's
         # rows are big integers.
@@ -167,8 +154,10 @@ class TestSpanningRatio:
 
     def test_tree_built_once(self, monkeypatch):
         # Counted: one spanning_ratio call on a tree builds its preorder tree
-        # once, for the float pass and the exact rows of every precision
+        # once, for the pruned pass and the exact rows of every precision
         # and pass, takes the coordinates' bit size once, and runs no Prim.
+        # A graph that is not a tree builds Prim's tree once, and only when
+        # the far-placement pass does not serve it.
         calls = Counter()
 
         def counted(name):
@@ -180,25 +169,33 @@ class TestSpanningRatio:
 
             monkeypatch.setattr(metrics, name, wrapper)
 
-        for name in ("_spanning_tree", "_prim", "_coord_bits", "_scan", "_far_scan", "_float_filter"):
+        for name in ("_spanning_tree", "_prim", "_coord_bits", "_scan", "_far_scan", "_pruned_scan"):
             counted(name)
+        far_planar = draw_planar_spanner(stacked_triangulation(20, 1), Epsilon(1))
+        assert metrics._coord_bits(far_planar.points) > 53
+        calls.clear()
+        spanning_ratio(far_planar)
+        assert (calls["_far_scan"], calls["_spanning_tree"], calls["_prim"], calls["_pruned_scan"]) == (1, 0, 0, 0)
+        # Three precisions of a graph that is not a tree: one Prim's tree.
+        calls.clear()
+        assert len(list(islice(metrics._spanning_ratios(random_drawing(12, 3)), 3))) == 3
+        assert (calls["_spanning_tree"], calls["_prim"], calls["_pruned_scan"]) == (1, 1, 3), calls
         monkeypatch.setattr(metrics, "_FAR_ROWS", 0)  # the far-placement pass hands over at once
         column = drawing(6, [(i, i + 1) for i in range(5)], [(0, i) for i in range(6)])
-        # (far-placement passes, scans) of each: the candidates only; the
-        # far-placement pass, then the candidates and every pair at 64 bits;
-        # the float pass on bounded rows; the far-placement pass, then the
-        # candidates.
+        # (far-placement passes, pruned passes, scans) of each: the pruned
+        # pass; the far-placement pass, then the pruned pass; the pruned
+        # pass at two precisions; as the second.
         cases = [
-            (draw_tree_planar(RootedTree.from_graph(random_tree(120, 3, 120), 0), Epsilon(1)), (0, 1)),
-            (drawing(4, [(0, 1), (1, 2), (2, 3)], [(0, 0), (F(1, 2**60), 0), (0, 1), (1, 1)]), (1, 3)),
-            (zigzag_tree(40), (0, 2)),
-            (shifted(column, 200), (1, 2)),
+            (draw_tree_planar(RootedTree.from_graph(random_tree(120, 3, 120), 0), Epsilon(1)), (0, 1, 1)),
+            (drawing(4, [(0, 1), (1, 2), (2, 3)], [(0, 0), (F(1, 2**60), 0), (0, 1), (1, 1)]), (1, 1, 2)),
+            (zigzag_tree(40), (0, 2, 2)),
+            (shifted(column, 200), (1, 1, 2)),
         ]
         for k, (d, passes) in enumerate(cases):
             calls.clear()
             spanning_ratio(d)
             assert (calls["_spanning_tree"], calls["_prim"], calls["_coord_bits"]) == (1, 0, 1), (k, calls)
-            assert (calls["_far_scan"], calls["_scan"]) == passes and calls["_float_filter"] == 1, (k, calls)
+            assert (calls["_far_scan"], calls["_pruned_scan"], calls["_scan"]) == passes, (k, calls)
 
     def test_tree_planar_enclosures_pinned(self):
         # The 40 seed-301 tree-planar benchmark drawings; test_enclosures_pinned
@@ -229,9 +226,9 @@ def zigzag_tree(k):
 def two_triangles(apex, gap, scale):
     """Two isosceles paths joined by an edge: D-F-E with base 1 and apex
     height `apex`, and a copy A-C-B shrunk to base `scale` whose ratio is
-    lower by `gap` times 2**-20, the filter's margin. At the precision where
-    one bracket unit is about 2**-20 of the small base, the skipped pair
-    (A, B) has an upper ratio bound above the certified lower bound."""
+    lower by `gap` times 2**-20. At the precision where one bracket unit is
+    about 2**-20 of the small base, the pair (A, B) has an upper ratio bound
+    above the certified lower bound."""
     r = 2 * math.sqrt(0.25 + apex * apex)
     small = F(round(math.sqrt((r * (1 - gap * 2**-20) / 2) ** 2 - 0.25) * 2**40), 2**40)
     a = F(-2)
@@ -248,220 +245,6 @@ def two_scales(far, gap):
     return drawing(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], pts)
 
 
-class TestFloatFilter:
-    """spanning_ratio scans the float filter's candidate pairs first and all
-    pairs only when the filter cannot prove that the others do not matter.
-    Its enclosures must equal the full scan's exactly, whichever way it went."""
-
-    def test_matches_full_scan_oracle(self, monkeypatch):
-        outcomes = Counter()
-        float_filter, filter_proves = metrics._float_filter, metrics._filter_proves
-
-        def counted_filter(*args):
-            flt = float_filter(*args)
-            outcomes["declined" if flt is None else "filtered"] += 1
-            return flt
-
-        def counted_proves(*args):
-            proven = filter_proves(*args)
-            outcomes["proven" if proven else "fallback"] += 1
-            return proven
-
-        monkeypatch.setattr(metrics, "_float_filter", counted_filter)
-        monkeypatch.setattr(metrics, "_filter_proves", counted_proves)
-        # With no row to spend, the far-placement pass hands every drawing
-        # past 53 bits over to the float pass, whose paths this test counts.
-        monkeypatch.setattr(metrics, "_FAR_ROWS", 0)
-
-        cases = [random_drawing(4 + seed % 12, seed) for seed in range(20)]
-        cases += [random_rational_drawing(5 + seed % 8, 5000 + seed) for seed in range(20)]
-        cases += [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
-                  for n in (30, 120, 300)]
-        # Coordinates past 1400 bits, so the float pass scales them down.
-        wide = draw_planar_spanner(strip_graph(140), Epsilon(F(1, 10)))
-        assert max(abs(c).bit_length() for p in wide.points for c in p) > 1400
-        cases += [wide, draw_planar_spanner(random_tree(60, 4, 60), Epsilon(F(1, 10)))]
-        # Lengths over 40 scales: the rerooted tree rows are too coarse, so
-        # the filter takes the Dijkstra rows, for which the proof holds.
-        cases.append(zigzag_tree(40))
-        cases.append(two_scales(F(2**40 + 12345), F(1, 10**6)))
-        # The closest pair, an edge, is below 2**-64, so the precisions are
-        # shifted by its 70 bits and start at 128 + 70, where the proof holds.
-        cases.append(drawing(4, [(0, 1), (1, 2), (2, 3)],
-                             [(0, 0), (F(1, 2**70), 0), (0, 1), (1, 1)]))
-        cases = [(d, "proven") for d in cases]
-        # An edge of 2**-60 brackets away from 0 at 64 bits, unshifted, but
-        # too coarsely for the proof, so that precision scans all pairs.
-        cases.append((drawing(4, [(0, 1), (1, 2), (2, 3)],
-                              [(0, 0), (F(1, 2**60), 0), (0, 1), (1, 1)]), "fallback"))
-        # Beyond the filter's range, and a path whose pairs all tie.
-        cases.append((drawing(3, [(0, 1), (1, 2)], [(0, 0), (F(1, 10**5000), 0), (1, 1)]),
-                      "declined"))
-        cases.append((drawing(60, [(i, i + 1) for i in range(59)], [(i, 0) for i in range(60)]),
-                      "declined"))
-
-        for k, (d, outcome) in enumerate(cases):
-            outcomes.clear()
-            a, b = spanning_ratio(d), spanning_ratio_oracle(d)
-            assert (a.lo, a.hi) == (b.lo, b.hi), k
-            if a.is_infinite:
-                continue  # coincident points: no scan at all
-            # Each case takes its path; the "proven" ones never scan all pairs.
-            assert outcomes[outcome], (k, outcomes)
-            if outcome == "proven":
-                assert set(outcomes) == {"filtered", "proven"}, (k, outcomes)
-
-    def test_proof_implies_full_scan_at_every_precision(self):
-        # At a few bits the brackets are coarse, so every error term of the
-        # proof is tested, not only at the precision that certifies.
-        cases = [random_drawing(4 + seed % 9, 700 + seed) for seed in range(12)]
-        cases += [random_rational_drawing(5 + seed % 6, 7000 + seed) for seed in range(12)]
-        cases += [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
-                  for n in (8, 20)]
-        # Built so that at one precision a skipped pair moves the enclosure
-        # and only one of the two bracket terms of the proof (the one of the
-        # pair distance, then the one of the path) stops the proof.
-        base = F(2**20, 2**50)
-        cases += [two_triangles(F(199, 40), 1.05, base * F(10**6 + 997, 10**6)),
-                  two_triangles(F(1), 1.02, base * F(10**6 + 997, 10**6))]
-        checked = Counter()
-        for k, d in enumerate(cases):
-            g = d.graph
-            coords, L = d.points, d.den
-            if len(set(coords)) < g.n:
-                continue
-            closest = d.closest_sq
-            flt = float_filter_of(g, coords, closest)
-            every = [(u, range(u + 1, g.n)) for u in range(g.n)]
-            for bits in range(1, 60):
-                if 4**bits * closest < L * L:
-                    continue  # a pair brackets to 0: no enclosure runs at these bits
-                lo_w, hi_w = {}, {}
-                for u, v in g.edges():
-                    lo_w[(u, v)], hi_w[(u, v)] = isqrt_scaled(dist_sq(coords[u], coords[v]), L * L, bits)
-
-                adj_lo, adj_hi = metrics._weighted_adj(g.n, lo_w), metrics._weighted_adj(g.n, hi_w)
-
-                def enclosure(groups):
-                    rows = ((u, targets, metrics._dijkstra(adj_lo, u, range(g.n)),
-                             metrics._dijkstra(adj_hi, u, range(g.n)))
-                            for u, targets in groups)
-                    return metrics._scan(coords, L * L, bits, (
-                        (u, targets, [lo[v] for v in targets], [hi[v] for v in targets])
-                        for u, targets, lo, hi in rows))
-
-                candidates = enclosure(list(flt.pairs.items()))
-                if not metrics._filter_proves(flt, candidates.lo, L, bits):
-                    checked["unproven"] += 1
-                    continue
-                full = enclosure(every)
-                assert (full.lo, full.hi) == (candidates.lo, candidates.hi), (k, bits)
-                checked["proven"] += 1
-        assert checked["proven"] > 100 and checked["unproven"] > 100, checked
-
-
-def float_filter_oracle(g, coords):
-    """The float pass _float_filter made before it walked a spanning tree,
-    with the float ratio of each candidate pair: (filter, {(u, v): ratio}).
-    Full float rows from every source, by Dijkstra in vertex order, or on a
-    tree rerooted along a preorder; each row judged for the later positions
-    against the running largest ratio."""
-    n = g.n
-    s = max(0, max(abs(c).bit_length() for p in coords for c in p) - metrics._FILTER_BITS)
-    if s > metrics._FILTER_LIMIT:
-        return None, {}
-
-    def dist(p, q):
-        return math.hypot((p[0] - q[0]) / 2**s, (p[1] - q[1]) / 2**s)
-
-    weight = {(u, v): dist(coords[u], coords[v]) for u, v in g.edges()}
-    if g.m == n - 1:
-        flt, ratios = oracle_candidates(coords, dist, *oracle_tree_rows(g, weight), s)
-        if flt is None or 4 * flt.abs_err < F(metrics._FILTER_ETA) * flt.cut * flt.efmin:
-            return flt, ratios
-    adj = metrics._weighted_adj(n, weight)
-    rows = ((u, metrics._dijkstra(adj, u, range(n))) for u in range(n))
-    return oracle_candidates(coords, dist, range(n), rows, F(0), s)
-
-
-def oracle_candidates(coords, dist, order, rows, abs_err, s):
-    """The judging pass of float_filter_oracle over (i, row), row[j] the
-    float distance between order[i] and order[j]."""
-    n = len(coords)
-    cap = 4 * n + 256
-    rmax, efmin, cut = 0.0, math.inf, 0.0
-    cands = []
-    for i, row in rows:
-        efs = [dist(coords[order[i]], coords[order[j]]) for j in range(i + 1, n)]
-        if not efs:
-            continue
-        efmin = min(efmin, min(efs))
-        ratios = [row[j] / ef for j, ef in enumerate(efs, i + 1)]
-        top = max(ratios)
-        rmax = max(rmax, top)
-        cut = rmax * (1 - metrics._FILTER_ETA)
-        if top >= cut:
-            cands += [(r, i, j) for j, r in enumerate(ratios, i + 1) if r >= cut]
-            if len(cands) > 2 * cap:
-                cands = [c for c in cands if c[0] >= cut]
-                if len(cands) > cap:
-                    return None, {}
-    if not (efmin > 2.0**-metrics._FILTER_LIMIT and math.isfinite(rmax)):
-        return None, {}
-    pairs, kept = {}, {}
-    for r, i, j in cands:
-        if r >= cut:
-            pairs.setdefault(order[i], []).append(order[j])
-            kept[(order[i], order[j])] = r
-    flt = metrics._Filter(pairs, F(cut), F(efmin), (n + 8) * metrics._U, abs_err, n, s, n * (n - 1) // 2, 0)
-    return flt, kept
-
-
-def oracle_tree_rows(g, weight):
-    """(order, rows, abs_err) for a tree: a stack preorder from vertex 0, and
-    every position's full row, a child's from its parent's by +w outside
-    and -w inside the child's subtree, lightest child first."""
-    n = g.n
-    order, up, w_up, pos = [], [0] * n, [0.0] * n, [0] * n
-    seen = [False] * n
-    seen[0] = True
-    stack = [(0, 0)]
-    while stack:
-        u, parent = stack.pop()
-        pos[u] = i = len(order)
-        order.append(u)
-        if i:
-            up[i] = pos[parent]
-            w_up[i] = weight[(min(u, parent), max(u, parent))]
-        for v in g.adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append((v, u))
-    size, depth, root_row = [1] * n, [0] * n, [0.0] * n
-    kids = [[] for _ in range(n)]
-    for i in range(1, n):
-        depth[i] = depth[up[i]] + 1
-        root_row[i] = root_row[up[i]] + w_up[i]
-        kids[up[i]].append(i)
-    for i in range(n - 1, 0, -1):
-        size[up[i]] += size[i]
-    abs_err = 4 * (max(depth) + 1) * metrics._U * F(max(root_row))
-
-    def rows():
-        pending = [(0, root_row)]
-        while pending:
-            i, prow = pending.pop()
-            if i == 0:
-                row = prow
-            else:
-                a, b, w = i, i + size[i], w_up[i]
-                row = [x + w for x in prow[:a]] + [x - w for x in prow[a:b]] + [x + w for x in prow[b:]]
-            yield i, row
-            pending += [(c, row) for c in sorted(kids[i], key=size.__getitem__, reverse=True)]
-
-    return order, rows(), abs_err
-
-
 def random_points(n, bits, seed):
     """n distinct integer points with coordinates of absolute value below 2**bits."""
     rng = random.Random(seed)
@@ -471,30 +254,121 @@ def random_points(n, bits, seed):
     return sorted(points, key=lambda p: rng.random())
 
 
-def assert_keeps_oracle_candidates(flt, ref, ratios, k):
-    """flt, a filter of _float_filter, against the oracle's filter ref and
-    ratios: the cuts agree within 2**-40, efmin is at most the oracle's least
-    float distance and within 2**-40 of it, and every oracle pair above the
-    cut by more than 2**-40 is a candidate."""
-    assert flt is not None and ref is not None, k
-    assert abs(flt.cut / ref.cut - 1) <= F(1, 2**40), k
-    assert ref.efmin * (1 - F(1, 2**40)) <= flt.efmin <= ref.efmin, k
-    assert (flt.n, flt.s) == (ref.n, ref.s), k
-    pairs = {(u, v) for u, vs in flt.pairs.items() for v in vs}
-    for (u, v), r in ratios.items():
-        if F(r) >= flt.cut * (1 + F(1, 2**40)):
-            assert (u, v) in pairs or (v, u) in pairs, (k, u, v)
+def walk_tree(g, coords):
+    """The tree the pruned pass walks, as _spanning_ratios builds it: a
+    tree's breadth-first preorder tree, or Prim's over the squared edge
+    lengths of any other graph."""
+    if g.m == g.n - 1:
+        return metrics._spanning_tree(g, bfs_parents(g))
+    lengths = {(u, v): dist_sq(coords[u], coords[v]) for u, v in g.edges()}
+    return metrics._spanning_tree(g, metrics._prim(metrics._weighted_adj(g.n, lengths)))
 
 
-class TestFloatFilterOracle:
-    """_float_filter walks a spanning tree and runs Dijkstra only near the
-    cut; float_filter_oracle is the full-row pass it replaced."""
+def assert_oracle_enclosures(d, key, count=3):
+    """The certificate's enclosures at its first count precisions equal the
+    oracle's at the same precisions, number for number."""
+    ours = [(ivl.lo, ivl.hi) for ivl in islice(metrics._spanning_ratios(d), count)]
+    theirs = [(ivl.lo, ivl.hi) for ivl in islice(spanning_ratio_oracle_enclosures(d), count)]
+    assert ours == theirs, key
 
-    def test_tree_filters_keep_oracle_candidates(self):
-        cases = [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
-                 for n in (30, 120, 300)]
-        # Below 2**53 the filter takes math.dist of float points, whose
-        # differences round past 2**53; above it, the integer differences.
+
+@pytest.fixture
+def bracketed(monkeypatch):
+    """The rows ("rows") and the pairs ("pairs") that every _scan reads."""
+    counts = Counter()
+    scan = metrics._scan
+
+    def counted(coords, den, bits, table, best=None):
+        def rows():
+            for row in table:
+                counts["rows"] += 1
+                counts["pairs"] += len(row[1])
+                yield row
+
+        return scan(coords, den, bits, rows(), best)
+
+    monkeypatch.setattr(metrics, "_scan", counted)
+    return counts
+
+
+class TestPrunedScan:
+    """spanning_ratio brackets only the pairs that the pruned pass cannot
+    show to be below the running lower bound. Its enclosures must equal
+    the full scan's exactly, at every precision."""
+
+    def test_matches_full_scan_oracle(self, monkeypatch):
+        # With no row to spend, the far-placement pass hands every drawing
+        # past 53 bits over to the pruned pass.
+        monkeypatch.setattr(metrics, "_FAR_ROWS", 0)
+        cases = [random_drawing(4 + seed % 12, seed) for seed in range(20)]
+        cases += [random_rational_drawing(5 + seed % 8, 5000 + seed) for seed in range(20)]
+        cases += [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
+                  for n in (30, 120, 300)]
+        # Coordinates past 1400 bits.
+        wide = draw_planar_spanner(strip_graph(140), Epsilon(F(1, 10)))
+        assert max(abs(c).bit_length() for p in wide.points for c in p) > 1400
+        cases += [wide, draw_planar_spanner(random_tree(60, 4, 60), Epsilon(F(1, 10)))]
+        # Lengths over 40 scales.
+        cases.append(zigzag_tree(40))
+        cases.append(two_scales(F(2**40 + 12345), F(1, 10**6)))
+        # The closest pair, an edge, is below 2**-64, so the precisions are
+        # shifted by its 70 bits and start at 128 + 70.
+        cases.append(drawing(4, [(0, 1), (1, 2), (2, 3)],
+                             [(0, 0), (F(1, 2**70), 0), (0, 1), (1, 1)]))
+        # An edge of 2**-60 brackets away from 0 at 64 bits, unshifted, but coarsely.
+        cases.append(drawing(4, [(0, 1), (1, 2), (2, 3)], [(0, 0), (F(1, 2**60), 0), (0, 1), (1, 1)]))
+        # An edge of 10**-5000, and a path whose pairs all tie.
+        cases.append(drawing(3, [(0, 1), (1, 2)], [(0, 0), (F(1, 10**5000), 0), (1, 1)]))
+        cases.append(drawing(60, [(i, i + 1) for i in range(59)], [(i, 0) for i in range(60)]))
+        for k, d in enumerate(cases):
+            assert_oracle_enclosures(d, k)
+
+    def test_equals_full_scan_at_every_precision(self):
+        # At a few bits the brackets are coarse, so the pass is tested where
+        # a bracket unit is a large share of every distance, not only at the
+        # precisions that certify.
+        cases = [random_drawing(4 + seed % 9, 700 + seed) for seed in range(12)]
+        cases += [random_rational_drawing(5 + seed % 6, 7000 + seed) for seed in range(12)]
+        cases += [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
+                  for n in (8, 20)]
+        # Two paths of nearly equal ratio at scales 2**30 apart, so that at
+        # some precisions the brackets of the smaller one overlap the other's.
+        base = F(2**20, 2**50)
+        cases += [two_triangles(F(199, 40), 1.05, base * F(10**6 + 997, 10**6)),
+                  two_triangles(F(1), 1.02, base * F(10**6 + 997, 10**6))]
+        checked = Counter()
+        for k, d in enumerate(cases):
+            assert_oracle_enclosures(d, k)
+            g = d.graph
+            coords, L = d.points, d.den
+            if len(set(coords)) < g.n:
+                continue
+            t = walk_tree(g, coords)
+            every = [(u, range(u + 1, g.n)) for u in range(g.n)]
+            for bits in range(1, 60):
+                if 4**bits * d.closest_sq < L * L:
+                    continue  # a pair brackets to 0: no enclosure runs at these bits
+                lo_w, hi_w = {}, {}
+                for u, v in g.edges():
+                    lo_w[(u, v)], hi_w[(u, v)] = isqrt_scaled(dist_sq(coords[u], coords[v]), L * L, bits)
+                rows = partial(metrics._graph_rows, g.n, lo_w, hi_w)
+                full = metrics._scan(coords, L * L, bits, rows(every))
+                kept = [0]
+
+                def counted(groups):
+                    for u, targets in groups:
+                        kept[0] += len(targets)
+                        yield u, targets
+
+                ivl = metrics._pruned_scan(t, coords, L * L, bits, lambda groups: rows(counted(groups)), hi_w)
+                assert (ivl.lo, ivl.hi) == (full.lo, full.hi), (k, bits)
+                checked["pruned" if kept[0] < g.n * (g.n - 1) // 2 else "every pair"] += 1
+        assert checked["pruned"] > 300, checked
+
+    def test_tree_cases_match_oracle(self):
+        # test_matches_full_scan_oracle checks the tree-planar drawings.
+        # Random points below and above 53 bits:
+        cases = []
         for k, bits in enumerate((20, 53, 54, 60, 1200)):
             for n in (2, 9, 40, 130):
                 g = random_tree(n, 4, 100 * k + n)
@@ -512,65 +386,41 @@ class TestFloatFilterOracle:
             cases.append(Drawing(g, tuple(random_points(g.n, 30, 900 + k))))
         cases.append(zigzag_tree(12))
         for k, d in enumerate(cases):
-            n = d.graph.n
-            flt = float_filter_of(d.graph, d.points, d.closest_sq)
-            ref, ratios = float_filter_oracle(d.graph, d.points)
-            assert_keeps_oracle_candidates(flt, ref, ratios, k)
-            assert ref.abs_err > 0 and flt.abs_err > 0 and flt.rel_err == (n + 8) * metrics._U, k
+            assert_oracle_enclosures(d, k)
 
-    def test_graph_filters_keep_oracle_candidates(self):
-        cases = [random_drawing(4 + seed % 12, seed) for seed in range(20)]
-        cases += [d for d in (random_rational_drawing(5 + seed % 8, 5000 + seed) for seed in range(20))
-                  if not geometry.coincident(d.points)]
-        cases += [draw_planar_spanner(stacked_triangulation(60, seed), Epsilon(eps))
-                  for seed in range(2) for eps in (F(1), F(1, 10))]
-        cases += [draw_planar_spanner(strip_graph(140), Epsilon(F(1, 10)))]
+    def test_graph_cases_match_oracle(self, monkeypatch):
+        # test_matches_full_scan_oracle checks the random drawings and the
+        # strip of 140 vertices.
+        monkeypatch.setattr(metrics, "_FAR_ROWS", 0)  # the pruned pass past 53 bits too
+        cases = [draw_planar_spanner(stacked_triangulation(60, seed), Epsilon(eps))
+                 for seed in range(2) for eps in (F(1), F(1, 10))]
         cases += [draw_proper_spanner(random_connected_graph(n, n, n), Epsilon(F(1, 2))) for n in (30, 90)]
         for k, bits in enumerate((30, 53, 60)):
             g = random_connected_graph(50, 40, k)
             cases.append(Drawing(g, tuple(random_points(50, bits, k))))
-        # Trees whose rounding error is too large take the bounded rows.
-        cases += [zigzag_tree(40), two_scales(F(2**40 + 12345), F(1, 10**6))]
-        bounded = 0
         for k, d in enumerate(cases):
-            g, n = d.graph, d.graph.n
-            flt = float_filter_of(g, d.points, d.closest_sq)
-            ref, ratios = float_filter_oracle(g, d.points)
-            assert_keeps_oracle_candidates(flt, ref, ratios, k)
-            assert bool(flt.abs_err) == bool(ref.abs_err), k
-            if ref.abs_err:  # a tree on its root distances
-                continue
-            bounded += 1
-            assert (flt.rel_err, flt.abs_err) == ((2 * n + 8) * metrics._U, 0), k
-        assert bounded >= len(cases) - 10, (bounded, len(cases))
+            assert_oracle_enclosures(d, k)
 
-    def test_dijkstra_work_counts(self, monkeypatch):
-        # Counted, not timed: full rows settle n vertices from each source.
-        # Every settled vertex is one heap pop.
-        pops = Counter()
+    def test_tough_work_counts(self, bracketed):
+        # Counted, not timed: each row of a graph that is not a tree is one
+        # Dijkstra source. Over the 75 seed-301 tough drawings, Prim's tree
+        # bounds all but a few pairs below the running lower bound
+        # (measured: 499 sources, 825 pairs, of 110,530 pairs; on the
+        # breadth-first tree, about 3,000 sources).
+        ops = [op for op in bench_workloads().build("proper", 301) if op.kind == "tough"]
+        drawings = [draw_graph_via_tough_tree(Graph.from_edges(op.n, op.edges), op.d_target,
+                                              Epsilon(op.epsilon)).drawing for op in ops]
+        assert len(drawings) == 75
+        bracketed.clear()
+        for d in drawings:
+            spanning_ratio(d)
+        assert 0 < bracketed["rows"] <= 700 and bracketed["pairs"] <= 1200, bracketed
 
-        def heappop(heap):
-            pops["pops"] += 1
-            return heapq.heappop(heap)
-
-        monkeypatch.setattr(metrics, "heapq", SimpleNamespace(heappop=heappop, heappush=heapq.heappush))
-        planar = draw_planar_spanner(stacked_triangulation(80, 1), Epsilon(1))
-        proper = draw_proper_spanner(random_connected_graph(80, 80, 1), Epsilon(F(1, 2)))
-        # Measured, with the pops of the walk tree's Prim (one per edge plus
-        # one): 0.095 n**2 (610) and 0.052 n**2 (335). On the breadth-first
-        # tree the planar drawing took 0.32 n**2 (2057); the proper one took
-        # 0.027 n**2 (172), as its Dijkstra still does (175) without Prim's.
-        for d, share in ((planar, 0.15), (proper, 0.1)):
-            pops.clear()
-            assert float_filter_of(d.graph, d.points, d.closest_sq) is not None
-            assert 0 < pops["pops"] <= share * d.graph.n ** 2, (pops, d.graph.n)
-
-    def test_exact_rows_stop_at_their_targets(self, monkeypatch):
-        # Counted, not timed: the exact candidate rows of a graph that is not
-        # a tree run Dijkstra under both edge brackets, each stopping once
-        # the source's candidate targets are settled. Full rows would pop
-        # every vertex twice (measured: 188 and 225 pops for one source);
-        # stopped they took 18 and 6.
+    def test_exact_rows_stop_at_their_targets(self, monkeypatch, bracketed):
+        # Counted, not timed: the exact rows of a graph that is not a tree
+        # run Dijkstra under both edge brackets, each stopping once the
+        # source's kept targets are settled. Full rows would pop every
+        # vertex twice per source. Prim's tree pops at most 2m + 1 more.
         pops = Counter()
 
         def heappop(heap):
@@ -579,84 +429,67 @@ class TestFloatFilterOracle:
 
         planar = draw_planar_spanner(stacked_triangulation(80, 1), Epsilon(1))
         proper = draw_proper_spanner(random_connected_graph(80, 80, 1), Epsilon(F(1, 2)))
-        filters = [(d, float_filter_of(d.graph, d.points, d.closest_sq)) for d in (planar, proper)]
         monkeypatch.setattr(metrics, "heapq", SimpleNamespace(heappop=heappop, heappush=heapq.heappush))
         monkeypatch.setattr(metrics, "_FAR_ROWS", 0)  # the far-placement pass hands over at once
-        for d, flt in filters:
-            assert flt is not None and flt.pairs
-            monkeypatch.setattr(metrics, "_float_filter", lambda *args: flt)
+        for d in (planar, proper):
             pops.clear()
+            bracketed.clear()
             assert not spanning_ratio(d).is_infinite
-            assert 0 < pops["pops"] <= 0.5 * d.graph.n * len(flt.pairs), (pops, d.graph.n)
+            rows = bracketed["rows"]  # the far-placement pass brackets none
+            assert 0 < rows and pops["pops"] <= 0.5 * d.graph.n * rows + 2 * d.graph.m + 1, (pops, rows)
 
-    def test_tree_pass_work_counts(self):
-        # Counted, not timed: the float ratios judged and the subtree tests
-        # run. A planar tree drawing prunes most pairs: 6.0-6.5% are judged.
-        n, pairs = 300, 300 * 299 // 2
-        for seed in (300, 301, 7):
-            d = draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, seed), 0), Epsilon(1))
-            flt = float_filter_of(d.graph, d.points, d.closest_sq)
-            assert flt.abs_err > 0 and 0 < flt.judged <= 0.25 * pairs, (seed, flt.judged)
-        # Random points: a subtree's box holds most sources, so almost
-        # nothing prunes, and the tests stop after _PROBE and the source
-        # that passes it (measured: 278-290 of them).
-        for k, bits in enumerate((20, 60, 1200)):
-            g = random_tree(n, 2 + k, bits)
-            points = random_points(n, bits, bits)
-            flt = float_filter_of(g, points, closest_pair_sq(points))
-            assert flt.abs_err > 0 and flt.judged >= 0.9 * pairs, k
-            assert metrics._PROBE <= flt.tests < 2 * metrics._PROBE, (k, flt.tests)
+    def test_tree_pass_work_counts(self, bracketed):
+        # Counted, not timed: over the 40 seed-301 tree-planar drawings the
+        # pass brackets 1,610 of 1,684,752 pairs (11,684 with the sources
+        # in preorder rather than in reverse).
+        ops = bench_workloads().build("tree-planar", 301)
+        drawings = [draw_tree_planar(RootedTree.from_graph(Graph.from_edges(op.n, op.edges), 0),
+                                     Epsilon(op.epsilon)) for op in ops]
+        assert len(drawings) == 40
+        bracketed.clear()
+        for d in drawings:
+            spanning_ratio(d)
+        assert 0 < bracketed["pairs"] <= 2000, bracketed
 
     def test_pruning_keeps_its_margin(self):
-        # A subtree whose bound is below the cut by less than 2**-48 is
-        # judged, not skipped: the margin covers the rounding of the box
-        # distance. Position 0 is the root at the origin, 1 a leaf at
-        # (-1, 0), and 2 .. 21 a path along the x axis, so every float ratio
-        # is 1 and the cut after the root is 1 - 2**-20. From the leaf the
-        # path's subtree (off 1, largest root distance 20) is tested once,
-        # against the distance gap returns first: one that puts its bound
-        # 2**-49 below the cut.
-        n = 22
-        up = [0, 0, 0] + list(range(2, 21))
-        size = [n, 1] + list(range(20, 0, -1))
-        # Vertex 21 is the leaf, 1 .. 20 the path: the root's larger neighbor comes first.
-        g = Graph.from_edges(n, [(0, 21)] + [(k, k + 1) for k in range(20)])
-        tree = metrics._spanning_tree(g, bfs_parents(g))
-        assert (tree.up, tree.size) == (up, size)
-        xs = [0.0, -1.0] + [float(k) for k in range(1, 21)]
-        ys = [0.0] * n
-        root = [abs(x) for x in xs]
-        cut = 1 - 2.0**-20
-        gaps = []
+        # e_lo can be almost a whole unit below the scaled distance E, so a
+        # target is skipped only when its path is below t (E - 1), not t E.
+        # On this star at 1 bit, the pair (2, 1) comes first and sets
+        # t = 12/10. The edge (0, 1), of length sqrt(2), then has E = 2.83
+        # and dist_hi = 3 < t E, but dist_hi / e_lo = 3/2, the upper bound
+        # of the full scan.
+        d = drawing(3, [(0, 1), (0, 2)], [(2, 3), (3, 2), (7, 5)])
+        hi_w = {e: isqrt_scaled(dist_sq(d.points[e[0]], d.points[e[1]]), 1, 1)[1] for e in d.graph.edges()}
+        lo_w = {e: isqrt_scaled(dist_sq(d.points[e[0]], d.points[e[1]]), 1, 1)[0] for e in d.graph.edges()}
+        groups = []
 
-        def gap(dx, dy):
-            gaps.append((dx, dy))
-            return 21 / (cut * (1 - 2.0**-49)) if len(gaps) == 1 else 0.0
+        def rows(kept):
+            for u, targets in kept:
+                groups.append((u, list(targets)))
+                yield from metrics._graph_rows(3, lo_w, hi_w, [(u, targets)])
 
-        def dists(i, segs):
-            return [abs(xs[j] - xs[i]) for lo, hi, _ in segs for j in range(lo, hi)]
-
-        judge = metrics._tree_candidates(tree, root, xs, ys, gap, dists)
-        assert gaps[0] == (2.0, 0) and judge.tests == len(gaps)
-        assert judge.judged == n * (n - 1) // 2 and judge.cut == cut
+        ivl = metrics._pruned_scan(walk_tree(d.graph, d.points), d.points, 1, 1, rows, hi_w)
+        assert groups == [(2, [1]), (0, [1])]
+        assert (ivl.lo, ivl.hi) == (F(6, 5), F(3, 2))
 
     @pytest.fixture
     def walk_trees(self, monkeypatch):
-        """The (order, up, size) of every spanning tree the filter walks."""
+        """The (order, up, size) of every spanning tree the certificate builds."""
         trees = []
         spanning_tree = metrics._spanning_tree
 
         def recorded(g, parent):
             t = spanning_tree(g, parent)
-            trees.append((t.order, t.up, t.size))
+            trees.append((t.order, t.up, [e - i for i, e in enumerate(t.end)]))
             return t
 
         monkeypatch.setattr(metrics, "_spanning_tree", recorded)
         return trees
 
-    def test_walk_tree_is_minimum(self, walk_trees):
+    def test_walk_tree_is_minimum(self, monkeypatch, walk_trees):
         # Any two minimum spanning trees have the same multiset of weights,
-        # so the walk tree's sorted float weights equal Kruskal's.
+        # so the walk tree's sorted squared lengths equal Kruskal's.
+        monkeypatch.setattr(metrics, "_FAR_ROWS", 0)  # the pruned pass past 53 bits too
         cases = [random_drawing(4 + seed % 30, seed) for seed in range(30)]
         cases += [draw_planar_spanner(stacked_triangulation(n, seed), Epsilon(eps))
                   for seed, n in enumerate((20, 60, 120)) for eps in (F(1), F(1, 10))]
@@ -665,14 +498,12 @@ class TestFloatFilterOracle:
         graphs = 0
         for k, d in enumerate(cases):
             g, n = d.graph, d.graph.n
-            s = max(0, max(abs(c).bit_length() for p in d.points for c in p) - metrics._FILTER_BITS)
 
             def weight(u, v):
-                (x0, y0), (x1, y1) = d.points[u], d.points[v]
-                return math.hypot((x0 - x1) / 2**s, (y0 - y1) / 2**s)
+                return dist_sq(d.points[u], d.points[v])
 
             walk_trees.clear()
-            float_filter_of(g, d.points, d.closest_sq)
+            next(metrics._spanning_ratios(d))
             [(order, up, size)] = walk_trees
             walk = [(order[i], order[up[i]]) for i in range(1, n)]
             assert sorted(order) == list(range(n)) and all(up[i] < i for i in range(1, n)), k
@@ -683,13 +514,13 @@ class TestFloatFilterOracle:
         assert graphs >= len(cases) - 3, graphs
 
     def test_tree_walks_itself(self, walk_trees):
-        # On a tree the minimum spanning tree is the tree itself, rooted at
-        # vertex 0, so the walk trees equal the breadth-first ones. The
-        # digest of the walk trees' (order, up, size) was recorded when the
-        # filter walked the breadth-first tree of every graph.
+        # On a tree the walk tree is the tree itself, rooted at vertex 0:
+        # the breadth-first one. The digest of the walk trees' (order, up,
+        # size) was recorded when the float filter walked the breadth-first
+        # tree of every graph.
         for k, n in enumerate((2, 3, 9, 40, 130, 300) * 2):
             points = random_points(n, 30, k)
-            float_filter_of(random_tree(n, 2 + k % 4, 700 + k), points, closest_pair_sq(points))
+            next(metrics._spanning_ratios(Drawing(random_tree(n, 2 + k % 4, 700 + k), tuple(points))))
         digest = hashlib.sha256(repr(walk_trees).encode()).hexdigest()
         assert digest == "a27e129fbaf72f690f6eeeceb460e0054052630e78984e524c85b81db1226eeb"
 
@@ -731,9 +562,9 @@ class TestFarPlacement:
     @pytest.fixture
     def far_log(self, monkeypatch):
         """Per call of _far_scan, (sources bracketed, handed over); and the
-        calls of _far_order and _float_filter under "order" and "filter"."""
-        log = {"scans": [], "order": 0, "filter": 0}
-        far_scan, far_order, float_filter = metrics._far_scan, metrics._far_order, metrics._float_filter
+        calls of _far_order and _pruned_scan under "order" and "pruned"."""
+        log = {"scans": [], "order": 0, "pruned": 0}
+        far_scan, far_order, pruned_scan = metrics._far_scan, metrics._far_order, metrics._pruned_scan
 
         def scan(far, coords, den, bits, rows, hi_w):
             count = [0]
@@ -751,35 +582,34 @@ class TestFarPlacement:
             log["order"] += 1
             return far_order(*args)
 
-        def flt(*args):
-            log["filter"] += 1
-            return float_filter(*args)
+        def pruned(*args):
+            log["pruned"] += 1
+            return pruned_scan(*args)
 
         monkeypatch.setattr(metrics, "_far_scan", scan)
         monkeypatch.setattr(metrics, "_far_order", order)
-        monkeypatch.setattr(metrics, "_float_filter", flt)
+        monkeypatch.setattr(metrics, "_pruned_scan", pruned)
         return log
 
     def test_matches_oracles_on_small_drawings(self, far_log):
         # Every case past 53 bits is certified by the pass alone (the
         # proper ones of n <= 12 have 8-47 bits, the planar ones 85-119).
-        # Scaled by 2**3000 they are past the float filter's 1900 bits.
+        # Scaled by 2**3000 they keep their far order.
         entered = 0
         for k, d in enumerate(small_far_drawings()):
             for case in (d, shifted(d, 3000)):
                 far_log["scans"].clear()
-                far_log["filter"] = 0
+                far_log["pruned"] = 0
                 a, b, c = spanning_ratio(case), spanning_ratio_oracle(case), spanning_ratio_bruteforce(case)
                 assert (a.lo, a.hi) == (b.lo, b.hi), k
                 assert a.intersects(c) and c.rel_width() <= DEFAULT_REL_TOL, k
                 if metrics._coord_bits(case.points) > 53:
                     assert far_log["scans"] and not any(fell for _, fell in far_log["scans"]), k
-                    assert far_log["filter"] == 0, k
+                    assert far_log["pruned"] == 0, k
                     entered += 1
                 else:
-                    assert not far_log["scans"] and far_log["filter"] == 1, k
+                    assert not far_log["scans"] and far_log["pruned"] > 0, k
             assert metrics._coord_bits(case.points) > 3000
-            assert float_filter_of(case.graph, case.points, case.closest_sq) is None, k
         assert entered == 24
 
     def test_equals_full_scan_at_every_precision(self):
@@ -817,7 +647,7 @@ class TestFarPlacement:
                 if ivl is None:
                     checked["handed over"] += 1
                     continue
-                full = metrics._scan(coords, L * L, bits, rows(None))
+                full = metrics._scan(coords, L * L, bits, rows((u, range(u + 1, g.n)) for u in range(g.n)))
                 assert (ivl.lo, ivl.hi) == (full.lo, full.hi), (k, bits)
                 checked["pruned"] += 1
         assert checked["pruned"] > 400 and checked["handed over"] > 15 and checked["tight"] > 500, checked
@@ -834,7 +664,7 @@ class TestFarPlacement:
     def test_far_placed_drawings_bracket_a_few_rows(self, far_log):
         # Counted, not timed: a seeded n = 160 planar drawing at both eps,
         # and a proper one, bracket at most 3 sources at every precision
-        # (measured: 1 or 2), and the float pass never runs.
+        # (measured: 1 or 2), and the pruned pass never runs.
         workloads = bench_workloads()
         graphs = [Graph.from_edges(160, workloads.random_planar_edges(160, random.Random(k), 160))
                   for k in range(2)]
@@ -844,11 +674,11 @@ class TestFarPlacement:
             far_log["scans"].clear()
             assert not spanning_ratio(d).is_infinite
             assert far_log["scans"] and all(0 < rows <= 3 and not fell for rows, fell in far_log["scans"]), k
-        assert far_log["filter"] == 0
+        assert far_log["pruned"] == 0
 
     def test_small_coordinates_never_enter(self, far_log):
         # Tough and tree-planar drawings keep their coordinates within 53
-        # bits, so the float pass serves them as before.
+        # bits, so the pruned pass alone serves them.
         cases = [draw_graph_via_tough_tree(random_connected_graph(n, n, n), 3, Epsilon(1)).drawing
                  for n in (20, 40, 80)]
         cases += [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
@@ -856,11 +686,11 @@ class TestFarPlacement:
         for d in cases:
             assert metrics._coord_bits(d.points) <= 53
             spanning_ratio(d)
-        assert far_log["order"] == 0 and not far_log["scans"] and far_log["filter"] == len(cases)
+        assert far_log["order"] == 0 and not far_log["scans"] and far_log["pruned"] == len(cases)
 
     def test_drawings_not_far_placed_hand_over(self, far_log):
         # Random points past 53 bits with connected (y, x) prefixes: the pass
-        # spends its rows and hands over to the float pass. A star centered
+        # spends its rows and hands over to the pruned pass. A star centered
         # among its leaves has no order at all.
         cases = [shifted(y_ordered_drawing(n, 30, n), 200) for n in (20, 40)]
         cases += [shifted(random_drawing(12, seed), 200) for seed in range(4)]
@@ -869,10 +699,10 @@ class TestFarPlacement:
         fell = 0
         for k, d in enumerate(cases):
             far_log["scans"].clear()
-            far_log["filter"] = 0
+            far_log["pruned"] = 0
             a, b, c = spanning_ratio(d), spanning_ratio_oracle(d), spanning_ratio_bruteforce(d)
             assert (a.lo, a.hi) == (b.lo, b.hi) and a.intersects(c), k
-            assert far_log["filter"] == 1, k
+            assert far_log["pruned"] > 0, k
             if far_log["scans"]:
                 assert far_log["scans"] == [(metrics._FAR_ROWS, True)], (k, far_log["scans"])
                 fell += 1
@@ -894,9 +724,9 @@ class TestFarPlacement:
 
     def test_tough_enclosures_pinned(self):
         # The seed-301 tough benchmark drawings with n <= 40, which no other
-        # digest covers: small coordinates, graphs that are not trees, each
-        # proved by the float pass on Prim, _walk and _candidates. Recorded
-        # when _spanning_ratios took its Dijkstra rows from a closure.
+        # digest covers: small coordinates, graphs that are not trees.
+        # Recorded when _spanning_ratios took its Dijkstra rows from a
+        # closure, and a float filter on Prim's tree chose them.
         ops = [op for op in bench_workloads().build("proper", 301) if op.kind == "tough" and op.n <= 40]
         srs = [spanning_ratio(draw_graph_via_tough_tree(Graph.from_edges(op.n, op.edges), op.d_target,
                                                         Epsilon(op.epsilon)).drawing) for op in ops]

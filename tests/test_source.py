@@ -167,6 +167,50 @@ def references(node: ast.AST) -> set[str]:
     return read
 
 
+def unread_private_fields(sources: dict[str, str]) -> list[str]:
+    """module:Class.field for each field of a dataclass whose name starts
+    with an underscore that no statement of any source reads as an
+    attribute: a field only the tests read, or nobody. A read through self
+    counts for the class whose method makes it only."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+
+    def through_self(node: ast.AST) -> bool:
+        return isinstance(node.value, ast.Name) and node.value.id == "self"
+
+    loads = [(tree, node) for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    read = {node.attr for _, node in loads if not through_self(node)}
+    own = {(cls.name, node.attr) for tree in trees.values() for cls in ast.walk(tree)
+           if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)
+           if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and through_self(node)}
+    return sorted(
+        f"{module}:{node.name}.{stmt.target.id}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name.startswith("_")
+        and any(ast.unparse(dec).split("(")[0].split(".")[-1] == "dataclass" for dec in node.decorator_list)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read and (node.name, stmt.target.id) not in own
+    )
+
+
+def test_unread_private_fields_found():
+    sources = {
+        "a": ("from dataclasses import dataclass\n@dataclass(frozen=True)\nclass _P:\n"
+              "    x: int\n    y: int\n    z: int = 0\n    w: int = 0\n"
+              "    def f(self):\n        return self.w\n"
+              "@dataclass\nclass Public:\n    v: int\nclass _Plain:\n    u: int\n"),
+        "b": "class _Other:\n    def g(self):\n        return self.z\ndef f(p):\n    p.y = 1\n    return p.x\n",
+    }
+    assert unread_private_fields(sources) == ["a:_P.y", "a:_P.z"]
+
+
+def test_no_unread_private_fields():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_fields(sources) == []
+
+
 def public_functions(node: ast.stmt) -> list[str]:
     """The name of a module-level function that does not start with an
     underscore; classes and their methods are not looked at."""
