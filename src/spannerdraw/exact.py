@@ -70,11 +70,14 @@ def isqrt_scaled(num: int, den: int, bits: int) -> tuple[int, int]:
 
     Returns (lo, hi) with lo/2**bits <= sqrt(num/den) <= hi/2**bits and
     hi - lo <= 1.
+
+    With q, r = divmod(num * 4**bits, den) and s = isqrt(q), the root is
+    exactly s iff num * 4**bits = s**2 den, that is iff r = 0 and s**2 = q.
     """
     assert num >= 0 and den > 0
-    scaled = (num << (2 * bits)) // den
-    s = math.isqrt(scaled)
-    if s * s * den == (num << (2 * bits)):
+    q, r = divmod(num << (2 * bits), den)
+    s = math.isqrt(q)
+    if r == 0 and s * s == q:
         return s, s
     return s, s + 1
 

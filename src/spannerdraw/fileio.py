@@ -103,23 +103,19 @@ def graph_from_obj(obj) -> Graph:
     raw_edges = obj.get("edges", [])
     if not isinstance(raw_edges, list):
         raise FileFormatError("field 'edges' must be a list")
-    edges = []
-    seen = set()
+    edges = set()  # each as (min, max)
     for e in raw_edges:
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in e)
-        ):
+        if not isinstance(e, list) or len(e) != 2:
             raise FileFormatError(f"bad edge {e!r}")
         u, v = e
+        if not isinstance(u, int) or isinstance(u, bool) or not isinstance(v, int) or isinstance(v, bool):
+            raise FileFormatError(f"bad edge {e!r}")
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise FileFormatError(f"edge {e!r} out of range or a self-loop")
-        key = (min(u, v), max(u, v))
-        if key in seen:
+        key = (u, v) if u < v else (v, u)
+        if key in edges:
             raise FileFormatError(f"duplicate edge {e!r}")
-        seen.add(key)
-        edges.append(key)
+        edges.add(key)
     names = obj.get("names")
     if names is not None:
         if not isinstance(names, list) or len(names) != n or not all(

@@ -38,15 +38,19 @@ _scan's running bounds:
   whose bounds leave more than _FAR_ROWS sources, hands over to the next.
 - the pruned pass (_pruned_scan), everywhere else. It walks a spanning
   tree in preorder (on a tree, the tree itself; on any other graph a
-  minimum spanning tree of the squared edge lengths, _prim), each source
-  against the positions after its own, where a pair's tree path under the
-  upper brackets, off + R[j] with one offset per range of whole subtrees
-  (_Tree.runs), bounds dist_hi. A subtree whose largest root distance is
-  too short for the distance to its bounding box to reach t is skipped
-  whole, and so is a position alone.
+  minimum spanning tree of the squared edge lengths, _prim) and prunes
+  pairs of subtrees at once, the dual-tree form of the scan (Gray and
+  Moore, "N-Body Problems in Statistical Learning", NIPS 2000). A pair's
+  tree path under the upper brackets, R[i] + R[j] - 2 R[c] with c its
+  lowest common ancestor, bounds dist_hi; the pairs under each c form
+  blocks, two subtrees or positions alone, and a block whose largest root
+  distances are too short for the gap between its two bounding boxes to
+  reach t is skipped whole. The others split until a pair of positions
+  is bracketed.
 A tree is rooted once per call, at vertex 0, and every exact tree distance
 is R[u] + R[v] - 2 R[lca] on integer root distances; any other graph takes
-Dijkstra rows, stopped at their targets. The oracles of tests/oracles.py
+Dijkstra rows, stopped at their targets and resumed while the source stays
+the same. The oracles of tests/oracles.py
 share none of this code: each checks connectivity, finds the closest pair
 and scans every pair itself, on Dijkstra rows at the same precisions, whose
 enclosure must be this one, or on Floyd–Warshall rows from 128 bits, whose
@@ -182,7 +186,11 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     g = d.graph
     if g.n < 2:
         raise ValueError("spanning ratio needs at least 2 vertices")
-    if not is_connected(g):
+    # With n - 1 edges, one breadth-first walk both checks connectivity (no
+    # parent is None but the root's) and roots the tree.
+    parent = bfs_parents(g) if g.m == g.n - 1 else None
+    connected = is_connected(g) if parent is None else parent.count(None) == 1
+    if not connected:
         raise DisconnectedDrawingError("spanning ratio undefined: graph disconnected")
     coords, L, closest = d.points, d.den, d.closest_sq
     if closest == 0:
@@ -191,7 +199,7 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     den = L * L
     inverse = -(-den // closest)  # ceil(L**2 / closest)
     b = ((inverse - 1).bit_length() + 1) // 2
-    tree = _spanning_tree(g, bfs_parents(g)) if g.m == g.n - 1 else None
+    tree = None if parent is None else _spanning_tree(g, parent)
     rows = partial(_graph_rows, g.n) if tree is None else partial(_tree_rows, tree)
     walk = tree  # the pruned pass's tree
     far = _far_order(g, coords) if _coord_bits(coords) > 53 else None
@@ -339,36 +347,48 @@ def _ratio_key(num: int, den: int) -> float:
 
 def _pruned_scan(tree: _Tree, coords: Sequence[IntPoint], den: int, bits: int,
                  table_of: Callable, hi_w: dict) -> Interval:
-    """The enclosure at scale 2**bits by branch and bound over the positions
-    of tree, a spanning tree of the drawing's graph in preorder: each source
-    position i, from n - 2 down to 0, is bracketed against the positions
-    after its own that it keeps, table_of(groups) giving their rows under
-    the precision's edge brackets, of which hi_w are the upper ones.
+    """The enclosure at scale 2**bits by branch and bound over pairs of
+    subtrees of tree, a spanning tree of the drawing's graph in preorder,
+    table_of(groups) giving the rows of the pairs it keeps under the
+    precision's edge brackets, of which hi_w are the upper ones.
 
-    R holds the root distances of tree under hi_w, and for a subtree x,
-    hmax[x] its largest one and box its integer bounding box. For the
-    targets of a run (lo, hi, off) of tree.runs(i, R), off + R[j] is the
-    length of the tree path from i under hi, so
-    dist_hi <= off + R[j] <= off + hmax[x] for every j of a subtree x of
-    the run. Before each source, let t be the running largest dist_lo/e_hi
-    of _scan rounded down to p / 2**64.
-    - A subtree x of more than one position is skipped when
-      ((off + hmax[x]) 2**64 + p)**2 L**2 < p**2 box**2 2**(2 bits), where
-      box**2 is the squared integer distance from i's point to x's box and
+    R holds the root distances of tree under hi_w. A node is a subtree x of
+    more than one position, with hmax[x] its largest root distance and its
+    integer bounding box, or a position x alone, with R[x] and its point; a
+    leaf is a position alone. Each pair of positions i < j has one lowest
+    common ancestor c, and its tree path, R[i] + R[j] - 2 R[c], bounds
+    dist_hi. For each c, from n - 1 down to 0, the parts of c are c alone
+    and its child subtrees, and the pairs with ancestor c are those of the
+    blocks (P, Q), P before Q in the parts of c. When a block comes, let t
+    be the running largest dist_lo/e_hi of _scan rounded down to p / 2**64,
+    and hP, hQ the nodes' hmax or R.
+    - The block is skipped when
+      ((hP + hQ - 2 R[c]) 2**64 + p)**2 L**2 < p**2 box**2 2**(2 bits),
+      where box**2 is the squared integer distance between the two boxes and
       L**2 = den. Let E = sqrt(box**2) 2**bits / L, at most the scaled
-      distance from i to any point of the box. Then every pair (i, j) of
-      x has e_lo > E - 1, and the test gives
-      dist_hi <= off + hmax[x] < (p / 2**64)(E - 1) <= t e_lo.
-    - Otherwise x alone is skipped under the same test with R[x] and x's
-      own point, and the walk goes on to x + 1.
+      distance from any point of one box to any of the other. Then every
+      pair (i, j) of the block has e_lo > E - 1, and the test gives
+      dist_hi <= hP + hQ - 2 R[c] < (p / 2**64)(E - 1) <= t e_lo.
+    - Otherwise, when both nodes are positions alone, i < j, the pair is
+      bracketed at once, as the group (order[i], [order[j]]).
+    - Otherwise the node with the larger box (width plus height; a position
+      alone has none) is split into its own parts, each paired with the
+      other node in a block of the same c. Each pair of the block lies in
+      exactly one of them, so at every stage each pair with ancestor c lies
+      in exactly one block.
     t only rises, so every pair skipped has dist_lo/e_hi <= dist_hi/e_lo < T,
     T the final t. It moves neither the lower bound, T, nor the upper
     bound, which is at least dist_hi/e_lo >= T of the pair that set T. The
     enclosure is the full scan's, number for number, at any bit size.
 
-    The sources come in reverse preorder, so the first ones have short runs
-    and lift t early; the shift by 64 bits and the small p keep the
-    products short on big coordinates."""
+    Blocks that share their first node P come together, (P, Qs): each Q,
+    from the last, is skipped, split, or kept; then P alone walks the kept
+    nodes, or P is split and each of its parts takes them all. The parts of
+    c, and of every split, come from the last in preorder, so the first
+    pairs lie deep and lift t early. The blocks of a c are made as the walk
+    reaches them, so a star's (n - 1)(n - 2)/2 sibling blocks are never
+    stored. The shift by 64 bits and the small p keep the products short
+    on big coordinates."""
     order, up, end = tree.order, tree.up, tree.end
     n = len(order)
     R = _tree_weights(tree, hi_w)
@@ -389,34 +409,72 @@ def _pruned_scan(tree: _Tree, coords: Sequence[IntPoint], den: int, bits: int,
             ylo[a] = ylo[c]
         if yhi[c] > yhi[a]:
             yhi[a] = yhi[c]
-    R64 = [r << 64 for r in R]
-    hmax64 = [h << 64 for h in hmax]
+    # Node x < n is the subtree of position x, node n + x position x alone;
+    # parts[x] holds the parts of position x as nodes, and wide[x] the
+    # width plus height of node x's box.
+    H = [h << 64 for h in hmax] + [r << 64 for r in R]
+    X0, X1, Y0, Y1 = xlo + xs, xhi + xs, ylo + ys, yhi + ys
+    wide = [x1 - x0 + y1 - y0 for x0, x1, y0, y1 in zip(xlo, xhi, ylo, yhi)] + [0] * n
+    parts = [[n + x] for x in range(n)]
+    for x in range(1, n):
+        parts[up[x]].append(x if end[x] - x > 1 else n + x)
     best = [(0, 1), (0, 1)]
 
     def groups():
-        for i in range(n - 2, -1, -1):
-            t_num, t_den = best[0]
-            p = (t_num << 64) // t_den
-            px, py = xs[i], ys[i]
-            bound = (p * p) << 2 * bits
-            keep = []
-            for lo, hi, off in tree.runs(i, R):
-                o = (off << 64) + p
-                x = lo
-                while x < hi:
-                    e = end[x]
-                    if e - x > 1:
-                        dx = xlo[x] - px if px < xlo[x] else px - xhi[x] if px > xhi[x] else 0
-                        dy = ylo[x] - py if py < ylo[x] else py - yhi[x] if py > yhi[x] else 0
-                        if (o + hmax64[x]) ** 2 * den < bound * (dx * dx + dy * dy):
-                            x = e
-                            continue
-                    dx, dy = xs[x] - px, ys[x] - py
-                    if (o + R64[x]) ** 2 * den >= bound * (dx * dx + dy * dy):
-                        keep.append(order[x])
-                    x += 1
-            if keep:
-                yield order[i], keep
+        p = bound = 0
+        stack = []
+        for c in range(n - 1, -1, -1):
+            top = parts[c]
+            if len(top) < 2:
+                continue
+            two_rc = H[n + c] << 1
+            o = p - two_rc
+            for k in range(len(top) - 2, -1, -1):
+                stack.append((top[k], top[k + 1:]))
+                while stack:
+                    a, later = stack.pop()
+                    nodes = list(later)
+                    if a >= n:
+                        # Position i alone against the nodes, from the last.
+                        i = a - n
+                        px, py = xs[i], ys[i]
+                        oi = o + H[a]
+                        while nodes:
+                            s = nodes.pop()
+                            dx = X0[s] - px if px < X0[s] else px - X1[s] if px > X1[s] else 0
+                            dy = Y0[s] - py if py < Y0[s] else py - Y1[s] if py > Y1[s] else 0
+                            if dx or dy:
+                                h = H[s] + oi
+                                if h * h * den < bound * (dx * dx + dy * dy):
+                                    continue
+                            if s < n:
+                                nodes += parts[s]
+                                continue
+                            yield order[i], [order[s - n]]
+                            t_num, t_den = best[0]
+                            p = (t_num << 64) // t_den
+                            bound = (p * p) << 2 * bits
+                            o = p - two_rc
+                            oi = o + H[a]
+                        continue
+                    # Subtree a against the nodes: each is skipped, split
+                    # when its box is wider, or kept; then a is split.
+                    keep = []
+                    while nodes:
+                        b = nodes.pop()
+                        gx = X0[b] - X1[a] if X0[b] > X1[a] else X0[a] - X1[b] if X0[a] > X1[b] else 0
+                        gy = Y0[b] - Y1[a] if Y0[b] > Y1[a] else Y0[a] - Y1[b] if Y0[a] > Y1[b] else 0
+                        if gx or gy:
+                            h = H[a] + H[b] + o
+                            if h * h * den < bound * (gx * gx + gy * gy):
+                                continue
+                        if wide[b] > wide[a]:
+                            nodes += parts[b]
+                        else:
+                            keep.append(b)
+                    if keep:
+                        keep.reverse()
+                        stack += [(s, keep) for s in parts[a]]
 
     return _scan(coords, den, bits, table_of(groups()), best)
 
@@ -425,29 +483,12 @@ def _pruned_scan(tree: _Tree, coords: Sequence[IntPoint], den: int, bits: int,
 class _Tree:
     """A rooted spanning tree by preorder position: order[i] is the vertex at
     position i and pos its inverse, up[i] the parent's position (up[0] = 0),
-    i .. end[i] - 1 the positions of i's subtree, and hop[i] its nearest
-    ancestor-or-self but the root with later siblings (0 if none)."""
+    and i .. end[i] - 1 the positions of i's subtree."""
 
     order: list[int]
     pos: list[int]
     up: list[int]
     end: list[int]
-    hop: list[int]
-
-    def runs(self, i: int, root: list) -> list[tuple]:
-        """The positions after i as runs (lo, hi, off) of whole subtrees,
-        lo .. hi - 1, with one lowest common ancestor a with i and
-        off = root[i] - 2 root[a], so off + root[j] is their tree distance:
-        i's own subtree (a = i), then for each ancestor a whose child c toward
-        i has later siblings, the positions after c's subtree in a's."""
-        end, up, ri = self.end, self.up, root[i]
-        runs = [(i + 1, end[i], -ri)]
-        c = self.hop[i]
-        while c:
-            a = up[c]
-            runs.append((end[c], end[a], ri - 2 * root[a]))
-            c = self.hop[a]
-        return runs
 
     def lca(self, i: int, j: int) -> int:
         """The lowest common ancestor of positions i and j, walking up from i."""
@@ -469,11 +510,7 @@ def _spanning_tree(g: Graph, parent: list) -> _Tree:
     size = [1] * n
     for i in range(n - 1, 0, -1):
         size[up[i]] += size[i]
-    end = [i + k for i, k in enumerate(size)]
-    hop = [0] * n
-    for c in range(1, n):
-        hop[c] = c if end[c] < end[up[c]] else hop[up[c]]
-    return _Tree(order, pos, up, end, hop)
+    return _Tree(order, pos, up, [i + k for i, k in enumerate(size)])
 
 
 def _prim(adj: list[list[tuple]]) -> list:
@@ -514,40 +551,46 @@ def _weighted_adj(n: int, weight: dict) -> list[list[tuple]]:
     return adj
 
 
-def _dijkstra(adj: list[list[tuple]], source: int, stop: Iterable[int]) -> list:
-    """Shortest-path distances from source over (neighbor, weight) adjacency
-    lists with nonnegative weights; math.inf where unreached.
-    It returns as soon as every vertex of stop is settled: their distances
-    are final, and every other entry is at least its own."""
+def _dijkstra(adj: list[list[tuple]], source: int) -> Iterator[tuple]:
+    """Dijkstra from source over (neighbor, weight) adjacency lists with
+    nonnegative weights: each vertex reached, with its shortest-path
+    distance, as it is settled. A caller reads only as far as it needs, and
+    may come back for more."""
     dist = [math.inf] * len(adj)
     dist[source] = 0
-    left = set(stop)
     heap = [(0, source)]
     while heap:
         du, u = heapq.heappop(heap)
         if du > dist[u]:
             continue
-        left.discard(u)
-        if not left:
-            break
+        yield u, du
         for v, w in adj[u]:
             if du + w < dist[v]:
                 dist[v] = du + w
                 heapq.heappush(heap, (dist[v], v))
-    return dist
 
 
 def _graph_rows(n: int, lo_w: dict, hi_w: dict, groups) -> Iterator[tuple]:
     """The exact rows of a connected graph on range(n) under the lower and
     the upper integer edge brackets lo_w, hi_w: for each (u, targets) of
     groups, in turn, (u, targets, dist_lo, dist_hi) as _scan reads them,
-    from Dijkstra stopped once the targets are settled. Like _tree_rows, it
-    draws a group only after it has yielded the last one's row, so groups
-    may read the running bounds of _scan."""
+    from Dijkstra stopped once the targets are settled, and resumed for the
+    next group when it has the same source. Like _tree_rows, it draws a
+    group only after it has yielded the last one's row, so groups may read
+    the running bounds of _scan."""
     adj_lo, adj_hi = _weighted_adj(n, lo_w), _weighted_adj(n, hi_w)
+    source = None
     for u, targets in groups:
-        dist_lo, dist_hi = _dijkstra(adj_lo, u, targets), _dijkstra(adj_hi, u, targets)
-        yield u, targets, [dist_lo[v] for v in targets], [dist_hi[v] for v in targets]
+        if u != source:
+            source, searches = u, [(_dijkstra(adj_lo, u), {}), (_dijkstra(adj_hi, u), {})]
+        rows = []
+        for search, settled in searches:
+            for v in targets:
+                while v not in settled:
+                    w, dw = next(search)
+                    settled[w] = dw
+            rows.append([settled[v] for v in targets])
+        yield u, targets, rows[0], rows[1]
 
 
 def _tree_rows(t: _Tree, lo_w: dict, hi_w: dict, groups) -> Iterator[tuple]:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 from spannerdraw import geometry
@@ -33,6 +34,28 @@ class TestIsqrtScaled:
     def test_exact_squares_detected(self):
         lo, hi = isqrt_scaled(9, 4, 64)
         assert lo == hi == 3 * (1 << 63)  # sqrt(9/4) = 3/2
+
+    def test_matches_the_product_test(self):
+        # The root is exact iff num * 4**bits = s**2 den; isqrt_scaled reads
+        # that from one divmod, and the product form must agree, on random
+        # inputs and on exact squares, with den = 1 and shifts past 1000 bits.
+        def by_product(num, den, bits):
+            s = math.isqrt((num << 2 * bits) // den)
+            return (s, s) if s * s * den == num << 2 * bits else (s, s + 1)
+
+        rng = random.Random(28)
+        exact = 0
+        for bits in (0, 1, 64, 200, 1100, 1500):
+            for _ in range(30):
+                den = 1 if rng.random() < 0.3 else rng.getrandbits(rng.choice((8, 300, 2000))) + 1
+                m = rng.getrandbits(rng.choice((1, 64, 1200)))
+                for num in (rng.getrandbits(rng.choice((1, 64, 3000))), m * m * den, m * m * den + 1):
+                    lo, hi = isqrt_scaled(num, den, bits)
+                    assert (lo, hi) == by_product(num, den, bits), (num, den, bits)
+                    exact += lo == hi
+            shift = rng.randrange(bits + 1)  # (m / 2**shift)**2 scaled by 4**bits is a square
+            assert isqrt_scaled(m * m, 4**shift, bits) == (m << bits - shift,) * 2
+        assert exact >= 6 * 30, exact
 
     def test_sqrt_interval_contains_float(self):
         for q in [F(2), F(5, 3), F(10**9, 7)]:

@@ -164,6 +164,31 @@ class TestRoundTrip:
             with pytest.raises(fileio.FileFormatError):
                 fileio.graph_from_obj({**base, "edges": edges})
 
+    def test_edge_messages(self):
+        # Each bad edge, after a good one, with the message it gets.
+        base = {"version": "spannerdraw/1", "n": 3}
+        table = [
+            ([True, 1], "bad edge [True, 1]"),
+            ([0, 1.0], "bad edge [0, 1.0]"),
+            ([0, 1, 2], "bad edge [0, 1, 2]"),
+            ("01", "bad edge '01'"),
+            ([0, 3], "edge [0, 3] out of range or a self-loop"),
+            ([-1, 0], "edge [-1, 0] out of range or a self-loop"),
+            ([2, 2], "edge [2, 2] out of range or a self-loop"),
+            ([1, 0], "duplicate edge [1, 0]"),
+        ]
+        for edge, message in table:
+            with pytest.raises(fileio.FileFormatError) as err:
+                fileio.graph_from_obj({**base, "edges": [[0, 1], edge]})
+            assert str(err.value) == message
+
+    def test_benchmark_graphs_parse_to_their_edges(self):
+        workloads = bench_workloads()
+        for name in workloads.WORKLOADS:
+            for op in workloads.build(name, 301):
+                g = fileio.graph_from_obj(json.loads(op.graph_json()))
+                assert g == Graph.from_edges(op.n, op.edges), (name, op.id)
+
     def test_vertex_count_validated(self, monkeypatch):
         # Graph construction is stubbed out, so a missing bound fails the
         # test instead of allocating one adjacency set per declared vertex.
@@ -580,3 +605,11 @@ def test_planar_outputs_pinned():
     ops = bench_workloads().build("planar", 301)
     assert len(ops) == 88
     assert digest(ops) == "49d5e0804117d644698b808651434427e0c724e50e79b9a814b1215924e9e9f6"
+
+
+def test_tree_planar_outputs_pinned():
+    # tests/output_digest.py over the 40 seed-301 tree-planar benchmark ops,
+    # as recorded before the pruned pass took pairs of subtrees as blocks.
+    ops = bench_workloads().build("tree-planar", 301)
+    assert len(ops) == 40
+    assert digest(ops) == "ff811e49a7a45996183b4da0f814bd3a2700e180ca4cce3b23996bffc4bd9e2a"
