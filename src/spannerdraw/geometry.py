@@ -6,16 +6,23 @@ keeps every sign, every collinearity and every ratio of squared distances,
 so the predicates need no division, other than the exact one of a direction
 by the gcd of its coordinates.
 
-Collinearity is one scan: any_three_collinear keys each hub against the
-points after it with on_line_through_two, one set of exact direction keys
-per hub. It serves the no_three_collinear certificate and the tree-proper
-merge; the proper construction's height search calls on_line_through_two.
+Collinearity has two exact tests. far_right is a lemma, proved in its
+docstring: a point far enough right of the box of some points lies on no
+line through two of them, other than a horizontal one, which two products
+show. The proper construction's height search tries it at each height,
+and any_three_collinear tries it on all the points in x order, which the
+proper drawings pass. Where it does not apply, on_line_through_two decides
+with one exact direction key per point, and any_three_collinear scans each
+hub against the points after it that way. The scan serves the tree-proper
+merge, and the no_three_collinear certificate of the drawings that fail
+the lemma.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
+from collections import Counter
 from math import gcd
 from typing import Optional, Sequence
 
@@ -143,18 +150,67 @@ def coincident(points: Sequence[IntPoint]) -> bool:
     return len(set(points)) < len(points)
 
 
+def far_right(box: tuple[int, int, int, int], p: IntPoint) -> bool:
+    """True if the integer point p lies, by the far-right lemma, on no line
+    through two integer points of box = (x0, w, ylo, yhi), the box
+    [x0, w] x [ylo, yhi], other than a horizontal line.
+
+    The lemma: let W = w - x0, H = yhi - ylo, p = (x, y) and
+    out = max(0, y - yhi, ylo - y), how far y lies outside [ylo, yhi]. If
+    W (H + out) < x - w, the conclusion holds. Proof: the left side is at
+    least 0, so x > w, and no vertical line of the box reaches p. A line
+    through (xi, yi) and (xj, yj) of the box, xi < xj, that is not
+    horizontal has |yj - yi| >= 1 and xj - xi <= W, so its slope is at
+    least 1/W in size. At abscissa x its height differs from yj by at least
+    (x - xj)/W >= (x - w)/W > H + out, while |y - yj| <= H + out, since yj
+    lies in [ylo, yhi]: p is not on it.
+
+    False means only that the lemma does not apply. It takes two products
+    and a few comparisons, where on_line_through_two builds one direction
+    key per point.
+    """
+    x0, w, ylo, yhi = box
+    x, y = p
+    return (w - x0) * (yhi - ylo + max(0, y - yhi, ylo - y)) < x - w
+
+
+def _far_placed(pts: Sequence[IntPoint]) -> bool:
+    """True iff each of the points, sorted by (x, y), is far_right of the
+    box of the points before it."""
+    if not pts:
+        return True
+    x0, ylo = pts[0]
+    w, yhi = x0, ylo
+    for x, y in pts[1:]:
+        if not far_right((x0, w, ylo, yhi), (x, y)):
+            return False
+        w, ylo, yhi = x, min(ylo, y), max(yhi, y)
+    return True
+
+
 def any_three_collinear(points: Sequence[IntPoint], hubs: Optional[int] = None) -> bool:
     """True iff two of the integer points coincide or three lie on a line,
     where the line holds one of the first `hubs` points (all points when
     None).
 
-    A collinear triple is found from its first point, so each hub is keyed
-    only against the points after it: sum over the hubs i of n - 1 - i
-    direction keys, n(n-1)/2 for all points, and a scan stops at the first
-    hub on a line. Vertex order is kept: a drawing's collinear triple tends
-    to come early in it.
+    With all points as hubs, it first sorts the points by (x, y) and tries
+    the far-right lemma (far_right) on each against the box of the points
+    before it. If every point passes, a collinear triple a < b < c in that
+    order lies on a line through a and b that holds c, which the lemma
+    allows only when the line is horizontal. So three points are collinear
+    exactly when some height holds three of them, which a count of the
+    heights decides in O(n log n) with the sort. The proper construction's
+    drawings pass, since each vertex goes far right of the ones before it.
+
+    Otherwise, or with `hubs` given, it scans: a collinear triple is found
+    from its first point, so each hub is keyed only against the points
+    after it, sum over the hubs i of n - 1 - i direction keys, n(n-1)/2
+    for all points, and the scan stops at the first hub on a line. Vertex
+    order is kept: a drawing's collinear triple tends to come early in it.
     """
     if coincident(points):
         return True
+    if hubs is None and _far_placed(sorted(points)):
+        return any(k >= 3 for k in Counter(y for _, y in points).values())
     return any(on_line_through_two(z, points[i + 1:])
                for i, z in enumerate(points[:hubs]))

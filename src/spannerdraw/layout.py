@@ -21,7 +21,7 @@ from .drawing import Drawing
 from .embedding import augment_to_maximal_with_canonical_order
 from .errors import NotConnectedError, TooSmallError
 from .exact import isqrt_scaled
-from .geometry import IntPoint, any_three_collinear, on_line_through_two
+from .geometry import IntPoint, any_three_collinear, far_right, on_line_through_two
 from .graph import (
     Graph,
     RootedTree,
@@ -131,10 +131,16 @@ def draw_proper_spanner(g: Graph, eps: Epsilon) -> Drawing:
     k goes far to the right of the vertices before it, at the least
     integer height y >= 0 that puts it on no line through two of them. A
     height that already holds two vertices is blocked by their horizontal
-    line and is skipped unchecked; every other height gets the full
-    direction check, one exact key per placed vertex (on_line_through_two).
-    All coordinates are integers, so the construction costs O(n^2) direction
-    keys when few heights are tried.
+    line and is skipped unchecked. At any other height, the far-right
+    lemma (far_right) on the box [0, w] x [0, y_max] of the placed
+    vertices shows that no other line holds (x_k, y) when
+    w max(y, y_max) < x_k - w; only where it fails does the height get the
+    exact direction check, one key per placed vertex (on_line_through_two).
+    The gap x_k - w grows like k w / epsilon and y_max like k / 2, so the
+    lemma holds at every height unless epsilon is large (3 or more, in
+    measurements). Then the construction costs O(n) comparisons when few
+    heights are tried, not O(n^2) direction keys, and the chosen height is
+    still the least admissible one. All coordinates are integers.
     """
     n = g.n
     if n == 0:
@@ -154,8 +160,10 @@ def draw_proper_spanner(g: Graph, eps: Epsilon) -> Drawing:
         w = placed[-1][0]
         radius = _radius(w, y_max)
         x_k = radius + _ceil_div(w * e_num + 4 * k * radius * e_den, 2 * e_num) + 1
+        box = (0, w, 0, y_max)
         y = 0
-        while at_height[y] >= 2 or on_line_through_two((x_k, y), placed):
+        while at_height[y] >= 2 or (not far_right(box, (x_k, y))
+                                    and on_line_through_two((x_k, y), placed)):
             y += 1
         placed.append((x_k, y))
         at_height[y] += 1

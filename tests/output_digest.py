@@ -5,12 +5,16 @@ ops in op order, it runs in process the op's `spannerdraw draw ... -o
 <drawing> --format json` call (bench/workloads.py's `Op.argv`), then `metrics <drawing> --format json` and
 `verify <drawing> --s 3/2 --format json`. It hashes each call's exit code,
 stdout and stderr, and the drawing file's bytes. A change that keeps every
-drawing and every report byte for byte keeps the digest:
+drawing and every report byte for byte keeps the digest, and the script
+checks it against RECORDED, the digest recorded below:
 
     python tests/output_digest.py
 
-It takes about 14 s on a 2-core host. It reads bench/ and writes only into a
-temporary directory. `digest(ops)` hashes any list of ops the same way.
+It prints the digest and exits 0 when it equals RECORDED. Otherwise it
+prints both and exits 1; a change that alters outputs on purpose records
+the new digest in RECORDED. It takes about 14 s on a 2-core host. It reads
+bench/ and writes only into a temporary directory. `digest(ops)` hashes any
+list of ops the same way.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# The digest of the 556 ops of seeds 301 and 302.
+RECORDED = "d414ab17bbb44fa13ed6e6c89bb5d33134cfa9b47d4e789c51c6e6b8b65462ba"
 
 
 def _call(argv: list[str]) -> tuple[int, str, str]:
@@ -70,10 +76,14 @@ def main() -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import workloads
 
-    print(digest([op
-                  for seed in (301, 302)
-                  for name in workloads.WORKLOADS
-                  for op in workloads.build(name, seed)]))
+    found = digest([op
+                    for seed in (301, 302)
+                    for name in workloads.WORKLOADS
+                    for op in workloads.build(name, seed)])
+    print(found)
+    if found != RECORDED:
+        print(f"mismatch: recorded {RECORDED}, found {found}")
+        return 1
     return 0
 
 

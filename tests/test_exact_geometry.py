@@ -8,6 +8,7 @@ from spannerdraw.geometry import (
     any_three_collinear,
     coincident,
     dist_sq,
+    far_right,
     in_segment_interior,
     on_line_through_two,
     on_segment_closed,
@@ -264,3 +265,139 @@ class TestAnyThreeCollinear:
 
     def test_dist_sq(self):
         assert dist_sq(P(0, 0), P(3, 4)) == 25
+
+
+def collinear_bruteforce(pts):
+    """Two points equal, or orientation 0 on some triple."""
+    import itertools
+
+    return len(set(pts)) < len(pts) or any(
+        orientation(a, b, c) == 0 for a, b, c in itertools.combinations(pts, 3))
+
+
+def far_placed(rng, n, heights):
+    """n points, each far right of the box of the ones before it by the
+    far-right lemma, at heights drawn from range(heights), shuffled."""
+    pts = [(0, rng.randrange(heights))]
+    for _ in range(n - 1):
+        w = pts[-1][0]
+        ys = [y for _, y in pts]
+        y = rng.randrange(heights)
+        out = max(0, y - max(ys), min(ys) - y)
+        pts.append((w + w * (max(ys) - min(ys) + out) + 1 + rng.randrange(3), y))
+    rng.shuffle(pts)
+    return pts
+
+
+class TestFarRight:
+    @staticmethod
+    def keys_and_verdict(monkeypatch, pts):
+        """(direction keys built, any_three_collinear(pts))."""
+        calls = []
+        monkeypatch.setattr(geometry, "gcd", lambda a, b: calls.append(1) or math.gcd(a, b))
+        verdict = any_three_collinear(pts)
+        monkeypatch.undo()
+        return len(calls), verdict
+
+    def test_lemma_matches_bruteforce(self):
+        # Where far_right holds, p is on no non-horizontal line through two
+        # points of the box: every p of a grid right of small random boxes,
+        # against the grid points of every such line.
+        import itertools
+
+        rng = random.Random(7)
+        held = near = 0
+        for _ in range(300):
+            pts = {(rng.randrange(-3, 3), rng.randrange(-3, 3)) for _ in range(rng.randrange(2, 6))}
+            xs, ys = [x for x, _ in pts], [y for _, y in pts]
+            box = (min(xs), max(xs), min(ys), max(ys))
+            xr, yr = range(box[1] + 1, box[1] + 40), range(-20, 20)
+            on_lines = {
+                (x, ay + (x - ax) * (by - ay) // (bx - ax))
+                for (ax, ay), (bx, by) in itertools.combinations(sorted(pts), 2)
+                if ax != bx and ay != by
+                for x in xr if (x - ax) * (by - ay) % (bx - ax) == 0
+            }
+            for p in itertools.product(xr, yr):
+                if far_right(box, p):
+                    held += 1
+                    assert p not in on_lines, (pts, p)
+                elif p in on_lines:
+                    near += 1
+        assert held > 10000 and near > 1000
+
+    def test_boundary_is_strict(self):
+        # W = 2 and H = 3. At (10, 4), out = 1 and W (H + out) = 8 = x - w:
+        # the lemma does not apply. At (12, -2), out = 2 and 2 * 5 = 10.
+        box = (0, 2, 0, 3)
+        assert not far_right(box, (10, 4))
+        assert far_right(box, (11, 4))
+        assert not far_right(box, (12, -2))
+        assert far_right(box, (13, -2))
+        assert far_right((5, 5, 0, 0), (6, 100))  # W = 0: any x > w
+        assert not far_right((5, 5, 0, 0), (5, 100))
+
+    def test_far_placed_sets_match_bruteforce(self, monkeypatch):
+        # Heights from a small range, so same-height triples occur; the sets
+        # also moved by a negative offset, where the boxes keep their sizes.
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(200):
+            pts = far_placed(rng, rng.randrange(3, 9), rng.randrange(1, 4))
+            brute = collinear_bruteforce(pts)
+            seen.add(brute)
+            for ps in (pts, [(x - 10**40, y - 7**30) for x, y in pts]):
+                assert geometry._far_placed(sorted(ps))
+                assert self.keys_and_verdict(monkeypatch, ps) == (0, brute), ps
+        assert seen == {False, True}
+
+    def test_bound_met_with_equality_takes_the_scan(self, monkeypatch):
+        # The third point's gap equals W (H + out) = 2 (1 + 0): the lemma
+        # fails there, and the scan decides.
+        pts = [(0, 0), (2, 1), (4, 1), (100, 7)]
+        assert not far_right((0, 2, 0, 1), (4, 1))
+        assert not geometry._far_placed(sorted(pts))
+        keys, verdict = self.keys_and_verdict(monkeypatch, pts)
+        assert keys > 0 and verdict == collinear_bruteforce(pts) is False
+        pts = [(0, 0), (2, 1), (4, 2), (100, 7)]  # (4, 2) on the line of the first two
+        assert self.keys_and_verdict(monkeypatch, pts)[1] is True
+
+    def test_repeated_x_takes_the_scan(self, monkeypatch):
+        rng = random.Random(12)
+        for _ in range(100):
+            pts = far_placed(rng, rng.randrange(2, 7), 3)
+            x, _ = rng.choice(pts)
+            pts.append((x, rng.randrange(-3, 6)))
+            assert not geometry._far_placed(sorted(pts))
+            keys, verdict = self.keys_and_verdict(monkeypatch, pts)
+            assert verdict == collinear_bruteforce(pts), pts
+            assert keys > 0 or verdict  # keys unless two points coincide
+
+    def test_at_most_two_points(self, monkeypatch):
+        for pts in ([], [(3, -4)], [(0, 0), (4, 5)], [(0, 0), (-7, 0)]):
+            assert self.keys_and_verdict(monkeypatch, pts) == (0, False)
+        assert self.keys_and_verdict(monkeypatch, [(0, 0), (0, 5)]) == (1, False)  # one x: the scan
+        assert self.keys_and_verdict(monkeypatch, [(1, 1), (1, 1)]) == (0, True)
+
+    def test_planted_triple_found_by_the_scan(self, monkeypatch):
+        # A point on the line through two points of a far-placed set, at
+        # distinct heights, past them: the lemma fails there, and the scan
+        # finds the triple.
+        rng = random.Random(13)
+        for _ in range(100):
+            pts = far_placed(rng, rng.randrange(2, 8), 5)
+            a, b = rng.sample(pts, 2)
+            if a[1] == b[1]:
+                continue
+            (ax, ay), (bx, by) = sorted((a, b))
+            k = rng.randrange(1, 4)
+            pts.insert(rng.randrange(len(pts) + 1), (bx + k * (bx - ax), by + k * (by - ay)))
+            assert not geometry._far_placed(sorted(pts))
+            keys, verdict = self.keys_and_verdict(monkeypatch, pts)
+            assert keys > 0 and verdict is True
+        # A triple below the first point's height: (1, -6), (13, -5) and
+        # (253, 15), of slope 1/12. The box of the points before (253, 15)
+        # reaches down to -6, not only to the first point's 6.
+        pts = [(0, 6), (1, -6), (13, -5), (253, 15)]
+        assert not geometry._far_placed(pts)
+        assert self.keys_and_verdict(monkeypatch, pts)[1] is True

@@ -613,3 +613,12 @@ def test_tree_planar_outputs_pinned():
     ops = bench_workloads().build("tree-planar", 301)
     assert len(ops) == 40
     assert digest(ops) == "ff811e49a7a45996183b4da0f814bd3a2700e180ca4cce3b23996bffc4bd9e2a"
+
+
+def test_proper_outputs_pinned():
+    # tests/output_digest.py over the 150 seed-301 proper benchmark ops
+    # (proper and tough drawings), as recorded before the far-right lemma
+    # took the proper drawings' height search and certificate.
+    ops = bench_workloads().build("proper", 301)
+    assert len(ops) == 150
+    assert digest(ops) == "5308dcdde6729428bc8ebea4546c506631fae2defb791088f58ff1be1ad90951"

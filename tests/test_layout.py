@@ -272,6 +272,46 @@ class TestProperSpanner:
         digest = hashlib.sha256(repr(drawn).encode()).hexdigest()
         assert digest == "d118b17982296921fe8d6ceeba4f3cef6f95e31e5150ba170f9d769ca329dc33"
 
+    def test_far_right_lemma_saves_the_keys(self, monkeypatch):
+        # Each vertex goes far right of the box of the ones before it, so
+        # at epsilon = 1/2 the far-right lemma settles every height, and the
+        # drawing's no_three_collinear certificate, with no direction key
+        # (one gcd each). At epsilon = 3 the gap is too small for the lemma
+        # at some heights, and the exact check runs there.
+        from spannerdraw import geometry
+
+        keys = []
+        monkeypatch.setattr(geometry, "gcd", lambda a, b: keys.append(1) or math.gcd(a, b))
+        g = random_connected_graph(160, 160, 5)
+        d = draw_proper_spanner(g, EPS_HALF)
+        assert keys == []
+        assert no_three_collinear(d)
+        assert keys == []
+        draw_proper_spanner(g, Epsilon(F(3)))
+        assert len(keys) > 0
+
+    @pytest.mark.parametrize("eps", [F(1, 2), F(3), F(100)])
+    def test_lemma_boxes_hold_the_placed_vertices(self, monkeypatch, eps):
+        # Every box the height search hands to far_right holds every vertex
+        # placed so far (those left of the candidate, as x grows with each
+        # placement), and wherever the lemma holds, the exact check agrees.
+        # A height that holds two vertices is skipped before the lemma, so
+        # no horizontal line is left to it.
+        from spannerdraw import geometry, layout
+
+        tried = []
+        monkeypatch.setattr(layout, "far_right",
+                            lambda box, p: tried.append((box, p)) or geometry.far_right(box, p))
+        for g in (path_graph(30), random_connected_graph(60, 60, 960)):
+            tried.clear()
+            points = draw_proper_spanner(g, Epsilon(eps)).points
+            assert len(tried) >= g.n - 1
+            for (x0, w, ylo, yhi), (x, y) in tried:
+                placed = [q for q in points if q[0] < x]
+                assert all(x0 <= qx <= w and ylo <= qy <= yhi for qx, qy in placed)
+                if geometry.far_right((x0, w, ylo, yhi), (x, y)):
+                    assert not geometry.on_line_through_two((x, y), placed)
+
     def test_star(self):
         star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
         d = draw_proper_spanner(star, EPS1)
