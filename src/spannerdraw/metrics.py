@@ -59,8 +59,9 @@ enclosure must meet it.
 Three certificates sweep the integer points instead of scanning all pairs,
 with the same verdicts and values:
 - is_planar_drawing: a Shamos–Hoey sweep (Shamos and Hoey, "Geometric
-  intersection problems", FOCS 1976) in lexicographic order, O(m log m)
-  orientations and at most 3m exact crossing tests;
+  intersection problems", FOCS 1976) in lexicographic order that checks
+  the order of its status at the events: O(m log m) orientations, no
+  crossing test on a planar drawing, and one to confirm a False;
 - min_pairwise_distance_sq: Drawing.closest_sq, a closest-pair plane sweep
   (geometry.closest_pair_sq, after Hinrichs, Nievergelt and Schorn, IPL
   1988), O(n log n), kept on the drawing for the spanning ratio;
@@ -639,57 +640,115 @@ def is_planar_drawing(d: Drawing) -> bool:
     coincident vertices) do not cross. A zero-length edge makes the drawing
     non-planar.
 
-    A Shamos–Hoey sweep over the edges in lexicographic (x, y) order, which
-    treats a vertical edge as slightly rotated: O(m log m) orientations and
-    at most 3m calls of segments_cross_improperly, one per pair of edges that
-    become neighbors in the sweep status. Every False is a pair that predicate
-    confirmed.
+    A Shamos–Hoey sweep that checks the order of its status at the events
+    instead of testing pairs of neighbors, as checkers of planar
+    subdivisions do (Devillers, Liotta, Preparata and Tamassia, "Checking
+    the convexity of polytopes and the planarity of subdivisions", CGTA
+    1998). Each edge is a segment (l, r), l < r in (x, y) order, which
+    treats a vertical edge as slightly rotated; equal segments count once.
+    The vertices are sorted once by point. At each distinct point p, with
+    coincident vertices together, the sweep first deletes every active
+    segment that ends at p, then inserts every one that starts at p. A
+    point c lies strictly above the segment (a, b) when orientation(a, b,
+    c) > 0, strictly below when it is < 0.
+    - Insertion of (p, r): a binary search in the status, bottom to top, on
+      the orientation of p against the probed segment, or of r against the
+      probe's right end when the probe also starts at p. When the search
+      ends, the final lo - 1 was probed with (p, r) strictly above it and
+      the final lo with it strictly below, so the new segment starts
+      strictly between its two neighbors. No crossing test runs.
+    - Deletion of s = (q, p): p must lie strictly above the segment just
+      below s and strictly below the one just above s, two orientations;
+      a neighbor that also ends at p is exempt.
+    A failed check, or a zero, is confirmed by segments_cross_improperly,
+    which the proof says always holds (an assert), and gives False. That
+    is O(m log m) orientations, and at most one crossing test.
+
+    Proof. (i) Every False is an improper meeting. Two segments become
+    adjacent in the status only at an event p where the lower is strictly
+    below the upper: at an insertion the probes show it, and at a deletion
+    the checks that just passed show it (a neighbor that ends at p leaves
+    at p too). So a strict failure at the deletion of s = (q, p) against a
+    neighbor t means that the two changed sides between two events where
+    both were active, and they meet: not at p, an end of s but not of t,
+    nor at a common left end q, from which the two keep the order of their
+    right ends unless they overlap. A zero means that p lies on an active
+    segment but is not one of its ends (every active one has l < p < r
+    there), or that two segments overlap from their common left end p.
+    (ii) Every improper meeting gives a False. Let X be the least point, in
+    (x, y) order, where two segments meet improperly (for two that overlap
+    from a common left end, that end), and s, t such a pair (Shamos and
+    Hoey's argument, "Geometric intersection problems", FOCS 1976). Before
+    X, no check fails and the status is in the order of the segments along
+    the sweep.
+    - X an end of s: the event at X gives a zero. An insertion's search
+      cannot pass the segments through X without probing one of them, and
+      of the segments that end at X between s and the nearest segment
+      through X, the last deleted is checked against that one.
+    - X interior to both: then s and t cross there and are adjacent just
+      before X, or another pair through X is. After X nothing can be
+      inserted between them: that would need a point strictly above one
+      and strictly below the other, where they have swapped. So they stay
+      adjacent until the first of them is deleted, and that deletion's
+      check fails or gives zero.
     """
     coords = d.points
-    segs = set()
-    for u, v in d.graph.edges():
-        a, b = coords[u], coords[v]
-        if a == b:
-            return False
-        segs.add((a, b) if a < b else (b, a))
-    segs = sorted(segs)  # each segment once: two edges on one segment do not cross
-    # (point, kind, index): at a point, deletions (0) before insertions (1),
-    # so edges that meet end to end are never in the status together.
-    events = sorted([(s[1], 0, i) for i, s in enumerate(segs)]
-                    + [(s[0], 1, i) for i, s in enumerate(segs)])
-    status: list[int] = []  # active segments, bottom to top
-
-    def crosses(i: int, j: int) -> bool:
-        return segments_cross_improperly(*segs[i], *segs[j])
-
-    for p, insert, i in events:
-        if not insert:
-            k = status.index(i)
-            del status[k]
-            if 0 < k < len(status) and crosses(status[k - 1], status[k]):
-                return False
-            continue
-        r = segs[i][1]
-        lo, hi = 0, len(status)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            a, b = segs[status[mid]]
-            o = orientation(a, b, p)
-            if o == 0 and a == p:
-                o = orientation(p, b, r)  # a common left end: compare the right ends
-            # p inside an active segment, or a collinear overlap from p.
-            if o == 0 and crosses(i, status[mid]):
-                return False
-            if o > 0:
-                lo = mid + 1
+    adj = d.graph.adj
+    order = sorted(range(len(coords)), key=coords.__getitem__)
+    status: list[tuple[IntPoint, IntPoint]] = []  # active segments (l, r), bottom to top
+    k, n = 0, len(order)
+    while k < n:
+        u = order[k]
+        p = coords[u]
+        others = [coords[v] for v in adj[u]]
+        k += 1
+        while k < n and coords[order[k]] == p:
+            others += [coords[v] for v in adj[order[k]]]
+            k += 1
+        px, py = p
+        last = None
+        for q in sorted(others):  # the ends q < p, then the starts q > p
+            if q == last:
+                continue  # an equal segment, through coincident vertices
+            last = q
+            if q < p:
+                s = (q, p)
+                i = status.index(s)
+                del status[i]
+                if i:
+                    t = status[i - 1]
+                    (ax, ay), b = t
+                    if b != p and (b[0] - ax) * (py - ay) - (b[1] - ay) * (px - ax) <= 0:
+                        return _crossing(t, s)
+                if i < len(status):
+                    t = status[i]
+                    (ax, ay), b = t
+                    if b != p and (b[0] - ax) * (py - ay) - (b[1] - ay) * (px - ax) >= 0:
+                        return _crossing(t, s)
+            elif q > p:
+                s = (p, q)
+                lo, hi = 0, len(status)
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    a, b = status[mid]
+                    o = orientation(p, b, q) if a == p else orientation(a, b, p)
+                    if o > 0:
+                        lo = mid + 1
+                    elif o < 0:
+                        hi = mid
+                    else:
+                        return _crossing(status[mid], s)
+                status.insert(lo, s)
             else:
-                hi = mid
-        status.insert(lo, i)
-        if lo > 0 and crosses(status[lo - 1], i):
-            return False
-        if lo + 1 < len(status) and crosses(i, status[lo + 1]):
-            return False
+                return False
     return True
+
+
+def _crossing(t: tuple[IntPoint, IntPoint], s: tuple[IntPoint, IntPoint]) -> bool:
+    """False, for is_planar_drawing, once segments_cross_improperly confirms
+    that segments t and s meet improperly, as its proof says they do."""
+    assert segments_cross_improperly(*t, *s), (t, s)
+    return False
 
 
 def is_proper_drawing(d: Drawing) -> bool:

@@ -1,0 +1,226 @@
+"""The standing mutation check: faults planted by hand, one at a time, each
+of which named tests must catch.
+
+    python tests/mutants.py
+
+MUTANTS holds one Mutant per fault: a file under the repository root, an
+old text that occurs in it exactly once, the new text, the ids of the tests
+expected to fail, and why the fault matters. The script first runs the
+union of the ids on the tree as it is and requires a pass. Then, one
+process at a time, it copies src/ and tests/ (and pyproject.toml, with a
+link to bench/, which the tests read) into a temporary directory, applies
+one mutant there, runs
+
+    python -m pytest -q -x -p no:cacheprovider <ids>
+
+on the copy, and requires a failure. It prints one line per mutant and
+exits 1, naming each, if a mutant survives or its old text does not occur
+exactly once. It takes about 30 s on a 2-core host, so it is a separate
+command; Tier-1 only checks that every old text occurs exactly once and
+that every named test exists (tests/test_source.py). A change that
+rewrites the code under a mutant restates the same fault in the new code.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    ids: tuple[str, ...]
+    reason: str
+
+
+SWEEP = "tests/test_metrics.py::TestPlanarSweepCases::"
+PLANARITY = "tests/test_metrics.py::TestPlanarity::"
+FAR_RIGHT = "tests/test_exact_geometry.py::TestFarRight::"
+PROPER = "tests/test_layout.py::TestProperSpanner::"
+PRUNED = "tests/test_metrics.py::TestPrunedScan::"
+
+MUTANTS = [
+    # The planarity sweep's order checks (metrics.is_planar_drawing).
+    Mutant("src/spannerdraw/metrics.py",
+           "                if i:\n                    t = status[i - 1]",
+           "                if False:\n                    t = status[i - 1]",
+           (SWEEP + "test_upper_member_deleted_first",),
+           "the lower-neighbor check dropped: an upper member that ends below its crossing partner passes"),
+    Mutant("src/spannerdraw/metrics.py",
+           "                if i < len(status):\n                    t = status[i]",
+           "                if False:\n                    t = status[i]",
+           (SWEEP + "test_lower_member_deleted_first",),
+           "the upper-neighbor check dropped: a lower member that ends above its crossing partner passes"),
+    Mutant("src/spannerdraw/metrics.py",
+           "(b[1] - ay) * (px - ax) <= 0:",
+           "(b[1] - ay) * (px - ax) < 0:",
+           (SWEEP + "test_edge_ending_inside_an_active_edge",),
+           "< for <= in the lower check: an edge that ends on the edge below it passes"),
+    Mutant("src/spannerdraw/metrics.py",
+           "if b != p and (b[0] - ax) * (py - ay) - (b[1] - ay) * (px - ax) <= 0:",
+           "if (b[0] - ax) * (py - ay) - (b[1] - ay) * (px - ax) <= 0:",
+           (SWEEP + "test_common_right_end_needs_no_test",),
+           "the common-right-end exception dropped: two edges that end together fail the assert"),
+    Mutant("src/spannerdraw/metrics.py",
+           "for q in sorted(others):",
+           "for q in sorted(others, reverse=True):",
+           (PLANARITY + "test_edge_ending_where_another_starts_true",),
+           "insertions before deletions at a point: edges that meet end to end are active together"),
+    Mutant("src/spannerdraw/metrics.py",
+           "                    elif o < 0:\n                        hi = mid",
+           "                    elif o <= 0:\n                        hi = mid",
+           (SWEEP + "test_collinear_overlap_up_to_a_common_right_end",),
+           "a probe's zero taken as below: an edge that starts inside another passes"),
+    Mutant("src/spannerdraw/metrics.py",
+           "            if q == last:\n                continue",
+           "            if False:\n                continue",
+           (PLANARITY + "test_same_segment_twice_through_coincident_vertices",),
+           "equal segments counted twice: two edges on one segment fail the assert"),
+    # The far-right lemma (geometry.far_right, _far_placed, any_three_collinear)
+    # and the proper construction's height search.
+    Mutant("src/spannerdraw/geometry.py",
+           "max(0, y - yhi, ylo - y)) < x - w",
+           "max(0, y - yhi, ylo - y)) <= x - w",
+           (FAR_RIGHT + "test_boundary_is_strict",),
+           "<= in the lemma: a point on the bound passes"),
+    Mutant("src/spannerdraw/geometry.py",
+           "(yhi - ylo + max(0, y - yhi, ylo - y))",
+           "(yhi - ylo)",
+           (FAR_RIGHT + "test_boundary_is_strict",),
+           "out dropped: a point beside the box, above or below, is not lifted off the lines"),
+    Mutant("src/spannerdraw/geometry.py",
+           "max(0, y - yhi, ylo - y))",
+           "max(0, y - yhi))",
+           (FAR_RIGHT + "test_boundary_is_strict",),
+           "out's below-the-box term dropped: a point below the box passes too early"),
+    Mutant("src/spannerdraw/geometry.py",
+           "w, ylo, yhi = x, min(ylo, y), max(yhi, y)",
+           "w, ylo, yhi = x, ylo, max(yhi, y)",
+           (FAR_RIGHT + "test_planted_triple_found_by_the_scan",),
+           "ylo not lowered in _far_placed: a triple below the first point's height is missed"),
+    Mutant("src/spannerdraw/geometry.py",
+           "any(k >= 3 for k in Counter(",
+           "any(k >= 2 for k in Counter(",
+           (FAR_RIGHT + "test_far_placed_sets_match_bruteforce",),
+           "heights of 2 counted: two points at one height are no collinear triple"),
+    Mutant("src/spannerdraw/geometry.py",
+           "if not far_right((x0, w, ylo, yhi), (x, y)):",
+           "if not far_right((x0 + 1, w, ylo, yhi), (x, y)):",
+           (FAR_RIGHT + "test_planted_triple_found_by_the_scan",),
+           "a box one column narrower in _far_placed: the first point falls out of it"),
+    Mutant("src/spannerdraw/layout.py",
+           "box = (0, w, 0, y_max)",
+           "box = (0, w, 0, 0)",
+           (PROPER + "test_lemma_boxes_hold_the_placed_vertices",),
+           "the height search's box without y_max: it no longer holds the placed vertices"),
+    # The spanning ratio's pruned pass (metrics._pruned_scan, _spanning_ratios).
+    Mutant("src/spannerdraw/metrics.py",
+           "H = [h << 64 for h in hmax] + [r << 64 for r in R]",
+           "H = [h << 64 for h in R] + [r << 64 for r in R]",
+           (PRUNED + "test_tree_cases_match_oracle",),
+           "R for hmax: a subtree's block bound forgets its deeper positions"),
+    Mutant("src/spannerdraw/metrics.py",
+           "p = (t_num << 64) // t_den",
+           "p = -(-(t_num << 64) // t_den)",
+           (PRUNED + "test_tree_cases_match_oracle",),
+           "p rounded up: the block test runs above the running lower bound"),
+    Mutant("src/spannerdraw/metrics.py",
+           "dx = X0[s] - px if px < X0[s] else px - X1[s] if px > X1[s] else 0",
+           "dx = X0[s] - px if px < X0[s] else px - X1[s]",
+           (PRUNED + "test_tree_cases_match_oracle",),
+           "the box clamp dropped: a position inside a box's x range gets a gap"),
+    Mutant("src/spannerdraw/metrics.py",
+           "xs = [coords[v][0] for v in order]",
+           "xs = [coords[v][1] for v in order]",
+           (PRUNED + "test_pruning_keeps_its_margin",),
+           "boxes built on the wrong axis: the gaps between boxes are not distances"),
+    Mutant("src/spannerdraw/metrics.py",
+           "walk = _spanning_tree(g, _prim(_weighted_adj(g.n, lengths)))",
+           "walk = _spanning_tree(g, bfs_parents(g))",
+           (PRUNED + "test_walk_tree_is_minimum",),
+           "the non-tree walk built on bfs_parents: not the minimum spanning tree the pass is tuned for"),
+    Mutant("src/spannerdraw/metrics.py",
+           "parts = [[n + x] for x in range(n)]",
+           "parts = [[] for x in range(n)]",
+           (PRUNED + "test_pruning_keeps_its_margin",),
+           "a split's root alone dropped: the pairs with the root of a subtree are lost"),
+    Mutant("src/spannerdraw/metrics.py",
+           "h = H[a] + H[b] + o",
+           "h = H[b] + o",
+           (PRUNED + "test_graph_cases_match_oracle",),
+           "one node's hmax dropped from the block test: blocks are skipped too early"),
+    Mutant("src/spannerdraw/metrics.py",
+           "stack.append((top[k], top[k + 1:]))",
+           "stack.append((top[k], top[k + 2:]))",
+           (PRUNED + "test_pruning_keeps_its_margin",),
+           "the first later part skipped: the pairs of neighboring parts are lost"),
+    Mutant("src/spannerdraw/metrics.py",
+           "                            o = p - two_rc\n                            oi = o + H[a]",
+           "                            oi = o + H[a]",
+           (PRUNED + "test_pruning_keeps_its_margin",),
+           "a stale offset after t rises: the block test keeps the old t"),
+]
+
+
+def _pytest(cwd: Path, ids) -> subprocess.CompletedProcess:
+    """One pytest process on ids, importing the package from cwd/src."""
+    env = dict(os.environ, PYTHONPATH=str(cwd / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *ids],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def _copy(workdir: Path) -> None:
+    """src/, tests/ and pyproject.toml copied into workdir, bench/ linked."""
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, workdir / name, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", workdir / "pyproject.toml")
+    os.symlink(ROOT / "bench", workdir / "bench")
+
+
+def stale(m: Mutant) -> bool:
+    """True when m's old text does not occur exactly once in its file."""
+    return (ROOT / m.path).read_text(encoding="utf-8").count(m.old) != 1
+
+
+def main() -> int:
+    ids = sorted({i for m in MUTANTS for i in m.ids})
+    base = _pytest(ROOT, ids)
+    if base.returncode != 0:
+        print(base.stdout[-3000:])
+        print(f"the unmutated tree fails the {len(ids)} tests")
+        return 1
+    bad = []
+    for k, m in enumerate(MUTANTS):
+        if stale(m):
+            print(f"STALE    {k:2} {m.path}: the old text does not occur exactly once")
+            bad.append(k)
+            continue
+        with tempfile.TemporaryDirectory() as tmp:
+            workdir = Path(tmp)
+            _copy(workdir)
+            target = workdir / m.path
+            target.write_text(target.read_text(encoding="utf-8").replace(m.old, m.new), encoding="utf-8")
+            caught = _pytest(workdir, m.ids).returncode == 1  # a test failed
+        print(f"{'killed' if caught else 'SURVIVED':8} {k:2} {m.path}: {m.reason}")
+        if not caught:
+            bad.append(k)
+    if bad:
+        print(f"{len(bad)} of {len(MUTANTS)} mutants not killed: {bad}")
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

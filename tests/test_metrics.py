@@ -944,9 +944,13 @@ class TestSweepsMatchOracles:
 
     def test_work_counts(self, monkeypatch):
         # Counted, not timed: a quadratic scan in place of a sweep fails here.
+        # The planarity sweep checks the order of its status at the events,
+        # so a planar drawing takes no crossing test, and a non-planar one
+        # ends on the test that confirms its crossing.
         g = stacked_triangulation(160, 1)
         d = draw_planar_spanner(g, Epsilon(1))
         calls = Counter()
+        crossed = []  # what each segments_cross_improperly call returned
 
         def counted(name, fn):
             def wrapper(*args):
@@ -954,14 +958,169 @@ class TestSweepsMatchOracles:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(metrics, "segments_cross_improperly",
-                            counted("cross", metrics.segments_cross_improperly))
+        def cross(*args):
+            crossed.append(segments_cross_improperly(*args))
+            return crossed[-1]
+
+        monkeypatch.setattr(metrics, "segments_cross_improperly", cross)
         monkeypatch.setattr(metrics, "dist_sq", counted("dist_sq", metrics.dist_sq))
         assert is_planar_drawing(d)
-        assert 0 < calls["cross"] <= 3 * g.m, (calls, g.m)
+        assert crossed == []
+        # The last vertex moved onto an edge, as in test_planar_spanner_drawings.
+        w = g.n - 1
+        a, b = next(e for e in g.edges() if w not in e)
+        pts = [(2 * x, 2 * y) for x, y in d.points]
+        pts[w] = (d.points[a][0] + d.points[b][0], d.points[a][1] + d.points[b][1])
+        assert not is_planar_drawing(Drawing(g, tuple(pts), 2 * d.den))
+        assert len(crossed) >= 1 and crossed[-1] is True
         assert closest_pair_sq(d.points) == closest_sq_oracle(d.points)
         # At most 8 window points are compared with each point.
         assert calls["dist_sq"] <= 8 * g.n, (calls, g.n)
+
+
+@pytest.fixture
+def confirmed(monkeypatch):
+    """The (t, s, crossed) of each segments_cross_improperly(*t, *s) call of
+    is_planar_drawing: t and s segments (left end, right end)."""
+    calls = []
+
+    def recorded(a, b, c, e):
+        calls.append(((a, b), (c, e), segments_cross_improperly(a, b, c, e)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(metrics, "segments_cross_improperly", recorded)
+    return calls
+
+
+def sweep_verdict(n, edges, points):
+    """is_planar_drawing on integer points, asserted equal to planar_oracle."""
+    d = Drawing(Graph.from_edges(n, edges), tuple(points))
+    verdict = is_planar_drawing(d)
+    assert verdict == planar_oracle(d)
+    return verdict
+
+
+class TestPlanarSweepCases:
+    """One drawing per case of is_planar_drawing's proof, each with the
+    order check or probe that decides it: the crossing test it confirms
+    with, as (t, s), or none."""
+
+    def test_crossing_caught_at_a_deletion_after_an_insertion_between(self, confirmed):
+        # s and t cross at (5, 5). The edge from (1, 5) starts between them
+        # and ends at (2, 5), still between them, so its checks pass and s, t
+        # become neighbors. Nothing is tested until t ends at (10, 0), below s.
+        s, t = ((0, 0), (10, 10)), ((0, 10), (10, 0))
+        assert not sweep_verdict(6, [(0, 1), (2, 3), (4, 5)], [*s, *t, (1, 5), (2, 5)])
+        assert confirmed == [(s, t, True)]
+
+    def test_lower_member_deleted_first(self, confirmed):
+        # s starts below t, crosses it at x = 12/5 and ends at (4, 4), above
+        # t: the check against the segment just above s fails.
+        s, t = ((0, 0), (4, 4)), ((0, 4), (6, 0))
+        assert not sweep_verdict(4, [(0, 1), (2, 3)], [*s, *t])
+        assert confirmed == [(t, s, True)]
+
+    def test_upper_member_deleted_first(self, confirmed):
+        # t starts above s, crosses it at (2, 2) and ends at (4, 0), below s:
+        # the check against the segment just below t fails.
+        s, t = ((0, 0), (6, 6)), ((0, 4), (4, 0))
+        assert not sweep_verdict(4, [(0, 1), (2, 3)], [*s, *t])
+        assert confirmed == [(s, t, True)]
+
+    def test_edge_ending_inside_an_active_edge(self, confirmed):
+        # A zero at a deletion: (3, 0) lies inside the active edge, from
+        # below (the upper check) and from above (the lower check).
+        h = ((0, 0), (4, 0))
+        for k, other in enumerate((((1, -3), (3, 0)), ((1, 3), (3, 0)))):
+            confirmed.clear()
+            assert not sweep_verdict(4, [(0, 1), (2, 3)], [*h, *other])
+            assert confirmed == [(h, other, True)], k
+
+    def test_common_right_end_needs_no_test(self, confirmed):
+        # Three edges end at (4, 2), the middle one between the other two;
+        # each is exempt from the check against a neighbor that ends there
+        # too, and the edge below them all is checked.
+        points = [(0, 0), (0, 4), (1, 2), (4, 2), (0, -1), (5, -1)]
+        assert sweep_verdict(6, [(0, 3), (1, 3), (2, 3), (4, 5)], points)
+        assert confirmed == []
+
+    def test_collinear_overlap_up_to_a_common_right_end(self, confirmed):
+        # (2, 1) starts inside the active edge: a zero at the insertion.
+        s, t = ((0, 0), (4, 2)), ((2, 1), (4, 2))
+        assert not sweep_verdict(3, [(0, 1), (2, 1)], [s[0], s[1], t[0]])
+        assert confirmed == [(s, t, True)]
+
+    def test_vertical_edges(self, confirmed):
+        # A vertical edge starts below the edges active at its x, as if
+        # slightly rotated. Through the crossing of two diagonals at (2, 2),
+        # it ends above the lower one: the check fails at its deletion.
+        a, v = ((0, 0), (4, 4)), ((2, -1), (2, 5))
+        assert not sweep_verdict(6, [(0, 1), (2, 3), (4, 5)], [*a, (0, 4), (4, 0), *v])
+        assert confirmed == [(a, v, True)]
+        # Across a horizontal edge.
+        confirmed.clear()
+        h, v = ((0, 2), (4, 2)), ((2, 0), (2, 4))
+        assert not sweep_verdict(4, [(0, 1), (2, 3)], [*h, *v])
+        assert confirmed == [(h, v, True)]
+        # Ending on a horizontal edge: a zero at the deletion.
+        confirmed.clear()
+        v = ((2, 0), (2, 2))
+        assert not sweep_verdict(4, [(0, 1), (2, 3)], [*h, *v])
+        assert confirmed == [(h, v, True)]
+        # Overlapping another vertical edge: a zero at the insertion.
+        confirmed.clear()
+        v, w = ((1, 0), (1, 3)), ((1, 1), (1, 4))
+        assert not sweep_verdict(4, [(0, 1), (2, 3)], [*v, *w])
+        assert confirmed == [(v, w, True)]
+        # Meeting one end to end, and one at its bottom end.
+        confirmed.clear()
+        assert sweep_verdict(4, [(0, 1), (1, 2), (1, 3)], [(1, 0), (1, 3), (1, 5), (3, 3)])
+        assert confirmed == []
+
+    def test_coincident_vertices_into_and_out_of_a_point(self, confirmed):
+        # Vertices 1 and 2 share (2, 1): edges come in from (0, 0) and
+        # (0, 3) and leave for (4, 0), each segment once, though 0-1 and 0-2
+        # lie on one segment; no crossing test.
+        points = [(0, 0), (2, 1), (2, 1), (4, 0), (0, 3)]
+        edges = [(0, 1), (0, 2), (2, 3), (1, 4), (1, 3)]
+        assert sweep_verdict(5, edges, points)
+        assert confirmed == []
+        # An edge through the shared point: the first edge that ends there
+        # has it as a neighbor, and the check gives zero.
+        assert not sweep_verdict(7, edges + [(5, 6)], points + [(1, 1), (3, 1)])
+        assert [c for *_, c in confirmed] == [True]
+
+
+def random_sweep_drawing(rng, mode):
+    """A drawing of 2-30 points and n/2 to 3n distinct edges (at most all
+    pairs), the points by mode: 0 a grid of side 2-6, coincident points
+    too; 1 coordinates up to 2**200 in size; 2 four columns whose points
+    lie about 2**100 apart in y, as in the planar construction's."""
+    n = rng.randint(2, 30)
+    if mode == 0:
+        side = rng.randint(1, 5)
+        points = [(rng.randint(0, side), rng.randint(0, side)) for _ in range(n)]
+    elif mode == 1:
+        points = [(rng.randint(-2**200, 2**200), rng.randint(-2**200, 2**200)) for _ in range(n)]
+    else:
+        points = [(rng.randint(0, 3), (rng.randint(0, n) << 100) + rng.randint(0, 3)) for _ in range(n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    m = min(len(pairs), rng.randint(max(1, n // 2), 3 * n))
+    return Drawing(Graph.from_edges(n, rng.sample(pairs, m)), tuple(points))
+
+
+def test_planar_sweep_stress():
+    # 2,100 seeded drawings, most of which cross many times, so the sweep's
+    # status is out of order long before it ends: the verdicts are
+    # planar_oracle's, and every False is confirmed (the sweep's assert).
+    rng = random.Random(31)
+    verdicts = Counter()
+    for k in range(2100):
+        d = random_sweep_drawing(rng, k % 3)
+        verdict = is_planar_drawing(d)
+        assert verdict == planar_oracle(d), (k, d.points, d.graph.edges())
+        verdicts[k % 3, verdict] += 1
+    assert all(verdicts[mode, False] > verdicts[mode, True] > 0 for mode in range(3)), verdicts
 
 
 class TestProperAndCollinear:

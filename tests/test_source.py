@@ -397,3 +397,18 @@ def test_raises_map_to_exit_codes():
     # FileFormatError; the builtins are faults, never an input's answer.
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unexpected_raises(sources) == []
+
+
+def test_mutants_are_current():
+    # tests/mutants.py plants each fault where its old text occurs exactly
+    # once, and names tests that exist. Running the mutants is a separate
+    # command, `python tests/mutants.py`.
+    import mutants
+
+    assert len(mutants.MUTANTS) >= 14
+    for m in mutants.MUTANTS:
+        assert not mutants.stale(m), m.reason
+        for node in m.ids:
+            path, *names = node.split("::")
+            source = (TESTS.parent / path).read_text(encoding="utf-8")
+            assert all(re.search(rf"^\s*(class|def) {name}\b", source, re.M) for name in names), node
