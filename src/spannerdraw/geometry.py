@@ -6,16 +6,19 @@ keeps every sign, every collinearity and every ratio of squared distances,
 so the predicates need no division, other than the exact one of a direction
 by the gcd of its coordinates.
 
-Collinearity has two exact tests. far_right is a lemma, proved in its
-docstring: a point far enough right of the box of some points lies on no
-line through two of them, other than a horizontal one, which two products
-show. The proper construction's height search tries it at each height,
-and any_three_collinear tries it on all the points in x order, which the
-proper drawings pass. Where it does not apply, on_line_through_two decides
+Collinearity has three exact tests. A count of the points per x and per
+y finds three on one vertical or horizontal line, as the planar
+construction makes them: it puts each vertex at the midpoint x of the two
+ends it attaches to. far_right is a lemma, proved in its docstring: a
+point far enough right of the box of some points lies on no line through
+two of them, other than a horizontal one, which two products show. The
+proper construction's height search tries it at each height, and
+any_three_collinear tries it on all the points in x order, which the
+proper drawings pass. Where neither decides, on_line_through_two decides
 with one exact direction key per point, and any_three_collinear scans each
 hub against the points after it that way. The scan serves the tree-proper
-merge, and the no_three_collinear certificate of the drawings that fail
-the lemma.
+merge, and the no_three_collinear certificate of the drawings that the
+count and the lemma leave open.
 """
 
 from __future__ import annotations
@@ -193,14 +196,21 @@ def any_three_collinear(points: Sequence[IntPoint], hubs: Optional[int] = None) 
     where the line holds one of the first `hubs` points (all points when
     None).
 
-    With all points as hubs, it first sorts the points by (x, y) and tries
-    the far-right lemma (far_right) on each against the box of the points
-    before it. If every point passes, a collinear triple a < b < c in that
-    order lies on a line through a and b that holds c, which the lemma
-    allows only when the line is horizontal. So three points are collinear
-    exactly when some height holds three of them, which a count of the
-    heights decides in O(n log n) with the sort. The proper construction's
-    drawings pass, since each vertex goes far right of the ones before it.
+    With all points as hubs, three exact steps come after the coincidence
+    test, each deciding only where it is sure:
+    - The count: one Counter of the x coordinates and one of the y, O(n).
+      An x or a y that holds three of the distinct points puts them on one
+      vertical or horizontal line: True. Most planar drawings, which hold
+      many vertices on shared vertical lines, end here.
+    - The lemma: the points sorted by (x, y), each tried by far_right
+      against the box of the points before it. If every point passes, a
+      collinear triple a < b < c in that order lies on a line through a
+      and b that holds c, which the lemma allows only when the line is
+      horizontal. The count has found no three points at one height, so
+      no three are collinear: False, in O(n log n) with the sort. The
+      proper construction's drawings pass, since each vertex goes far
+      right of the ones before it.
+    - The scan, below, where neither decides.
 
     Otherwise, or with `hubs` given, it scans: a collinear triple is found
     from its first point, so each hub is keyed only against the points
@@ -210,7 +220,10 @@ def any_three_collinear(points: Sequence[IntPoint], hubs: Optional[int] = None) 
     """
     if coincident(points):
         return True
-    if hubs is None and _far_placed(sorted(points)):
-        return any(k >= 3 for k in Counter(y for _, y in points).values())
+    if hubs is None:
+        if any(max(Counter(axis).values()) >= 3 for axis in zip(*points)):
+            return True
+        if _far_placed(sorted(points)):
+            return False
     return any(on_line_through_two(z, points[i + 1:])
                for i, z in enumerate(points[:hubs]))

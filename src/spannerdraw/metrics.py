@@ -32,10 +32,13 @@ _scan's running bounds:
   with an earlier vertex has dist_hi at most hi(v_k, w_k) plus D_k, the
   upper-bracket weight of the tree that the earlier vertices attach by,
   and e_lo at least gap_k, the lower bracket of v_k's distance to their
-  bounding box. Only the sources whose bound B_k = (hi(v_k, w_k) + D_k) /
-  gap_k reaches t are bracketed: 1-3 rows per precision on the
-  benchmark's planar and proper drawings. A drawing with no such order, or
-  whose bounds leave more than _FAR_ROWS sources, hands over to the next.
+  bounding box: on the planar drawings a vertical distance, bracketed by
+  one division and no square root (_length), as the edges and pairs on a
+  vertical or horizontal line are. Only the sources whose bound B_k =
+  (hi(v_k, w_k) + D_k) / gap_k reaches t are bracketed: 1-3 rows per
+  precision on the benchmark's planar and proper drawings. A drawing with
+  no such order, or whose bounds leave more than _FAR_ROWS sources, hands
+  over to the next.
 - the pruned pass (_pruned_scan), everywhere else. It walks a spanning
   tree in preorder (on a tree, the tree itself; on any other graph a
   minimum spanning tree of the squared edge lengths, _prim) and prunes
@@ -135,11 +138,31 @@ def _certify(enclosures: Iterable[Interval], rel_tols: Iterable[Fraction]) -> It
     raise PrecisionExhausted("precision escalation exhausted")
 
 
-def _scan(coords: Sequence[IntPoint], den: int, bits: int, table, best: Optional[list] = None) -> Interval:
+def _length(p: IntPoint, q: IntPoint, L: int, bits: int) -> tuple[int, int]:
+    """The bracket (lo, hi) of |pq| 2**bits / L for integer points p and q,
+    hi - lo <= 1: isqrt_scaled(dist_sq(p, q), L**2, bits), number for
+    number.
+
+    An axis-parallel segment needs no square root. With dx = 0 or dy = 0,
+    and a = |dx + dy| 2**bits, the scaled length is a / L, and m, r =
+    divmod(a, L) gives (m, m + (r != 0)). That is isqrt_scaled's bracket,
+    whose square is a**2 = dist_sq(p, q) 4**bits: m = floor(a / L) has
+    m <= a / L < m + 1, so m**2 <= floor(a**2 / L**2) < (m + 1)**2, and the
+    integer square root of floor(a**2 / L**2) is m; the root is exact,
+    lo = hi, iff a**2 = m**2 L**2, that is iff L divides a."""
+    dx, dy = p[0] - q[0], p[1] - q[1]
+    if dx and dy:
+        return isqrt_scaled(dx * dx + dy * dy, L * L, bits)
+    m, r = divmod(abs(dx + dy) << bits, L)
+    return m, m + (r != 0)
+
+
+def _scan(coords: Sequence[IntPoint], L: int, bits: int, table, best: Optional[list] = None) -> Interval:
     """The pair loop of every enclosure: the ratio enclosure over the pairs
     (u, v), for each (u, targets, dist_lo, dist_hi) that table yields and v in
     targets, where dist_lo and dist_hi hold u's exact graph distances to the
-    targets, in their order, under the lower and the upper edge brackets.
+    targets, in their order, under the lower and the upper edge brackets, at
+    scale 2**bits over the denominator L of the integer coords (_length).
     Every pair distance must bracket away from 0 at bits. best, when given,
     is the list [(0, 1), (0, 1)], in which _scan keeps the running lower and
     upper ratio bounds as (num, den) while the pairs come, so that a lazy
@@ -150,7 +173,7 @@ def _scan(coords: Sequence[IntPoint], den: int, bits: int, table, best: Optional
     for u, targets, dist_lo, dist_hi in table:
         cu = coords[u]
         for v, g_lo, g_hi in zip(targets, dist_lo, dist_hi):
-            e_lo, e_hi = isqrt_scaled(dist_sq(cu, coords[v]), den, bits)
+            e_lo, e_hi = _length(cu, coords[v], L, bits)
             if g_lo * best_lo[1] > best_lo[0] * e_hi:
                 best_lo = best[0] = (g_lo, e_hi)
             if g_hi * best_hi[1] > best_hi[0] * e_lo:
@@ -166,7 +189,9 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     Each pair's ratio lies in [dist_lo/e_hi, dist_hi/e_lo], where e_lo, e_hi
     bracket its Euclidean distance at the same scale, so the scales cancel.
     A distance is bracketed from its integer square Q over L**2, which gives
-    the same brackets as the reduced rational Q/L**2 would.
+    the same brackets as the reduced rational Q/L**2 would, or, on a
+    vertical or horizontal segment, from its integer length over L, which
+    gives the same brackets again (_length).
 
     At b bits or more, with b the least integer with closest * 4**b >= L**2
     (closest the least squared pair distance), every pair brackets away from
@@ -197,8 +222,7 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     if closest == 0:
         yield Interval(math.inf, math.inf)
         return
-    den = L * L
-    inverse = -(-den // closest)  # ceil(L**2 / closest)
+    inverse = -(-(L * L) // closest)  # ceil(L**2 / closest)
     b = ((inverse - 1).bit_length() + 1) // 2
     tree = None if parent is None else _spanning_tree(g, parent)
     rows = partial(_graph_rows, g.n) if tree is None else partial(_tree_rows, tree)
@@ -207,10 +231,10 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     for bits in _precisions(b if b > _START_BITS else 0):
         lo_w, hi_w = {}, {}
         for e in g.edges():
-            lo_w[e], hi_w[e] = isqrt_scaled(dist_sq(coords[e[0]], coords[e[1]]), den, bits)
+            lo_w[e], hi_w[e] = _length(coords[e[0]], coords[e[1]], L, bits)
         table_of = partial(rows, lo_w, hi_w)
         if far is not None:
-            ivl = _far_scan(far, coords, den, bits, table_of, hi_w)
+            ivl = _far_scan(far, coords, L, bits, table_of, hi_w)
             if ivl is not None:
                 yield ivl
                 continue
@@ -218,7 +242,7 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
         if walk is None:
             lengths = {(u, v): dist_sq(coords[u], coords[v]) for u, v in g.edges()}
             walk = _spanning_tree(g, _prim(_weighted_adj(g.n, lengths)))
-        yield _pruned_scan(walk, coords, den, bits, table_of, hi_w)
+        yield _pruned_scan(walk, coords, L, bits, table_of, hi_w)
 
 
 def _coord_bits(coords: Sequence[IntPoint]) -> int:
@@ -239,11 +263,12 @@ _FAR_ROWS = 8
 class _Far:
     """A vertex order v_0, ..., v_{n-1} of a drawing for _far_scan, and for
     each k >= 1, at steps[k - 1], the edge from v_k to its nearest earlier
-    neighbor w_k and the squared distance from v_k to the bounding box of
-    v_0 .. v_{k-1}, on the integer coordinates."""
+    neighbor w_k and the offset (dx, dy) from the bounding box of
+    v_0 .. v_{k-1} to v_k, on the integer coordinates: v_k's distance to the
+    box is |(dx, dy)|."""
 
     order: list[int]
-    steps: list[tuple[tuple[int, int], int]]
+    steps: list[tuple[tuple[int, int], IntPoint]]
 
 
 def _far_order(g: Graph, coords: Sequence[IntPoint]) -> Optional[_Far]:
@@ -269,14 +294,14 @@ def _far_order(g: Graph, coords: Sequence[IntPoint]) -> Optional[_Far]:
             x, y = coords[v]
             dx = x0 - x if x < x0 else x - x1 if x > x1 else 0
             dy = y0 - y if y < y0 else y - y1 if y > y1 else 0
-            steps.append(((v, w) if v < w else (w, v), dx * dx + dy * dy))
+            steps.append(((v, w) if v < w else (w, v), (dx, dy)))
             x0, x1, y0, y1 = min(x0, x), max(x1, x), min(y0, y), max(y1, y)
         else:
             return _Far(order, steps)
     return None
 
 
-def _far_scan(far: _Far, coords: Sequence[IntPoint], den: int, bits: int,
+def _far_scan(far: _Far, coords: Sequence[IntPoint], L: int, bits: int,
               table_of: Callable, hi_w: dict) -> Optional[Interval]:
     """The enclosure at scale 2**bits by branch and bound over the sources of
     far's order, each bracketed against the vertices before it:
@@ -286,13 +311,16 @@ def _far_scan(far: _Far, coords: Sequence[IntPoint], den: int, bits: int,
     Every pair is (v_k, u) for exactly one k >= 1 and u before v_k. Let
     hi(e) be the upper bracket of edge e, D_k the sum of hi over the edges
     (v_j, w_j), 1 <= j < k, which form a spanning tree of v_0 .. v_{k-1},
-    and gap_k the lower isqrt_scaled bracket of v_k's squared distance to
-    their bounding box. The bound is B_k = (hi(v_k, w_k) + D_k) / gap_k,
-    infinite when gap_k = 0 (_far_bounds).
+    and gap_k the lower _length bracket of v_k's distance to their
+    bounding box, |(dx, dy)| of its offset: a division, with no square
+    root, when the offset is vertical or horizontal, as it is for every
+    vertex of the planar construction, which goes above the ones before
+    it. The bound is B_k = (hi(v_k, w_k) + D_k) / gap_k, infinite when
+    gap_k = 0 (_far_bounds).
     - dist_hi(v_k, u) <= hi(v_k, w_k) + D_k: dist_hi is the least weight of
       a path under hi, and one path goes to w_k and then along the tree.
     - e_lo(v_k, u) >= gap_k: the box holds u, so |v_k u| is at least v_k's
-      distance to it, and the lower bracket is monotone in the square.
+      distance to it, and the lower bracket is monotone in the length.
     - So every pair of source v_k has dist_lo/e_hi <= dist_hi/e_lo <= B_k.
     The sources come by B_k from the largest, by a float key, which only
     affects speed. When its turn comes, each is compared exactly with t,
@@ -303,7 +331,7 @@ def _far_scan(far: _Far, coords: Sequence[IntPoint], den: int, bits: int,
     of the pair that set T. The enclosure is the full scan's, number for
     number. The comparisons are exact integer products, with no float
     error and no limit on the bits of the coordinates."""
-    sources = sorted(_far_bounds(far, den, bits, hi_w), key=lambda s: s[0], reverse=True)
+    sources = sorted(_far_bounds(far, L, bits, hi_w), key=lambda s: s[0], reverse=True)
     order = far.order
     best = [(0, 1), (0, 1)]
     bracketed = 0
@@ -319,19 +347,19 @@ def _far_scan(far: _Far, coords: Sequence[IntPoint], den: int, bits: int,
                 return
             yield order[k], order[:k]
 
-    ivl = _scan(coords, den, bits, table_of(groups()), best)
+    ivl = _scan(coords, L, bits, table_of(groups()), best)
     return ivl if bracketed <= _FAR_ROWS else None
 
 
-def _far_bounds(far: _Far, den: int, bits: int, hi_w: dict) -> list[tuple[float, int, int, int]]:
+def _far_bounds(far: _Far, L: int, bits: int, hi_w: dict) -> list[tuple[float, int, int, int]]:
     """(key, num, gap, k) for each k >= 1 of far's order: _far_scan's bound
     B_k = num / gap at scale 2**bits from the upper edge brackets hi_w, and
     key its float value."""
     bounds = []
     tree = 0  # D_k
-    for k, (edge, box_sq) in enumerate(far.steps, 1):
+    for k, (edge, offset) in enumerate(far.steps, 1):
         w = hi_w[edge]
-        gap = isqrt_scaled(box_sq, den, bits)[0]
+        gap = _length((0, 0), offset, L, bits)[0]
         bounds.append((_ratio_key(w + tree, gap), w + tree, gap, k))
         tree += w
     return bounds
@@ -346,7 +374,7 @@ def _ratio_key(num: int, den: int) -> float:
         return math.inf
 
 
-def _pruned_scan(tree: _Tree, coords: Sequence[IntPoint], den: int, bits: int,
+def _pruned_scan(tree: _Tree, coords: Sequence[IntPoint], L: int, bits: int,
                  table_of: Callable, hi_w: dict) -> Interval:
     """The enclosure at scale 2**bits by branch and bound over pairs of
     subtrees of tree, a spanning tree of the drawing's graph in preorder,
@@ -366,8 +394,9 @@ def _pruned_scan(tree: _Tree, coords: Sequence[IntPoint], den: int, bits: int,
     - The block is skipped when
       ((hP + hQ - 2 R[c]) 2**64 + p)**2 L**2 < p**2 box**2 2**(2 bits),
       where box**2 is the squared integer distance between the two boxes and
-      L**2 = den. Let E = sqrt(box**2) 2**bits / L, at most the scaled
-      distance from any point of one box to any of the other. Then every
+      L the denominator of coords. Let E = sqrt(box**2) 2**bits / L, at
+      most the scaled distance from any point of one box to any of the
+      other. Then every
       pair (i, j) of the block has e_lo > E - 1, and the test gives
       dist_hi <= hP + hQ - 2 R[c] < (p / 2**64)(E - 1) <= t e_lo.
     - Otherwise, when both nodes are positions alone, i < j, the pair is
@@ -393,6 +422,7 @@ def _pruned_scan(tree: _Tree, coords: Sequence[IntPoint], den: int, bits: int,
     order, up, end = tree.order, tree.up, tree.end
     n = len(order)
     R = _tree_weights(tree, hi_w)
+    den = L * L
     xs = [coords[v][0] for v in order]
     ys = [coords[v][1] for v in order]
     hmax = R[:]
@@ -477,7 +507,7 @@ def _pruned_scan(tree: _Tree, coords: Sequence[IntPoint], den: int, bits: int,
                         keep.reverse()
                         stack += [(s, keep) for s in parts[a]]
 
-    return _scan(coords, den, bits, table_of(groups()), best)
+    return _scan(coords, L, bits, table_of(groups()), best)
 
 
 @dataclass(frozen=True)

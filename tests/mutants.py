@@ -46,8 +46,10 @@ class Mutant:
 SWEEP = "tests/test_metrics.py::TestPlanarSweepCases::"
 PLANARITY = "tests/test_metrics.py::TestPlanarity::"
 FAR_RIGHT = "tests/test_exact_geometry.py::TestFarRight::"
+COLLINEAR = "tests/test_exact_geometry.py::TestAnyThreeCollinear::"
 PROPER = "tests/test_layout.py::TestProperSpanner::"
 PRUNED = "tests/test_metrics.py::TestPrunedScan::"
+LENGTH = "tests/test_metrics.py::TestLength::"
 
 MUTANTS = [
     # The planarity sweep's order checks (metrics.is_planar_drawing).
@@ -86,8 +88,8 @@ MUTANTS = [
            "            if False:\n                continue",
            (PLANARITY + "test_same_segment_twice_through_coincident_vertices",),
            "equal segments counted twice: two edges on one segment fail the assert"),
-    # The far-right lemma (geometry.far_right, _far_placed, any_three_collinear)
-    # and the proper construction's height search.
+    # The axis count and the far-right lemma (geometry.far_right, _far_placed,
+    # any_three_collinear) and the proper construction's height search.
     Mutant("src/spannerdraw/geometry.py",
            "max(0, y - yhi, ylo - y)) < x - w",
            "max(0, y - yhi, ylo - y)) <= x - w",
@@ -109,10 +111,15 @@ MUTANTS = [
            (FAR_RIGHT + "test_planted_triple_found_by_the_scan",),
            "ylo not lowered in _far_placed: a triple below the first point's height is missed"),
     Mutant("src/spannerdraw/geometry.py",
-           "any(k >= 3 for k in Counter(",
-           "any(k >= 2 for k in Counter(",
-           (FAR_RIGHT + "test_far_placed_sets_match_bruteforce",),
-           "heights of 2 counted: two points at one height are no collinear triple"),
+           "max(Counter(axis).values()) >= 3",
+           "max(Counter(axis).values()) >= 2",
+           (COLLINEAR + "test_axis_count_matches_bruteforce",),
+           "an x or a y of 2 counted: two points on one vertical or horizontal line are no collinear triple"),
+    Mutant("src/spannerdraw/geometry.py",
+           "for axis in zip(*points)",
+           "for axis in list(zip(*points))[:1]",
+           (COLLINEAR + "test_axis_count_matches_bruteforce", FAR_RIGHT + "test_far_placed_sets_match_bruteforce"),
+           "the y axis not counted: the lemma passes three points at one height, and a horizontal triple takes keys"),
     Mutant("src/spannerdraw/geometry.py",
            "if not far_right((x0, w, ylo, yhi), (x, y)):",
            "if not far_right((x0 + 1, w, ylo, yhi), (x, y)):",
@@ -123,6 +130,17 @@ MUTANTS = [
            "box = (0, w, 0, 0)",
            (PROPER + "test_lemma_boxes_hold_the_placed_vertices",),
            "the height search's box without y_max: it no longer holds the placed vertices"),
+    # Lengths without a square root on axis-parallel segments (metrics._length).
+    Mutant("src/spannerdraw/metrics.py",
+           "return m, m + (r != 0)",
+           "return m, m + 1",
+           (LENGTH + "test_matches_isqrt_scaled",),
+           "r != 0 dropped: an exact axis-parallel length is bracketed one unit wide"),
+    Mutant("src/spannerdraw/metrics.py",
+           "    if dx and dy:\n        return isqrt_scaled(",
+           "    if dx or dy:\n        return isqrt_scaled(",
+           (LENGTH + "test_matches_isqrt_scaled",),
+           "the shortcut condition taken with or: every axis-parallel length takes a square root"),
     # The spanning ratio's pruned pass (metrics._pruned_scan, _spanning_ratios).
     Mutant("src/spannerdraw/metrics.py",
            "H = [h << 64 for h in hmax] + [r << 64 for r in R]",
@@ -169,6 +187,11 @@ MUTANTS = [
            "                            oi = o + H[a]",
            (PRUNED + "test_pruning_keeps_its_margin",),
            "a stale offset after t rises: the block test keeps the old t"),
+    Mutant("src/spannerdraw/metrics.py",
+           "            two_rc = H[n + c] << 1\n            o = p - two_rc",
+           "            two_rc = H[n + c] << 1\n            o = -two_rc",
+           (PRUNED + "test_margin_holds_at_each_new_ancestor",),
+           "the margin dropped at the start of each c: blocks are skipped at t E, not t (E - 1)"),
 ]
 
 

@@ -263,6 +263,47 @@ class TestAnyThreeCollinear:
             assert any_three_collinear(pts) == any_three_collinear(pts, n)
         assert seen == {False, True}
 
+    def test_axis_count_matches_bruteforce(self, monkeypatch):
+        # Seeded sets of four kinds: a planted vertical triple, a planted
+        # horizontal one, two points on each of a few columns or rows, which
+        # the count must not flag, and a triple on a line of neither axis;
+        # each also moved by 2**2000. A triple on an axis is found with no
+        # direction key (one gcd each).
+        import itertools
+
+        keys = []
+        monkeypatch.setattr(geometry, "gcd", lambda a, b: keys.append(1) or math.gcd(a, b))
+        rng = random.Random(32)
+        seen = set()
+        for trial in range(400):
+            kind = trial % 4
+            pts = {(rng.randrange(-99, 100), rng.randrange(-99, 100)) for _ in range(rng.randrange(0, 7))}
+            at, spots = rng.randrange(-99, 100), rng.sample(range(-99, 100), 3)
+            if kind == 0:
+                pts |= {(at, y) for y in spots}
+            elif kind == 1:
+                pts |= {(x, at) for x in spots}
+            elif kind == 2:
+                lines = rng.sample(range(-9, 9), rng.randrange(1, 6))
+                across = iter(rng.sample(range(-20, 20), 2 * len(lines)))
+                pairs = [(a, next(across)) for a in lines for _ in range(2)]
+                pts = set(pairs if rng.random() < 0.5 else [(b, a) for a, b in pairs])
+            else:
+                dx, dy = rng.choice((-1, 1)) * rng.randrange(1, 9), rng.choice((-1, 1)) * rng.randrange(1, 9)
+                pts |= {(at + k * dx, at - 5 + k * dy) for k in rng.sample(range(-9, 10), 3)}
+            pts = list(pts)
+            rng.shuffle(pts)
+            brute = any(orientation(a, b, c) == 0 for a, b, c in itertools.combinations(pts, 3))
+            on_axis = any(sum(p[i] == q[i] for p in pts) >= 3 for q in pts for i in (0, 1))
+            for ps in (pts, [(x + 2**2000, y - 2**2000) for x, y in pts]):
+                keys.clear()
+                assert any_three_collinear(ps) == brute, (kind, pts)
+                if on_axis:
+                    assert keys == [], (kind, pts)
+            assert on_axis == (kind < 2), (kind, pts)
+            seen.add((kind, brute))
+        assert seen == {(0, True), (1, True), (2, False), (2, True), (3, True)}, seen
+
     def test_dist_sq(self):
         assert dist_sq(P(0, 0), P(3, 4)) == 25
 
@@ -382,8 +423,11 @@ class TestFarRight:
     def test_planted_triple_found_by_the_scan(self, monkeypatch):
         # A point on the line through two points of a far-placed set, at
         # distinct heights, past them: the lemma fails there, and the scan
-        # finds the triple.
+        # finds the triple, unless three of the points share an x or a y
+        # (the planted one among them, or three at one height of the set),
+        # where the count finds one with no key.
         rng = random.Random(13)
+        counted = scanned = 0
         for _ in range(100):
             pts = far_placed(rng, rng.randrange(2, 8), 5)
             a, b = rng.sample(pts, 2)
@@ -392,9 +436,14 @@ class TestFarRight:
             (ax, ay), (bx, by) = sorted((a, b))
             k = rng.randrange(1, 4)
             pts.insert(rng.randrange(len(pts) + 1), (bx + k * (bx - ax), by + k * (by - ay)))
+            on_axis = any(sum(p[i] == q[i] for p in pts) >= 3 for q in pts for i in (0, 1))
             assert not geometry._far_placed(sorted(pts))
             keys, verdict = self.keys_and_verdict(monkeypatch, pts)
-            assert keys > 0 and verdict is True
+            assert verdict is True
+            assert keys == 0 if on_axis else keys > 0, pts
+            counted += on_axis
+            scanned += not on_axis
+        assert counted > 0 and scanned > 0, (counted, scanned)
         # A triple below the first point's height: (1, -6), (13, -5) and
         # (253, 15), of slope 1/12. The box of the points before (253, 15)
         # reaches down to -6, not only to the first point's 6.

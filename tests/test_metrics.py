@@ -273,20 +273,52 @@ def assert_oracle_enclosures(d, key, count=3):
     assert ours == theirs, key
 
 
+class TestLength:
+    """metrics._length brackets a length as isqrt_scaled does its square,
+    number for number, with no square root on an axis-parallel segment."""
+
+    def test_matches_isqrt_scaled(self, monkeypatch):
+        # Vertical, horizontal and general segments, either way round, with
+        # coordinates up to 3000 bits, denominators of 1, of powers of 2
+        # and of up to 3000 bits, and exact roots: L dividing d 2**bits.
+        rng = random.Random(34)
+        roots = []
+        monkeypatch.setattr(metrics, "isqrt_scaled", lambda *args: roots.append(1) or isqrt_scaled(*args))
+        seen = Counter()
+        for trial in range(3000):
+            size = rng.choice((3, 64, 3000))
+            bits = rng.choice((0, 1, 64, 200, 1100))
+            L = rng.choice((1, 3, 1 << rng.randrange(60), rng.getrandbits(rng.choice((8, 3000))) | 1))
+            p = (rng.getrandbits(size) - rng.getrandbits(size), rng.getrandbits(size) - rng.getrandbits(size))
+            d, e = rng.getrandbits(size) * rng.choice((-1, 1)), -rng.getrandbits(size) - 1
+            if trial % 5 == 4:
+                d = L * rng.randrange(-9, 10)  # an exact root; (3d, 4d) has length 5d
+            slant = (3 * d, 4 * d) if trial % 5 == 4 else (d, e)
+            kind = trial % 3
+            q = ((p[0], p[1] + d), (p[0] + d, p[1]), (p[0] + slant[0], p[1] + slant[1]))[kind]
+            roots.clear()
+            lo, hi = metrics._length(p, q, L, bits)
+            assert len(roots) == (kind == 2 and d != 0), (kind, d)
+            assert (lo, hi) == isqrt_scaled(dist_sq(p, q), L * L, bits), (p, q, L, bits)
+            assert (lo, hi) == metrics._length(q, p, L, bits)
+            seen[kind, "exact" if lo == hi else "unit"] += 1
+        assert min(seen.values()) > 50 and len(seen) == 6, seen
+
+
 @pytest.fixture
 def bracketed(monkeypatch):
     """The rows ("rows") and the pairs ("pairs") that every _scan reads."""
     counts = Counter()
     scan = metrics._scan
 
-    def counted(coords, den, bits, table, best=None):
+    def counted(coords, L, bits, table, best=None):
         def rows():
             for row in table:
                 counts["rows"] += 1
                 counts["pairs"] += len(row[1])
                 yield row
 
-        return scan(coords, den, bits, rows(), best)
+        return scan(coords, L, bits, rows(), best)
 
     monkeypatch.setattr(metrics, "_scan", counted)
     return counts
@@ -353,7 +385,7 @@ class TestPrunedScan:
                 for u, v in g.edges():
                     lo_w[(u, v)], hi_w[(u, v)] = isqrt_scaled(dist_sq(coords[u], coords[v]), L * L, bits)
                 rows = partial(metrics._graph_rows, g.n, lo_w, hi_w)
-                full = metrics._scan(coords, L * L, bits, rows(every))
+                full = metrics._scan(coords, L, bits, rows(every))
                 kept = [0]
 
                 def counted(groups):
@@ -361,7 +393,7 @@ class TestPrunedScan:
                         kept[0] += len(targets)
                         yield u, targets
 
-                ivl = metrics._pruned_scan(t, coords, L * L, bits, lambda groups: rows(counted(groups)), hi_w)
+                ivl = metrics._pruned_scan(t, coords, L, bits, lambda groups: rows(counted(groups)), hi_w)
                 assert (ivl.lo, ivl.hi) == (full.lo, full.hi), (k, bits)
                 checked["pruned" if kept[0] < g.n * (g.n - 1) // 2 else "every pair"] += 1
         assert checked["pruned"] > 300, checked
@@ -508,6 +540,22 @@ class TestPrunedScan:
         assert groups == [(2, [1]), (0, [1])]
         assert (ivl.lo, ivl.hi) == (F(6, 5), F(3, 2))
 
+    def test_margin_holds_at_each_new_ancestor(self):
+        # The margin is kept from the start of each lowest common ancestor c,
+        # before the first pair of c is bracketed, not only after t rises.
+        # This tree on points k 2**-64 (found by a seeded search of small
+        # trees) has L = 2**64, so its first precision, 64 bits, brackets
+        # as 0 bits do on the integer points: a unit is a large share of
+        # every distance. The full scan's first enclosure is [11/5, 3]; a
+        # block test without the margin at a new c skips the pair that
+        # sets 3 and gives [11/5, 13/5]. Both contain the ratio, so the
+        # final enclosures still meet spanning_ratio_bruteforce's.
+        pts = [(-2, -3), (-3, -4), (-4, 4), (-4, -1), (1, -5)]
+        d = drawing(5, [(0, 1), (0, 4), (1, 2), (1, 3)], [(F(x, 2**64), F(y, 2**64)) for x, y in pts])
+        first = next(metrics._spanning_ratios(d))
+        assert (first.lo, first.hi) == (F(11, 5), F(3))
+        assert_oracle_enclosures(d, "margin")
+
     @pytest.fixture
     def walk_trees(self, monkeypatch):
         """The (order, up, size) of every spanning tree the certificate builds."""
@@ -602,7 +650,7 @@ class TestFarPlacement:
         log = {"scans": [], "order": 0, "pruned": 0}
         far_scan, far_order, pruned_scan = metrics._far_scan, metrics._far_order, metrics._pruned_scan
 
-        def scan(far, coords, den, bits, rows, hi_w):
+        def scan(far, coords, L, bits, rows, hi_w):
             count = [0]
 
             def counted(groups):
@@ -610,7 +658,7 @@ class TestFarPlacement:
                     count[0] += 1
                     yield group
 
-            ivl = far_scan(far, coords, den, bits, lambda groups: rows(counted(groups)), hi_w)
+            ivl = far_scan(far, coords, L, bits, lambda groups: rows(counted(groups)), hi_w)
             log["scans"].append((count[0], ivl is None))
             return ivl
 
@@ -673,17 +721,17 @@ class TestFarPlacement:
                     lo_w[(u, v)], hi_w[(u, v)] = isqrt_scaled(dist_sq(coords[u], coords[v]), L * L, bits)
                 rows = partial(metrics._graph_rows, g.n, lo_w, hi_w)
                 dist_hi = {u: hi for u, _, _, hi in rows((u, range(g.n)) for u in range(g.n))}
-                for _, num, gap, j in metrics._far_bounds(far, L * L, bits, hi_w):
+                for _, num, gap, j in metrics._far_bounds(far, L, bits, hi_w):
                     v = far.order[j]
                     for u in far.order[:j]:
                         e_lo = isqrt_scaled(dist_sq(coords[v], coords[u]), L * L, bits)[0]
                         assert dist_hi[v][u] * gap <= num * e_lo, (k, bits, j, u)
                         checked["tight"] += dist_hi[v][u] * gap == num * e_lo
-                ivl = metrics._far_scan(far, coords, L * L, bits, rows, hi_w)
+                ivl = metrics._far_scan(far, coords, L, bits, rows, hi_w)
                 if ivl is None:
                     checked["handed over"] += 1
                     continue
-                full = metrics._scan(coords, L * L, bits, rows((u, range(u + 1, g.n)) for u in range(g.n)))
+                full = metrics._scan(coords, L, bits, rows((u, range(u + 1, g.n)) for u in range(g.n)))
                 assert (ivl.lo, ivl.hi) == (full.lo, full.hi), (k, bits)
                 checked["pruned"] += 1
         assert checked["pruned"] > 400 and checked["handed over"] > 15 and checked["tight"] > 500, checked
@@ -963,7 +1011,8 @@ class TestSweepsMatchOracles:
             return crossed[-1]
 
         monkeypatch.setattr(metrics, "segments_cross_improperly", cross)
-        monkeypatch.setattr(metrics, "dist_sq", counted("dist_sq", metrics.dist_sq))
+        # closest_pair_sq's own comparisons: it calls geometry.dist_sq.
+        monkeypatch.setattr(geometry, "dist_sq", counted("dist_sq", geometry.dist_sq))
         assert is_planar_drawing(d)
         assert crossed == []
         # The last vertex moved onto an edge, as in test_planar_spanner_drawings.
@@ -975,7 +1024,7 @@ class TestSweepsMatchOracles:
         assert len(crossed) >= 1 and crossed[-1] is True
         assert closest_pair_sq(d.points) == closest_sq_oracle(d.points)
         # At most 8 window points are compared with each point.
-        assert calls["dist_sq"] <= 8 * g.n, (calls, g.n)
+        assert 0 < calls["dist_sq"] <= 8 * g.n, (calls, g.n)
 
 
 @pytest.fixture
@@ -1136,6 +1185,26 @@ class TestProperAndCollinear:
     def test_no_three_collinear_false_on_line(self):
         d = drawing(3, [(0, 1), (1, 2)], [(0, 0), (1, 0), (2, 0)])
         assert not no_three_collinear(d)
+
+    def test_axis_triples_take_no_key(self, monkeypatch):
+        # Counted, not timed: the planar construction puts a vertex at the
+        # midpoint x of its attachment's ends, so 76 of the 88 seed-301
+        # planar drawings, and all 40 tree-planar ones, hold three vertices
+        # on one vertical or horizontal line, which the count finds with no
+        # direction key (one gcd each). Measured before the count: 36,324
+        # keys on the planar drawings and 10,779 on the tree-planar ones.
+        workloads = bench_workloads()
+        planar = [draw_planar_spanner(Graph.from_edges(op.n, op.edges), Epsilon(op.epsilon))
+                  for op in workloads.build("planar", 301)]
+        trees = [draw_tree_planar(RootedTree.from_graph(Graph.from_edges(op.n, op.edges), 0), Epsilon(op.epsilon))
+                 for op in workloads.build("tree-planar", 301)]
+        keys = []
+        monkeypatch.setattr(geometry, "gcd", lambda a, b: keys.append(1) or math.gcd(a, b))
+        collinear = [d for d in planar if not no_three_collinear(d)]
+        assert (len(planar), len(collinear)) == (88, 76)
+        keys.clear()
+        assert not any(no_three_collinear(d) for d in collinear + trees)
+        assert (len(trees), keys) == (40, [])
 
 
 class TestBoxAndDistance:
