@@ -10,9 +10,8 @@ Hamiltonian path; planar drawing: five explicit graph classes).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .drawing import Drawing
 from .errors import ZeroLengthEdgeError
@@ -27,8 +26,7 @@ from .metrics import _certify, _spanning_ratios
 ANNULUS_PACKING_CONSTANT = 48
 
 
-@dataclass(frozen=True)
-class AnnulusCensus:
+class AnnulusCensus(NamedTuple):
     """Neighbor counts of one vertex, binned by distance annuli.
 
     Distances are normalized by the shortest edge incident to the center;
@@ -62,15 +60,13 @@ def annulus_census(d: Drawing, center: int) -> AnnulusCensus:
     return AnnulusCensus(center, sqrt_interval(Fraction(min_sq, d.den**2)), counts)
 
 
-@dataclass(frozen=True)
-class AnnulusViolation:
+class AnnulusViolation(NamedTuple):
     vertex: int
     annulus: int
     count: int
 
 
-@dataclass(frozen=True)
-class AnnulusCheckResult:
+class AnnulusCheckResult(NamedTuple):
     s: Fraction
     threshold: Fraction  # 48 * s**2
     violations: tuple[AnnulusViolation, ...]

@@ -8,43 +8,56 @@ predicates all run on the integers. This is the only module that converts
 between Fractions and numerators: `Drawing.of` builds a drawing from
 rationals, and `coords` gives them back. The serializer writes each
 numerator over the denominator as text, reduced by their gcd.
+
+A Drawing is an immutable value: equal to a drawing of an equal graph at the
+same points over the same denominator, and hashed alike. Its constructor
+checks every point and reduces them to lowest terms; the Fractions of
+`coords` and the closest pair of `closest_sq` are computed once, when first
+read, and kept.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable
 
+from .frozen import Frozen
 from .geometry import IntPoint, closest_pair_sq
 from .graph import Graph
 
 Point = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class Drawing:
+class Drawing(Frozen):
     """A straight-line drawing: vertex v sits at points[v] / den."""
 
+    _fields = ("graph", "points", "den")
+    __slots__ = (*_fields, "_coords", "_closest_sq")
     graph: Graph
     points: tuple[IntPoint, ...]
-    den: int = 1
+    den: int
 
-    def __post_init__(self):
-        if len(self.points) != self.graph.n:
-            raise ValueError(f"{len(self.points)} points for {self.graph.n} vertices")
-        for p in self.points:
+    def __init__(self, graph: Graph, points: tuple[IntPoint, ...], den: int = 1):
+        if len(points) != graph.n:
+            raise ValueError(f"{len(points)} points for {graph.n} vertices")
+        for p in points:
+            # The common case, a tuple of two ints, in three type checks;
+            # the full test only where those fail.
+            if type(p) is tuple and len(p) == 2 and type(p[0]) is int and type(p[1]) is int:
+                continue
             if not (isinstance(p, tuple) and len(p) == 2
                     and all(isinstance(c, int) and not isinstance(c, bool) for c in p)):
                 raise TypeError(f"point {p!r} is not a pair of ints; use Drawing.of for rationals")
-        if not isinstance(self.den, int) or isinstance(self.den, bool) or self.den <= 0:
-            raise ValueError(f"denominator {self.den!r} is not a positive int")
-        g = math.gcd(self.den, *(c for p in self.points for c in p))
+        if not isinstance(den, int) or isinstance(den, bool) or den <= 0:
+            raise ValueError(f"denominator {den!r} is not a positive int")
+        g = math.gcd(den, *(c for p in points for c in p)) if den > 1 else 1
         if g > 1:
-            object.__setattr__(self, "points", tuple((x // g, y // g) for x, y in self.points))
-            object.__setattr__(self, "den", self.den // g)
+            points = tuple((x // g, y // g) for x, y in points)
+            den //= g
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def of(graph: Graph, coords) -> Drawing:
@@ -66,15 +79,25 @@ class Drawing:
             points[v] = (i, 0)
         return Drawing(graph, tuple(points))
 
-    @cached_property
+    @property
     def coords(self) -> tuple[Point, ...]:
-        """The coordinates as Fractions, for serialization and display; the
-        exact computations read points and den."""
-        return tuple((Fraction(x, self.den), Fraction(y, self.den)) for x, y in self.points)
+        """The coordinates as Fractions, for serialization and display, kept
+        once computed; the exact computations read points and den."""
+        try:
+            return self._coords
+        except AttributeError:
+            coords = tuple((Fraction(x, self.den), Fraction(y, self.den)) for x, y in self.points)
+            object.__setattr__(self, "_coords", coords)
+            return coords
 
-    @cached_property
+    @property
     def closest_sq(self) -> int:
         """The least squared distance between two of the (at least 2) points,
         in numerator units (over den**2); 0 when two coincide. Kept, so that
         one report's spanning ratio and minimum distance share one sweep."""
-        return closest_pair_sq(self.points)
+        try:
+            return self._closest_sq
+        except AttributeError:
+            closest = closest_pair_sq(self.points)
+            object.__setattr__(self, "_closest_sq", closest)
+            return closest

@@ -42,15 +42,13 @@ validator in tests/oracles.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import NotConnectedError, NotPlanarError, TooSmallError
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class RotationSystem:
+class RotationSystem(NamedTuple):
     """A combinatorial planar embedding with a chosen outer face."""
 
     graph: Graph
@@ -347,8 +345,7 @@ def _sides(height, parent, tail, head, low, depth, out) -> Optional[list[int]]:
     return side
 
 
-@dataclass(frozen=True)
-class CanonicalOrder:
+class CanonicalOrder(NamedTuple):
     """A canonical ordering of a maximal planar supergraph.
 
     order[k-1] is the k-th placed vertex. attachments[k] (k >= 3) is the path

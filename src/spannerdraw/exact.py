@@ -11,24 +11,27 @@ precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
+from .frozen import Frozen
 
-@dataclass(frozen=True)
-class Interval:
+
+class Interval(Frozen):
     """A closed rational interval certified to contain the true real value.
 
     lo = hi = math.inf is the infinite interval: the value is certainly
     infinite, as the spanning ratio of a drawing with coincident vertices is.
     """
 
+    __slots__ = _fields = ("lo", "hi")
     lo: Fraction | float
     hi: Fraction | float
 
-    def __post_init__(self):
-        assert self.lo <= self.hi
+    def __init__(self, lo: Fraction | float, hi: Fraction | float):
+        assert lo <= hi
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def is_infinite(self) -> bool:

@@ -1,6 +1,10 @@
 """Undirected simple graphs, rooted trees, orderings, and an exact
 Hamiltonian path search.
 
+A Graph is an immutable value, equal to another graph with the same n and
+adjacency lists and hashed alike; a RootedTree is a plain record of a tree
+graph, its root, and the parent and child lists of one breadth-first walk.
+
 hamiltonian_path is exponential and refuses large inputs with
 InstanceTooLarge: one subset-DP table of 4 * 2^n bytes for n up to
 HAMILTONIAN_DP_LIMIT. No function here recurses. The brute-force toughness
@@ -10,20 +14,24 @@ oracle lives in tests/oracles.py; no caller of the package needs it.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import InstanceTooLarge, NotATreeError, NotConnectedError
+from .frozen import Frozen
 
 HAMILTONIAN_DP_LIMIT = 24
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """Undirected simple graph on vertices 0..n-1 with sorted adjacency lists."""
 
+    __slots__ = _fields = ("n", "adj")
     n: int
     adj: tuple[tuple[int, ...], ...]
+
+    def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -68,23 +76,34 @@ class Graph:
         return self.m == self.n - 1 and is_connected(self)
 
 
-@dataclass
 class RootedTree:
-    """A tree with a root, parent pointers, and ordered child lists."""
+    """A tree with a root, parent pointers, and ordered child lists; the
+    lists default to fresh empty ones."""
 
-    graph: Graph
-    root: int
-    parent: list[Optional[int]] = field(default_factory=list)
-    children: list[list[int]] = field(default_factory=list)
+    __slots__ = ("graph", "root", "parent", "children")
+
+    def __init__(self, graph: Graph, root: int, parent: Optional[list[Optional[int]]] = None,
+                 children: Optional[list[list[int]]] = None):
+        self.graph = graph
+        self.root = root
+        self.parent = [] if parent is None else parent
+        self.children = [] if children is None else children
 
     @staticmethod
     def from_graph(g: Graph, root: int = 0) -> "RootedTree":
-        if not g.is_tree():
+        """g rooted at root, from one breadth-first walk: with n - 1 edges, g
+        is a tree iff the walk reaches every vertex, that is iff the root is
+        the only vertex without a parent. NotATreeError comes first: where
+        root is not a vertex, the walk starts at 0, and the ValueError
+        follows on a tree only."""
+        n = g.n
+        is_vertex = isinstance(root, int) and not isinstance(root, bool) and 0 <= root < n
+        parent = bfs_parents(g, root if is_vertex else 0) if g.m == n - 1 else None
+        if parent is None or parent.count(None) != 1:
             raise NotATreeError(f"graph with n={g.n}, m={g.m} is not a tree")
-        if not isinstance(root, int) or isinstance(root, bool) or not 0 <= root < g.n:
+        if not is_vertex:
             raise ValueError(f"root {root!r} is not a vertex of a tree with n={g.n}")
-        parent = bfs_parents(g, root)
-        children = [[v for v in g.adj[u] if parent[v] == u] for u in range(g.n)]
+        children = [[v for v in g.adj[u] if parent[v] == u] for u in range(n)]
         return RootedTree(g, root, parent, children)
 
     @property

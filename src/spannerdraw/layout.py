@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .drawing import Drawing
 from .embedding import augment_to_maximal_with_canonical_order
 from .errors import NotConnectedError, TooSmallError
 from .exact import isqrt_scaled
+from .frozen import Frozen
 from .geometry import IntPoint, any_three_collinear, far_right, on_line_through_two
 from .graph import (
     Graph,
@@ -40,16 +40,17 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-@dataclass(frozen=True)
-class Epsilon:
+class Epsilon(Frozen):
     """The accuracy parameter: a positive rational."""
 
+    __slots__ = _fields = ("value",)
     value: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-        if self.value <= 0:
+    def __init__(self, value):
+        value = Fraction(value)
+        if value <= 0:
             raise ValueError("epsilon must be positive")
+        object.__setattr__(self, "value", value)
 
     @property
     def tree_gamma(self) -> int:
@@ -291,8 +292,7 @@ def _merge_tree_parts(upper: _TreePart, lower: _TreePart, k: int, gamma: int) ->
         span *= 8
 
 
-@dataclass(frozen=True)
-class ToughDrawResult:
+class ToughDrawResult(NamedTuple):
     """Drawing of a general graph routed through a bounded-degree spanning tree."""
 
     drawing: Drawing

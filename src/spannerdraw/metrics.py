@@ -77,10 +77,9 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .drawing import Drawing
 from .errors import DisconnectedDrawingError, NoEdgesError, PrecisionExhausted
@@ -101,8 +100,7 @@ _START_BITS = 64
 _MAX_BITS = 16384
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     spanning_ratio: Optional[Interval]
     edge_length_ratio: Optional[Interval]
     width: Fraction
@@ -259,8 +257,7 @@ def _coord_bits(coords: Sequence[IntPoint]) -> int:
 _FAR_ROWS = 8
 
 
-@dataclass(frozen=True)
-class _Far:
+class _Far(NamedTuple):
     """A vertex order v_0, ..., v_{n-1} of a drawing for _far_scan, and for
     each k >= 1, at steps[k - 1], the edge from v_k to its nearest earlier
     neighbor w_k and the offset (dx, dy) from the bounding box of
@@ -510,8 +507,7 @@ def _pruned_scan(tree: _Tree, coords: Sequence[IntPoint], L: int, bits: int,
     return _scan(coords, L, bits, table_of(groups()), best)
 
 
-@dataclass(frozen=True)
-class _Tree:
+class _Tree(NamedTuple):
     """A rooted spanning tree by preorder position: order[i] is the vertex at
     position i and pos its inverse, up[i] the parent's position (up[0] = 0),
     and i .. end[i] - 1 the positions of i's subtree."""

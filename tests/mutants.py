@@ -50,6 +50,7 @@ COLLINEAR = "tests/test_exact_geometry.py::TestAnyThreeCollinear::"
 PROPER = "tests/test_layout.py::TestProperSpanner::"
 PRUNED = "tests/test_metrics.py::TestPrunedScan::"
 LENGTH = "tests/test_metrics.py::TestLength::"
+DRAWING = "tests/test_fileio_cli.py::TestDrawingValidation::"
 
 MUTANTS = [
     # The planarity sweep's order checks (metrics.is_planar_drawing).
@@ -192,6 +193,23 @@ MUTANTS = [
            "            two_rc = H[n + c] << 1\n            o = -two_rc",
            (PRUNED + "test_margin_holds_at_each_new_ancestor",),
            "the margin dropped at the start of each c: blocks are skipped at t E, not t (E - 1)"),
+    # The value types (drawing.Drawing, layout.Epsilon, frozen.Frozen).
+    Mutant("src/spannerdraw/drawing.py",
+           "type(p[0]) is int and type(p[1]) is int",
+           "isinstance(p[0], int) and isinstance(p[1], int)",
+           (DRAWING + "test_non_int_coordinate_raises_type_error",),
+           "isinstance for the type test in the fast path: a bool coordinate passes"),
+    Mutant("src/spannerdraw/layout.py",
+           "        if value <= 0:\n            raise ValueError(\"epsilon must be positive\")\n",
+           "",
+           ("tests/test_layout.py::TestEpsilon::test_positive_required",),
+           "the <= 0 check dropped: a zero or negative epsilon builds drawings with no guarantee"),
+    Mutant("src/spannerdraw/frozen.py",
+           "        raise AttributeError(f\"cannot assign a {type(value).__name__} to {name!r}: \"\n"
+           "                             f\"{type(self).__name__} is immutable\")",
+           "        object.__setattr__(self, name, value)",
+           ("tests/test_values.py::test_assignment_raises_attribute_error",),
+           "the frozen guard removed: a Graph, a Drawing or an Epsilon changes after it is checked and hashed"),
 ]
 
 

@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from networkx.algorithms.planarity import ConflictPair
@@ -353,18 +352,18 @@ class TestValidatorRejects:
     def test_two_order_entries_swapped(self, co, host):
         order = list(co.order)
         order[3], order[8] = order[8], order[3]
-        assert rejection(replace(co, order=tuple(order)), host) == "H-prefix disconnected at k=4"
+        assert rejection(co._replace(order=tuple(order)), host) == "H-prefix disconnected at k=4"
 
     def test_order_not_a_permutation(self, co, host):
-        repeated = replace(co, order=co.order[:-1] + co.order[:1])
+        repeated = co._replace(order=co.order[:-1] + co.order[:1])
         assert rejection(repeated, host) == "order is not a permutation"
 
     def test_vertex_dropped_from_attachment(self, co, host):
         k = next(k for k, path in co.attachments.items() if len(path) >= 3)
         path = co.attachments[k]
-        ends = replace(co, attachments={**co.attachments, k: path[1:]})
+        ends = co._replace(attachments={**co.attachments, k: path[1:]})
         assert rejection(ends, host) == f"contour does not bound a face at k={k}"
-        middle = replace(co, attachments={**co.attachments, k: path[:1] + path[2:]})
+        middle = co._replace(attachments={**co.attachments, k: path[:1] + path[2:]})
         assert rejection(middle, host) == f"attachments not consecutive on contour at k={k}"
 
     def test_attachment_shifted_along_contour(self, co, host):
@@ -376,7 +375,7 @@ class TestValidatorRejects:
                 break
             contour = contour[: a + 1] + (co.order[k - 1],) + contour[b:]
         shifted = contour[a + 1 : b + 2]
-        assert rejection(replace(co, attachments={**co.attachments, k: shifted}), host) == (
+        assert rejection(co._replace(attachments={**co.attachments, k: shifted}), host) == (
             f"contour not a path in G_k at k={k}"
         )
 

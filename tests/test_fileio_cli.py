@@ -216,10 +216,25 @@ class TestDrawingValidation:
 
     def test_non_int_coordinate_raises_type_error(self):
         g = Graph.from_edges(2, [(0, 1)])
-        for point in ((0.5, 0), (0, F(1)), (F(0), F(0)), (True, 0), (0, 0, 0), [0, 0]):
-            with pytest.raises(TypeError, match="Drawing.of"):
+        for point in ((0.5, 0), (0, F(1)), (F(0), F(0)), (True, 0), (0, False), (0, 0, 0), (0,), [0, 0], 0):
+            with pytest.raises(TypeError) as caught:
                 Drawing(g, ((0, 0), point))
+            assert str(caught.value) == f"point {point!r} is not a pair of ints; use Drawing.of for rationals"
         assert Drawing.of(g, [(0, 0), (0.5, 1)]).coords[1] == (F(1, 2), F(1))
+
+    def test_int_and_tuple_subclasses_accepted(self):
+        # The check is isinstance, as it was: a subclass of int that is not
+        # bool passes, and so does a subclass of tuple.
+        class Int(int):
+            pass
+
+        class Pair(tuple):
+            pass
+
+        g = Graph.from_edges(2, [(0, 1)])
+        d = Drawing(g, (Pair((0, 0)), (Int(4), 2)), Int(2))
+        assert (d.points, d.den) == (((0, 0), (2, 1)), 1)
+        assert Drawing(g, ((0, 0), Pair((Int(3), 1)))).points[1] == (3, 1)
 
     def test_non_positive_denominator_raises_value_error(self):
         g = Graph.from_edges(2, [(0, 1)])

@@ -185,6 +185,29 @@ class TestRootedTree:
         with pytest.raises(ValueError, match="root"):
             RootedTree.from_graph(path_graph(3), root)
 
+    @pytest.mark.parametrize("root", [0, 3, 4, -1, True, 1.0])
+    def test_not_a_tree_comes_before_a_bad_root(self, root):
+        # A cycle, a triangle with an isolated vertex (n - 1 edges, walked
+        # from the triangle or from the isolated vertex), and the empty graph.
+        for g in (cycle_graph(4), Graph.from_edges(4, [(0, 1), (1, 2), (2, 0)]), Graph.from_edges(0, [])):
+            with pytest.raises(NotATreeError):
+                RootedTree.from_graph(g, root)
+
+    def test_rooted_at_any_vertex(self):
+        g = random_tree(30, 3, seed=7)
+        for root in range(g.n):
+            t = RootedTree.from_graph(g, root)
+            assert t.root == root and t.parent[root] is None
+            for v in range(g.n):
+                u = v
+                for _ in range(g.n):  # up to the root, along edges
+                    if t.parent[u] is None:
+                        break
+                    assert g.has_edge(u, t.parent[u])
+                    u = t.parent[u]
+                assert u == root
+            assert t.children == [[v for v in g.adj[u] if t.parent[v] == u] for u in range(g.n)]
+
     def test_prefix_order_connected_prefixes(self):
         t = RootedTree.from_graph(random_tree(20, 3, seed=5), 0)
         order = bfs_order(t.graph, t.root)

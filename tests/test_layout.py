@@ -67,8 +67,9 @@ class TestEpsilon:
         assert Epsilon(F(1, 2)).tree_gamma == 8
 
     def test_positive_required(self):
-        with pytest.raises(ValueError):
-            Epsilon(F(0))
+        for value in (F(0), 0, -1, "-1/2", -0.0):
+            with pytest.raises(ValueError, match="^epsilon must be positive$"):
+                Epsilon(value)
 
 
 def enclosing_disk(points):

@@ -2,6 +2,7 @@
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 from typing import Callable, Iterable
@@ -97,16 +98,22 @@ def test_no_unread_parameters():
     assert {name: params for name, params in found.items() if params} == {}
 
 
-def undeclared_imports(source: str, declared: set[str]) -> list[str]:
-    """The top-level modules a source imports that are neither in the
-    standard library nor declared: relative imports are the package's own."""
+def imported_modules(source: str) -> set[str]:
+    """The top-level modules a source imports; relative imports are the
+    package's own and not counted."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found |= {alias.name.split(".")[0] for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.add(node.module.split(".")[0])
-    return sorted(found - set(sys.stdlib_module_names) - declared)
+    return found
+
+
+def undeclared_imports(source: str, declared: set[str]) -> list[str]:
+    """The top-level modules a source imports that are neither in the
+    standard library nor declared."""
+    return sorted(imported_modules(source) - set(sys.stdlib_module_names) - declared)
 
 
 def declared_dependencies(key: str = "dependencies") -> set[str]:
@@ -140,6 +147,32 @@ def test_imports_are_declared():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+# Standard modules the package does without: dataclasses imports inspect,
+# and with it ast, dis and tokenize, a large share of `import spannerdraw`.
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+
+
+def test_slow_imports_found():
+    source = "import inspect as i\nfrom dataclasses import dataclass\nimport ast\nfrom .dataclasses import x\n"
+    assert sorted(imported_modules(source) & SLOW_IMPORTS) == ["dataclasses", "inspect"]
+
+
+def test_no_slow_imports():
+    found = {p.name: imported_modules(p.read_text(encoding="utf-8")) & SLOW_IMPORTS
+             for p in sorted(SRC.glob("*.py"))}
+    assert found and {name: names for name, names in found.items() if names} == {}
+
+
+def test_cli_import_loads_no_slow_module():
+    # A fresh interpreter without site (-S) or the environment (-I), with
+    # only src/ on sys.path; -B writes no bytecode next to the sources.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import spannerdraw.cli; "
+            f"print(sorted({sorted(SLOW_IMPORTS)!r} & sys.modules.keys()))")
+    run = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
 def private_names(node: ast.stmt) -> list[str]:
     """The names starting with one underscore that a module-level statement
     defines as a function, class or constant."""
@@ -167,11 +200,24 @@ def references(node: ast.AST) -> set[str]:
     return read
 
 
+def class_fields(node: ast.ClassDef) -> list[str]:
+    """The fields of a class: the annotated names of a NamedTuple, or the
+    names a class lists in __slots__ and _fields."""
+    if any(ast.unparse(base).split(".")[-1] == "NamedTuple" for base in node.bases):
+        return [stmt.target.id for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return [const.value for stmt in node.body
+            if isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id in ("__slots__", "_fields") for t in stmt.targets)
+            for const in ast.walk(stmt.value)
+            if isinstance(const, ast.Constant) and isinstance(const.value, str)]
+
+
 def unread_private_fields(sources: dict[str, str]) -> list[str]:
-    """module:Class.field for each field of a dataclass whose name starts
-    with an underscore that no statement of any source reads as an
-    attribute: a field only the tests read, or nobody. A read through self
-    counts for the class whose method makes it only."""
+    """module:Class.field for each field (class_fields) of a class whose
+    name starts with an underscore that no statement of any source reads as
+    an attribute: a field only the tests read, or nobody. A read through
+    self counts for the class whose method makes it only."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
 
     def through_self(node: ast.AST) -> bool:
@@ -184,31 +230,37 @@ def unread_private_fields(sources: dict[str, str]) -> list[str]:
            if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)
            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and through_self(node)}
     return sorted(
-        f"{module}:{node.name}.{stmt.target.id}"
+        f"{module}:{node.name}.{name}"
         for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, ast.ClassDef) and node.name.startswith("_")
-        and any(ast.unparse(dec).split("(")[0].split(".")[-1] == "dataclass" for dec in node.decorator_list)
-        for stmt in node.body
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-        and stmt.target.id not in read and (node.name, stmt.target.id) not in own
+        for name in class_fields(node)
+        if name not in read and (node.name, name) not in own
     )
 
 
 def test_unread_private_fields_found():
     sources = {
-        "a": ("from dataclasses import dataclass\n@dataclass(frozen=True)\nclass _P:\n"
+        "a": ("from typing import NamedTuple\nclass _P(NamedTuple):\n"
               "    x: int\n    y: int\n    z: int = 0\n    w: int = 0\n"
               "    def f(self):\n        return self.w\n"
-              "@dataclass\nclass Public:\n    v: int\nclass _Plain:\n    u: int\n"),
-        "b": "class _Other:\n    def g(self):\n        return self.z\ndef f(p):\n    p.y = 1\n    return p.x\n",
+              "class Public(NamedTuple):\n    v: int\nclass _Plain:\n    u: int\n"
+              "class _S:\n    _fields = ('s', 't')\n    __slots__ = (*_fields, '_c')\n"
+              "    def m(self):\n        return self._c\n"),
+        "b": ("class _Other:\n    def g(self):\n        return self.z\n"
+              "def f(p):\n    p.y = 1\n    return p.x + p.s\n"),
     }
-    assert unread_private_fields(sources) == ["a:_P.y", "a:_P.z"]
+    assert unread_private_fields(sources) == ["a:_P.y", "a:_P.z", "a:_S.t"]
 
 
 def test_no_unread_private_fields():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unread_private_fields(sources) == []
+    # The check sees the fields of the private records.
+    classes = {node.name: class_fields(node) for node in ast.parse(sources["metrics.py"]).body
+               if isinstance(node, ast.ClassDef)}
+    assert classes["_Far"] == ["order", "steps"]
+    assert classes["_Tree"] == ["order", "pos", "up", "end"]
 
 
 def public_functions(node: ast.stmt) -> list[str]:
@@ -346,9 +398,10 @@ def test_no_discarded_verdicts():
 
 # What src/ may raise besides a PreconditionError subclass: a malformed file,
 # and the builtins of a caller's misuse or a bug; anything else would reach
-# the CLI as neither exit 3 nor exit 4.
+# the CLI as neither exit 3 nor exit 4. AttributeError is frozen.Frozen's
+# answer to an assignment to an immutable value, a misuse.
 ALLOWED_RAISES = {"FileFormatError", "ValueError", "TypeError", "ZeroDivisionError",
-                  "AssertionError", "argparse.ArgumentTypeError"}
+                  "AssertionError", "AttributeError", "argparse.ArgumentTypeError"}
 
 
 def subclasses(sources: dict[str, str], base: str) -> set[str]:
