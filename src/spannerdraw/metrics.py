@@ -28,17 +28,22 @@ _scan's running bounds:
   The planar and proper constructions put vertex k more than k delta /
   epsilon away from the vertices placed before it, and the paper's proof
   of the 1 + epsilon bound rests on that gap. Sorted by (y, x), or else by
-  (x, y), each vertex v_k has an earlier neighbor w_k, so every pair of v_k
-  with an earlier vertex has dist_hi at most hi(v_k, w_k) plus D_k, the
-  upper-bracket weight of the tree that the earlier vertices attach by,
-  and e_lo at least gap_k, the lower bracket of v_k's distance to their
+  (x, y), each vertex v_k has an earlier neighbor w_k. Let a >= b be the
+  absolute integer offsets of the edge (v_k, w_k), and c_k = a +
+  ceil(b / 2), fixed per drawing: (a + b/2)**2 >= a**2 + b**2 when
+  a >= b, so up_k = ceil(c_k 2**bits / L) is at least the ceiling of the
+  edge's scaled length, and so at least its upper bracket, with no square
+  root, and equal to it on a vertical or horizontal edge. Every pair of
+  v_k with an earlier vertex has dist_hi at most up_k plus D_k, the sum of
+  up_j over the tree that the earlier vertices attach by, and e_lo at
+  least gap_k, the lower bracket of v_k's distance to their
   bounding box: on the planar drawings a vertical distance, bracketed by
   one division and no square root (_length), as the edges and pairs on a
   vertical or horizontal line are. Only the sources whose bound B_k =
-  (hi(v_k, w_k) + D_k) / gap_k reaches t are bracketed: 1-3 rows per
-  precision on the benchmark's planar and proper drawings. A drawing with
-  no such order, or whose bounds leave more than _FAR_ROWS sources, hands
-  over to the next.
+  (up_k + D_k) / gap_k reaches t are bracketed: 1-3 rows per precision on
+  the benchmark's planar and proper drawings, and only the edges their
+  rows read. A drawing with no such order, or whose bounds leave more than
+  _FAR_ROWS sources, hands over to the next, with the rows it bracketed.
 - the pruned pass (_pruned_scan), everywhere else. It walks a spanning
   tree in preorder (on a tree, the tree itself; on any other graph a
   minimum spanning tree of the squared edge lengths, _prim) and prunes
@@ -155,6 +160,23 @@ def _length(p: IntPoint, q: IntPoint, L: int, bits: int) -> tuple[int, int]:
     return m, m + (r != 0)
 
 
+class _Brackets(dict):
+    """One precision's edge brackets: edge (u, v), u < v, to its _length
+    bracket (lo, hi) at scale 2**bits over the denominator L of the integer
+    coords, computed on its first read. _tree_weights fills in a walk
+    tree's edges in its own loop; any other edge is bracketed only when
+    _dijkstra relaxes it."""
+
+    __slots__ = ("coords", "L", "bits")
+
+    def __init__(self, coords: Sequence[IntPoint], L: int, bits: int):
+        self.coords, self.L, self.bits = coords, L, bits
+
+    def __missing__(self, e: tuple[int, int]) -> tuple[int, int]:
+        b = self[e] = _length(self.coords[e[0]], self.coords[e[1]], self.L, self.bits)
+        return b
+
+
 def _scan(coords: Sequence[IntPoint], L: int, bits: int, table, best: Optional[list] = None) -> Interval:
     """The pair loop of every enclosure: the ratio enclosure over the pairs
     (u, v), for each (u, targets, dist_lo, dist_hi) that table yields and v in
@@ -196,16 +218,21 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     0. The precisions are 64, 128, ..., or, when b exceeds 64, 128 + b,
     256 + b, ... (_precisions).
 
-    The exact rows come from rows(lo_w, hi_w, groups), under the lower and
-    the upper integer edge-length brackets of a precision: on a tree from
-    its breadth-first preorder tree (_tree_rows), built once and walked by
-    the pruned pass too, and on any other graph from Dijkstra (_graph_rows).
+    The exact rows come from table_of(groups), under the lower and the
+    upper integer edge-length brackets of a precision, kept in one table
+    per precision (_Brackets) that brackets only the edges a pass reads: on
+    a tree from its breadth-first preorder tree (_tree_rows), built once
+    and walked by the pruned pass too, on the root distances that
+    _tree_weights takes once per precision over every edge; on any other
+    graph from Dijkstra (_graph_rows), which brackets the edges it relaxes.
     Where coordinates run past 53 bits, each precision first tries the
-    far-placement pass (_far_scan). Where it does not apply, or hands over,
-    the pruned pass (_pruned_scan) serves; on a graph that is not a tree
-    its spanning tree is built then, once. Both bracket only pairs that
-    can reach the running lower bound, so the enclosure is the full scan's
-    whichever way it went.
+    far-placement pass (_far_scan), whose bounds bracket no edge. Where it
+    does not apply, or hands over, the pruned pass (_pruned_scan) serves,
+    from the far pass's running bounds and on the same table; on a graph
+    that is not a tree its spanning tree is built then, once, and its
+    edges bracketed per precision by _tree_weights. Both passes bracket
+    only pairs that can reach the running lower bound, so the enclosure is
+    the full scan's whichever way it went.
     """
     g = d.graph
     if g.n < 2:
@@ -223,24 +250,27 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     inverse = -(-(L * L) // closest)  # ceil(L**2 / closest)
     b = ((inverse - 1).bit_length() + 1) // 2
     tree = None if parent is None else _spanning_tree(g, parent)
-    rows = partial(_graph_rows, g.n) if tree is None else partial(_tree_rows, tree)
     walk = tree  # the pruned pass's tree
     far = _far_order(g, coords) if _coord_bits(coords) > 53 else None
     for bits in _precisions(b if b > _START_BITS else 0):
-        lo_w, hi_w = {}, {}
-        for e in g.edges():
-            lo_w[e], hi_w[e] = _length(coords[e[0]], coords[e[1]], L, bits)
-        table_of = partial(rows, lo_w, hi_w)
+        brackets = _Brackets(coords, L, bits)
+        if tree is None:
+            roots = None
+            table_of = partial(_graph_rows, g.adj, brackets)
+        else:
+            roots = _tree_weights(tree, brackets)
+            table_of = partial(_tree_rows, tree, roots)
+        best = [(0, 1), (0, 1)]
         if far is not None:
-            ivl = _far_scan(far, coords, L, bits, table_of, hi_w)
+            ivl = _far_scan(far, coords, L, bits, table_of, best)
             if ivl is not None:
                 yield ivl
                 continue
             far = None  # not far-placed enough: the pruned pass from here on
         if walk is None:
-            lengths = {(u, v): dist_sq(coords[u], coords[v]) for u, v in g.edges()}
-            walk = _spanning_tree(g, _prim(_weighted_adj(g.n, lengths)))
-        yield _pruned_scan(walk, coords, L, bits, table_of, hi_w)
+            walk = _spanning_tree(g, _prim(g.adj, coords))
+        R = roots[1] if roots else _tree_weights(walk, brackets)[1]
+        yield _pruned_scan(walk, R, coords, L, bits, table_of, best)
 
 
 def _coord_bits(coords: Sequence[IntPoint]) -> int:
@@ -259,13 +289,14 @@ _FAR_ROWS = 8
 
 class _Far(NamedTuple):
     """A vertex order v_0, ..., v_{n-1} of a drawing for _far_scan, and for
-    each k >= 1, at steps[k - 1], the edge from v_k to its nearest earlier
-    neighbor w_k and the offset (dx, dy) from the bounding box of
-    v_0 .. v_{k-1} to v_k, on the integer coordinates: v_k's distance to the
-    box is |(dx, dy)|."""
+    each k >= 1, at steps[k - 1], c_k and the offset (dx, dy) from the
+    bounding box of v_0 .. v_{k-1} to v_k, on the integer coordinates: v_k's
+    distance to the box is |(dx, dy)|. c_k = a + ceil(b / 2), a >= b the
+    absolute offsets of the edge from v_k to w_k, its earlier neighbor with
+    the least c_k, bounds that edge's integer length (_far_bounds)."""
 
     order: list[int]
-    steps: list[tuple[tuple[int, int], IntPoint]]
+    steps: list[tuple[int, IntPoint]]
 
 
 def _far_order(g: Graph, coords: Sequence[IntPoint]) -> Optional[_Far]:
@@ -275,8 +306,8 @@ def _far_order(g: Graph, coords: Sequence[IntPoint]) -> Optional[_Far]:
     order, so the order comes from the points: the planar construction puts
     each vertex above the ones before it, the proper one to their right."""
     n = g.n
-    for a, b in ((1, 0), (0, 1)):
-        order = sorted(range(n), key=lambda v: (coords[v][a], coords[v][b]))
+    for i, j in ((1, 0), (0, 1)):
+        order = sorted(range(n), key=lambda v: (coords[v][i], coords[v][j]))
         pos = [0] * n
         for k, v in enumerate(order):
             pos[v] = k
@@ -284,14 +315,14 @@ def _far_order(g: Graph, coords: Sequence[IntPoint]) -> Optional[_Far]:
         steps = []
         for k in range(1, n):
             v = order[k]
-            earlier = [w for w in g.adj[v] if pos[w] < k]
-            if not earlier:
-                break
-            w = min(earlier, key=lambda w: dist_sq(coords[v], coords[w]))
             x, y = coords[v]
+            ends = [(abs(x - coords[w][0]), abs(y - coords[w][1])) for w in g.adj[v] if pos[w] < k]
+            if not ends:
+                break
+            c = min(max(a, b) + (min(a, b) + 1) // 2 for a, b in ends)
             dx = x0 - x if x < x0 else x - x1 if x > x1 else 0
             dy = y0 - y if y < y0 else y - y1 if y > y1 else 0
-            steps.append(((v, w) if v < w else (w, v), (dx, dy)))
+            steps.append((c, (dx, dy)))
             x0, x1, y0, y1 = min(x0, x), max(x1, x), min(y0, y), max(y1, y)
         else:
             return _Far(order, steps)
@@ -299,23 +330,26 @@ def _far_order(g: Graph, coords: Sequence[IntPoint]) -> Optional[_Far]:
 
 
 def _far_scan(far: _Far, coords: Sequence[IntPoint], L: int, bits: int,
-              table_of: Callable, hi_w: dict) -> Optional[Interval]:
+              table_of: Callable, best: list) -> Optional[Interval]:
     """The enclosure at scale 2**bits by branch and bound over the sources of
     far's order, each bracketed against the vertices before it:
-    table_of(groups) gives their rows under the precision's edge brackets,
-    of which hi_w are the upper ones. None when more than _FAR_ROWS sources need brackets.
+    table_of(groups) gives their rows under the precision's edge brackets.
+    _scan keeps its running bounds in best, as for _pruned_scan, which
+    starts from them when more than _FAR_ROWS sources need brackets and
+    this gives None.
 
     Every pair is (v_k, u) for exactly one k >= 1 and u before v_k. Let
-    hi(e) be the upper bracket of edge e, D_k the sum of hi over the edges
-    (v_j, w_j), 1 <= j < k, which form a spanning tree of v_0 .. v_{k-1},
-    and gap_k the lower _length bracket of v_k's distance to their
-    bounding box, |(dx, dy)| of its offset: a division, with no square
-    root, when the offset is vertical or horizontal, as it is for every
-    vertex of the planar construction, which goes above the ones before
-    it. The bound is B_k = (hi(v_k, w_k) + D_k) / gap_k, infinite when
-    gap_k = 0 (_far_bounds).
-    - dist_hi(v_k, u) <= hi(v_k, w_k) + D_k: dist_hi is the least weight of
-      a path under hi, and one path goes to w_k and then along the tree.
+    up_k = ceil(c_k 2**bits / L), at least the upper bracket of the edge
+    (v_k, w_k) (_far_bounds), D_k the sum of up_j, 1 <= j < k, over the
+    edges (v_j, w_j), which form a spanning tree of v_0 .. v_{k-1}, and
+    gap_k the lower _length bracket of v_k's distance to their bounding
+    box, |(dx, dy)| of its offset: a division, with no square root, when
+    the offset is vertical or horizontal, as it is for every vertex of the
+    planar construction, which goes above the ones before it. The bound is
+    B_k = (up_k + D_k) / gap_k, infinite when gap_k = 0 (_far_bounds).
+    - dist_hi(v_k, u) <= up_k + D_k: dist_hi is the least weight of a path
+      under the upper brackets, and one path goes to w_k and then along
+      the tree, each edge's upper bracket at most its up_j.
     - e_lo(v_k, u) >= gap_k: the box holds u, so |v_k u| is at least v_k's
       distance to it, and the lower bracket is monotone in the length.
     - So every pair of source v_k has dist_lo/e_hi <= dist_hi/e_lo <= B_k.
@@ -328,9 +362,8 @@ def _far_scan(far: _Far, coords: Sequence[IntPoint], L: int, bits: int,
     of the pair that set T. The enclosure is the full scan's, number for
     number. The comparisons are exact integer products, with no float
     error and no limit on the bits of the coordinates."""
-    sources = sorted(_far_bounds(far, L, bits, hi_w), key=lambda s: s[0], reverse=True)
+    sources = sorted(_far_bounds(far, L, bits), key=lambda s: s[0], reverse=True)
     order = far.order
-    best = [(0, 1), (0, 1)]
     bracketed = 0
 
     def groups():
@@ -348,17 +381,27 @@ def _far_scan(far: _Far, coords: Sequence[IntPoint], L: int, bits: int,
     return ivl if bracketed <= _FAR_ROWS else None
 
 
-def _far_bounds(far: _Far, L: int, bits: int, hi_w: dict) -> list[tuple[float, int, int, int]]:
+def _far_bounds(far: _Far, L: int, bits: int) -> list[tuple[float, int, int, int]]:
     """(key, num, gap, k) for each k >= 1 of far's order: _far_scan's bound
-    B_k = num / gap at scale 2**bits from the upper edge brackets hi_w, and
-    key its float value."""
+    B_k = num / gap at scale 2**bits, and key its float value. num sums
+    up_j = ceil(c_j 2**bits / L), j <= k, one division each on the integer
+    c_j that _far_order fixes per drawing: no edge is bracketed and no
+    square root taken.
+
+    up_k is at least the upper bracket hi of the edge (v_k, w_k). With
+    a >= b the absolute offsets of its ends, c_k = a + ceil(b / 2) and
+    (a + b/2)**2 = a**2 + ab + b**2/4 >= a**2 + b**2, since ab >= b**2, so
+    c_k 2**bits / L is at least the edge's scaled length s, and up_k at
+    least ceil(s). hi is isqrt_scaled's: s itself when s is an integer, else
+    floor(s) + 1 = ceil(s). On a vertical or horizontal edge, b = 0 and
+    up_k = hi; on any other the bound is above the length."""
     bounds = []
     tree = 0  # D_k
-    for k, (edge, offset) in enumerate(far.steps, 1):
-        w = hi_w[edge]
+    for k, (c, offset) in enumerate(far.steps, 1):
+        up = -(-(c << bits) // L)
         gap = _length((0, 0), offset, L, bits)[0]
-        bounds.append((_ratio_key(w + tree, gap), w + tree, gap, k))
-        tree += w
+        bounds.append((_ratio_key(up + tree, gap), up + tree, gap, k))
+        tree += up
     return bounds
 
 
@@ -371,17 +414,19 @@ def _ratio_key(num: int, den: int) -> float:
         return math.inf
 
 
-def _pruned_scan(tree: _Tree, coords: Sequence[IntPoint], L: int, bits: int,
-                 table_of: Callable, hi_w: dict) -> Interval:
+def _pruned_scan(tree: _Tree, R: list, coords: Sequence[IntPoint], L: int, bits: int,
+                 table_of: Callable, best: Optional[list] = None) -> Interval:
     """The enclosure at scale 2**bits by branch and bound over pairs of
     subtrees of tree, a spanning tree of the drawing's graph in preorder,
     table_of(groups) giving the rows of the pairs it keeps under the
-    precision's edge brackets, of which hi_w are the upper ones.
+    precision's edge brackets. best, when given, holds _scan's running
+    bounds from the pairs of an earlier pass, and t starts from them.
 
-    R holds the root distances of tree under hi_w. A node is a subtree x of
-    more than one position, with hmax[x] its largest root distance and its
-    integer bounding box, or a position x alone, with R[x] and its point; a
-    leaf is a position alone. Each pair of positions i < j has one lowest
+    R holds the root distances of tree under the upper edge brackets, by
+    position (_tree_weights). A node is a subtree x of more than one
+    position, with hmax[x] its largest root distance and its integer
+    bounding box, or a position x alone, with R[x] and its point; a leaf is
+    a position alone. Each pair of positions i < j has one lowest
     common ancestor c, and its tree path, R[i] + R[j] - 2 R[c], bounds
     dist_hi. For each c, from n - 1 down to 0, the parts of c are c alone
     and its child subtrees, and the pairs with ancestor c are those of the
@@ -403,9 +448,10 @@ def _pruned_scan(tree: _Tree, coords: Sequence[IntPoint], L: int, bits: int,
       other node in a block of the same c. Each pair of the block lies in
       exactly one of them, so at every stage each pair with ancestor c lies
       in exactly one block.
-    t only rises, so every pair skipped has dist_lo/e_hi <= dist_hi/e_lo < T,
-    T the final t. It moves neither the lower bound, T, nor the upper
-    bound, which is at least dist_hi/e_lo >= T of the pair that set T. The
+    t only rises, and is set by real pairs only, those of an earlier pass
+    too, so every pair skipped has dist_lo/e_hi <= dist_hi/e_lo < T, T the
+    final t. It moves neither the lower bound, T, nor the upper bound,
+    which is at least dist_hi/e_lo >= T of the pair that set T. The
     enclosure is the full scan's, number for number, at any bit size.
 
     Blocks that share their first node P come together, (P, Qs): each Q,
@@ -418,7 +464,6 @@ def _pruned_scan(tree: _Tree, coords: Sequence[IntPoint], L: int, bits: int,
     on big coordinates."""
     order, up, end = tree.order, tree.up, tree.end
     n = len(order)
-    R = _tree_weights(tree, hi_w)
     den = L * L
     xs = [coords[v][0] for v in order]
     ys = [coords[v][1] for v in order]
@@ -446,10 +491,11 @@ def _pruned_scan(tree: _Tree, coords: Sequence[IntPoint], L: int, bits: int,
     parts = [[n + x] for x in range(n)]
     for x in range(1, n):
         parts[up[x]].append(x if end[x] - x > 1 else n + x)
-    best = [(0, 1), (0, 1)]
+    if best is None:
+        best = [(0, 1), (0, 1)]
 
     def groups():
-        p = bound = 0
+        p, bound = _block_bound(best, bits)
         stack = []
         for c in range(n - 1, -1, -1):
             top = parts[c]
@@ -479,9 +525,7 @@ def _pruned_scan(tree: _Tree, coords: Sequence[IntPoint], L: int, bits: int,
                                 nodes += parts[s]
                                 continue
                             yield order[i], [order[s - n]]
-                            t_num, t_den = best[0]
-                            p = (t_num << 64) // t_den
-                            bound = (p * p) << 2 * bits
+                            p, bound = _block_bound(best, bits)
                             o = p - two_rc
                             oi = o + H[a]
                         continue
@@ -505,6 +549,14 @@ def _pruned_scan(tree: _Tree, coords: Sequence[IntPoint], L: int, bits: int,
                         stack += [(s, keep) for s in parts[a]]
 
     return _scan(coords, L, bits, table_of(groups()), best)
+
+
+def _block_bound(best: list, bits: int) -> tuple[int, int]:
+    """(p, p**2 2**(2 bits)) for _pruned_scan's block test: p / 2**64 the
+    running lower bound t of best, rounded down."""
+    t_num, t_den = best[0]
+    p = (t_num << 64) // t_den
+    return p, (p * p) << 2 * bits
 
 
 class _Tree(NamedTuple):
@@ -540,9 +592,9 @@ def _spanning_tree(g: Graph, parent: list) -> _Tree:
     return _Tree(order, pos, up, [i + k for i, k in enumerate(size)])
 
 
-def _prim(adj: list[list[tuple]]) -> list:
-    """The parents of a minimum spanning tree of a connected graph, from
-    (neighbor, weight) adjacency lists (Prim, from vertex 0; None at the
+def _prim(adj: list[list[int]], coords: Sequence[IntPoint]) -> list:
+    """The parents of a minimum spanning tree of a connected graph under
+    the squared integer edge lengths (Prim, from vertex 0; None at the
     root). Heap ties break by (weight, vertex)."""
     parent: list = [None] * len(adj)
     done = [False] * len(adj)
@@ -553,36 +605,34 @@ def _prim(adj: list[list[tuple]]) -> list:
             continue
         done[v] = True
         parent[v] = p
-        for u, w in adj[v]:
+        for u in adj[v]:
             if not done[u]:
-                heapq.heappush(heap, (w, u, v))
+                heapq.heappush(heap, (dist_sq(coords[u], coords[v]), u, v))
     return parent
 
 
-def _tree_weights(t: _Tree, weight: dict) -> list:
-    """The distance from the root along the tree, by position of t."""
+def _tree_weights(t: _Tree, brackets: _Brackets) -> tuple[list, list]:
+    """The distances from the root along the tree under the lower and the
+    upper edge brackets, by position of t. Every tree edge is bracketed
+    here, in one loop, and kept in brackets."""
     order, up = t.order, t.up
-    root = [0] * len(order)
+    coords, L, bits = brackets.coords, brackets.L, brackets.bits
+    r_lo, r_hi = [0] * len(order), [0] * len(order)
     for i in range(1, len(order)):
-        u, p = order[i], order[up[i]]
-        root[i] = root[up[i]] + weight[(u, p) if u < p else (p, u)]
-    return root
+        u, a = order[i], up[i]
+        p = order[a]
+        lo, hi = brackets[(u, p) if u < p else (p, u)] = _length(coords[u], coords[p], L, bits)
+        r_lo[i], r_hi[i] = r_lo[a] + lo, r_hi[a] + hi
+    return r_lo, r_hi
 
 
-def _weighted_adj(n: int, weight: dict) -> list[list[tuple]]:
-    """Adjacency lists of (neighbor, weight) pairs from the weights of the edges."""
-    adj: list[list[tuple]] = [[] for _ in range(n)]
-    for (u, v), w in weight.items():
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    return adj
-
-
-def _dijkstra(adj: list[list[tuple]], source: int) -> Iterator[tuple]:
-    """Dijkstra from source over (neighbor, weight) adjacency lists with
-    nonnegative weights: each vertex reached, with its shortest-path
-    distance, as it is settled. A caller reads only as far as it needs, and
-    may come back for more."""
+def _dijkstra(adj: list[list[int]], brackets: _Brackets, side: int, source: int) -> Iterator[tuple]:
+    """Dijkstra from source over the adjacency lists, each edge weighted by
+    its lower (side 0) or upper (side 1) bracket: each vertex reached, with
+    its shortest-path distance, as it is settled. An edge is bracketed only
+    when it is relaxed, and not toward a vertex already as near as the one
+    settled. A caller reads only as far as it needs, and may come back for
+    more."""
     dist = [math.inf] * len(adj)
     dist[source] = 0
     heap = [(0, source)]
@@ -591,25 +641,27 @@ def _dijkstra(adj: list[list[tuple]], source: int) -> Iterator[tuple]:
         if du > dist[u]:
             continue
         yield u, du
-        for v, w in adj[u]:
-            if du + w < dist[v]:
-                dist[v] = du + w
-                heapq.heappush(heap, (dist[v], v))
+        for v in adj[u]:
+            if dist[v] <= du:
+                continue  # no edge weight is negative
+            dv = du + brackets[(u, v) if u < v else (v, u)][side]
+            if dv < dist[v]:
+                dist[v] = dv
+                heapq.heappush(heap, (dv, v))
 
 
-def _graph_rows(n: int, lo_w: dict, hi_w: dict, groups) -> Iterator[tuple]:
-    """The exact rows of a connected graph on range(n) under the lower and
-    the upper integer edge brackets lo_w, hi_w: for each (u, targets) of
-    groups, in turn, (u, targets, dist_lo, dist_hi) as _scan reads them,
-    from Dijkstra stopped once the targets are settled, and resumed for the
-    next group when it has the same source. Like _tree_rows, it draws a
-    group only after it has yielded the last one's row, so groups may read
-    the running bounds of _scan."""
-    adj_lo, adj_hi = _weighted_adj(n, lo_w), _weighted_adj(n, hi_w)
+def _graph_rows(adj: list[list[int]], brackets: _Brackets, groups) -> Iterator[tuple]:
+    """The exact rows of a connected graph with adjacency lists adj under
+    the lower and the upper edge brackets of one precision: for each
+    (u, targets) of groups, in turn, (u, targets, dist_lo, dist_hi) as
+    _scan reads them, from Dijkstra stopped once the targets are settled,
+    and resumed for the next group when it has the same source. Like
+    _tree_rows, it draws a group only after it has yielded the last one's
+    row, so groups may read the running bounds of _scan."""
     source = None
     for u, targets in groups:
         if u != source:
-            source, searches = u, [(_dijkstra(adj_lo, u), {}), (_dijkstra(adj_hi, u), {})]
+            source, searches = u, [(_dijkstra(adj, brackets, side, u), {}) for side in (0, 1)]
         rows = []
         for search, settled in searches:
             for v in targets:
@@ -620,11 +672,12 @@ def _graph_rows(n: int, lo_w: dict, hi_w: dict, groups) -> Iterator[tuple]:
         yield u, targets, rows[0], rows[1]
 
 
-def _tree_rows(t: _Tree, lo_w: dict, hi_w: dict, groups) -> Iterator[tuple]:
+def _tree_rows(t: _Tree, roots: tuple[list, list], groups) -> Iterator[tuple]:
     """The rows _graph_rows gives, on a tree t: R[i] + R[j] - 2 R[a] under
-    either edge bracket, R the integer root distances and a the lowest
-    common ancestor of positions i and j (_Tree.lca)."""
-    r_lo, r_hi = _tree_weights(t, lo_w), _tree_weights(t, hi_w)
+    either edge bracket, R the integer root distances of roots
+    (_tree_weights) and a the lowest common ancestor of positions i and j
+    (_Tree.lca)."""
+    r_lo, r_hi = roots
     pos = t.pos
     for u, targets in groups:
         i = pos[u]
@@ -845,8 +898,11 @@ def compute_metrics(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> MetricRe
     proper = (collinear_free or (planar and all(g.adj) and not coincident(d.points))
               or is_proper_drawing(d))
     sr: Optional[Interval] = None
-    if g.n >= 2 and is_connected(g):
-        sr = spanning_ratio(d, rel_tol)
+    if g.n >= 2:
+        try:
+            sr = spanning_ratio(d, rel_tol)
+        except DisconnectedDrawingError:
+            pass
     elr: Optional[Interval] = None
     if g.m >= 1:
         elr = edge_length_ratio(d, rel_tol)

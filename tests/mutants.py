@@ -50,6 +50,7 @@ COLLINEAR = "tests/test_exact_geometry.py::TestAnyThreeCollinear::"
 PROPER = "tests/test_layout.py::TestProperSpanner::"
 PRUNED = "tests/test_metrics.py::TestPrunedScan::"
 LENGTH = "tests/test_metrics.py::TestLength::"
+FAR = "tests/test_metrics.py::TestFarPlacement::"
 DRAWING = "tests/test_fileio_cli.py::TestDrawingValidation::"
 
 MUTANTS = [
@@ -164,7 +165,7 @@ MUTANTS = [
            (PRUNED + "test_pruning_keeps_its_margin",),
            "boxes built on the wrong axis: the gaps between boxes are not distances"),
     Mutant("src/spannerdraw/metrics.py",
-           "walk = _spanning_tree(g, _prim(_weighted_adj(g.n, lengths)))",
+           "walk = _spanning_tree(g, _prim(g.adj, coords))",
            "walk = _spanning_tree(g, bfs_parents(g))",
            (PRUNED + "test_walk_tree_is_minimum",),
            "the non-tree walk built on bfs_parents: not the minimum spanning tree the pass is tuned for"),
@@ -193,6 +194,23 @@ MUTANTS = [
            "            two_rc = H[n + c] << 1\n            o = -two_rc",
            (PRUNED + "test_margin_holds_at_each_new_ancestor",),
            "the margin dropped at the start of each c: blocks are skipped at t E, not t (E - 1)"),
+    # The far-placement pass's integer bounds (metrics._far_order,
+    # _far_bounds) and its hand-over to the pruned pass.
+    Mutant("src/spannerdraw/metrics.py",
+           "(min(a, b) + 1) // 2",
+           "min(a, b) // 2",
+           (FAR + "test_far_bound_is_sound",),
+           "b // 2 for ceil(b / 2) in c_k: a diagonal edge's bound falls below its length"),
+    Mutant("src/spannerdraw/metrics.py",
+           "up = -(-(c << bits) // L)",
+           "up = (c << bits) // L",
+           (FAR + "test_far_bound_is_sound",),
+           "c_k scaled by the floor: the bound falls below an edge's upper bracket"),
+    Mutant("src/spannerdraw/metrics.py",
+           "yield _pruned_scan(walk, R, coords, L, bits, table_of, best)",
+           "yield _pruned_scan(walk, R, coords, L, bits, table_of)",
+           (FAR + "test_drawings_not_far_placed_hand_over",),
+           "the far pass's bounds dropped at a hand-over: its rows are lost"),
     # The value types (drawing.Drawing, layout.Epsilon, frozen.Frozen).
     Mutant("src/spannerdraw/drawing.py",
            "type(p[0]) is int and type(p[1]) is int",

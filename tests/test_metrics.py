@@ -88,6 +88,28 @@ class TestSpanningRatio:
             spanning_ratio_bruteforce(d)
         assert compute_metrics(d).spanning_ratio is None
 
+    def test_one_connectivity_walk_per_report(self, monkeypatch):
+        # compute_metrics leaves connectivity to spanning_ratio: one walk per
+        # report, is_connected on a graph that is not a tree, bfs_parents on
+        # one with n - 1 edges; a disconnected drawing reports no spanning
+        # ratio, with coincident vertices too.
+        walks = Counter()
+        for name in ("is_connected", "bfs_parents"):
+            monkeypatch.setattr(metrics, name, partial(lambda f, name, g: walks.update([name]) or f(g),
+                                                       getattr(metrics, name), name))
+        cases = [(drawing(3, [(0, 1), (1, 2), (0, 2)], [(0, 0), (1, 0), (0, 1)]), "is_connected", True),
+                 (drawing(3, [(0, 1), (1, 2)], [(0, 0), (1, 0), (0, 1)]), "bfs_parents", True),
+                 (drawing(4, [(0, 1), (1, 2), (0, 2)], [(0, 0), (1, 0), (0, 1), (2, 2)]), "bfs_parents", False),
+                 (drawing(3, [(0, 1)], [(0, 0), (1, 0), (1, 0)]), "is_connected", False),
+                 (drawing(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
+                          [(0, 0), (1, 0), (0, 1), (5, 0), (6, 0), (5, 1)]), "is_connected", False),
+                 (drawing(4, [(0, 1), (1, 2), (2, 3)], [(0, 0), (1, 0), (1, 0), (3, 1)]), "bfs_parents", True)]
+        for k, (d, walk, connected) in enumerate(cases):
+            walks.clear()
+            sr = compute_metrics(d).spanning_ratio
+            assert walks == Counter([walk]), (k, walks)
+            assert (sr is not None) == connected, k
+
     def test_coincident_sentinel(self):
         d = drawing(3, [(0, 1), (1, 2)], [(0, 0), (0, 0), (1, 0)])
         sr = spanning_ratio(d)
@@ -261,8 +283,7 @@ def walk_tree(g, coords):
     lengths of any other graph."""
     if g.m == g.n - 1:
         return metrics._spanning_tree(g, bfs_parents(g))
-    lengths = {(u, v): dist_sq(coords[u], coords[v]) for u, v in g.edges()}
-    return metrics._spanning_tree(g, metrics._prim(metrics._weighted_adj(g.n, lengths)))
+    return metrics._spanning_tree(g, metrics._prim(g.adj, coords))
 
 
 def assert_oracle_enclosures(d, key, count=3):
@@ -381,11 +402,11 @@ class TestPrunedScan:
             for bits in range(1, 60):
                 if 4**bits * d.closest_sq < L * L:
                     continue  # a pair brackets to 0: no enclosure runs at these bits
-                lo_w, hi_w = {}, {}
-                for u, v in g.edges():
-                    lo_w[(u, v)], hi_w[(u, v)] = isqrt_scaled(dist_sq(coords[u], coords[v]), L * L, bits)
-                rows = partial(metrics._graph_rows, g.n, lo_w, hi_w)
-                full = metrics._scan(coords, L, bits, rows(every))
+                full = metrics._scan(coords, L, bits,
+                                     metrics._graph_rows(g.adj, metrics._Brackets(coords, L, bits), every))
+                brackets = metrics._Brackets(coords, L, bits)
+                rows = partial(metrics._graph_rows, g.adj, brackets)
+                R = metrics._tree_weights(t, brackets)[1]
                 kept = [0]
 
                 def counted(groups):
@@ -393,7 +414,7 @@ class TestPrunedScan:
                         kept[0] += len(targets)
                         yield u, targets
 
-                ivl = metrics._pruned_scan(t, coords, L, bits, lambda groups: rows(counted(groups)), hi_w)
+                ivl = metrics._pruned_scan(t, R, coords, L, bits, lambda groups: rows(counted(groups)))
                 assert (ivl.lo, ivl.hi) == (full.lo, full.hi), (k, bits)
                 checked["pruned" if kept[0] < g.n * (g.n - 1) // 2 else "every pair"] += 1
         assert checked["pruned"] > 300, checked
@@ -527,16 +548,16 @@ class TestPrunedScan:
         # and dist_hi = 3 < t E, but dist_hi / e_lo = 3/2, the upper bound
         # of the full scan.
         d = drawing(3, [(0, 1), (0, 2)], [(2, 3), (3, 2), (7, 5)])
-        hi_w = {e: isqrt_scaled(dist_sq(d.points[e[0]], d.points[e[1]]), 1, 1)[1] for e in d.graph.edges()}
-        lo_w = {e: isqrt_scaled(dist_sq(d.points[e[0]], d.points[e[1]]), 1, 1)[0] for e in d.graph.edges()}
+        brackets = metrics._Brackets(d.points, 1, 1)
         groups = []
 
         def rows(kept):
             for u, targets in kept:
                 groups.append((u, list(targets)))
-                yield from metrics._graph_rows(3, lo_w, hi_w, [(u, targets)])
+                yield from metrics._graph_rows(d.graph.adj, brackets, [(u, targets)])
 
-        ivl = metrics._pruned_scan(walk_tree(d.graph, d.points), d.points, 1, 1, rows, hi_w)
+        t = walk_tree(d.graph, d.points)
+        ivl = metrics._pruned_scan(t, metrics._tree_weights(t, brackets)[1], d.points, 1, 1, rows)
         assert groups == [(2, [1]), (0, [1])]
         assert (ivl.lo, ivl.hi) == (F(6, 5), F(3, 2))
 
@@ -638,19 +659,33 @@ def y_ordered_drawing(n, bits, seed):
     return Drawing(Graph.from_edges(n, edges), tuple(points))
 
 
+def zigzag_line(n, axis):
+    """A path on one vertical (axis 1) or horizontal (axis 0) line at
+    (5**k - 1) / 7, k < n, each vertex joined to the one two before it,
+    and the first two to each other: every far step is axis-parallel, so
+    its integer bound is exact, and the path from v_k through w_k runs
+    along the whole tree before it to v_{k-1}, the point of the box
+    nearest to v_k. So the pair (v_k, v_{k-1}) meets B_k exactly."""
+    heights = [F(5**k - 1, 7) for k in range(n)]
+    points = [(F(0), h) if axis else (h, F(0)) for h in heights]
+    return drawing(n, [(0, 1)] + [(k - 2, k) for k in range(2, n)], points)
+
+
 class TestFarPlacement:
     """The far-placement pass brackets only the sources whose bound
-    B_k = (hi(v_k, w_k) + D_k) / gap_k reaches the running lower bound, and
+    B_k = (up_k + D_k) / gap_k reaches the running lower bound, and
     its enclosure equals the full scan's, number for number."""
 
     @pytest.fixture
     def far_log(self, monkeypatch):
-        """Per call of _far_scan, (sources bracketed, handed over); and the
-        calls of _far_order and _pruned_scan under "order" and "pruned"."""
-        log = {"scans": [], "order": 0, "pruned": 0}
+        """Per call of _far_scan, (sources bracketed, handed over); the
+        calls of _far_order and _pruned_scan under "order" and "pruned";
+        and the running lower bound each pruned pass starts from, under
+        "starts"."""
+        log = {"scans": [], "order": 0, "pruned": 0, "starts": []}
         far_scan, far_order, pruned_scan = metrics._far_scan, metrics._far_order, metrics._pruned_scan
 
-        def scan(far, coords, L, bits, rows, hi_w):
+        def scan(far, coords, L, bits, rows, best):
             count = [0]
 
             def counted(groups):
@@ -658,7 +693,7 @@ class TestFarPlacement:
                     count[0] += 1
                     yield group
 
-            ivl = far_scan(far, coords, L, bits, lambda groups: rows(counted(groups)), hi_w)
+            ivl = far_scan(far, coords, L, bits, lambda groups: rows(counted(groups)), best)
             log["scans"].append((count[0], ivl is None))
             return ivl
 
@@ -668,6 +703,7 @@ class TestFarPlacement:
 
         def pruned(*args):
             log["pruned"] += 1
+            log["starts"].append(args[-1][0])
             return pruned_scan(*args)
 
         monkeypatch.setattr(metrics, "_far_scan", scan)
@@ -708,6 +744,10 @@ class TestFarPlacement:
         # whole tree of the prefix, and (0, 0) is the point of the prefix's
         # box nearest to (0, H), so dist_hi / e_lo = B_2 for the pair.
         cases.append(drawing(3, [(0, 1), (1, 2)], [(0, 0), (-3, -1), (0, 40)]))
+        # Bounds that are exact: on the planar drawings only a step that is
+        # vertical or horizontal gives one, a + ceil(b / 2) exceeding the
+        # length of any other.
+        cases += [zigzag_line(7, 1), shifted(zigzag_line(7, 0), 200)]
         checked = Counter()
         for k, d in enumerate(cases):
             g, coords, L = d.graph, d.points, d.den
@@ -716,18 +756,15 @@ class TestFarPlacement:
             for bits in range(1, 60, 3):
                 if 4**bits * d.closest_sq < L * L:
                     continue  # a pair brackets to 0: no enclosure runs at these bits
-                lo_w, hi_w = {}, {}
-                for u, v in g.edges():
-                    lo_w[(u, v)], hi_w[(u, v)] = isqrt_scaled(dist_sq(coords[u], coords[v]), L * L, bits)
-                rows = partial(metrics._graph_rows, g.n, lo_w, hi_w)
+                rows = partial(metrics._graph_rows, g.adj, metrics._Brackets(coords, L, bits))
                 dist_hi = {u: hi for u, _, _, hi in rows((u, range(g.n)) for u in range(g.n))}
-                for _, num, gap, j in metrics._far_bounds(far, L, bits, hi_w):
+                for _, num, gap, j in metrics._far_bounds(far, L, bits):
                     v = far.order[j]
                     for u in far.order[:j]:
                         e_lo = isqrt_scaled(dist_sq(coords[v], coords[u]), L * L, bits)[0]
                         assert dist_hi[v][u] * gap <= num * e_lo, (k, bits, j, u)
                         checked["tight"] += dist_hi[v][u] * gap == num * e_lo
-                ivl = metrics._far_scan(far, coords, L, bits, rows, hi_w)
+                ivl = metrics._far_scan(far, coords, L, bits, rows, [(0, 1), (0, 1)])
                 if ivl is None:
                     checked["handed over"] += 1
                     continue
@@ -760,6 +797,98 @@ class TestFarPlacement:
             assert far_log["scans"] and all(0 < rows <= 3 and not fell for rows, fell in far_log["scans"]), k
         assert far_log["pruned"] == 0
 
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """Every edge bracket table that spanning_ratio builds, one per precision."""
+        built = []
+
+        class Recorded(metrics._Brackets):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(metrics, "_Brackets", Recorded)
+        return built
+
+    def test_far_placed_drawings_bracket_a_few_edges(self, tables):
+        # Counted, not timed: on the drawings of
+        # test_far_placed_drawings_bracket_a_few_rows (m = 319), the far
+        # pass's bounds bracket no edge, and Dijkstra brackets only the
+        # edges it relaxes from the few sources: 9-15 per precision
+        # (measured), against all m when every precision bracketed every
+        # edge.
+        workloads = bench_workloads()
+        graphs = [Graph.from_edges(160, workloads.random_planar_edges(160, random.Random(k), 160))
+                  for k in range(2)]
+        cases = [draw_planar_spanner(h, Epsilon(eps)) for h in graphs for eps in (F(1), F(1, 10))]
+        cases.append(draw_proper_spanner(random_connected_graph(160, 160, 5), Epsilon(F(1, 2))))
+        for k, d in enumerate(cases):
+            tables.clear()
+            spanning_ratio(d)
+            assert tables and all(0 < len(t) <= d.graph.m // 10 for t in tables), (k, [len(t) for t in tables])
+
+    def test_a_tree_brackets_each_edge(self, tables):
+        # On a tree every row reads the root distances, so every edge is
+        # bracketed at every precision, once, by _tree_weights: in the far
+        # pass (a planar drawing of a tree, past 53 bits), and in the
+        # pruned pass. On any other graph the pruned pass brackets at least
+        # the n - 1 edges of its walk tree.
+        trees = [draw_planar_spanner(random_tree(60, 4, 60), Epsilon(F(1, 10))),
+                 draw_tree_planar(RootedTree.from_graph(random_tree(125, 3, 125), 0), Epsilon(1)),
+                 zigzag_tree(40)]
+        assert metrics._coord_bits(trees[0].points) > 53
+        for k, d in enumerate(trees):
+            tables.clear()
+            spanning_ratio(d)
+            assert tables and all(sorted(t) == d.graph.edges() for t in tables), k
+        tables.clear()
+        d = random_drawing(30, 7)
+        assert d.graph.m > d.graph.n - 1
+        spanning_ratio(d)
+        assert tables and all(d.graph.n - 1 <= len(t) <= d.graph.m for t in tables)
+
+    def test_far_bound_is_sound(self):
+        # ceil(c_k 2**bits / L), c_k = a + ceil(b / 2), is at least the
+        # upper _length bracket of the edge (v_k, w_k), at every precision:
+        # on single edges of random offsets, with a = b and b = 0 among
+        # them, and on each step of the small far-placed drawings, read
+        # back from _far_bounds as the rise of num from step k - 1 to k.
+        rng = random.Random(2034)
+        offsets = [(1, 1), (1, 0), (0, 1), (7, 7), (2**40, 2**40), (3, 0), (2**70 + 1, 1), (5, 4)]
+        offsets += [(rng.getrandbits(rng.choice((4, 30, 90))), rng.getrandbits(rng.choice((4, 30, 90))))
+                    for _ in range(60)]
+        offsets += [(x, x) for x in (rng.getrandbits(50) + 1 for _ in range(10))]
+        edge = Graph.from_edges(2, [(0, 1)])
+        checked = Counter()
+        for dx, dy in offsets:
+            if dx == dy == 0:
+                continue
+            for den in (1, 3, 2**20, 10**9 + 7):
+                d = Drawing(edge, ((0, 0), (dx, -dy)), den)
+                far = metrics._far_order(d.graph, d.points)
+                for bits in range(1, 61):
+                    [(_, num, _, _)] = metrics._far_bounds(far, d.den, bits)
+                    hi = metrics._length(*d.points, d.den, bits)[1]
+                    assert num >= hi, (dx, dy, den, bits)
+                    checked["exact" if num == hi else "above"] += 1
+        for k, d in enumerate(small_far_drawings()):
+            g, coords, L = d.graph, d.points, d.den
+            far = metrics._far_order(g, coords)
+            if far is None:
+                continue
+            pos = {v: i for i, v in enumerate(far.order)}
+            for bits in range(1, 61):
+                num = 0
+                for _, total, _, j in metrics._far_bounds(far, L, bits):
+                    v = far.order[j]
+                    his = [metrics._length(coords[v], coords[w], L, bits)[1] for w in g.adj[v] if pos[w] < j]
+                    assert total - num >= min(his), (k, bits, j)
+                    num = total
+                    checked["steps"] += 1
+        assert checked["exact"] > 2000 and checked["above"] > 10000 and checked["steps"] > 5000, checked
+
     def test_small_coordinates_never_enter(self, far_log):
         # Tough and tree-planar drawings keep their coordinates within 53
         # bits, so the pruned pass alone serves them.
@@ -774,8 +903,9 @@ class TestFarPlacement:
 
     def test_drawings_not_far_placed_hand_over(self, far_log):
         # Random points past 53 bits with connected (y, x) prefixes: the pass
-        # spends its rows and hands over to the pruned pass. A star centered
-        # among its leaves has no order at all.
+        # spends its rows and hands over to the pruned pass, which starts
+        # from the lower bound of those rows. A star centered among its
+        # leaves has no order at all.
         cases = [shifted(y_ordered_drawing(n, 30, n), 200) for n in (20, 40)]
         cases += [shifted(random_drawing(12, seed), 200) for seed in range(4)]
         star = drawing(5, [(0, 1), (0, 2), (0, 3), (0, 4)], [(0, 0), (-2, 1), (2, -1), (1, 2), (-1, -2)])
@@ -783,13 +913,17 @@ class TestFarPlacement:
         fell = 0
         for k, d in enumerate(cases):
             far_log["scans"].clear()
+            far_log["starts"].clear()
             far_log["pruned"] = 0
             a, b, c = spanning_ratio(d), spanning_ratio_oracle(d), spanning_ratio_bruteforce(d)
             assert (a.lo, a.hi) == (b.lo, b.hi) and a.intersects(c), k
             assert far_log["pruned"] > 0, k
             if far_log["scans"]:
                 assert far_log["scans"] == [(metrics._FAR_ROWS, True)], (k, far_log["scans"])
+                assert far_log["starts"][0][0] > 0, (k, far_log["starts"])
                 fell += 1
+            else:
+                assert far_log["starts"][0] == (0, 1), k
         assert fell >= 2
         assert metrics._far_order(star.graph, shifted(star, 200).points) is None
 
