@@ -19,6 +19,14 @@ with one exact direction key per point, and any_three_collinear scans each
 hub against the points after it that way. The scan serves the tree-proper
 merge, and the no_three_collinear certificate of the drawings that the
 count and the lemma leave open.
+
+Below 2**FLOAT_BITS the scan puts a fingerprint in front of the exact keys
+(after Karp and Rabin, IBM J. R&D 1987): each later point's slope from the
+hub as a double, which Python's int / int rounds correctly. Equal slopes
+give equal doubles, so the fingerprint misses no line, and a hub's exact
+keys are built only where its slopes repeat, to confirm the line or turn
+down a rounding collision. The verdicts are the exact keys', and a
+collision costs only time.
 """
 
 from __future__ import annotations
@@ -26,10 +34,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from collections import Counter
+from itertools import chain
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 IntPoint = tuple[int, int]
+
+# The bits of a double's significand: every integer below 2**FLOAT_BITS in
+# size is a double, and a slope of two such points a finite one.
+FLOAT_BITS = 53
 
 
 def orientation(a: IntPoint, b: IntPoint, c: IntPoint) -> int:
@@ -118,6 +131,24 @@ def on_line_through_two(z: IntPoint, points: Sequence[IntPoint]) -> bool:
         for g in (gcd(dx, dy) if dx > 0 or (dx == 0 and dy > 0) else -gcd(dx, dy),)
     }
     return len(keys) < len(points)
+
+
+def coord_bits(points: Iterable[IntPoint]) -> int:
+    """The bit length of the largest absolute integer coordinate, 0 for no points."""
+    return max(map(abs, chain.from_iterable(points)), default=0).bit_length()
+
+
+def _slopes_repeat(z: IntPoint, points: Sequence[IntPoint]) -> bool:
+    """True if two of `points` have one slope from z as a double: the
+    correctly rounded (y - zy) / (x - zx), or inf where x = zx.
+
+    A fingerprint of on_line_through_two(z, points): two of its exact keys
+    are equal only where these slopes are, so False settles it, and True
+    may be a rounding collision.
+    """
+    zx, zy = z
+    slopes = {(y - zy) / (x - zx) if x != zx else math.inf for x, y in points}
+    return len(slopes) < len(points)
 
 
 def closest_pair_sq(points: Sequence[IntPoint]) -> int:
@@ -217,6 +248,20 @@ def any_three_collinear(points: Sequence[IntPoint], hubs: Optional[int] = None) 
     after it, sum over the hubs i of n - 1 - i direction keys, n(n-1)/2
     for all points, and the scan stops at the first hub on a line. Vertex
     order is kept: a drawing's collinear triple tends to come early in it.
+
+    The keys are slopes first where every coordinate is below
+    2**FLOAT_BITS in size, a gate of one O(n) pass per call: a hub's later
+    points are keyed by their slopes from it as doubles (_slopes_repeat),
+    and only a hub whose slopes repeat builds its exact keys. int / int is
+    correctly rounded, so a slope's double is a function of the exact
+    rational: two points on one line through the hub, on one ray or on
+    opposite rays, have one slope, and so one double (0.0 and -0.0 compare
+    and hash equal). Every collinear triple therefore reaches the exact
+    keys, which also turn down a repeat of two slopes that only round
+    alike: no verdict changes, and a collision costs only time. Past
+    2**FLOAT_BITS the scan keys exactly: a slope may overflow a double
+    there, and on the tree-proper stars, which reach the scan, slopes
+    collide at most hubs.
     """
     if coincident(points):
         return True
@@ -225,5 +270,8 @@ def any_three_collinear(points: Sequence[IntPoint], hubs: Optional[int] = None) 
             return True
         if _far_placed(sorted(points)):
             return False
+    if coord_bits(points) <= FLOAT_BITS:
+        return any(_slopes_repeat(z, rest) and on_line_through_two(z, rest)
+                   for i, z in enumerate(points[:hubs]) for rest in (points[i + 1:],))
     return any(on_line_through_two(z, points[i + 1:])
                for i, z in enumerate(points[:hubs]))

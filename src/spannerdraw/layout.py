@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 from .drawing import Drawing
@@ -286,7 +287,7 @@ def _merge_tree_parts(upper: _TreePart, lower: _TreePart, k: int, gamma: int) ->
             small, large = (left, right) if len(left) <= len(right) else (right, left)
             if not any_three_collinear(small + large, len(small)):
                 pts = left + right
-                g = math.gcd(den, *(c for p in pts for c in p))
+                g = math.gcd(den, *chain.from_iterable(pts))
                 return verts1 + verts2, [(x // g, y // g) for x, y in pts], den // g
         j = span
         span *= 8

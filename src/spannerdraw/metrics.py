@@ -90,9 +90,11 @@ from .drawing import Drawing
 from .errors import DisconnectedDrawingError, NoEdgesError, PrecisionExhausted
 from .exact import Interval, isqrt_scaled, sqrt_interval
 from .geometry import (
+    FLOAT_BITS,
     IntPoint,
     any_three_collinear,
     coincident,
+    coord_bits,
     dist_sq,
     in_segment_interior,
     orientation,
@@ -251,7 +253,7 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     b = ((inverse - 1).bit_length() + 1) // 2
     tree = None if parent is None else _spanning_tree(g, parent)
     walk = tree  # the pruned pass's tree
-    far = _far_order(g, coords) if _coord_bits(coords) > 53 else None
+    far = _far_order(g, coords) if coord_bits(coords) > FLOAT_BITS else None
     for bits in _precisions(b if b > _START_BITS else 0):
         brackets = _Brackets(coords, L, bits)
         if tree is None:
@@ -271,11 +273,6 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
             walk = _spanning_tree(g, _prim(g.adj, coords))
         R = roots[1] if roots else _tree_weights(walk, brackets)[1]
         yield _pruned_scan(walk, R, coords, L, bits, table_of, best)
-
-
-def _coord_bits(coords: Sequence[IntPoint]) -> int:
-    """The bit length of the largest absolute integer coordinate."""
-    return max(abs(c).bit_length() for p in coords for c in p)
 
 
 # The far-placement pass brackets at most _FAR_ROWS sources per precision

@@ -3,12 +3,13 @@ re-runs are deterministic."""
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from spannerdraw import Drawing, Graph
+from spannerdraw import Drawing, Graph, geometry
 from spannerdraw.embedding import planarity_test_embed
 
 BENCH = str(Path(__file__).resolve().parent.parent / "bench")
@@ -22,6 +23,33 @@ def bench_workloads():
     import workloads
 
     return workloads
+
+
+class KeyCount:
+    """The direction keys that geometry builds while installed, counted by
+    kind: slope keys, one per point handed to the slope fingerprint, and
+    exact keys, one gcd each. counts() gives (slope, exact)."""
+
+    def __init__(self, monkeypatch):
+        self.slope = self.exact = 0
+        slopes_repeat = geometry._slopes_repeat
+
+        def counted_slopes(z, points):
+            self.slope += len(points)
+            return slopes_repeat(z, points)
+
+        def counted_gcd(a, b):
+            self.exact += 1
+            return math.gcd(a, b)
+
+        monkeypatch.setattr(geometry, "_slopes_repeat", counted_slopes)
+        monkeypatch.setattr(geometry, "gcd", counted_gcd)
+
+    def counts(self) -> tuple[int, int]:
+        return self.slope, self.exact
+
+    def clear(self) -> None:
+        self.slope = self.exact = 0
 
 
 def random_tree(n: int, maxdeg: int, seed: int) -> Graph:

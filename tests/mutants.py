@@ -47,6 +47,7 @@ SWEEP = "tests/test_metrics.py::TestPlanarSweepCases::"
 PLANARITY = "tests/test_metrics.py::TestPlanarity::"
 FAR_RIGHT = "tests/test_exact_geometry.py::TestFarRight::"
 COLLINEAR = "tests/test_exact_geometry.py::TestAnyThreeCollinear::"
+SLOPES = "tests/test_exact_geometry.py::TestSlopeFingerprint::"
 PROPER = "tests/test_layout.py::TestProperSpanner::"
 PRUNED = "tests/test_metrics.py::TestPrunedScan::"
 LENGTH = "tests/test_metrics.py::TestLength::"
@@ -127,6 +128,17 @@ MUTANTS = [
            "if not far_right((x0 + 1, w, ylo, yhi), (x, y)):",
            (FAR_RIGHT + "test_planted_triple_found_by_the_scan",),
            "a box one column narrower in _far_placed: the first point falls out of it"),
+    # The slope fingerprint in front of the exact keys (geometry._slopes_repeat).
+    Mutant("src/spannerdraw/geometry.py",
+           "_slopes_repeat(z, rest) and on_line_through_two(z, rest)",
+           "_slopes_repeat(z, rest)",
+           (SLOPES + "test_near_collision_comes_out_false",),
+           "the exact confirmation dropped: two slopes that round to one double pass for a line"),
+    Mutant("src/spannerdraw/geometry.py",
+           "if coord_bits(points) <= FLOAT_BITS:",
+           "if coord_bits(points) > FLOAT_BITS:",
+           (COLLINEAR + "test_each_pair_keyed_once",),
+           "the gate flipped: small coordinates take exact keys, and big ones slopes that may not be finite"),
     Mutant("src/spannerdraw/layout.py",
            "box = (0, w, 0, y_max)",
            "box = (0, w, 0, 0)",

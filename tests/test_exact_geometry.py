@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+from conftest import KeyCount
 from spannerdraw import geometry
 from spannerdraw.exact import Interval, isqrt_scaled, sqrt_interval
 from spannerdraw.geometry import (
@@ -211,18 +212,23 @@ class TestAnyThreeCollinear:
 
     def test_each_pair_keyed_once(self, monkeypatch):
         # Points on a parabola, no three collinear: every hub is keyed
-        # against the points after it only, n(n-1)/2 direction keys in all,
-        # one gcd each.
-        calls = []
-        monkeypatch.setattr(geometry, "gcd", lambda a, b: calls.append(1) or math.gcd(a, b))
-        for n in (3, 10, 25):
-            calls.clear()
-            assert not any_three_collinear([(i, i * i) for i in range(n)])
-            assert len(calls) == n * (n - 1) // 2
-        for n, hubs in ((10, 0), (10, 1), (10, 4), (10, 10), (10, 12)):
-            calls.clear()
-            assert not any_three_collinear([(i, i * i) for i in range(n)], hubs)
-            assert len(calls) == sum(n - 1 - i for i in range(min(hubs, n)))
+        # against the points after it only, n(n-1)/2 direction keys in all.
+        # Below 2**53 they are slope keys, and no slope repeats, so no exact
+        # key is built; moved past 2**53, they are exact keys (one gcd each).
+        keys = KeyCount(monkeypatch)
+        for shift, kind in ((0, 0), (2**53, 1)):
+            for n in (3, 10, 25):
+                keys.clear()
+                assert not any_three_collinear([(i + shift, i * i - shift) for i in range(n)])
+                want = [0, 0]
+                want[kind] = n * (n - 1) // 2
+                assert keys.counts() == tuple(want), (shift, n)
+            for n, hubs in ((10, 0), (10, 1), (10, 4), (10, 10), (10, 12)):
+                keys.clear()
+                assert not any_three_collinear([(i + shift, i * i - shift) for i in range(n)], hubs)
+                want = [0, 0]
+                want[kind] = sum(n - 1 - i for i in range(min(hubs, n)))
+                assert keys.counts() == tuple(want), (shift, n, hubs)
 
     def test_matches_bruteforce_on_random_points(self):
         import itertools
@@ -268,11 +274,10 @@ class TestAnyThreeCollinear:
         # horizontal one, two points on each of a few columns or rows, which
         # the count must not flag, and a triple on a line of neither axis;
         # each also moved by 2**2000. A triple on an axis is found with no
-        # direction key (one gcd each).
+        # direction key, slope or exact.
         import itertools
 
-        keys = []
-        monkeypatch.setattr(geometry, "gcd", lambda a, b: keys.append(1) or math.gcd(a, b))
+        keys = KeyCount(monkeypatch)
         rng = random.Random(32)
         seen = set()
         for trial in range(400):
@@ -299,7 +304,7 @@ class TestAnyThreeCollinear:
                 keys.clear()
                 assert any_three_collinear(ps) == brute, (kind, pts)
                 if on_axis:
-                    assert keys == [], (kind, pts)
+                    assert keys.counts() == (0, 0), (kind, pts)
             assert on_axis == (kind < 2), (kind, pts)
             seen.add((kind, brute))
         assert seen == {(0, True), (1, True), (2, False), (2, True), (3, True)}, seen
@@ -308,12 +313,15 @@ class TestAnyThreeCollinear:
         assert dist_sq(P(0, 0), P(3, 4)) == 25
 
 
-def collinear_bruteforce(pts):
-    """Two points equal, or orientation 0 on some triple."""
+def collinear_bruteforce(pts, hubs=None):
+    """Two points equal, or orientation 0 on some triple with a point among
+    the first `hubs` (all points when None)."""
     import itertools
 
+    hubs = len(pts) if hubs is None else hubs
     return len(set(pts)) < len(pts) or any(
-        orientation(a, b, c) == 0 for a, b, c in itertools.combinations(pts, 3))
+        orientation(pts[i], pts[j], pts[k]) == 0
+        for i, j, k in itertools.combinations(range(len(pts)), 3) if i < hubs)
 
 
 def far_placed(rng, n, heights):
@@ -333,12 +341,11 @@ def far_placed(rng, n, heights):
 class TestFarRight:
     @staticmethod
     def keys_and_verdict(monkeypatch, pts):
-        """(direction keys built, any_three_collinear(pts))."""
-        calls = []
-        monkeypatch.setattr(geometry, "gcd", lambda a, b: calls.append(1) or math.gcd(a, b))
+        """((slope keys, exact keys) built, any_three_collinear(pts))."""
+        keys = KeyCount(monkeypatch)
         verdict = any_three_collinear(pts)
         monkeypatch.undo()
-        return len(calls), verdict
+        return keys.counts(), verdict
 
     def test_lemma_matches_bruteforce(self):
         # Where far_right holds, p is on no non-horizontal line through two
@@ -389,19 +396,22 @@ class TestFarRight:
             seen.add(brute)
             for ps in (pts, [(x - 10**40, y - 7**30) for x, y in pts]):
                 assert geometry._far_placed(sorted(ps))
-                assert self.keys_and_verdict(monkeypatch, ps) == (0, brute), ps
+                assert self.keys_and_verdict(monkeypatch, ps) == ((0, 0), brute), ps
         assert seen == {False, True}
 
     def test_bound_met_with_equality_takes_the_scan(self, monkeypatch):
         # The third point's gap equals W (H + out) = 2 (1 + 0): the lemma
-        # fails there, and the scan decides.
+        # fails there, and the scan decides: n(n-1)/2 = 6 slope keys, with
+        # no slope repeated and no exact key. With (4, 2) on the line of the
+        # first two points, the first hub's slopes repeat, and its three
+        # exact keys confirm the triple.
         pts = [(0, 0), (2, 1), (4, 1), (100, 7)]
         assert not far_right((0, 2, 0, 1), (4, 1))
         assert not geometry._far_placed(sorted(pts))
         keys, verdict = self.keys_and_verdict(monkeypatch, pts)
-        assert keys > 0 and verdict == collinear_bruteforce(pts) is False
-        pts = [(0, 0), (2, 1), (4, 2), (100, 7)]  # (4, 2) on the line of the first two
-        assert self.keys_and_verdict(monkeypatch, pts)[1] is True
+        assert keys == (6, 0) and verdict == collinear_bruteforce(pts) is False
+        pts = [(0, 0), (2, 1), (4, 2), (100, 7)]
+        assert self.keys_and_verdict(monkeypatch, pts) == ((3, 3), True)
 
     def test_repeated_x_takes_the_scan(self, monkeypatch):
         rng = random.Random(12)
@@ -410,15 +420,21 @@ class TestFarRight:
             x, _ = rng.choice(pts)
             pts.append((x, rng.randrange(-3, 6)))
             assert not geometry._far_placed(sorted(pts))
-            keys, verdict = self.keys_and_verdict(monkeypatch, pts)
+            (slope, exact), verdict = self.keys_and_verdict(monkeypatch, pts)
             assert verdict == collinear_bruteforce(pts), pts
-            assert keys > 0 or verdict  # keys unless two points coincide
+            # Slope keys unless two points coincide; exact keys only to
+            # confirm a triple, as no two distinct slopes of these small
+            # points round to one double.
+            assert slope > 0 or verdict
+            assert exact == 0 or verdict
 
     def test_at_most_two_points(self, monkeypatch):
+        no_keys = (0, 0)
         for pts in ([], [(3, -4)], [(0, 0), (4, 5)], [(0, 0), (-7, 0)]):
-            assert self.keys_and_verdict(monkeypatch, pts) == (0, False)
-        assert self.keys_and_verdict(monkeypatch, [(0, 0), (0, 5)]) == (1, False)  # one x: the scan
-        assert self.keys_and_verdict(monkeypatch, [(1, 1), (1, 1)]) == (0, True)
+            assert self.keys_and_verdict(monkeypatch, pts) == (no_keys, False)
+        assert self.keys_and_verdict(monkeypatch, [(0, 0), (0, 5)]) == ((1, 0), False)  # one x: the scan
+        assert self.keys_and_verdict(monkeypatch, [(0, 2**53), (0, 5)]) == ((0, 1), False)  # past 2**53
+        assert self.keys_and_verdict(monkeypatch, [(1, 1), (1, 1)]) == (no_keys, True)
 
     def test_planted_triple_found_by_the_scan(self, monkeypatch):
         # A point on the line through two points of a far-placed set, at
@@ -438,9 +454,9 @@ class TestFarRight:
             pts.insert(rng.randrange(len(pts) + 1), (bx + k * (bx - ax), by + k * (by - ay)))
             on_axis = any(sum(p[i] == q[i] for p in pts) >= 3 for q in pts for i in (0, 1))
             assert not geometry._far_placed(sorted(pts))
-            keys, verdict = self.keys_and_verdict(monkeypatch, pts)
+            (slope, exact), verdict = self.keys_and_verdict(monkeypatch, pts)
             assert verdict is True
-            assert keys == 0 if on_axis else keys > 0, pts
+            assert (slope, exact) == (0, 0) if on_axis else slope > 0 and exact > 0, pts
             counted += on_axis
             scanned += not on_axis
         assert counted > 0 and scanned > 0, (counted, scanned)
@@ -450,3 +466,107 @@ class TestFarRight:
         pts = [(0, 6), (1, -6), (13, -5), (253, 15)]
         assert not geometry._far_placed(pts)
         assert self.keys_and_verdict(monkeypatch, pts)[1] is True
+
+
+def slope_cases(rng, kind):
+    """A seeded list of 2 to 7 points of one kind, small but for "near":
+    "planted", random points with a planted triple; "vertical", with two or
+    three points on one x; "horizontal", the first point with a point on
+    each side of it at its height, on slopes 0.0 and -0.0; "opposite", the
+    first point with a point on each of two opposite rays from it; or
+    "near", points on the lines y = x + r for r in 1..3, at most two on
+    each, far out from the first point at (0, 0), so that many of their
+    slopes from it round to one double though no two are equal, and at
+    times a point on the hub's ray through the second point."""
+    if kind == "near":
+        rs = rng.sample([1, 1, 2, 2, 3, 3], rng.randrange(2, 6))
+        pts = [(0, 0)] + [(a, a + r) for r in rs for a in (rng.randrange(2**29, 2**31),)]
+        if rng.random() < 0.5:
+            pts.append((3 * pts[1][0], 3 * pts[1][1]))  # on the hub's ray through pts[1]
+        return pts
+    pts = [(rng.randrange(-4, 5), rng.randrange(-4, 5)) for _ in range(rng.randrange(1, 5))]
+    x, y = pts[0]
+    dx, dy = rng.randrange(-3, 4), rng.randrange(-3, 4)
+    if kind == "planted":
+        pts += [(x + k * dx, y + k * dy) for k in rng.sample(range(1, 4), 2)]
+    elif kind == "vertical":
+        pts += [(x, y + k) for k in rng.sample(range(1, 5), rng.randrange(1, 3))]
+    elif kind == "horizontal":
+        pts += [(x - rng.randrange(1, 5), y), (x + rng.randrange(1, 5), y)]
+    else:
+        pts += [(x + dx, y + dy), (x - 2 * dx, y - 2 * dy)]
+    rest = pts[1:]
+    rng.shuffle(rest)
+    return pts[:1] + rest
+
+
+class TestSlopeFingerprint:
+    # Below 2**53, any_three_collinear keys each hub by the correctly
+    # rounded slopes of the points after it, and builds its exact keys
+    # only where two slopes are one double.
+    KINDS = ("planted", "vertical", "horizontal", "opposite", "near")
+
+    def test_coord_bits(self):
+        assert geometry.coord_bits([]) == 0
+        assert geometry.coord_bits([(0, 0)]) == 0
+        assert geometry.coord_bits([(3, -4), (1, 1)]) == 3
+        assert geometry.coord_bits([(2**53 - 1, 0), (0, 1 - 2**53)]) == geometry.FLOAT_BITS
+        assert geometry.coord_bits([(0, -2**53)]) == geometry.FLOAT_BITS + 1
+
+    def test_near_collision_comes_out_false(self, monkeypatch):
+        # From the hub (0, 0) the slopes 1 + 2**-30 and 1 + 1/(2**30 + 1)
+        # differ by less than 2**-60, and both round to the double
+        # 1 + 2**-30: the hub's two slopes repeat, and its two exact keys
+        # tell them apart. The second hub has one point after it.
+        pts = [(0, 0), (2**30, 2**30 + 1), (2**30 + 1, 2**30 + 2)]
+        assert (2**30 + 1) / 2**30 == (2**30 + 2) / (2**30 + 1)
+        assert orientation(*pts) != 0
+        for hubs, want in ((None, (3, 2)), (1, (2, 2)), (3, (3, 2))):
+            keys = KeyCount(monkeypatch)
+            assert not any_three_collinear(pts, hubs)
+            assert keys.counts() == want, hubs
+            monkeypatch.undo()
+
+    def test_signed_zero_slopes_share_a_key(self):
+        # 0 / 5 is 0.0 and 0 / -5 is -0.0; they compare and hash equal, so
+        # a horizontal line through the hub is one key.
+        assert math.copysign(1, 0 / -5) == -1
+        assert geometry._slopes_repeat((0, 0), [(-5, 0), (3, 0)])
+        assert geometry._slopes_repeat((2, 7), [(2, -1), (2, 9)])  # dx = 0 on both sides
+        assert geometry._slopes_repeat((0, 0), [(1, 2), (-3, -6)])  # opposite rays
+        assert not geometry._slopes_repeat((0, 0), [(1, 0), (0, 1), (1, 1)])
+
+    def test_matches_bruteforce(self, monkeypatch):
+        # Each kind of set, with all points as hubs and with every count of
+        # hubs, against brute force. The small sets are also mapped by
+        # x -> X0 + sx x, y -> Y0 + sy y, which keeps every collinearity,
+        # to coordinates just below 2**53 (the largest in size 2**53 - 1,
+        # the fingerprint's last) and just above (2**53, the exact keys'
+        # first). The near sets are keyed where they are.
+        rng = random.Random(53)
+        keys = KeyCount(monkeypatch)
+        seen, slopes, collided = set(), 0, 0
+        for trial in range(500):
+            kind = self.KINDS[trial % len(self.KINDS)]
+            pts = slope_cases(rng, kind)
+            sets = [(pts, True)]
+            if kind != "near":
+                sx, sy = rng.randrange(1, 2**48, 2), rng.randrange(1, 2**48, 2)
+                top = max(x for x, _ in pts)
+                bottom = min(y for _, y in pts)
+                for limit, fingerprinted in ((2**53 - 1, True), (2**53, False)):
+                    ps = [(limit - sx * (top - x), sy * (y - bottom) - limit) for x, y in pts]
+                    sets.append((ps, fingerprinted))
+            for ps, fingerprinted in sets:
+                assert (geometry.coord_bits(ps) <= geometry.FLOAT_BITS) == fingerprinted, (kind, ps)
+                for hubs in (None, *range(len(ps) + 1)):
+                    keys.clear()
+                    verdict = any_three_collinear(ps, hubs)
+                    assert verdict == collinear_bruteforce(ps, hubs), (kind, ps, hubs)
+                    slope, exact = keys.counts()
+                    assert slope == 0 or fingerprinted, (kind, ps, hubs)
+                    slopes += slope
+                    collided += exact > 0 and not verdict
+                    seen.add((kind, verdict))
+        assert seen == {(kind, v) for kind in self.KINDS for v in (False, True)}, seen
+        assert slopes > 0 and collided > 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import bench_workloads, random_connected_graph, random_connected_planar_graph, random_tree
+from conftest import KeyCount, bench_workloads, random_connected_graph, random_connected_planar_graph, random_tree
 from oracles import edge_separator, split_at_edge, tree_planar_size
 from spannerdraw.bounds import planar_sr1_witness, sr1_witness
 from spannerdraw.drawing import Drawing
@@ -276,20 +276,17 @@ class TestProperSpanner:
     def test_far_right_lemma_saves_the_keys(self, monkeypatch):
         # Each vertex goes far right of the box of the ones before it, so
         # at epsilon = 1/2 the far-right lemma settles every height, and the
-        # drawing's no_three_collinear certificate, with no direction key
-        # (one gcd each). At epsilon = 3 the gap is too small for the lemma
-        # at some heights, and the exact check runs there.
-        from spannerdraw import geometry
-
-        keys = []
-        monkeypatch.setattr(geometry, "gcd", lambda a, b: keys.append(1) or math.gcd(a, b))
+        # drawing's no_three_collinear certificate, with no direction key,
+        # slope or exact. At epsilon = 3 the gap is too small for the lemma
+        # at some heights, and the exact check (one gcd per key) runs there.
+        keys = KeyCount(monkeypatch)
         g = random_connected_graph(160, 160, 5)
         d = draw_proper_spanner(g, EPS_HALF)
-        assert keys == []
+        assert keys.counts() == (0, 0)
         assert no_three_collinear(d)
-        assert keys == []
+        assert keys.counts() == (0, 0)
         draw_proper_spanner(g, Epsilon(F(3)))
-        assert len(keys) > 0
+        assert keys.exact > 0
 
     @pytest.mark.parametrize("eps", [F(1, 2), F(3), F(100)])
     def test_lemma_boxes_hold_the_placed_vertices(self, monkeypatch, eps):
@@ -413,29 +410,32 @@ class TestTreeProper:
     def test_merge_keys_from_the_smaller_part(self, monkeypatch):
         # Each part is collinear-free, so a merge keys only its smaller part
         # S against the points after it: |S|(|S|-1)/2 + |S||L| direction
-        # keys (one gcd each) on a merge whose first trial fits, as every
-        # merge here does, against 2|S||L| when each part keyed the other.
-        from spannerdraw import geometry, layout
+        # keys on a merge whose first trial fits, as every merge here does,
+        # against 2|S||L| when each part keyed the other. They are all slope
+        # keys below 2**53, where no slope repeats, and all exact keys (one
+        # gcd each) past it, where the star's later merges go.
+        from spannerdraw import layout
 
-        keys, merges = [], []
-        monkeypatch.setattr(geometry, "gcd", lambda a, b: keys.append(1) or math.gcd(a, b))
+        keys, merges, fingerprinted = KeyCount(monkeypatch), [], set()
         merge = layout._merge_tree_parts
 
         def counted(upper, lower, k, gamma):
-            before = len(keys)
+            before = keys.counts()
             drawn = merge(upper, lower, k, gamma)
-            merges.append((len(upper[0]), len(lower[0]), len(keys) - before))
+            made = [after - b for after, b in zip(keys.counts(), before)]
+            merges.append((len(upper[0]), len(lower[0]), made))
             return drawn
 
         monkeypatch.setattr(layout, "_merge_tree_parts", counted)
         for g in (star_graph(61), random_tree(200, 3, 7)):
-            keys.clear()
             merges.clear()
             draw_tree_proper(RootedTree.from_graph(g, 0), EPS1)
             assert len(merges) == g.n - 1
-            want = [s * (s - 1) // 2 + s * l for a, b, _ in merges for s, l in [sorted((a, b))]]
-            assert [made for _, _, made in merges] == want
-            assert len(keys) == sum(want)
+            for a, b, made in merges:
+                s, l = sorted((a, b))
+                fingerprinted.add(made[0] > 0)
+                assert sorted(made) == [0, s * (s - 1) // 2 + s * l], (a, b, made)
+        assert fingerprinted == {False, True}
 
     def test_deep_star_needs_no_recursion(self):
         # A star splits off one leaf per separator level: 149 levels here.

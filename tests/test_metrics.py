@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    KeyCount,
     bench_workloads,
     kruskal,
     random_connected_graph,
@@ -28,7 +29,7 @@ from spannerdraw import drawing as drawing_module
 from spannerdraw import geometry, metrics
 from spannerdraw.drawing import Drawing
 from spannerdraw.exact import Interval, format_rational, isqrt_scaled, sqrt_interval
-from spannerdraw.geometry import closest_pair_sq, dist_sq, in_segment_interior, segments_cross_improperly
+from spannerdraw.geometry import closest_pair_sq, coord_bits, dist_sq, in_segment_interior, segments_cross_improperly
 from spannerdraw.graph import Graph, RootedTree, bfs_parents
 from spannerdraw.layout import (
     Epsilon,
@@ -168,7 +169,7 @@ class TestSpanningRatio:
         # Past 1900 bits, with no far-placement order: every precision's
         # rows are big integers.
         wide = shifted(Drawing(random_tree(12, 3, 12), tuple(random_points(12, 20, 12))), 1900)
-        assert metrics._coord_bits(wide.points) > 1900 and metrics._far_order(wide.graph, wide.points) is None
+        assert coord_bits(wide.points) > 1900 and metrics._far_order(wide.graph, wide.points) is None
         trees.append(wide)
         for k, d in enumerate(trees):
             a, b = spanning_ratio(d), spanning_ratio_oracle(d)
@@ -192,10 +193,10 @@ class TestSpanningRatio:
 
             monkeypatch.setattr(metrics, name, wrapper)
 
-        for name in ("_spanning_tree", "_prim", "_coord_bits", "_scan", "_far_scan", "_pruned_scan"):
+        for name in ("_spanning_tree", "_prim", "coord_bits", "_scan", "_far_scan", "_pruned_scan"):
             counted(name)
         far_planar = draw_planar_spanner(stacked_triangulation(20, 1), Epsilon(1))
-        assert metrics._coord_bits(far_planar.points) > 53
+        assert coord_bits(far_planar.points) > 53
         calls.clear()
         spanning_ratio(far_planar)
         assert (calls["_far_scan"], calls["_spanning_tree"], calls["_prim"], calls["_pruned_scan"]) == (1, 0, 0, 0)
@@ -217,7 +218,7 @@ class TestSpanningRatio:
         for k, (d, passes) in enumerate(cases):
             calls.clear()
             spanning_ratio(d)
-            assert (calls["_spanning_tree"], calls["_prim"], calls["_coord_bits"]) == (1, 0, 1), (k, calls)
+            assert (calls["_spanning_tree"], calls["_prim"], calls["coord_bits"]) == (1, 0, 1), (k, calls)
             assert (calls["_far_scan"], calls["_pruned_scan"], calls["_scan"]) == passes, (k, calls)
 
     def test_tree_planar_enclosures_pinned(self):
@@ -723,13 +724,13 @@ class TestFarPlacement:
                 a, b, c = spanning_ratio(case), spanning_ratio_oracle(case), spanning_ratio_bruteforce(case)
                 assert (a.lo, a.hi) == (b.lo, b.hi), k
                 assert a.intersects(c) and c.rel_width() <= DEFAULT_REL_TOL, k
-                if metrics._coord_bits(case.points) > 53:
+                if coord_bits(case.points) > 53:
                     assert far_log["scans"] and not any(fell for _, fell in far_log["scans"]), k
                     assert far_log["pruned"] == 0, k
                     entered += 1
                 else:
                     assert not far_log["scans"] and far_log["pruned"] > 0, k
-            assert metrics._coord_bits(case.points) > 3000
+            assert coord_bits(case.points) > 3000
         assert entered == 24
 
     def test_equals_full_scan_at_every_precision(self):
@@ -838,7 +839,7 @@ class TestFarPlacement:
         trees = [draw_planar_spanner(random_tree(60, 4, 60), Epsilon(F(1, 10))),
                  draw_tree_planar(RootedTree.from_graph(random_tree(125, 3, 125), 0), Epsilon(1)),
                  zigzag_tree(40)]
-        assert metrics._coord_bits(trees[0].points) > 53
+        assert coord_bits(trees[0].points) > 53
         for k, d in enumerate(trees):
             tables.clear()
             spanning_ratio(d)
@@ -897,7 +898,7 @@ class TestFarPlacement:
         cases += [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
                   for n in (125, 300)]
         for d in cases:
-            assert metrics._coord_bits(d.points) <= 53
+            assert coord_bits(d.points) <= 53
             spanning_ratio(d)
         assert far_log["order"] == 0 and not far_log["scans"] and far_log["pruned"] == len(cases)
 
@@ -1325,20 +1326,19 @@ class TestProperAndCollinear:
         # midpoint x of its attachment's ends, so 76 of the 88 seed-301
         # planar drawings, and all 40 tree-planar ones, hold three vertices
         # on one vertical or horizontal line, which the count finds with no
-        # direction key (one gcd each). Measured before the count: 36,324
+        # direction key, slope or exact. Measured before the count: 36,324
         # keys on the planar drawings and 10,779 on the tree-planar ones.
         workloads = bench_workloads()
         planar = [draw_planar_spanner(Graph.from_edges(op.n, op.edges), Epsilon(op.epsilon))
                   for op in workloads.build("planar", 301)]
         trees = [draw_tree_planar(RootedTree.from_graph(Graph.from_edges(op.n, op.edges), 0), Epsilon(op.epsilon))
                  for op in workloads.build("tree-planar", 301)]
-        keys = []
-        monkeypatch.setattr(geometry, "gcd", lambda a, b: keys.append(1) or math.gcd(a, b))
+        keys = KeyCount(monkeypatch)
         collinear = [d for d in planar if not no_three_collinear(d)]
         assert (len(planar), len(collinear)) == (88, 76)
         keys.clear()
         assert not any(no_three_collinear(d) for d in collinear + trees)
-        assert (len(trees), keys) == (40, [])
+        assert (len(trees), keys.counts()) == (40, (0, 0))
 
 
 class TestBoxAndDistance:
