@@ -138,7 +138,13 @@ MUTANTS = [
            "if coord_bits(points) <= FLOAT_BITS:",
            "if coord_bits(points) > FLOAT_BITS:",
            (COLLINEAR + "test_each_pair_keyed_once",),
-           "the gate flipped: small coordinates take exact keys, and big ones slopes that may not be finite"),
+           "the gate flipped: small coordinates take exact keys, and big ones slopes that collide or overflow"),
+    Mutant("src/spannerdraw/layout.py",
+           "    return Drawing(t.graph, tuple(p for _, p in sorted(zip(verts, pts))), den)",
+           "    on_line_through_two(pts[0], pts[1:])\n"
+           "    return Drawing(t.graph, tuple(p for _, p in sorted(zip(verts, pts))), den)",
+           ("tests/test_layout.py::TestTreeProper::test_merge_keys_from_the_smaller_part",),
+           "a key builder outside the merges: draw_tree_proper keys more than its merges"),
     Mutant("src/spannerdraw/layout.py",
            "box = (0, w, 0, y_max)",
            "box = (0, w, 0, 0)",

@@ -413,7 +413,8 @@ class TestTreeProper:
         # keys on a merge whose first trial fits, as every merge here does,
         # against 2|S||L| when each part keyed the other. They are all slope
         # keys below 2**53, where no slope repeats, and all exact keys (one
-        # gcd each) past it, where the star's later merges go.
+        # gcd each) past it, where the star's later merges go. The merges
+        # build every key of the draw.
         from spannerdraw import layout
 
         keys, merges, fingerprinted = KeyCount(monkeypatch), [], set()
@@ -428,13 +429,17 @@ class TestTreeProper:
 
         monkeypatch.setattr(layout, "_merge_tree_parts", counted)
         for g in (star_graph(61), random_tree(200, 3, 7)):
+            keys.clear()
             merges.clear()
             draw_tree_proper(RootedTree.from_graph(g, 0), EPS1)
             assert len(merges) == g.n - 1
+            want = []
             for a, b, made in merges:
                 s, l = sorted((a, b))
+                want.append(s * (s - 1) // 2 + s * l)
                 fingerprinted.add(made[0] > 0)
-                assert sorted(made) == [0, s * (s - 1) // 2 + s * l], (a, b, made)
+                assert sorted(made) == [0, want[-1]], (a, b, made)
+            assert sum(keys.counts()) == sum(want)
         assert fingerprinted == {False, True}
 
     def test_deep_star_needs_no_recursion(self):
