@@ -4,7 +4,8 @@ A subclass names its fields in _fields, and lists them in __slots__ with any
 slot it caches a derived value in. Its __init__ sets each field once through
 object.__setattr__; after that, assigning or deleting an attribute raises
 AttributeError. Two values are equal when they are of one class and their
-fields are equal, and equal values hash alike.
+fields are equal, and equal values hash alike. copy, deepcopy and pickle
+rebuild a value through __init__ from its fields.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ class Frozen:
 
     def __hash__(self):
         return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))

@@ -22,39 +22,31 @@ bounding box by L.
 The spanning ratio brackets only the pairs that can still reach its
 running lower bound t, in exact integers, so its enclosure equals the full
 scan's at any bit size (the pruned dilation computation of Narasimhan and
-Smid, "Geometric Spanner Networks", 2007). Two passes do it, each on
-_scan's running bounds:
-- the far-placement pass (_far_scan), where coordinates run past 53 bits.
-  The planar and proper constructions put vertex k more than k delta /
+Smid, "Geometric Spanner Networks", 2007). One branch-and-bound pass does
+it, _pruned_scan, the dual-tree form of the scan (Gray and Moore, "N-Body
+Problems in Statistical Learning", NIPS 2000). It walks a rooted tree in
+preorder, bounds the dist_hi of each pair by root distances along it, and
+skips a block of pairs, two subtrees or positions alone under one lowest
+common ancestor, whose bound is too short for the gap between its two
+bounding boxes to reach t. It runs over one of two trees:
+- where coordinates run past 53 bits, first the far order's chain. The
+  planar and proper constructions put vertex k more than k delta /
   epsilon away from the vertices placed before it, and the paper's proof
   of the 1 + epsilon bound rests on that gap. Sorted by (y, x), or else by
-  (x, y), each vertex v_k has an earlier neighbor w_k. Let a >= b be the
-  absolute integer offsets of the edge (v_k, w_k), and c_k = a +
-  ceil(b / 2), fixed per drawing: (a + b/2)**2 >= a**2 + b**2 when
-  a >= b, so up_k = ceil(c_k 2**bits / L) is at least the ceiling of the
-  edge's scaled length, and so at least its upper bracket, with no square
-  root, and equal to it on a vertical or horizontal edge. Every pair of
-  v_k with an earlier vertex has dist_hi at most up_k plus D_k, the sum of
-  up_j over the tree that the earlier vertices attach by, and e_lo at
-  least gap_k, the lower bracket of v_k's distance to their
-  bounding box: on the planar drawings a vertical distance, bracketed by
-  one division and no square root (_length), as the edges and pairs on a
-  vertical or horizontal line are. Only the sources whose bound B_k =
-  (up_k + D_k) / gap_k reaches t are bracketed: 1-3 rows per precision on
-  the benchmark's planar and proper drawings, and only the edges their
-  rows read. A drawing with no such order, or whose bounds leave more than
-  _FAR_ROWS sources, hands over to the next, with the rows it bracketed.
-- the pruned pass (_pruned_scan), everywhere else. It walks a spanning
-  tree in preorder (on a tree, the tree itself; on any other graph a
-  minimum spanning tree of the squared edge lengths, _prim) and prunes
-  pairs of subtrees at once, the dual-tree form of the scan (Gray and
-  Moore, "N-Body Problems in Statistical Learning", NIPS 2000). A pair's
-  tree path under the upper brackets, R[i] + R[j] - 2 R[c] with c its
-  lowest common ancestor, bounds dist_hi; the pairs under each c form
-  blocks, two subtrees or positions alone, and a block whose largest root
-  distances are too short for the gap between its two bounding boxes to
-  reach t is skipped whole. The others split until a pair of positions
-  is bracketed.
+  (x, y), each vertex v_k has an earlier neighbor w_k, and the chain is
+  that order rooted at its last vertex, so that the subtree of v_k is the
+  prefix v_0 .. v_k (_far_order). Its root distances run along the edges
+  (v_k, w_k) on integer bounds of their lengths, c_k = a + ceil(b / 2) for
+  a >= b the absolute offsets, with no square root (_far_roots), and the
+  gap of v_k to the box of a prefix is, on the planar drawings, vertical,
+  bracketed by one division (_length). The benchmark's planar and proper
+  drawings bracket about one pair per vertex per precision. A drawing
+  with no such order, or whose pass needs more than _FAR_PAIRS pairs per
+  vertex, hands over to the next, with the running bounds of the pairs it
+  bracketed.
+- the graph's own tree everywhere else: on a tree the tree itself, on
+  any other graph a minimum spanning tree of the squared edge lengths
+  (_prim).
 A tree is rooted once per call, at vertex 0, and every exact tree distance
 is R[u] + R[v] - 2 R[lca] on integer root distances; any other graph takes
 Dijkstra rows, stopped at their targets and resumed while the source stays
@@ -227,14 +219,15 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     and walked by the pruned pass too, on the root distances that
     _tree_weights takes once per precision over every edge; on any other
     graph from Dijkstra (_graph_rows), which brackets the edges it relaxes.
-    Where coordinates run past 53 bits, each precision first tries the
-    far-placement pass (_far_scan), whose bounds bracket no edge. Where it
-    does not apply, or hands over, the pruned pass (_pruned_scan) serves,
-    from the far pass's running bounds and on the same table; on a graph
-    that is not a tree its spanning tree is built then, once, and its
-    edges bracketed per precision by _tree_weights. Both passes bracket
-    only pairs that can reach the running lower bound, so the enclosure is
-    the full scan's whichever way it went.
+    Where coordinates run past 53 bits, each precision first runs the
+    pruned pass (_pruned_scan) over the far order's chain, whose root
+    distances bracket no edge. Where there is no chain, or its pass would
+    bracket more than _FAR_PAIRS pairs per vertex, the pass runs over the
+    graph's own tree, from the chain pass's running bounds and on the same
+    table; on a graph that is not a tree that tree is built then, once, and
+    its edges bracketed per precision by _tree_weights. Either pass
+    brackets only pairs that can reach the running lower bound, so the
+    enclosure is the full scan's whichever way it went.
     """
     g = d.graph
     if g.n < 2:
@@ -252,7 +245,7 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     inverse = -(-(L * L) // closest)  # ceil(L**2 / closest)
     b = ((inverse - 1).bit_length() + 1) // 2
     tree = None if parent is None else _spanning_tree(g, parent)
-    walk = tree  # the pruned pass's tree
+    walk = tree  # the graph's tree for the pruned pass
     far = _far_order(g, coords) if coord_bits(coords) > FLOAT_BITS else None
     for bits in _precisions(b if b > _START_BITS else 0):
         brackets = _Brackets(coords, L, bits)
@@ -264,180 +257,125 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
             table_of = partial(_tree_rows, tree, roots)
         best = [(0, 1), (0, 1)]
         if far is not None:
-            ivl = _far_scan(far, coords, L, bits, table_of, best)
-            if ivl is not None:
+            chain, steps = far
+            left = [_FAR_PAIRS * g.n]  # the pairs the chain pass may still bracket
+
+            def capped(groups):
+                for group in groups:
+                    left[0] -= 1
+                    if left[0] < 0:
+                        return
+                    yield group
+
+            ivl = _pruned_scan(chain, _far_roots(steps, L, bits), [0] * g.n, coords, L, bits,
+                               lambda groups: table_of(capped(groups)), best)
+            if left[0] >= 0:
                 yield ivl
                 continue
-            far = None  # not far-placed enough: the pruned pass from here on
+            far = None  # not far-placed enough: the graph's tree from here on
         if walk is None:
             walk = _spanning_tree(g, _prim(g.adj, coords))
         R = roots[1] if roots else _tree_weights(walk, brackets)[1]
-        yield _pruned_scan(walk, R, coords, L, bits, table_of, best)
+        yield _pruned_scan(walk, R, R, coords, L, bits, table_of, best)
 
 
-# The far-placement pass brackets at most _FAR_ROWS sources per precision
-# before it hands over to the pruned pass. By measurement: the benchmark's
-# planar and proper drawings past 53 bits need at most 3 (1.4 on average),
-# planar ones of n = 320 up to 6; a drawing that is not far-placed, such as
-# random points, needs nearly all of its sources, and the rows it brackets
-# before it hands over are lost.
-_FAR_ROWS = 8
+# The chain pass brackets at most _FAR_PAIRS pairs per vertex and precision
+# before it hands over to the graph's tree. By measurement the benchmark's
+# planar and proper drawings take at most 1.1, planar ones of n <= 10 up to
+# 3, and a deep tree-proper drawing 53, which the graph's tree serves in few.
+_FAR_PAIRS = 3
 
 
-class _Far(NamedTuple):
-    """A vertex order v_0, ..., v_{n-1} of a drawing for _far_scan, and for
-    each k >= 1, at steps[k - 1], c_k and the offset (dx, dy) from the
-    bounding box of v_0 .. v_{k-1} to v_k, on the integer coordinates: v_k's
-    distance to the box is |(dx, dy)|. c_k = a + ceil(b / 2), a >= b the
-    absolute offsets of the edge from v_k to w_k, its earlier neighbor with
-    the least c_k, bounds that edge's integer length (_far_bounds)."""
+def _far_order(g: Graph, coords: Sequence[IntPoint]) -> Optional[tuple[_Tree, list[tuple[int, int]]]]:
+    """The far order's chain and its steps, or None.
 
-    order: list[int]
-    steps: list[tuple[int, IntPoint]]
-
-
-def _far_order(g: Graph, coords: Sequence[IntPoint]) -> Optional[_Far]:
-    """The vertices sorted by (y, x), or else by (x, y), the first of the two
-    in which every vertex after the first has a neighbor earlier in the
-    order; None when neither has. A drawing file holds no construction
-    order, so the order comes from the points: the planar construction puts
-    each vertex above the ones before it, the proper one to their right."""
+    The order v_0, ..., v_{n-1} is the vertices sorted by (y, x), or else
+    by (x, y), the first in which every vertex after the first has a
+    neighbor earlier in the order; None when neither has. A drawing file
+    holds no construction order, so the order comes from the points: the
+    planar construction puts each vertex above the ones before it, the
+    proper one to their right. The chain is the order as a _Tree rooted at
+    v_{n-1}: positions reversed, up = [0, 0, 1, ..., n - 2] and
+    end = [n] * n, so the subtree of v_k is the prefix v_0 .. v_k.
+    steps[k - 1] = (c_k, j) for k >= 1, v_j = w_k the earlier neighbor of
+    v_k with the least c_k = a + ceil(b / 2), a >= b the absolute offsets
+    of their edge (_far_roots)."""
     n = g.n
     for i, j in ((1, 0), (0, 1)):
         order = sorted(range(n), key=lambda v: (coords[v][i], coords[v][j]))
         pos = [0] * n
         for k, v in enumerate(order):
             pos[v] = k
-        x0, y0 = x1, y1 = coords[order[0]]
         steps = []
         for k in range(1, n):
             v = order[k]
             x, y = coords[v]
-            ends = [(abs(x - coords[w][0]), abs(y - coords[w][1])) for w in g.adj[v] if pos[w] < k]
+            ends = []
+            for w in g.adj[v]:
+                if pos[w] < k:
+                    a, b = abs(x - coords[w][0]), abs(y - coords[w][1])
+                    ends.append((max(a, b) + (min(a, b) + 1) // 2, pos[w]))
             if not ends:
                 break
-            c = min(max(a, b) + (min(a, b) + 1) // 2 for a, b in ends)
-            dx = x0 - x if x < x0 else x - x1 if x > x1 else 0
-            dy = y0 - y if y < y0 else y - y1 if y > y1 else 0
-            steps.append((c, (dx, dy)))
-            x0, x1, y0, y1 = min(x0, x), max(x1, x), min(y0, y), max(y1, y)
+            steps.append(min(ends))
         else:
-            return _Far(order, steps)
+            order.reverse()
+            return _Tree(order, [n - 1 - k for k in pos], [0] + list(range(n - 1)), [n] * n), steps
     return None
 
 
-def _far_scan(far: _Far, coords: Sequence[IntPoint], L: int, bits: int,
-              table_of: Callable, best: list) -> Optional[Interval]:
-    """The enclosure at scale 2**bits by branch and bound over the sources of
-    far's order, each bracketed against the vertices before it:
-    table_of(groups) gives their rows under the precision's edge brackets.
-    _scan keeps its running bounds in best, as for _pruned_scan, which
-    starts from them when more than _FAR_ROWS sources need brackets and
-    this gives None.
-
-    Every pair is (v_k, u) for exactly one k >= 1 and u before v_k. Let
-    up_k = ceil(c_k 2**bits / L), at least the upper bracket of the edge
-    (v_k, w_k) (_far_bounds), D_k the sum of up_j, 1 <= j < k, over the
-    edges (v_j, w_j), which form a spanning tree of v_0 .. v_{k-1}, and
-    gap_k the lower _length bracket of v_k's distance to their bounding
-    box, |(dx, dy)| of its offset: a division, with no square root, when
-    the offset is vertical or horizontal, as it is for every vertex of the
-    planar construction, which goes above the ones before it. The bound is
-    B_k = (up_k + D_k) / gap_k, infinite when gap_k = 0 (_far_bounds).
-    - dist_hi(v_k, u) <= up_k + D_k: dist_hi is the least weight of a path
-      under the upper brackets, and one path goes to w_k and then along
-      the tree, each edge's upper bracket at most its up_j.
-    - e_lo(v_k, u) >= gap_k: the box holds u, so |v_k u| is at least v_k's
-      distance to it, and the lower bracket is monotone in the length.
-    - So every pair of source v_k has dist_lo/e_hi <= dist_hi/e_lo <= B_k.
-    The sources come by B_k from the largest, by a float key, which only
-    affects speed. When its turn comes, each is compared exactly with t,
-    the running largest dist_lo/e_hi of _scan, and passed over if B_k < t,
-    else bracketed. t only rises, so every pair passed over has
-    dist_lo/e_hi <= dist_hi/e_lo < T, T the final t. It moves neither the
-    lower bound, T, nor the upper bound, which is at least dist_hi/e_lo >= T
-    of the pair that set T. The enclosure is the full scan's, number for
-    number. The comparisons are exact integer products, with no float
-    error and no limit on the bits of the coordinates."""
-    sources = sorted(_far_bounds(far, L, bits), key=lambda s: s[0], reverse=True)
-    order = far.order
-    bracketed = 0
-
-    def groups():
-        nonlocal bracketed
-        for _, num, gap, k in sources:
-            t_num, t_den = best[0]
-            if num * t_den < t_num * gap:
-                continue  # B_k < t
-            bracketed += 1
-            if bracketed > _FAR_ROWS:
-                return
-            yield order[k], order[:k]
-
-    ivl = _scan(coords, L, bits, table_of(groups()), best)
-    return ivl if bracketed <= _FAR_ROWS else None
+def _far_roots(steps: list[tuple[int, int]], L: int, bits: int) -> list[int]:
+    """The chain's root distances at scale 2**bits, by position, for the
+    steps of _far_order: U_0 = 0 and U_k = U_j + ceil(c_k 2**bits / L).
+    (a + b/2)**2 = a**2 + ab + b**2/4 >= a**2 + b**2, as ab >= b**2, so
+    c_k 2**bits / L is at least the scaled length s of the edge (v_k, w_k),
+    equal on a vertical or horizontal one, and its ceiling at least the
+    edge's upper bracket, isqrt_scaled's s or floor(s) + 1. So U_k + U_u,
+    a path from v_k through v_0 to u in bounds on the upper brackets, is
+    at least dist_hi(v_k, u): no edge bracketed, no square root."""
+    U = [0]
+    for c, j in steps:
+        U.append(U[j] + -(-(c << bits) // L))
+    U.reverse()
+    return U
 
 
-def _far_bounds(far: _Far, L: int, bits: int) -> list[tuple[float, int, int, int]]:
-    """(key, num, gap, k) for each k >= 1 of far's order: _far_scan's bound
-    B_k = num / gap at scale 2**bits, and key its float value. num sums
-    up_j = ceil(c_j 2**bits / L), j <= k, one division each on the integer
-    c_j that _far_order fixes per drawing: no edge is bracketed and no
-    square root taken.
-
-    up_k is at least the upper bracket hi of the edge (v_k, w_k). With
-    a >= b the absolute offsets of its ends, c_k = a + ceil(b / 2) and
-    (a + b/2)**2 = a**2 + ab + b**2/4 >= a**2 + b**2, since ab >= b**2, so
-    c_k 2**bits / L is at least the edge's scaled length s, and up_k at
-    least ceil(s). hi is isqrt_scaled's: s itself when s is an integer, else
-    floor(s) + 1 = ceil(s). On a vertical or horizontal edge, b = 0 and
-    up_k = hi; on any other the bound is above the length."""
-    bounds = []
-    tree = 0  # D_k
-    for k, (c, offset) in enumerate(far.steps, 1):
-        up = -(-(c << bits) // L)
-        gap = _length((0, 0), offset, L, bits)[0]
-        bounds.append((_ratio_key(up + tree, gap), up + tree, gap, k))
-        tree += up
-    return bounds
-
-
-def _ratio_key(num: int, den: int) -> float:
-    """num / den as a float for ordering, math.inf when den is 0 or the
-    quotient is beyond a double."""
-    try:
-        return num / den if den else math.inf
-    except OverflowError:
-        return math.inf
-
-
-def _pruned_scan(tree: _Tree, R: list, coords: Sequence[IntPoint], L: int, bits: int,
+def _pruned_scan(tree: _Tree, R: list, low: list, coords: Sequence[IntPoint], L: int, bits: int,
                  table_of: Callable, best: Optional[list] = None) -> Interval:
     """The enclosure at scale 2**bits by branch and bound over pairs of
-    subtrees of tree, a spanning tree of the drawing's graph in preorder,
+    subtrees of tree, a rooted tree on the drawing's vertices in preorder,
     table_of(groups) giving the rows of the pairs it keeps under the
     precision's edge brackets. best, when given, holds _scan's running
     bounds from the pairs of an earlier pass, and t starts from them.
 
-    R holds the root distances of tree under the upper edge brackets, by
-    position (_tree_weights). A node is a subtree x of more than one
-    position, with hmax[x] its largest root distance and its integer
-    bounding box, or a position x alone, with R[x] and its point; a leaf is
-    a position alone. Each pair of positions i < j has one lowest
-    common ancestor c, and its tree path, R[i] + R[j] - 2 R[c], bounds
-    dist_hi. For each c, from n - 1 down to 0, the parts of c are c alone
-    and its child subtrees, and the pairs with ancestor c are those of the
-    blocks (P, Q), P before Q in the parts of c. When a block comes, let t
-    be the running largest dist_lo/e_hi of _scan rounded down to p / 2**64,
-    and hP, hQ the nodes' hmax or R.
+    R holds root distances and low an ancestor term, by position, such
+    that for each pair of positions i < j, with c their lowest common
+    ancestor, R[i] + R[j] - 2 low[c] bounds dist_hi. Two trees give them:
+    - a spanning tree of the drawing's graph, R its root distances under
+      the upper edge brackets (_tree_weights) and low = R: the bound is
+      the tree path's length under those brackets;
+    - the far order's chain (_far_order), R = U its root distances on
+      integer bounds of the upper brackets (_far_roots) and low = 0: U_k +
+      U_u bounds a path from v_k through v_0 to u. The parts of v_k are v_k
+      alone and the prefix v_0 .. v_{k-1}, whose split gives v_{k-1} alone
+      and the prefix before it. low = R would be unsound here: U_k + U_u -
+      2 U_k is no path's length.
+    A node is a subtree x of more than one position, with hmax[x] its
+    largest R and its integer bounding box, or a position x alone, with
+    R[x] and its point; a leaf is a position alone. For each c, from
+    n - 1 down to 0, the parts of c are c alone and its child subtrees, and
+    the pairs with ancestor c are those of the blocks (P, Q), P before Q in
+    the parts of c. When a block comes, let t be the running largest
+    dist_lo/e_hi of _scan rounded down to p / 2**64, and hP, hQ the nodes'
+    hmax or R.
     - The block is skipped when
-      ((hP + hQ - 2 R[c]) 2**64 + p)**2 L**2 < p**2 box**2 2**(2 bits),
+      ((hP + hQ - 2 low[c]) 2**64 + p)**2 L**2 < p**2 box**2 2**(2 bits),
       where box**2 is the squared integer distance between the two boxes and
       L the denominator of coords. Let E = sqrt(box**2) 2**bits / L, at
       most the scaled distance from any point of one box to any of the
       other. Then every
       pair (i, j) of the block has e_lo > E - 1, and the test gives
-      dist_hi <= hP + hQ - 2 R[c] < (p / 2**64)(E - 1) <= t e_lo.
+      dist_hi <= hP + hQ - 2 low[c] < (p / 2**64)(E - 1) <= t e_lo.
     - Otherwise, when both nodes are positions alone, i < j, the pair is
       bracketed at once, as the group (order[i], [order[j]]).
     - Otherwise the node with the larger box (width plus height; a position
@@ -498,7 +436,7 @@ def _pruned_scan(tree: _Tree, R: list, coords: Sequence[IntPoint], L: int, bits:
             top = parts[c]
             if len(top) < 2:
                 continue
-            two_rc = H[n + c] << 1
+            two_rc = low[c] << 65
             o = p - two_rc
             for k in range(len(top) - 2, -1, -1):
                 stack.append((top[k], top[k + 1:]))

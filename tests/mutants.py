@@ -208,27 +208,38 @@ MUTANTS = [
            (PRUNED + "test_pruning_keeps_its_margin",),
            "a stale offset after t rises: the block test keeps the old t"),
     Mutant("src/spannerdraw/metrics.py",
-           "            two_rc = H[n + c] << 1\n            o = p - two_rc",
-           "            two_rc = H[n + c] << 1\n            o = -two_rc",
+           "            two_rc = low[c] << 65\n            o = p - two_rc",
+           "            two_rc = low[c] << 65\n            o = -two_rc",
            (PRUNED + "test_margin_holds_at_each_new_ancestor",),
            "the margin dropped at the start of each c: blocks are skipped at t E, not t (E - 1)"),
-    # The far-placement pass's integer bounds (metrics._far_order,
-    # _far_bounds) and its hand-over to the pruned pass.
+    # The far-placement pass: the chain's integer root distances
+    # (metrics._far_order, _far_roots), its ancestor term, and its
+    # hand-over to the graph's tree.
     Mutant("src/spannerdraw/metrics.py",
            "(min(a, b) + 1) // 2",
            "min(a, b) // 2",
-           (FAR + "test_far_bound_is_sound",),
+           (FAR + "test_chain_bound_is_sound_and_exact",),
            "b // 2 for ceil(b / 2) in c_k: a diagonal edge's bound falls below its length"),
     Mutant("src/spannerdraw/metrics.py",
-           "up = -(-(c << bits) // L)",
-           "up = (c << bits) // L",
-           (FAR + "test_far_bound_is_sound",),
+           "U.append(U[j] + -(-(c << bits) // L))",
+           "U.append(U[j] + (c << bits) // L)",
+           (FAR + "test_chain_bound_is_sound_and_exact",),
            "c_k scaled by the floor: the bound falls below an edge's upper bracket"),
     Mutant("src/spannerdraw/metrics.py",
-           "yield _pruned_scan(walk, R, coords, L, bits, table_of, best)",
-           "yield _pruned_scan(walk, R, coords, L, bits, table_of)",
+           "U.append(U[j] + -(-(c << bits) // L))",
+           "U.append(-(-(c << bits) // L))",
+           (FAR + "test_chain_bound_is_sound_and_exact",),
+           "U_k without U_{w_k}: a root distance forgets the path from w_k down to v_0"),
+    Mutant("src/spannerdraw/metrics.py",
+           "_pruned_scan(chain, _far_roots(steps, L, bits), [0] * g.n,",
+           "_pruned_scan(chain, _far_roots(steps, L, bits), _far_roots(steps, L, bits),",
+           (FAR + "test_matches_oracles_on_small_drawings", FAR + "test_tree_proper_shapes_match_oracles"),
+           "the chain given low = U, the graph tree's ancestor term: U_k + U_u - 2 U_k is no path's length"),
+    Mutant("src/spannerdraw/metrics.py",
+           "yield _pruned_scan(walk, R, R, coords, L, bits, table_of, best)",
+           "yield _pruned_scan(walk, R, R, coords, L, bits, table_of)",
            (FAR + "test_drawings_not_far_placed_hand_over",),
-           "the far pass's bounds dropped at a hand-over: its rows are lost"),
+           "the chain pass's bounds dropped at a hand-over: its pairs are lost"),
     # The value types (drawing.Drawing, layout.Epsilon, frozen.Frozen).
     Mutant("src/spannerdraw/drawing.py",
            "type(p[0]) is int and type(p[1]) is int",

@@ -37,6 +37,7 @@ from spannerdraw.layout import (
     draw_planar_spanner,
     draw_proper_spanner,
     draw_tree_planar,
+    draw_tree_proper,
 )
 from spannerdraw.metrics import (
     DEFAULT_REL_TOL,
@@ -181,7 +182,7 @@ class TestSpanningRatio:
         # once, for the pruned pass and the exact rows of every precision
         # and pass, takes the coordinates' bit size once, and runs no Prim.
         # A graph that is not a tree builds Prim's tree once, and only when
-        # the far-placement pass does not serve it.
+        # the far order's chain does not serve it.
         calls = Counter()
 
         def counted(name):
@@ -193,33 +194,33 @@ class TestSpanningRatio:
 
             monkeypatch.setattr(metrics, name, wrapper)
 
-        for name in ("_spanning_tree", "_prim", "coord_bits", "_scan", "_far_scan", "_pruned_scan"):
+        for name in ("_spanning_tree", "_prim", "coord_bits", "_scan", "_far_roots", "_pruned_scan"):
             counted(name)
         far_planar = draw_planar_spanner(stacked_triangulation(20, 1), Epsilon(1))
         assert coord_bits(far_planar.points) > 53
         calls.clear()
         spanning_ratio(far_planar)
-        assert (calls["_far_scan"], calls["_spanning_tree"], calls["_prim"], calls["_pruned_scan"]) == (1, 0, 0, 0)
+        assert (calls["_far_roots"], calls["_spanning_tree"], calls["_prim"], calls["_pruned_scan"]) == (1, 0, 0, 1)
         # Three precisions of a graph that is not a tree: one Prim's tree.
         calls.clear()
         assert len(list(islice(metrics._spanning_ratios(random_drawing(12, 3)), 3))) == 3
         assert (calls["_spanning_tree"], calls["_prim"], calls["_pruned_scan"]) == (1, 1, 3), calls
-        monkeypatch.setattr(metrics, "_FAR_ROWS", 0)  # the far-placement pass hands over at once
+        monkeypatch.setattr(metrics, "_FAR_PAIRS", 0)  # the far-placement pass hands over at once
         column = drawing(6, [(i, i + 1) for i in range(5)], [(0, i) for i in range(6)])
-        # (far-placement passes, pruned passes, scans) of each: the pruned
-        # pass; the far-placement pass, then the pruned pass; the pruned
-        # pass at two precisions; as the second.
+        # (chain passes, pruned passes, scans) of each: the graph's tree;
+        # the chain, then the graph's tree; the graph's tree at two
+        # precisions; as the second.
         cases = [
             (draw_tree_planar(RootedTree.from_graph(random_tree(120, 3, 120), 0), Epsilon(1)), (0, 1, 1)),
-            (drawing(4, [(0, 1), (1, 2), (2, 3)], [(0, 0), (F(1, 2**60), 0), (0, 1), (1, 1)]), (1, 1, 2)),
+            (drawing(4, [(0, 1), (1, 2), (2, 3)], [(0, 0), (F(1, 2**60), 0), (0, 1), (1, 1)]), (1, 2, 2)),
             (zigzag_tree(40), (0, 2, 2)),
-            (shifted(column, 200), (1, 1, 2)),
+            (shifted(column, 200), (1, 2, 2)),
         ]
         for k, (d, passes) in enumerate(cases):
             calls.clear()
             spanning_ratio(d)
             assert (calls["_spanning_tree"], calls["_prim"], calls["coord_bits"]) == (1, 0, 1), (k, calls)
-            assert (calls["_far_scan"], calls["_pruned_scan"], calls["_scan"]) == passes, (k, calls)
+            assert (calls["_far_roots"], calls["_pruned_scan"], calls["_scan"]) == passes, (k, calls)
 
     def test_tree_planar_enclosures_pinned(self):
         # The 40 seed-301 tree-planar benchmark drawings; test_enclosures_pinned
@@ -352,9 +353,9 @@ class TestPrunedScan:
     the full scan's exactly, at every precision."""
 
     def test_matches_full_scan_oracle(self, monkeypatch):
-        # With no row to spend, the far-placement pass hands every drawing
-        # past 53 bits over to the pruned pass.
-        monkeypatch.setattr(metrics, "_FAR_ROWS", 0)
+        # With no pair to spend, the far-placement pass hands every drawing
+        # past 53 bits over to the graph's tree.
+        monkeypatch.setattr(metrics, "_FAR_PAIRS", 0)
         cases = [random_drawing(4 + seed % 12, seed) for seed in range(20)]
         cases += [random_rational_drawing(5 + seed % 8, 5000 + seed) for seed in range(20)]
         cases += [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
@@ -415,7 +416,7 @@ class TestPrunedScan:
                         kept[0] += len(targets)
                         yield u, targets
 
-                ivl = metrics._pruned_scan(t, R, coords, L, bits, lambda groups: rows(counted(groups)))
+                ivl = metrics._pruned_scan(t, R, R, coords, L, bits, lambda groups: rows(counted(groups)))
                 assert (ivl.lo, ivl.hi) == (full.lo, full.hi), (k, bits)
                 checked["pruned" if kept[0] < g.n * (g.n - 1) // 2 else "every pair"] += 1
         assert checked["pruned"] > 300, checked
@@ -449,7 +450,7 @@ class TestPrunedScan:
         # on each), a broom (a handle of 30 edges, 29 bristles at its end)
         # and a spider (legs of 5 on a root of degree 60), each on random
         # 30-bit points and drawn by draw_tree_planar.
-        monkeypatch.setattr(metrics, "_FAR_ROWS", 0)  # the pruned pass past 53 bits too
+        monkeypatch.setattr(metrics, "_FAR_PAIRS", 0)  # the graph's tree past 53 bits too
         shapes = {
             "binary": [(i, c) for i in range(31) for c in (2 * i + 1, 2 * i + 2)],
             "caterpillar": [(i, i + 1) for i in range(19)] + [(i // 3, 20 + i) for i in range(60)],
@@ -479,7 +480,7 @@ class TestPrunedScan:
     def test_graph_cases_match_oracle(self, monkeypatch):
         # test_matches_full_scan_oracle checks the random drawings and the
         # strip of 140 vertices.
-        monkeypatch.setattr(metrics, "_FAR_ROWS", 0)  # the pruned pass past 53 bits too
+        monkeypatch.setattr(metrics, "_FAR_PAIRS", 0)  # the graph's tree past 53 bits too
         cases = [draw_planar_spanner(stacked_triangulation(60, seed), Epsilon(eps))
                  for seed in range(2) for eps in (F(1), F(1, 10))]
         cases += [draw_proper_spanner(random_connected_graph(n, n, n), Epsilon(F(1, 2))) for n in (30, 90)]
@@ -519,7 +520,7 @@ class TestPrunedScan:
         planar = draw_planar_spanner(stacked_triangulation(80, 1), Epsilon(1))
         proper = draw_proper_spanner(random_connected_graph(80, 80, 1), Epsilon(F(1, 2)))
         monkeypatch.setattr(metrics, "heapq", SimpleNamespace(heappop=heappop, heappush=heapq.heappush))
-        monkeypatch.setattr(metrics, "_FAR_ROWS", 0)  # the far-placement pass hands over at once
+        monkeypatch.setattr(metrics, "_FAR_PAIRS", 0)  # the far-placement pass hands over at once
         for d in (planar, proper):
             pops.clear()
             bracketed.clear()
@@ -558,7 +559,8 @@ class TestPrunedScan:
                 yield from metrics._graph_rows(d.graph.adj, brackets, [(u, targets)])
 
         t = walk_tree(d.graph, d.points)
-        ivl = metrics._pruned_scan(t, metrics._tree_weights(t, brackets)[1], d.points, 1, 1, rows)
+        R = metrics._tree_weights(t, brackets)[1]
+        ivl = metrics._pruned_scan(t, R, R, d.points, 1, 1, rows)
         assert groups == [(2, [1]), (0, [1])]
         assert (ivl.lo, ivl.hi) == (F(6, 5), F(3, 2))
 
@@ -595,7 +597,7 @@ class TestPrunedScan:
     def test_walk_tree_is_minimum(self, monkeypatch, walk_trees):
         # Any two minimum spanning trees have the same multiset of weights,
         # so the walk tree's sorted squared lengths equal Kruskal's.
-        monkeypatch.setattr(metrics, "_FAR_ROWS", 0)  # the pruned pass past 53 bits too
+        monkeypatch.setattr(metrics, "_FAR_PAIRS", 0)  # the graph's tree past 53 bits too
         cases = [random_drawing(4 + seed % 30, seed) for seed in range(30)]
         cases += [draw_planar_spanner(stacked_triangulation(n, seed), Epsilon(eps))
                   for seed, n in enumerate((20, 60, 120)) for eps in (F(1), F(1, 10))]
@@ -664,29 +666,50 @@ def zigzag_line(n, axis):
     """A path on one vertical (axis 1) or horizontal (axis 0) line at
     (5**k - 1) / 7, k < n, each vertex joined to the one two before it,
     and the first two to each other: every far step is axis-parallel, so
-    its integer bound is exact, and the path from v_k through w_k runs
-    along the whole tree before it to v_{k-1}, the point of the box
-    nearest to v_k. So the pair (v_k, v_{k-1}) meets B_k exactly."""
+    its integer bound is exact, and the one path from v_k to the first
+    vertex of the other parity runs through v_0. So U_k + U_u meets
+    dist_hi exactly for those pairs."""
     heights = [F(5**k - 1, 7) for k in range(n)]
     points = [(F(0), h) if axis else (h, F(0)) for h in heights]
     return drawing(n, [(0, 1)] + [(k - 2, k) for k in range(2, n)], points)
 
 
+def star_broom_caterpillar():
+    """Three tree shapes whose tree-proper drawings have a far order."""
+    return {
+        "star": Graph.from_edges(30, [(0, i) for i in range(1, 30)]),
+        "broom": Graph.from_edges(30, [(i, i + 1) for i in range(10)] + [(10, 11 + i) for i in range(19)]),
+        "caterpillar": Graph.from_edges(30, [(i, i + 1) for i in range(9)] + [(i // 2, 10 + i) for i in range(20)]),
+    }
+
+
 class TestFarPlacement:
-    """The far-placement pass brackets only the sources whose bound
-    B_k = (up_k + D_k) / gap_k reaches the running lower bound, and
-    its enclosure equals the full scan's, number for number."""
+    """Past 53 bits the pruned pass runs first over the far order's chain,
+    on root distances U_k with U_k + U_u >= dist_hi(v_k, u), and hands over
+    to the graph's tree after _FAR_PAIRS pairs per vertex; its enclosure
+    equals the full scan's, number for number."""
 
     @pytest.fixture
     def far_log(self, monkeypatch):
-        """Per call of _far_scan, (sources bracketed, handed over); the
-        calls of _far_order and _pruned_scan under "order" and "pruned";
-        and the running lower bound each pruned pass starts from, under
+        """Per pass over a far order's chain, (pairs bracketed, handed
+        over); the calls of _far_order under "order", and the chains they
+        gave under "chains"; the passes over the graph's tree under
+        "pruned", and the running lower bound each starts from under
         "starts"."""
-        log = {"scans": [], "order": 0, "pruned": 0, "starts": []}
-        far_scan, far_order, pruned_scan = metrics._far_scan, metrics._far_order, metrics._pruned_scan
+        log = {"scans": [], "order": 0, "pruned": 0, "starts": [], "chains": [None]}
+        far_order, pruned_scan = metrics._far_order, metrics._pruned_scan
 
-        def scan(far, coords, L, bits, rows, best):
+        def order(*args):
+            log["order"] += 1
+            far = far_order(*args)
+            log["chains"].append(far and far[0])
+            return far
+
+        def pruned(tree, R, low, coords, L, bits, rows, best):
+            if tree is not log["chains"][-1]:
+                log["pruned"] += 1
+                log["starts"].append(best[0])
+                return pruned_scan(tree, R, low, coords, L, bits, rows, best)
             count = [0]
 
             def counted(groups):
@@ -694,26 +717,17 @@ class TestFarPlacement:
                     count[0] += 1
                     yield group
 
-            ivl = far_scan(far, coords, L, bits, lambda groups: rows(counted(groups)), best)
-            log["scans"].append((count[0], ivl is None))
+            ivl = pruned_scan(tree, R, low, coords, L, bits, lambda groups: rows(counted(groups)), best)
+            fell = count[0] > metrics._FAR_PAIRS * len(coords)  # the pair past the budget is not bracketed
+            log["scans"].append((count[0] - fell, fell))
             return ivl
 
-        def order(*args):
-            log["order"] += 1
-            return far_order(*args)
-
-        def pruned(*args):
-            log["pruned"] += 1
-            log["starts"].append(args[-1][0])
-            return pruned_scan(*args)
-
-        monkeypatch.setattr(metrics, "_far_scan", scan)
         monkeypatch.setattr(metrics, "_far_order", order)
         monkeypatch.setattr(metrics, "_pruned_scan", pruned)
         return log
 
     def test_matches_oracles_on_small_drawings(self, far_log):
-        # Every case past 53 bits is certified by the pass alone (the
+        # Every case past 53 bits is certified by the chain alone (the
         # proper ones of n <= 12 have 8-47 bits, the planar ones 85-119).
         # Scaled by 2**3000 they keep their far order.
         entered = 0
@@ -733,60 +747,100 @@ class TestFarPlacement:
             assert coord_bits(case.points) > 3000
         assert entered == 24
 
-    def test_equals_full_scan_at_every_precision(self):
-        # At a few bits the brackets are coarse and the bounds weak, so the
-        # pass is tested where it hands over, where it barely finishes and
-        # where it prunes almost everything. Every bound B_k must hold for
-        # every pair of its source: dist_hi / e_lo <= B_k.
-        cases = small_far_drawings()
-        cases += [shifted(d, 3000) for d in cases[:6]]
+    def test_tree_proper_shapes_match_oracles(self, far_log):
+        # A star, a broom and a caterpillar drawn by draw_tree_proper and
+        # shifted past 2000 bits keep their far order, and the chain runs
+        # first on each (the broom and the caterpillar then hand over).
+        for name, g in star_broom_caterpillar().items():
+            d = shifted(draw_tree_proper(RootedTree.from_graph(g, 0), Epsilon(1)), 2000)
+            assert coord_bits(d.points) > 2000, name
+            far_log["scans"].clear()
+            a, b, c = spanning_ratio(d), spanning_ratio_oracle(d), spanning_ratio_bruteforce(d)
+            assert (a.lo, a.hi) == (b.lo, b.hi), name
+            assert a.intersects(c) and c.rel_width() <= DEFAULT_REL_TOL, name
+            assert far_log["scans"], name
+
+    def test_chain_bound_is_sound_and_exact(self):
+        # At bits 1 .. 60 the brackets are coarse and the bounds weak. For
+        # every pair (v_k, u), u before v_k, U_k + U_u must be at least
+        # dist_hi: on single edges of random offsets, with a = b and b = 0
+        # among them, where U_1 + U_0 is the bound ceil(c_1 2**bits / L) on
+        # the edge's upper bracket, and on drawings of many steps. At every
+        # third bit size, the chain pass's enclosure must equal the full
+        # scan's wherever every pair brackets away from 0, whether it stays
+        # within its budget of pairs, barely finishes, or prunes almost
+        # everything.
+        rng = random.Random(2034)
+        offsets = [(1, 1), (1, 0), (0, 1), (7, 7), (2**40, 2**40), (3, 0), (2**70 + 1, 1), (5, 4)]
+        offsets += [(rng.getrandbits(rng.choice((4, 30, 90))), rng.getrandbits(rng.choice((4, 30, 90))))
+                    for _ in range(60)]
+        offsets += [(x, x) for x in (rng.getrandbits(50) + 1 for _ in range(10))]
+        edge = Graph.from_edges(2, [(0, 1)])
+        checked = Counter()
+        for dx, dy in offsets:
+            for den in (1, 3, 2**20, 10**9 + 7) if dx or dy else ():
+                d = Drawing(edge, ((0, 0), (dx, -dy)), den)
+                _, steps = metrics._far_order(d.graph, d.points)
+                for bits in range(1, 61):
+                    bound, hi = sum(metrics._far_roots(steps, d.den, bits)), metrics._length(*d.points, d.den, bits)[1]
+                    assert bound >= hi, (dx, dy, den, bits)
+                    checked["exact" if bound == hi else "above"] += 1
+        far = small_far_drawings()
+        cases = far + [shifted(d, 3000) for d in far]
         cases += [y_ordered_drawing(n, 30, n) for n in (3, 8, 20)]
-        # A tight bound: the path from (0, H) to (0, 0) runs through the
-        # whole tree of the prefix, and (0, 0) is the point of the prefix's
-        # box nearest to (0, H), so dist_hi / e_lo = B_2 for the pair.
+        # The path from (0, 40) to (0, 0) runs through the whole tree of
+        # the prefix, so U_2 + U_0 meets dist_hi when the steps are exact.
         cases.append(drawing(3, [(0, 1), (1, 2)], [(0, 0), (-3, -1), (0, 40)]))
         # Bounds that are exact: on the planar drawings only a step that is
         # vertical or horizontal gives one, a + ceil(b / 2) exceeding the
         # length of any other.
         cases += [zigzag_line(7, 1), shifted(zigzag_line(7, 0), 200)]
-        checked = Counter()
         for k, d in enumerate(cases):
-            g, coords, L = d.graph, d.points, d.den
-            far = metrics._far_order(g, coords)
-            assert far is not None, k
-            for bits in range(1, 60, 3):
-                if 4**bits * d.closest_sq < L * L:
+            g, coords, L, n = d.graph, d.points, d.den, d.graph.n
+            chain, steps = metrics._far_order(g, coords)
+            order = chain.order  # v_{n-1}, ..., v_0
+            for bits in range(1, 61):
+                brackets = metrics._Brackets(coords, L, bits)
+                dist_hi = [dict(metrics._dijkstra(g.adj, brackets, 1, u)) for u in range(n)]
+                U = metrics._far_roots(steps, L, bits)
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        bound, hi = U[i] + U[j], dist_hi[order[i]][order[j]]
+                        assert bound >= hi, (k, bits, i, j)
+                        checked["tight"] += bound == hi
+                if bits % 3 != 1 or 4**bits * d.closest_sq < L * L:
                     continue  # a pair brackets to 0: no enclosure runs at these bits
-                rows = partial(metrics._graph_rows, g.adj, metrics._Brackets(coords, L, bits))
-                dist_hi = {u: hi for u, _, _, hi in rows((u, range(g.n)) for u in range(g.n))}
-                for _, num, gap, j in metrics._far_bounds(far, L, bits):
-                    v = far.order[j]
-                    for u in far.order[:j]:
-                        e_lo = isqrt_scaled(dist_sq(coords[v], coords[u]), L * L, bits)[0]
-                        assert dist_hi[v][u] * gap <= num * e_lo, (k, bits, j, u)
-                        checked["tight"] += dist_hi[v][u] * gap == num * e_lo
-                ivl = metrics._far_scan(far, coords, L, bits, rows, [(0, 1), (0, 1)])
-                if ivl is None:
-                    checked["handed over"] += 1
-                    continue
-                full = metrics._scan(coords, L, bits, rows((u, range(u + 1, g.n)) for u in range(g.n)))
+                rows = partial(metrics._graph_rows, g.adj, brackets)
+                kept = [0]
+
+                def counted(groups):
+                    for group in groups:
+                        kept[0] += 1
+                        yield group
+
+                ivl = metrics._pruned_scan(chain, U, [0] * n, coords, L, bits, lambda groups: rows(counted(groups)))
+                full = metrics._scan(coords, L, bits, rows((u, range(u + 1, n)) for u in range(n)))
                 assert (ivl.lo, ivl.hi) == (full.lo, full.hi), (k, bits)
-                checked["pruned"] += 1
-        assert checked["pruned"] > 400 and checked["handed over"] > 15 and checked["tight"] > 500, checked
+                if kept[0] > metrics._FAR_PAIRS * n:
+                    checked["over budget"] += 1
+                else:
+                    checked["pruned" if kept[0] < n * (n - 1) // 2 else "every pair"] += 1
+        assert checked["exact"] > 2000 and checked["above"] > 10000, checked
+        assert checked["pruned"] > 400 and checked["over budget"] > 3 and checked["tight"] > 500, checked
 
     def test_a_source_at_the_lower_bound_is_bracketed(self, far_log):
-        # Only B_k < t prunes. On a straight path every bracket is exact:
-        # the top vertex's row sets t = 1, and the middle one's bound is
-        # exactly 1, so it is bracketed too.
+        # Only a bound below t prunes. On a straight path every bracket is
+        # exact: the pair (v_1, v_0) sets t = 1, and the pairs of v_2,
+        # whose bounds reach t, are bracketed too.
         s = 2**60
         d = drawing(3, [(0, 1), (1, 2)], [(1, 1), (1, s + 1), (1, 2 * s + 1)])
         a = spanning_ratio(d)
-        assert a.lo == a.hi == 1 and far_log["scans"] == [(2, False)]
+        assert a.lo == a.hi == 1 and far_log["scans"] == [(3, False)]
 
     def test_far_placed_drawings_bracket_a_few_rows(self, far_log):
         # Counted, not timed: a seeded n = 160 planar drawing at both eps,
-        # and a proper one, bracket at most 3 sources at every precision
-        # (measured: 1 or 2), and the pruned pass never runs.
+        # and a proper one, bracket at most 3 pairs at every precision
+        # (measured: 3), and the graph's tree is never walked.
         workloads = bench_workloads()
         graphs = [Graph.from_edges(160, workloads.random_planar_edges(160, random.Random(k), 160))
                   for k in range(2)]
@@ -797,6 +851,36 @@ class TestFarPlacement:
             assert not spanning_ratio(d).is_infinite
             assert far_log["scans"] and all(0 < rows <= 3 and not fell for rows, fell in far_log["scans"]), k
         assert far_log["pruned"] == 0
+
+    def test_chain_work_counts(self, far_log):
+        # Counted, not timed. The tree-proper star's chain brackets at most
+        # n pairs and never hands over (measured: n at n = 100 and at
+        # n = 400; bounds on whole prefixes handed it to the graph's tree,
+        # which tested all n(n - 1)/2 pairs). A tree on random points with
+        # a connected (y, x) order is not far-placed, yet its chain takes
+        # at most 2n pairs (measured: 7 at n = 120, against 748 with a row
+        # of the whole prefix per source). A deep tree-proper drawing at 59
+        # bits hands over: its chain alone would take 15,984 pairs.
+        for n in (100, 400):
+            star = draw_tree_proper(RootedTree.from_graph(Graph.from_edges(n, [(0, i) for i in range(1, n)]), 0),
+                                    Epsilon(1))
+            far_log["scans"].clear()
+            spanning_ratio(star)
+            assert far_log["scans"] and all(rows <= n and not fell for rows, fell in far_log["scans"]), n
+        points = sorted(random_points(120, 30, 120), key=lambda p: (p[1], p[0]))
+        rng = random.Random(120)
+        tree = shifted(Drawing(Graph.from_edges(120, [(rng.randrange(k), k) for k in range(1, 120)]),
+                               tuple(points)), 200)
+        far_log["scans"].clear()
+        spanning_ratio(tree)
+        assert far_log["scans"] and sum(rows for rows, _ in far_log["scans"]) <= 2 * 120, far_log["scans"]
+        assert not any(fell for _, fell in far_log["scans"])
+        deep = draw_tree_proper(RootedTree.from_graph(random_tree(300, 3, 300), 0), Epsilon(F(1, 10)))
+        assert coord_bits(deep.points) == 59
+        far_log["scans"].clear()
+        far_log["pruned"] = 0
+        spanning_ratio(deep)
+        assert far_log["scans"] == [(metrics._FAR_PAIRS * 300, True)] and far_log["pruned"] == 1, far_log
 
     @pytest.fixture
     def tables(self, monkeypatch):
@@ -815,11 +899,11 @@ class TestFarPlacement:
 
     def test_far_placed_drawings_bracket_a_few_edges(self, tables):
         # Counted, not timed: on the drawings of
-        # test_far_placed_drawings_bracket_a_few_rows (m = 319), the far
-        # pass's bounds bracket no edge, and Dijkstra brackets only the
-        # edges it relaxes from the few sources: 9-15 per precision
-        # (measured), against all m when every precision bracketed every
-        # edge.
+        # test_far_placed_drawings_bracket_a_few_rows (m = 319), the
+        # chain's root distances bracket no edge, and Dijkstra brackets
+        # only the edges it relaxes from the few sources: 20-28 per
+        # precision (measured), against all m when every precision
+        # bracketed every edge.
         workloads = bench_workloads()
         graphs = [Graph.from_edges(160, workloads.random_planar_edges(160, random.Random(k), 160))
                   for k in range(2)]
@@ -832,10 +916,10 @@ class TestFarPlacement:
 
     def test_a_tree_brackets_each_edge(self, tables):
         # On a tree every row reads the root distances, so every edge is
-        # bracketed at every precision, once, by _tree_weights: in the far
-        # pass (a planar drawing of a tree, past 53 bits), and in the
-        # pruned pass. On any other graph the pruned pass brackets at least
-        # the n - 1 edges of its walk tree.
+        # bracketed at every precision, once, by _tree_weights: in the
+        # chain pass (a planar drawing of a tree, past 53 bits), and over
+        # the graph's tree. On any other graph the pass over the graph's
+        # tree brackets at least the n - 1 edges of that tree.
         trees = [draw_planar_spanner(random_tree(60, 4, 60), Epsilon(F(1, 10))),
                  draw_tree_planar(RootedTree.from_graph(random_tree(125, 3, 125), 0), Epsilon(1)),
                  zigzag_tree(40)]
@@ -850,49 +934,9 @@ class TestFarPlacement:
         spanning_ratio(d)
         assert tables and all(d.graph.n - 1 <= len(t) <= d.graph.m for t in tables)
 
-    def test_far_bound_is_sound(self):
-        # ceil(c_k 2**bits / L), c_k = a + ceil(b / 2), is at least the
-        # upper _length bracket of the edge (v_k, w_k), at every precision:
-        # on single edges of random offsets, with a = b and b = 0 among
-        # them, and on each step of the small far-placed drawings, read
-        # back from _far_bounds as the rise of num from step k - 1 to k.
-        rng = random.Random(2034)
-        offsets = [(1, 1), (1, 0), (0, 1), (7, 7), (2**40, 2**40), (3, 0), (2**70 + 1, 1), (5, 4)]
-        offsets += [(rng.getrandbits(rng.choice((4, 30, 90))), rng.getrandbits(rng.choice((4, 30, 90))))
-                    for _ in range(60)]
-        offsets += [(x, x) for x in (rng.getrandbits(50) + 1 for _ in range(10))]
-        edge = Graph.from_edges(2, [(0, 1)])
-        checked = Counter()
-        for dx, dy in offsets:
-            if dx == dy == 0:
-                continue
-            for den in (1, 3, 2**20, 10**9 + 7):
-                d = Drawing(edge, ((0, 0), (dx, -dy)), den)
-                far = metrics._far_order(d.graph, d.points)
-                for bits in range(1, 61):
-                    [(_, num, _, _)] = metrics._far_bounds(far, d.den, bits)
-                    hi = metrics._length(*d.points, d.den, bits)[1]
-                    assert num >= hi, (dx, dy, den, bits)
-                    checked["exact" if num == hi else "above"] += 1
-        for k, d in enumerate(small_far_drawings()):
-            g, coords, L = d.graph, d.points, d.den
-            far = metrics._far_order(g, coords)
-            if far is None:
-                continue
-            pos = {v: i for i, v in enumerate(far.order)}
-            for bits in range(1, 61):
-                num = 0
-                for _, total, _, j in metrics._far_bounds(far, L, bits):
-                    v = far.order[j]
-                    his = [metrics._length(coords[v], coords[w], L, bits)[1] for w in g.adj[v] if pos[w] < j]
-                    assert total - num >= min(his), (k, bits, j)
-                    num = total
-                    checked["steps"] += 1
-        assert checked["exact"] > 2000 and checked["above"] > 10000 and checked["steps"] > 5000, checked
-
     def test_small_coordinates_never_enter(self, far_log):
         # Tough and tree-planar drawings keep their coordinates within 53
-        # bits, so the pruned pass alone serves them.
+        # bits, so the graph's tree alone serves them.
         cases = [draw_graph_via_tough_tree(random_connected_graph(n, n, n), 3, Epsilon(1)).drawing
                  for n in (20, 40, 80)]
         cases += [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
@@ -903,12 +947,13 @@ class TestFarPlacement:
         assert far_log["order"] == 0 and not far_log["scans"] and far_log["pruned"] == len(cases)
 
     def test_drawings_not_far_placed_hand_over(self, far_log):
-        # Random points past 53 bits with connected (y, x) prefixes: the pass
-        # spends its rows and hands over to the pruned pass, which starts
-        # from the lower bound of those rows. A star centered among its
-        # leaves has no order at all.
+        # Random points past 53 bits with connected (y, x) prefixes: where
+        # the chain spends its pairs it hands over to the graph's tree,
+        # which starts from the lower bound of those pairs. A star
+        # centered among its leaves has no order at all.
         cases = [shifted(y_ordered_drawing(n, 30, n), 200) for n in (20, 40)]
-        cases += [shifted(random_drawing(12, seed), 200) for seed in range(4)]
+        cases += [shifted(random_drawing(12, seed), 200) for seed in (0, 1, 2, 3, 19, 30)]
+        cases.append(draw_tree_proper(RootedTree.from_graph(random_tree(120, 3, 120), 0), Epsilon(F(1, 20))))
         star = drawing(5, [(0, 1), (0, 2), (0, 3), (0, 4)], [(0, 0), (-2, 1), (2, -1), (1, 2), (-1, -2)])
         cases.append(shifted(star, 200))
         fell = 0
@@ -918,13 +963,12 @@ class TestFarPlacement:
             far_log["pruned"] = 0
             a, b, c = spanning_ratio(d), spanning_ratio_oracle(d), spanning_ratio_bruteforce(d)
             assert (a.lo, a.hi) == (b.lo, b.hi) and a.intersects(c), k
-            assert far_log["pruned"] > 0, k
-            if far_log["scans"]:
-                assert far_log["scans"] == [(metrics._FAR_ROWS, True)], (k, far_log["scans"])
-                assert far_log["starts"][0][0] > 0, (k, far_log["starts"])
+            if far_log["scans"] and far_log["scans"][-1][1]:
+                assert far_log["scans"][-1] == (metrics._FAR_PAIRS * d.graph.n, True), (k, far_log["scans"])
+                assert far_log["pruned"] > 0 and far_log["starts"][0][0] > 0, (k, far_log["starts"])
                 fell += 1
-            else:
-                assert far_log["starts"][0] == (0, 1), k
+            elif not far_log["scans"]:
+                assert far_log["pruned"] > 0 and far_log["starts"][0] == (0, 1), k
         assert fell >= 2
         assert metrics._far_order(star.graph, shifted(star, 200).points) is None
 

@@ -259,7 +259,6 @@ def test_no_unread_private_fields():
     # The check sees the fields of the private records.
     classes = {node.name: class_fields(node) for node in ast.parse(sources["metrics.py"]).body
                if isinstance(node, ast.ClassDef)}
-    assert classes["_Far"] == ["order", "steps"]
     assert classes["_Tree"] == ["order", "pos", "up", "end"]
 
 
