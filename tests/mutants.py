@@ -218,17 +218,17 @@ MUTANTS = [
     Mutant("src/spannerdraw/metrics.py",
            "(min(a, b) + 1) // 2",
            "min(a, b) // 2",
-           (FAR + "test_chain_bound_is_sound_and_exact",),
+           (FAR + "test_far_bound_is_sound",),
            "b // 2 for ceil(b / 2) in c_k: a diagonal edge's bound falls below its length"),
     Mutant("src/spannerdraw/metrics.py",
            "U.append(U[j] + -(-(c << bits) // L))",
            "U.append(U[j] + (c << bits) // L)",
-           (FAR + "test_chain_bound_is_sound_and_exact",),
+           (FAR + "test_far_bound_is_sound",),
            "c_k scaled by the floor: the bound falls below an edge's upper bracket"),
     Mutant("src/spannerdraw/metrics.py",
            "U.append(U[j] + -(-(c << bits) // L))",
            "U.append(-(-(c << bits) // L))",
-           (FAR + "test_chain_bound_is_sound_and_exact",),
+           (FAR + "test_far_bound_is_sound",),
            "U_k without U_{w_k}: a root distance forgets the path from w_k down to v_0"),
     Mutant("src/spannerdraw/metrics.py",
            "_pruned_scan(chain, _far_roots(steps, L, bits), [0] * g.n,",

@@ -760,16 +760,26 @@ class TestFarPlacement:
             assert a.intersects(c) and c.rel_width() <= DEFAULT_REL_TOL, name
             assert far_log["scans"], name
 
-    def test_chain_bound_is_sound_and_exact(self):
+    @staticmethod
+    def chain_cases():
+        far = small_far_drawings()
+        cases = far + [shifted(d, 3000) for d in far]
+        cases += [y_ordered_drawing(n, 30, n) for n in (3, 8, 20)]
+        # The path from (0, 40) to (0, 0) runs through the whole tree of
+        # the prefix, so U_2 + U_0 meets dist_hi when the steps are exact.
+        cases.append(drawing(3, [(0, 1), (1, 2)], [(0, 0), (-3, -1), (0, 40)]))
+        # Bounds that are exact: on the planar drawings only a step that is
+        # vertical or horizontal gives one, a + ceil(b / 2) exceeding the
+        # length of any other.
+        cases += [zigzag_line(7, 1), shifted(zigzag_line(7, 0), 200)]
+        return cases
+
+    def test_far_bound_is_sound(self):
         # At bits 1 .. 60 the brackets are coarse and the bounds weak. For
         # every pair (v_k, u), u before v_k, U_k + U_u must be at least
         # dist_hi: on single edges of random offsets, with a = b and b = 0
         # among them, where U_1 + U_0 is the bound ceil(c_1 2**bits / L) on
-        # the edge's upper bracket, and on drawings of many steps. At every
-        # third bit size, the chain pass's enclosure must equal the full
-        # scan's wherever every pair brackets away from 0, whether it stays
-        # within its budget of pairs, barely finishes, or prunes almost
-        # everything.
+        # the edge's upper bracket, and on drawings of many steps.
         rng = random.Random(2034)
         offsets = [(1, 1), (1, 0), (0, 1), (7, 7), (2**40, 2**40), (3, 0), (2**70 + 1, 1), (5, 4)]
         offsets += [(rng.getrandbits(rng.choice((4, 30, 90))), rng.getrandbits(rng.choice((4, 30, 90))))
@@ -785,17 +795,7 @@ class TestFarPlacement:
                     bound, hi = sum(metrics._far_roots(steps, d.den, bits)), metrics._length(*d.points, d.den, bits)[1]
                     assert bound >= hi, (dx, dy, den, bits)
                     checked["exact" if bound == hi else "above"] += 1
-        far = small_far_drawings()
-        cases = far + [shifted(d, 3000) for d in far]
-        cases += [y_ordered_drawing(n, 30, n) for n in (3, 8, 20)]
-        # The path from (0, 40) to (0, 0) runs through the whole tree of
-        # the prefix, so U_2 + U_0 meets dist_hi when the steps are exact.
-        cases.append(drawing(3, [(0, 1), (1, 2)], [(0, 0), (-3, -1), (0, 40)]))
-        # Bounds that are exact: on the planar drawings only a step that is
-        # vertical or horizontal gives one, a + ceil(b / 2) exceeding the
-        # length of any other.
-        cases += [zigzag_line(7, 1), shifted(zigzag_line(7, 0), 200)]
-        for k, d in enumerate(cases):
+        for k, d in enumerate(self.chain_cases()):
             g, coords, L, n = d.graph, d.points, d.den, d.graph.n
             chain, steps = metrics._far_order(g, coords)
             order = chain.order  # v_{n-1}, ..., v_0
@@ -808,9 +808,22 @@ class TestFarPlacement:
                         bound, hi = U[i] + U[j], dist_hi[order[i]][order[j]]
                         assert bound >= hi, (k, bits, i, j)
                         checked["tight"] += bound == hi
-                if bits % 3 != 1 or 4**bits * d.closest_sq < L * L:
+        assert checked["exact"] > 2000 and checked["above"] > 10000 and checked["tight"] > 500, checked
+
+    def test_equals_full_scan_at_every_precision(self):
+        # At every third bit size from 1 to 58, the chain pass's enclosure
+        # must equal the full scan's wherever every pair brackets away from
+        # 0, whether it stays within its budget of pairs, barely finishes,
+        # or prunes almost everything.
+        checked = Counter()
+        for k, d in enumerate(self.chain_cases()):
+            g, coords, L, n = d.graph, d.points, d.den, d.graph.n
+            chain, steps = metrics._far_order(g, coords)
+            for bits in range(1, 60, 3):
+                if 4**bits * d.closest_sq < L * L:
                     continue  # a pair brackets to 0: no enclosure runs at these bits
-                rows = partial(metrics._graph_rows, g.adj, brackets)
+                rows = partial(metrics._graph_rows, g.adj, metrics._Brackets(coords, L, bits))
+                U = metrics._far_roots(steps, L, bits)
                 kept = [0]
 
                 def counted(groups):
@@ -825,8 +838,7 @@ class TestFarPlacement:
                     checked["over budget"] += 1
                 else:
                     checked["pruned" if kept[0] < n * (n - 1) // 2 else "every pair"] += 1
-        assert checked["exact"] > 2000 and checked["above"] > 10000, checked
-        assert checked["pruned"] > 400 and checked["over budget"] > 3 and checked["tight"] > 500, checked
+        assert checked["pruned"] > 400 and checked["over budget"] > 3, checked
 
     def test_a_source_at_the_lower_bound_is_bracketed(self, far_log):
         # Only a bound below t prunes. On a straight path every bracket is
