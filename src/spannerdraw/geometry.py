@@ -15,10 +15,11 @@ two of them, other than a horizontal one, which two products show. The
 proper construction's height search tries it at each height, and
 any_three_collinear tries it on all the points in x order, which the
 proper drawings pass. Where neither decides, on_line_through_two decides
-with one exact direction key per point, and any_three_collinear scans each
-hub against the points after it that way. The scan serves the tree-proper
-merge, and the no_three_collinear certificate of the drawings that the
-count and the lemma leave open.
+with one exact direction key per point, and hub_scan keys each hub
+against the points after it that way. The scan serves the tree-proper
+merge, which calls hub_scan directly on points it knows to be distinct,
+and, through any_three_collinear, the no_three_collinear certificate of
+the drawings that the count and the lemma leave open.
 
 Below 2**FLOAT_BITS the scan puts a fingerprint in front of the exact keys
 (after Karp and Rabin, IBM J. R&D 1987): each later point's slope from the
@@ -243,11 +244,12 @@ def any_three_collinear(points: Sequence[IntPoint], hubs: Optional[int] = None) 
       right of the ones before it.
     - The scan, below, where neither decides.
 
-    Otherwise, or with `hubs` given, it scans: a collinear triple is found
-    from its first point, so each hub is keyed only against the points
-    after it, sum over the hubs i of n - 1 - i direction keys, n(n-1)/2
-    for all points, and the scan stops at the first hub on a line. Vertex
-    order is kept: a drawing's collinear triple tends to come early in it.
+    Otherwise, or with `hubs` given, it scans (hub_scan): a collinear
+    triple is found from its first point, so each hub is keyed only
+    against the points after it, sum over the hubs i of n - 1 - i
+    direction keys, n(n-1)/2 for all points, and the scan stops at the
+    first hub on a line. Vertex order is kept: a drawing's collinear
+    triple tends to come early in it.
 
     The keys are slopes first where every coordinate is below
     2**FLOAT_BITS in size, a gate of one O(n) pass per call: a hub's later
@@ -271,7 +273,18 @@ def any_three_collinear(points: Sequence[IntPoint], hubs: Optional[int] = None) 
             return True
         if _far_placed(sorted(points)):
             return False
-    if coord_bits(points) <= FLOAT_BITS:
+    return hub_scan(points, hubs, coord_bits(points))
+
+
+def hub_scan(points: Sequence[IntPoint], hubs: Optional[int], bits: int) -> bool:
+    """True iff three of the distinct integer points lie on a line through
+    one of the first `hubs` points (all points when None): the scan of
+    any_three_collinear, which calls it after the coincidence test, with
+    bits = coord_bits(points) for the gate between slope keys and exact
+    keys. The tree-proper merge calls it directly, with the size it carries
+    for its points, which it knows to be distinct.
+    """
+    if bits <= FLOAT_BITS:
         return any(_slopes_repeat(z, rest) and on_line_through_two(z, rest)
                    for i, z in enumerate(points[:hubs]) for rest in (points[i + 1:],))
     return any(on_line_through_two(z, points[i + 1:])

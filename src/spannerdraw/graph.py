@@ -229,6 +229,18 @@ def degree_bounded_spanning_tree(g: Graph, d_target: int) -> RootedTree:
     Starts from a BFS tree and repeatedly swaps a non-tree edge for a tree edge
     to relieve maximum-degree vertices. Returns the best tree found, whose
     maximum degree exceeds d_target when the search stalls above it.
+
+    Nothing is rebuilt per swap: the tree's degrees, the set of vertices
+    of the largest degree k, and the rooting at 0 (up and depth) are carried
+    across swaps. A swap of tree edge (a, b) for (u, v) cuts off the side
+    below the deeper of a and b, which holds exactly one of u and v, since
+    (a, b) lies on the tree path from u to v; _rehang re-roots that side at
+    its end of (u, v) under the other end and leaves every vertex outside
+    it as it was. A rooted tree has one parent per vertex and one path
+    between two vertices, so the carried pointers give every cycle, swap
+    and final tree that a fresh walk would. The returned RootedTree takes
+    its parents from them and its children in sorted order, as
+    RootedTree.from_graph would.
     """
     n = g.n
     if n == 0:
@@ -240,63 +252,79 @@ def degree_bounded_spanning_tree(g: Graph, d_target: int) -> RootedTree:
     for v, u in enumerate(parent[1:], 1):
         tree_adj[u].add(v)
         tree_adj[v].add(u)
+    up, depth = [0] * n, [0] * n
+    _hang(tree_adj, up, depth, 0)
 
     non_tree = [(u, v) for u in range(n) for v in g.adj[u] if u < v and v not in tree_adj[u]]
-    improved = True
-    while improved:
-        deg = list(map(len, tree_adj))
-        k = max(deg)
-        if k <= d_target:
-            break
-        improved = False
-        hot = {w for w, dw in enumerate(deg) if dw == k}
-        up, depth = _rooted(tree_adj)
+    deg = list(map(len, tree_adj))
+    k = max(deg)
+    hot = {w for w, dw in enumerate(deg) if dw == k}
+    while k > d_target:
         for u, v in non_tree:
             if deg[u] >= k - 1 or deg[v] >= k - 1:
                 continue
             cycle = _tree_path(up, depth, u, v)
-            swap = next(
-                (
-                    (cycle[i], cycle[i + 1])
-                    for i in range(len(cycle) - 1)
-                    if cycle[i] in hot or cycle[i + 1] in hot
-                ),
-                None,
-            )
-            if swap is None:
+            if hot.isdisjoint(cycle):
                 continue
-            a, b = swap
+            # The swap is the first edge of the cycle at a hot vertex; u,
+            # of degree below k - 1, is not hot, so i >= 1.
+            i = next(i for i, w in enumerate(cycle) if w in hot)
+            a, b = cycle[i - 1], cycle[i]
             tree_adj[a].discard(b)
             tree_adj[b].discard(a)
             tree_adj[u].add(v)
             tree_adj[v].add(u)
             non_tree.remove((u, v))
             non_tree.append((min(a, b), max(a, b)))
-            improved = True
+            for w, dw in ((a, -1), (b, -1), (u, 1), (v, 1)):
+                deg[w] += dw
+            hot.difference_update((a, b))  # each lost a degree, or is u, which was not hot
+            # The path climbs from u to the top of the cycle and descends to
+            # v: an edge whose first end is the deeper lies on u's side.
+            if depth[a] > depth[b]:
+                _rehang(tree_adj, up, depth, u, v)
+            else:
+                _rehang(tree_adj, up, depth, v, u)
             break
+        else:  # no swap relieves a vertex of degree k
+            break
+        if not hot:
+            k = max(deg)
+            hot = {w for w, dw in enumerate(deg) if dw == k}
 
-    return RootedTree.from_graph(Graph(n, tuple(tuple(sorted(a)) for a in tree_adj)), 0)
+    adj = tuple(tuple(sorted(a)) for a in tree_adj)
+    parent = [None, *up[1:]]
+    children = [[w for w in adj[x] if w != parent[x]] for x in range(n)]
+    return RootedTree(Graph(n, adj), 0, parent, children)
 
 
-def _rooted(tree_adj: list[set[int]]) -> tuple[list[int], list[int]]:
-    """(parent, depth) of a spanning tree given by adjacency sets, rooted at
-    vertex 0, whose parent is itself."""
-    n = len(tree_adj)
-    up, depth = [0] * n, [-1] * n
-    depth[0] = 0
-    order = [0]
-    for u in order:  # the list grows while it is walked: a FIFO queue
-        for v in tree_adj[u]:
-            if depth[v] < 0:
-                up[v], depth[v] = u, depth[u] + 1
-                order.append(v)
-    return up, depth
+def _rehang(tree_adj: list[set[int]], up: list[int], depth: list[int], x: int, y: int) -> None:
+    """Hang the side of x under y, once a swap has made (x, y) the only
+    tree edge between that side and the rest: re-root it at x and walk it
+    with _hang. Nothing outside the side changes."""
+    up[x], depth[x] = y, depth[y] + 1
+    _hang(tree_adj, up, depth, x)
+
+
+def _hang(tree_adj: list[set[int]], up: list[int], depth: list[int], x: int) -> None:
+    """Set up and depth below x, whose own are set, for the vertices that
+    tree_adj reaches from x other than through up[x]: each takes the
+    neighbor it is reached from as its parent, one deeper. The root is its
+    own parent, so from x = 0 this roots the whole tree."""
+    stack = [x]
+    while stack:
+        s = stack.pop()
+        p, d = up[s], depth[s] + 1
+        for w in tree_adj[s]:
+            if w != p:
+                up[w], depth[w] = s, d
+                stack.append(w)
 
 
 def _tree_path(up: list[int], depth: list[int], s: int, t: int) -> list[int]:
-    """The path from s to t in the tree of _rooted: up from both ends, the
-    deeper one first, until they meet. A tree has one path between two
-    vertices, so no search is needed."""
+    """The path from s to t in the tree that up and depth root: up from
+    both ends, the deeper one first, until they meet. A tree has one path
+    between two vertices, so no search is needed."""
     head, tail = [s], [t]
     while s != t:
         if depth[s] >= depth[t]:

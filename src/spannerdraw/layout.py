@@ -12,9 +12,9 @@ being targeted).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 from .drawing import Drawing
@@ -22,7 +22,7 @@ from .embedding import augment_to_maximal_with_canonical_order
 from .errors import NotConnectedError, TooSmallError
 from .exact import isqrt_scaled
 from .frozen import Frozen
-from .geometry import IntPoint, any_three_collinear, far_right, on_line_through_two
+from .geometry import IntPoint, far_right, hub_scan, on_line_through_two
 from .graph import (
     Graph,
     RootedTree,
@@ -173,9 +173,18 @@ def draw_proper_spanner(g: Graph, eps: Epsilon) -> Drawing:
     return Drawing(g, tuple(p for _, p in sorted(zip(order, placed))))
 
 
-# A drawn part: its vertices, their points as integer numerators, and the
-# common denominator of those numerators.
-_TreePart = tuple[list[int], list[tuple[int, int]], int]
+class _TreePart(NamedTuple):
+    """A drawn part of the tree-proper construction: its vertices, their
+    points as integer numerators over den, and what the merge that built
+    the part knows of them: its width, the largest x numerator, and the
+    gcd of all its numerators. Its root is at (0, 0), x >= 0 >= y, and its
+    points are distinct."""
+
+    verts: list[int]
+    pts: list[IntPoint]
+    den: int
+    width: int
+    common: int
 
 
 def draw_tree_proper(t: RootedTree, eps: Epsilon) -> Drawing:
@@ -196,63 +205,102 @@ def draw_tree_proper(t: RootedTree, eps: Epsilon) -> Drawing:
     amounts that puts no three of their points on a line.
 
     The separator tree is built top-down and merged bottom-up with no
-    recursion, since a star is n - 1 levels deep. Each part holds integer
+    recursion, since a star is n - 1 levels deep. Top-down, a part is its
+    root and the vertices below it that no earlier split cut off; the
+    subtree sizes within the parts are kept across splits, and _split finds
+    each separator by a descent, not a scan. Each drawn part holds integer
     numerators over its own denominator, a product of powers of 2 and 3, so
     the merge search runs direction keys on integers, and the drawing keeps
     the root part's numerators and denominator. Every drawn part has no
-    three collinear points, so a merge keys only its smaller part's points
+    three collinear points, so a merge keys only its smaller part's points,
+    and it carries its width and its numerators' gcd to the next merge
     (see _merge_tree_parts).
     """
     gamma = eps.tree_gamma
-    # Top-down, breadth first: a part is a preorder of its vertices, root
-    # first, so the side below its separator edge is a contiguous slice.
-    parts = [(preorder(t.children, t.root), 0)]  # (preorder, separator depth)
-    halves: list[Optional[tuple[int, int]]] = []  # indices of the two halves
     size = [1] * t.n
+    for w in reversed(preorder(t.children, t.root)[1:]):
+        size[t.parent[w]] += size[w]  # type: ignore[index]
+    kids = [sorted((-size[c], c) for c in cs) for cs in t.children]
+    # Top-down, breadth first: the upper half of a part keeps its root.
+    parts = [(t.root, 0)]  # (root, separator depth)
+    halves: list[Optional[tuple[int, int]]] = []  # indices of the two halves
     i = 0
     while i < len(parts):
-        vs, k = parts[i]
-        if len(vs) == 1:
+        r, k = parts[i]
+        if size[r] == 1:
             halves.append(None)
         else:
-            start = _separator_index(vs, t.parent, size)
-            stop = start + size[vs[start]]
+            v = _split(r, t.parent, size, kids)
             halves.append((len(parts), len(parts) + 1))
-            parts += [(vs[:start] + vs[stop:], k + 1), (vs[start:stop], k + 1)]
+            parts += [(r, k + 1), (v, k + 1)]
         i += 1
 
     # Bottom-up: every half comes after its part in `parts`.
     drawn: list[Optional[_TreePart]] = [None] * len(parts)
     for i in reversed(range(len(parts))):
-        vs, k = parts[i]
+        r, k = parts[i]
         if halves[i] is None:
-            drawn[i] = (vs, [(0, 0)], 1)
+            drawn[i] = _TreePart([r], [(0, 0)], 1, 0, 0)
         else:
             upper, lower = halves[i]
             drawn[i] = _merge_tree_parts(drawn[upper], drawn[lower], k, gamma)
             drawn[upper] = drawn[lower] = None
-    verts, pts, den = drawn[0]
-    return Drawing(t.graph, tuple(p for _, p in sorted(zip(verts, pts))), den)
+    whole = drawn[0]
+    return Drawing(t.graph, tuple(p for _, p in sorted(zip(whole.verts, whole.pts))), whole.den)
 
 
-def _separator_index(vs: list[int], parent: Sequence[Optional[int]], size: list[int]) -> int:
-    """Index in the preorder `vs` of the lower endpoint v of the separator edge
-    of the subtree spanned by `vs`: the edge (parent of v, v) that minimizes
-    the larger of its two parts, ties going to the least parent id, then the
-    least v. With at most d neighbors per vertex, neither part of m vertices
-    exceeds ceil((d - 1) / d * m).
+def _split(r: int, parent: Sequence[Optional[int]], size: list[int],
+           kids: list[list[tuple[int, int]]]) -> int:
+    """Cut the part rooted at r at its separator edge and return the edge's
+    lower end v: the edge (parent of v, v) that minimizes the larger of its
+    two parts, ties going to the least parent id, then the least v. With at
+    most d neighbors per vertex, neither part of m vertices exceeds
+    ceil((d - 1) / d * m).
 
-    Leaves size[w] set to the size of w's subtree within `vs`.
+    size[w] is the size of w's subtree within its part, and kids[w] holds
+    the keys (-size[c], c) of w's children within its part, sorted: the
+    heaviest child first, equal sizes by least id.
+
+    The descent: two children of one vertex cannot both hold m/2 vertices
+    or more, so the vertices that do form a path down from r, x_0 = r, ...,
+    x_t, their sizes falling. An edge whose lower side holds m/2 or more
+    has that side as its larger part, least at x_t. An edge whose lower
+    side v holds less has the rest as its larger part, least where v is
+    largest; if v's parent is not on the path, the parent's own edge is
+    better still, so v is a child of some x_i, and kids[x_i] puts its best
+    one first among its light children. So the edge is the least of t + 2
+    keys at most, taken along the path.
+
+    The cut: v leaves its parent p's kids, and the sizes from p up to r
+    fall by size[v], each re-keyed in its parent's kids. The lower part,
+    below v, keeps its sizes.
     """
-    m = len(vs)
-    for w in vs:
-        size[w] = 1
-    for w in reversed(vs[1:]):
-        size[parent[w]] += size[w]  # type: ignore[index]
-    return min(
-        range(1, m),
-        key=lambda j: (max(size[vs[j]], m - size[vs[j]]), parent[vs[j]], vs[j]),
-    )
+    m = size[r]
+    found = []  # (larger part, parent, lower end) of each candidate edge
+    x = r
+    while True:
+        ks = kids[x]
+        heavy = 1 if ks and -2 * ks[0][0] >= m else 0
+        if len(ks) > heavy:
+            minus_size, c = ks[heavy]
+            found.append((m + minus_size, x, c))
+        if not heavy:
+            break
+        x = ks[0][1]
+    if x != r:
+        found.append((size[x], parent[x], x))
+    _, y, v = min(found)
+    s = size[v]
+    ks = kids[y]
+    del ks[bisect_left(ks, (-s, v))]
+    while True:
+        size[y] -= s
+        if y == r:
+            return v
+        ks = kids[parent[y]]  # type: ignore[index]
+        del ks[bisect_left(ks, (-size[y] - s, y))]
+        insort(ks, (-size[y], y))
+        y = parent[y]  # type: ignore[assignment]
 
 
 def _merge_tree_parts(upper: _TreePart, lower: _TreePart, k: int, gamma: int) -> _TreePart:
@@ -262,33 +310,51 @@ def _merge_tree_parts(upper: _TreePart, lower: _TreePart, k: int, gamma: int) ->
     w the width of the upper part, and down by eta/3 + eta/3 * step/span for
     the first step/span in 1/8, ..., 7/8, 8/64, ..., 63/64, ... that puts no
     three points on a line. Everything is counted in units of 1/L,
-    L = lcm(D1, D2, 3^(k+1) * span), in which every term is an integer.
+    L = lcm(D1, D2, 3^(k+1) * span), in which every term is an integer; a
+    part whose denominator is L already is not rescaled.
 
     Each part has no three collinear points, by induction from the single
     points, and the parts are apart in x. So a collinear triple of the union
-    has a point in the smaller part S, and any_three_collinear finds it with
-    S's points first and only they as hubs: a trial that fits makes
-    |S|(|S|-1)/2 + |S||L| direction keys, L the larger part, not the
-    2|S||L| of keying every point against the other part.
+    has a point in the smaller part S, and hub_scan finds it with S's points
+    first and only they as hubs: a trial that fits makes |S|(|S|-1)/2 +
+    |S||L| direction keys, L the larger part, not the 2|S||L| of keying
+    every point against the other part.
+
+    What the parts carry spares the passes over their points:
+    - Distinct points: each part's are, and the lower part starts right of
+      the upper one's width, at x_off > w. So hub_scan needs no
+      coincidence test.
+    - The width: the lower part's largest x, x_off plus its own width.
+      It is also the largest absolute numerator of the union: every x is
+      at least 0, and every |y| is below eta, since the lower part's own y
+      is at least -eta/3 and its shift less than 2 eta/3, while x_off is
+      at least gamma (eta + 1). So its bit length is the union's
+      coord_bits, and it decides hub_scan's gate.
+    - The gcd of the numerators: the upper part's scales with it, and the
+      lower part's is gcd(x_off, y_off, its own scaled), since its root is
+      at (0, 0) before the shift. Only where that gcd and L have a common
+      factor g > 1 are the points divided, by g, which leaves L least.
     """
-    verts1, pts1, den1 = upper
-    verts2, pts2, den2 = lower
-    w1 = max(x for x, _ in pts1)
     j, span = 1, 8
     while True:
-        den = math.lcm(den1, den2, 3 ** (k + 1) * span)
+        den = math.lcm(upper.den, lower.den, 3 ** (k + 1) * span)
         third = den // 3 ** (k + 1)  # eta/3
-        s1, s2 = den // den1, den // den2
-        left = [(x * s1, y * s1) for x, y in pts1]
-        x_off = (gamma + 1) * w1 * s1 + gamma * (3 * third + den)
+        s1, s2 = den // upper.den, den // lower.den
+        left = upper.pts if s1 == 1 else [(x * s1, y * s1) for x, y in upper.pts]
+        x_off = (gamma + 1) * upper.width * s1 + gamma * (3 * third + den)
+        width = x_off + lower.width * s2
+        bits = width.bit_length()
         for step in range(j, span):
             y_off = -third - step * (third // span)
-            right = [(x * s2 + x_off, y * s2 + y_off) for x, y in pts2]
+            right = [(x * s2 + x_off, y * s2 + y_off) for x, y in lower.pts]
             small, large = (left, right) if len(left) <= len(right) else (right, left)
-            if not any_three_collinear(small + large, len(small)):
+            if not hub_scan(small + large, len(small), bits):
                 pts = left + right
-                g = math.gcd(den, *chain.from_iterable(pts))
-                return verts1 + verts2, [(x // g, y // g) for x, y in pts], den // g
+                common = math.gcd(upper.common * s1, lower.common * s2, x_off, y_off)
+                g = math.gcd(den, common)
+                if g > 1:
+                    pts = [(x // g, y // g) for x, y in pts]
+                return _TreePart(upper.verts + lower.verts, pts, den // g, width // g, common // g)
         j = span
         span *= 8
 

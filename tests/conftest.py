@@ -9,8 +9,17 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from spannerdraw import Drawing, Graph, geometry
+import pytest
+
+from spannerdraw import Drawing, Graph, RootedTree, geometry
 from spannerdraw.embedding import planarity_test_embed
+from spannerdraw.layout import (
+    Epsilon,
+    draw_graph_via_tough_tree,
+    draw_planar_spanner,
+    draw_proper_spanner,
+    draw_tree_planar,
+)
 
 BENCH = str(Path(__file__).resolve().parent.parent / "bench")
 
@@ -23,6 +32,43 @@ def bench_workloads():
     import workloads
 
     return workloads
+
+
+def benchmark_drawing(op) -> Drawing:
+    """The drawing of one benchmark op, as `spannerdraw draw` makes it."""
+    g, eps = Graph.from_edges(op.n, op.edges), Epsilon(op.epsilon)
+    if op.kind == "planar":
+        return draw_planar_spanner(g, eps)
+    if op.kind == "proper":
+        return draw_proper_spanner(g, eps)
+    if op.kind == "tough":
+        return draw_graph_via_tough_tree(g, op.d_target, eps).drawing
+    return draw_tree_planar(RootedTree.from_graph(g, 0), eps)
+
+
+class Corpus:
+    """The benchmark's seed-301 ops, per workload, and their drawings.
+
+    The op lists are built once. A workload's drawings are drawn on the
+    first call of drawings(), by benchmark_drawing, and kept: a test reads
+    them before it patches anything, and a test that counts the work of
+    drawing draws its own."""
+
+    def __init__(self):
+        workloads = bench_workloads()
+        self.ops = {name: workloads.build(name, 301) for name in workloads.WORKLOADS}
+        self._drawings: dict[str, list[Drawing]] = {}
+
+    def drawings(self, name: str) -> list[Drawing]:
+        if name not in self._drawings:
+            self._drawings[name] = [benchmark_drawing(op) for op in self.ops[name]]
+        return self._drawings[name]
+
+
+@pytest.fixture(scope="session")
+def bench301() -> Corpus:
+    """The seed-301 corpus, shared by every test of the session."""
+    return Corpus()
 
 
 class KeyCount:

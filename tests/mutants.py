@@ -53,6 +53,8 @@ PRUNED = "tests/test_metrics.py::TestPrunedScan::"
 LENGTH = "tests/test_metrics.py::TestLength::"
 FAR = "tests/test_metrics.py::TestFarPlacement::"
 DRAWING = "tests/test_fileio_cli.py::TestDrawingValidation::"
+TREE_PROPER = "tests/test_layout.py::TestTreeProper::"
+TOUGH_TREE = "tests/test_graph.py::TestDegreeBoundedSpanningTree::"
 
 MUTANTS = [
     # The planarity sweep's order checks (metrics.is_planar_drawing).
@@ -135,16 +137,43 @@ MUTANTS = [
            (SLOPES + "test_near_collision_comes_out_false",),
            "the exact confirmation dropped: two slopes that round to one double pass for a line"),
     Mutant("src/spannerdraw/geometry.py",
-           "if coord_bits(points) <= FLOAT_BITS:",
-           "if coord_bits(points) > FLOAT_BITS:",
+           "if bits <= FLOAT_BITS:",
+           "if bits > FLOAT_BITS:",
            (COLLINEAR + "test_each_pair_keyed_once",),
            "the gate flipped: small coordinates take exact keys, and big ones slopes that collide or overflow"),
+    # The tree-proper construction's carried facts (layout.draw_tree_proper,
+    # _split, _merge_tree_parts) and the degree-bounded tree's carried
+    # rooting (graph.degree_bounded_spanning_tree, _rehang).
     Mutant("src/spannerdraw/layout.py",
-           "    return Drawing(t.graph, tuple(p for _, p in sorted(zip(verts, pts))), den)",
-           "    on_line_through_two(pts[0], pts[1:])\n"
-           "    return Drawing(t.graph, tuple(p for _, p in sorted(zip(verts, pts))), den)",
-           ("tests/test_layout.py::TestTreeProper::test_merge_keys_from_the_smaller_part",),
+           "    whole = drawn[0]\n",
+           "    whole = drawn[0]\n    on_line_through_two(whole.pts[0], whole.pts[1:])\n",
+           (TREE_PROPER + "test_merge_keys_from_the_smaller_part",),
            "a key builder outside the merges: draw_tree_proper keys more than its merges"),
+    Mutant("src/spannerdraw/layout.py",
+           "width = x_off + lower.width * s2",
+           "width = upper.width * s1",
+           (TREE_PROPER + "test_merges_carry_what_they_know",),
+           "the carried width taken from the upper part only: the next merge's shift and gate read too small a width"),
+    Mutant("src/spannerdraw/layout.py",
+           "kids = [sorted((-size[c], c) for c in cs) for cs in t.children]",
+           "kids = [sorted(((-size[c], c) for c in cs), key=lambda e: (e[0], -e[1])) for cs in t.children]",
+           (TREE_PROPER + "test_merges_carry_what_they_know",),
+           "the separator tie broken by the greatest v: a star splits off its last leaf first"),
+    Mutant("src/spannerdraw/layout.py",
+           "width // g, common // g)",
+           "width // g, common)",
+           (TREE_PROPER + "test_merges_carry_what_they_know",),
+           "the carried gcd left undivided: a later merge divides its points by a factor they lack"),
+    Mutant("src/spannerdraw/layout.py",
+           "        size[y] -= s\n",
+           "",
+           (TREE_PROPER + "test_merges_carry_what_they_know",),
+           "the sizes above a cut left as they were: the upper part's next separator is chosen on stale sizes"),
+    Mutant("src/spannerdraw/graph.py",
+           "    up[x], depth[x] = y, depth[y] + 1\n",
+           "    up[x] = y\n",
+           (TOUGH_TREE + "test_carried_rooting_describes_every_swap",),
+           "the re-hung side's depth left stale: the cycles climb from the wrong heights"),
     Mutant("src/spannerdraw/layout.py",
            "box = (0, w, 0, y_max)",
            "box = (0, w, 0, 0)",

@@ -1,10 +1,11 @@
-"""Test-only oracles: the tree edge separator, the face walk of a rotation
-system, networkx's planar embedding, a canonical-order validator, the
-canonical order by sorting its candidates at every step, the spanning
-ratio on Dijkstra and on Floyd–Warshall rows, the depth-first tree path,
-the padded size of a planar tree drawing and brute-force toughness,
-written apart from the package's own code so that the tests
-check it against independent code. Only the tests and bench/ import
+"""Test-only oracles: the tree edge separator and the tree-proper
+separator scan, the face walk of a rotation system, networkx's planar
+embedding, a canonical-order validator, the canonical order by sorting its
+candidates at every step, the spanning ratio on Dijkstra and on
+Floyd–Warshall rows, the breadth-first rooting of a tree and the
+depth-first tree path, the padded size of a planar tree drawing and
+brute-force toughness, written apart from the package's own code so that
+the tests check it against independent code. Only the tests and bench/ import
 networkx; the package does not need it."""
 
 from __future__ import annotations
@@ -64,6 +65,19 @@ def edge_separator(t: RootedTree, d: int) -> tuple[int, int]:
     bound = -((-(d - 1) * n) // d)  # ceil((d-1)/d * n)
     assert larger <= bound, f"separator bound violated: {larger} > {bound}"
     return (u, v)
+
+
+def separator_scan(vs: list[int], parent) -> int:
+    """The lower end v of a tree-proper part's separator edge by the scan
+    draw_tree_proper once made over every part: vs lists the part's
+    vertices, its root first and each vertex after its parent; the subtree
+    sizes within vs are summed anew, and the edge (parent of v, v) with the
+    least (larger part, parent, v) is taken over all of the part's edges."""
+    m = len(vs)
+    size = dict.fromkeys(vs, 1)
+    for w in reversed(vs[1:]):
+        size[parent[w]] += size[w]
+    return min(vs[1:], key=lambda w: (max(size[w], m - size[w]), parent[w], w))
 
 
 def split_at_edge(t: RootedTree, u: int, v: int) -> tuple[list[int], list[int]]:
@@ -420,6 +434,22 @@ def tree_planar_size(g: Graph) -> int:
     (not a path) is rooted at its least leaf."""
     root = min(v for v in range(g.n) if g.degree(v) == 1)
     return g.n + sum(g.degree(v) - (v != root) == 1 for v in range(g.n))
+
+
+def rooted_bfs(tree_adj: list[set[int]]) -> tuple[list[int], list[int]]:
+    """(parent, depth) of a spanning tree given by adjacency sets, rooted at
+    vertex 0, whose parent is itself, by a fresh breadth-first walk, as
+    degree_bounded_spanning_tree once rooted its tree after every swap."""
+    n = len(tree_adj)
+    up, depth = [0] * n, [-1] * n
+    depth[0] = 0
+    order = [0]
+    for u in order:  # the list grows while it is walked: a FIFO queue
+        for v in tree_adj[u]:
+            if depth[v] < 0:
+                up[v], depth[v] = u, depth[u] + 1
+                order.append(v)
+    return up, depth
 
 
 def tree_path_dfs(tree_adj: list[set[int]], s: int, t: int) -> list[int]:

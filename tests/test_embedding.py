@@ -174,10 +174,10 @@ class TestPlanarityTestEmbed:
     def test_enough_graphs_against_networkx(self):
         assert sum(map(len, embedder_families().values())) >= 1000
 
-    def test_pinned_bench_rotations(self):
+    def test_pinned_bench_rotations(self, bench301):
         # Recorded from networkx's embedding on the seed-301 planar benchmark
         # graphs.
-        ops = bench_workloads().build("planar", 301)
+        ops = bench301.ops["planar"]
         rotations = [planarity_test_embed(Graph.from_edges(op.n, op.edges)).rotation for op in ops]
         assert len(rotations) == 88
         digest = hashlib.sha256(repr(rotations).encode()).hexdigest()

@@ -182,10 +182,9 @@ class TestRoundTrip:
                 fileio.graph_from_obj({**base, "edges": [[0, 1], edge]})
             assert str(err.value) == message
 
-    def test_benchmark_graphs_parse_to_their_edges(self):
-        workloads = bench_workloads()
-        for name in workloads.WORKLOADS:
-            for op in workloads.build(name, 301):
+    def test_benchmark_graphs_parse_to_their_edges(self, bench301):
+        for name, ops in bench301.ops.items():
+            for op in ops:
                 g = fileio.graph_from_obj(json.loads(op.graph_json()))
                 assert g == Graph.from_edges(op.n, op.edges), (name, op.id)
 
@@ -612,20 +611,20 @@ def test_cli_and_demos_run_without_networkx(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [0] * (len(commands) + len(demos))
 
 
-def test_planar_outputs_pinned():
+def test_planar_outputs_pinned(bench301):
     # tests/output_digest.py over the 88 seed-301 planar benchmark ops: the
     # draw, metrics and verify outputs, byte for byte, as recorded before
     # the canonical order was chosen by one contour scan. Run the script
     # for all 556 ops of seeds 301 and 302.
-    ops = bench_workloads().build("planar", 301)
+    ops = bench301.ops["planar"]
     assert len(ops) == 88
     assert digest(ops) == "49d5e0804117d644698b808651434427e0c724e50e79b9a814b1215924e9e9f6"
 
 
-def test_tree_planar_outputs_pinned():
+def test_tree_planar_outputs_pinned(bench301):
     # tests/output_digest.py over the 40 seed-301 tree-planar benchmark ops,
     # as recorded before the pruned pass took pairs of subtrees as blocks.
-    ops = bench_workloads().build("tree-planar", 301)
+    ops = bench301.ops["tree-planar"]
     assert len(ops) == 40
     assert digest(ops) == "ff811e49a7a45996183b4da0f814bd3a2700e180ca4cce3b23996bffc4bd9e2a"
 

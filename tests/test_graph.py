@@ -10,6 +10,7 @@ from conftest import random_connected_graph, random_tree
 from oracles import (
     connected_components,
     edge_separator,
+    rooted_bfs,
     split_at_edge,
     subtree_sizes,
     toughness_bruteforce,
@@ -335,11 +336,74 @@ class TestDegreeBoundedSpanningTree:
             n = rng.randrange(1, 80)
             t = random_tree(n, rng.choice((2, 3, 4, n)), 300 + seed)
             tree_adj = [set(a) for a in t.adj]
-            up, depth = graph._rooted(tree_adj)
+            up, depth = [0] * n, [0] * n
+            graph._hang(tree_adj, up, depth, 0)
+            assert (up, depth) == rooted_bfs(tree_adj), seed
             assert depth[0] == 0 and all(depth[v] == depth[up[v]] + 1 for v in range(1, n)), seed
             for _ in range(50):
                 s, u = rng.randrange(n), rng.randrange(n)
                 assert graph._tree_path(up, depth, s, u) == tree_path_dfs(tree_adj, s, u), (seed, s, u)
+
+    def test_carried_rooting_describes_every_swap(self, monkeypatch):
+        # After every swap, the carried up and depth root the current tree
+        # at 0, as a fresh walk would, and give its paths.
+        rehang, swaps = graph._rehang, []
+
+        def checked(tree_adj, up, depth, x, y):
+            rehang(tree_adj, up, depth, x, y)
+            n = len(tree_adj)
+            assert up[0] == depth[0] == 0
+            assert all(depth[v] == depth[up[v]] + 1 for v in range(1, n))
+            edges = {frozenset((u, v)) for u in range(n) for v in tree_adj[u]}
+            assert {frozenset((v, up[v])) for v in range(1, n)} == edges
+            assert (up, depth) == rooted_bfs(tree_adj)
+            rng = random.Random(len(swaps))
+            for _ in range(10):
+                s, t = rng.randrange(n), rng.randrange(n)
+                assert graph._tree_path(up, depth, s, t) == tree_path_dfs(tree_adj, s, t)
+            swaps.append(n)
+
+        monkeypatch.setattr(graph, "_rehang", checked)
+        for k, n in enumerate((12, 30, 60, 150, 300)):
+            g = random_connected_graph(n, n // (1 + k % 3), 70 + k)
+            for d in (2, 3):
+                before = len(swaps)
+                t = degree_bounded_spanning_tree(g, d)
+                assert t.parent == RootedTree.from_graph(t.graph, 0).parent
+                assert len(swaps) > before, (n, d)
+        assert swaps.count(300) >= 50
+
+    def test_rehang_moves_only_the_cut_side(self):
+        # One swap by hand: tree edge (a, b) on the path from u to v traded
+        # for (u, v). The side cut off below the deeper of a and b is
+        # re-hung under the other end of (u, v); nothing else moves.
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randrange(3, 60)
+            tree_adj = [set(a) for a in random_tree(n, rng.choice((2, 3, n)), 800 + seed).adj]
+            up, depth = rooted_bfs(tree_adj)
+            u, v = rng.sample(range(n), 2)
+            if v in tree_adj[u]:
+                continue
+            path = tree_path_dfs(tree_adj, u, v)
+            i = rng.randrange(len(path) - 1)
+            a, b = path[i], path[i + 1]
+            low = a if depth[a] > depth[b] else b
+            cut, stack = set(), [low]
+            while stack:
+                w = stack.pop()
+                cut.add(w)
+                stack.extend(c for c in tree_adj[w] if c != up[w])
+            x, y = (u, v) if u in cut else (v, u)
+            assert y not in cut
+            tree_adj[a].discard(b)
+            tree_adj[b].discard(a)
+            tree_adj[u].add(v)
+            tree_adj[v].add(u)
+            old = list(up), list(depth)
+            graph._rehang(tree_adj, up, depth, x, y)
+            assert (up, depth) == rooted_bfs(tree_adj), seed
+            assert all((up[w], depth[w]) == (old[0][w], old[1][w]) for w in range(n) if w not in cut)
 
     def test_large_trees_match_oracle(self):
         # The swaps of the search, on graphs larger than the oracle test's.

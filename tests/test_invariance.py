@@ -14,17 +14,9 @@ import random
 
 from hypothesis import given, settings
 
-from conftest import bench_workloads
-from spannerdraw import Drawing, Graph, RootedTree, fileio
+from spannerdraw import Drawing, Graph, fileio
 from spannerdraw.errors import SpannerDrawError
 from spannerdraw.exact import Interval
-from spannerdraw.layout import (
-    Epsilon,
-    draw_graph_via_tough_tree,
-    draw_planar_spanner,
-    draw_proper_spanner,
-    draw_tree_planar,
-)
 from spannerdraw.metrics import (
     bounding_box,
     edge_length_ratio,
@@ -97,28 +89,16 @@ def assert_invariant(d, key):
         assert report(transform(d), swaps) == before, (key, name)
 
 
-def benchmark_drawing(op):
-    """The drawing of one benchmark op, as `spannerdraw draw` makes it."""
-    g, eps = Graph.from_edges(op.n, op.edges), Epsilon(op.epsilon)
-    if op.kind == "planar":
-        return draw_planar_spanner(g, eps)
-    if op.kind == "proper":
-        return draw_proper_spanner(g, eps)
-    if op.kind == "tough":
-        return draw_graph_via_tough_tree(g, op.d_target, eps).drawing
-    return draw_tree_planar(RootedTree.from_graph(g, 0), eps)
-
-
-def test_benchmark_drawings_invariant():
+def test_benchmark_drawings_invariant(bench301):
     # A seeded sample of the seed-301 benchmark drawings with n <= 250:
     # planar and proper ones past 53 bits, tough and tree-planar ones
     # below, which the translation moves past it.
-    workloads = bench_workloads()
-    ops = [op for w in ("planar", "proper", "tree-planar") for op in workloads.build(w, 301) if op.n <= 250]
-    sample = random.Random(301).sample(ops, 40)
-    assert {op.kind for op in sample} == {"planar", "proper", "tough", "tree-planar"}
-    for op in sample:
-        assert_invariant(benchmark_drawing(op), (op.kind, op.id))
+    drawn = [(op, d) for w in ("planar", "proper", "tree-planar")
+             for op, d in zip(bench301.ops[w], bench301.drawings(w)) if op.n <= 250]
+    sample = random.Random(301).sample(drawn, 40)
+    assert {op.kind for op, _ in sample} == {"planar", "proper", "tough", "tree-planar"}
+    for op, d in sample:
+        assert_invariant(d, (op.kind, op.id))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -3,27 +3,31 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
 from conftest import KeyCount, bench_workloads, random_connected_graph, random_connected_planar_graph, random_tree
-from oracles import edge_separator, split_at_edge, tree_planar_size
+from oracles import edge_separator, separator_scan, split_at_edge, tree_planar_size
 from spannerdraw.bounds import planar_sr1_witness, sr1_witness
 from spannerdraw.drawing import Drawing
 from spannerdraw.embedding import augment_to_maximal_with_canonical_order
 from spannerdraw.errors import NotConnectedError
 from spannerdraw.exact import isqrt_scaled
-from spannerdraw.geometry import dist_sq
+from spannerdraw.geometry import coord_bits, dist_sq
 from spannerdraw.graph import (
     Graph,
     RootedTree,
+    degree_bounded_spanning_tree,
     hamiltonian_path,
     path_order,
+    preorder,
 )
 from spannerdraw.layout import (
     _LEG_BITS,
     Epsilon,
     _merge_tree_parts,
+    _TreePart,
     draw_graph_via_tough_tree,
     draw_planar_spanner,
     draw_proper_spanner,
@@ -38,6 +42,7 @@ from spannerdraw.metrics import (
     no_three_collinear,
     spanning_ratio,
 )
+from test_metrics import star_broom_caterpillar
 
 F = Fraction
 EPS1 = Epsilon(F(1))
@@ -399,9 +404,9 @@ class TestTreeProper:
         # lower point on a line through the origin and one upper point, as
         # does step 8 of span 64; step 9 is the first that fits.
         gamma = 4
-        upper = (list(range(8)), [(0, 0)] + [(-48 * gamma, 8 + j) for j in range(1, 8)], 1)
-        lower = ([8], [(0, 0)], 1)
-        verts, pts, den = _merge_tree_parts(upper, lower, 0, gamma)
+        upper = _TreePart(list(range(8)), [(0, 0)] + [(-48 * gamma, 8 + j) for j in range(1, 8)], 1, 0, 1)
+        lower = _TreePart([8], [(0, 0)], 1, 0, 0)
+        verts, pts, den, _, _ = _merge_tree_parts(upper, lower, 0, gamma)
         assert verts == list(range(9))
         coords = [(F(x, den), F(y, den)) for x, y in pts]
         assert coords[:8] == [(0, 0)] + [(-48 * gamma, 8 + j) for j in range(1, 8)]
@@ -424,7 +429,7 @@ class TestTreeProper:
             before = keys.counts()
             drawn = merge(upper, lower, k, gamma)
             made = [after - b for after, b in zip(keys.counts(), before)]
-            merges.append((len(upper[0]), len(lower[0]), made))
+            merges.append((len(upper.verts), len(lower.verts), made))
             return drawn
 
         monkeypatch.setattr(layout, "_merge_tree_parts", counted)
@@ -441,6 +446,60 @@ class TestTreeProper:
                 assert sorted(made) == [0, want[-1]], (a, b, made)
             assert sum(keys.counts()) == sum(want)
         assert fingerprinted == {False, True}
+
+    def test_merges_carry_what_they_know(self, monkeypatch, bench301):
+        # Every merge hands on its width (the largest x numerator, whose bit
+        # length is coord_bits of the points) and the gcd of its numerators,
+        # over distinct points with the root at (0, 0); every split takes
+        # the separator that the old scan over the whole part took.
+        from spannerdraw import layout
+
+        merge, split = layout._merge_tree_parts, layout._split
+        parts: dict[int, list[int]] = {}  # part root -> its vertices, root first
+        counts = [0, 0]
+
+        def checked_merge(upper, lower, k, gamma):
+            part = merge(upper, lower, k, gamma)
+            assert part.width == max(x for x, _ in part.pts)
+            assert part.width.bit_length() == coord_bits(part.pts)
+            assert part.common == math.gcd(*chain.from_iterable(part.pts))
+            assert math.gcd(part.den, part.common) == 1
+            assert len(set(part.pts)) == len(part.pts) and part.pts[0] == (0, 0)
+            counts[0] += 1
+            return part
+
+        def checked_split(r, parent, size, kids):
+            vs = parts.pop(r)
+            want = separator_scan(vs, parent)
+            v = split(r, parent, size, kids)
+            assert v == want, (r, v, want)
+            lower = {v}
+            for w in vs:  # parents come before their children
+                if parent[w] in lower:
+                    lower.add(w)
+            parts[r] = [w for w in vs if w not in lower]
+            parts[v] = [w for w in vs if w in lower]
+            counts[1] += 1
+            return v
+
+        monkeypatch.setattr(layout, "_merge_tree_parts", checked_merge)
+        monkeypatch.setattr(layout, "_split", checked_split)
+        shapes = [*star_broom_caterpillar().values(), star_graph(80), caterpillar(40)]
+        shapes += [random_tree(200, 3, seed) for seed in range(3)]
+        trees = [RootedTree.from_graph(g, root) for g in shapes for root in (0, g.n // 2, g.n - 1)]
+        tough = [degree_bounded_spanning_tree(Graph.from_edges(op.n, op.edges), op.d_target)
+                 for op in bench301.ops["proper"] if op.kind == "tough"]
+        for t in trees + tough:
+            counts[:] = [0, 0]
+            depth = [0] * t.n
+            order = preorder(t.children, t.root)
+            for w in order[1:]:
+                depth[w] = depth[t.parent[w]] + 1
+            parts.clear()
+            parts[t.root] = sorted(order, key=depth.__getitem__)
+            draw_tree_proper(t, EPS1)
+            assert counts == [t.n - 1, t.n - 1]
+        assert len(tough) == 75
 
     def test_deep_star_needs_no_recursion(self):
         # A star splits off one leaf per separator level: 149 levels here.

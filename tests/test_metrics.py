@@ -222,13 +222,11 @@ class TestSpanningRatio:
             assert (calls["_spanning_tree"], calls["_prim"], calls["coord_bits"]) == (1, 0, 1), (k, calls)
             assert (calls["_far_roots"], calls["_pruned_scan"], calls["_scan"]) == passes, (k, calls)
 
-    def test_tree_planar_enclosures_pinned(self):
+    def test_tree_planar_enclosures_pinned(self, bench301):
         # The 40 seed-301 tree-planar benchmark drawings; test_enclosures_pinned
         # pins the planar and proper ones. Recorded when the float pass and
         # the exact rows each rooted their own tree.
-        ops = bench_workloads().build("tree-planar", 301)
-        srs = [spanning_ratio(draw_tree_planar(RootedTree.from_graph(Graph.from_edges(op.n, op.edges), 0),
-                                               Epsilon(op.epsilon))) for op in ops]
+        srs = [spanning_ratio(d) for d in bench301.drawings("tree-planar")]
         assert len(srs) == 40
         digest = hashlib.sha256(repr([(s.lo, s.hi) for s in srs]).encode()).hexdigest()
         assert digest == "6db0b5aa104b2412d9f5eb87190b1a4d229979cf4a1e56d5bd002958c19e818c"
@@ -490,16 +488,15 @@ class TestPrunedScan:
         for k, d in enumerate(cases):
             assert_oracle_enclosures(d, k)
 
-    def test_tough_work_counts(self, bracketed):
+    def test_tough_work_counts(self, bracketed, bench301):
         # Counted, not timed: each row of a graph that is not a tree is one
         # Dijkstra source. Over the 75 seed-301 tough drawings, Prim's tree
         # bounds all but a few pairs below the running lower bound
         # (measured: 635 rows of one pair each, of 110,530 pairs; 499
         # sources and 825 pairs when each source was pruned alone, and about
         # 3,000 sources on the breadth-first tree).
-        ops = [op for op in bench_workloads().build("proper", 301) if op.kind == "tough"]
-        drawings = [draw_graph_via_tough_tree(Graph.from_edges(op.n, op.edges), op.d_target,
-                                              Epsilon(op.epsilon)).drawing for op in ops]
+        drawings = [d for op, d in zip(bench301.ops["proper"], bench301.drawings("proper"))
+                    if op.kind == "tough"]
         assert len(drawings) == 75
         bracketed.clear()
         for d in drawings:
@@ -528,14 +525,12 @@ class TestPrunedScan:
             rows = bracketed["rows"]  # the far-placement pass brackets none
             assert 0 < rows and pops["pops"] <= 0.5 * d.graph.n * rows + 2 * d.graph.m + 1, (pops, rows)
 
-    def test_tree_pass_work_counts(self, bracketed):
+    def test_tree_pass_work_counts(self, bracketed, bench301):
         # Counted, not timed: over the 40 seed-301 tree-planar drawings the
         # block pass brackets 712 of 1,684,752 pairs (1,404 with its blocks
         # and parts taken from the first in preorder rather than the last;
         # 1,610 when each source was pruned alone).
-        ops = bench_workloads().build("tree-planar", 301)
-        drawings = [draw_tree_planar(RootedTree.from_graph(Graph.from_edges(op.n, op.edges), 0),
-                                     Epsilon(op.epsilon)) for op in ops]
+        drawings = bench301.drawings("tree-planar")
         assert len(drawings) == 40
         bracketed.clear()
         for d in drawings:
@@ -984,15 +979,13 @@ class TestFarPlacement:
         assert fell >= 2
         assert metrics._far_order(star.graph, shifted(star, 200).points) is None
 
-    def test_enclosures_pinned(self):
+    def test_enclosures_pinned(self, bench301):
         # The seed-301 planar and proper benchmark drawings with n <= 40,
         # recorded when every precision scanned all pairs (past 1900 bits)
         # or the float filter's candidates.
-        workloads = bench_workloads()
-        draw = {"planar": draw_planar_spanner, "proper": draw_proper_spanner}
-        srs = [spanning_ratio(draw[op.kind](Graph.from_edges(op.n, op.edges), Epsilon(op.epsilon)))
-               for w in ("planar", "proper") for op in workloads.build(w, 301)
-               if op.kind in draw and op.n <= 40]
+        srs = [spanning_ratio(d) for w in ("planar", "proper")
+               for op, d in zip(bench301.ops[w], bench301.drawings(w))
+               if op.kind in ("planar", "proper") and op.n <= 40]
         assert len(srs) == 128
         digest = hashlib.sha256(repr([(s.lo, s.hi) for s in srs]).encode()).hexdigest()
         assert digest == "ced2ed3de6e9b4d5c9aeb84f8f89dc85608f95bd7ecfbcc8aed6dfd7dd65ce9d"
@@ -1377,18 +1370,14 @@ class TestProperAndCollinear:
         d = drawing(3, [(0, 1), (1, 2)], [(0, 0), (1, 0), (2, 0)])
         assert not no_three_collinear(d)
 
-    def test_axis_triples_take_no_key(self, monkeypatch):
+    def test_axis_triples_take_no_key(self, monkeypatch, bench301):
         # Counted, not timed: the planar construction puts a vertex at the
         # midpoint x of its attachment's ends, so 76 of the 88 seed-301
         # planar drawings, and all 40 tree-planar ones, hold three vertices
         # on one vertical or horizontal line, which the count finds with no
         # direction key, slope or exact. Measured before the count: 36,324
         # keys on the planar drawings and 10,779 on the tree-planar ones.
-        workloads = bench_workloads()
-        planar = [draw_planar_spanner(Graph.from_edges(op.n, op.edges), Epsilon(op.epsilon))
-                  for op in workloads.build("planar", 301)]
-        trees = [draw_tree_planar(RootedTree.from_graph(Graph.from_edges(op.n, op.edges), 0), Epsilon(op.epsilon))
-                 for op in workloads.build("tree-planar", 301)]
+        planar, trees = bench301.drawings("planar"), bench301.drawings("tree-planar")
         keys = KeyCount(monkeypatch)
         collinear = [d for d in planar if not no_three_collinear(d)]
         assert (len(planar), len(collinear)) == (88, 76)
