@@ -216,6 +216,13 @@ def draw_tree_proper(t: RootedTree, eps: Epsilon) -> Drawing:
     and it carries its width and its numerators' gcd to the next merge
     (see _merge_tree_parts).
     """
+    return Drawing(t.graph, *_tree_proper_points(t, eps))
+
+
+def _tree_proper_points(t: RootedTree, eps: Epsilon) -> tuple[tuple[IntPoint, ...], int]:
+    """draw_tree_proper's points, by vertex, as integer numerators over the
+    returned denominator: the root part's, which the tough route draws its
+    graph on too, so that each builds one Drawing."""
     gamma = eps.tree_gamma
     size = [1] * t.n
     for w in reversed(preorder(t.children, t.root)[1:]):
@@ -246,7 +253,7 @@ def draw_tree_proper(t: RootedTree, eps: Epsilon) -> Drawing:
             drawn[i] = _merge_tree_parts(drawn[upper], drawn[lower], k, gamma)
             drawn[upper] = drawn[lower] = None
     whole = drawn[0]
-    return Drawing(t.graph, tuple(p for _, p in sorted(zip(whole.verts, whole.pts))), whole.den)
+    return tuple(p for _, p in sorted(zip(whole.verts, whole.pts))), whole.den
 
 
 def _split(r: int, parent: Sequence[Optional[int]], size: list[int],
@@ -380,9 +387,8 @@ def draw_graph_via_tough_tree(g: Graph, d_target: int, eps: Epsilon) -> ToughDra
         raise NotConnectedError("input graph must be connected")
     tree = degree_bounded_spanning_tree(g, d_target)
     achieved = tree.graph.max_degree()
-    tree_drawing = draw_tree_proper(tree, eps)
     return ToughDrawResult(
-        drawing=Drawing(g, tree_drawing.points, tree_drawing.den),
+        drawing=Drawing(g, *_tree_proper_points(tree, eps)),
         tree=tree,
         achieved_degree=achieved,
         warning=(f"spanning tree max degree {achieved} exceeds target {d_target}"

@@ -25,10 +25,11 @@ scan's at any bit size (the pruned dilation computation of Narasimhan and
 Smid, "Geometric Spanner Networks", 2007). One branch-and-bound pass does
 it, _pruned_scan, the dual-tree form of the scan (Gray and Moore, "N-Body
 Problems in Statistical Learning", NIPS 2000). It walks a rooted tree in
-preorder, bounds the dist_hi of each pair by root distances along it, and
+preorder, bounds the dist_hi of each pair by root distances along it,
 skips a block of pairs, two subtrees or positions alone under one lowest
 common ancestor, whose bound is too short for the gap between its two
-bounding boxes to reach t. It runs over one of two trees:
+bounding boxes to reach t, and brackets each pair it keeps at once, in
+the same loop. It runs over one of two trees:
 - where coordinates run past 53 bits, first the far order's chain. The
   planar and proper constructions put vertex k more than k delta /
   epsilon away from the vertices placed before it, and the paper's proof
@@ -48,13 +49,13 @@ bounding boxes to reach t. It runs over one of two trees:
   any other graph a minimum spanning tree of the squared edge lengths
   (_prim).
 A tree is rooted once per call, at vertex 0, and every exact tree distance
-is R[u] + R[v] - 2 R[lca] on integer root distances; any other graph takes
-Dijkstra rows, stopped at their targets and resumed while the source stays
-the same. The oracles of tests/oracles.py
-share none of this code: each checks connectivity, finds the closest pair
-and scans every pair itself, on Dijkstra rows at the same precisions, whose
-enclosure must be this one, or on Floyd–Warshall rows from 128 bits, whose
-enclosure must meet it.
+is R[u] + R[v] - 2 R[lca] on integer root distances; on any other graph a
+pair's distances come from Dijkstra, stopped at its target and resumed
+while the source stays the same. The oracles of tests/oracles.py share none
+of this code: each checks connectivity, finds the closest pair and scans
+every pair itself, on all-pairs Dijkstra distances at the same precisions,
+whose enclosure must be this one, or on Floyd–Warshall distances from 128
+bits, whose enclosure must meet it.
 
 Three certificates sweep the integer points instead of scanning all pairs,
 with the same verdicts and values:
@@ -171,29 +172,11 @@ class _Brackets(dict):
         return b
 
 
-def _scan(coords: Sequence[IntPoint], L: int, bits: int, table, best: Optional[list] = None) -> Interval:
-    """The pair loop of every enclosure: the ratio enclosure over the pairs
-    (u, v), for each (u, targets, dist_lo, dist_hi) that table yields and v in
-    targets, where dist_lo and dist_hi hold u's exact graph distances to the
-    targets, in their order, under the lower and the upper edge brackets, at
-    scale 2**bits over the denominator L of the integer coords (_length).
-    Every pair distance must bracket away from 0 at bits. best, when given,
-    is the list [(0, 1), (0, 1)], in which _scan keeps the running lower and
-    upper ratio bounds as (num, den) while the pairs come, so that a lazy
-    table can read them."""
-    if best is None:
-        best = [(0, 1), (0, 1)]
-    best_lo, best_hi = best  # ratio bounds as num/den over scaled ints
-    for u, targets, dist_lo, dist_hi in table:
-        cu = coords[u]
-        for v, g_lo, g_hi in zip(targets, dist_lo, dist_hi):
-            e_lo, e_hi = _length(cu, coords[v], L, bits)
-            if g_lo * best_lo[1] > best_lo[0] * e_hi:
-                best_lo = best[0] = (g_lo, e_hi)
-            if g_hi * best_hi[1] > best_hi[0] * e_lo:
-                best_hi = best[1] = (g_hi, e_lo)
-    lo = max(Fraction(*best_lo), Fraction(1))
-    return Interval(lo, max(Fraction(*best_hi), lo))
+def _enclosure(best: list) -> Interval:
+    """The enclosure of the running ratio bounds best = [(num, den), (num,
+    den)] of a pass, lower then upper, each at least 1."""
+    lo = max(Fraction(*best[0]), Fraction(1))
+    return Interval(lo, max(Fraction(*best[1]), lo))
 
 
 def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
@@ -212,22 +195,23 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     0. The precisions are 64, 128, ..., or, when b exceeds 64, 128 + b,
     256 + b, ... (_precisions).
 
-    The exact rows come from table_of(groups), under the lower and the
-    upper integer edge-length brackets of a precision, kept in one table
-    per precision (_Brackets) that brackets only the edges a pass reads: on
-    a tree from its breadth-first preorder tree (_tree_rows), built once
-    and walked by the pruned pass too, on the root distances that
-    _tree_weights takes once per precision over every edge; on any other
-    graph from Dijkstra (_graph_rows), which brackets the edges it relaxes.
-    Where coordinates run past 53 bits, each precision first runs the
-    pruned pass (_pruned_scan) over the far order's chain, whose root
-    distances bracket no edge. Where there is no chain, or its pass would
-    bracket more than _FAR_PAIRS pairs per vertex, the pass runs over the
-    graph's own tree, from the chain pass's running bounds and on the same
-    table; on a graph that is not a tree that tree is built then, once, and
-    its edges bracketed per precision by _tree_weights. Either pass
-    brackets only pairs that can reach the running lower bound, so the
-    enclosure is the full scan's whichever way it went.
+    A pair's exact distances come from dist(u, v), one closure per
+    precision, under the lower and the upper integer edge-length brackets
+    kept in that precision's table (_Brackets), which brackets only the
+    edges a pass reads. On a tree dist is R[i] + R[j] - 2 R[lca] on its
+    breadth-first preorder tree (_tree_dist), built once and walked by the
+    pruned pass too, and on the root distances that _tree_weights takes
+    once per precision over every edge; on any other graph it is Dijkstra
+    (_graph_dist), which brackets the edges it relaxes. Where coordinates
+    run past 53 bits, each precision first runs the pruned pass
+    (_pruned_scan) over the far order's chain, whose root distances bracket
+    no edge. Where there is no chain, or its pass would bracket more than
+    _FAR_PAIRS pairs per vertex, the pass runs over the graph's own tree,
+    from the chain pass's running bounds and with the same dist; on a graph
+    that is not a tree that tree is built then, once, and its edges
+    bracketed per precision by _tree_weights. Either pass brackets only
+    pairs that can reach the running lower bound, so the enclosure is the
+    full scan's whichever way it went.
     """
     g = d.graph
     if g.n < 2:
@@ -249,34 +233,20 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     far = _far_order(g, coords) if coord_bits(coords) > FLOAT_BITS else None
     for bits in _precisions(b if b > _START_BITS else 0):
         brackets = _Brackets(coords, L, bits)
-        if tree is None:
-            roots = None
-            table_of = partial(_graph_rows, g.adj, brackets)
-        else:
-            roots = _tree_weights(tree, brackets)
-            table_of = partial(_tree_rows, tree, roots)
+        roots = None if tree is None else _tree_weights(tree, brackets)
+        dist = _graph_dist(g.adj, brackets) if roots is None else _tree_dist(tree, roots)
         best = [(0, 1), (0, 1)]
         if far is not None:
             chain, steps = far
-            left = [_FAR_PAIRS * g.n]  # the pairs the chain pass may still bracket
-
-            def capped(groups):
-                for group in groups:
-                    left[0] -= 1
-                    if left[0] < 0:
-                        return
-                    yield group
-
-            ivl = _pruned_scan(chain, _far_roots(steps, L, bits), [0] * g.n, coords, L, bits,
-                               lambda groups: table_of(capped(groups)), best)
-            if left[0] >= 0:
-                yield ivl
-                continue
-            far = None  # not far-placed enough: the graph's tree from here on
-        if walk is None:
-            walk = _spanning_tree(g, _prim(g.adj, coords))
-        R = roots[1] if roots else _tree_weights(walk, brackets)[1]
-        yield _pruned_scan(walk, R, R, coords, L, bits, table_of, best)
+            U = _far_roots(steps, L, bits)
+            if not _pruned_scan(chain, U, [0] * g.n, brackets, dist, best, _FAR_PAIRS * g.n):
+                far = None  # not far-placed enough: the graph's tree from here on
+        if far is None:
+            if walk is None:
+                walk = _spanning_tree(g, _prim(g.adj, coords))
+            R = roots[1] if roots else _tree_weights(walk, brackets)[1]
+            _pruned_scan(walk, R, R, brackets, dist, best)
+        yield _enclosure(best)
 
 
 # The chain pass brackets at most _FAR_PAIRS pairs per vertex and precision
@@ -340,13 +310,14 @@ def _far_roots(steps: list[tuple[int, int]], L: int, bits: int) -> list[int]:
     return U
 
 
-def _pruned_scan(tree: _Tree, R: list, low: list, coords: Sequence[IntPoint], L: int, bits: int,
-                 table_of: Callable, best: Optional[list] = None) -> Interval:
-    """The enclosure at scale 2**bits by branch and bound over pairs of
-    subtrees of tree, a rooted tree on the drawing's vertices in preorder,
-    table_of(groups) giving the rows of the pairs it keeps under the
-    precision's edge brackets. best, when given, holds _scan's running
-    bounds from the pairs of an earlier pass, and t starts from them.
+def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Callable, best: list,
+                 budget: float = math.inf) -> bool:
+    """Branch and bound over pairs of subtrees of tree, a rooted tree on the
+    drawing's vertices in preorder, at the precision of brackets. Each pair
+    (u, v) it keeps is bracketed at once, by dist(u, v) and _length, into
+    the running ratio bounds best of _enclosure, which may hold an earlier
+    pass's. It returns False, leaving the pair unbracketed, at a pair past
+    the first budget ones, and True when it finishes.
 
     R holds root distances and low an ancestor term, by position, such
     that for each pair of positions i < j, with c their lowest common
@@ -366,18 +337,17 @@ def _pruned_scan(tree: _Tree, R: list, low: list, coords: Sequence[IntPoint], L:
     n - 1 down to 0, the parts of c are c alone and its child subtrees, and
     the pairs with ancestor c are those of the blocks (P, Q), P before Q in
     the parts of c. When a block comes, let t be the running largest
-    dist_lo/e_hi of _scan rounded down to p / 2**64, and hP, hQ the nodes'
-    hmax or R.
+    dist_lo/e_hi rounded down to p / 2**64, and hP, hQ the nodes' hmax or R.
     - The block is skipped when
       ((hP + hQ - 2 low[c]) 2**64 + p)**2 L**2 < p**2 box**2 2**(2 bits),
       where box**2 is the squared integer distance between the two boxes and
-      L the denominator of coords. Let E = sqrt(box**2) 2**bits / L, at
+      L the denominator of the coords. Let E = sqrt(box**2) 2**bits / L, at
       most the scaled distance from any point of one box to any of the
       other. Then every
       pair (i, j) of the block has e_lo > E - 1, and the test gives
       dist_hi <= hP + hQ - 2 low[c] < (p / 2**64)(E - 1) <= t e_lo.
-    - Otherwise, when both nodes are positions alone, i < j, the pair is
-      bracketed at once, as the group (order[i], [order[j]]).
+    - Otherwise, when both nodes are positions alone, i < j, the pair
+      (order[i], order[j]) is bracketed, and p taken again if it raises t.
     - Otherwise the node with the larger box (width plus height; a position
       alone has none) is split into its own parts, each paired with the
       other node in a block of the same c. Each pair of the block lies in
@@ -398,6 +368,7 @@ def _pruned_scan(tree: _Tree, R: list, low: list, coords: Sequence[IntPoint], L:
     stored. The shift by 64 bits and the small p keep the products short
     on big coordinates."""
     order, up, end = tree.order, tree.up, tree.end
+    coords, L, bits = brackets.coords, brackets.L, brackets.bits
     n = len(order)
     den = L * L
     xs = [coords[v][0] for v in order]
@@ -426,72 +397,71 @@ def _pruned_scan(tree: _Tree, R: list, low: list, coords: Sequence[IntPoint], L:
     parts = [[n + x] for x in range(n)]
     for x in range(1, n):
         parts[up[x]].append(x if end[x] - x > 1 else n + x)
-    if best is None:
-        best = [(0, 1), (0, 1)]
-
-    def groups():
-        p, bound = _block_bound(best, bits)
-        stack = []
-        for c in range(n - 1, -1, -1):
-            top = parts[c]
-            if len(top) < 2:
-                continue
-            two_rc = low[c] << 65
-            o = p - two_rc
-            for k in range(len(top) - 2, -1, -1):
-                stack.append((top[k], top[k + 1:]))
-                while stack:
-                    a, later = stack.pop()
-                    nodes = list(later)
-                    if a >= n:
-                        # Position i alone against the nodes, from the last.
-                        i = a - n
-                        px, py = xs[i], ys[i]
-                        oi = o + H[a]
-                        while nodes:
-                            s = nodes.pop()
-                            dx = X0[s] - px if px < X0[s] else px - X1[s] if px > X1[s] else 0
-                            dy = Y0[s] - py if py < Y0[s] else py - Y1[s] if py > Y1[s] else 0
-                            if dx or dy:
-                                h = H[s] + oi
-                                if h * h * den < bound * (dx * dx + dy * dy):
-                                    continue
-                            if s < n:
-                                nodes += parts[s]
+    best_lo, best_hi = best
+    p = (best_lo[0] << 64) // best_lo[1]
+    bound = (p * p) << 2 * bits
+    stack = []
+    for c in range(n - 1, -1, -1):
+        top = parts[c]
+        if len(top) < 2:
+            continue
+        two_rc = low[c] << 65
+        o = p - two_rc
+        for k in range(len(top) - 2, -1, -1):
+            stack.append((top[k], top[k + 1:]))
+            while stack:
+                a, later = stack.pop()
+                nodes = list(later)
+                if a >= n:
+                    # Position i alone against the nodes, from the last.
+                    i = a - n
+                    px, py = xs[i], ys[i]
+                    oi = o + H[a]
+                    while nodes:
+                        s = nodes.pop()
+                        dx = X0[s] - px if px < X0[s] else px - X1[s] if px > X1[s] else 0
+                        dy = Y0[s] - py if py < Y0[s] else py - Y1[s] if py > Y1[s] else 0
+                        if dx or dy:
+                            h = H[s] + oi
+                            if h * h * den < bound * (dx * dx + dy * dy):
                                 continue
-                            yield order[i], [order[s - n]]
-                            p, bound = _block_bound(best, bits)
+                        if s < n:
+                            nodes += parts[s]
+                            continue
+                        budget -= 1
+                        if budget < 0:
+                            return False
+                        u, v = order[i], order[s - n]
+                        g_lo, g_hi = dist(u, v)
+                        e_lo, e_hi = _length(coords[u], coords[v], L, bits)
+                        if g_hi * best_hi[1] > best_hi[0] * e_lo:
+                            best_hi = best[1] = (g_hi, e_lo)
+                        if g_lo * best_lo[1] > best_lo[0] * e_hi:
+                            best_lo = best[0] = (g_lo, e_hi)
+                            p = (g_lo << 64) // e_hi
+                            bound = (p * p) << 2 * bits
                             o = p - two_rc
                             oi = o + H[a]
-                        continue
-                    # Subtree a against the nodes: each is skipped, split
-                    # when its box is wider, or kept; then a is split.
-                    keep = []
-                    while nodes:
-                        b = nodes.pop()
-                        gx = X0[b] - X1[a] if X0[b] > X1[a] else X0[a] - X1[b] if X0[a] > X1[b] else 0
-                        gy = Y0[b] - Y1[a] if Y0[b] > Y1[a] else Y0[a] - Y1[b] if Y0[a] > Y1[b] else 0
-                        if gx or gy:
-                            h = H[a] + H[b] + o
-                            if h * h * den < bound * (gx * gx + gy * gy):
-                                continue
-                        if wide[b] > wide[a]:
-                            nodes += parts[b]
-                        else:
-                            keep.append(b)
-                    if keep:
-                        keep.reverse()
-                        stack += [(s, keep) for s in parts[a]]
-
-    return _scan(coords, L, bits, table_of(groups()), best)
-
-
-def _block_bound(best: list, bits: int) -> tuple[int, int]:
-    """(p, p**2 2**(2 bits)) for _pruned_scan's block test: p / 2**64 the
-    running lower bound t of best, rounded down."""
-    t_num, t_den = best[0]
-    p = (t_num << 64) // t_den
-    return p, (p * p) << 2 * bits
+                    continue
+                # Subtree a against the nodes: each is skipped, split
+                # when its box is wider, or kept; then a is split.
+                keep = []
+                while nodes:
+                    b = nodes.pop()
+                    gx = X0[b] - X1[a] if X0[b] > X1[a] else X0[a] - X1[b] if X0[a] > X1[b] else 0
+                    gy = Y0[b] - Y1[a] if Y0[b] > Y1[a] else Y0[a] - Y1[b] if Y0[a] > Y1[b] else 0
+                    if gx or gy:
+                        h = H[a] + H[b] + o
+                        if h * h * den < bound * (gx * gx + gy * gy):
+                            continue
+                    if wide[b] > wide[a]:
+                        nodes += parts[b]
+                    else:
+                        keep.append(b)
+                if keep:
+                    keep.reverse()
+                    stack += [(s, keep) for s in parts[a]]
+    return True
 
 
 class _Tree(NamedTuple):
@@ -585,41 +555,40 @@ def _dijkstra(adj: list[list[int]], brackets: _Brackets, side: int, source: int)
                 heapq.heappush(heap, (dv, v))
 
 
-def _graph_rows(adj: list[list[int]], brackets: _Brackets, groups) -> Iterator[tuple]:
-    """The exact rows of a connected graph with adjacency lists adj under
-    the lower and the upper edge brackets of one precision: for each
-    (u, targets) of groups, in turn, (u, targets, dist_lo, dist_hi) as
-    _scan reads them, from Dijkstra stopped once the targets are settled,
-    and resumed for the next group when it has the same source. Like
-    _tree_rows, it draws a group only after it has yielded the last one's
-    row, so groups may read the running bounds of _scan."""
-    source = None
-    for u, targets in groups:
+def _graph_dist(adj: list[list[int]], brackets: _Brackets) -> Callable:
+    """dist(u, v) for _pruned_scan on a connected graph with adjacency lists
+    adj: the exact distances (dist_lo, dist_hi) under the lower and the
+    upper edge brackets, from Dijkstra stopped once v is settled and
+    resumed for the next pair while the source u stays the same."""
+    source = searches = None
+
+    def dist(u: int, v: int) -> tuple[int, int]:
+        nonlocal source, searches
         if u != source:
             source, searches = u, [(_dijkstra(adj, brackets, side, u), {}) for side in (0, 1)]
-        rows = []
         for search, settled in searches:
-            for v in targets:
-                while v not in settled:
-                    w, dw = next(search)
-                    settled[w] = dw
-            rows.append([settled[v] for v in targets])
-        yield u, targets, rows[0], rows[1]
+            while v not in settled:
+                w, dw = next(search)
+                settled[w] = dw
+        return searches[0][1][v], searches[1][1][v]
+
+    return dist
 
 
-def _tree_rows(t: _Tree, roots: tuple[list, list], groups) -> Iterator[tuple]:
-    """The rows _graph_rows gives, on a tree t: R[i] + R[j] - 2 R[a] under
+def _tree_dist(t: _Tree, roots: tuple[list, list]) -> Callable:
+    """The dist of _graph_dist on a tree t: R[i] + R[j] - 2 R[a] under
     either edge bracket, R the integer root distances of roots
-    (_tree_weights) and a the lowest common ancestor of positions i and j
-    (_Tree.lca)."""
+    (_tree_weights), i and j the positions of u and v and a their lowest
+    common ancestor (_Tree.lca)."""
     r_lo, r_hi = roots
-    pos = t.pos
-    for u, targets in groups:
-        i = pos[u]
-        js = [pos[v] for v in targets]
-        tops = [t.lca(i, j) for j in js]
-        yield (u, targets, [r_lo[i] + r_lo[j] - 2 * r_lo[a] for j, a in zip(js, tops)],
-               [r_hi[i] + r_hi[j] - 2 * r_hi[a] for j, a in zip(js, tops)])
+    pos, lca = t.pos, t.lca
+
+    def dist(u: int, v: int) -> tuple[int, int]:
+        i, j = pos[u], pos[v]
+        a = lca(i, j)
+        return r_lo[i] + r_lo[j] - 2 * r_lo[a], r_hi[i] + r_hi[j] - 2 * r_hi[a]
+
+    return dist
 
 
 def spanning_ratio(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:

@@ -190,15 +190,16 @@ MUTANTS = [
            "    if dx or dy:\n        return isqrt_scaled(",
            (LENGTH + "test_matches_isqrt_scaled",),
            "the shortcut condition taken with or: every axis-parallel length takes a square root"),
-    # The spanning ratio's pruned pass (metrics._pruned_scan, _spanning_ratios).
+    # The spanning ratio's pruned pass (metrics._pruned_scan, _graph_dist,
+    # _spanning_ratios).
     Mutant("src/spannerdraw/metrics.py",
            "H = [h << 64 for h in hmax] + [r << 64 for r in R]",
            "H = [h << 64 for h in R] + [r << 64 for r in R]",
            (PRUNED + "test_tree_cases_match_oracle",),
            "R for hmax: a subtree's block bound forgets its deeper positions"),
     Mutant("src/spannerdraw/metrics.py",
-           "p = (t_num << 64) // t_den",
-           "p = -(-(t_num << 64) // t_den)",
+           "p = (g_lo << 64) // e_hi",
+           "p = -(-(g_lo << 64) // e_hi)",
            (PRUNED + "test_tree_cases_match_oracle",),
            "p rounded up: the block test runs above the running lower bound"),
     Mutant("src/spannerdraw/metrics.py",
@@ -237,10 +238,21 @@ MUTANTS = [
            (PRUNED + "test_pruning_keeps_its_margin",),
            "a stale offset after t rises: the block test keeps the old t"),
     Mutant("src/spannerdraw/metrics.py",
-           "            two_rc = low[c] << 65\n            o = p - two_rc",
-           "            two_rc = low[c] << 65\n            o = -two_rc",
+           "        two_rc = low[c] << 65\n        o = p - two_rc",
+           "        two_rc = low[c] << 65\n        o = -two_rc",
            (PRUNED + "test_margin_holds_at_each_new_ancestor",),
            "the margin dropped at the start of each c: blocks are skipped at t E, not t (E - 1)"),
+    Mutant("src/spannerdraw/metrics.py",
+           "                        if g_hi * best_hi[1] > best_hi[0] * e_lo:\n"
+           "                            best_hi = best[1] = (g_hi, e_lo)\n",
+           "",
+           (PRUNED + "test_pruning_keeps_its_margin",),
+           "the best_hi update dropped: the upper bound stays at the lower one"),
+    Mutant("src/spannerdraw/metrics.py",
+           "        if u != source:",
+           "        if source is None:",
+           (PRUNED + "test_pruning_keeps_its_margin",),
+           "_graph_dist resumes the first source's searches: a pair of another source takes that source's distances"),
     # The far-placement pass: the chain's integer root distances
     # (metrics._far_order, _far_roots), its ancestor term, and its
     # hand-over to the graph's tree.
@@ -260,15 +272,20 @@ MUTANTS = [
            (FAR + "test_far_bound_is_sound",),
            "U_k without U_{w_k}: a root distance forgets the path from w_k down to v_0"),
     Mutant("src/spannerdraw/metrics.py",
-           "_pruned_scan(chain, _far_roots(steps, L, bits), [0] * g.n,",
-           "_pruned_scan(chain, _far_roots(steps, L, bits), _far_roots(steps, L, bits),",
+           "_pruned_scan(chain, U, [0] * g.n,",
+           "_pruned_scan(chain, U, U,",
            (FAR + "test_matches_oracles_on_small_drawings", FAR + "test_tree_proper_shapes_match_oracles"),
            "the chain given low = U, the graph tree's ancestor term: U_k + U_u - 2 U_k is no path's length"),
     Mutant("src/spannerdraw/metrics.py",
-           "yield _pruned_scan(walk, R, R, coords, L, bits, table_of, best)",
-           "yield _pruned_scan(walk, R, R, coords, L, bits, table_of)",
+           "            _pruned_scan(walk, R, R, brackets, dist, best)\n",
+           "            best = [(0, 1), (0, 1)]\n            _pruned_scan(walk, R, R, brackets, dist, best)\n",
            (FAR + "test_drawings_not_far_placed_hand_over",),
            "the chain pass's bounds dropped at a hand-over: its pairs are lost"),
+    Mutant("src/spannerdraw/metrics.py",
+           "                        if budget < 0:",
+           "                        if budget <= 0:",
+           (FAR + "test_a_pass_of_exactly_its_budget_finishes",),
+           "the budget test off by one: a chain pass that needs exactly its budget hands over"),
     # The value types (drawing.Drawing, layout.Epsilon, frozen.Frozen).
     Mutant("src/spannerdraw/drawing.py",
            "type(p[0]) is int and type(p[1]) is int",

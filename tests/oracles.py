@@ -352,6 +352,33 @@ def _floyd_warshall(g: Graph, weights: dict[tuple[int, int], int]) -> list[list[
     return dist
 
 
+def _numerators(d: Drawing) -> tuple[int, list[tuple[int, int]]]:
+    """The least common denominator L of d's coordinates, and the integer
+    numerators of its points over L."""
+    L = math.lcm(*{c.denominator for p in d.coords for c in p})
+    return L, [(int(x * L), int(y * L)) for x, y in d.coords]
+
+
+def _ratio_at(g: Graph, pts: list[tuple[int, int]], den: int, bits: int, all_pairs) -> Interval:
+    """The enclosure of one precision: every pair bracketed at bits over
+    den = L**2, with all_pairs(g, weights)[u][v] rows under the lower and
+    the upper edge brackets. Every pair must bracket away from 0."""
+    brackets = {e: isqrt_scaled(dist_sq(pts[e[0]], pts[e[1]]), den, bits) for e in g.edges()}
+    dist_lo = all_pairs(g, {e: b[0] for e, b in brackets.items()})
+    dist_hi = all_pairs(g, {e: b[1] for e, b in brackets.items()})
+    best_lo, best_hi = (1, 1), (1, 1)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            e_lo, e_hi = isqrt_scaled(dist_sq(pts[u], pts[v]), den, bits)
+            assert e_lo > 0
+            if dist_lo[u][v] * best_lo[1] > best_lo[0] * e_hi:
+                best_lo = (dist_lo[u][v], e_hi)
+            if dist_hi[u][v] * best_hi[1] > best_hi[0] * e_lo:
+                best_hi = (dist_hi[u][v], e_lo)
+    lo = Fraction(*best_lo)
+    return Interval(lo, max(Fraction(*best_hi), lo))
+
+
 def _ratio_enclosures(d: Drawing, start: int, all_pairs) -> Iterator[Interval]:
     """The spanning ratio's enclosures of d, every step its own: n >= 2 and
     connectivity; on the integer numerators over the least common
@@ -359,8 +386,7 @@ def _ratio_enclosures(d: Drawing, start: int, all_pairs) -> Iterator[Interval]:
     one infinite interval) or, if it brackets to 0 at start bits, a shift
     of the scale by the least b with closest * 4**b >= L**2 and a start
     twice as large; then at start, 2 * start, ... bits up to 16384, each
-    plus the shift, a bracket on every pair with all_pairs(g, weights)[u][v]
-    rows under the lower and the upper edge brackets."""
+    plus the shift, the enclosure of that precision (_ratio_at)."""
     g, n = d.graph, d.graph.n
     if n < 2:
         raise ValueError("spanning ratio needs at least 2 vertices")
@@ -371,8 +397,7 @@ def _ratio_enclosures(d: Drawing, start: int, all_pairs) -> Iterator[Interval]:
         stack += new
     if len(seen) < n:
         raise DisconnectedDrawingError("spanning ratio undefined: graph disconnected")
-    L = math.lcm(*{c.denominator for p in d.coords for c in p})
-    pts = [(int(x * L), int(y * L)) for x, y in d.coords]
+    L, pts = _numerators(d)
     closest = min(dist_sq(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
     if closest == 0:
         yield Interval(math.inf, math.inf)
@@ -383,20 +408,7 @@ def _ratio_enclosures(d: Drawing, start: int, all_pairs) -> Iterator[Interval]:
             shift += 1
         bits *= 2
     while bits <= 16384:
-        brackets = {e: isqrt_scaled(dist_sq(pts[e[0]], pts[e[1]]), den, bits + shift) for e in g.edges()}
-        dist_lo = all_pairs(g, {e: b[0] for e, b in brackets.items()})
-        dist_hi = all_pairs(g, {e: b[1] for e, b in brackets.items()})
-        best_lo, best_hi = (1, 1), (1, 1)
-        for u in range(n):
-            for v in range(u + 1, n):
-                e_lo, e_hi = isqrt_scaled(dist_sq(pts[u], pts[v]), den, bits + shift)
-                assert e_lo > 0
-                if dist_lo[u][v] * best_lo[1] > best_lo[0] * e_hi:
-                    best_lo = (dist_lo[u][v], e_hi)
-                if dist_hi[u][v] * best_hi[1] > best_hi[0] * e_lo:
-                    best_hi = (dist_hi[u][v], e_lo)
-        lo = Fraction(*best_lo)
-        yield Interval(lo, max(Fraction(*best_hi), lo))
+        yield _ratio_at(g, pts, den, bits + shift, all_pairs)
         bits *= 2
 
 
@@ -420,6 +432,14 @@ def spanning_ratio_oracle_enclosures(d: Drawing) -> Iterator[Interval]:
     """The enclosures of spanning_ratio_oracle, one per precision, which
     each precision of the certificate must equal."""
     return _ratio_enclosures(d, 64, _dijkstra_rows)
+
+
+def spanning_ratio_oracle_at(d: Drawing, bits: int) -> Interval:
+    """The full scan's enclosure at exactly bits, with no shift, on Dijkstra
+    rows: what each pass of the certificate must give at any bit size at
+    which every pair of d brackets away from 0."""
+    L, pts = _numerators(d)
+    return _ratio_at(d.graph, pts, L * L, bits, _dijkstra_rows)
 
 
 def spanning_ratio_bruteforce(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:

@@ -653,6 +653,26 @@ class TestToughTree:
         assert m.proper
         assert m.spanning_ratio.hi <= F(3, 2)
 
+    def test_one_drawing_per_draw(self, monkeypatch):
+        # The graph's drawing takes the tree-proper construction's points
+        # and denominator as they are: one Drawing per tough draw, equal on
+        # its points to the tree's own drawing.
+        built = []
+        init = Drawing.__init__
+
+        def counted(self, graph, *args):
+            built.append(graph)
+            init(self, graph, *args)
+
+        monkeypatch.setattr(Drawing, "__init__", counted)
+        for n in (1, 2, 12, 60):
+            g = random_connected_graph(n, n, n)
+            built.clear()
+            res = draw_graph_via_tough_tree(g, 3, EPS1)
+            assert built == [g], n
+            tree = draw_tree_proper(res.tree, EPS1)
+            assert (res.drawing.points, res.drawing.den) == (tree.points, tree.den) and built[1:] == [res.tree.graph]
+
     def test_missed_target_reported_as_warning(self):
         star = Graph.from_edges(6, [(0, i) for i in range(1, 6)])
         res = draw_graph_via_tough_tree(star, 2, EPS1)

@@ -1,12 +1,16 @@
 import hashlib
 import heapq
+import json
 import math
+import os
 import random
-import tracemalloc
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import islice
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -24,7 +28,12 @@ from conftest import (
     random_tree,
     stacked_triangulation,
 )
-from oracles import spanning_ratio_bruteforce, spanning_ratio_oracle, spanning_ratio_oracle_enclosures
+from oracles import (
+    spanning_ratio_bruteforce,
+    spanning_ratio_oracle,
+    spanning_ratio_oracle_at,
+    spanning_ratio_oracle_enclosures,
+)
 from spannerdraw import drawing as drawing_module
 from spannerdraw import geometry, metrics
 from spannerdraw.drawing import Drawing
@@ -145,9 +154,10 @@ class TestSpanningRatio:
         assert repr(Interval(math.inf, math.inf)) == "Interval(inf, inf)"
 
     def test_tree_rows_rerooted_on_integers(self, monkeypatch):
-        # Every pair of a tree takes integer rows rerooted along its
-        # preorder, and the pruned pass walks that same tree on integer
-        # root distances: no tree runs Dijkstra, at any scale or bit size.
+        # Every pair of a tree takes its integer distances R[u] + R[v] -
+        # 2 R[lca] on its preorder, and the pruned pass walks that same tree
+        # on integer root distances: no tree runs Dijkstra, at any scale or
+        # bit size.
         calls = Counter()
         dijkstra = metrics._dijkstra
 
@@ -168,7 +178,7 @@ class TestSpanningRatio:
         trees += [zigzag_tree(40), two_scales(F(2**40 + 12345), F(1, 10**6))]
         trees += [Drawing(random_tree(n, 4, n), tuple(random_points(n, 30, n))) for n in (3, 25)]
         # Past 1900 bits, with no far-placement order: every precision's
-        # rows are big integers.
+        # distances are big integers.
         wide = shifted(Drawing(random_tree(12, 3, 12), tuple(random_points(12, 20, 12))), 1900)
         assert coord_bits(wide.points) > 1900 and metrics._far_order(wide.graph, wide.points) is None
         trees.append(wide)
@@ -179,8 +189,9 @@ class TestSpanningRatio:
 
     def test_tree_built_once(self, monkeypatch):
         # Counted: one spanning_ratio call on a tree builds its preorder tree
-        # once, for the pruned pass and the exact rows of every precision
-        # and pass, takes the coordinates' bit size once, and runs no Prim.
+        # once, for the pruned pass and the exact distances of every
+        # precision and pass, takes the coordinates' bit size once, and
+        # runs no Prim.
         # A graph that is not a tree builds Prim's tree once, and only when
         # the far order's chain does not serve it.
         calls = Counter()
@@ -194,7 +205,7 @@ class TestSpanningRatio:
 
             monkeypatch.setattr(metrics, name, wrapper)
 
-        for name in ("_spanning_tree", "_prim", "coord_bits", "_scan", "_far_roots", "_pruned_scan"):
+        for name in ("_spanning_tree", "_prim", "coord_bits", "_enclosure", "_far_roots", "_pruned_scan"):
             counted(name)
         far_planar = draw_planar_spanner(stacked_triangulation(20, 1), Epsilon(1))
         assert coord_bits(far_planar.points) > 53
@@ -207,20 +218,20 @@ class TestSpanningRatio:
         assert (calls["_spanning_tree"], calls["_prim"], calls["_pruned_scan"]) == (1, 1, 3), calls
         monkeypatch.setattr(metrics, "_FAR_PAIRS", 0)  # the far-placement pass hands over at once
         column = drawing(6, [(i, i + 1) for i in range(5)], [(0, i) for i in range(6)])
-        # (chain passes, pruned passes, scans) of each: the graph's tree;
-        # the chain, then the graph's tree; the graph's tree at two
-        # precisions; as the second.
+        # (chain passes, pruned passes, enclosures) of each: the graph's
+        # tree; the chain, then the graph's tree, for one enclosure; the
+        # graph's tree at two precisions; as the second.
         cases = [
             (draw_tree_planar(RootedTree.from_graph(random_tree(120, 3, 120), 0), Epsilon(1)), (0, 1, 1)),
-            (drawing(4, [(0, 1), (1, 2), (2, 3)], [(0, 0), (F(1, 2**60), 0), (0, 1), (1, 1)]), (1, 2, 2)),
+            (drawing(4, [(0, 1), (1, 2), (2, 3)], [(0, 0), (F(1, 2**60), 0), (0, 1), (1, 1)]), (1, 2, 1)),
             (zigzag_tree(40), (0, 2, 2)),
-            (shifted(column, 200), (1, 2, 2)),
+            (shifted(column, 200), (1, 2, 1)),
         ]
         for k, (d, passes) in enumerate(cases):
             calls.clear()
             spanning_ratio(d)
             assert (calls["_spanning_tree"], calls["_prim"], calls["coord_bits"]) == (1, 0, 1), (k, calls)
-            assert (calls["_far_roots"], calls["_pruned_scan"], calls["_scan"]) == passes, (k, calls)
+            assert (calls["_far_roots"], calls["_pruned_scan"], calls["_enclosure"]) == passes, (k, calls)
 
     def test_tree_planar_enclosures_pinned(self, bench301):
         # The 40 seed-301 tree-planar benchmark drawings; test_enclosures_pinned
@@ -286,6 +297,47 @@ def walk_tree(g, coords):
     return metrics._spanning_tree(g, metrics._prim(g.adj, coords))
 
 
+STAR_MEMORY = """
+import json, resource, sys
+from spannerdraw.drawing import Drawing
+from spannerdraw.graph import Graph
+from spannerdraw.metrics import spanning_ratio
+
+def peak():
+    # The peak resident set in KB: VmHWM, which starts afresh at exec, where
+    # Linux carries ru_maxrss over from the parent across fork and exec.
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    except OSError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // (1024 if sys.platform == "darwin" else 1)
+
+points = tuple(tuple(p) for p in json.loads(sys.stdin.read()))
+d = Drawing(Graph.from_edges(len(points), [(0, i) for i in range(1, len(points))]), points)
+before = peak()
+spanning_ratio(d)
+print(peak() - before)
+"""
+
+
+def counting(dist, pairs):
+    """A pass's dist that also appends each pair (u, v) it brackets to pairs."""
+
+    def counted(u, v):
+        pairs.append((u, v))
+        return dist(u, v)
+
+    return counted
+
+
+def one_pass(tree, R, low, brackets, dist, budget=math.inf):
+    """One _pruned_scan from no running bounds: its enclosure, the pairs it
+    bracketed, in order, and whether it finished within budget."""
+    best, pairs = [(0, 1), (0, 1)], []
+    finished = metrics._pruned_scan(tree, R, low, brackets, counting(dist, pairs), best, budget)
+    return metrics._enclosure(best), pairs, finished
+
+
 def assert_oracle_enclosures(d, key, count=3):
     """The certificate's enclosures at its first count precisions equal the
     oracle's at the same precisions, number for number."""
@@ -328,21 +380,13 @@ class TestLength:
 
 @pytest.fixture
 def bracketed(monkeypatch):
-    """The rows ("rows") and the pairs ("pairs") that every _scan reads."""
-    counts = Counter()
-    scan = metrics._scan
-
-    def counted(coords, L, bits, table, best=None):
-        def rows():
-            for row in table:
-                counts["rows"] += 1
-                counts["pairs"] += len(row[1])
-                yield row
-
-        return scan(coords, L, bits, rows(), best)
-
-    monkeypatch.setattr(metrics, "_scan", counted)
-    return counts
+    """Every pair that a pass brackets, in order: the calls of each dist
+    that _tree_dist or _graph_dist returns."""
+    pairs = []
+    for name in ("_tree_dist", "_graph_dist"):
+        make = getattr(metrics, name)
+        monkeypatch.setattr(metrics, name, lambda *args, make=make: counting(make(*args), pairs))
+    return pairs
 
 
 class TestPrunedScan:
@@ -398,25 +442,15 @@ class TestPrunedScan:
             if len(set(coords)) < g.n:
                 continue
             t = walk_tree(g, coords)
-            every = [(u, range(u + 1, g.n)) for u in range(g.n)]
             for bits in range(1, 60):
                 if 4**bits * d.closest_sq < L * L:
                     continue  # a pair brackets to 0: no enclosure runs at these bits
-                full = metrics._scan(coords, L, bits,
-                                     metrics._graph_rows(g.adj, metrics._Brackets(coords, L, bits), every))
+                full = spanning_ratio_oracle_at(d, bits)
                 brackets = metrics._Brackets(coords, L, bits)
-                rows = partial(metrics._graph_rows, g.adj, brackets)
                 R = metrics._tree_weights(t, brackets)[1]
-                kept = [0]
-
-                def counted(groups):
-                    for u, targets in groups:
-                        kept[0] += len(targets)
-                        yield u, targets
-
-                ivl = metrics._pruned_scan(t, R, R, coords, L, bits, lambda groups: rows(counted(groups)))
+                ivl, kept, _ = one_pass(t, R, R, brackets, metrics._graph_dist(g.adj, brackets))
                 assert (ivl.lo, ivl.hi) == (full.lo, full.hi), (k, bits)
-                checked["pruned" if kept[0] < g.n * (g.n - 1) // 2 else "every pair"] += 1
+                checked["pruned" if len(kept) < g.n * (g.n - 1) // 2 else "every pair"] += 1
         assert checked["pruned"] > 300, checked
 
     def test_tree_cases_match_oracle(self):
@@ -462,18 +496,15 @@ class TestPrunedScan:
 
     def test_star_memory_stays_linear(self):
         # The center's sibling blocks are made as the walk reaches them. A
-        # star of 800 leaves has 319,600 of them, which as a list of
-        # (int, int) tuples would take 29.6 MB; spanning_ratio's peak was
-        # measured at 0.66 MB.
-        g = Graph.from_edges(801, [(0, i) for i in range(1, 801)])
-        d = Drawing(g, tuple(random_points(g.n, 20, g.n)))
-        tracemalloc.start()
-        try:
-            spanning_ratio(d)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3_000_000, peak
+        # star of 800 leaves has 319,600 of them, which as a list of pairs
+        # grows the peak resident set by about 22 MB (measured). The call
+        # runs in a child process, which reports how far its peak grew
+        # during the call (measured: 0.1 to 0.2 MB).
+        points = random_points(801, 20, 801)
+        env = dict(os.environ, PYTHONPATH=str(Path(metrics.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-c", STAR_MEMORY], input=json.dumps(points), env=env,
+                             capture_output=True, text=True, check=True)
+        assert int(run.stdout) * 1024 < 3_000_000, run.stdout
 
     def test_graph_cases_match_oracle(self, monkeypatch):
         # test_matches_full_scan_oracle checks the random drawings and the
@@ -489,25 +520,25 @@ class TestPrunedScan:
             assert_oracle_enclosures(d, k)
 
     def test_tough_work_counts(self, bracketed, bench301):
-        # Counted, not timed: each row of a graph that is not a tree is one
-        # Dijkstra source. Over the 75 seed-301 tough drawings, Prim's tree
-        # bounds all but a few pairs below the running lower bound
-        # (measured: 635 rows of one pair each, of 110,530 pairs; 499
-        # sources and 825 pairs when each source was pruned alone, and about
-        # 3,000 sources on the breadth-first tree).
+        # Counted, not timed: each pair of a graph that is not a tree takes
+        # Dijkstra from its source, resumed while the source stays. Over the
+        # 75 seed-301 tough drawings, Prim's tree bounds all but a few pairs
+        # below the running lower bound (measured: 635 of 110,530 pairs;
+        # 499 sources and 825 pairs when each source was pruned alone, and
+        # about 3,000 sources on the breadth-first tree).
         drawings = [d for op, d in zip(bench301.ops["proper"], bench301.drawings("proper"))
                     if op.kind == "tough"]
         assert len(drawings) == 75
         bracketed.clear()
         for d in drawings:
             spanning_ratio(d)
-        assert 0 < bracketed["rows"] <= 700 and bracketed["pairs"] <= 1200, bracketed
+        assert 0 < len(bracketed) <= 700, len(bracketed)
 
     def test_exact_rows_stop_at_their_targets(self, monkeypatch, bracketed):
-        # Counted, not timed: the exact rows of a graph that is not a tree
-        # run Dijkstra under both edge brackets, each stopping once the
-        # source's kept targets are settled. Full rows would pop every
-        # vertex twice per source. Prim's tree pops at most 2m + 1 more.
+        # Counted, not timed: the exact distances of a graph that is not a
+        # tree run Dijkstra under both edge brackets, each stopping once the
+        # pair's target is settled. Full rows would pop every vertex twice
+        # per pair. Prim's tree pops at most 2m + 1 more.
         pops = Counter()
 
         def heappop(heap):
@@ -522,8 +553,8 @@ class TestPrunedScan:
             pops.clear()
             bracketed.clear()
             assert not spanning_ratio(d).is_infinite
-            rows = bracketed["rows"]  # the far-placement pass brackets none
-            assert 0 < rows and pops["pops"] <= 0.5 * d.graph.n * rows + 2 * d.graph.m + 1, (pops, rows)
+            pairs = len(bracketed)  # the far-placement pass brackets none
+            assert 0 < pairs and pops["pops"] <= 0.5 * d.graph.n * pairs + 2 * d.graph.m + 1, (pops, pairs)
 
     def test_tree_pass_work_counts(self, bracketed, bench301):
         # Counted, not timed: over the 40 seed-301 tree-planar drawings the
@@ -535,7 +566,7 @@ class TestPrunedScan:
         bracketed.clear()
         for d in drawings:
             spanning_ratio(d)
-        assert 0 < bracketed["pairs"] <= 800, bracketed
+        assert 0 < len(bracketed) <= 800, len(bracketed)
 
     def test_pruning_keeps_its_margin(self):
         # e_lo can be almost a whole unit below the scaled distance E, so a
@@ -546,17 +577,10 @@ class TestPrunedScan:
         # of the full scan.
         d = drawing(3, [(0, 1), (0, 2)], [(2, 3), (3, 2), (7, 5)])
         brackets = metrics._Brackets(d.points, 1, 1)
-        groups = []
-
-        def rows(kept):
-            for u, targets in kept:
-                groups.append((u, list(targets)))
-                yield from metrics._graph_rows(d.graph.adj, brackets, [(u, targets)])
-
         t = walk_tree(d.graph, d.points)
         R = metrics._tree_weights(t, brackets)[1]
-        ivl = metrics._pruned_scan(t, R, R, d.points, 1, 1, rows)
-        assert groups == [(2, [1]), (0, [1])]
+        ivl, pairs, _ = one_pass(t, R, R, brackets, metrics._graph_dist(d.graph.adj, brackets))
+        assert pairs == [(2, 1), (0, 1)]
         assert (ivl.lo, ivl.hi) == (F(6, 5), F(3, 2))
 
     def test_margin_holds_at_each_new_ancestor(self):
@@ -687,10 +711,10 @@ class TestFarPlacement:
     @pytest.fixture
     def far_log(self, monkeypatch):
         """Per pass over a far order's chain, (pairs bracketed, handed
-        over); the calls of _far_order under "order", and the chains they
-        gave under "chains"; the passes over the graph's tree under
-        "pruned", and the running lower bound each starts from under
-        "starts"."""
+        over), the second read from what _pruned_scan returns; the calls of
+        _far_order under "order", and the chains they gave under "chains";
+        the passes over the graph's tree under "pruned", and the running
+        lower bound each starts from under "starts"."""
         log = {"scans": [], "order": 0, "pruned": 0, "starts": [], "chains": [None]}
         far_order, pruned_scan = metrics._far_order, metrics._pruned_scan
 
@@ -700,22 +724,15 @@ class TestFarPlacement:
             log["chains"].append(far and far[0])
             return far
 
-        def pruned(tree, R, low, coords, L, bits, rows, best):
+        def pruned(tree, R, low, brackets, dist, best, budget=math.inf):
             if tree is not log["chains"][-1]:
                 log["pruned"] += 1
                 log["starts"].append(best[0])
-                return pruned_scan(tree, R, low, coords, L, bits, rows, best)
-            count = [0]
-
-            def counted(groups):
-                for group in groups:
-                    count[0] += 1
-                    yield group
-
-            ivl = pruned_scan(tree, R, low, coords, L, bits, lambda groups: rows(counted(groups)), best)
-            fell = count[0] > metrics._FAR_PAIRS * len(coords)  # the pair past the budget is not bracketed
-            log["scans"].append((count[0] - fell, fell))
-            return ivl
+                return pruned_scan(tree, R, low, brackets, dist, best, budget)
+            pairs = []
+            finished = pruned_scan(tree, R, low, brackets, counting(dist, pairs), best, budget)
+            log["scans"].append((len(pairs), not finished))
+            return finished
 
         monkeypatch.setattr(metrics, "_far_order", order)
         monkeypatch.setattr(metrics, "_pruned_scan", pruned)
@@ -817,22 +834,15 @@ class TestFarPlacement:
             for bits in range(1, 60, 3):
                 if 4**bits * d.closest_sq < L * L:
                     continue  # a pair brackets to 0: no enclosure runs at these bits
-                rows = partial(metrics._graph_rows, g.adj, metrics._Brackets(coords, L, bits))
+                brackets = metrics._Brackets(coords, L, bits)
                 U = metrics._far_roots(steps, L, bits)
-                kept = [0]
-
-                def counted(groups):
-                    for group in groups:
-                        kept[0] += 1
-                        yield group
-
-                ivl = metrics._pruned_scan(chain, U, [0] * n, coords, L, bits, lambda groups: rows(counted(groups)))
-                full = metrics._scan(coords, L, bits, rows((u, range(u + 1, n)) for u in range(n)))
+                ivl, kept, _ = one_pass(chain, U, [0] * n, brackets, metrics._graph_dist(g.adj, brackets))
+                full = spanning_ratio_oracle_at(d, bits)
                 assert (ivl.lo, ivl.hi) == (full.lo, full.hi), (k, bits)
-                if kept[0] > metrics._FAR_PAIRS * n:
+                if len(kept) > metrics._FAR_PAIRS * n:
                     checked["over budget"] += 1
                 else:
-                    checked["pruned" if kept[0] < n * (n - 1) // 2 else "every pair"] += 1
+                    checked["pruned" if len(kept) < n * (n - 1) // 2 else "every pair"] += 1
         assert checked["pruned"] > 400 and checked["over budget"] > 3, checked
 
     def test_a_source_at_the_lower_bound_is_bracketed(self, far_log):
@@ -843,6 +853,22 @@ class TestFarPlacement:
         d = drawing(3, [(0, 1), (1, 2)], [(1, 1), (1, s + 1), (1, 2 * s + 1)])
         a = spanning_ratio(d)
         assert a.lo == a.hi == 1 and far_log["scans"] == [(3, False)]
+
+    def test_a_pass_of_exactly_its_budget_finishes(self, monkeypatch, far_log):
+        # The path above takes 3 pairs on its chain. With _FAR_PAIRS = 1 its
+        # budget is _FAR_PAIRS n = 3, exactly what it needs: it finishes on
+        # the chain. With 2/3, one pair fewer is allowed: it hands over
+        # after 2 pairs, and the graph's tree gives the same enclosure.
+        s = 2**60
+        d = drawing(3, [(0, 1), (1, 2)], [(1, 1), (1, s + 1), (1, 2 * s + 1)])
+        want = spanning_ratio_oracle(d)
+        for per_vertex, scans, pruned in ((1, [(3, False)], 0), (F(2, 3), [(2, True)], 1)):
+            monkeypatch.setattr(metrics, "_FAR_PAIRS", per_vertex)
+            far_log["scans"].clear()
+            far_log["pruned"] = 0
+            a = spanning_ratio(d)
+            assert (a.lo, a.hi) == (want.lo, want.hi), per_vertex
+            assert far_log["scans"] == scans and far_log["pruned"] == pruned, (per_vertex, far_log)
 
     def test_far_placed_drawings_bracket_a_few_rows(self, far_log):
         # Counted, not timed: a seeded n = 160 planar drawing at both eps,
@@ -856,7 +882,7 @@ class TestFarPlacement:
         for k, d in enumerate(cases):
             far_log["scans"].clear()
             assert not spanning_ratio(d).is_infinite
-            assert far_log["scans"] and all(0 < rows <= 3 and not fell for rows, fell in far_log["scans"]), k
+            assert far_log["scans"] and all(0 < pairs <= 3 and not fell for pairs, fell in far_log["scans"]), k
         assert far_log["pruned"] == 0
 
     def test_chain_work_counts(self, far_log):
@@ -865,22 +891,22 @@ class TestFarPlacement:
         # n = 400; bounds on whole prefixes handed it to the graph's tree,
         # which tested all n(n - 1)/2 pairs). A tree on random points with
         # a connected (y, x) order is not far-placed, yet its chain takes
-        # at most 2n pairs (measured: 7 at n = 120, against 748 with a row
-        # of the whole prefix per source). A deep tree-proper drawing at 59
+        # at most 2n pairs (measured: 7 at n = 120, against 748 with all of
+        # the prefix per source). A deep tree-proper drawing at 59
         # bits hands over: its chain alone would take 15,984 pairs.
         for n in (100, 400):
             star = draw_tree_proper(RootedTree.from_graph(Graph.from_edges(n, [(0, i) for i in range(1, n)]), 0),
                                     Epsilon(1))
             far_log["scans"].clear()
             spanning_ratio(star)
-            assert far_log["scans"] and all(rows <= n and not fell for rows, fell in far_log["scans"]), n
+            assert far_log["scans"] and all(pairs <= n and not fell for pairs, fell in far_log["scans"]), n
         points = sorted(random_points(120, 30, 120), key=lambda p: (p[1], p[0]))
         rng = random.Random(120)
         tree = shifted(Drawing(Graph.from_edges(120, [(rng.randrange(k), k) for k in range(1, 120)]),
                                tuple(points)), 200)
         far_log["scans"].clear()
         spanning_ratio(tree)
-        assert far_log["scans"] and sum(rows for rows, _ in far_log["scans"]) <= 2 * 120, far_log["scans"]
+        assert far_log["scans"] and sum(pairs for pairs, _ in far_log["scans"]) <= 2 * 120, far_log["scans"]
         assert not any(fell for _, fell in far_log["scans"])
         deep = draw_tree_proper(RootedTree.from_graph(random_tree(300, 3, 300), 0), Epsilon(F(1, 10)))
         assert coord_bits(deep.points) == 59
