@@ -2,8 +2,10 @@
 Hamiltonian path search.
 
 A Graph is an immutable value, equal to another graph with the same n and
-adjacency lists and hashed alike; a RootedTree is a plain record of a tree
-graph, its root, and the parent and child lists of one breadth-first walk.
+adjacency lists and hashed alike; its edge count m is counted when first
+read and kept, which changes no comparison or hash. A RootedTree is a
+plain record of a tree graph, its root, and the parent and child lists of
+one breadth-first walk.
 
 hamiltonian_path is exponential and refuses large inputs with
 InstanceTooLarge: one subset-DP table of 4 * 2^n bytes for n up to
@@ -25,7 +27,8 @@ HAMILTONIAN_DP_LIMIT = 24
 class Graph(Frozen):
     """Undirected simple graph on vertices 0..n-1 with sorted adjacency lists."""
 
-    __slots__ = _fields = ("n", "adj")
+    _fields = ("n", "adj")
+    __slots__ = (*_fields, "_m")
     n: int
     adj: tuple[tuple[int, ...], ...]
 
@@ -47,7 +50,13 @@ class Graph(Frozen):
 
     @property
     def m(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        """The number of edges, counted when first read and kept."""
+        try:
+            return self._m
+        except AttributeError:
+            m = sum(map(len, self.adj)) // 2
+            object.__setattr__(self, "_m", m)
+            return m
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
@@ -103,7 +112,11 @@ class RootedTree:
             raise NotATreeError(f"graph with n={g.n}, m={g.m} is not a tree")
         if not is_vertex:
             raise ValueError(f"root {root!r} is not a vertex of a tree with n={g.n}")
-        children = [[v for v in g.adj[u] if parent[v] == u] for u in range(n)]
+        # Each vertex's children in increasing order, its adjacency order.
+        children: list[list[int]] = [[] for _ in range(n)]
+        for v, p in enumerate(parent):
+            if p is not None:
+                children[p].append(v)
         return RootedTree(g, root, parent, children)
 
     @property
@@ -116,23 +129,27 @@ def bfs_order(g: Graph, root: int = 0) -> list[int]:
     neighbors in adjacency order. Every prefix induces a connected subgraph,
     and a vertex's BFS parent is its neighbor that comes first."""
     order = [root]
-    seen = {root}
+    seen = [False] * g.n
+    seen[root] = True
     for u in order:  # the list grows while it is walked: a FIFO queue
         for v in g.adj[u]:
-            if v not in seen:
-                seen.add(v)
+            if not seen[v]:
+                seen[v] = True
                 order.append(v)
     return order
 
 
 def bfs_parents(g: Graph, root: int = 0) -> list[Optional[int]]:
     """Each vertex's BFS parent from root: its neighbor that comes first in
-    bfs_order. None at the root and at the vertices root does not reach."""
+    bfs_order, the one that reaches it in the same walk. None at the root
+    and at the vertices root does not reach."""
     parent: list[Optional[int]] = [None] * g.n
-    for u in bfs_order(g, root):
+    order = [root]
+    for u in order:  # a vertex is seen once it has a parent
         for v in g.adj[u]:
             if parent[v] is None and v != root:
                 parent[v] = u
+                order.append(v)
     return parent
 
 

@@ -80,10 +80,13 @@ def draw_planar_spanner(h: Graph, eps: Epsilon) -> Drawing:
     one halving deeper than the deeper end, and b covers the deepest x and
     the 2**-_LEG_BITS scale of the apex height; every later y is a whole
     number.
+
+    NotConnectedError comes from the embedding's own walk from n = 3 on,
+    and from is_connected below that.
     """
-    if not is_connected(h):
-        raise NotConnectedError("input graph must be connected")
     if 0 < h.n < 3:  # n = 0 is left to the augmentation, which refuses it
+        if not is_connected(h):
+            raise NotConnectedError("input graph must be connected")
         return Drawing.on_x_axis(h, range(h.n))
     co = augment_to_maximal_with_canonical_order(h)
     e = min(eps.value, Fraction(1))
@@ -379,12 +382,11 @@ def draw_graph_via_tough_tree(g: Graph, d_target: int, eps: Epsilon) -> ToughDra
     """Spanning-tree drawing plus remaining edges as straight segments.
 
     A missed degree target is reported as a warning (the edge-length-ratio
-    exponent degrades) rather than a failure.
+    exponent degrades) rather than a failure. NotConnectedError comes from
+    degree_bounded_spanning_tree's own breadth-first walk.
     """
     if g.n == 0:
         raise TooSmallError("the tough-tree construction requires at least 1 vertex")
-    if not is_connected(g):
-        raise NotConnectedError("input graph must be connected")
     tree = degree_bounded_spanning_tree(g, d_target)
     achieved = tree.graph.max_degree()
     return ToughDrawResult(
@@ -405,6 +407,13 @@ def draw_tree_planar(t: RootedTree, eps: Epsilon) -> Drawing:
     in increasing size with horizontal gaps of tree_gamma * (width so far +
     ceil(log2 of the local subtree size)), roots one unit below their parent,
     and the largest subtree lifted onto the parent's row.
+
+    The drawing is rooted at the least leaf whatever t's root. t is
+    re-hung there, not walked again: only the edges on the one path
+    between the two roots turn over, so each vertex on it drops the next
+    one down from its children and takes the next one up. t's parents and
+    children are trusted to describe its graph, as from_graph and
+    degree_bounded_spanning_tree build them.
     """
     n = t.n
     gamma = eps.tree_gamma
@@ -413,10 +422,15 @@ def draw_tree_planar(t: RootedTree, eps: Epsilon) -> Drawing:
         # The tree is a path: unit-spaced collinear placement is exact.
         return Drawing.on_x_axis(t.graph, path)
 
-    # Root at the smallest-id leaf, then give every lone child a dummy sibling.
-    root = min(v for v in range(n) if t.graph.degree(v) == 1)
-    base = RootedTree.from_graph(t.graph, root)
-    children: list[list[int]] = [list(c) for c in base.children]
+    # Re-hang t at the least leaf, then give every lone child a dummy sibling.
+    adj, parent = t.graph.adj, t.parent
+    root = min(v for v in range(n) if len(adj[v]) == 1)
+    children: list[list[int]] = [list(c) for c in t.children]
+    v, p = root, parent[root]
+    while p is not None:
+        children[p].remove(v)
+        children[v].append(p)
+        v, p = p, parent[p]
     n_prime = n
     for v in range(n):
         if len(children[v]) == 1:
@@ -434,6 +448,8 @@ def draw_tree_planar(t: RootedTree, eps: Epsilon) -> Drawing:
     offset = [(0, 0)] * n_prime
     for u in reversed(order):
         kids = children[u]
+        if not kids:  # a leaf keeps size 1 and width 0
+            continue
         size[u] += sum(size[c] for c in kids)
         kids.sort(key=lambda c: (size[c], c))
         log_n = max(1, (size[u] - 1).bit_length())  # ceil(log2 of local size)

@@ -48,14 +48,18 @@ the same loop. It runs over one of two trees:
 - the graph's own tree everywhere else: on a tree the tree itself, on
   any other graph a minimum spanning tree of the squared edge lengths
   (_prim).
-A tree is rooted once per call, at vertex 0, and every exact tree distance
-is R[u] + R[v] - 2 R[lca] on integer root distances; on any other graph a
+A tree is rooted once per call, at vertex 0, by one depth-first walk of
+its adjacency lists (_spanning_tree), and every exact tree distance is
+R[u] + R[v] - 2 R[lca] on integer root distances; on any other graph a
 pair's distances come from Dijkstra, stopped at its target and resumed
-while the source stays the same. The oracles of tests/oracles.py share none
-of this code: each checks connectivity, finds the closest pair and scans
-every pair itself, on all-pairs Dijkstra distances at the same precisions,
-whose enclosure must be this one, or on Floyd–Warshall distances from 128
-bits, whose enclosure must meet it.
+while the source stays the same. Connectivity takes no walk of its own:
+on n - 1 edges the tree's walk fails when it revisits or misses a vertex,
+and on any other graph the far order exists only on a connected graph,
+and otherwise Prim's tree must reach every vertex. The oracles of
+tests/oracles.py share none of this code: each checks connectivity, finds
+the closest pair and scans every pair itself, on all-pairs Dijkstra
+distances at the same precisions, whose enclosure must be this one, or on
+Floyd–Warshall distances from 128 bits, whose enclosure must meet it.
 
 Three certificates sweep the integer points instead of scanning all pairs,
 with the same verdicts and values:
@@ -93,7 +97,7 @@ from .geometry import (
     orientation,
     segments_cross_improperly,
 )
-from .graph import Graph, bfs_parents, is_connected, preorder
+from .graph import Graph
 
 DEFAULT_REL_TOL = Fraction(1, 10**9)
 _START_BITS = 64
@@ -199,8 +203,8 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     precision, under the lower and the upper integer edge-length brackets
     kept in that precision's table (_Brackets), which brackets only the
     edges a pass reads. On a tree dist is R[i] + R[j] - 2 R[lca] on its
-    breadth-first preorder tree (_tree_dist), built once and walked by the
-    pruned pass too, and on the root distances that _tree_weights takes
+    preorder tree (_tree_dist), built once and walked by the pruned pass
+    too, and on the root distances that _tree_weights takes
     once per precision over every edge; on any other graph it is Dijkstra
     (_graph_dist), which brackets the edges it relaxes. Where coordinates
     run past 53 bits, each precision first runs the pruned pass
@@ -216,21 +220,23 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     g = d.graph
     if g.n < 2:
         raise ValueError("spanning ratio needs at least 2 vertices")
-    # With n - 1 edges, one breadth-first walk both checks connectivity (no
-    # parent is None but the root's) and roots the tree.
-    parent = bfs_parents(g) if g.m == g.n - 1 else None
-    connected = is_connected(g) if parent is None else parent.count(None) == 1
-    if not connected:
+    coords, L = d.points, d.den
+    # Connectivity comes from the walk the pass needs, before the
+    # coincident-vertex check: on n - 1 edges the tree's own walk, else the
+    # far order, else Prim's tree, which otherwise waits for a hand-over.
+    tree_sized = g.m == g.n - 1
+    tree = _spanning_tree(g, None) if tree_sized else None
+    far = _far_order(g, coords) if coord_bits(coords) > FLOAT_BITS else None
+    # the graph's tree for the pruned pass
+    walk = tree if tree_sized or far is not None else _spanning_tree(g, _prim(g.adj, coords))
+    if walk is None and far is None:
         raise DisconnectedDrawingError("spanning ratio undefined: graph disconnected")
-    coords, L, closest = d.points, d.den, d.closest_sq
+    closest = d.closest_sq
     if closest == 0:
         yield Interval(math.inf, math.inf)
         return
     inverse = -(-(L * L) // closest)  # ceil(L**2 / closest)
     b = ((inverse - 1).bit_length() + 1) // 2
-    tree = None if parent is None else _spanning_tree(g, parent)
-    walk = tree  # the graph's tree for the pruned pass
-    far = _far_order(g, coords) if coord_bits(coords) > FLOAT_BITS else None
     for bits in _precisions(b if b > _START_BITS else 0):
         brackets = _Brackets(coords, L, bits)
         roots = None if tree is None else _tree_weights(tree, brackets)
@@ -481,16 +487,43 @@ class _Tree(NamedTuple):
         return i
 
 
-def _spanning_tree(g: Graph, parent: list) -> _Tree:
-    """The preorder tree of the spanning tree of a connected graph given by
-    parent (None at the root, vertex 0), children in reverse adjacency
-    order: on a tree, a depth-first walk of its adjacency lists with a stack."""
-    n = g.n
-    order = preorder([[v for v in reversed(g.adj[u]) if parent[v] == u] for u in range(n)], 0)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    up = [0] + [pos[parent[v]] for v in order[1:]]
+def _spanning_tree(g: Graph, parent: Optional[list]) -> Optional[_Tree]:
+    """The preorder tree of a spanning tree of g rooted at vertex 0,
+    children in reverse adjacency order, from one depth-first walk of the
+    adjacency lists with a stack; None when the walk revisits a vertex or
+    misses one. With parent None the tree is g itself: a vertex's children
+    are its neighbors but the one it is reached from, so on a graph of n - 1
+    edges the walk revisits a vertex of a cycle or misses a vertex exactly
+    when g is not a tree. Otherwise parent gives the tree, None at the
+    root, as _prim does, and the walk misses the vertices it leaves out.
+    The walk takes at most n positions, each under an earlier one."""
+    n, adj = g.n, g.adj
+    order: list[int] = []
+    up: list[int] = []
+    pos = [-1] * n
+    above = [0] * n  # the position each vertex was last reached from
+    stack = [0]
+    while stack and len(order) < n:
+        u = stack.pop()
+        if pos[u] >= 0:
+            return None  # revisited: g has a cycle
+        i = pos[u] = len(order)
+        order.append(u)
+        a = above[u]
+        up.append(a)
+        if parent is None:
+            w = order[a]  # u itself at the root, which no neighbor is
+            for v in adj[u]:
+                if v != w:
+                    above[v] = i
+                    stack.append(v)
+        else:
+            for v in adj[u]:
+                if parent[v] == u:
+                    above[v] = i
+                    stack.append(v)
+    if len(order) < n:
+        return None  # missed: g is not connected
     size = [1] * n
     for i in range(n - 1, 0, -1):
         size[up[i]] += size[i]

@@ -55,6 +55,8 @@ FAR = "tests/test_metrics.py::TestFarPlacement::"
 DRAWING = "tests/test_fileio_cli.py::TestDrawingValidation::"
 TREE_PROPER = "tests/test_layout.py::TestTreeProper::"
 TOUGH_TREE = "tests/test_graph.py::TestDegreeBoundedSpanningTree::"
+TREE_PLANAR = "tests/test_layout.py::TestTreePlanar::"
+WALK = "tests/test_metrics.py::TestSpanningRatio::"
 
 MUTANTS = [
     # The planarity sweep's order checks (metrics.is_planar_drawing).
@@ -213,10 +215,11 @@ MUTANTS = [
            (PRUNED + "test_pruning_keeps_its_margin",),
            "boxes built on the wrong axis: the gaps between boxes are not distances"),
     Mutant("src/spannerdraw/metrics.py",
-           "walk = _spanning_tree(g, _prim(g.adj, coords))",
-           "walk = _spanning_tree(g, bfs_parents(g))",
+           "else _spanning_tree(g, _prim(g.adj, coords))",
+           "else _spanning_tree(g, _prim(g.adj, [(0, 0)] * g.n))",
            (PRUNED + "test_walk_tree_is_minimum",),
-           "the non-tree walk built on bfs_parents: not the minimum spanning tree the pass is tuned for"),
+           "the non-tree walk built on Prim's tree of no lengths: a spanning tree by vertex ids, "
+           "not the minimum one the pass is tuned for"),
     Mutant("src/spannerdraw/metrics.py",
            "parts = [[n + x] for x in range(n)]",
            "parts = [[] for x in range(n)]",
@@ -253,6 +256,25 @@ MUTANTS = [
            "        if source is None:",
            (PRUNED + "test_pruning_keeps_its_margin",),
            "_graph_dist resumes the first source's searches: a pair of another source takes that source's distances"),
+    # Connectivity from the walk the pass needs (metrics._spanning_tree,
+    # _spanning_ratios), and the tree-planar construction's re-hang.
+    Mutant("src/spannerdraw/metrics.py",
+           "        if pos[u] >= 0:\n            return None  # revisited: g has a cycle\n",
+           "",
+           (WALK + "test_one_connectivity_walk_per_report",),
+           "the walk's revisit check dropped: a triangle and an isolated vertex walk n positions, "
+           "and the disconnected drawing gets a spanning ratio"),
+    Mutant("src/spannerdraw/metrics.py",
+           "    if len(order) < n:\n        return None  # missed: g is not connected\n",
+           "",
+           (WALK + "test_one_connectivity_walk_per_report",),
+           "the walk's reach check dropped: a walk that misses a vertex, of Prim's tree or of n - 1 edges, "
+           "leaves a short tree for the pass"),
+    Mutant("src/spannerdraw/layout.py",
+           "    v, p = root, parent[root]\n",
+           "    v, p = t.root, parent[t.root]\n",
+           (TREE_PLANAR + "test_one_drawing_whatever_the_root",),
+           "the re-hang started from t's root: a tree not rooted at its least leaf keeps its old children"),
     # The far-placement pass: the chain's integer root distances
     # (metrics._far_order, _far_roots), its ancestor term, and its
     # hand-over to the graph's tree.

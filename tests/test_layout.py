@@ -631,6 +631,18 @@ class TestTreePlanar:
         d = draw_tree_planar(t, EPS1)
         assert all(x.denominator == 1 and y.denominator == 1 for x, y in d.coords)
 
+    def test_one_drawing_whatever_the_root(self):
+        """draw_tree_planar re-hangs the tree it is given at its least leaf
+        by reading the tree's parents, so every rooting of one tree gives one
+        drawing. It trusts those parents, as draw_tree_proper trusts its
+        child lists: every caller builds the tree with from_graph or
+        degree_bounded_spanning_tree."""
+        graphs = [random_tree(n, maxdeg, 90 + n) for n, maxdeg in ((5, 3), (12, 3), (40, 4), (60, 3))]
+        graphs += star_broom_caterpillar().values()
+        for k, g in enumerate(graphs):
+            drawings = {draw_tree_planar(RootedTree.from_graph(g, root), EPS1) for root in range(g.n)}
+            assert len(drawings) == 1, k
+
 
 class TestToughTree:
     def test_cycle_c6(self):

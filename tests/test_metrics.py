@@ -100,25 +100,30 @@ class TestSpanningRatio:
         assert compute_metrics(d).spanning_ratio is None
 
     def test_one_connectivity_walk_per_report(self, monkeypatch):
-        # compute_metrics leaves connectivity to spanning_ratio: one walk per
-        # report, is_connected on a graph that is not a tree, bfs_parents on
-        # one with n - 1 edges; a disconnected drawing reports no spanning
-        # ratio, with coincident vertices too.
+        # compute_metrics leaves connectivity to spanning_ratio, and
+        # spanning_ratio takes it from the walk its pass needs: one walk per
+        # report, the tree's own on a graph of n - 1 edges, Prim's tree on a
+        # graph that is not a tree; a disconnected drawing reports no
+        # spanning ratio, with coincident vertices too. On n - 1 edges the
+        # walk fails by a revisit (a triangle and an isolated vertex 3) or
+        # a miss (an isolated vertex 0, where the walk starts).
         walks = Counter()
-        for name in ("is_connected", "bfs_parents"):
-            monkeypatch.setattr(metrics, name, partial(lambda f, name, g: walks.update([name]) or f(g),
+        for name in ("_spanning_tree", "_prim"):
+            monkeypatch.setattr(metrics, name, partial(lambda f, name, *args: walks.update([name]) or f(*args),
                                                        getattr(metrics, name), name))
-        cases = [(drawing(3, [(0, 1), (1, 2), (0, 2)], [(0, 0), (1, 0), (0, 1)]), "is_connected", True),
-                 (drawing(3, [(0, 1), (1, 2)], [(0, 0), (1, 0), (0, 1)]), "bfs_parents", True),
-                 (drawing(4, [(0, 1), (1, 2), (0, 2)], [(0, 0), (1, 0), (0, 1), (2, 2)]), "bfs_parents", False),
-                 (drawing(3, [(0, 1)], [(0, 0), (1, 0), (1, 0)]), "is_connected", False),
+        tree, prim = ["_spanning_tree"], ["_spanning_tree", "_prim"]
+        cases = [(drawing(3, [(0, 1), (1, 2), (0, 2)], [(0, 0), (1, 0), (0, 1)]), prim, True),
+                 (drawing(3, [(0, 1), (1, 2)], [(0, 0), (1, 0), (0, 1)]), tree, True),
+                 (drawing(4, [(0, 1), (1, 2), (0, 2)], [(0, 0), (1, 0), (0, 1), (2, 2)]), tree, False),
+                 (drawing(4, [(1, 2), (2, 3), (1, 3)], [(0, 0), (1, 0), (0, 1), (2, 2)]), tree, False),
+                 (drawing(3, [(0, 1)], [(0, 0), (1, 0), (1, 0)]), prim, False),
                  (drawing(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
-                          [(0, 0), (1, 0), (0, 1), (5, 0), (6, 0), (5, 1)]), "is_connected", False),
-                 (drawing(4, [(0, 1), (1, 2), (2, 3)], [(0, 0), (1, 0), (1, 0), (3, 1)]), "bfs_parents", True)]
+                          [(0, 0), (1, 0), (0, 1), (5, 0), (6, 0), (5, 1)]), prim, False),
+                 (drawing(4, [(0, 1), (1, 2), (2, 3)], [(0, 0), (1, 0), (1, 0), (3, 1)]), tree, True)]
         for k, (d, walk, connected) in enumerate(cases):
             walks.clear()
             sr = compute_metrics(d).spanning_ratio
-            assert walks == Counter([walk]), (k, walks)
+            assert walks == Counter(walk), (k, walks)
             assert (sr is not None) == connected, k
 
     def test_coincident_sentinel(self):

@@ -116,6 +116,17 @@ def test_drawing_keeps_coords_and_closest_pair():
     assert fresh == d and hash(fresh) == hash(d)
 
 
+def test_graph_keeps_its_edge_count():
+    g = Graph(4, PATH.adj)
+    assert g.m == g.m == 3 and g._m == 3
+    # What a graph keeps is no field: it changes no comparison, hash, copy or repr.
+    fresh = Graph(4, PATH.adj)
+    assert fresh == g and hash(fresh) == hash(g)
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and twin.m == 3
+    assert repr(g) == repr(fresh)
+
+
 def test_reprs_name_the_fields():
     assert repr(Epsilon(F(1, 2))) == "Epsilon(value=Fraction(1, 2))"
     assert repr(Graph(2, ((1,), (0,)))) == "Graph(n=2, adj=((1,), (0,)))"
