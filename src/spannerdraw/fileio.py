@@ -4,7 +4,10 @@ Files are JSON with a version tag. Coordinates are exact: they serialize as
 "num/den" strings and parse from either that form or decimal strings. The
 serializer emits a canonical form (sorted edges, reduced rationals), so
 parse -> serialize round-trips byte-identically. It also writes the CLI's
-JSON reports.
+JSON reports, as json.dumps(obj, indent=2) would: item by item from a
+stack, except the rows of a file's edges and coordinates, lists of equally
+long lists of ints or strs, which hold nearly all of a drawing's items and
+are written in one pass.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Optional
+from typing import Optional
 
 from .drawing import Drawing
 from .errors import SpannerDrawError
@@ -161,14 +164,15 @@ def drawing_to_obj(d: Drawing) -> dict:
 
 def serialize(obj) -> str:
     """The text json.dumps writes for obj at an indent of 2, plus "\n", for
-    a value built of dicts with str keys, lists and JSON scalars: a graph or
-    drawing file, or a report.
+    a value built of dicts with str keys, lists, tuples and JSON scalars: a
+    graph or drawing file, or a report.
 
-    The layout is written directly, from a stack rather than by recursion.
-    json's indenting encoder is pure Python: it takes several generator steps
+    The layout is written directly, from a stack rather than by recursion:
+    json's indenting encoder is pure Python, takes several generator steps
     per item, and its nested closures leave cyclic garbage after every call.
-    A container whose items _flat writes, such as a drawing or a report, is
-    written in one step."""
+    Each container goes on the stack item by item, except a list that _rows
+    takes, the edges and coordinates of a file, where nearly all of a
+    drawing's items are: its rows are written in one pass."""
     out = []
     todo = [("", obj, "\n")]  # text to write, then a value to write at an indent
     while todo:
@@ -179,20 +183,23 @@ def serialize(obj) -> str:
         if not isinstance(value, _CONTAINERS):
             out.append(_json_scalar(value))
             continue
-        heads, items, brackets = _split(value)
-        inner = indent + "  "
-        rows = [_flat(item, inner) for item in items]
-        if None not in rows:
-            out.append(_join(heads, rows, brackets, indent))
+        if isinstance(value, dict):
+            brackets = "{}"
+            items = [(encode_basestring_ascii(key) + ": ", item) for key, item in value.items()]
+        else:
+            rows = _rows(value, indent)
+            if rows is not None:
+                out.append(rows)
+                continue
+            brackets, items = "[]", [("", item) for item in value]
+        if not items:
+            out.append(brackets)
             continue
-        # The items _flat cannot write go on the stack, the others as text.
+        inner = indent + "  "
         out.append(brackets[0])
         todo.append((indent + brackets[1], None, None))
-        todo += reversed([
-            ("," * (k > 0) + inner + (heads[k] if heads else "") + (row or ""),
-             item, None if row else inner)
-            for k, (item, row) in enumerate(zip(items, rows))
-        ])
+        todo += reversed([("," * (k > 0) + inner + head, item, inner)
+                          for k, (head, item) in enumerate(items)])
     out.append("\n")
     return "".join(out)
 
@@ -214,53 +221,21 @@ def _json_scalar(x) -> str:
     return json.dumps(x)  # a float that is not finite, or a subclass of a scalar
 
 
-def _writer(kinds: set) -> Optional[Callable[[object], str]]:
-    """_json_scalar for values of the given types, or the C function it
-    calls where they are all str or all int; None if a type is a container."""
-    if kinds == {str}:
-        return encode_basestring_ascii
-    if kinds == {int}:
-        return int.__repr__
-    return None if any(issubclass(kind, _CONTAINERS) for kind in kinds) else _json_scalar
-
-
-def _split(value) -> tuple:
-    """The "key": heads of a dict (None for a list), its values or the
-    list's items, and the brackets."""
-    if isinstance(value, dict):
-        return [encode_basestring_ascii(key) + ": " for key in value], list(value.values()), "{}"
-    return None, value, "[]"
-
-
-def _join(heads: Optional[list], parts, brackets: str, indent: str) -> str:
-    """A container at indent whose items are written as the strings parts."""
-    inner = indent + "  "
-    if heads:
-        parts = map(str.__add__, heads, parts)
-    body = ("," + inner).join(parts)
-    return brackets[0] + inner + body + indent + brackets[1] if body else brackets
-
-
-def _flat(value, indent: str) -> Optional[str]:
-    """value as serialize writes it at indent, where that needs no stack: a
-    scalar, a container of scalars, or a list of equally long, nonempty
-    lists of scalars, such as the coordinate pairs, whose scalars are
-    written in one pass; else None."""
-    if not isinstance(value, _CONTAINERS):
-        return _json_scalar(value)
-    heads, items, brackets = _split(value)
-    kinds = set(map(type, items))
-    write = _writer(kinds)
-    if write is not None:
-        return _join(heads, map(write, items), brackets, indent)
-    if heads is not None or kinds != {list}:
+def _rows(value, indent: str) -> Optional[str]:
+    """value as serialize writes it at indent, if it is a list of equally
+    long, nonempty lists whose items are all str or all int, such as a
+    file's edges and coordinate pairs; else None. The items are written by
+    the C function that _json_scalar calls for them, in one pass over all
+    the rows."""
+    if set(map(type, value)) != {list}:
         return None
-    lengths = set(map(len, items))
-    write = _writer(set(map(type, chain.from_iterable(items))))
-    if write is None or len(lengths) != 1 or lengths == {0}:
+    lengths = set(map(len, value))
+    kinds = set(map(type, chain.from_iterable(value)))
+    if len(lengths) != 1 or 0 in lengths or not (kinds <= {str} or kinds <= {int}):
         return None
+    write = encode_basestring_ascii if str in kinds else int.__repr__
     inner, deeper = indent + "  ", indent + "    "
-    rows = map(("," + deeper).join, zip(*[map(write, chain.from_iterable(items))] * lengths.pop()))
+    rows = map(("," + deeper).join, zip(*[map(write, chain.from_iterable(value))] * lengths.pop()))
     return ("[" + inner + "[" + deeper + (inner + "]," + inner + "[" + deeper).join(rows)
             + inner + "]" + indent + "]")
 

@@ -223,13 +223,11 @@ def _far_placed(pts: Sequence[IntPoint]) -> bool:
     return True
 
 
-def any_three_collinear(points: Sequence[IntPoint], hubs: Optional[int] = None) -> bool:
-    """True iff two of the integer points coincide or three lie on a line,
-    where the line holds one of the first `hubs` points (all points when
-    None).
+def any_three_collinear(points: Sequence[IntPoint]) -> bool:
+    """True iff two of the integer points coincide or three lie on a line.
 
-    With all points as hubs, three exact steps come after the coincidence
-    test, each deciding only where it is sure:
+    Three exact steps come after the coincidence test, each deciding only
+    where it is sure:
     - The count: one Counter of the x coordinates and one of the y, O(n).
       An x or a y that holds three of the distinct points puts them on one
       vertical or horizontal line: True. Most planar drawings, which hold
@@ -244,12 +242,11 @@ def any_three_collinear(points: Sequence[IntPoint], hubs: Optional[int] = None) 
       right of the ones before it.
     - The scan, below, where neither decides.
 
-    Otherwise, or with `hubs` given, it scans (hub_scan): a collinear
-    triple is found from its first point, so each hub is keyed only
-    against the points after it, sum over the hubs i of n - 1 - i
-    direction keys, n(n-1)/2 for all points, and the scan stops at the
-    first hub on a line. Vertex order is kept: a drawing's collinear
-    triple tends to come early in it.
+    Otherwise it scans (hub_scan): a collinear triple is found from its
+    first point, so each hub is keyed only against the points after it,
+    sum over the hubs i of n - 1 - i direction keys, n(n-1)/2 for all
+    points, and the scan stops at the first hub on a line. Vertex order is
+    kept: a drawing's collinear triple tends to come early in it.
 
     The keys are slopes first where every coordinate is below
     2**FLOAT_BITS in size, a gate of one O(n) pass per call: a hub's later
@@ -266,14 +263,9 @@ def any_three_collinear(points: Sequence[IntPoint], hubs: Optional[int] = None) 
     400-star's 399), where a fingerprint costs its slope keys on top of
     the exact ones. Past about 2**1023 a slope can also overflow a double.
     """
-    if coincident(points):
+    if coincident(points) or any(max(Counter(axis).values()) >= 3 for axis in zip(*points)):
         return True
-    if hubs is None:
-        if any(max(Counter(axis).values()) >= 3 for axis in zip(*points)):
-            return True
-        if _far_placed(sorted(points)):
-            return False
-    return hub_scan(points, hubs, coord_bits(points))
+    return not _far_placed(sorted(points)) and hub_scan(points, None, coord_bits(points))
 
 
 def hub_scan(points: Sequence[IntPoint], hubs: Optional[int], bits: int) -> bool:

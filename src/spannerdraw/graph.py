@@ -86,17 +86,15 @@ class Graph(Frozen):
 
 
 class RootedTree:
-    """A tree with a root, parent pointers, and ordered child lists; the
-    lists default to fresh empty ones."""
+    """A tree with a root, parent pointers, and ordered child lists."""
 
     __slots__ = ("graph", "root", "parent", "children")
 
-    def __init__(self, graph: Graph, root: int, parent: Optional[list[Optional[int]]] = None,
-                 children: Optional[list[list[int]]] = None):
+    def __init__(self, graph: Graph, root: int, parent: list[Optional[int]], children: list[list[int]]):
         self.graph = graph
         self.root = root
-        self.parent = [] if parent is None else parent
-        self.children = [] if children is None else children
+        self.parent = parent
+        self.children = children
 
     @staticmethod
     def from_graph(g: Graph, root: int = 0) -> "RootedTree":
@@ -107,7 +105,7 @@ class RootedTree:
         follows on a tree only."""
         n = g.n
         is_vertex = isinstance(root, int) and not isinstance(root, bool) and 0 <= root < n
-        parent = bfs_parents(g, root if is_vertex else 0) if g.m == n - 1 else None
+        parent = bfs(g, root if is_vertex else 0)[1] if g.m == n - 1 else None
         if parent is None or parent.count(None) != 1:
             raise NotATreeError(f"graph with n={g.n}, m={g.m} is not a tree")
         if not is_vertex:
@@ -124,33 +122,20 @@ class RootedTree:
         return self.graph.n
 
 
-def bfs_order(g: Graph, root: int = 0) -> list[int]:
-    """The vertices reachable from root, in breadth-first order with
-    neighbors in adjacency order. Every prefix induces a connected subgraph,
-    and a vertex's BFS parent is its neighbor that comes first."""
-    order = [root]
-    seen = [False] * g.n
-    seen[root] = True
-    for u in order:  # the list grows while it is walked: a FIFO queue
-        for v in g.adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                order.append(v)
-    return order
-
-
-def bfs_parents(g: Graph, root: int = 0) -> list[Optional[int]]:
-    """Each vertex's BFS parent from root: its neighbor that comes first in
-    bfs_order, the one that reaches it in the same walk. None at the root
+def bfs(g: Graph, root: int = 0) -> tuple[list[int], list[Optional[int]]]:
+    """The vertices reachable from root in breadth-first order, neighbors in
+    adjacency order, and each vertex's BFS parent: its neighbor that comes
+    first in the order, the one that reaches it in the walk. Every prefix of
+    the order induces a connected subgraph. The parent is None at the root
     and at the vertices root does not reach."""
     parent: list[Optional[int]] = [None] * g.n
     order = [root]
-    for u in order:  # a vertex is seen once it has a parent
+    for u in order:  # the list grows while it is walked: a FIFO queue
         for v in g.adj[u]:
-            if parent[v] is None and v != root:
+            if parent[v] is None and v != root:  # a vertex is seen once it has a parent
                 parent[v] = u
                 order.append(v)
-    return parent
+    return order, parent
 
 
 def preorder(children: Sequence[Sequence[int]], root: int) -> list[int]:
@@ -165,7 +150,7 @@ def preorder(children: Sequence[Sequence[int]], root: int) -> list[int]:
 
 def is_connected(g: Graph) -> bool:
     """True iff g has a single connected component (vacuously true for n=0)."""
-    return g.n == 0 or len(bfs_order(g)) == g.n
+    return g.n == 0 or len(bfs(g)[0]) == g.n
 
 
 def path_order(g: Graph) -> Optional[list[int]]:
@@ -262,7 +247,7 @@ def degree_bounded_spanning_tree(g: Graph, d_target: int) -> RootedTree:
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
-    parent = bfs_parents(g)
+    parent = bfs(g)[1]
     if None in parent[1:]:  # a vertex other than the root 0 is unreached
         raise NotConnectedError("graph must be connected")
     tree_adj: list[set[int]] = [set() for _ in range(n)]

@@ -26,7 +26,7 @@ from .geometry import IntPoint, far_right, hub_scan, on_line_through_two
 from .graph import (
     Graph,
     RootedTree,
-    bfs_order,
+    bfs,
     degree_bounded_spanning_tree,
     is_connected,
     path_order,
@@ -150,7 +150,7 @@ def draw_proper_spanner(g: Graph, eps: Epsilon) -> Drawing:
     n = g.n
     if n == 0:
         raise TooSmallError("the proper construction requires at least 1 vertex")
-    order = bfs_order(g)
+    order = bfs(g)[0]
     if len(order) < n:
         raise NotConnectedError("input graph must be connected")
     e_num, e_den = eps.value.numerator, eps.value.denominator

@@ -13,9 +13,13 @@ one mutant there, runs
 
     python -m pytest -q -x -p no:cacheprovider <ids>
 
-on the copy, and requires a failure. It prints one line per mutant and
-exits 1, naming each, if a mutant survives or its old text does not occur
-exactly once. It takes about 30 s on a 2-core host, so it is a separate
+on the copy, and requires a failure. Each run has its own session, an
+address space of MEMORY_LIMIT set in the child, and, for a mutant, a wall
+time taken from the unmutated run's; at a limit its process group is
+killed, and the mutant is printed as "timeout" or "memory", counted as
+caught, and counted apart in the summary. It prints one line per mutant
+and exits 1, naming each, if a mutant survives or its old text does not
+occur exactly once. It takes about 30 s on a 2-core host, so it is a separate
 command; Tier-1 only checks that every old text occurs exactly once and
 that every named test exists (tests/test_source.py). A change that
 rewrites the code under a mutant restates the same fault in the new code.
@@ -24,14 +28,29 @@ rewrites the code under a mutant restates the same fault in the new code.
 from __future__ import annotations
 
 import os
+import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
+# The address space of each pytest run, set in the child alone, so that a
+# mutant that allocates without bound stops at a MemoryError instead of
+# taking the host's memory. The unmutated run passes at 128 MiB, and numpy
+# with OpenBLAS imports at 512 MiB on a 2-core host; were the limit too
+# tight, the unmutated run would fail, not fake a kill.
+MEMORY_LIMIT = 1 << 30
+# A mutant's run may take TIME_FACTOR times the unmutated run's wall time,
+# and at least MIN_TIMEOUT seconds, before its process group is killed: a
+# mutant that loops is reported as a timeout.
+TIME_FACTOR = 10
+MIN_TIMEOUT = 120
 
 
 @dataclass(frozen=True)
@@ -57,6 +76,7 @@ TREE_PROPER = "tests/test_layout.py::TestTreeProper::"
 TOUGH_TREE = "tests/test_graph.py::TestDegreeBoundedSpanningTree::"
 TREE_PLANAR = "tests/test_layout.py::TestTreePlanar::"
 WALK = "tests/test_metrics.py::TestSpanningRatio::"
+WRITER = "tests/test_fileio_cli.py::TestRoundTrip::"
 
 MUTANTS = [
     # The planarity sweep's order checks (metrics.is_planar_drawing).
@@ -319,6 +339,22 @@ MUTANTS = [
            "",
            ("tests/test_layout.py::TestEpsilon::test_positive_required",),
            "the <= 0 check dropped: a zero or negative epsilon builds drawings with no guarantee"),
+    # The JSON writer (fileio.serialize, _rows).
+    Mutant("src/spannerdraw/fileio.py",
+           "kinds <= {int})",
+           "kinds <= {int, bool})",
+           (WRITER + "test_serialize_matches_json_dumps_on_any_nesting",),
+           "bool admitted as a row kind: a row of True and False is written as 1 and 0"),
+    Mutant("src/spannerdraw/fileio.py",
+           " or 0 in lengths or ",
+           " or ",
+           (WRITER + "test_serialize_matches_json_dumps_on_any_nesting",),
+           "the empty-row refusal dropped: a list of empty lists takes the row pass and opens rows it never closes"),
+    Mutant("src/spannerdraw/fileio.py",
+           '"," * (k > 0)',
+           '"," * (k > 1)',
+           (WRITER + "test_serialize_matches_json_dumps_on_any_nesting",),
+           "the stack's comma rule broken: the second item of a container comes without its comma"),
     Mutant("src/spannerdraw/frozen.py",
            "        raise AttributeError(f\"cannot assign a {type(value).__name__} to {name!r}: \"\n"
            "                             f\"{type(self).__name__} is immutable\")",
@@ -328,11 +364,38 @@ MUTANTS = [
 ]
 
 
-def _pytest(cwd: Path, ids) -> subprocess.CompletedProcess:
-    """One pytest process on ids, importing the package from cwd/src."""
+def _limit_memory() -> None:
+    """Run in the child before pytest starts: cap its address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def _pytest(cwd: Path, ids, timeout: Optional[float] = None) -> tuple[str, str]:
+    """One pytest process on ids, importing the package from cwd/src, in a
+    session of its own under MEMORY_LIMIT bytes of address space and, if
+    given, timeout seconds of wall time. Its process group is killed when
+    it ends or times out. (outcome, output): the outcome is "passed",
+    "failed" (a test failed), "timeout" or "memory" (a limit stopped it),
+    or "error" (pytest exited otherwise)."""
     env = dict(os.environ, PYTHONPATH=str(cwd / "src"), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *ids],
-                          cwd=cwd, env=env, capture_output=True, text=True)
+    proc = subprocess.Popen([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *ids],
+                            cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+                            start_new_session=True, preexec_fn=_limit_memory)
+    try:
+        out, _ = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        _kill_group(proc.pid)
+        return "timeout", proc.communicate()[0]
+    _kill_group(proc.pid)  # whatever the tests started and left running
+    if "MemoryError" in out:
+        return "memory", out
+    return {0: "passed", 1: "failed"}.get(proc.returncode, "error"), out
+
+
+def _kill_group(pgid: int) -> None:
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:  # the group has no process left
+        pass
 
 
 def _copy(workdir: Path) -> None:
@@ -351,12 +414,14 @@ def stale(m: Mutant) -> bool:
 
 def main() -> int:
     ids = sorted({i for m in MUTANTS for i in m.ids})
-    base = _pytest(ROOT, ids)
-    if base.returncode != 0:
-        print(base.stdout[-3000:])
-        print(f"the unmutated tree fails the {len(ids)} tests")
+    start = time.monotonic()
+    outcome, out = _pytest(ROOT, ids)
+    if outcome != "passed":
+        print(out[-3000:])
+        print(f"the unmutated tree fails the {len(ids)} tests: {outcome}")
         return 1
-    bad = []
+    timeout = max(TIME_FACTOR * (time.monotonic() - start), MIN_TIMEOUT)
+    bad, limited = [], []
     for k, m in enumerate(MUTANTS):
         if stale(m):
             print(f"STALE    {k:2} {m.path}: the old text does not occur exactly once")
@@ -367,14 +432,18 @@ def main() -> int:
             _copy(workdir)
             target = workdir / m.path
             target.write_text(target.read_text(encoding="utf-8").replace(m.old, m.new), encoding="utf-8")
-            caught = _pytest(workdir, m.ids).returncode == 1  # a test failed
-        print(f"{'killed' if caught else 'SURVIVED':8} {k:2} {m.path}: {m.reason}")
-        if not caught:
+            outcome = _pytest(workdir, m.ids, timeout)[0]
+        label = {"failed": "killed", "timeout": "timeout", "memory": "memory"}.get(outcome, "SURVIVED")
+        print(f"{label:8} {k:2} {m.path}: {m.reason}")
+        if label == "SURVIVED":
             bad.append(k)
+        elif label != "killed":
+            limited.append(k)
+    how = f"{len(limited)} by a limit, not a failing test: {limited}" if limited else "each by a failing test"
     if bad:
-        print(f"{len(bad)} of {len(MUTANTS)} mutants not killed: {bad}")
+        print(f"{len(bad)} of {len(MUTANTS)} mutants not killed: {bad}; of the others, {how}")
         return 1
-    print(f"all {len(MUTANTS)} mutants killed")
+    print(f"all {len(MUTANTS)} mutants killed, {how}")
     return 0
 
 

@@ -22,7 +22,7 @@ from spannerdraw.embedding import CanonicalOrder, RotationSystem, planarity_test
 from spannerdraw.errors import DisconnectedDrawingError, InstanceTooLarge, PrecisionExhausted
 from spannerdraw.exact import Interval, isqrt_scaled
 from spannerdraw.geometry import dist_sq
-from spannerdraw.graph import Graph, RootedTree, bfs_order
+from spannerdraw.graph import Graph, RootedTree, bfs
 from spannerdraw.metrics import DEFAULT_REL_TOL
 
 TOUGHNESS_LIMIT = 12
@@ -498,7 +498,7 @@ def connected_components(g: Graph) -> list[list[int]]:
     comps = []
     for s in range(g.n):
         if not seen[s]:
-            comps.append(bfs_order(g, s))
+            comps.append(bfs(g, s)[0])
             for v in comps[-1]:
                 seen[v] = True
     return comps

@@ -8,8 +8,10 @@ from spannerdraw.exact import Interval, isqrt_scaled, sqrt_interval
 from spannerdraw.geometry import (
     any_three_collinear,
     coincident,
+    coord_bits,
     dist_sq,
     far_right,
+    hub_scan,
     in_segment_interior,
     on_line_through_two,
     on_segment_closed,
@@ -225,7 +227,8 @@ class TestAnyThreeCollinear:
                 assert keys.counts() == tuple(want), (shift, n)
             for n, hubs in ((10, 0), (10, 1), (10, 4), (10, 10), (10, 12)):
                 keys.clear()
-                assert not any_three_collinear([(i + shift, i * i - shift) for i in range(n)], hubs)
+                pts = [(i + shift, i * i - shift) for i in range(n)]
+                assert not hub_scan(pts, hubs, coord_bits(pts))
                 want = [0, 0]
                 want[kind] = sum(n - 1 - i for i in range(min(hubs, n)))
                 assert keys.counts() == tuple(want), (shift, n, hubs)
@@ -265,8 +268,8 @@ class TestAnyThreeCollinear:
                 )
                 seen.add(brute)
                 for ps in (pts, big, moved):
-                    assert any_three_collinear(ps, hubs) == brute, (pts, hubs)
-            assert any_three_collinear(pts) == any_three_collinear(pts, n)
+                    assert (coincident(ps) or hub_scan(ps, hubs, coord_bits(ps))) == brute, (pts, hubs)
+            assert any_three_collinear(pts) == (coincident(pts) or hub_scan(pts, n, coord_bits(pts)))
         assert seen == {False, True}
 
     def test_axis_count_matches_bruteforce(self, monkeypatch):
@@ -523,7 +526,7 @@ class TestSlopeFingerprint:
         assert orientation(*pts) != 0
         for hubs, want in ((None, (3, 2)), (1, (2, 2)), (3, (3, 2))):
             keys = KeyCount(monkeypatch)
-            assert not any_three_collinear(pts, hubs)
+            assert not (any_three_collinear(pts) if hubs is None else hub_scan(pts, hubs, coord_bits(pts)))
             assert keys.counts() == want, hubs
             monkeypatch.undo()
 
@@ -561,7 +564,8 @@ class TestSlopeFingerprint:
                 assert (geometry.coord_bits(ps) <= geometry.FLOAT_BITS) == fingerprinted, (kind, ps)
                 for hubs in (None, *range(len(ps) + 1)):
                     keys.clear()
-                    verdict = any_three_collinear(ps, hubs)
+                    verdict = (any_three_collinear(ps) if hubs is None
+                               else coincident(ps) or hub_scan(ps, hubs, coord_bits(ps)))
                     assert verdict == collinear_bruteforce(ps, hubs), (kind, ps, hubs)
                     slope, exact = keys.counts()
                     assert slope == 0 or fingerprinted, (kind, ps, hubs)

@@ -136,12 +136,19 @@ class TestRoundTrip:
 
     def test_serialize_matches_json_dumps_on_any_nesting(self):
         # Scalars of every kind, empty containers, lists of lists of equal
-        # and unequal length, dicts in lists and lists in dicts.
+        # and unequal length, dicts in lists and lists in dicts. The last three
+        # lines hold the rows that the one-pass row writer must take or
+        # refuse: bools, which are ints to isinstance, rows that mix str and
+        # int, unequal and empty rows, a flat list, big ints, escapes, rows
+        # one level deeper, and tuples.
         values = [
             0, -7, 2.5, math.inf, None, True, "quote\" é",
             [], {}, [[]], [[], []], [[1, 2], [3]], [[1, [2]], [3, 4]], [["a", 1], [None, 2.5]],
             [[[1]], [[2]]], [{"a": 1}, {}], {"k": [[1, 2], [3, 4]], "e": {}, "n": {"m": [[]]}},
             [1, [2, [3, [4, {"five": [5]}]]]], ((1, 2), (3, 4)),
+            [[True, 1]], [[True, False]], [["1/2", 3]], [[1, "2"], [3, "4"]], [[1, 2], [3]],
+            [[1], []], ["a", "b/c"], [[2**70, -3]], [["tab\t", "\u00e9\"\\"], ["\n", "\U0001f600"]],
+            [[[1, 2]], [[3, 4]]], ((("a", "b"), ("c", "d")), [("x", 1)]),
         ]
         for value in values:
             assert fileio.serialize(value) == json.dumps(value, indent=2) + "\n"
@@ -512,20 +519,29 @@ class TestCli:
         metrics_report = json.loads(capsys.readouterr().out)
         assert draw_report == metrics_report
 
-    def test_draw_json_leaves_no_cyclic_garbage(self, tmp_path):
+    def test_draw_json_leaves_no_cyclic_garbage(self, tmp_path, capsys):
         # json.dumps(obj, indent=2) left 33 objects of cyclic garbage behind
-        # on every report, the closures of its indenting encoder.
+        # on every report, the closures of its indenting encoder. The draw
+        # writes a drawing file and a report, metrics a report, and verify,
+        # on a star with violations at s = 14/10, a list of dicts.
         g = thinned_triangulation(160, 0.3, 1)
         inp = graph_file(tmp_path, g.n, [list(e) for e in g.edges()])
-        argv = ["draw", "planar", inp, "-o", str(tmp_path / "d.json"), "--format", "json"]
+        out, star = str(tmp_path / "d.json"), tmp_path / "star.json"
+        star.write_text(fileio.serialize(fileio.drawing_to_obj(unit_circle_star())))
         cli._parser()  # built once per process, with garbage of its own
-        gc.collect()
-        gc.disable()
-        try:
-            assert cli.main(argv) == 0
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        reports = []
+        for argv in (["draw", "planar", inp, "-o", out, "--format", "json"],
+                     ["metrics", out, "--format", "json"],
+                     ["verify", str(star), "--s", "14/10", "--format", "json"]):
+            gc.collect()
+            gc.disable()
+            try:
+                assert cli.main(argv) == 0
+                assert gc.collect() == 0, argv
+            finally:
+                gc.enable()
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0] == reports[1] and reports[2]["violations"]
 
     def test_parser_built_once(self):
         assert cli._parser() is cli._parser()

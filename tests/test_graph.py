@@ -22,8 +22,7 @@ from spannerdraw.graph import (
     HAMILTONIAN_DP_LIMIT,
     Graph,
     RootedTree,
-    bfs_order,
-    bfs_parents,
+    bfs,
     degree_bounded_spanning_tree,
     hamiltonian_path,
     is_connected,
@@ -78,7 +77,7 @@ class TestGraphBasics:
 def bfs_parent_oracle(g, root):
     """BFS parents as degree_bounded_spanning_tree once derived them: each
     reached vertex other than root takes its neighbor of least BFS rank."""
-    order = bfs_order(g, root)
+    order = bfs(g, root)[0]
     rank = {v: i for i, v in enumerate(order)}
     parent = [None] * g.n
     for v in order[1:]:
@@ -91,7 +90,7 @@ def rooted_tree_oracle(g, root):
     order, a vertex's children are its neighbors other than its parent."""
     parent = [None] * g.n
     children = [[] for _ in range(g.n)]
-    for u in bfs_order(g, root):
+    for u in bfs(g, root)[0]:
         children[u] = [v for v in g.adj[u] if v != parent[u]]
         for v in children[u]:
             parent[v] = u
@@ -134,9 +133,10 @@ def degree_bounded_tree_oracle(g, d_target):
 
 class TestBfsParents:
     def test_path_and_unreached(self):
-        assert bfs_parents(path_graph(4), 2) == [1, 2, None, 2]
+        assert bfs(path_graph(4), 2) == ([2, 1, 3, 0], [1, 2, None, 2])
         g = Graph.from_edges(7, [(0, 3), (3, 5), (1, 2), (4, 6)])
-        assert bfs_parents(g, 3) == bfs_parent_oracle(g, 3) == [3, None, None, None, None, 3, None]
+        assert bfs(g, 3) == ([3, 0, 5], [3, None, None, None, None, 3, None])
+        assert bfs_parent_oracle(g, 3) == bfs(g, 3)[1]
 
     def test_matches_least_bfs_rank_oracle(self):
         for seed in range(200):
@@ -146,7 +146,7 @@ class TestBfsParents:
             t = random_tree(n, rng.choice((2, 3, 4, n)), seed)
             for h in (g, t):
                 root = rng.randrange(n)
-                assert bfs_parents(h, root) == bfs_parent_oracle(h, root)
+                assert bfs(h, root)[1] == bfs_parent_oracle(h, root)
 
     def test_rooted_tree_matches_children_loop_oracle(self):
         for seed in range(200):
@@ -211,7 +211,7 @@ class TestRootedTree:
 
     def test_prefix_order_connected_prefixes(self):
         t = RootedTree.from_graph(random_tree(20, 3, seed=5), 0)
-        order = bfs_order(t.graph, t.root)
+        order = bfs(t.graph, t.root)[0]
         assert sorted(order) == list(range(20))
         for k in range(1, 21):
             assert is_connected(t.graph.induced(order[:k]))

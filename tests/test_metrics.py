@@ -39,7 +39,7 @@ from spannerdraw import geometry, metrics
 from spannerdraw.drawing import Drawing
 from spannerdraw.exact import Interval, format_rational, isqrt_scaled, sqrt_interval
 from spannerdraw.geometry import closest_pair_sq, coord_bits, dist_sq, in_segment_interior, segments_cross_improperly
-from spannerdraw.graph import Graph, RootedTree, bfs_parents
+from spannerdraw.graph import Graph, RootedTree, bfs
 from spannerdraw.layout import (
     Epsilon,
     draw_graph_via_tough_tree,
@@ -298,7 +298,7 @@ def walk_tree(g, coords):
     tree's breadth-first preorder tree, or Prim's over the squared edge
     lengths of any other graph."""
     if g.m == g.n - 1:
-        return metrics._spanning_tree(g, bfs_parents(g))
+        return metrics._spanning_tree(g, bfs(g)[1])
     return metrics._spanning_tree(g, metrics._prim(g.adj, coords))
 
 

@@ -12,7 +12,7 @@ from spannerdraw.bounds import AnnulusViolation, annulus_bound_check, annulus_ce
 from spannerdraw.drawing import Drawing
 from spannerdraw.embedding import augment_to_maximal_with_canonical_order, planarity_test_embed
 from spannerdraw.exact import Interval
-from spannerdraw.graph import Graph, RootedTree, bfs_parents
+from spannerdraw.graph import Graph, RootedTree, bfs
 from spannerdraw.layout import Epsilon, draw_graph_via_tough_tree
 from spannerdraw.metrics import compute_metrics
 
@@ -46,7 +46,7 @@ def frozen_values():
         annulus_bound_check(d, F(1)),
         draw_graph_via_tough_tree(PATH, 2, Epsilon(1)),
         pytest.param(metrics._far_order(PATH, d.points)[0], id="_far_order"),  # a _Tree chain
-        metrics._spanning_tree(PATH, bfs_parents(PATH)),
+        metrics._spanning_tree(PATH, bfs(PATH)[1]),
     ]
 
 
@@ -100,7 +100,7 @@ def test_copies_and_pickles_round_trip():
 
 
 def test_rooted_tree_is_mutable_with_fresh_lists():
-    a, b = RootedTree(PATH, 0), RootedTree(PATH, 0)
+    a, b = RootedTree(PATH, 0, [], []), RootedTree(PATH, 0, [], [])
     assert a.parent == a.children == [] and a.parent is not b.parent and a.children is not b.children
     a.root = 1
     a.parent.append(None)
