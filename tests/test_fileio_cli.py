@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import bench_workloads, random_rational_drawing, thinned_triangulation, unit_circle_star
+from conftest import bench_workloads, random_rational_drawing, thinned_triangulation, unit_circle_star, wheel
 from output_digest import digest
 from spannerdraw import bounds, cli, fileio, metrics
 from spannerdraw.drawing import Drawing
@@ -405,6 +405,15 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["verify", out, "--s", "1"]) == 0
         assert "verdict: Consistent" in capsys.readouterr().out
+
+    def test_verify_wheel_consistent(self, tmp_path, capsys):
+        # The wheel's hub has an annulus of 100 neighbors, above 48 (6/5)**2,
+        # but its rim is one component of G - hub; the ratio is 1.184 <= 6/5.
+        path = tmp_path / "wheel.json"
+        path.write_text(fileio.serialize(fileio.drawing_to_obj(wheel(100))))
+        assert cli.main(["verify", str(path), "--s", "6/5"]) == 0
+        out = capsys.readouterr().out
+        assert "violations: none\nverdict: Consistent\n" in out
 
     def test_metrics_json_format(self, tmp_path, capsys):
         inp = graph_file(tmp_path, 3, [[0, 1], [1, 2]])

@@ -39,7 +39,7 @@ from spannerdraw import geometry, metrics
 from spannerdraw.drawing import Drawing
 from spannerdraw.exact import Interval, format_rational, isqrt_scaled, sqrt_interval
 from spannerdraw.geometry import closest_pair_sq, coord_bits, dist_sq, in_segment_interior, segments_cross_improperly
-from spannerdraw.graph import Graph, RootedTree, bfs
+from spannerdraw.graph import Graph, RootedTree
 from spannerdraw.layout import (
     Epsilon,
     draw_graph_via_tough_tree,
@@ -294,12 +294,10 @@ def random_points(n, bits, seed):
 
 
 def walk_tree(g, coords):
-    """The tree the pruned pass walks, as _spanning_ratios builds it: a
-    tree's breadth-first preorder tree, or Prim's over the squared edge
-    lengths of any other graph."""
-    if g.m == g.n - 1:
-        return metrics._spanning_tree(g, bfs(g)[1])
-    return metrics._spanning_tree(g, metrics._prim(g.adj, coords))
+    """The tree the pruned pass walks, as _spanning_ratios builds it: the
+    depth-first preorder tree of a tree itself, or of Prim's tree over the
+    squared edge lengths of any other graph."""
+    return metrics._spanning_tree(g.adj if g.m == g.n - 1 else metrics._prim(g.adj, coords))
 
 
 STAR_MEMORY = """
@@ -610,8 +608,8 @@ class TestPrunedScan:
         trees = []
         spanning_tree = metrics._spanning_tree
 
-        def recorded(g, parent):
-            t = spanning_tree(g, parent)
+        def recorded(adj):
+            t = spanning_tree(adj)
             trees.append((t.order, t.up, [e - i for i, e in enumerate(t.end)]))
             return t
 

@@ -12,7 +12,7 @@ from spannerdraw.bounds import AnnulusViolation, annulus_bound_check, annulus_ce
 from spannerdraw.drawing import Drawing
 from spannerdraw.embedding import augment_to_maximal_with_canonical_order, planarity_test_embed
 from spannerdraw.exact import Interval
-from spannerdraw.graph import Graph, RootedTree, bfs
+from spannerdraw.graph import Graph, RootedTree
 from spannerdraw.layout import Epsilon, draw_graph_via_tough_tree
 from spannerdraw.metrics import compute_metrics
 
@@ -46,7 +46,7 @@ def frozen_values():
         annulus_bound_check(d, F(1)),
         draw_graph_via_tough_tree(PATH, 2, Epsilon(1)),
         pytest.param(metrics._far_order(PATH, d.points)[0], id="_far_order"),  # a _Tree chain
-        metrics._spanning_tree(PATH, bfs(PATH)[1]),
+        metrics._spanning_tree(PATH.adj),
     ]
 
 
