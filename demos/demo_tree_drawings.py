@@ -10,7 +10,6 @@ from fractions import Fraction
 from spannerdraw import (
     Epsilon,
     Graph,
-    RootedTree,
     draw_graph_via_tough_tree,
     draw_tree_planar,
     draw_tree_proper,
@@ -35,10 +34,11 @@ def random_tree(n, maxdeg, seed):
 
 def main():
     eps = Epsilon(Fraction(1))
-    t = RootedTree.from_graph(random_tree(60, 3, seed=1), 0)
+    t = random_tree(60, 3, seed=1)
 
-    # Proper drawing: split at a balanced edge separator, draw the parts
-    # recursively, and slide the second part until no three vertices align.
+    # Proper drawing: split the tree at balanced edge separators, top-down,
+    # then merge the parts bottom-up, each time sliding the lower part until
+    # no three vertices align.
     d = draw_tree_proper(t, eps)
     sr = spanning_ratio(d)
     print("proper tree drawing (n=60, max degree 3):")

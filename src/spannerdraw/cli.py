@@ -19,7 +19,6 @@ from typing import Optional
 from . import bounds, fileio, layout, metrics
 from .errors import PreconditionError
 from .exact import Interval, format_rational
-from .graph import RootedTree
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -181,14 +180,12 @@ def _print_report(report: metrics.MetricReport, fmt: str, out) -> None:
 def _cmd_draw(args) -> int:
     g = fileio.load_graph(args.input)
     eps = layout.Epsilon(args.epsilon)
-    if args.kind == "planar":
-        drawing = layout.draw_planar_spanner(g, eps)
-    elif args.kind == "proper":
-        drawing = layout.draw_proper_spanner(g, eps)
-    elif args.kind == "tree-proper":
-        drawing = layout.draw_tree_proper(RootedTree.from_graph(g, 0), eps)
-    elif args.kind == "tree-planar":
-        drawing = layout.draw_tree_planar(RootedTree.from_graph(g, 0), eps)
+    # The constructions that take (graph, epsilon), looked up on layout at
+    # each call, so that a wrapper set there is the one called.
+    draws = {"planar": layout.draw_planar_spanner, "proper": layout.draw_proper_spanner,
+             "tree-proper": layout.draw_tree_proper, "tree-planar": layout.draw_tree_planar}
+    if args.kind in draws:
+        drawing = draws[args.kind](g, eps)
     else:
         result = layout.draw_graph_via_tough_tree(g, args.d_target, eps)
         drawing = result.drawing

@@ -37,7 +37,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from itertools import chain
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 IntPoint = tuple[int, int]
 
@@ -265,13 +265,13 @@ def any_three_collinear(points: Sequence[IntPoint]) -> bool:
     """
     if coincident(points) or any(max(Counter(axis).values()) >= 3 for axis in zip(*points)):
         return True
-    return not _far_placed(sorted(points)) and hub_scan(points, None, coord_bits(points))
+    return not _far_placed(sorted(points)) and hub_scan(points, len(points), coord_bits(points))
 
 
-def hub_scan(points: Sequence[IntPoint], hubs: Optional[int], bits: int) -> bool:
+def hub_scan(points: Sequence[IntPoint], hubs: int, bits: int) -> bool:
     """True iff three of the distinct integer points lie on a line through
-    one of the first `hubs` points (all points when None): the scan of
-    any_three_collinear, which calls it after the coincidence test, with
+    one of the first `hubs` points: the scan of any_three_collinear, which
+    calls it after the coincidence test, with every point a hub and
     bits = coord_bits(points) for the gate between slope keys and exact
     keys. The tree-proper merge calls it directly, with the size it carries
     for its points, which it knows to be distinct.

@@ -190,9 +190,11 @@ class _TreePart(NamedTuple):
     common: int
 
 
-def draw_tree_proper(t: RootedTree, eps: Epsilon) -> Drawing:
-    """Proper tree drawing: no three vertices collinear, pairwise distances at
-    least 1, spanning ratio at most (tree_gamma+2)/tree_gamma <= 1 + epsilon/2.
+def draw_tree_proper(g: Graph, eps: Epsilon) -> Drawing:
+    """Proper drawing of a tree g, rooted at vertex 0: no three vertices
+    collinear, pairwise distances at least 1, spanning ratio at most
+    (tree_gamma+2)/tree_gamma <= 1 + epsilon/2. NotATreeError comes from
+    RootedTree.from_graph.
 
     The width is below 2 (gamma + 2)^h, h the depth of the separator
     recursion: a part of m vertices of degree at most d splits into parts of
@@ -219,13 +221,15 @@ def draw_tree_proper(t: RootedTree, eps: Epsilon) -> Drawing:
     and it carries its width and its numerators' gcd to the next merge
     (see _merge_tree_parts).
     """
-    return Drawing(t.graph, *_tree_proper_points(t, eps))
+    return Drawing(g, *_tree_proper_points(RootedTree.from_graph(g, 0), eps))
 
 
 def _tree_proper_points(t: RootedTree, eps: Epsilon) -> tuple[tuple[IntPoint, ...], int]:
     """draw_tree_proper's points, by vertex, as integer numerators over the
     returned denominator: the root part's, which the tough route draws its
-    graph on too, so that each builds one Drawing."""
+    graph on too, so that each builds one Drawing. t's parents and children
+    are read as they are: both callers take t from RootedTree.from_graph or
+    degree_bounded_spanning_tree, which build them from t's graph."""
     gamma = eps.tree_gamma
     size = [1] * t.n
     for w in reversed(preorder(t.children, t.root)[1:]):
@@ -398,39 +402,30 @@ def draw_graph_via_tough_tree(g: Graph, d_target: int, eps: Epsilon) -> ToughDra
     )
 
 
-def draw_tree_planar(t: RootedTree, eps: Epsilon) -> Drawing:
-    """Planar tree drawing with integer coordinates, spanning ratio at most
-    (tree_gamma+2)/tree_gamma <= 1 + epsilon/2, unit minimum edge length, and
-    logarithmic height.
+def draw_tree_planar(g: Graph, eps: Epsilon) -> Drawing:
+    """Planar drawing of a tree g with integer coordinates, spanning ratio at
+    most (tree_gamma+2)/tree_gamma <= 1 + epsilon/2, unit minimum edge
+    length, and logarithmic height.
 
     Follows a layered scheme: subtrees of each vertex are drawn left to right
     in increasing size with horizontal gaps of tree_gamma * (width so far +
     ceil(log2 of the local subtree size)), roots one unit below their parent,
     and the largest subtree lifted onto the parent's row.
 
-    The drawing is rooted at the least leaf whatever t's root. t is
-    re-hung there, not walked again: only the edges on the one path
-    between the two roots turn over, so each vertex on it drops the next
-    one down from its children and takes the next one up. t's parents and
-    children are trusted to describe its graph, as from_graph and
-    degree_bounded_spanning_tree build them.
+    g is rooted at its least leaf, which is drawn at (0, 0), or at 0 when it
+    has no leaf. NotATreeError comes from RootedTree.from_graph, before a
+    path is told apart.
     """
-    n = t.n
+    n = g.n
     gamma = eps.tree_gamma
-    path = path_order(t.graph)
+    t = RootedTree.from_graph(g, min((v for v in range(n) if g.degree(v) == 1), default=0))
+    path = path_order(g)
     if path is not None:
         # The tree is a path: unit-spaced collinear placement is exact.
-        return Drawing.on_x_axis(t.graph, path)
+        return Drawing.on_x_axis(g, path)
 
-    # Re-hang t at the least leaf, then give every lone child a dummy sibling.
-    adj, parent = t.graph.adj, t.parent
-    root = min(v for v in range(n) if len(adj[v]) == 1)
-    children: list[list[int]] = [list(c) for c in t.children]
-    v, p = root, parent[root]
-    while p is not None:
-        children[p].remove(v)
-        children[v].append(p)
-        v, p = p, parent[p]
+    # Give every lone child a dummy sibling.
+    children = t.children
     n_prime = n
     for v in range(n):
         if len(children[v]) == 1:
@@ -438,7 +433,7 @@ def draw_tree_planar(t: RootedTree, eps: Epsilon) -> Drawing:
             children.append([])
             n_prime += 1
 
-    order = preorder(children, root)
+    order = preorder(children, t.root)
 
     # Bottom-up: the subtrees of each vertex go left to right in increasing
     # size, each at an offset from its parent; then top-down, absolute
@@ -465,4 +460,4 @@ def draw_tree_planar(t: RootedTree, eps: Epsilon) -> Drawing:
     for u in order:
         for c in children[u]:
             pos[c] = (pos[u][0] + offset[c][0], pos[u][1] + offset[c][1])
-    return Drawing(t.graph, tuple(pos[:n]))
+    return Drawing(g, tuple(pos[:n]))

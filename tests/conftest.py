@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from spannerdraw import Drawing, Graph, RootedTree, geometry
+from spannerdraw import Drawing, Graph, geometry
 from spannerdraw.embedding import planarity_test_embed
 from spannerdraw.layout import (
     Epsilon,
@@ -43,7 +43,7 @@ def benchmark_drawing(op) -> Drawing:
         return draw_proper_spanner(g, eps)
     if op.kind == "tough":
         return draw_graph_via_tough_tree(g, op.d_target, eps).drawing
-    return draw_tree_planar(RootedTree.from_graph(g, 0), eps)
+    return draw_tree_planar(g, eps)
 
 
 class Corpus:

@@ -77,6 +77,8 @@ TOUGH_TREE = "tests/test_graph.py::TestDegreeBoundedSpanningTree::"
 TREE_PLANAR = "tests/test_layout.py::TestTreePlanar::"
 WALK = "tests/test_metrics.py::TestSpanningRatio::"
 WRITER = "tests/test_fileio_cli.py::TestRoundTrip::"
+EMBED = "tests/test_embedding.py::TestPlanarityTestEmbed::"
+AUGMENT = "tests/test_embedding.py::TestAugmentation::"
 
 MUTANTS = [
     # The planarity sweep's order checks (metrics.is_planar_drawing).
@@ -283,7 +285,7 @@ MUTANTS = [
            (PRUNED + "test_pruning_keeps_its_margin",),
            "_graph_dist resumes the first source's searches: a pair of another source takes that source's distances"),
     # Connectivity from the walk the pass needs (metrics._spanning_tree,
-    # _spanning_ratios), and the tree-planar construction's re-hang.
+    # _spanning_ratios), and the tree-planar construction's root.
     Mutant("src/spannerdraw/metrics.py",
            "        if pos[u] >= 0:\n            return None  # revisited: the graph has a cycle\n",
            "",
@@ -297,10 +299,10 @@ MUTANTS = [
            "the walk's reach check dropped: a walk that misses a vertex, of Prim's tree or of n - 1 edges, "
            "leaves a short tree for the pass"),
     Mutant("src/spannerdraw/layout.py",
-           "    v, p = root, parent[root]\n",
-           "    v, p = t.root, parent[t.root]\n",
-           (TREE_PLANAR + "test_one_drawing_whatever_the_root",),
-           "the re-hang started from t's root: a tree not rooted at its least leaf keeps its old children"),
+           "    t = RootedTree.from_graph(g, min((v for v in range(n) if g.degree(v) == 1), default=0))\n",
+           "    t = RootedTree.from_graph(g, 0)\n",
+           (TREE_PLANAR + "test_least_leaf_at_origin",),
+           "the tree-planar construction rooted at vertex 0, not its least leaf: a star is drawn from its center"),
     # The far-placement pass: the chain's integer root distances
     # (metrics._far_order, _far_roots), its ancestor term, and its
     # hand-over to the graph's tree.
@@ -334,6 +336,42 @@ MUTANTS = [
            "                        if budget <= 0:",
            (FAR + "test_a_pass_of_exactly_its_budget_finishes",),
            "the budget test off by one: a chain pass that needs exactly its budget hands over"),
+    # The left-right planarity test and its rotations (embedding._orient,
+    # _sides, planarity_test_embed), and the augmentation's contour steps
+    # (embedding._choose, _place_fan).
+    Mutant("src/spannerdraw/embedding.py",
+           "                low2[f] = min(low2[f], low2[e])",
+           "                low2[f] = low2[e]",
+           (EMBED + "test_matches_networkx",),
+           "equal lowpoints hand on e's second lowpoint alone: a parent edge's low2 rises, "
+           "and the nesting depths order the edges out of a vertex wrongly"),
+    Mutant("src/spannerdraw/embedding.py",
+           "depth[e] = 2 * low[e] + (low2[e] < height[v])",
+           "depth[e] = 2 * low[e]",
+           (EMBED + "test_matches_networkx",),
+           "the nesting depth without its chordal term: an edge with a second return point is not put after "
+           "its siblings that have none"),
+    Mutant("src/spannerdraw/embedding.py",
+           "                side[p[0]] = -1",
+           "                side[p[0]] = 1",
+           (EMBED + "test_matches_networkx",),
+           "a trimmed pair's left return edge kept on the right: the rotations put it on the wrong side"),
+    Mutant("src/spannerdraw/embedding.py",
+           "                r.insert(r.index(left[w]), v)\n                left[w] = v\n",
+           "                r.insert(r.index(left[w]), v)\n",
+           (EMBED + "test_matches_networkx", AUGMENT + "test_random_planar_graphs_validate"),
+           "left[w] not moved to a left back edge: the next one goes before the child, not before the last "
+           "back edge, and the left back edges come out in reverse"),
+    Mutant("src/spannerdraw/embedding.py",
+           "            return min(found)",
+           "            return max(found)",
+           (AUGMENT + "test_matches_sorting_oracle",),
+           "the greater candidate at a position: the canonical order leaves the sorting rule's"),
+    Mutant("src/spannerdraw/embedding.py",
+           "rot[w].insert(rot[w].index(contour[i + 1]) + 1, v)",
+           "rot[w].insert(rot[w].index(contour[i + 1]), v)",
+           (AUGMENT + "test_c4_validates",),
+           "the fan's first vertex takes v before contour[a + 1], not after it: v enters the inner face"),
     # The annulus check's recount (bounds.annulus_bound_check).
     Mutant("src/spannerdraw/bounds.py",
            "count = len({label[u] for u, k in zip(g.adj[v], annuli) if k == i})",

@@ -23,7 +23,7 @@ from spannerdraw import cli
 from spannerdraw.bounds import annulus_bound_check, recognize_sr1, sr1_witness
 from spannerdraw.drawing import Drawing
 from spannerdraw.geometry import dist_sq
-from spannerdraw.graph import Graph, RootedTree
+from spannerdraw.graph import Graph
 from spannerdraw.layout import (
     Epsilon,
     draw_planar_spanner,
@@ -97,12 +97,12 @@ def test_acceptance_4_proper_tree_drawing(capsys):
     for i in range(50):
         maxdeg = (3, 4, 5)[i % 3]
         n = (20, 50, 90, 140, 200)[i % 5]
-        t = RootedTree.from_graph(random_tree(n, maxdeg, seed=4000 + i), 0)
-        d = draw_tree_proper(t, eps)
+        g = random_tree(n, maxdeg, seed=4000 + i)
+        d = draw_tree_proper(g, eps)
         sr = spanning_ratio(d, REL_TOL)
         assert sr.hi <= F(gamma + 2, gamma), (i, sr)
         assert min_pairwise_distance_sq(d) >= 1, i
-        dd = max(2, t.graph.max_degree())
+        dd = max(2, g.max_degree())
         exponent = math.log2(gamma + 2) / math.log2(dd / (dd - 1))
         bound = 2 * ((gamma + 2) / (gamma + 1)) * (gamma + 2) * n**exponent
         xs = [x for x, _ in d.coords]
@@ -118,16 +118,16 @@ def test_acceptance_5_planar_tree_drawing(capsys):
     for i in range(50):
         maxdeg = (3, 4)[i % 2]
         n = (30, 70, 120, 250, 500)[i % 5]
-        t = RootedTree.from_graph(random_tree(n, maxdeg, seed=5000 + i), 0)
-        d = draw_tree_planar(t, eps)
+        g = random_tree(n, maxdeg, seed=5000 + i)
+        d = draw_tree_planar(g, eps)
         _, height, _ = bounding_box(d)
         assert is_planar_drawing(d), i
         sr = spanning_ratio(d, REL_TOL)
         assert sr.hi <= F(3, 2), (i, sr)
         assert all(
-            dist_sq(d.coords[u], d.coords[v]) >= 1 for u, v in t.graph.edges()
+            dist_sq(d.coords[u], d.coords[v]) >= 1 for u, v in g.edges()
         ), i
-        assert height <= math.log2(tree_planar_size(t.graph)), (i, height)
+        assert height <= math.log2(tree_planar_size(g)), (i, height)
         ys = [y for _, y in d.coords]
         assert max(ys) - min(ys) == height, i
         _REGISTRY.append((f"tree-planar-i{i}", d, sr.hi))

@@ -339,6 +339,20 @@ class TestCli:
         inp = graph_file(tmp_path, 4, [[0, 1], [1, 2], [2, 3], [0, 3]])
         assert cli.main(["draw", "tree-planar", inp, "-o", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("kind", ["tree-proper", "tree-planar"])
+    @pytest.mark.parametrize("n, edges", [
+        (0, []),
+        (4, [[0, 1], [1, 2], [2, 3], [0, 3]]),
+        (4, [[0, 1], [2, 3]]),
+        (4, [[0, 1], [1, 2], [0, 2]]),
+    ], ids=["empty", "cycle", "forest", "triangle-and-isolated-vertex"])
+    def test_tree_kinds_refuse_non_trees(self, tmp_path, capsys, kind, n, edges):
+        # Each tree construction roots the graph itself, and the rooting
+        # refuses what is not a tree, before a path is told apart.
+        inp = graph_file(tmp_path, n, edges)
+        assert cli.main(["draw", kind, inp, "-o", str(tmp_path / "o")]) == 3
+        assert "NotATreeError" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["planar", "proper", "tough"])
     def test_empty_graph_exits_3(self, tmp_path, capsys, kind):
         inp = graph_file(tmp_path, 0, [])

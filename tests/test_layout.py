@@ -27,6 +27,7 @@ from spannerdraw.layout import (
     _LEG_BITS,
     Epsilon,
     _merge_tree_parts,
+    _tree_proper_points,
     _TreePart,
     draw_graph_via_tough_tree,
     draw_planar_spanner,
@@ -397,7 +398,7 @@ class TestTreeProper:
         graphs += [random_tree(n, 3 + n % 3, 950 + n) for n in (7, 25, 60, 110, 200)]
         for g in graphs:
             t = RootedTree.from_graph(g, g.n // 2)
-            assert draw_tree_proper(t, eps).coords == tree_proper_oracle(t, eps)
+            assert Drawing(g, *_tree_proper_points(t, eps)).coords == tree_proper_oracle(t, eps)
 
     def test_merge_second_span_round(self):
         # Every first-round shift (step/8 of eta/3 below, span 8) puts the
@@ -436,7 +437,7 @@ class TestTreeProper:
         for g in (star_graph(61), random_tree(200, 3, 7)):
             keys.clear()
             merges.clear()
-            draw_tree_proper(RootedTree.from_graph(g, 0), EPS1)
+            draw_tree_proper(g, EPS1)
             assert len(merges) == g.n - 1
             want = []
             for a, b, made in merges:
@@ -497,34 +498,34 @@ class TestTreeProper:
                 depth[w] = depth[t.parent[w]] + 1
             parts.clear()
             parts[t.root] = sorted(order, key=depth.__getitem__)
-            draw_tree_proper(t, EPS1)
+            _tree_proper_points(t, EPS1)
             assert counts == [t.n - 1, t.n - 1]
         assert len(tough) == 75
 
     def test_deep_star_needs_no_recursion(self):
         # A star splits off one leaf per separator level: 149 levels here.
-        t = RootedTree.from_graph(star_graph(150), 0)
+        g = star_graph(150)
         limit = sys.getrecursionlimit()
         frame, depth = sys._getframe(), 0
         while frame is not None:
             frame, depth = frame.f_back, depth + 1
         sys.setrecursionlimit(depth + 100)
         try:
-            d = draw_tree_proper(t, EPS1)
+            d = draw_tree_proper(g, EPS1)
         finally:
             sys.setrecursionlimit(limit)
         assert no_three_collinear(d)
 
     def test_single_vertex(self):
-        t = RootedTree.from_graph(Graph.from_edges(1, []), 0)
-        d = draw_tree_proper(t, EPS1)
+        g = Graph.from_edges(1, [])
+        d = draw_tree_proper(g, EPS1)
         assert d.coords == ((F(0), F(0)),)
 
     def test_single_edge_position(self):
         # Gap multiplier 4 at eps=1: child at x = 0 + 4*(0 + 1 + 1) = 8,
         # y = -1/3 - delta with delta in (0, 1/3).
-        t = RootedTree.from_graph(Graph.from_edges(2, [(0, 1)]), 0)
-        d = draw_tree_proper(t, EPS1)
+        g = Graph.from_edges(2, [(0, 1)])
+        d = draw_tree_proper(g, EPS1)
         assert d.coords[0] == (0, 0)
         x, y = d.coords[1]
         assert x == 8
@@ -534,17 +535,17 @@ class TestTreeProper:
 
     def test_random_trees_meet_guarantees(self):
         for seed, maxdeg in [(0, 3), (1, 4), (2, 5)]:
-            t = RootedTree.from_graph(random_tree(60, maxdeg, 600 + seed), 0)
-            d = draw_tree_proper(t, EPS1)
+            g = random_tree(60, maxdeg, 600 + seed)
+            d = draw_tree_proper(g, EPS1)
             assert no_three_collinear(d)
             assert min_pairwise_distance_sq(d) >= 1
             assert spanning_ratio(d).hi <= F(3, 2)
 
     def test_width_closed_form(self):
-        t = RootedTree.from_graph(random_tree(100, 3, 11), 0)
-        d = draw_tree_proper(t, EPS1)
+        g = random_tree(100, 3, 11)
+        d = draw_tree_proper(g, EPS1)
         gamma = EPS1.tree_gamma
-        dd = max(2, t.graph.max_degree())
+        dd = max(2, g.max_degree())
         width = float(compute_metrics(d).width)
         exponent = math.log2(gamma + 2) / math.log2(dd / (dd - 1))
         assert width <= 2 * ((gamma + 2) / (gamma + 1)) * (gamma + 2) * 100**exponent
@@ -566,12 +567,11 @@ class TestLineDrawing:
                 perm = list(range(n))
                 random.Random(100 * n + seed).shuffle(perm)
                 g = Graph.from_edges(n, [(perm[i], perm[i + 1]) for i in range(n - 1)])
-                tree = RootedTree.from_graph(g, perm[seed % n])
                 expected = line_placement_oracle(n, path_order(g))
                 drawings = [
                     (sr1_witness(g), line_placement_oracle(n, hamiltonian_path(g))),
                     (planar_sr1_witness(g), expected),
-                    (draw_tree_planar(tree, EPS1), expected),
+                    (draw_tree_planar(g, EPS1), expected),
                 ]
                 for d, points in drawings:
                     assert (d.points, d.den) == (points, 1)
@@ -587,61 +587,59 @@ class TestLineDrawing:
 
 class TestTreePlanar:
     def test_path_is_unit_spaced(self):
-        t = RootedTree.from_graph(path_graph(5), 0)
-        d = draw_tree_planar(t, EPS1)
+        g = path_graph(5)
+        d = draw_tree_planar(g, EPS1)
         xs = sorted(x for x, y in d.coords)
         assert xs == [0, 1, 2, 3, 4]
         assert all(y == 0 for _, y in d.coords)
         assert spanning_ratio(d).hi == 1
 
     def test_single_edge(self):
-        t = RootedTree.from_graph(Graph.from_edges(2, [(0, 1)]), 0)
-        d = draw_tree_planar(t, EPS1)
+        g = Graph.from_edges(2, [(0, 1)])
+        d = draw_tree_planar(g, EPS1)
         assert spanning_ratio(d).hi == 1
 
     def test_complete_binary_tree(self):
         edges = [(i, 2 * i + 1) for i in range(15)] + [(i, 2 * i + 2) for i in range(15)]
-        t = RootedTree.from_graph(Graph.from_edges(31, edges), 0)
-        d = draw_tree_planar(t, EPS1)
+        g = Graph.from_edges(31, edges)
+        d = draw_tree_planar(g, EPS1)
         assert is_planar_drawing(d)
         assert spanning_ratio(d).hi <= F(3, 2)
-        assert bounding_box(d)[1] <= math.log2(tree_planar_size(t.graph))
-        assert min(dist_sq(d.coords[u], d.coords[v]) for u, v in t.graph.edges()) >= 1
+        assert bounding_box(d)[1] <= math.log2(tree_planar_size(g))
+        assert min(dist_sq(d.coords[u], d.coords[v]) for u, v in g.edges()) >= 1
 
     def test_random_trees(self):
         for seed in range(5):
-            t = RootedTree.from_graph(random_tree(80, 4, 70 + seed), 0)
-            d = draw_tree_planar(t, EPS1)
+            g = random_tree(80, 4, 70 + seed)
+            d = draw_tree_planar(g, EPS1)
             assert is_planar_drawing(d)
             assert spanning_ratio(d).hi <= F(3, 2)
-            assert bounding_box(d)[1] <= math.log2(tree_planar_size(t.graph))
+            assert bounding_box(d)[1] <= math.log2(tree_planar_size(g))
 
     def test_deep_caterpillar(self):
         # A 1500-vertex spine with one leaf per spine vertex: 1500 levels deep.
         k = 1500
         edges = [(i, i + 1) for i in range(k - 1)] + [(i, k + i) for i in range(k)]
-        t = RootedTree.from_graph(Graph.from_edges(2 * k, edges), 0)
-        d = draw_tree_planar(t, EPS1)
+        g = Graph.from_edges(2 * k, edges)
+        d = draw_tree_planar(g, EPS1)
         assert is_planar_drawing(d)
-        assert bounding_box(d)[1] <= math.log2(tree_planar_size(t.graph))
+        assert bounding_box(d)[1] <= math.log2(tree_planar_size(g))
         assert min(dist_sq(d.coords[u], d.coords[v]) for u, v in edges) >= 1
 
     def test_integer_coordinates(self):
-        t = RootedTree.from_graph(random_tree(30, 3, 5), 0)
-        d = draw_tree_planar(t, EPS1)
+        g = random_tree(30, 3, 5)
+        d = draw_tree_planar(g, EPS1)
         assert all(x.denominator == 1 and y.denominator == 1 for x, y in d.coords)
 
-    def test_one_drawing_whatever_the_root(self):
-        """draw_tree_planar re-hangs the tree it is given at its least leaf
-        by reading the tree's parents, so every rooting of one tree gives one
-        drawing. It trusts those parents, as draw_tree_proper trusts its
-        child lists: every caller builds the tree with from_graph or
-        degree_bounded_spanning_tree."""
+    def test_least_leaf_at_origin(self):
+        """draw_tree_planar roots the tree it is given at its least leaf,
+        which goes to (0, 0), alone there; a path starts there too."""
         graphs = [random_tree(n, maxdeg, 90 + n) for n, maxdeg in ((5, 3), (12, 3), (40, 4), (60, 3))]
-        graphs += star_broom_caterpillar().values()
+        graphs += [*star_broom_caterpillar().values(), path_graph(6)]
         for k, g in enumerate(graphs):
-            drawings = {draw_tree_planar(RootedTree.from_graph(g, root), EPS1) for root in range(g.n)}
-            assert len(drawings) == 1, k
+            leaf = min(v for v in range(g.n) if g.degree(v) == 1)
+            d = draw_tree_planar(g, EPS1)
+            assert [v for v in range(g.n) if d.points[v] == (0, 0)] == [leaf], k
 
 
 class TestToughTree:
@@ -682,7 +680,7 @@ class TestToughTree:
             built.clear()
             res = draw_graph_via_tough_tree(g, 3, EPS1)
             assert built == [g], n
-            tree = draw_tree_proper(res.tree, EPS1)
+            tree = draw_tree_proper(res.tree.graph, EPS1)
             assert (res.drawing.points, res.drawing.den) == (tree.points, tree.den) and built[1:] == [res.tree.graph]
 
     def test_missed_target_reported_as_warning(self):

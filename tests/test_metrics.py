@@ -39,7 +39,7 @@ from spannerdraw import geometry, metrics
 from spannerdraw.drawing import Drawing
 from spannerdraw.exact import Interval, format_rational, isqrt_scaled, sqrt_interval
 from spannerdraw.geometry import closest_pair_sq, coord_bits, dist_sq, in_segment_interior, segments_cross_improperly
-from spannerdraw.graph import Graph, RootedTree
+from spannerdraw.graph import Graph
 from spannerdraw.layout import (
     Epsilon,
     draw_graph_via_tough_tree,
@@ -174,11 +174,11 @@ class TestSpanningRatio:
         path = drawing(60, [(i, i + 1) for i in range(59)], [(i, 0) for i in range(60)])  # every pair ties
         a = spanning_ratio(path)
         assert a.lo == a.hi == 1
-        trees = [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
+        trees = [draw_tree_planar(random_tree(n, 3, n), Epsilon(1))
                  for n in (2, 7, 30, 40, 120)]
         # Deep tree drawings of 29 and 34 bits, whose root distances span
         # many scales.
-        trees += [draw_tree_planar(RootedTree.from_graph(random_tree(300, 3, 300), 0), Epsilon(eps))
+        trees += [draw_tree_planar(random_tree(300, 3, 300), Epsilon(eps))
                   for eps in (F(1, 10), F(1, 20))]
         trees += [zigzag_tree(40), two_scales(F(2**40 + 12345), F(1, 10**6))]
         trees += [Drawing(random_tree(n, 4, n), tuple(random_points(n, 30, n))) for n in (3, 25)]
@@ -227,7 +227,7 @@ class TestSpanningRatio:
         # tree; the chain, then the graph's tree, for one enclosure; the
         # graph's tree at two precisions; as the second.
         cases = [
-            (draw_tree_planar(RootedTree.from_graph(random_tree(120, 3, 120), 0), Epsilon(1)), (0, 1, 1)),
+            (draw_tree_planar(random_tree(120, 3, 120), Epsilon(1)), (0, 1, 1)),
             (drawing(4, [(0, 1), (1, 2), (2, 3)], [(0, 0), (F(1, 2**60), 0), (0, 1), (1, 1)]), (1, 2, 1)),
             (zigzag_tree(40), (0, 2, 2)),
             (shifted(column, 200), (1, 2, 1)),
@@ -403,7 +403,7 @@ class TestPrunedScan:
         monkeypatch.setattr(metrics, "_FAR_PAIRS", 0)
         cases = [random_drawing(4 + seed % 12, seed) for seed in range(20)]
         cases += [random_rational_drawing(5 + seed % 8, 5000 + seed) for seed in range(20)]
-        cases += [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
+        cases += [draw_tree_planar(random_tree(n, 3, n), Epsilon(1))
                   for n in (30, 120, 300)]
         # Coordinates past 1400 bits.
         wide = draw_planar_spanner(strip_graph(140), Epsilon(F(1, 10)))
@@ -430,7 +430,7 @@ class TestPrunedScan:
         # precisions that certify.
         cases = [random_drawing(4 + seed % 9, 700 + seed) for seed in range(12)]
         cases += [random_rational_drawing(5 + seed % 6, 7000 + seed) for seed in range(12)]
-        cases += [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
+        cases += [draw_tree_planar(random_tree(n, 3, n), Epsilon(1))
                   for n in (8, 20)]
         # Two paths of nearly equal ratio at scales 2**30 apart, so that at
         # some precisions the brackets of the smaller one overlap the other's.
@@ -495,7 +495,7 @@ class TestPrunedScan:
         for name, edges in shapes.items():
             g = Graph.from_edges(len(edges) + 1, edges)
             assert_oracle_enclosures(Drawing(g, tuple(random_points(g.n, 30, g.n))), (name, "points"))
-            assert_oracle_enclosures(draw_tree_planar(RootedTree.from_graph(g, 0), Epsilon(1)), (name, "drawn"))
+            assert_oracle_enclosures(draw_tree_planar(g, Epsilon(1)), (name, "drawn"))
 
     def test_star_memory_stays_linear(self):
         # The center's sibling blocks are made as the walk reaches them. A
@@ -767,7 +767,7 @@ class TestFarPlacement:
         # shifted past 2000 bits keep their far order, and the chain runs
         # first on each (the broom and the caterpillar then hand over).
         for name, g in star_broom_caterpillar().items():
-            d = shifted(draw_tree_proper(RootedTree.from_graph(g, 0), Epsilon(1)), 2000)
+            d = shifted(draw_tree_proper(g, Epsilon(1)), 2000)
             assert coord_bits(d.points) > 2000, name
             far_log["scans"].clear()
             a, b, c = spanning_ratio(d), spanning_ratio_oracle(d), spanning_ratio_bruteforce(d)
@@ -898,7 +898,7 @@ class TestFarPlacement:
         # the prefix per source). A deep tree-proper drawing at 59
         # bits hands over: its chain alone would take 15,984 pairs.
         for n in (100, 400):
-            star = draw_tree_proper(RootedTree.from_graph(Graph.from_edges(n, [(0, i) for i in range(1, n)]), 0),
+            star = draw_tree_proper(Graph.from_edges(n, [(0, i) for i in range(1, n)]),
                                     Epsilon(1))
             far_log["scans"].clear()
             spanning_ratio(star)
@@ -911,7 +911,7 @@ class TestFarPlacement:
         spanning_ratio(tree)
         assert far_log["scans"] and sum(pairs for pairs, _ in far_log["scans"]) <= 2 * 120, far_log["scans"]
         assert not any(fell for _, fell in far_log["scans"])
-        deep = draw_tree_proper(RootedTree.from_graph(random_tree(300, 3, 300), 0), Epsilon(F(1, 10)))
+        deep = draw_tree_proper(random_tree(300, 3, 300), Epsilon(F(1, 10)))
         assert coord_bits(deep.points) == 59
         far_log["scans"].clear()
         far_log["pruned"] = 0
@@ -957,7 +957,7 @@ class TestFarPlacement:
         # the graph's tree. On any other graph the pass over the graph's
         # tree brackets at least the n - 1 edges of that tree.
         trees = [draw_planar_spanner(random_tree(60, 4, 60), Epsilon(F(1, 10))),
-                 draw_tree_planar(RootedTree.from_graph(random_tree(125, 3, 125), 0), Epsilon(1)),
+                 draw_tree_planar(random_tree(125, 3, 125), Epsilon(1)),
                  zigzag_tree(40)]
         assert coord_bits(trees[0].points) > 53
         for k, d in enumerate(trees):
@@ -975,7 +975,7 @@ class TestFarPlacement:
         # bits, so the graph's tree alone serves them.
         cases = [draw_graph_via_tough_tree(random_connected_graph(n, n, n), 3, Epsilon(1)).drawing
                  for n in (20, 40, 80)]
-        cases += [draw_tree_planar(RootedTree.from_graph(random_tree(n, 3, n), 0), Epsilon(1))
+        cases += [draw_tree_planar(random_tree(n, 3, n), Epsilon(1))
                   for n in (125, 300)]
         for d in cases:
             assert coord_bits(d.points) <= 53
@@ -989,7 +989,7 @@ class TestFarPlacement:
         # centered among its leaves has no order at all.
         cases = [shifted(y_ordered_drawing(n, 30, n), 200) for n in (20, 40)]
         cases += [shifted(random_drawing(12, seed), 200) for seed in (0, 1, 2, 3, 19, 30)]
-        cases.append(draw_tree_proper(RootedTree.from_graph(random_tree(120, 3, 120), 0), Epsilon(F(1, 20))))
+        cases.append(draw_tree_proper(random_tree(120, 3, 120), Epsilon(F(1, 20))))
         star = drawing(5, [(0, 1), (0, 2), (0, 3), (0, 4)], [(0, 0), (-2, 1), (2, -1), (1, 2), (-1, -2)])
         cases.append(shifted(star, 200))
         fell = 0
@@ -1453,7 +1453,7 @@ class TestComputeMetrics:
         calls = []
         monkeypatch.setattr(drawing_module, "closest_pair_sq",
                             lambda points: calls.append(1) or closest_pair_sq(points))
-        for d in (draw_tree_planar(RootedTree.from_graph(random_tree(40, 3, 40), 0), Epsilon(1)),
+        for d in (draw_tree_planar(random_tree(40, 3, 40), Epsilon(1)),
                   random_drawing(9, 4), drawing(2, [(0, 1)], [(0, 0), (0, 0)])):
             calls.clear()
             r = compute_metrics(d)
@@ -1498,7 +1498,7 @@ class TestComputeMetrics:
         seen = set()
         for seed in range(12):
             t = random_tree(8 + seed, 3, seed)
-            d = draw_tree_planar(RootedTree.from_graph(t, 0), Epsilon(1))
+            d = draw_tree_planar(t, Epsilon(1))
             rng = random.Random(seed)
             (ax, ay), (bx, by) = (d.coords[v] for v in rng.choice(t.edges()))
             w = rng.randrange(t.n)

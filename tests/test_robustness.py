@@ -21,7 +21,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spannerdraw import Graph, RootedTree, cli, fileio
+from spannerdraw import Graph, cli, fileio
 from spannerdraw.bounds import annulus_bound_check
 from spannerdraw.errors import SpannerDrawError
 from spannerdraw.layout import (
@@ -126,15 +126,13 @@ def small_graphs(draw):
 @given(
     small_graphs(),
     st.fractions(min_value=Fraction(1, 100), max_value=5, max_denominator=100),
-    st.integers(0, 7),
     st.integers(1, 4),
 )
-def test_constructions_raise_only_documented_errors(g, epsilon, root, d_target):
+def test_constructions_raise_only_documented_errors(g, epsilon, d_target):
     eps = Epsilon(epsilon)
-    root = min(root, max(g.n - 1, 0))
     constructions = [
-        lambda: draw_tree_proper(RootedTree.from_graph(g, root), eps),
-        lambda: draw_tree_planar(RootedTree.from_graph(g, root), eps),
+        lambda: draw_tree_proper(g, eps),
+        lambda: draw_tree_planar(g, eps),
         lambda: draw_graph_via_tough_tree(g, d_target, eps).drawing,
         lambda: draw_proper_spanner(g, eps),
         lambda: draw_planar_spanner(g, eps),
@@ -142,7 +140,7 @@ def test_constructions_raise_only_documented_errors(g, epsilon, root, d_target):
     for construct in constructions:
         try:
             drawing = construct()
-        except (SpannerDrawError, ValueError):
+        except SpannerDrawError:
             continue
         assert drawing.graph is g and len(drawing.coords) == g.n
 
