@@ -29,7 +29,16 @@ preorder, bounds the dist_hi of each pair by root distances along it,
 skips a block of pairs, two subtrees or positions alone under one lowest
 common ancestor, whose bound is too short for the gap between its two
 bounding boxes to reach t, and brackets each pair it keeps at once, in
-the same loop. It runs over one of two trees:
+the same loop. Two tests skip a block. The axis-slab test comes first:
+where the two boxes lie apart along x, by a gap g, every pair's bound
+exceeds its x-progress by at most the largest R L + x 2**bits of one node
+plus the largest R L - x 2**bits of the other, less the ancestor term,
+and the block is skipped when that excess stays below (t - 1) g at the
+scale of the bound; along y the same. It holds where a subtree's box
+lies near the other node but its deep positions, those of large R, lie
+far from it. Failing it, the box test divides the largest root
+distances by the Euclidean gap between the boxes. The pass runs over one
+of two trees:
 - where coordinates run past 53 bits, first the far order's chain. The
   planar and proper constructions put vertex k more than k delta /
   epsilon away from the vertices placed before it, and the paper's proof
@@ -339,18 +348,35 @@ def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Cal
       2 U_k is no path's length.
     A node is a subtree x of more than one position, with hmax[x] its
     largest R and its integer bounding box, or a position x alone, with
-    R[x] and the box of its point, of width and height 0. For each c, from
-    n - 1 down to 0, the parts of c are c alone and its child subtrees, and
-    the pairs with ancestor c are those of the blocks (P, Q), P before Q in
-    the parts of c. When a block comes, let t be the running largest
-    dist_lo/e_hi rounded down to p / 2**64, and hP, hQ the nodes' hmax or R.
-    - The block is skipped when
+    R[x] and the box of its point, of width and height 0. A node also holds,
+    over its positions i, the largest PX = R[i] L + x_i 2**bits and MX =
+    R[i] L - x_i 2**bits, and PY and MY the same with y, L the denominator
+    of the coords; none depends on t, so they are built once per pass, in
+    the bottom-up loop that builds the boxes. For each c, from n - 1 down
+    to 0, the parts of c are c alone and its child subtrees, and the pairs
+    with ancestor c are those of the blocks (P, Q), P before Q in the parts
+    of c. When a block comes, let t be the running largest dist_lo/e_hi
+    rounded down to p / 2**64, and hP, hQ the nodes' hmax.
+    - The slab test, first. When P's box lies left of Q's, by g = X0[Q] -
+      X1[P] > 0 in numerator units, the block is skipped when
+      PX[P] + MX[Q] - 2 low[c] L + ceil(p L / 2**64) < F g,
+      F = floor((p - 2**64) 2**bits / 2**64); when P's box lies right of
+      Q's, MX[P] + PX[Q] with the gap X0[P] - X1[Q], and along y the same.
+      Take u in P and v in Q, and D = x_v - x_u >= g. Then
+      L (R[u] + R[v] - 2 low[c]) = PX(u) + MX(v) - 2 low[c] L + 2**bits D,
+      either tree gives dist_hi <= R[u] + R[v] - 2 low[c], and e_lo >
+      |uv| 2**bits / L - 1 >= D 2**bits / L - 1.
+      A path is no shorter than the segment, so dist_hi >= D 2**bits / L
+      and PX(u) + MX(v) - 2 low[c] L >= 0: the test fails unless F > 0,
+      and then F g <= F D <= (t - 1) 2**bits D. With ceil(p L / 2**64) >=
+      t L the test gives L dist_hi < (t - 1) 2**bits D - t L + 2**bits D =
+      t (2**bits D - L) < t L e_lo, so dist_hi < t e_lo.
+    - Failing both slabs, the box test: the block is skipped when
       ((hP + hQ - 2 low[c]) 2**64 + p)**2 L**2 < p**2 box**2 2**(2 bits),
-      where box**2 is the squared integer distance between the two boxes and
-      L the denominator of the coords. Let E = sqrt(box**2) 2**bits / L, at
-      most the scaled distance from any point of one box to any of the
-      other. Then every
-      pair (i, j) of the block has e_lo > E - 1, and the test gives
+      where box**2 is the squared integer distance between the two boxes.
+      Let E = sqrt(box**2) 2**bits / L, at most the scaled distance from
+      any point of one box to any of the other. Then every pair (i, j) of
+      the block has e_lo > E - 1, and the test gives
       dist_hi <= hP + hQ - 2 low[c] < (p / 2**64)(E - 1) <= t e_lo.
     - Otherwise the node with the larger box (width plus height) is split
       into its own parts, each paired with the other node in a block of
@@ -370,45 +396,61 @@ def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Cal
     loop for every kind of node: each Q, from the last, is skipped, split
     when its box is larger, bracketed when both are positions alone, or
     else kept; then P is split and each of its parts takes the kept nodes.
-    P's box and (hP - 2 low[c]) 2**64 + p are read once per P, and the
-    latter again when p rises. The parts of c, and of every split, come
-    from the last in preorder, so the first pairs lie deep and lift t
-    early. The blocks of a c are made as the walk reaches them, so a star's
-    (n - 1)(n - 2)/2 sibling blocks are never stored. The shift by 64 bits
-    and the small p keep the products short on big coordinates."""
+    P's box and (hP - 2 low[c]) 2**64 + p are read once per P, the latter
+    again when p rises, and F and m = ceil(p L / 2**64) - 2 low[c] L, the
+    slab test's offset, once per c and again when p rises. The parts of
+    c, and of every split, come from the last in preorder, so the first
+    pairs lie deep and lift t early. The blocks of a c are made as the walk
+    reaches them, so a star's (n - 1)(n - 2)/2 sibling blocks are never
+    stored. The shift by 64 bits and the small p keep the products short
+    on big coordinates."""
     order, up, end = tree.order, tree.up, tree.end
     coords, L, bits = brackets.coords, brackets.L, brackets.bits
     n = len(order)
     den = L * L
     xs = [coords[v][0] for v in order]
     ys = [coords[v][1] for v in order]
-    hmax = R[:]
-    xlo, ylo = xs[:], ys[:]
-    xhi, yhi = xs[:], ys[:]
+    rl = [r * L for r in R]
+    xb = [x << bits for x in xs]
+    yb = [y << bits for y in ys]
+    # Node x < n is the subtree of position x, node n + x position x alone:
+    # each list by node starts as its positions' values twice over, and the
+    # loop below lifts the first half to subtree maxima (minima for X0 and
+    # Y0). parts[x] holds the parts of position x as nodes, and wide[x] the
+    # width plus height of node x's box.
+    hmax, X0, X1, Y0, Y1 = R * 2, xs * 2, xs * 2, ys * 2, ys * 2
+    PX = [r + x for r, x in zip(rl, xb)] * 2
+    MX = [r - x for r, x in zip(rl, xb)] * 2
+    PY = [r + y for r, y in zip(rl, yb)] * 2
+    MY = [r - y for r, y in zip(rl, yb)] * 2
     for c in range(n - 1, 0, -1):
         a = up[c]
         if hmax[c] > hmax[a]:
             hmax[a] = hmax[c]
-        if xlo[c] < xlo[a]:
-            xlo[a] = xlo[c]
-        if xhi[c] > xhi[a]:
-            xhi[a] = xhi[c]
-        if ylo[c] < ylo[a]:
-            ylo[a] = ylo[c]
-        if yhi[c] > yhi[a]:
-            yhi[a] = yhi[c]
-    # Node x < n is the subtree of position x, node n + x position x alone;
-    # parts[x] holds the parts of position x as nodes, and wide[x] the
-    # width plus height of node x's box.
-    H = [h << 64 for h in hmax] + [r << 64 for r in R]
-    X0, X1, Y0, Y1 = xlo + xs, xhi + xs, ylo + ys, yhi + ys
-    wide = [x1 - x0 + y1 - y0 for x0, x1, y0, y1 in zip(xlo, xhi, ylo, yhi)] + [0] * n
+        if X0[c] < X0[a]:
+            X0[a] = X0[c]
+        if X1[c] > X1[a]:
+            X1[a] = X1[c]
+        if Y0[c] < Y0[a]:
+            Y0[a] = Y0[c]
+        if Y1[c] > Y1[a]:
+            Y1[a] = Y1[c]
+        if PX[c] > PX[a]:
+            PX[a] = PX[c]
+        if MX[c] > MX[a]:
+            MX[a] = MX[c]
+        if PY[c] > PY[a]:
+            PY[a] = PY[c]
+        if MY[c] > MY[a]:
+            MY[a] = MY[c]
+    wide = [x1 - x0 + y1 - y0 for x0, x1, y0, y1 in zip(X0, X1, Y0, Y1)]
     parts = [[n + x] for x in range(n)]
     for x in range(1, n):
         parts[up[x]].append(x if end[x] - x > 1 else n + x)
     best_lo, best_hi = best
     p = (best_lo[0] << 64) // best_lo[1]
     bound = (p * p) << 2 * bits
+    f = ((p - (1 << 64)) << bits) >> 64
     stack = []
     for c in range(n - 1, -1, -1):
         top = parts[c]
@@ -416,6 +458,8 @@ def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Cal
             continue
         two_rc = low[c] << 65
         o = p - two_rc
+        two_lc = low[c] * L << 1
+        m = -(-(p * L) >> 64) - two_lc
         for k in range(len(top) - 2, -1, -1):
             stack.append((top[k], top[k + 1:]))
             while stack:
@@ -425,14 +469,32 @@ def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Cal
                 # split when its box is wider, bracketed when both are
                 # positions alone, or else kept; then a is split.
                 ax0, ax1, ay0, ay1, wa = X0[a], X1[a], Y0[a], Y1[a], wide[a]
-                ha = H[a] + o
+                ha = (hmax[a] << 64) + o
                 keep = []
                 while nodes:
                     b = nodes.pop()
-                    gx = X0[b] - ax1 if X0[b] > ax1 else ax0 - X1[b] if ax0 > X1[b] else 0
-                    gy = Y0[b] - ay1 if Y0[b] > ay1 else ay0 - Y1[b] if ay0 > Y1[b] else 0
+                    if X0[b] > ax1:
+                        gx = X0[b] - ax1
+                        if PX[a] + MX[b] + m < f * gx:
+                            continue
+                    elif ax0 > X1[b]:
+                        gx = ax0 - X1[b]
+                        if MX[a] + PX[b] + m < f * gx:
+                            continue
+                    else:
+                        gx = 0
+                    if Y0[b] > ay1:
+                        gy = Y0[b] - ay1
+                        if PY[a] + MY[b] + m < f * gy:
+                            continue
+                    elif ay0 > Y1[b]:
+                        gy = ay0 - Y1[b]
+                        if MY[a] + PY[b] + m < f * gy:
+                            continue
+                    else:
+                        gy = 0
                     if gx or gy:
-                        h = H[b] + ha
+                        h = (hmax[b] << 64) + ha
                         if h * h * den < bound * (gx * gx + gy * gy):
                             continue
                     if wide[b] > wa:
@@ -452,8 +514,10 @@ def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Cal
                             best_lo = best[0] = (g_lo, e_hi)
                             p = (g_lo << 64) // e_hi
                             bound = (p * p) << 2 * bits
+                            f = ((p - (1 << 64)) << bits) >> 64
                             o = p - two_rc
-                            ha = H[a] + o
+                            ha = (hmax[a] << 64) + o
+                            m = -(-(p * L) >> 64) - two_lc
                 if keep:
                     keep.reverse()
                     stack += [(s, keep) for s in parts[a]]

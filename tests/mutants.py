@@ -217,18 +217,18 @@ MUTANTS = [
     # The spanning ratio's pruned pass (metrics._pruned_scan, _graph_dist,
     # _spanning_ratios).
     Mutant("src/spannerdraw/metrics.py",
-           "H = [h << 64 for h in hmax] + [r << 64 for r in R]",
-           "H = [h << 64 for h in R] + [r << 64 for r in R]",
+           "        if hmax[c] > hmax[a]:\n            hmax[a] = hmax[c]\n",
+           "",
            (PRUNED + "test_tree_cases_match_oracle",),
-           "R for hmax: a subtree's block bound forgets its deeper positions"),
+           "hmax left at R: a subtree's block bound forgets its deeper positions"),
     Mutant("src/spannerdraw/metrics.py",
            "p = (g_lo << 64) // e_hi",
            "p = -(-(g_lo << 64) // e_hi)",
            (PRUNED + "test_tree_cases_match_oracle",),
            "p rounded up: the block test runs above the running lower bound"),
     Mutant("src/spannerdraw/metrics.py",
-           "gx = X0[b] - ax1 if X0[b] > ax1 else ax0 - X1[b] if ax0 > X1[b] else 0",
-           "gx = X0[b] - ax1 if X0[b] > ax1 else ax0 - X1[b]",
+           "                    else:\n                        gx = 0\n",
+           "                    else:\n                        gx = ax0 - X1[b]\n",
            (PRUNED + "test_tree_cases_match_oracle",),
            "the box clamp dropped: two boxes that overlap in x get a gap"),
     Mutant("src/spannerdraw/metrics.py",
@@ -248,8 +248,8 @@ MUTANTS = [
            (PRUNED + "test_pruning_keeps_its_margin",),
            "a split's root alone dropped: the pairs with the root of a subtree are lost"),
     Mutant("src/spannerdraw/metrics.py",
-           "h = H[b] + ha",
-           "h = H[b] + o",
+           "h = (hmax[b] << 64) + ha",
+           "h = (hmax[b] << 64) + o",
            (PRUNED + "test_graph_cases_match_oracle",),
            "one node's hmax dropped from the block test: blocks are skipped too early"),
     Mutant("src/spannerdraw/metrics.py",
@@ -264,8 +264,8 @@ MUTANTS = [
            "a position alone never splits a subtree: the pass brackets it against the subtree's root "
            "and loses the pairs with the rest"),
     Mutant("src/spannerdraw/metrics.py",
-           "                            o = p - two_rc\n                            ha = H[a] + o",
-           "                            ha = H[a] + o",
+           "                            o = p - two_rc\n                            ha = (hmax[a] << 64) + o",
+           "                            ha = (hmax[a] << 64) + o",
            (PRUNED + "test_pruning_keeps_its_margin",),
            "a stale offset after t rises: the block test keeps the old t"),
     Mutant("src/spannerdraw/metrics.py",
@@ -284,6 +284,30 @@ MUTANTS = [
            "        if source is None:",
            (PRUNED + "test_pruning_keeps_its_margin",),
            "_graph_dist resumes the first source's searches: a pair of another source takes that source's distances"),
+    # The axis-slab test in front of the box test (metrics._pruned_scan).
+    Mutant("src/spannerdraw/metrics.py",
+           "        m = -(-(p * L) >> 64) - two_lc\n        for k",
+           "        m = -two_lc\n        for k",
+           (PRUNED + "test_slab_margin_holds_at_each_new_ancestor",),
+           "the slab's margin ceil(p L / 2**64) dropped at the start of each c: blocks are skipped at "
+           "(t - 1) g, with no room for e_lo to fall a unit below the progress"),
+    Mutant("src/spannerdraw/metrics.py",
+           "if PX[a] + MX[b] + m < f * gx:",
+           "if MX[a] + PX[b] + m < f * gx:",
+           (PRUNED + "test_block_work_counts",),
+           "the sides swapped: the left node's MX against the right node's PX, an excess of twice the progress, "
+           "sound but skipping few blocks"),
+    Mutant("src/spannerdraw/metrics.py",
+           "                            f = ((p - (1 << 64)) << bits) >> 64\n",
+           "                            f = (p << bits) >> 64\n",
+           (PRUNED + "test_equals_full_scan_at_every_precision",),
+           "the slab's factor built from t, not t - 1, once t rises: the whole progress counted as room"),
+    Mutant("src/spannerdraw/metrics.py",
+           "if PY[a] + MY[b] + m < f * gy:",
+           "if PY[a] + MY[b] + m < f * gx:",
+           (PRUNED + "test_block_work_counts",),
+           "the y test reading the x gap, sound as any gap up to |uv| is, but x and y no longer alike: "
+           "a block apart along y with no gap along x is never skipped by a slab"),
     # Connectivity from the walk the pass needs (metrics._spanning_tree,
     # _spanning_ratios), and the tree-planar construction's root.
     Mutant("src/spannerdraw/metrics.py",

@@ -1,5 +1,6 @@
 import hashlib
 import heapq
+import inspect
 import json
 import math
 import os
@@ -333,6 +334,34 @@ def counting(dist, pairs):
     return counted
 
 
+def block_tests(drawings):
+    """Per drawing, the block tests of spanning_ratio's pruned passes: the
+    runs of _pruned_scan's line that takes the next node against node a,
+    counted by a line tracer on that function's frames alone."""
+    lines, first = inspect.getsourcelines(metrics._pruned_scan)
+    [line] = [first + k for k, text in enumerate(lines) if text.strip() == "b = nodes.pop()"]
+    code, count = metrics._pruned_scan.__code__, [0]
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == line:
+            count[0] += 1
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    counts, outer = [], sys.gettrace()
+    sys.settrace(calls)
+    try:
+        for d in drawings:
+            count[0] = 0
+            spanning_ratio(d)
+            counts.append(count[0])
+    finally:
+        sys.settrace(outer)
+    return counts
+
+
 def one_pass(tree, R, low, brackets, dist, budget=math.inf):
     """One _pruned_scan from no running bounds: its enclosure, the pairs it
     bracketed, in order, and whether it finished within budget."""
@@ -379,6 +408,29 @@ class TestLength:
             assert (lo, hi) == metrics._length(q, p, L, bits)
             seen[kind, "exact" if lo == hi else "unit"] += 1
         assert min(seen.values()) > 50 and len(seen) == 6, seen
+
+    def test_lower_bracket_exceeds_axis_progress(self):
+        # The pruned pass's slab test rests on e_lo > D 2**bits / L - 1 for
+        # D the progress along either axis: (lo + 1) L > max(|dx|, |dy|)
+        # 2**bits. At bits 1 .. 60 a unit is a large share of a short
+        # length; the offsets take a = b, axis-parallel ones and 90 bits.
+        rng = random.Random(2044)
+        offsets = [(1, 1), (1, 0), (0, 1), (7, 7), (2**40, 2**40), (3, 0), (0, 2**90 - 1), (5, 4)]
+        offsets += [(rng.getrandbits(rng.choice((4, 30, 90))), rng.getrandbits(rng.choice((4, 30, 90))))
+                    for _ in range(60)]
+        offsets += [(x, 0) if x % 2 else (0, x) for x in (rng.getrandbits(50) + 1 for _ in range(10))]
+        checked = Counter()
+        for dx, dy in offsets:
+            for den in (1, 3, 2**20, 10**9 + 7) if dx or dy else ():
+                for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+                    p = (rng.getrandbits(40), rng.getrandbits(40))
+                    q = (p[0] + sx * dx, p[1] + sy * dy)
+                    for bits in range(1, 61):
+                        lo = metrics._length(p, q, den, bits)[0]
+                        progress = max(dx, dy) << bits
+                        assert (lo + 1) * den > progress, (dx, dy, den, bits)
+                        checked["tight" if (lo + 1) * den <= progress + den else "slack"] += 1
+        assert checked["tight"] > 1000 and checked["slack"] > 1000, checked
 
 
 @pytest.fixture
@@ -437,6 +489,18 @@ class TestPrunedScan:
         base = F(2**20, 2**50)
         cases += [two_triangles(F(199, 40), 1.05, base * F(10**6 + 997, 10**6)),
                   two_triangles(F(1), 1.02, base * F(10**6 + 997, 10**6))]
+        # Combs and caterpillars, drawn by both tree constructions, and
+        # tough drawings: subtrees whose boxes lie near another node while
+        # their deep positions lie far from it, so that the slab test, not
+        # the box test, skips most blocks.
+        comb = [(i, i + 1) for i in range(7)]  # spine 0 .. 7, a tooth of 3 on each
+        comb += [(i if k == 0 else 7 + 3 * i + k, 8 + 3 * i + k) for i in range(8) for k in range(3)]
+        caterpillar = [(i, i + 1) for i in range(9)] + [(i // 2, 10 + i) for i in range(20)]
+        for edges in (comb, caterpillar):
+            g = Graph.from_edges(len(edges) + 1, edges)
+            cases += [draw_tree_planar(g, Epsilon(1)), draw_tree_proper(g, Epsilon(1))]
+        cases += [draw_graph_via_tough_tree(random_connected_graph(n, n, n), 3, Epsilon(1)).drawing
+                  for n in (12, 25, 40)]
         checked = Counter()
         for k, d in enumerate(cases):
             assert_oracle_enclosures(d, k)
@@ -601,6 +665,37 @@ class TestPrunedScan:
         first = next(metrics._spanning_ratios(d))
         assert (first.lo, first.hi) == (F(11, 5), F(3))
         assert_oracle_enclosures(d, "margin")
+
+    def test_slab_margin_holds_at_each_new_ancestor(self):
+        # The slab test keeps its margin ceil(p L / 2**64) from the start of
+        # each c, as the box test keeps its own: e_lo can fall almost a unit
+        # below the progress. On this path over the denominator 5 (found by
+        # a seeded search of small drawings) the full scan's enclosure at 5
+        # bits is [47/45, 13/12]; a slab test without the margin at a new c
+        # skips the pair that sets 13/12 and gives [47/45, 96/89].
+        d = Drawing(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), ((-1, -11), (-1, -9), (1, 2), (-1, 5)), 5)
+        brackets = metrics._Brackets(d.points, d.den, 5)
+        t = walk_tree(d.graph, d.points)
+        R = metrics._tree_weights(t, brackets)[1]
+        ivl = one_pass(t, R, R, brackets, metrics._graph_dist(d.graph.adj, brackets))[0]
+        full = spanning_ratio_oracle_at(d, 5)
+        assert (ivl.lo, ivl.hi) == (full.lo, full.hi) == (F(47, 45), F(13, 12))
+
+    def test_block_work_counts(self, bench301):
+        # Counted, not timed: the block tests of the seed-301 drawings, one
+        # per node taken against a node (block_tests). The slab test skips
+        # most blocks before the box test: 32,479 on the 40 tree-planar
+        # drawings and 13,120 on the 75 tough ones (measured; 69,755 and
+        # 40,246 with the box test alone, 61,034 and 36,523 with the slab's
+        # sides swapped). Every test of the pass treats x and y alike, so a
+        # drawing with its axes swapped takes the same block tests (measured
+        # with a y test that read the x gap: 61,034 and 33,499).
+        tough = [d for op, d in zip(bench301.ops["proper"], bench301.drawings("proper")) if op.kind == "tough"]
+        for drawings, most in ((bench301.drawings("tree-planar"), 36_000), (tough, 15_000)):
+            counts = block_tests(drawings)
+            swapped = block_tests([Drawing(d.graph, tuple((y, x) for x, y in d.points), d.den) for d in drawings])
+            assert 0 < sum(counts) <= most, sum(counts)
+            assert swapped == counts
 
     @pytest.fixture
     def walk_trees(self, monkeypatch):

@@ -451,6 +451,49 @@ def test_raises_map_to_exit_codes():
     assert unexpected_raises(sources) == []
 
 
+def inexact_operations(source: str, names: Iterable[str]) -> list[str]:
+    """function:line:what for each float literal, float( call, true
+    division / (or /=) and math.sqrt in the module-level functions names of
+    a source; a docstring's text is no operation."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, float):
+                    what = "float literal"
+                elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "float":
+                    what = "float("
+                elif isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.Div):
+                    what = "/"
+                elif isinstance(sub, ast.Attribute) and ast.unparse(sub) == "math.sqrt":
+                    what = "math.sqrt"
+                else:
+                    continue
+                found.append(f"{node.name}:{sub.lineno}:{what}")
+    return sorted(found)
+
+
+def test_inexact_operations_found():
+    source = (
+        "import math\n"
+        "def f(x: float = math.inf) -> float:\n    \"\"\"a / b, 0.5\"\"\"\n    return x // 2 + (x << 1)\n"
+        "def g(x):\n    y = x / 2\n    y /= 3\n    return float(y) + 0.5 + math.sqrt(y) + math.isqrt(x)\n"
+        "def h(x):\n    return x / 2\n"
+    )
+    assert inexact_operations(source, ["f", "g"]) == [
+        "g:6:/", "g:7:/", "g:8:float literal", "g:8:float(", "g:8:math.sqrt"]
+
+
+def test_spanning_ratio_pass_is_exact():
+    # The pruned pass and the bounds it reads run on integers alone, with no
+    # float and no error model, so its enclosure is the full scan's.
+    exact = ["_pruned_scan", "_length", "_tree_weights", "_far_roots"]
+    source = (SRC / "metrics.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    assert set(exact) <= defined
+    assert inexact_operations(source, exact) == []
+
+
 def test_mutants_are_current():
     # tests/mutants.py plants each fault where its old text occurs exactly
     # once, and names tests that exist. Running the mutants is a separate
