@@ -8,10 +8,12 @@ faces of a drawing are traversed counterclockwise and the outer face clockwise.
 
 The augmentation turns a connected planar graph H into a maximal planar
 supergraph G with a canonical ordering whose H-prefixes are all connected. It
-runs entirely on the rotation system: the partially built graph keeps an
-explicit outer contour [w_1..w_x], and for every contour vertex the "outer
-arc" (the neighbors lying in the outer region) is the cyclic slice of its
-rotation strictly between its contour successor and its contour predecessor.
+runs entirely on the rotation system, whose lists are its only adjacency: a
+new edge enters the rotations of both its ends, and G's edges are read from
+them at the end. The partially built graph keeps an explicit outer contour
+[w_1..w_x], and for every contour vertex the "outer arc" (the neighbors
+lying in the outer region) is the cyclic slice of its rotation strictly
+between its contour successor and its contour predecessor.
 Every step attaches one vertex v by one rule: v joins a contour path
 w_a..w_b, gaining the missing edges to it, and the contour becomes
 w_1..w_a, v, w_b..w_x. A vertex with a single contour neighbor joins it and
@@ -387,7 +389,6 @@ def augment_to_maximal_with_canonical_order(h: Graph) -> CanonicalOrder:
         raise NotPlanarError("input graph is not planar")
 
     rot: list[list[int]] = [list(r) for r in rs.rotation]
-    adj: list[set[int]] = [set(a) for a in h.adj]
 
     # Base edge: lexicographically smallest undirected edge on the outer face,
     # oriented so that the outer walk contains (v2 -> v1).
@@ -415,11 +416,11 @@ def augment_to_maximal_with_canonical_order(h: Graph) -> CanonicalOrder:
     for k in range(3, n + 1):
         if k == n:
             v = next(u for u in range(n) if not placed[u])
-            assert adj[v] <= set(contour), "final vertex still has unplaced neighbors"
+            assert set(rot[v]) <= set(contour), "final vertex still has unplaced neighbors"
             a, b = 0, len(contour) - 1
         else:
             v, a, b = _choose(arcs, lv, rv, contour)
-        _place_fan(rot, adj, contour, v, a, b)
+        _place_fan(rot, contour, v, a, b)
         attachments[k] = tuple(contour[a : b + 1])
         contour[a + 1 : b] = [v]
         order.append(v)
@@ -440,7 +441,7 @@ def augment_to_maximal_with_canonical_order(h: Graph) -> CanonicalOrder:
             elif contour.index(rv[u]) <= a:
                 rv[u] = v
 
-    edges = [(u, w) for u in range(n) for w in adj[u] if u < w]
+    edges = [(u, w) for u in range(n) for w in rot[u] if u < w]
     g = Graph.from_edges(n, edges)
     assert g.m == 3 * n - 6, f"augmented graph has {g.m} edges, expected {3 * n - 6}"
     return CanonicalOrder(
@@ -508,30 +509,32 @@ def _choose(arcs, lv, rv, contour) -> tuple[int, int, int]:
     raise AssertionError("no unblocked candidate vertex found")
 
 
-def _place_fan(rot, adj, contour, v: int, a: int, b: int) -> None:
+def _place_fan(rot, contour, v: int, a: int, b: int) -> None:
     """Attach v to the contour path contour[a..b]: add each missing edge and
     move v's other neighbors (its bridges) outside the new inner faces.
 
     v enters the rotation of contour[i] next to its contour neighbor on the
     side of the path: just before contour[i-1] for i > a, just after
-    contour[a+1] for i = a. Asserts that v's contour neighbors occur in
-    contour order in its rotation.
+    contour[a+1] for i = a. v's neighbors before the fan are the set of
+    its rotation, taken once before the rotation is rewritten; an edge
+    (v, w) is in both rotations, so that set also tells whether w has v.
+    Asserts that v's contour neighbors occur in contour order in its
+    rotation.
     """
     path = contour[a : b + 1]
     on_path = set(path)
     r = rot[v]
-    start = r.index(next(w for w in path if w in adj[v]))
+    nbrs = set(r)
+    start = r.index(next(w for w in path if w in nbrs))
     rotated = r[start:] + r[:start]
-    assert [w for w in rotated if w in on_path] == [w for w in path if w in adj[v]], (
+    assert [w for w in rotated if w in on_path] == [w for w in path if w in nbrs], (
         "contour neighbors out of cyclic order around vertex"
     )
     rot[v] = path + [e for e in rotated if e not in on_path]
     for i in range(a, b + 1):
         w = contour[i]
-        if v in adj[w]:
+        if w in nbrs:
             continue
-        adj[v].add(w)
-        adj[w].add(v)
         if i > a:
             rot[w].insert(rot[w].index(contour[i - 1]), v)
         else:

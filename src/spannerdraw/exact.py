@@ -43,12 +43,6 @@ class Interval(Frozen):
             return math.inf
         return self.hi / self.lo - 1
 
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def __repr__(self):
         lo, hi = (b if b == math.inf else format_rational(b) for b in (self.lo, self.hi))
         return f"Interval({lo}, {hi})"

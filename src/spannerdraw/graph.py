@@ -81,9 +81,6 @@ class Graph(Frozen):
         ]
         return Graph.from_edges(len(vertices), edges)
 
-    def is_tree(self) -> bool:
-        return self.m == self.n - 1 and is_connected(self)
-
 
 class RootedTree:
     """A tree with a root, parent pointers, and ordered child lists."""
@@ -232,15 +229,16 @@ def degree_bounded_spanning_tree(g: Graph, d_target: int) -> RootedTree:
     to relieve maximum-degree vertices. Returns the best tree found, whose
     maximum degree exceeds d_target when the search stalls above it.
 
-    Nothing is rebuilt per swap: the tree's degrees, the set of vertices
-    of the largest degree k, and the rooting at 0 (up and depth) are carried
-    across swaps. A swap of tree edge (a, b) for (u, v) cuts off the side
-    below the deeper of a and b, which holds exactly one of u and v, since
-    (a, b) lies on the tree path from u to v; _rehang re-roots that side at
-    its end of (u, v) under the other end and leaves every vertex outside
-    it as it was. A rooted tree has one parent per vertex and one path
-    between two vertices, so the carried pointers give every cycle, swap
-    and final tree that a fresh walk would. The returned RootedTree takes
+    Nothing is rebuilt per swap: the tree's neighbor sets, whose sizes are
+    its degrees, the set of vertices of the largest degree k, and the
+    rooting at 0 (up and depth) are carried across swaps. A swap of tree
+    edge (a, b) for (u, v) cuts off the side below the deeper of a and b,
+    which holds exactly one of u and v, since (a, b) lies on the tree path
+    from u to v; _rehang re-roots that side at its end of (u, v) under the
+    other end and leaves every vertex outside it as it was. A rooted tree
+    has one parent per vertex and one path between two vertices, so the
+    carried pointers give every cycle, swap and final tree that a fresh
+    walk would. The returned RootedTree takes
     its parents from them and its children in sorted order, as
     RootedTree.from_graph would.
     """
@@ -258,12 +256,11 @@ def degree_bounded_spanning_tree(g: Graph, d_target: int) -> RootedTree:
     _hang(tree_adj, up, depth, 0)
 
     non_tree = [(u, v) for u in range(n) for v in g.adj[u] if u < v and v not in tree_adj[u]]
-    deg = list(map(len, tree_adj))
-    k = max(deg)
-    hot = {w for w, dw in enumerate(deg) if dw == k}
+    k = max(map(len, tree_adj))
+    hot = {w for w, s in enumerate(tree_adj) if len(s) == k}
     while k > d_target:
         for u, v in non_tree:
-            if deg[u] >= k - 1 or deg[v] >= k - 1:
+            if len(tree_adj[u]) >= k - 1 or len(tree_adj[v]) >= k - 1:
                 continue
             cycle = _tree_path(up, depth, u, v)
             if hot.isdisjoint(cycle):
@@ -278,8 +275,6 @@ def degree_bounded_spanning_tree(g: Graph, d_target: int) -> RootedTree:
             tree_adj[v].add(u)
             non_tree.remove((u, v))
             non_tree.append((min(a, b), max(a, b)))
-            for w, dw in ((a, -1), (b, -1), (u, 1), (v, 1)):
-                deg[w] += dw
             hot.difference_update((a, b))  # each lost a degree, or is u, which was not hot
             # The path climbs from u to the top of the cycle and descends to
             # v: an edge whose first end is the deeper lies on u's side.
@@ -291,8 +286,8 @@ def degree_bounded_spanning_tree(g: Graph, d_target: int) -> RootedTree:
         else:  # no swap relieves a vertex of degree k
             break
         if not hot:
-            k = max(deg)
-            hot = {w for w, dw in enumerate(deg) if dw == k}
+            k = max(map(len, tree_adj))
+            hot = {w for w, s in enumerate(tree_adj) if len(s) == k}
 
     adj = tuple(tuple(sorted(a)) for a in tree_adj)
     parent = [None, *up[1:]]

@@ -37,8 +37,10 @@ and the block is skipped when that excess stays below (t - 1) g at the
 scale of the bound; along y the same. It holds where a subtree's box
 lies near the other node but its deep positions, those of large R, lie
 far from it. Failing it, the box test divides the largest root
-distances by the Euclidean gap between the boxes. The pass runs over one
-of two trees:
+distances by the Euclidean gap between the boxes. A block that neither
+test skips is split at its node with more positions, a subtree before a
+position alone, until two positions alone are left: that pair is
+bracketed. The pass runs over one of two trees:
 - where coordinates run past 53 bits, first the far order's chain. The
   planar and proper constructions put vertex k more than k delta /
   epsilon away from the vertices placed before it, and the paper's proof
@@ -378,14 +380,13 @@ def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Cal
       any point of one box to any of the other. Then every pair (i, j) of
       the block has e_lo > E - 1, and the test gives
       dist_hi <= hP + hQ - 2 low[c] < (p / 2**64)(E - 1) <= t e_lo.
-    - Otherwise the node with the larger box (width plus height) is split
-      into its own parts, each paired with the other node in a block of
-      the same c. Each pair of the block lies in exactly one of them, so at
-      every stage each pair with ancestor c lies in exactly one block. On
-      distinct points the box of a subtree is larger than a position's, so
-      a position alone splits every subtree it meets, and only two
-      positions alone, i < j, are left unsplit: the pair (order[i],
-      order[j]) is bracketed, and p taken again if it raises t.
+    - Otherwise the node with more positions is split into its own parts,
+      P on a tie, each paired with the other node in a block of the same
+      c. Each pair of the block lies in exactly one of them, so at every
+      stage each pair with ancestor c lies in exactly one block. A subtree
+      holds more positions than a position alone, so only two positions
+      alone, i < j, are left unsplit: the pair (order[i], order[j]) is
+      bracketed, and p taken again if it raises t.
     t only rises, and is set by real pairs only, those of an earlier pass
     too, so every pair skipped has dist_lo/e_hi <= dist_hi/e_lo < T, T the
     final t. It moves neither the lower bound, T, nor the upper bound,
@@ -394,8 +395,8 @@ def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Cal
 
     Blocks that share their first node P come together, (P, Qs), in one
     loop for every kind of node: each Q, from the last, is skipped, split
-    when its box is larger, bracketed when both are positions alone, or
-    else kept; then P is split and each of its parts takes the kept nodes.
+    when it holds more positions, bracketed when both are positions alone,
+    or else kept; then P is split and each of its parts takes the kept nodes.
     P's box and (hP - 2 low[c]) 2**64 + p are read once per P, the latter
     again when p rises, and F and m = ceil(p L / 2**64) - 2 low[c] L, the
     slab test's offset, once per c and again when p rises. The parts of
@@ -416,8 +417,7 @@ def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Cal
     # Node x < n is the subtree of position x, node n + x position x alone:
     # each list by node starts as its positions' values twice over, and the
     # loop below lifts the first half to subtree maxima (minima for X0 and
-    # Y0). parts[x] holds the parts of position x as nodes, and wide[x] the
-    # width plus height of node x's box.
+    # Y0). parts[x] holds the parts of position x as nodes.
     hmax, X0, X1, Y0, Y1 = R * 2, xs * 2, xs * 2, ys * 2, ys * 2
     PX = [r + x for r, x in zip(rl, xb)] * 2
     MX = [r - x for r, x in zip(rl, xb)] * 2
@@ -443,7 +443,6 @@ def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Cal
             PY[a] = PY[c]
         if MY[c] > MY[a]:
             MY[a] = MY[c]
-    wide = [x1 - x0 + y1 - y0 for x0, x1, y0, y1 in zip(X0, X1, Y0, Y1)]
     parts = [[n + x] for x in range(n)]
     for x in range(1, n):
         parts[up[x]].append(x if end[x] - x > 1 else n + x)
@@ -466,9 +465,10 @@ def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Cal
                 a, later = stack.pop()
                 nodes = list(later)
                 # Node a against the nodes, from the last: each is skipped,
-                # split when its box is wider, bracketed when both are
-                # positions alone, or else kept; then a is split.
-                ax0, ax1, ay0, ay1, wa = X0[a], X1[a], Y0[a], Y1[a], wide[a]
+                # split when it holds more positions, bracketed when both
+                # are positions alone, or else kept; then a is split.
+                ax0, ax1, ay0, ay1 = X0[a], X1[a], Y0[a], Y1[a]
+                size = end[a] - a if a < n else 1
                 ha = (hmax[a] << 64) + o
                 keep = []
                 while nodes:
@@ -497,7 +497,7 @@ def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Cal
                         h = (hmax[b] << 64) + ha
                         if h * h * den < bound * (gx * gx + gy * gy):
                             continue
-                    if wide[b] > wa:
+                    if b < n and end[b] - b > size:
                         nodes += parts[b]
                     elif a < n:
                         keep.append(b)

@@ -198,6 +198,12 @@ MUTANTS = [
            "    up[x] = y\n",
            (TOUGH_TREE + "test_carried_rooting_describes_every_swap",),
            "the re-hung side's depth left stale: the cycles climb from the wrong heights"),
+    Mutant("src/spannerdraw/graph.py",
+           "            if len(tree_adj[u]) >= k - 1 or len(tree_adj[v]) >= k - 1:\n",
+           "            if len(g.adj[u]) >= k - 1 or len(g.adj[v]) >= k - 1:\n",
+           (TOUGH_TREE + "test_trees_pinned",),
+           "the swap search's degrees read from the graph, not the tree's sets: an end whose graph degree "
+           "is large is never used, and the search stalls or takes other swaps"),
     Mutant("src/spannerdraw/layout.py",
            "box = (0, w, 0, y_max)",
            "box = (0, w, 0, 0)",
@@ -258,11 +264,17 @@ MUTANTS = [
            (PRUNED + "test_pruning_keeps_its_margin",),
            "the first later part skipped: the pairs of neighboring parts are lost"),
     Mutant("src/spannerdraw/metrics.py",
-           "                    if wide[b] > wa:\n",
-           "                    if wa and wide[b] > wa:\n",
+           "                    if b < n and end[b] - b > size:\n",
+           "                    if b < n and a < n and end[b] - b > size:\n",
            (PRUNED + "test_tree_cases_match_oracle",),
            "a position alone never splits a subtree: the pass brackets it against the subtree's root "
            "and loses the pairs with the rest"),
+    Mutant("src/spannerdraw/metrics.py",
+           "size = end[a] - a if a < n else 1",
+           "size = end[a] - a if a < n else 2",
+           (PRUNED + "test_tree_cases_match_oracle", PRUNED + "test_graph_cases_match_oracle"),
+           "a position alone counted as two positions: it ties with a subtree of two, which is left unsplit, "
+           "and the pass brackets that subtree's root for both its positions"),
     Mutant("src/spannerdraw/metrics.py",
            "                            o = p - two_rc\n                            ha = (hmax[a] << 64) + o",
            "                            ha = (hmax[a] << 64) + o",
@@ -396,6 +408,18 @@ MUTANTS = [
            "rot[w].insert(rot[w].index(contour[i + 1]), v)",
            (AUGMENT + "test_c4_validates",),
            "the fan's first vertex takes v before contour[a + 1], not after it: v enters the inner face"),
+    Mutant("src/spannerdraw/embedding.py",
+           "        if w in nbrs:\n            continue\n",
+           "",
+           (AUGMENT + "test_random_planar_graphs_validate",),
+           "the fan re-adds an edge that v already has: v enters w's rotation a second time, and an outer "
+           "arc holds a placed vertex"),
+    Mutant("src/spannerdraw/embedding.py",
+           "        if w in nbrs:\n",
+           "        if w in rot[v]:\n",
+           (AUGMENT + "test_random_planar_graphs_validate",),
+           "v's neighbors read from its rotation after it is rewritten: every path vertex looks adjacent, "
+           "and no missing edge is added"),
     # The annulus check's recount (bounds.annulus_bound_check).
     Mutant("src/spannerdraw/bounds.py",
            "count = len({label[u] for u, k in zip(g.adj[v], annuli) if k == i})",

@@ -2,11 +2,12 @@
 separator scan, the face walk of a rotation system, networkx's planar
 embedding, a canonical-order validator, the canonical order by sorting its
 candidates at every step, the spanning ratio on Dijkstra and on
-Floyd–Warshall rows, the breadth-first rooting of a tree and the
-depth-first tree path, the padded size of a planar tree drawing and
-brute-force toughness, written apart from the package's own code so that
-the tests check it against independent code. Only the tests and bench/ import
-networkx; the package does not need it."""
+Floyd–Warshall rows, interval containment and intersection, the
+breadth-first rooting of a tree and the depth-first tree path, the padded
+size of a planar tree drawing, the tree test and brute-force toughness,
+written apart from the package's own code so that the tests check it
+against independent code. Only the tests and bench/ import networkx; the
+package does not need it."""
 
 from __future__ import annotations
 
@@ -448,6 +449,16 @@ def spanning_ratio_bruteforce(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -
     return _ratio_enclosure(d, rel_tol, 128, _floyd_warshall)
 
 
+def contains(iv: Interval, x) -> bool:
+    """True iff x lies in the closed interval iv."""
+    return iv.lo <= x <= iv.hi
+
+
+def intersects(a: Interval, b: Interval) -> bool:
+    """True iff the closed intervals a and b meet."""
+    return a.lo <= b.hi and b.lo <= a.hi
+
+
 def tree_planar_size(g: Graph) -> int:
     """n', the vertex count of draw_tree_planar's tree once every lone child
     has a sibling: n plus the vertices with exactly one child when the tree
@@ -502,6 +513,11 @@ def connected_components(g: Graph) -> list[list[int]]:
             for v in comps[-1]:
                 seen[v] = True
     return comps
+
+
+def is_tree(g: Graph) -> bool:
+    """True iff g has n - 1 edges and one component."""
+    return g.m == g.n - 1 and len(connected_components(g)) == 1
 
 
 def toughness_bruteforce(g: Graph):

@@ -18,7 +18,7 @@ from conftest import (
     random_tree,
     unit_circle_star,
 )
-from oracles import spanning_ratio_bruteforce, tree_planar_size
+from oracles import intersects, spanning_ratio_bruteforce, tree_planar_size
 from spannerdraw import cli
 from spannerdraw.bounds import annulus_bound_check, recognize_sr1, sr1_witness
 from spannerdraw.drawing import Drawing
@@ -160,7 +160,7 @@ def test_acceptance_7_oracle_equivalence(capsys):
         d = random_drawing(n, seed=7700 + i)
         a = spanning_ratio(d, REL_TOL)
         b = spanning_ratio_bruteforce(d, REL_TOL)
-        assert a.intersects(b), (i, a, b)
+        assert intersects(a, b), (i, a, b)
         assert a.rel_width() <= REL_TOL, i
         assert b.rel_width() <= REL_TOL, i
     _announce(capsys, 7)

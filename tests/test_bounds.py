@@ -6,6 +6,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import chorded_hub, random_connected_graph, unit_circle_star
+from oracles import contains
 from spannerdraw import bounds
 from spannerdraw.bounds import (
     ANNULUS_PACKING_CONSTANT,
@@ -35,7 +36,7 @@ class TestAnnulusCensus:
         d = Drawing.of(g, [(0, 0), (1, 0), (F(3, 2), 0), (3, 0)])
         census = annulus_census(d, 0)
         assert census.counts == {1: 2, 2: 1}
-        assert census.shortest_incident_edge_len.contains(1)
+        assert contains(census.shortest_incident_edge_len, 1)
 
     def test_single_edge_boundary_to_lower_annulus(self):
         d = Drawing.of(Graph.from_edges(2, [(0, 1)]), [(0, 0), (1, 0)])
@@ -187,6 +188,12 @@ class TestStarElrLowerBound:
         assert star_elr_lower_bound(49, F(1)) == 2
         assert star_elr_lower_bound(1, F(3)) == 1
         assert star_elr_lower_bound(97, F(1)) == 4
+
+    def test_refuses_degree_0_and_s_below_1(self):
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            star_elr_lower_bound(0, F(1))
+        with pytest.raises(ValueError, match="s must be at least 1"):
+            star_elr_lower_bound(5, F(99, 100))
 
     def test_monotone(self):
         values_by_degree = [star_elr_lower_bound(d, F(1)) for d in range(1, 300, 7)]
@@ -357,6 +364,11 @@ class TestIsSr1Drawing:
     def test_missing_chain_false(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         d = Drawing.of(g, [(0, 0), (1, 0), (1, 1)])  # pair (0,2) has no straight chain
+        assert not is_sr1_drawing(d)
+
+    def test_coincident_points_false(self):
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        d = Drawing.of(g, [(0, 0), (1, 0), (1, 0)])
         assert not is_sr1_drawing(d)
 
     def test_skip_vertex_chain_true(self):

@@ -154,14 +154,35 @@ class TestRoundTrip:
             assert fileio.serialize(value) == json.dumps(value, indent=2) + "\n"
 
     def test_decimal_input_converts_exactly(self):
+        # A JSON float converts through its shortest decimal form: 0.1 is 1/10.
         obj = {
             "version": "spannerdraw/1",
-            "n": 2,
+            "n": 3,
             "edges": [[0, 1]],
-            "coords": [["0.5", "0"], ["2", "-0.25"]],
+            "coords": [["0.5", "0"], ["2", "-0.25"], [0.1, 0]],
         }
         d = fileio.drawing_from_obj(obj)
-        assert d.coords == ((F(1, 2), F(0)), (F(2), F(-1, 4)))
+        assert d.coords == ((F(1, 2), F(0)), (F(2), F(-1, 4)), (F(1, 10), F(0)))
+
+    @pytest.mark.parametrize("value, message", [
+        ([], "top-level value must be an object"),
+        ({"edges": {}}, "field 'edges' must be a list"),
+        ({"coords": {}}, "field 'coords' must be a list of n [x, y] pairs"),
+        ({"coords": [["0", "0"], ["1"]]}, "bad coordinate ['1']"),
+        # More digits than int() takes: the num/den fallback finds the zero.
+        ({"coords": [["0", "0"], ["1/" + "0" * 4301, "1"]]}, "zero denominator"),
+    ])
+    def test_malformed_files_exit_2(self, tmp_path, capsys, value, message):
+        if isinstance(value, dict):
+            value = {"version": "spannerdraw/1", "n": 2, "edges": [[0, 1]],
+                     "coords": [["0", "0"], ["1", "0"]], **value}
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(value))
+        with pytest.raises(fileio.FileFormatError) as err:
+            fileio.load_drawing(str(path))
+        assert message in str(err.value)
+        assert cli.main(["metrics", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
 
     def test_rejects_bad_version_and_edges(self):
         with pytest.raises(fileio.FileFormatError):
@@ -500,6 +521,41 @@ class TestCli:
         assert capsys.readouterr().out.strip() == "true"
         assert cli.main(["recognize", "planar-sr1", claw]) == 0
         assert capsys.readouterr().out.strip() == "false"
+        for kind, g, result in (("sr1", path, "true"), ("planar-sr1", claw, "false")):
+            assert cli.main(["recognize", kind, g, "--format", "json"]) == 0
+            assert capsys.readouterr().out == f'{{"kind": "{kind}", "result": {result}}}\n'
+
+    def test_draw_without_output_writes_drawing_to_stdout(self, tmp_path, capsys):
+        inp = graph_file(tmp_path, 4, [[0, 1], [1, 2], [2, 3], [0, 3]])
+        out = tmp_path / "d.json"
+        assert cli.main(["draw", "planar", inp, "-o", str(out)]) == 0
+        report = capsys.readouterr()
+        assert cli.main(["draw", "planar", inp]) == 0
+        streamed = capsys.readouterr()
+        assert streamed.out == out.read_text(encoding="utf-8")
+        assert streamed.err == report.out and "planar: True" in report.out and report.err == ""
+
+    def test_verify_text_lists_violations(self, tmp_path, capsys):
+        # The star's hub has 100 neighbors in annulus 1, above 48 (7/5)**2,
+        # and its spanning ratio, about 31.8, is above 7/5: a violation the
+        # ratio explains.
+        path = tmp_path / "star.json"
+        path.write_text(fileio.serialize(fileio.drawing_to_obj(unit_circle_star())))
+        assert cli.main(["verify", str(path), "--s", "14/10"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "s: 7/5  threshold (48*s^2): 2352/25"
+        assert lines[1:2] == ["violation: vertex 0, annulus 1, count 100"]
+        assert lines[2].startswith("spanning_ratio: [") and " ~ [31.836" in lines[2]
+        assert lines[3:] == ["verdict: Consistent"]
+
+    def test_assertion_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        def broken(g):
+            raise AssertionError("planted")
+
+        monkeypatch.setattr(bounds, "recognize_sr1", broken)
+        path = graph_file(tmp_path, 2, [[0, 1]])
+        assert cli.main(["recognize", "sr1", path]) == 4
+        assert capsys.readouterr().err == "internal error: AssertionError: planted\n"
 
     def test_recognize_sr1_too_large_exits_3(self, tmp_path, capsys):
         # A size precondition of the exact Hamiltonian-path search, not an

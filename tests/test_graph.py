@@ -10,6 +10,7 @@ from conftest import random_connected_graph, random_tree
 from oracles import (
     connected_components,
     edge_separator,
+    is_tree,
     rooted_bfs,
     split_at_edge,
     subtree_sizes,
@@ -26,6 +27,7 @@ from spannerdraw.graph import (
     degree_bounded_spanning_tree,
     hamiltonian_path,
     is_connected,
+    path_order,
 )
 
 
@@ -69,9 +71,13 @@ class TestGraphBasics:
         comps = connected_components(Graph.from_edges(4, [(0, 1), (2, 3)]))
         assert sorted(map(sorted, comps)) == [[0, 1], [2, 3]]
 
-    def test_is_tree(self):
-        assert path_graph(5).is_tree()
-        assert not cycle_graph(5).is_tree()
+    def test_path_order(self):
+        assert path_order(Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)])) == [1, 3, 0, 2]
+        # n - 1 edges, no degree above 2, and no path: a triangle and an
+        # isolated vertex have no ends, and from an edge beside a triangle
+        # the walk stops at the edge's other end.
+        assert path_order(Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])) is None
+        assert path_order(Graph.from_edges(5, [(0, 1), (2, 3), (3, 4), (2, 4)])) is None
 
 
 def bfs_parent_oracle(g, root):
@@ -315,7 +321,7 @@ class TestDegreeBoundedSpanningTree:
         edges += [(i, i % 5 + 1) for i in range(1, 6)]
         g = Graph.from_edges(6, edges)
         t = degree_bounded_spanning_tree(g, 3)
-        assert t.graph.is_tree()
+        assert is_tree(t.graph)
         assert t.graph.max_degree() <= 3
         assert all(g.has_edge(u, v) for u, v in t.graph.edges())
 
@@ -326,7 +332,7 @@ class TestDegreeBoundedSpanningTree:
     def test_star_misses_target_with_tree_attached(self):
         t = degree_bounded_spanning_tree(star_graph(5), 2)
         assert t.graph.max_degree() == 5
-        assert t.graph.is_tree()
+        assert is_tree(t.graph)
 
     def test_tree_path_walks_up_as_the_search_finds(self):
         # A tree has one path between two vertices: the walk up the parent

@@ -30,6 +30,7 @@ from conftest import (
     stacked_triangulation,
 )
 from oracles import (
+    intersects,
     spanning_ratio_bruteforce,
     spanning_ratio_oracle,
     spanning_ratio_oracle_at,
@@ -137,7 +138,7 @@ class TestSpanningRatio:
             d = random_drawing(4 + seed % 12, seed)
             a = spanning_ratio(d)
             b = spanning_ratio_bruteforce(d)
-            assert a.intersects(b), (seed, a, b)
+            assert intersects(a, b), (seed, a, b)
             assert a.rel_width() <= DEFAULT_REL_TOL
             assert b.rel_width() <= DEFAULT_REL_TOL
 
@@ -145,11 +146,11 @@ class TestSpanningRatio:
         d = drawing(
             4, [(0, 1), (1, 2), (1, 3)], [(0, 0), (3, 1), (5, 0), (2, 7)]
         )
-        assert spanning_ratio(d).intersects(spanning_ratio_bruteforce(d))
+        assert intersects(spanning_ratio(d), spanning_ratio_bruteforce(d))
         # An edge of 10**-5000 < 2**-16384 needs more bits than the escalation cap.
         tiny = drawing(3, [(0, 1), (1, 2)], [(0, 0), (F(1, 10**5000), 0), (1, 1)])
         a, b = spanning_ratio(tiny), spanning_ratio_bruteforce(tiny)
-        assert a.intersects(b) and a.rel_width() <= DEFAULT_REL_TOL
+        assert intersects(a, b) and a.rel_width() <= DEFAULT_REL_TOL
 
     def test_repr_past_int_digit_limit(self):
         # The lower bound's denominator has more decimal digits than int
@@ -684,8 +685,8 @@ class TestPrunedScan:
     def test_block_work_counts(self, bench301):
         # Counted, not timed: the block tests of the seed-301 drawings, one
         # per node taken against a node (block_tests). The slab test skips
-        # most blocks before the box test: 32,479 on the 40 tree-planar
-        # drawings and 13,120 on the 75 tough ones (measured; 69,755 and
+        # most blocks before the box test: 32,650 on the 40 tree-planar
+        # drawings and 13,117 on the 75 tough ones (measured; 69,755 and
         # 40,246 with the box test alone, 61,034 and 36,523 with the slab's
         # sides swapped). Every test of the pass treats x and y alike, so a
         # drawing with its axes swapped takes the same block tests (measured
@@ -847,7 +848,7 @@ class TestFarPlacement:
                 far_log["pruned"] = 0
                 a, b, c = spanning_ratio(case), spanning_ratio_oracle(case), spanning_ratio_bruteforce(case)
                 assert (a.lo, a.hi) == (b.lo, b.hi), k
-                assert a.intersects(c) and c.rel_width() <= DEFAULT_REL_TOL, k
+                assert intersects(a, c) and c.rel_width() <= DEFAULT_REL_TOL, k
                 if coord_bits(case.points) > 53:
                     assert far_log["scans"] and not any(fell for _, fell in far_log["scans"]), k
                     assert far_log["pruned"] == 0, k
@@ -867,7 +868,7 @@ class TestFarPlacement:
             far_log["scans"].clear()
             a, b, c = spanning_ratio(d), spanning_ratio_oracle(d), spanning_ratio_bruteforce(d)
             assert (a.lo, a.hi) == (b.lo, b.hi), name
-            assert a.intersects(c) and c.rel_width() <= DEFAULT_REL_TOL, name
+            assert intersects(a, c) and c.rel_width() <= DEFAULT_REL_TOL, name
             assert far_log["scans"], name
 
     @staticmethod
@@ -1093,7 +1094,7 @@ class TestFarPlacement:
             far_log["starts"].clear()
             far_log["pruned"] = 0
             a, b, c = spanning_ratio(d), spanning_ratio_oracle(d), spanning_ratio_bruteforce(d)
-            assert (a.lo, a.hi) == (b.lo, b.hi) and a.intersects(c), k
+            assert (a.lo, a.hi) == (b.lo, b.hi) and intersects(a, c), k
             if far_log["scans"] and far_log["scans"][-1][1]:
                 assert far_log["scans"][-1] == (metrics._FAR_PAIRS * d.graph.n, True), (k, far_log["scans"])
                 assert far_log["pruned"] > 0 and far_log["starts"][0][0] > 0, (k, far_log["starts"])
@@ -1682,7 +1683,7 @@ class TestMixedDenominators:
                 assert elr.lo ** 2 <= max(sqs) / min(sqs) <= elr.hi ** 2, seed
 
             sr = spanning_ratio(d)
-            assert sr.intersects(spanning_ratio_bruteforce(d)), seed
+            assert intersects(sr, spanning_ratio_bruteforce(d)), seed
             if coincident:
                 assert sr.is_infinite, seed
             else:

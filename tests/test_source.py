@@ -302,6 +302,34 @@ def unread_public_functions(package: dict[str, str], readers: Iterable[str]) -> 
     return unread_definitions(modules, public_functions, readers)
 
 
+def unread_public_methods(package: dict[str, str], readers: Iterable[str]) -> list[str]:
+    """module:Class.name for each method or property, its name without a
+    leading underscore, of a module-level class of the package whose name
+    has none either, that nothing reads as an attribute but its own
+    definition: no statement of the package outside the class, no other
+    member of the class, and no reader. As for functions, __init__ and the
+    tests are no readers."""
+    def attributes(node: ast.AST) -> set[str]:
+        return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+    trees = {module: ast.parse(source) for module, source in package.items()
+             if module.removesuffix(".py") != "__init__"}
+    statements = [(node, attributes(node)) for tree in trees.values() for node in tree.body]
+    outside = set().union(*(attributes(ast.parse(source)) for source in readers))
+    found = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            read = outside.union(*(names for node, names in statements if node is not cls))
+            for member in cls.body:
+                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not member.name.startswith("_")
+                        and not any(member.name in attributes(other) for other in cls.body if other is not member)
+                        and member.name not in read):
+                    found.append(f"{module}:{cls.name}.{member.name}")
+    return sorted(found)
+
+
 def test_dead_private_helpers_found():
     sources = {
         "a": "_K = 1\n_T = int\ndef _used(x: _T): return _K\ndef _dead(): return _dead()\n",
@@ -327,13 +355,30 @@ def test_unread_public_functions_found():
     assert unread_public_functions(package, [demo]) == ["a:exported", "a:unread"]
 
 
+def test_unread_public_methods_found():
+    package = {
+        "__init__": "from .a import C\nC.exported\n",
+        "a": ("class C:\n    def __init__(self): self.x = self._p()\n"
+              "    def _p(self): pass\n    def exported(self): pass\n"
+              "    def read(self): pass\n    def sibling(self): pass\n"
+              "    def caller(self): return self.sibling()\n"
+              "    def demoed(self): pass\n    def planted(self): return self.planted()\n"
+              "    @property\n    def prop(self): pass\n"
+              "class _Private:\n    def hidden(self): pass\n"),
+        "b": "from .a import C\ndef f(c): return c.read()\n",
+    }
+    demo = "def g(c):\n    return c.demoed() + c.caller()\n"
+    assert unread_public_methods(package, [demo]) == ["a:C.exported", "a:C.planted", "a:C.prop"]
+
+
 def test_no_unread_public_functions():
     # Only what the package, its CLI or a demo reads ships in src/; a
-    # function only the tests read belongs in tests/oracles.py.
+    # function or method only the tests read belongs in tests/oracles.py.
     package = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     demos = [p.read_text(encoding="utf-8") for p in sorted(DEMOS.glob("*.py"))]
     assert demos
     assert unread_public_functions(package, demos) == []
+    assert unread_public_methods(package, demos) == []
 
 
 def self_calls(source: str) -> list[str]:
