@@ -12,8 +12,8 @@ numerator over the denominator as text, reduced by their gcd.
 A Drawing is an immutable value: equal to a drawing of an equal graph at the
 same points over the same denominator, and hashed alike. Its constructor
 checks every point and reduces them to lowest terms; the Fractions of
-`coords` and the closest pair of `closest_sq` are computed once, when first
-read, and kept.
+`coords`, the closest pair of `closest_sq` and the size of `bits` are
+computed once, when first read, and kept.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .frozen import Frozen
-from .geometry import IntPoint, closest_pair_sq
+from .geometry import IntPoint, closest_pair_sq, coord_bits
 from .graph import Graph
 
 Point = tuple[Fraction, Fraction]
@@ -33,7 +33,7 @@ class Drawing(Frozen):
     """A straight-line drawing: vertex v sits at points[v] / den."""
 
     _fields = ("graph", "points", "den")
-    __slots__ = (*_fields, "_coords", "_closest_sq")
+    __slots__ = (*_fields, "_coords", "_closest_sq", "_bits")
     graph: Graph
     points: tuple[IntPoint, ...]
     den: int
@@ -101,3 +101,14 @@ class Drawing(Frozen):
             closest = closest_pair_sq(self.points)
             object.__setattr__(self, "_closest_sq", closest)
             return closest
+
+    @property
+    def bits(self) -> int:
+        """coord_bits of the points, kept, so that one report's metrics
+        share one pass to tell small coordinates from big ones."""
+        try:
+            return self._bits
+        except AttributeError:
+            bits = coord_bits(self.points)
+            object.__setattr__(self, "_bits", bits)
+            return bits

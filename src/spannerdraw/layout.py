@@ -70,6 +70,45 @@ def _radius(w: int, h: int, den: int = 1) -> int:
     return math.isqrt(_ceil_div(w * w + h * h, 4 * den * den)) + 1
 
 
+def _planar_disk(half: int, t: int, rem: int, den: int) -> tuple[int, int]:
+    """(radius, reach) of draw_planar_spanner's box [0, half/den] x [0,
+    top/den], top = t den + rem with 0 <= rem < den and half/den = e/2,
+    0 < e <= 1: radius = _radius(half, top, den), and reach =
+    ceil(top / (2 den)) + radius, the least whole height on or above the
+    top of its disk.
+
+    When the height is whole, rem = 0, and t >= 2, radius = t // 2 + 1 and
+    reach = t + 1, with no square root and no division of top. _radius
+    takes isqrt(c) + 1, c = ceil(t**2/4 + e**2/16), and 0 < e**2/16 <= 1/16.
+    - t = 2m: t**2/4 = m**2, so c = m**2 + 1, and m**2 < c < (m + 1)**2
+      = m**2 + 2m + 1 as m >= 1.
+    - t = 2m + 1: t**2/4 = m**2 + m + 1/4, so c = m**2 + m + 1, and
+      m**2 < c < (m + 1)**2 as m >= 1.
+    Either way the root is m = t // 2, and ceil(t/2) + t // 2 = t. At t = 0
+    and t = 1, m = 0 and c = 1, whose root is 1, not m: those, and a
+    height that is not whole, take _radius."""
+    if rem == 0 and t >= 2:
+        return t // 2 + 1, t + 1
+    top = t * den + rem
+    radius = _radius(half, top, den)
+    return radius, _ceil_div(top, 2 * den) + radius
+
+
+def _proper_radius(w: int, y_max: int) -> int:
+    """_radius(w, y_max), the radius of draw_proper_spanner's box [0, w] x
+    [0, y_max], with no square root where the box is far wider than high.
+
+    Write w = 2a + s, s in {0, 1}. As s**2 = s, (w**2 + y_max**2)/4 = a**2
+    + a s + (s + y_max**2)/4, so _radius takes isqrt(a**2 + a s + c) + 1,
+    c = ceil((s + y_max**2) / 4). When a >= c, a s + c <= 2a, so a**2 <=
+    a**2 + a s + c < (a + 1)**2 = a**2 + 2a + 1: the root is a, and the
+    test is on y_max, which stays below about k/2, and one shift of w."""
+    a, s = w >> 1, w & 1
+    if a >= (s + y_max * y_max + 3) >> 2:
+        return a + 1
+    return _radius(w, y_max)
+
+
 def draw_planar_spanner(h: Graph, eps: Epsilon) -> Drawing:
     """Planar straight-line drawing of a connected planar graph with spanning
     ratio strictly below 1 + epsilon.
@@ -110,21 +149,24 @@ def draw_planar_spanner(h: Graph, eps: Epsilon) -> Drawing:
 
     # Each later vertex goes midway in x between the ends of its attachment,
     # strictly above every line through consecutive attachment points at
-    # those ends, and more than k*delta/e above the disk of all placed
-    # vertices, of diameter delta. That disk is the disk of the box spanned
-    # by (0, 0) and (half, top), the last vertex's height.
+    # the higher of those ends, and more than k*delta/e above the disk of
+    # all placed vertices, of diameter delta. That disk is the disk of the
+    # box spanned by (0, 0) and (half, t den + rem), the last vertex's
+    # height, which is whole (rem = 0) from the fourth vertex on
+    # (_planar_disk).
+    t, rem = divmod(top, den)
     for k in range(4, h.n + 1):
         att = [pts[w] for w in co.attachments[k]]
         xp, xq = att[0][0], att[-1][0]
         y = 0
         for (x1, y1), (x2, y2) in zip(att, att[1:]):
             assert x1 < x2
-            for x in (xp, xq):
-                y = max(y, _ceil_div(y1 * (x2 - x1) + (y2 - y1) * (x - x1), (x2 - x1) * den))
-        radius = _radius(half, top, den)
-        y = max(y, _ceil_div(top, 2 * den) + radius)
-        top = (y + _ceil_div(2 * k * radius * e.denominator, e.numerator) + 1) * den
-        pts[order[k - 1]] = ((xp + xq) // 2, top)
+            # xp <= x1 < x2 <= xq: the line is higher at xq where it rises
+            x = xq if y2 >= y1 else xp
+            y = max(y, _ceil_div(y1 * (x2 - x1) + (y2 - y1) * (x - x1), (x2 - x1) * den))
+        radius, reach = _planar_disk(half, t, rem, den)
+        t, rem = max(y, reach) + _ceil_div(2 * k * radius * e.denominator, e.numerator) + 1, 0
+        pts[order[k - 1]] = ((xp + xq) // 2, t * den)
     return Drawing(h, tuple(pts), den)
 
 
@@ -136,7 +178,9 @@ def draw_proper_spanner(g: Graph, eps: Epsilon) -> Drawing:
     k goes far to the right of the vertices before it, at the least
     integer height y >= 0 that puts it on no line through two of them. A
     height that already holds two vertices is blocked by their horizontal
-    line and is skipped unchecked. At any other height, the far-right
+    line and is skipped unchecked; it stays blocked, so the search starts
+    at the least height that is not, and the heights below it, which fill
+    up like k/2, cost nothing. At any other height, the far-right
     lemma (far_right) on the box [0, w] x [0, y_max] of the placed
     vertices shows that no other line holds (x_k, y) when
     w max(y, y_max) < x_k - w; only where it fails does the height get the
@@ -156,6 +200,7 @@ def draw_proper_spanner(g: Graph, eps: Epsilon) -> Drawing:
     e_num, e_den = eps.value.numerator, eps.value.denominator
     placed = [(0, 0)]  # in the order of `order`; x strictly increasing, y >= 0
     at_height = Counter([0])  # number of placed vertices per height
+    free = 0  # every height below it holds two placed vertices
     y_max = 0
     for k in range(2, n + 1):
         # The first vertex is (0, 0) and no coordinate is negative, so the
@@ -163,10 +208,12 @@ def draw_proper_spanner(g: Graph, eps: Epsilon) -> Drawing:
         # x_k = ceil(w/2 + radius + k*delta/eps) + 1: right of the disk of
         # that box, centered at x = w/2, by k*delta/eps, delta = 2*radius.
         w = placed[-1][0]
-        radius = _radius(w, y_max)
+        radius = _proper_radius(w, y_max)
         x_k = radius + _ceil_div(w * e_num + 4 * k * radius * e_den, 2 * e_num) + 1
         box = (0, w, 0, y_max)
-        y = 0
+        while at_height[free] >= 2:
+            free += 1
+        y = free
         while at_height[y] >= 2 or (not far_right(box, (x_k, y))
                                     and on_line_through_two((x_k, y), placed)):
             y += 1

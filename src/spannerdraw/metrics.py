@@ -102,7 +102,6 @@ from .geometry import (
     IntPoint,
     any_three_collinear,
     coincident,
-    coord_bits,
     dist_sq,
     in_segment_interior,
     orientation,
@@ -237,7 +236,7 @@ def _spanning_ratios(d: Drawing) -> Iterator[Interval]:
     # far order, else Prim's tree, which otherwise waits for a hand-over.
     tree_sized = g.m == g.n - 1
     tree = _spanning_tree(g.adj) if tree_sized else None
-    far = _far_order(g, coords) if coord_bits(coords) > FLOAT_BITS else None
+    far = _far_order(g, coords) if d.bits > FLOAT_BITS else None
     # the graph's tree for the pruned pass
     walk = tree if tree_sized or far is not None else _spanning_tree(_prim(g.adj, coords))
     if walk is None and far is None:
@@ -682,16 +681,33 @@ def spanning_ratio(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:
 
 def edge_length_ratio(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> Interval:
     """Certified enclosure of (longest edge)/(shortest edge); the infinite
-    interval when an edge has length 0."""
+    interval when an edge has length 0.
+
+    Where coordinates run past 53 bits, only the candidate edges are
+    squared. Let l be the bit length of an edge's larger absolute offset
+    m. Then 4**(l - 1) <= m**2 <= |e|**2 <= 2 m**2 < 2 * 4**l, the left
+    end for l >= 1. So an edge B with l_B <= l_A - 2 for another edge A is
+    shorter than A: |B|**2 < 2 * 4**l_B <= 4**(l_A - 1) <= |A|**2. The
+    longest edge has l >= top - 1 and the shortest l <= low + 1, top and
+    low the largest and least l; a far-placed drawing has few of either.
+    Below 53 bits the bit lengths cost more than the squares they save."""
     edges = d.graph.edges()
     if not edges:
         raise NoEdgesError("edge-length ratio undefined: no edges")
     coords = d.points
-    sqs = [dist_sq(coords[u], coords[v]) for u, v in edges]
-    mn = min(sqs)
+    if d.bits > FLOAT_BITS:
+        # m's bit length, that of |dx| | |dy|
+        spans = [(abs(coords[u][0] - coords[v][0]) | abs(coords[u][1] - coords[v][1])).bit_length()
+                 for u, v in edges]
+        top, low = max(spans), min(spans)
+        mx = max(dist_sq(coords[u], coords[v]) for (u, v), l in zip(edges, spans) if l >= top - 1)
+        mn = min(dist_sq(coords[u], coords[v]) for (u, v), l in zip(edges, spans) if l <= low + 1)
+    else:
+        sqs = [dist_sq(coords[u], coords[v]) for u, v in edges]
+        mx, mn = max(sqs), min(sqs)
     if mn == 0:
         return Interval(math.inf, math.inf)
-    enclosures = map(partial(sqrt_interval, Fraction(max(sqs), mn)), _precisions())
+    enclosures = map(partial(sqrt_interval, Fraction(mx, mn)), _precisions())
     return next(_certify(enclosures, [rel_tol]))
 
 
@@ -725,7 +741,12 @@ def is_planar_drawing(d: Drawing) -> bool:
       a neighbor that also ends at p is exempt.
     A failed check, or a zero, is confirmed by segments_cross_improperly,
     which the proof says always holds (an assert), and gives False. That
-    is O(m log m) orientations, and at most one crossing test.
+    is O(m log m) orientations, and at most one crossing test. Only their
+    signs are read, so where coordinates run past 53 bits the insertion's
+    probes take theirs from _orientation_sign, which decides most of them
+    on a far-placed drawing by bit lengths alone. The deletion checks keep
+    their products inline: a call there, as in the probes, made the sweep
+    of the small tree-planar drawings about 10% slower.
 
     Proof. (i) Every False is an improper meeting. Two segments become
     adjacent in the status only at an event p where the lower is strictly
@@ -757,6 +778,7 @@ def is_planar_drawing(d: Drawing) -> bool:
     """
     coords = d.points
     adj = d.graph.adj
+    orient = _orientation_sign if d.bits > FLOAT_BITS else orientation
     order = sorted(range(len(coords)), key=coords.__getitem__)
     status: list[tuple[IntPoint, IntPoint]] = []  # active segments (l, r), bottom to top
     k, n = 0, len(order)
@@ -794,7 +816,7 @@ def is_planar_drawing(d: Drawing) -> bool:
                 while lo < hi:
                     mid = (lo + hi) // 2
                     a, b = status[mid]
-                    o = orientation(p, b, q) if a == p else orientation(a, b, p)
+                    o = orient(p, b, q) if a == p else orient(a, b, p)
                     if o > 0:
                         lo = mid + 1
                     elif o < 0:
@@ -805,6 +827,25 @@ def is_planar_drawing(d: Drawing) -> bool:
             else:
                 return False
     return True
+
+
+def _orientation_sign(a: IntPoint, b: IntPoint, c: IntPoint) -> int:
+    """An int with the sign of orientation(a, b, c) = p q - r s, decided by
+    the factors' bit lengths bl where those of the products differ by 2 or
+    more, with no product. For x != 0, 2**(bl(x) - 1) <= |x| < 2**bl(x),
+    so bl(p) + bl(q) >= bl(r) + bl(s) + 2 gives |p q| >= 2**(bl(r) +
+    bl(s)) > |r s|, and the sign is p q's; the other way round, that of
+    -r s. A zero factor, or bit lengths closer than that, takes the
+    products."""
+    p, q = b[0] - a[0], c[1] - a[1]
+    r, s = b[1] - a[1], c[0] - a[0]
+    if p and q and r and s:
+        k = p.bit_length() + q.bit_length() - r.bit_length() - s.bit_length()
+        if k >= 2:
+            return 1 if (p < 0) == (q < 0) else -1
+        if k <= -2:
+            return -1 if (r < 0) == (s < 0) else 1
+    return p * q - r * s
 
 
 def _crossing(t: tuple[IntPoint, IntPoint], s: tuple[IntPoint, IntPoint]) -> bool:

@@ -79,6 +79,10 @@ WALK = "tests/test_metrics.py::TestSpanningRatio::"
 WRITER = "tests/test_fileio_cli.py::TestRoundTrip::"
 EMBED = "tests/test_embedding.py::TestPlanarityTestEmbed::"
 AUGMENT = "tests/test_embedding.py::TestAugmentation::"
+PLANAR = "tests/test_layout.py::TestPlanarSpanner::"
+CLOSED_FORM = "tests/test_layout.py::TestClosedFormRadii::"
+ELR = "tests/test_metrics.py::TestEdgeLengthRatio::"
+ORIENT = "tests/test_metrics.py::TestOrientationSign::"
 
 MUTANTS = [
     # The planarity sweep's order checks (metrics.is_planar_drawing).
@@ -426,6 +430,60 @@ MUTANTS = [
            "count = len([u for u, k in zip(g.adj[v], annuli) if k == i])",
            ("tests/test_bounds.py::TestAnnulusBoundCheck::test_fan_witness_consistent_at_s_1",),
            "every neighbor counted again: the fan witness of spanning ratio 1 is overfull at s = 1"),
+    # The far-placed constructions' placements: radii with no square root
+    # (layout._planar_disk, _proper_radius), each attachment line read at
+    # its higher end, the height search from the least free height; and
+    # the edge-length ratio's candidate band (metrics.edge_length_ratio).
+    Mutant("src/spannerdraw/layout.py",
+           "    if rem == 0 and t >= 2:\n",
+           "    if rem == 0:\n",
+           (CLOSED_FORM + "test_planar_disk_matches_radius", PLANAR + "test_whole_apex_height"),
+           "the planar closed form's t >= 2 dropped: a whole height of 1, the apex's at tiny epsilon, "
+           "gets a radius one short"),
+    Mutant("src/spannerdraw/layout.py",
+           "        while at_height[free] >= 2:\n",
+           "        while at_height[free] >= 1:\n",
+           (PROPER + "test_matches_oracle",),
+           "the proper height search starts past a height that holds one vertex: a lower admissible height "
+           "is passed over"),
+    Mutant("src/spannerdraw/layout.py",
+           "x = xq if y2 >= y1 else xp",
+           "x = xp if y2 >= y1 else xq",
+           (PLANAR + "test_matches_oracle",),
+           "each attachment line read at its lower end: a vertex can sit below the line's other end"),
+    Mutant("src/spannerdraw/layout.py",
+           "    if a >= (s + y_max * y_max + 3) >> 2:",
+           "    if 2 * a >= (s + y_max * y_max + 3) >> 2:",
+           (CLOSED_FORM + "test_proper_radius_matches_radius",),
+           "the proper closed form's condition weakened to a s + c <= 2a only at s = 0: at odd w with "
+           "y_max**2 near 4a the root is a + 1, not a"),
+    Mutant("src/spannerdraw/metrics.py",
+           "if l >= top - 1)",
+           "if l >= top)",
+           (ELR + "test_candidate_band_margins",),
+           "the longest-edge band narrowed to l = top: a diagonal one bit shorter in span, yet longer, is missed"),
+    Mutant("src/spannerdraw/metrics.py",
+           "if l <= low + 1)",
+           "if l <= low)",
+           (ELR + "test_candidate_band_margins",),
+           "the shortest-edge band narrowed to l = low: an axis edge one bit longer in span, yet shorter, is missed"),
+    # The sweep's orientation signs by bit lengths (metrics._orientation_sign).
+    Mutant("src/spannerdraw/metrics.py",
+           "        if k >= 2:\n",
+           "        if k >= 1:\n",
+           (ORIENT + "test_matches_the_products",),
+           "a gap of 1 in the products' bit lengths taken as decisive: 2**(j + 1) 2**j is taken for the larger "
+           "of it and (2**(j + 1) - 1)**2"),
+    Mutant("src/spannerdraw/metrics.py",
+           "        if k <= -2:\n",
+           "        if k <= -1:\n",
+           (ORIENT + "test_matches_the_products",),
+           "the same on the other side: r s taken as decisive one bit ahead"),
+    Mutant("src/spannerdraw/metrics.py",
+           "    if p and q and r and s:\n",
+           "    if True:\n",
+           (ORIENT + "test_zero_factors",),
+           "a zero factor left to the bit lengths: 0 * 2**40 counts as the larger product"),
     # The value types (drawing.Drawing, layout.Epsilon, frozen.Frozen).
     Mutant("src/spannerdraw/drawing.py",
            "type(p[0]) is int and type(p[1]) is int",

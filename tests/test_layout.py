@@ -27,6 +27,9 @@ from spannerdraw.layout import (
     _LEG_BITS,
     Epsilon,
     _merge_tree_parts,
+    _planar_disk,
+    _proper_radius,
+    _radius,
     _tree_proper_points,
     _TreePart,
     draw_graph_via_tough_tree,
@@ -185,6 +188,36 @@ class TestPlanarSpanner:
         g = random_connected_planar_graph(12, 31)
         assert draw_planar_spanner(g, EPS1).coords == draw_planar_spanner(g, EPS1).coords
 
+    def test_whole_apex_height(self):
+        # At epsilon = 10**-12 the apex height rounds up to exactly 1, so the
+        # fourth vertex sees a whole height t = 1, where the closed form of
+        # _planar_disk does not hold: it takes _radius, as the oracle does.
+        eps = Epsilon(F(1, 10**12))
+        leg_sq = 1 - (eps.value / 4) ** 2
+        assert isqrt_scaled(leg_sq.numerator, leg_sq.denominator, _LEG_BITS)[1] == 1 << _LEG_BITS
+        for g in (path_graph(6), star_graph(7), random_connected_planar_graph(12, 962)):
+            assert draw_planar_spanner(g, eps).coords == planar_spanner_oracle(g, eps)
+
+    def test_drawings_pinned_at_scale(self):
+        # The oracle is too slow at n = 1000, so the drawings are pinned by
+        # digest: planar at epsilon 1 and 1/10, and proper at the same two,
+        # each on the benchmark's generators at the seeds of the scale
+        # measurements. Recorded while every placed vertex took _radius's
+        # square root.
+        workloads = bench_workloads()
+        n = 1000
+        planar = Graph.from_edges(n, workloads.random_planar_edges(n, random.Random(11), n))
+        proper = Graph.from_edges(n, workloads.random_connected_edges(n, random.Random(12), n))
+        digests = [hashlib.sha256(repr((d.points, d.den)).encode()).hexdigest()
+                   for g, draw in ((planar, draw_planar_spanner), (proper, draw_proper_spanner))
+                   for d in (draw(g, EPS1), draw(g, Epsilon(F(1, 10))))]
+        assert digests == [
+            "a0731c13b8db3ed5faa6b81c8d649cc0d7feb9e13535370902901e9010823c16",
+            "4dac2ab7fb2e49d5b9856174687879e3c9c494f287873c8750ad8329f43527e0",
+            "19303b7a822a14c7b68ecdb4f3efce8b69620a15a45b9e138d34e60f00d7d310",
+            "ee7376f69067f24a0d6179682f605ef45fefdb79a7378a1ec44b444843cd5c19",
+        ]
+
 
 class TestPlaceNextVertex:
     def test_conditions(self):
@@ -338,6 +371,68 @@ class TestProperSpanner:
     def test_disconnected_rejected(self):
         with pytest.raises(NotConnectedError):
             draw_proper_spanner(Graph.from_edges(3, [(0, 1)]), EPS1)
+
+
+class TestClosedFormRadii:
+    """The placements' radii without a square root, against _radius."""
+
+    @staticmethod
+    def planar_disk_oracle(half, t, rem, den):
+        top = t * den + rem
+        radius = _radius(half, top, den)
+        return radius, -(-top // (2 * den)) + radius
+
+    def test_planar_disk_matches_radius(self):
+        rng = random.Random(46)
+        es = [F(1), F(1, 10), F(2, 3), F(1, 10**12)] + [F(rng.randrange(1, 1000), 1000) for _ in range(20)]
+        for e in es:
+            for b in (_LEG_BITS, 200):
+                half, den = e.numerator << (b - 1), e.denominator << b
+                ts = list(range(8)) + [rng.randrange(2**k) for k in (10, 100, 3000) for _ in range(10)]
+                for t in ts:
+                    for rem in (0, 1, den // 2, den - 1):
+                        assert _planar_disk(half, t, rem, den) == self.planar_disk_oracle(half, t, rem, den), (e, t, rem)
+                    if t >= 2:
+                        assert _planar_disk(half, t, 0, den) == (t // 2 + 1, t + 1)
+
+    def test_planar_closed_form_needs_two(self):
+        # At a whole height below 2 the closed form is one short.
+        for e in (F(1), F(1, 10**12)):
+            half, den = e.numerator << (_LEG_BITS - 1), e.denominator << _LEG_BITS
+            for t in (0, 1):
+                assert _radius(half, t * den, den) == t // 2 + 2
+
+    def test_proper_radius_matches_radius(self):
+        rng = random.Random(47)
+        cases = []
+        for a in list(range(12)) + [rng.randrange(2**k) for k in (8, 60, 2000) for _ in range(6)]:
+            # y_max**2 near 4a, where a >= ceil((s + y_max**2) / 4) turns.
+            root = math.isqrt(4 * a)
+            ys = {0, 1, 2, 3, max(0, root - 2), max(0, root - 1), root, root + 1, root + 2, 2 * root + 3}
+            cases += [(2 * a + s, y) for s in (0, 1) for y in ys]
+        for w, y in cases:
+            assert _proper_radius(w, y) == _radius(w, y), (w, y)
+
+    def test_radius_fallbacks_per_drawing(self, monkeypatch):
+        # Counted: each planar drawing of n >= 4 takes _radius once, for
+        # its fourth vertex, whose height is the apex's; every later height
+        # is whole and at least 2. The proper drawings of the benchmark's
+        # first seed take it never.
+        from spannerdraw import layout
+
+        calls = [0]
+        monkeypatch.setattr(layout, "_radius", lambda *args: calls.__setitem__(0, calls[0] + 1) or _radius(*args))
+        counts = {"planar": set(), "proper": set()}
+        for op in bench_workloads().build("planar", 301) + bench_workloads().build("proper", 301):
+            if op.kind in counts:
+                calls[0] = 0
+                g, eps = Graph.from_edges(op.n, op.edges), Epsilon(op.epsilon)
+                (draw_planar_spanner if op.kind == "planar" else draw_proper_spanner)(g, eps)
+                counts[op.kind].add(calls[0])
+        assert counts == {"planar": {1}, "proper": {0}}
+        calls[0] = 0
+        draw_planar_spanner(random_connected_planar_graph(30, 963), Epsilon(F(1, 10**12)))
+        assert calls[0] <= 2
 
 
 def tree_proper_oracle(t, eps):

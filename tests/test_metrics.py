@@ -40,7 +40,14 @@ from spannerdraw import drawing as drawing_module
 from spannerdraw import geometry, metrics
 from spannerdraw.drawing import Drawing
 from spannerdraw.exact import Interval, format_rational, isqrt_scaled, sqrt_interval
-from spannerdraw.geometry import closest_pair_sq, coord_bits, dist_sq, in_segment_interior, segments_cross_improperly
+from spannerdraw.geometry import (
+    closest_pair_sq,
+    coord_bits,
+    dist_sq,
+    in_segment_interior,
+    orientation,
+    segments_cross_improperly,
+)
 from spannerdraw.graph import Graph
 from spannerdraw.layout import (
     Epsilon,
@@ -203,17 +210,18 @@ class TestSpanningRatio:
         # the far order's chain does not serve it.
         calls = Counter()
 
-        def counted(name):
-            function = getattr(metrics, name)
+        def counted(name, module=metrics):
+            function = getattr(module, name)
 
             def wrapper(*args):
                 calls[name] += 1
                 return function(*args)
 
-            monkeypatch.setattr(metrics, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("_spanning_tree", "_prim", "coord_bits", "_enclosure", "_far_roots", "_pruned_scan"):
+        for name in ("_spanning_tree", "_prim", "_enclosure", "_far_roots", "_pruned_scan"):
             counted(name)
+        counted("coord_bits", drawing_module)  # Drawing.bits, kept on the drawing
         far_planar = draw_planar_spanner(stacked_triangulation(20, 1), Epsilon(1))
         assert coord_bits(far_planar.points) > 53
         calls.clear()
@@ -1140,6 +1148,62 @@ class TestEdgeLengthRatio:
         root2 = sqrt_interval(F(2), 128)
         assert elr.lo <= root2.hi and elr.hi >= root2.lo
 
+    @staticmethod
+    def squaring_every_edge(d, monkeypatch):
+        """edge_length_ratio with its gate shut, as it runs below 53 bits:
+        every edge squared."""
+        with monkeypatch.context() as m:
+            m.setattr(metrics, "FLOAT_BITS", math.inf)
+            ivl = edge_length_ratio(d)
+        return ivl.lo, ivl.hi
+
+    def test_candidate_band_margins(self, monkeypatch):
+        # Points scaled by 2**60, past the gate. Spans (bit lengths of the
+        # larger offset) 1 apart: the diagonal (7, 7), 3 bits, is longer
+        # than (8, 0), 4 bits, so the longest edge has l = top - 1 and the
+        # shortest l = low + 1. 2 apart: (3, 3) can be neither. 0 apart.
+        cases = [
+            ([(0, 0), (7, 7), (15, 7)], F(98, 64)),
+            ([(0, 0), (3, 3), (11, 3)], F(64, 18)),
+            ([(0, 0), (5, 0), (5, 6)], F(36, 25)),
+        ]
+        for coords, square in cases:
+            d = Drawing(Graph.from_edges(3, [(0, 1), (1, 2)]), tuple((x << 60, y << 60) for x, y in coords))
+            assert d.bits > geometry.FLOAT_BITS
+            elr = edge_length_ratio(d)
+            assert (elr.lo, elr.hi) == self.squaring_every_edge(d, monkeypatch)
+            root = sqrt_interval(square, 128)
+            assert elr.lo <= root.hi and elr.hi >= root.lo
+
+    def test_candidate_band_ends(self, monkeypatch):
+        # A zero-length edge (span 0) is a candidate, and makes the ratio
+        # infinite; one edge is both the longest and the shortest.
+        big = 1 << 60
+        zero = Drawing(Graph.from_edges(3, [(0, 1), (1, 2)]), ((0, 0), (0, 0), (big, 1)))
+        assert edge_length_ratio(zero).is_infinite
+        one = Drawing(Graph.from_edges(2, [(0, 1)]), ((0, 0), (big, 3)))
+        elr = edge_length_ratio(one)
+        assert elr.lo == elr.hi == 1 == self.squaring_every_edge(one, monkeypatch)[0]
+
+    def test_candidate_band_matches_squaring_every_edge(self, monkeypatch):
+        # Seeded drawings past 53 bits whose edges' spans lie within a few
+        # bits of one another, and the far-placed constructions' drawings.
+        rng = random.Random(48)
+        cases = []
+        for _ in range(150):
+            n = rng.randrange(2, 12)
+            scale = rng.randrange(54, 90)
+            pts = tuple((rng.randrange(-1 << scale, 1 << scale) >> rng.randrange(4),
+                         rng.randrange(-1 << scale, 1 << scale) >> rng.randrange(4)) for _ in range(n))
+            edges = [(rng.randrange(v), v) for v in range(1, n)]
+            cases.append(Drawing(Graph.from_edges(n, edges), pts))
+        cases += [draw_planar_spanner(random_connected_planar_graph(n, 970 + n), Epsilon(1)) for n in (5, 20, 60)]
+        cases += [draw_proper_spanner(random_connected_graph(n, n, 970 + n), Epsilon(F(1, 3))) for n in (20, 40, 60)]
+        for d in cases:
+            assert d.bits > geometry.FLOAT_BITS
+            elr = edge_length_ratio(d)
+            assert (elr.lo, elr.hi) == self.squaring_every_edge(d, monkeypatch)
+
 
 class TestPlanarity:
     def test_square_true(self):
@@ -1356,6 +1420,42 @@ def sweep_verdict(n, edges, points):
     verdict = is_planar_drawing(d)
     assert verdict == planar_oracle(d)
     return verdict
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+class TestOrientationSign:
+    @staticmethod
+    def points(p, q, r, s):
+        """(a, b, c) whose orientation is p q - r s, a far from the origin."""
+        ax, ay = 3 << 70, -(5 << 70)
+        return (ax, ay), (ax + p, ay + r), (ax + s, ay + q)
+
+    def test_matches_the_products(self):
+        # Factors of 0 to 9 bits, powers of 2, one below them and between,
+        # in both signs: every gap of the products' bit lengths from -18 to
+        # 18, among them products 1 apart in bit length whose sign is the
+        # smaller's, as 2**(j + 1) 2**j against (2**(j + 1) - 1)**2.
+        rng = random.Random(49)
+        values = [0] + [v for e in range(10) for v in {1 << e, (1 << e) - 1, rng.randrange(1 << e, 2 << e)} if v]
+        values += [-v for v in values]
+        for _ in range(20000):
+            a, b, c = self.points(*(rng.choice(values) for _ in range(4)))
+            assert sign(metrics._orientation_sign(a, b, c)) == sign(orientation(a, b, c))
+        for j in range(1, 60):
+            a, b, c = self.points(2 << j, 1 << j, (2 << j) - 1, (2 << j) - 1)
+            assert metrics._orientation_sign(a, b, c) < 0
+            a, b, c = self.points((2 << j) - 1, (2 << j) - 1, 2 << j, 1 << j)
+            assert metrics._orientation_sign(a, b, c) > 0
+
+    def test_zero_factors(self):
+        # A zero factor leaves the other product's sign, whatever the bit
+        # lengths say: 0 * 2**40 - 3 * 5 < 0, and 2**40 * 3 - 0 * 5 > 0.
+        assert metrics._orientation_sign(*self.points(0, 1 << 40, 3, 5)) < 0
+        assert metrics._orientation_sign(*self.points(3, 5, 0, 1 << 40)) > 0
+        assert metrics._orientation_sign(*self.points(1 << 40, 3, 5, 0)) > 0
 
 
 class TestPlanarSweepCases:

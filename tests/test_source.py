@@ -539,6 +539,19 @@ def test_spanning_ratio_pass_is_exact():
     assert inexact_operations(source, exact) == []
 
 
+def test_far_placed_drawing_arithmetic_is_exact():
+    # The placements' radii, the edge-length ratio's candidate band and the
+    # sweep's orientation signs run on integers alone: the drawings stay the
+    # ones that _radius's square root gave, and the bit-length bounds on
+    # squared lengths and products are exact.
+    for name, exact in (("layout.py", ["_radius", "_planar_disk", "_proper_radius"]),
+                        ("metrics.py", ["edge_length_ratio", "_orientation_sign"])):
+        source = (SRC / name).read_text(encoding="utf-8")
+        defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+        assert set(exact) <= defined
+        assert inexact_operations(source, exact) == []
+
+
 def test_mutants_are_current():
     # tests/mutants.py plants each fault where its old text occurs exactly
     # once, and names tests that exist. Running the mutants is a separate
