@@ -98,7 +98,7 @@ class Drawing(Frozen):
         try:
             return self._closest_sq
         except AttributeError:
-            closest = closest_pair_sq(self.points)
+            closest = closest_pair_sq(self.points, self.bits)
             object.__setattr__(self, "_closest_sq", closest)
             return closest
 

@@ -21,9 +21,10 @@ one of its contour neighbors; the last vertex joins the whole contour.
 
 The outer arcs are kept from step to step, keyed by vertex. An attachment
 changes the rotation or the contour neighbors of w_a, v and w_b only, so
-only their three arcs are recomputed; w_a+1..w_b-1 leave the contour, and
-every other arc stays as it was (after Kant, "Drawing planar graphs using
-the canonical ordering", Algorithmica 1996).
+only their three arcs are recomputed, each by two index lookups and a
+slice; w_a+1..w_b-1 leave the contour, and every other arc stays as it was
+(after Kant, "Drawing planar graphs using the canonical ordering",
+Algorithmica 1996).
 
 Every unplaced vertex keeps its leftmost and rightmost contour neighbors.
 They change only when a neighbor of it is placed, since a vertex leaves
@@ -32,7 +33,12 @@ next vertex comes from one left-to-right scan of the contour (_choose):
 at each position only the first and the last vertex of the arc there can
 be chosen, and the first position with one wins, the smaller id on a tie.
 That is the vertex, and the path, of sorting the candidates by (leftmost
-contour position, id) and taking the first unblocked one.
+contour position, id) and taking the first unblocked one. The scan does
+not start at position 0: each step carries a restart point below which
+no position holds a candidate, at most the position of the last
+attachment's left end (_choose proves the rule), so on random planar
+graphs a step passes about two positions before the one it attaches at,
+whatever the contour's length.
 
 The rotation system comes from the package's own left-right planarity test
 (`planarity_test_embed`, after Brandes 2009), on plain lists. It gives
@@ -363,20 +369,12 @@ class CanonicalOrder(NamedTuple):
 
 def _arc(rot: list[list[int]], contour: list[int], i: int) -> list[int]:
     """Outer-region neighbors of contour[i]: rotation slice strictly between
-    the contour successor and the contour predecessor (cyclically)."""
-    x = len(contour)
-    w = contour[i]
-    nxt = contour[(i + 1) % x]
-    prv = contour[(i - 1) % x]
-    r = rot[w]
-    j = r.index(nxt)
-    out = []
-    for step in range(1, len(r)):
-        e = r[(j + step) % len(r)]
-        if e == prv:
-            break
-        out.append(e)
-    return out
+    the contour successor and the contour predecessor (cyclically). On a
+    contour of two they are one vertex, and the arc is all the rest."""
+    r = rot[contour[i]]
+    j = r.index(contour[(i + 1) % len(contour)])
+    k = r.index(contour[i - 1])
+    return r[j + 1 : k] if j < k else r[j + 1 :] + r[:k]
 
 
 def augment_to_maximal_with_canonical_order(h: Graph) -> CanonicalOrder:
@@ -412,6 +410,7 @@ def augment_to_maximal_with_canonical_order(h: Graph) -> CanonicalOrder:
         rv[u] = v2
     order = [v1, v2]
     attachments: dict[int, tuple[int, ...]] = {}
+    start = 0  # where _choose's scan starts (its docstring has the rule)
 
     for k in range(3, n + 1):
         if k == n:
@@ -419,7 +418,7 @@ def augment_to_maximal_with_canonical_order(h: Graph) -> CanonicalOrder:
             assert set(rot[v]) <= set(contour), "final vertex still has unplaced neighbors"
             a, b = 0, len(contour) - 1
         else:
-            v, a, b = _choose(arcs, lv, rv, contour)
+            v, a, b = _choose(arcs, lv, rv, contour, start)
         _place_fan(rot, contour, v, a, b)
         attachments[k] = tuple(contour[a : b + 1])
         contour[a + 1 : b] = [v]
@@ -430,19 +429,30 @@ def augment_to_maximal_with_canonical_order(h: Graph) -> CanonicalOrder:
         # it was on contour[a..b] and either is one of the three or has left.
         for i in range(a, a + 3):
             arcs[contour[i]] = arc = _arc(rot, contour, i)
-            assert not any(placed[e] for e in arc), "placed vertex in outer arc"
+            assert not any(map(placed.__getitem__, arc)), "placed vertex in outer arc"
         # v, now at a + 1, is a contour neighbor of the vertices of its arc,
         # whose other contour neighbors all stayed, at positions <= a or > a + 1.
+        start = a
         for u in arcs[v]:
             if lv[u] is None:
                 lv[u] = rv[u] = v
-            elif contour.index(lv[u]) > a:
+            elif (i := contour.index(lv[u])) > a:
                 lv[u] = v
-            elif contour.index(rv[u]) <= a:
-                rv[u] = v
+            else:
+                start = min(start, i)
+                if contour.index(rv[u]) <= a:
+                    rv[u] = v
+        if not arcs[v]:
+            lone = None  # the vertex of the one-vertex arcs walked over
+            while start > 0:
+                arc = arcs[contour[start]]
+                if arc:
+                    if len(arc) > 1 or lone not in (None, arc[0]):
+                        break
+                    lone = arc[0]
+                start -= 1
 
-    edges = [(u, w) for u in range(n) for w in rot[u] if u < w]
-    g = Graph.from_edges(n, edges)
+    g = Graph(n, tuple(tuple(sorted(r)) for r in rot))
     assert g.m == 3 * n - 6, f"augmented graph has {g.m} edges, expected {3 * n - 6}"
     return CanonicalOrder(
         order=tuple(order),
@@ -451,9 +461,10 @@ def augment_to_maximal_with_canonical_order(h: Graph) -> CanonicalOrder:
     )
 
 
-def _choose(arcs, lv, rv, contour) -> tuple[int, int, int]:
+def _choose(arcs, lv, rv, contour, start: int) -> tuple[int, int, int]:
     """(v, a, b): the next vertex and the contour path contour[a..b] it
-    joins, from one left-to-right scan of the contour.
+    joins, from one left-to-right scan of the contour from position start,
+    below which no position holds a candidate.
 
     arcs[w] is the outer arc of the contour vertex w; lv[u] and rv[u] are
     the leftmost and rightmost contour neighbors of the unplaced vertex u.
@@ -481,9 +492,36 @@ def _choose(arcs, lv, rv, contour) -> tuple[int, int, int]:
     Each position costs O(1), and each spanning test the arcs it crosses.
     lv and rv stay current because a chosen vertex removes from the contour
     only vertices whose arcs hold nothing but itself.
+
+    The restart point. After v joins contour[a..b], the caller sets start
+    to min(a, position of lv[u] for u in arcs[v]) when v's arc is nonempty.
+    When it is empty, it walks left from a while each arc is empty or holds
+    one vertex, the same one each time, and start is where the walk stops
+    (0 if it runs out). Invariant: no position below start holds a
+    candidate. The scan of this step found none below a: it found its
+    vertex at a, or at a + 1 for one that joins (a, a + 1). The contour
+    keeps its first a + 1 vertices, and a test at j < a reads the arc at j,
+    lv and rv of that arc's first and last vertex, and, for a spanning u,
+    the arcs up to rv[u]'s and the last vertex of that arc. All of that is
+    unchanged except:
+    - lv or rv of some u in arcs[v]. If u is the first or the last of the
+      arc at j, it is a neighbor of contour[j], so lv[u] lies at j or to
+      its left, and start is at most that position.
+    - The last vertex of contour[a]'s arc, for rv[u] = contour[a]. The new
+      arc is the old one minus a leading v, and u is in it too, so its
+      last vertex is unchanged.
+    - For a spanning u whose rv lies beyond a (at b or further: the
+      vertices strictly between held only v), the arcs past a: v's at
+      a + 1 and contour[b]'s. The test passes v's arc only if it is empty
+      or [u]. [u] puts u in arcs[v], the first case. If it is empty, u also
+      needs every arc from j + 1 to a to be empty or [u]. The walk crosses
+      exactly such arcs, all with one vertex the same, so it stops at or
+      below j: at the first arc to its left that is neither, which a
+      candidate at j cannot have strictly between j and a.
     """
     x = len(contour)
-    for i, w in enumerate(contour):
+    for i in range(start, x):
+        w = contour[i]
         arc = arcs[w]
         if not arc:
             continue

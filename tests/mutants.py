@@ -83,6 +83,7 @@ PLANAR = "tests/test_layout.py::TestPlanarSpanner::"
 CLOSED_FORM = "tests/test_layout.py::TestClosedFormRadii::"
 ELR = "tests/test_metrics.py::TestEdgeLengthRatio::"
 ORIENT = "tests/test_metrics.py::TestOrientationSign::"
+SWEEPS = "tests/test_metrics.py::TestSweepsMatchOracles::"
 
 MUTANTS = [
     # The planarity sweep's order checks (metrics.is_planar_drawing).
@@ -378,7 +379,7 @@ MUTANTS = [
            "the budget test off by one: a chain pass that needs exactly its budget hands over"),
     # The left-right planarity test and its rotations (embedding._orient,
     # _sides, planarity_test_embed), and the augmentation's contour steps
-    # (embedding._choose, _place_fan).
+    # (embedding._choose and its restart point, _place_fan).
     Mutant("src/spannerdraw/embedding.py",
            "                low2[f] = min(low2[f], low2[e])",
            "                low2[f] = low2[e]",
@@ -408,6 +409,18 @@ MUTANTS = [
            (AUGMENT + "test_matches_sorting_oracle",),
            "the greater candidate at a position: the canonical order leaves the sorting rule's"),
     Mutant("src/spannerdraw/embedding.py",
+           "        if not arcs[v]:\n            lone = None",
+           "        if False:\n            lone = None",
+           (AUGMENT + "test_restart_matches_scan_from_zero",),
+           "the empty-arc walk dropped, start = a: a vertex that spans to contour[b] across arcs emptied "
+           "by v is left below the scan's start"),
+    Mutant("src/spannerdraw/embedding.py",
+           "                start = min(start, i)\n",
+           "",
+           (AUGMENT + "test_restart_matches_scan_from_zero",),
+           "the lv minimum dropped from the restart point: a vertex of v's arc that opens an arc left of a "
+           "is skipped"),
+    Mutant("src/spannerdraw/embedding.py",
            "rot[w].insert(rot[w].index(contour[i + 1]) + 1, v)",
            "rot[w].insert(rot[w].index(contour[i + 1]), v)",
            (AUGMENT + "test_c4_validates",),
@@ -432,8 +445,10 @@ MUTANTS = [
            "every neighbor counted again: the fan witness of spanning ratio 1 is overfull at s = 1"),
     # The far-placed constructions' placements: radii with no square root
     # (layout._planar_disk, _proper_radius), each attachment line read at
-    # its higher end, the height search from the least free height; and
-    # the edge-length ratio's candidate band (metrics.edge_length_ratio).
+    # its higher end and tested by bit lengths (layout._exceeds), the
+    # height search from the least free height; the edge-length ratio's
+    # candidate band (metrics.edge_length_ratio); and the closest pair's
+    # window past 53 bits (geometry.closest_pair_sq).
     Mutant("src/spannerdraw/layout.py",
            "    if rem == 0 and t >= 2:\n",
            "    if rem == 0:\n",
@@ -457,6 +472,18 @@ MUTANTS = [
            (CLOSED_FORM + "test_proper_radius_matches_radius",),
            "the proper closed form's condition weakened to a s + c <= 2a only at s = 0: at odd w with "
            "y_max**2 near 4a the root is a + 1, not a"),
+    Mutant("src/spannerdraw/layout.py",
+           "(k >= -1 and p > a * b)",
+           "(k >= -1 and p > (a + 1) * b)",
+           (PLANAR + "test_line_test_matches_the_product",),
+           "the planar placement's line test off by one unit: a line that passes the height so far by "
+           "less than one unit leaves the vertex one unit below its ceiling"),
+    Mutant("src/spannerdraw/geometry.py",
+           "                if l - 2 < bb and (l < bb or dx * dx < best):",
+           "                if l - 1 < bb and (l < bb or dx * dx < best):",
+           (SWEEPS + "test_closest_pair_past_float_bits",),
+           "the closest pair's band narrowed by one bit: an x gap whose square has one bit fewer than the "
+           "best is taken for at least the best, and its point leaves the window too early"),
     Mutant("src/spannerdraw/metrics.py",
            "if l >= top - 1)",
            "if l >= top)",

@@ -21,6 +21,7 @@ from oracles import (
     faces,
     networkx_rotation,
 )
+from spannerdraw import embedding
 from spannerdraw.embedding import augment_to_maximal_with_canonical_order, planarity_test_embed
 from spannerdraw.errors import NotConnectedError, NotPlanarError, TooSmallError
 from spannerdraw.graph import Graph
@@ -329,6 +330,66 @@ class TestAugmentation:
         cases, digest = pin_digest(large_pin_graphs())
         assert set(cases) == {"left", "right", "fan", "closing"}, cases
         assert digest == "665db2f619eb35bb9f9ab28608ea9cba8f44e9a11131607c5a05387db894d0ba"
+
+    def test_pinned_at_scale(self):
+        # Recorded while every scan for the next vertex started at contour
+        # position 0 and _arc walked the rotation one step at a time.
+        n = 4000
+        g = Graph.from_edges(n, bench_workloads().random_planar_edges(n, random.Random(11), n))
+        co = augment_to_maximal_with_canonical_order(g)
+        pinned = (co.order, sorted(co.attachments.items()), co.supergraph.adj)
+        assert hashlib.sha256(repr(pinned).encode()).hexdigest() == (
+            "688868810a3c59588d4ab7ba47ea697b6c59e03d92979ac196bdceedf008abf3")
+
+    def test_restart_matches_scan_from_zero(self, monkeypatch):
+        # At every step, the scan from the carried restart point returns
+        # what a scan of the whole contour returns: each step is checked,
+        # not only the final order, on stars, paths, fans, random trees and
+        # the benchmark's planar graphs up to n = 700.
+        choose = embedding._choose
+        steps = [0]
+
+        def checked(arcs, lv, rv, contour, start):
+            got = choose(arcs, lv, rv, contour, start)
+            assert got == choose(arcs, lv, rv, contour, 0), (start, got)
+            steps[0] += 1
+            return got
+
+        monkeypatch.setattr(embedding, "_choose", checked)
+        planar_edges = bench_workloads().random_planar_edges
+        graphs = []
+        for n in (4, 9, 40, 300):
+            graphs.append(Graph.from_edges(n, [(0, i) for i in range(1, n)]))
+            graphs.append(Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)]))
+            graphs.append(Graph.from_edges(n, [(0, i) for i in range(1, n)]
+                                           + [(i, i + 1) for i in range(1, n - 1)]))
+        graphs += [random_tree((10, 60, 250)[k % 3], 2 + k % 4, 900 + k) for k in range(9)]
+        for n in (20, 100, 300, 700):
+            for extra in (0, n // 4, n, 2 * n):
+                graphs.append(Graph.from_edges(n, planar_edges(n, random.Random(n + extra), extra)))
+        for g in graphs:
+            augment_to_maximal_with_canonical_order(g)
+        assert steps[0] == sum(g.n - 3 for g in graphs)
+
+    def test_scan_work_is_linear(self, monkeypatch):
+        # Counted, not timed. The scan visits positions start..a, and a + 1
+        # as well when its vertex joins (a, a + 1) from there. Past the one
+        # or two of the attachment, the positions it passes, a - start
+        # summed over the steps, stay within 3n at n = 2000, where a scan
+        # from position 0 passes about 84 a step.
+        choose = embedding._choose
+        passed = [0]
+
+        def counted(arcs, lv, rv, contour, start):
+            v, a, b = choose(arcs, lv, rv, contour, start)
+            passed[0] += a - start
+            return v, a, b
+
+        monkeypatch.setattr(embedding, "_choose", counted)
+        n = 2000
+        g = Graph.from_edges(n, bench_workloads().random_planar_edges(n, random.Random(11), n))
+        augment_to_maximal_with_canonical_order(g)
+        assert passed[0] <= 3 * n, passed
 
 
 def rejection(co, h):

@@ -32,6 +32,7 @@ from spannerdraw.layout import (
     _radius,
     _tree_proper_points,
     _TreePart,
+    _exceeds,
     draw_graph_via_tough_tree,
     draw_planar_spanner,
     draw_proper_spanner,
@@ -197,6 +198,24 @@ class TestPlanarSpanner:
         assert isqrt_scaled(leg_sq.numerator, leg_sq.denominator, _LEG_BITS)[1] == 1 << _LEG_BITS
         for g in (path_graph(6), star_graph(7), random_connected_planar_graph(12, 962)):
             assert draw_planar_spanner(g, eps).coords == planar_spanner_oracle(g, eps)
+
+    def test_line_test_matches_the_product(self):
+        # _exceeds(p, a, b) is p > a b by bit lengths where they decide: p's
+        # bit length 0, 1, 2 and 3 below a b's bound l = bl(a) + bl(b) and
+        # 1 above it, each band at its ends, and p next to a b, with a b of
+        # bit length l - 1 (a and b powers of two) and l.
+        rng = random.Random(47)
+        for la, lb in ((1, 1), (1, 60), (7, 9), (64, 64), (300, 2000), (2000, 2000)):
+            pairs = [(1 << (la - 1), 1 << (lb - 1)), ((1 << la) - 1, (1 << lb) - 1)]
+            pairs += [(rng.getrandbits(la) | 1 << (la - 1), rng.getrandbits(lb) | 1 << (lb - 1))
+                      for _ in range(8)]
+            for a, b in pairs:
+                ab, l = a * b, la + lb
+                ps = {ab - 1, ab, ab + 1, 0, -1, -ab}
+                for m in range(max(1, l - 3), l + 2):
+                    ps |= {1 << (m - 1), (1 << m) - 1, rng.randrange(1 << (m - 1), 1 << m)}
+                for p in ps:
+                    assert _exceeds(p, a, b) == (p > ab), (p, a, b)
 
     def test_drawings_pinned_at_scale(self):
         # The oracle is too slow at n = 1000, so the drawings are pinned by

@@ -1340,7 +1340,7 @@ class TestSweepsMatchOracles:
     def test_degenerate_grid_drawings(self, d):
         assert is_planar_drawing(d) == planar_oracle(d)
         assert is_proper_drawing(d) == proper_oracle(d)
-        assert closest_pair_sq(d.points) == closest_sq_oracle(d.points)
+        assert closest_pair_sq(d.points, d.bits) == closest_sq_oracle(d.points)
 
     def test_planar_spanner_drawings(self):
         # Each vertex sits far above the ones before it: y spreads
@@ -1351,7 +1351,7 @@ class TestSweepsMatchOracles:
                 d = draw_planar_spanner(g, Epsilon(eps))
                 assert is_planar_drawing(d) and planar_oracle(d), k
                 assert is_proper_drawing(d) == proper_oracle(d), k
-                assert closest_pair_sq(d.points) == closest_sq_oracle(d.points), k
+                assert closest_pair_sq(d.points, d.bits) == closest_sq_oracle(d.points), k
                 # The last vertex moved to the midpoint of an edge away from
                 # it: its own edges now end inside that edge.
                 w = g.n - 1
@@ -1361,7 +1361,34 @@ class TestSweepsMatchOracles:
                 bent = Drawing(g, tuple(pts), 2 * d.den)
                 assert is_planar_drawing(bent) == planar_oracle(bent) is False, k
                 assert is_proper_drawing(bent) == proper_oracle(bent) is False, k
-                assert closest_pair_sq(bent.points) == closest_sq_oracle(bent.points), k
+                assert closest_pair_sq(bent.points, bent.bits) == closest_sq_oracle(bent.points), k
+
+    def test_closest_pair_past_float_bits(self):
+        # Past FLOAT_BITS the sweep drops a window point by the bit lengths
+        # of its x gap and the best so far, where they decide: it must give
+        # the plain sweep's value (bits = 0 takes the squares) and the
+        # oracle's. The points are shifted past 2**53, and their x gaps sit
+        # 0, 1 and 2 bits from 2**(l - 1), about the root of the best.
+        # In the first set, (1, r) sets best to r**2 + 1, of bit length
+        # 2l - 1, before (r, 0) meets (0, 0) at r**2: that one x gap of
+        # bit length l is below the root.
+        rng = random.Random(48)
+        far = 1 << 80
+        for l in (2, 20, 61, 300):
+            r = 1 << (l - 1)
+            sets = [[(0, 0), (1, r), (r, 0)]]
+            for _ in range(15):
+                x, pts = 0, []
+                for _ in range(12):
+                    j = rng.choice((-2, -1, 0, 1, 2))
+                    x += rng.randrange(1 << max(0, l - 1 + j), 1 << max(1, l + j))
+                    pts.append((x, rng.randrange(-2 * r, 2 * r + 1)))
+                sets.append(pts)
+            for pts in sets:
+                pts = [(x + far, y - far) for x, y in pts]
+                bits = coord_bits(pts)
+                assert bits > geometry.FLOAT_BITS
+                assert closest_pair_sq(pts, bits) == closest_pair_sq(pts, 0) == closest_sq_oracle(pts), pts
 
     def test_work_counts(self, monkeypatch):
         # Counted, not timed: a quadratic scan in place of a sweep fails here.
@@ -1395,7 +1422,7 @@ class TestSweepsMatchOracles:
         pts[w] = (d.points[a][0] + d.points[b][0], d.points[a][1] + d.points[b][1])
         assert not is_planar_drawing(Drawing(g, tuple(pts), 2 * d.den))
         assert len(crossed) >= 1 and crossed[-1] is True
-        assert closest_pair_sq(d.points) == closest_sq_oracle(d.points)
+        assert closest_pair_sq(d.points, d.bits) == closest_sq_oracle(d.points)
         # At most 8 window points are compared with each point.
         assert 0 < calls["dist_sq"] <= 8 * g.n, (calls, g.n)
 
@@ -1648,7 +1675,7 @@ class TestComputeMetrics:
         # share one closest-pair sweep.
         calls = []
         monkeypatch.setattr(drawing_module, "closest_pair_sq",
-                            lambda points: calls.append(1) or closest_pair_sq(points))
+                            lambda *args: calls.append(1) or closest_pair_sq(*args))
         for d in (draw_tree_planar(random_tree(40, 3, 40), Epsilon(1)),
                   random_drawing(9, 4), drawing(2, [(0, 1)], [(0, 0), (0, 0)])):
             calls.clear()
