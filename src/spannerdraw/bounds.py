@@ -176,7 +176,13 @@ def sr1_witness(g: Graph) -> Optional[Drawing]:
 
 def _fan_decomposition(g: Graph, apex_count: int) -> Optional[tuple[list[int], list[int]]]:
     """If g is a path plus `apex_count` vertices each adjacent to every other
-    vertex except possibly each other, return (apexes, path order)."""
+    vertex except possibly each other, return (apexes, path order).
+
+    It returns only when every apex sees every other vertex and those
+    others induce a path graph, of n - apex_count >= 1 vertices. So g has
+    exactly the path's n - apex_count - 1 edges, the apexes' apex_count
+    (n - apex_count) edges to it, and the edges among the apexes: a caller
+    need not count them again."""
     n = g.n
     if n < apex_count + 1:
         return None
@@ -228,7 +234,7 @@ def planar_sr1_witness(g: Graph) -> Optional[Drawing]:
         return Drawing.on_x_axis(g, order)
 
     fan = _fan_decomposition(g, 1)
-    if fan is not None and g.m == (n - 2) + (n - 1):
+    if fan is not None:
         (apex,), path = fan
         coords: list[IntPoint] = [None] * n  # type: ignore[list-item]
         coords[apex] = (0, 1)
@@ -239,25 +245,22 @@ def planar_sr1_witness(g: Graph) -> Optional[Drawing]:
     fan2 = _fan_decomposition(g, 2)
     if fan2 is not None:
         (a, b), path = fan2
-        apex_edge = g.has_edge(a, b)
-        expected_m = (n - 3) + 2 * (n - 2) + (1 if apex_edge else 0)
-        if g.m == expected_m and len(path) >= 1:
-            coords = [None] * n  # type: ignore[list-item]
-            if apex_edge:
-                # Apexes flank the start of the path; their connecting segment
-                # avoids every path vertex.
-                coords[a] = (0, 1)
-                coords[b] = (0, -1)
-                for i, v in enumerate(path):
-                    coords[v] = (i + 1, 0)
-            else:
-                # Non-adjacent apexes sit on opposite sides of one path vertex
-                # so their segment is covered by a two-edge chain through it.
-                coords[a] = (-1, 0)
-                coords[b] = (1, 0)
-                for i, v in enumerate(path):
-                    coords[v] = (0, i)
-            return Drawing(g, tuple(coords))
+        coords = [None] * n  # type: ignore[list-item]
+        if g.has_edge(a, b):
+            # Apexes flank the start of the path; their connecting segment
+            # avoids every path vertex.
+            coords[a] = (0, 1)
+            coords[b] = (0, -1)
+            for i, v in enumerate(path):
+                coords[v] = (i + 1, 0)
+        else:
+            # Non-adjacent apexes sit on opposite sides of one path vertex
+            # so their segment is covered by a two-edge chain through it.
+            coords[a] = (-1, 0)
+            coords[b] = (1, 0)
+            for i, v in enumerate(path):
+                coords[v] = (0, i)
+        return Drawing(g, tuple(coords))
 
     if _is_octahedron(g):
         # Three concurrent-in-pairs lines with three points each; every

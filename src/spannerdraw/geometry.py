@@ -64,11 +64,6 @@ def on_segment_closed(a: IntPoint, b: IntPoint, p: IntPoint) -> bool:
     return orientation(a, b, p) == 0 and _in_box(a, b, p)
 
 
-def in_segment_interior(a: IntPoint, b: IntPoint, p: IntPoint) -> bool:
-    """True iff p lies on segment ab strictly between a and b."""
-    return on_segment_closed(a, b, p) and p != a and p != b
-
-
 def segments_cross_improperly(a: IntPoint, b: IntPoint, c: IntPoint, d: IntPoint) -> bool:
     """True iff closed segments ab and cd share a point other than a common endpoint.
 

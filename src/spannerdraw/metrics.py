@@ -29,18 +29,20 @@ preorder, bounds the dist_hi of each pair by root distances along it,
 skips a block of pairs, two subtrees or positions alone under one lowest
 common ancestor, whose bound is too short for the gap between its two
 bounding boxes to reach t, and brackets each pair it keeps at once, in
-the same loop. Two tests skip a block. The axis-slab test comes first:
-where the two boxes lie apart along x, by a gap g, every pair's bound
-exceeds its x-progress by at most the largest R L + x 2**bits of one node
-plus the largest R L - x 2**bits of the other, less the ancestor term,
-and the block is skipped when that excess stays below (t - 1) g at the
-scale of the bound; along y the same. It holds where a subtree's box
-lies near the other node but its deep positions, those of large R, lie
-far from it. Failing it, the box test divides the largest root
-distances by the Euclidean gap between the boxes. A block that neither
-test skips is split at its node with more positions, a subtree before a
-position alone, until two positions alone are left: that pair is
-bracketed. The pass runs over one of two trees:
+the same loop. The axis-slab test skips a block: where the two boxes lie
+apart along x, by a gap g, every pair's bound exceeds its x-progress by
+at most the largest R L + x 2**bits of one node plus the largest
+R L - x 2**bits of the other, less the ancestor term, and the block is
+skipped when that excess stays below (t - 1) g at the scale of the
+bound; along y the same. It holds where a subtree's box lies near the
+other node but its deep positions, those of large R, lie far from it. A
+block it does not skip is split at its node with more positions, a
+subtree before a position alone, until two positions alone are left.
+The pair test then sets their bound against t times their Euclidean
+distance, less a unit's margin, and the pair is bracketed unless it stays
+below. The same test on a block, on its largest root distances and the
+gap between its boxes, would bracket the same pairs, so it is not made.
+The pass runs over one of two trees:
 - where coordinates run past 53 bits, first the far order's chain. The
   planar and proper constructions put vertex k more than k delta /
   epsilon away from the vertices placed before it, and the paper's proof
@@ -103,7 +105,6 @@ from .geometry import (
     any_three_collinear,
     coincident,
     dist_sq,
-    in_segment_interior,
     orientation,
     segments_cross_improperly,
 )
@@ -347,17 +348,16 @@ def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Cal
       alone and the prefix v_0 .. v_{k-1}, whose split gives v_{k-1} alone
       and the prefix before it. low = R would be unsound here: U_k + U_u -
       2 U_k is no path's length.
-    A node is a subtree x of more than one position, with hmax[x] its
-    largest R and its integer bounding box, or a position x alone, with
-    R[x] and the box of its point, of width and height 0. A node also holds,
-    over its positions i, the largest PX = R[i] L + x_i 2**bits and MX =
-    R[i] L - x_i 2**bits, and PY and MY the same with y, L the denominator
-    of the coords; none depends on t, so they are built once per pass, in
-    the bottom-up loop that builds the boxes. For each c, from n - 1 down
-    to 0, the parts of c are c alone and its child subtrees, and the pairs
-    with ancestor c are those of the blocks (P, Q), P before Q in the parts
-    of c. When a block comes, let t be the running largest dist_lo/e_hi
-    rounded down to p / 2**64, and hP, hQ the nodes' hmax.
+    A node is a subtree x of more than one position, with its integer
+    bounding box, or a position x alone, with the box of its point, of width
+    and height 0. A node also holds, over its positions i, the largest PX =
+    R[i] L + x_i 2**bits and MX = R[i] L - x_i 2**bits, and PY and MY the
+    same with y, L the denominator of the coords; none depends on t, so
+    they are built once per pass, in the bottom-up loop that builds the
+    boxes. For each c, from n - 1 down to 0, the parts of c are c alone and
+    its child subtrees, and the pairs with ancestor c are those of the
+    blocks (P, Q), P before Q in the parts of c. When a block comes, let t
+    be the running largest dist_lo/e_hi rounded down to p / 2**64.
     - The slab test, first. When P's box lies left of Q's, by g = X0[Q] -
       X1[P] > 0 in numerator units, the block is skipped when
       PX[P] + MX[Q] - 2 low[c] L + ceil(p L / 2**64) < F g,
@@ -372,35 +372,47 @@ def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Cal
       and then F g <= F D <= (t - 1) 2**bits D. With ceil(p L / 2**64) >=
       t L the test gives L dist_hi < (t - 1) 2**bits D - t L + 2**bits D =
       t (2**bits D - L) < t L e_lo, so dist_hi < t e_lo.
-    - Failing both slabs, the box test: the block is skipped when
-      ((hP + hQ - 2 low[c]) 2**64 + p)**2 L**2 < p**2 box**2 2**(2 bits),
-      where box**2 is the squared integer distance between the two boxes.
-      Let E = sqrt(box**2) 2**bits / L, at most the scaled distance from
-      any point of one box to any of the other. Then every pair (i, j) of
-      the block has e_lo > E - 1, and the test gives
-      dist_hi <= hP + hQ - 2 low[c] < (p / 2**64)(E - 1) <= t e_lo.
-    - Otherwise the node with more positions is split into its own parts,
-      P on a tie, each paired with the other node in a block of the same
-      c. Each pair of the block lies in exactly one of them, so at every
-      stage each pair with ancestor c lies in exactly one block. A subtree
-      holds more positions than a position alone, so only two positions
-      alone, i < j, are left unsplit: the pair (order[i], order[j]) is
-      bracketed, and p taken again if it raises t.
+    - Failing both slabs, the node with more positions is split into its
+      own parts, P on a tie, each paired with the other node in a block of
+      the same c. Each pair of the block lies in exactly one of them, so at
+      every stage each pair with ancestor c lies in exactly one block. A
+      subtree holds more positions than a position alone, so only two
+      positions alone, i < j, are left unsplit.
+    - The pair test, on those two: the pair (u, v) = (order[i], order[j])
+      is skipped when
+      ((R[i] + R[j] - 2 low[c]) 2**64 + p)**2 L**2 < p**2 |uv|**2 2**(2 bits),
+      |uv|**2 the squared integer distance of the points. Let E = |uv|
+      2**bits / L; then e_lo > E - 1, and the test gives
+      dist_hi <= R[i] + R[j] - 2 low[c] < (p / 2**64)(E - 1) <= t e_lo.
+      Otherwise the pair is bracketed, and p taken again if it raises t.
     t only rises, and is set by real pairs only, those of an earlier pass
     too, so every pair skipped has dist_lo/e_hi <= dist_hi/e_lo < T, T the
     final t. It moves neither the lower bound, T, nor the upper bound,
     which is at least dist_hi/e_lo >= T of the pair that set T. The
     enclosure is the full scan's, number for number, at any bit size.
 
+    The pair test at block level, on each node's largest R and the gap
+    between the two boxes, would bracket the same pairs, in the same order,
+    so it is left out. On two positions alone it is the pair test: the
+    boxes are the points. A larger block it skips at some t has R[i] + R[j]
+    at most the sum of the two largest R and a distance at least the gap
+    for each of its pairs, so the pair test skips each of them at that t,
+    and at any higher one: in the form (R[i] + R[j] - 2 low[c]) 2**64 L <
+    p (|uv| 2**bits - L), where it holds, |uv| 2**bits > L, so the right
+    side grows with p and the left does not. Splitting the block brackets
+    none of them and leaves t as it was. Only the splits inside such
+    blocks are extra work: 7 more block tests than 13,117 on the
+    benchmark's seed-301 tough drawings, and none on its others.
+
     Blocks that share their first node P come together, (P, Qs), in one
     loop for every kind of node: each Q, from the last, is skipped, split
-    when it holds more positions, bracketed when both are positions alone,
-    or else kept; then P is split and each of its parts takes the kept nodes.
-    P's box and (hP - 2 low[c]) 2**64 + p are read once per P, the latter
-    again when p rises, and F and m = ceil(p L / 2**64) - 2 low[c] L, the
-    slab test's offset, once per c and again when p rises. The parts of
-    c, and of every split, come from the last in preorder, so the first
-    pairs lie deep and lift t early. The blocks of a c are made as the walk
+    when it holds more positions, pair-tested when both are positions
+    alone, or else kept; then P is split and each of its parts takes the
+    kept nodes. P's box is read once per P, and F, m = ceil(p L / 2**64) -
+    2 low[c] L, the slab test's offset, and o = p - 2 low[c] 2**64, the
+    pair test's, once per c and again when p rises. The parts of c, and of
+    every split, come from the last in preorder, so the first pairs lie
+    deep and lift t early. The blocks of a c are made as the walk
     reaches them, so a star's (n - 1)(n - 2)/2 sibling blocks are never
     stored. The shift by 64 bits and the small p keep the products short
     on big coordinates."""
@@ -417,15 +429,13 @@ def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Cal
     # each list by node starts as its positions' values twice over, and the
     # loop below lifts the first half to subtree maxima (minima for X0 and
     # Y0). parts[x] holds the parts of position x as nodes.
-    hmax, X0, X1, Y0, Y1 = R * 2, xs * 2, xs * 2, ys * 2, ys * 2
+    X0, X1, Y0, Y1 = xs * 2, xs * 2, ys * 2, ys * 2
     PX = [r + x for r, x in zip(rl, xb)] * 2
     MX = [r - x for r, x in zip(rl, xb)] * 2
     PY = [r + y for r, y in zip(rl, yb)] * 2
     MY = [r - y for r, y in zip(rl, yb)] * 2
     for c in range(n - 1, 0, -1):
         a = up[c]
-        if hmax[c] > hmax[a]:
-            hmax[a] = hmax[c]
         if X0[c] < X0[a]:
             X0[a] = X0[c]
         if X1[c] > X1[a]:
@@ -468,43 +478,33 @@ def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Cal
                 # are positions alone, or else kept; then a is split.
                 ax0, ax1, ay0, ay1 = X0[a], X1[a], Y0[a], Y1[a]
                 size = end[a] - a if a < n else 1
-                ha = (hmax[a] << 64) + o
                 keep = []
                 while nodes:
                     b = nodes.pop()
                     if X0[b] > ax1:
-                        gx = X0[b] - ax1
-                        if PX[a] + MX[b] + m < f * gx:
+                        if PX[a] + MX[b] + m < f * (X0[b] - ax1):
                             continue
-                    elif ax0 > X1[b]:
-                        gx = ax0 - X1[b]
-                        if MX[a] + PX[b] + m < f * gx:
-                            continue
-                    else:
-                        gx = 0
+                    elif ax0 > X1[b] and MX[a] + PX[b] + m < f * (ax0 - X1[b]):
+                        continue
                     if Y0[b] > ay1:
-                        gy = Y0[b] - ay1
-                        if PY[a] + MY[b] + m < f * gy:
+                        if PY[a] + MY[b] + m < f * (Y0[b] - ay1):
                             continue
-                    elif ay0 > Y1[b]:
-                        gy = ay0 - Y1[b]
-                        if MY[a] + PY[b] + m < f * gy:
-                            continue
-                    else:
-                        gy = 0
-                    if gx or gy:
-                        h = (hmax[b] << 64) + ha
-                        if h * h * den < bound * (gx * gx + gy * gy):
-                            continue
+                    elif ay0 > Y1[b] and MY[a] + PY[b] + m < f * (ay0 - Y1[b]):
+                        continue
                     if b < n and end[b] - b > size:
                         nodes += parts[b]
                     elif a < n:
                         keep.append(b)
                     else:
+                        i, j = a - n, b - n
+                        h = ((R[i] + R[j]) << 64) + o
+                        dx, dy = xs[i] - xs[j], ys[i] - ys[j]
+                        if h * h * den < bound * (dx * dx + dy * dy):
+                            continue
                         budget -= 1
                         if budget < 0:
                             return False
-                        u, v = order[a - n], order[b - n]
+                        u, v = order[i], order[j]
                         g_lo, g_hi = dist(u, v)
                         e_lo, e_hi = _length(coords[u], coords[v], L, bits)
                         if g_hi * best_hi[1] > best_hi[0] * e_lo:
@@ -515,7 +515,6 @@ def _pruned_scan(tree: _Tree, R: list, low: list, brackets: _Brackets, dist: Cal
                             bound = (p * p) << 2 * bits
                             f = ((p - (1 << 64)) << bits) >> 64
                             o = p - two_rc
-                            ha = (hmax[a] << 64) + o
                             m = -(-(p * L) >> 64) - two_lc
                 if keep:
                     keep.reverse()
@@ -861,9 +860,11 @@ def is_proper_drawing(d: Drawing) -> bool:
     Not a sweep: once two edges cross, a sweep's status order no longer holds.
     The vertices are sorted once by x and once by y. For each edge, bisection
     finds the vertices in its closed bounding box's x range and in its y
-    range; the shorter of the two is walked, and in_segment_interior tests
-    each vertex in the box other than the edge's ends. The candidates are
-    those of the O(n*m) scan, so the verdict is the same.
+    range; the shorter of the two is walked, and each vertex in the closed
+    box other than the edge's ends is tested by one orientation: in the
+    box, on the line through the ends and at neither end is in the
+    segment's interior. The candidates are those of the O(n*m) scan, so the
+    verdict is the same.
     """
     coords = d.points
     if coincident(coords):
@@ -881,7 +882,7 @@ def is_proper_drawing(d: Drawing) -> bool:
         near = by_x[x0:x1] if x1 - x0 <= y1 - y0 else by_y[y0:y1]
         for p in near:
             if (xmin <= p[0] <= xmax and ymin <= p[1] <= ymax and p != a and p != b
-                    and in_segment_interior(a, b, p)):
+                    and orientation(a, b, p) == 0):
                 return False
     return True
 

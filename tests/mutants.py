@@ -228,20 +228,10 @@ MUTANTS = [
     # The spanning ratio's pruned pass (metrics._pruned_scan, _graph_dist,
     # _spanning_ratios).
     Mutant("src/spannerdraw/metrics.py",
-           "        if hmax[c] > hmax[a]:\n            hmax[a] = hmax[c]\n",
-           "",
-           (PRUNED + "test_tree_cases_match_oracle",),
-           "hmax left at R: a subtree's block bound forgets its deeper positions"),
-    Mutant("src/spannerdraw/metrics.py",
            "p = (g_lo << 64) // e_hi",
            "p = -(-(g_lo << 64) // e_hi)",
            (PRUNED + "test_tree_cases_match_oracle",),
-           "p rounded up: the block test runs above the running lower bound"),
-    Mutant("src/spannerdraw/metrics.py",
-           "                    else:\n                        gx = 0\n",
-           "                    else:\n                        gx = ax0 - X1[b]\n",
-           (PRUNED + "test_tree_cases_match_oracle",),
-           "the box clamp dropped: two boxes that overlap in x get a gap"),
+           "p rounded up: the slab and pair tests run above the running lower bound"),
     Mutant("src/spannerdraw/metrics.py",
            "xs = [coords[v][0] for v in order]",
            "xs = [coords[v][1] for v in order]",
@@ -259,10 +249,16 @@ MUTANTS = [
            (PRUNED + "test_pruning_keeps_its_margin",),
            "a split's root alone dropped: the pairs with the root of a subtree are lost"),
     Mutant("src/spannerdraw/metrics.py",
-           "h = (hmax[b] << 64) + ha",
-           "h = (hmax[b] << 64) + o",
-           (PRUNED + "test_graph_cases_match_oracle",),
-           "one node's hmax dropped from the block test: blocks are skipped too early"),
+           "h = ((R[i] + R[j]) << 64) + o",
+           "h = (R[j] << 64) + o",
+           (PRUNED + "test_tree_cases_match_oracle",),
+           "one position's R dropped from the pair test: pairs are skipped below their tree path"),
+    Mutant("src/spannerdraw/metrics.py",
+           "dx, dy = xs[i] - xs[j], ys[i] - ys[j]",
+           "dx, dy = xs[i] - xs[j], 0",
+           (PRUNED + "test_bracketed_pairs_pinned",),
+           "the pair test on the x offset alone, sound as a distance no longer than the pair's is, "
+           "but it brackets pairs that the Euclidean distance skips"),
     Mutant("src/spannerdraw/metrics.py",
            "stack.append((top[k], top[k + 1:]))",
            "stack.append((top[k], top[k + 2:]))",
@@ -281,15 +277,20 @@ MUTANTS = [
            "a position alone counted as two positions: it ties with a subtree of two, which is left unsplit, "
            "and the pass brackets that subtree's root for both its positions"),
     Mutant("src/spannerdraw/metrics.py",
-           "                            o = p - two_rc\n                            ha = (hmax[a] << 64) + o",
-           "                            ha = (hmax[a] << 64) + o",
+           "                            o = p - two_rc\n",
+           "",
            (PRUNED + "test_pruning_keeps_its_margin",),
-           "a stale offset after t rises: the block test keeps the old t"),
+           "a stale offset after t rises: the pair test keeps the old t"),
+    Mutant("src/spannerdraw/metrics.py",
+           "                            o = p - two_rc\n",
+           "                            o = -two_rc\n",
+           (PRUNED + "test_pruning_keeps_its_margin",),
+           "the margin dropped after t rises: pairs are skipped at t E, not t (E - 1)"),
     Mutant("src/spannerdraw/metrics.py",
            "        two_rc = low[c] << 65\n        o = p - two_rc",
            "        two_rc = low[c] << 65\n        o = -two_rc",
            (PRUNED + "test_margin_holds_at_each_new_ancestor",),
-           "the margin dropped at the start of each c: blocks are skipped at t E, not t (E - 1)"),
+           "the margin dropped at the start of each c: pairs are skipped at t E, not t (E - 1)"),
     Mutant("src/spannerdraw/metrics.py",
            "                        if g_hi * best_hi[1] > best_hi[0] * e_lo:\n"
            "                            best_hi = best[1] = (g_hi, e_lo)\n",
@@ -301,7 +302,7 @@ MUTANTS = [
            "        if source is None:",
            (PRUNED + "test_pruning_keeps_its_margin",),
            "_graph_dist resumes the first source's searches: a pair of another source takes that source's distances"),
-    # The axis-slab test in front of the box test (metrics._pruned_scan).
+    # The axis-slab test (metrics._pruned_scan).
     Mutant("src/spannerdraw/metrics.py",
            "        m = -(-(p * L) >> 64) - two_lc\n        for k",
            "        m = -two_lc\n        for k",
@@ -309,8 +310,8 @@ MUTANTS = [
            "the slab's margin ceil(p L / 2**64) dropped at the start of each c: blocks are skipped at "
            "(t - 1) g, with no room for e_lo to fall a unit below the progress"),
     Mutant("src/spannerdraw/metrics.py",
-           "if PX[a] + MX[b] + m < f * gx:",
-           "if MX[a] + PX[b] + m < f * gx:",
+           "if PX[a] + MX[b] + m < f * (X0[b] - ax1):",
+           "if MX[a] + PX[b] + m < f * (X0[b] - ax1):",
            (PRUNED + "test_block_work_counts",),
            "the sides swapped: the left node's MX against the right node's PX, an excess of twice the progress, "
            "sound but skipping few blocks"),
@@ -320,11 +321,11 @@ MUTANTS = [
            (PRUNED + "test_equals_full_scan_at_every_precision",),
            "the slab's factor built from t, not t - 1, once t rises: the whole progress counted as room"),
     Mutant("src/spannerdraw/metrics.py",
-           "if PY[a] + MY[b] + m < f * gy:",
-           "if PY[a] + MY[b] + m < f * gx:",
-           (PRUNED + "test_block_work_counts",),
-           "the y test reading the x gap, sound as any gap up to |uv| is, but x and y no longer alike: "
-           "a block apart along y with no gap along x is never skipped by a slab"),
+           "if PY[a] + MY[b] + m < f * (Y0[b] - ay1):",
+           "if PY[a] + MY[b] + m < f * (X0[b] - ax1):",
+           (PRUNED + "test_tree_cases_match_oracle",),
+           "the y test reading the x gap, which is negative where the boxes overlap along x or lie apart the "
+           "other way: times f < 0, before t reaches 1, it skips blocks whose pairs reach t"),
     # Connectivity from the walk the pass needs (metrics._spanning_tree,
     # _spanning_ratios), and the tree-planar construction's root.
     Mutant("src/spannerdraw/metrics.py",

@@ -4,10 +4,10 @@ embedding, a canonical-order validator, the canonical order by sorting its
 candidates at every step, the spanning ratio on Dijkstra and on
 Floyd–Warshall rows, interval containment and intersection, the
 breadth-first rooting of a tree and the depth-first tree path, the padded
-size of a planar tree drawing, the tree test and brute-force toughness,
-written apart from the package's own code so that the tests check it
-against independent code. Only the tests and bench/ import networkx; the
-package does not need it."""
+size of a planar tree drawing, the tree test, the segment-interior test
+and brute-force toughness, written apart from the package's own code so
+that the tests check it against independent code. Only the tests and
+bench/ import networkx; the package does not need it."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from spannerdraw.drawing import Drawing
 from spannerdraw.embedding import CanonicalOrder, RotationSystem, planarity_test_embed
 from spannerdraw.errors import DisconnectedDrawingError, InstanceTooLarge, PrecisionExhausted
 from spannerdraw.exact import Interval, isqrt_scaled
-from spannerdraw.geometry import dist_sq
+from spannerdraw.geometry import IntPoint, dist_sq, on_segment_closed
 from spannerdraw.graph import Graph, RootedTree, bfs
 from spannerdraw.metrics import DEFAULT_REL_TOL
 
@@ -518,6 +518,11 @@ def connected_components(g: Graph) -> list[list[int]]:
 def is_tree(g: Graph) -> bool:
     """True iff g has n - 1 edges and one component."""
     return g.m == g.n - 1 and len(connected_components(g)) == 1
+
+
+def in_segment_interior(a: IntPoint, b: IntPoint, p: IntPoint) -> bool:
+    """True iff p lies on segment ab strictly between a and b."""
+    return on_segment_closed(a, b, p) and p != a and p != b
 
 
 def toughness_bruteforce(g: Graph):

@@ -6,7 +6,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import chorded_hub, random_connected_graph, unit_circle_star
-from oracles import contains
+from oracles import contains, in_segment_interior
 from spannerdraw import bounds
 from spannerdraw.bounds import (
     ANNULUS_PACKING_CONSTANT,
@@ -22,7 +22,7 @@ from spannerdraw.bounds import (
 from spannerdraw.drawing import Drawing
 from spannerdraw.errors import PrecisionExhausted
 from spannerdraw.exact import Interval
-from spannerdraw.geometry import in_segment_interior, segments_cross_improperly
+from spannerdraw.geometry import segments_cross_improperly
 from spannerdraw.graph import Graph
 from spannerdraw.metrics import is_planar_drawing, spanning_ratio
 

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 from conftest import KeyCount
-from oracles import contains, intersects
+from oracles import contains, in_segment_interior, intersects
 from spannerdraw import geometry
 from spannerdraw.exact import Interval, isqrt_scaled, sqrt_interval
 from spannerdraw.geometry import (
@@ -13,7 +13,6 @@ from spannerdraw.geometry import (
     dist_sq,
     far_right,
     hub_scan,
-    in_segment_interior,
     on_line_through_two,
     on_segment_closed,
     orientation,

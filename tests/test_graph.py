@@ -334,6 +334,10 @@ class TestDegreeBoundedSpanningTree:
         assert t.graph.max_degree() == 5
         assert is_tree(t.graph)
 
+    def test_empty_graph_raises(self):
+        with pytest.raises(ValueError, match="empty graph"):
+            degree_bounded_spanning_tree(Graph(0, ()), 3)
+
     def test_tree_path_walks_up_as_the_search_finds(self):
         # A tree has one path between two vertices: the walk up the parent
         # pointers returns the depth-first search's path, vertex for vertex.

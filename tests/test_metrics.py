@@ -30,6 +30,7 @@ from conftest import (
     stacked_triangulation,
 )
 from oracles import (
+    in_segment_interior,
     intersects,
     spanning_ratio_bruteforce,
     spanning_ratio_oracle,
@@ -44,7 +45,6 @@ from spannerdraw.geometry import (
     closest_pair_sq,
     coord_bits,
     dist_sq,
-    in_segment_interior,
     orientation,
     segments_cross_improperly,
 )
@@ -500,8 +500,9 @@ class TestPrunedScan:
                   two_triangles(F(1), 1.02, base * F(10**6 + 997, 10**6))]
         # Combs and caterpillars, drawn by both tree constructions, and
         # tough drawings: subtrees whose boxes lie near another node while
-        # their deep positions lie far from it, so that the slab test, not
-        # the box test, skips most blocks.
+        # their deep positions lie far from it, so that the slab test skips
+        # most blocks and the pair test meets pairs that their boxes' gap
+        # alone would not skip.
         comb = [(i, i + 1) for i in range(7)]  # spine 0 .. 7, a tooth of 3 on each
         comb += [(i if k == 0 else 7 + 3 * i + k, 8 + 3 * i + k) for i in range(8) for k in range(3)]
         caterpillar = [(i, i + 1) for i in range(9)] + [(i // 2, 10 + i) for i in range(20)]
@@ -646,7 +647,7 @@ class TestPrunedScan:
 
     def test_pruning_keeps_its_margin(self):
         # e_lo can be almost a whole unit below the scaled distance E, so a
-        # target is skipped only when its path is below t (E - 1), not t E.
+        # pair is skipped only when its path is below t (E - 1), not t E.
         # On this star at 1 bit, the pair (2, 1) comes first and sets
         # t = 12/10. The edge (0, 1), of length sqrt(2), then has E = 2.83
         # and dist_hi = 3 < t E, but dist_hi / e_lo = 3/2, the upper bound
@@ -666,7 +667,7 @@ class TestPrunedScan:
         # trees) has L = 2**64, so its first precision, 64 bits, brackets
         # as 0 bits do on the integer points: a unit is a large share of
         # every distance. The full scan's first enclosure is [11/5, 3]; a
-        # block test without the margin at a new c skips the pair that
+        # pair test without the margin at a new c skips the pair that
         # sets 3 and gives [11/5, 13/5]. Both contain the ratio, so the
         # final enclosures still meet spanning_ratio_bruteforce's.
         pts = [(-2, -3), (-3, -4), (-4, 4), (-4, -1), (1, -5)]
@@ -677,7 +678,7 @@ class TestPrunedScan:
 
     def test_slab_margin_holds_at_each_new_ancestor(self):
         # The slab test keeps its margin ceil(p L / 2**64) from the start of
-        # each c, as the box test keeps its own: e_lo can fall almost a unit
+        # each c, as the pair test keeps its own: e_lo can fall almost a unit
         # below the progress. On this path over the denominator 5 (found by
         # a seeded search of small drawings) the full scan's enclosure at 5
         # bits is [47/45, 13/12]; a slab test without the margin at a new c
@@ -693,18 +694,43 @@ class TestPrunedScan:
     def test_block_work_counts(self, bench301):
         # Counted, not timed: the block tests of the seed-301 drawings, one
         # per node taken against a node (block_tests). The slab test skips
-        # most blocks before the box test: 32,650 on the 40 tree-planar
-        # drawings and 13,117 on the 75 tough ones (measured; 69,755 and
-        # 40,246 with the box test alone, 61,034 and 36,523 with the slab's
-        # sides swapped). Every test of the pass treats x and y alike, so a
-        # drawing with its axes swapped takes the same block tests (measured
-        # with a y test that read the x gap: 61,034 and 33,499).
+        # most blocks: 32,650 on the 40 tree-planar drawings and 13,124 on
+        # the 75 tough ones (measured; 69,755 and 40,246 with a block-level
+        # box test in place of the slab, 61,034 and 36,523 with the slab's
+        # sides swapped, and 32,650 and 13,117 with that box test after the
+        # slab, for the same pairs). Every test of the pass treats x and y
+        # alike, so a drawing with its axes swapped takes the same block
+        # tests (measured with a y test that read a clamped x gap: 61,034
+        # and 33,499).
         tough = [d for op, d in zip(bench301.ops["proper"], bench301.drawings("proper")) if op.kind == "tough"]
         for drawings, most in ((bench301.drawings("tree-planar"), 36_000), (tough, 15_000)):
             counts = block_tests(drawings)
             swapped = block_tests([Drawing(d.graph, tuple((y, x) for x, y in d.points), d.den) for d in drawings])
             assert 0 < sum(counts) <= most, sum(counts)
             assert swapped == counts
+
+    def test_bracketed_pairs_pinned(self, bracketed, bench301):
+        # The pairs the passes bracket, in order, over each kind's seed-301
+        # drawings: a change to the pruning that keeps them keeps every
+        # enclosure at every precision, and the exact distances taken. The
+        # digests were recorded with the block-level box test in place, so
+        # they pin that its pair test alone brackets the same pairs.
+        pins = {
+            "tree-planar": (40, "5e4fdd4aece27f2d715509b37029b39ac13d424568317bf369936860cbc902e7"),
+            "tough": (75, "da050ad97674ae7ac5b22f3cbc48bedc07ad33666da9cc6c6c34e58e039988a2"),
+            "planar": (88, "c157cfa51f69d7cec047cc8bff0c5a30e0cf1fc6c38645fe84edb8b3b2a0a543"),
+            "proper": (75, "93ce3c9d32819e5b2ddf5da4d9404adad8839a03beb1c231bb65180b6f01132b"),
+        }
+        kinds = {}
+        for name in ("planar", "tree-planar", "proper"):
+            for op, d in zip(bench301.ops[name], bench301.drawings(name)):
+                kinds.setdefault(op.kind, []).append(d)
+        for kind, (count, digest) in pins.items():
+            assert len(kinds[kind]) == count, kind
+            bracketed.clear()
+            for d in kinds[kind]:
+                spanning_ratio(d)
+            assert hashlib.sha256(repr(bracketed).encode()).hexdigest() == digest, (kind, len(bracketed))
 
     @pytest.fixture
     def walk_trees(self, monkeypatch):
@@ -1649,8 +1675,6 @@ class TestBoxAndDistance:
         assert min_pairwise_distance_sq(d) == 2
 
     def test_min_pairwise_matches_bruteforce(self):
-        from spannerdraw.geometry import dist_sq, in_segment_interior, segments_cross_improperly
-
         for seed in range(10):
             d = random_drawing(12, 300 + seed)
             brute = min(
@@ -1764,7 +1788,6 @@ class TestMixedDenominators:
     def test_metrics_match_fraction_references(self):
         from spannerdraw.geometry import (
             dist_sq,
-            in_segment_interior,
             orientation,
             segments_cross_improperly,
         )
