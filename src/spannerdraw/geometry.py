@@ -147,9 +147,8 @@ def _slopes_repeat(z: IntPoint, points: Sequence[IntPoint]) -> bool:
     return len(slopes) < len(points)
 
 
-def closest_pair_sq(points: Sequence[IntPoint], bits: int) -> int:
-    """Least squared distance between two of at least 2 points, whose
-    coord_bits is bits.
+def closest_pair_sq(points: Sequence[IntPoint]) -> int:
+    """Least squared distance between two of at least 2 points.
 
     A plane sweep in x order (Hinrichs, Nievergelt and Schorn, IPL 1988):
     the window holds, sorted by (y, x), the points left of the sweep whose
@@ -158,34 +157,23 @@ def closest_pair_sq(points: Sequence[IntPoint], bits: int) -> int:
     (they are at least that distance apart), so it takes O(n log n)
     comparisons whichever axis the points spread along.
 
-    Past FLOAT_BITS the window's x gaps are compared with the best by bit
-    lengths first. A gap dx of bit length L has 4**(L - 1) <= dx**2 <
-    4**L, so dx**2 >= best when 2L - 2 >= bl(best), and dx**2 < best when
-    2L < bl(best); only the two bit lengths between take the square. On a
-    far-placed drawing the gap to the window's first point is far longer
-    than the closest pair. Below FLOAT_BITS the squares cost less than
-    the bit lengths.
+    Both windows read one bound, r = isqrt(best - 1): for an integer d,
+    d**2 < best iff |d| <= r, since best - 1 >= d**2 iff isqrt(best - 1)
+    >= |d|. So the x gap is compared with r, as the y offset is, and no
+    gap is squared, at any size of coordinate.
     """
     pts = sorted(points)
     best = dist_sq(pts[0], pts[1])
     window: list[IntPoint] = []  # (y, x) of pts[tail] up to the current point
     tail = 0
-    big = bits > FLOAT_BITS
     for x, y in pts:
         if best == 0:
             return 0
-        while True:
-            dx = x - pts[tail][0]
-            if big:
-                l, bb = 2 * dx.bit_length(), best.bit_length()
-                if l - 2 < bb and (l < bb or dx * dx < best):
-                    break
-            elif dx * dx < best:
-                break
+        r = math.isqrt(best - 1)  # d**2 < best iff |d| <= r, for the x gap and the y offset alike
+        while x - pts[tail][0] > r:
             qx, qy = pts[tail]
             del window[bisect_left(window, (qy, qx))]
             tail += 1
-        r = math.isqrt(best - 1)  # dy**2 < best iff |dy| <= r
         for q in window[bisect_left(window, (y - r,)):bisect_left(window, (y + r + 1,))]:
             best = min(best, dist_sq((y, x), q))  # swapping both points' axes keeps it
         insort(window, (y, x))

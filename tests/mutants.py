@@ -19,7 +19,7 @@ time taken from the unmutated run's; at a limit its process group is
 killed, and the mutant is printed as "timeout" or "memory", counted as
 caught, and counted apart in the summary. It prints one line per mutant
 and exits 1, naming each, if a mutant survives or its old text does not
-occur exactly once. It takes about 30 s on a 2-core host, so it is a separate
+occur exactly once. It takes about 180 s on a 2-core host, so it is a separate
 command; Tier-1 only checks that every old text occurs exactly once and
 that every named test exists (tests/test_source.py). A change that
 rewrites the code under a mutant restates the same fault in the new code.
@@ -98,15 +98,31 @@ MUTANTS = [
            (SWEEP + "test_lower_member_deleted_first",),
            "the upper-neighbor check dropped: a lower member that ends above its crossing partner passes"),
     Mutant("src/spannerdraw/metrics.py",
-           "(b[1] - ay) * (px - ax) <= 0:",
-           "(b[1] - ay) * (px - ax) < 0:",
+           "orient(a, b, p) <= 0:",
+           "orient(a, b, p) < 0:",
            (SWEEP + "test_edge_ending_inside_an_active_edge",),
            "< for <= in the lower check: an edge that ends on the edge below it passes"),
     Mutant("src/spannerdraw/metrics.py",
-           "if b != p and (b[0] - ax) * (py - ay) - (b[1] - ay) * (px - ax) <= 0:",
-           "if (b[0] - ax) * (py - ay) - (b[1] - ay) * (px - ax) <= 0:",
+           "if b != p and orient(a, b, p) <= 0:",
+           "if orient(a, b, p) <= 0:",
            (SWEEP + "test_common_right_end_needs_no_test",),
            "the common-right-end exception dropped: two edges that end together fail the assert"),
+    Mutant("src/spannerdraw/metrics.py",
+           "                    if b != p and orient(a, b, p) <= 0:\n"
+           "                        return _crossing(t, s)\n"
+           "                if i < len(status):\n"
+           "                    t = status[i]\n"
+           "                    a, b = t\n"
+           "                    if b != p and orient(a, b, p) >= 0:",
+           "                    if b != p and orientation(a, b, p) <= 0:\n"
+           "                        return _crossing(t, s)\n"
+           "                if i < len(status):\n"
+           "                    t = status[i]\n"
+           "                    a, b = t\n"
+           "                    if b != p and orientation(a, b, p) >= 0:",
+           (SWEEPS + "test_sweep_reads_one_orientation",),
+           "the deletion checks call orientation at every size: past 53 bits they take the products where "
+           "the probes take _orientation_sign"),
     Mutant("src/spannerdraw/metrics.py",
            "for q in sorted(others):",
            "for q in sorted(others, reverse=True):",
@@ -449,7 +465,7 @@ MUTANTS = [
     # its higher end and tested by bit lengths (layout._exceeds), the
     # height search from the least free height; the edge-length ratio's
     # candidate band (metrics.edge_length_ratio); and the closest pair's
-    # window past 53 bits (geometry.closest_pair_sq).
+    # window (geometry.closest_pair_sq).
     Mutant("src/spannerdraw/layout.py",
            "    if rem == 0 and t >= 2:\n",
            "    if rem == 0:\n",
@@ -480,11 +496,11 @@ MUTANTS = [
            "the planar placement's line test off by one unit: a line that passes the height so far by "
            "less than one unit leaves the vertex one unit below its ceiling"),
     Mutant("src/spannerdraw/geometry.py",
-           "                if l - 2 < bb and (l < bb or dx * dx < best):",
-           "                if l - 1 < bb and (l < bb or dx * dx < best):",
+           "while x - pts[tail][0] > r:",
+           "while x - pts[tail][0] >= r:",
            (SWEEPS + "test_closest_pair_past_float_bits",),
-           "the closest pair's band narrowed by one bit: an x gap whose square has one bit fewer than the "
-           "best is taken for at least the best, and its point leaves the window too early"),
+           "the window trimmed at >= r: an x gap of exactly r, whose square is below the best, leaves the "
+           "window too early"),
     Mutant("src/spannerdraw/metrics.py",
            "if l >= top - 1)",
            "if l >= top)",

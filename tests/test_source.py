@@ -540,16 +540,47 @@ def test_spanning_ratio_pass_is_exact():
 
 
 def test_far_placed_drawing_arithmetic_is_exact():
-    # The placements' radii, the edge-length ratio's candidate band and the
-    # sweep's orientation signs run on integers alone: the drawings stay the
-    # ones that _radius's square root gave, and the bit-length bounds on
-    # squared lengths and products are exact.
+    # The placements' radii, the edge-length ratio's candidate band, the
+    # sweep's orientation signs and the closest pair's window, which rests
+    # on math.isqrt, run on integers alone: the drawings stay the ones that
+    # _radius's square root gave, and the bit-length bounds on squared
+    # lengths and products and the window's bound are exact.
     for name, exact in (("layout.py", ["_radius", "_planar_disk", "_proper_radius"]),
-                        ("metrics.py", ["edge_length_ratio", "_orientation_sign"])):
+                        ("metrics.py", ["edge_length_ratio", "_orientation_sign"]),
+                        ("geometry.py", ["closest_pair_sq"])):
         source = (SRC / name).read_text(encoding="utf-8")
         defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
         assert set(exact) <= defined
         assert inexact_operations(source, exact) == []
+
+
+def difference_products(source: str, name: str) -> list[str]:
+    """The text of each product of two differences, (a - b) * (c - d), in
+    the module-level function name of a source: the form of a cross
+    product written out."""
+    return [ast.unparse(sub)
+            for node in ast.parse(source).body if isinstance(node, ast.FunctionDef) and node.name == name
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult)
+            and all(isinstance(f, ast.BinOp) and isinstance(f.op, ast.Sub) for f in (sub.left, sub.right))]
+
+
+def test_difference_products_found():
+    source = "def f(a, b):\n    return (a[0] - b[0]) * (a[1] - b[1]) - a[0] * (b[1] - a[1])\n"
+    assert difference_products(source, "f") == ["(a[0] - b[0]) * (a[1] - b[1])"]
+    assert difference_products(source, "g") == []
+
+
+def test_planarity_sweep_writes_out_no_cross_product():
+    # Every check of the sweep calls its one orientation routine; the cross
+    # product is written out in geometry.orientation, and
+    # metrics._orientation_sign multiplies named differences.
+    metrics = (SRC / "metrics.py").read_text(encoding="utf-8")
+    geometry = (SRC / "geometry.py").read_text(encoding="utf-8")
+    assert "is_planar_drawing" in {node.name for node in ast.parse(metrics).body
+                                   if isinstance(node, ast.FunctionDef)}
+    assert difference_products(metrics, "is_planar_drawing") == []
+    assert len(difference_products(geometry, "orientation")) == 2
 
 
 def test_mutants_are_current():
