@@ -50,7 +50,7 @@ def main():
     # by size with geometrically growing gaps, largest subtree kept level.
     d = draw_tree_planar(t, eps)
     sr = spanning_ratio(d)
-    width, height, _ = bounding_box(d)
+    width, height = bounding_box(d)
     print("planar tree drawing:")
     print(f"  exact planarity: {is_planar_drawing(d)}")
     print(f"  spanning ratio <= {float(sr.hi):.6f} (guarantee: 1.5)")

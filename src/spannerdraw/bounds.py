@@ -37,7 +37,6 @@ class AnnulusCensus(NamedTuple):
     exactly 1 lands in annulus 1).
     """
 
-    center: int
     shortest_incident_edge_len: Interval
     counts: dict[int, int]
 
@@ -66,7 +65,7 @@ def _annuli(d: Drawing, center: int) -> tuple[int, list[int]]:
 
 def annulus_census(d: Drawing, center: int) -> AnnulusCensus:
     min_sq, annuli = _annuli(d, center)
-    return AnnulusCensus(center, sqrt_interval(Fraction(min_sq, d.den**2)), dict(Counter(annuli)))
+    return AnnulusCensus(sqrt_interval(Fraction(min_sq, d.den**2)), dict(Counter(annuli)))
 
 
 def _components_without(g: Graph, v: int) -> list[int]:

@@ -59,7 +59,6 @@ from .graph import Graph
 class RotationSystem(NamedTuple):
     """A combinatorial planar embedding with a chosen outer face."""
 
-    graph: Graph
     rotation: tuple[tuple[int, ...], ...]
     outer_face: tuple[tuple[int, int], ...]  # directed edge walk
 
@@ -103,7 +102,7 @@ def planarity_test_embed(g: Graph) -> Optional[RotationSystem]:
     """
     n = g.n
     if n == 0:
-        return RotationSystem(g, (), ())
+        return RotationSystem((), ())
     height, parent, tail, head, low, depth, out = _orient(g)
     if None in height:
         raise NotConnectedError("embedding requires a connected graph")
@@ -144,7 +143,7 @@ def planarity_test_embed(g: Graph) -> Optional[RotationSystem]:
     rotation = tuple(tuple(reversed(r)) for r in cw)
     # g is connected: unless n = 1 it has an edge, and vertex 0 has one.
     outer = _face(rotation, 0, g.adj[0][0]) if g.m else ()
-    return RotationSystem(g, rotation, outer)
+    return RotationSystem(rotation, outer)
 
 
 def _orient(g: Graph):

@@ -28,6 +28,14 @@ give equal doubles, so the fingerprint misses no line, and a hub's exact
 keys are built only where its slopes repeat, to confirm the line or turn
 down a rounding collision. The verdicts are the exact keys', and a
 collision costs only time.
+
+Where only the sign of p q - r s is read, product_sign is the one rule:
+where the factors' bit lengths put one product two or more bits ahead of
+the other, that product's sign is the answer, with no product; otherwise,
+and at a zero factor, the products decide. Its docstring has the proof.
+The planar construction's line test reads it, and so does the planarity
+sweep's orientation past 2**FLOAT_BITS: on the far-placed drawings, whose
+coordinates run to thousands of bits, bit lengths decide most of both.
 """
 
 from __future__ import annotations
@@ -49,6 +57,24 @@ FLOAT_BITS = 53
 def orientation(a: IntPoint, b: IntPoint, c: IntPoint) -> int:
     """Sign of the cross product (b-a) x (c-a): >0 left turn, <0 right, 0 collinear."""
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def product_sign(p: int, q: int, r: int, s: int) -> int:
+    """An int with the sign of p q - r s, with no product where the
+    factors' bit lengths decide.
+
+    For x != 0, 2**(bl(x) - 1) <= |x| < 2**bl(x), bl the bit length. With
+    no factor zero and k = bl(p) + bl(q) - bl(r) - bl(s): if k >= 2, |p q|
+    >= 2**(bl(p) + bl(q) - 2) >= 2**(bl(r) + bl(s)) > |r s|, and the sign
+    is p q's; if k <= -2, it is that of -r s, the same way round. A zero
+    factor, or |k| <= 1, takes the products."""
+    if p and q and r and s:
+        k = p.bit_length() + q.bit_length() - r.bit_length() - s.bit_length()
+        if k >= 2:
+            return 1 if (p < 0) == (q < 0) else -1
+        if k <= -2:
+            return -1 if (r < 0) == (s < 0) else 1
+    return p * q - r * s
 
 
 def _in_box(a: IntPoint, b: IntPoint, p: IntPoint) -> bool:

@@ -22,7 +22,7 @@ from .embedding import augment_to_maximal_with_canonical_order
 from .errors import NotConnectedError, TooSmallError
 from .exact import isqrt_scaled
 from .frozen import Frozen
-from .geometry import IntPoint, far_right, hub_scan, on_line_through_two
+from .geometry import IntPoint, far_right, hub_scan, on_line_through_two, product_sign
 from .graph import (
     Graph,
     RootedTree,
@@ -64,64 +64,30 @@ class Epsilon(Frozen):
         return _ceil_div(4 * self.value.denominator, self.value.numerator)
 
 
-def _radius(w: int, h: int, den: int = 1) -> int:
+def _radius(t: int, rem: int, small: int, den: int = 1) -> int:
     """An integer radius of a disk about the center of the box
-    [0, w/den] x [0, h/den] that strictly contains the box."""
-    return math.isqrt(_ceil_div(w * w + h * h, 4 * den * den)) + 1
+    [0, small/den] x [0, t + rem/den], 0 <= rem < den, that strictly
+    contains it: isqrt(c) + 1, c = ceil((small**2 + top**2) / (4 den**2)),
+    top = t den + rem.
 
-
-def _planar_disk(half: int, t: int, rem: int, den: int) -> tuple[int, int]:
-    """(radius, reach) of draw_planar_spanner's box [0, half/den] x [0,
-    top/den], top = t den + rem with 0 <= rem < den and half/den = e/2,
-    0 < e <= 1: radius = _radius(half, top, den), and reach =
-    ceil(top / (2 den)) + radius, the least whole height on or above the
-    top of its disk.
-
-    When the height is whole, rem = 0, and t >= 2, radius = t // 2 + 1 and
-    reach = t + 1, with no square root and no division of top. _radius
-    takes isqrt(c) + 1, c = ceil(t**2/4 + e**2/16), and 0 < e**2/16 <= 1/16.
-    - t = 2m: t**2/4 = m**2, so c = m**2 + 1, and m**2 < c < (m + 1)**2
-      = m**2 + 2m + 1 as m >= 1.
-    - t = 2m + 1: t**2/4 = m**2 + m + 1/4, so c = m**2 + m + 1, and
-      m**2 < c < (m + 1)**2 as m >= 1.
-    Either way the root is m = t // 2, and ceil(t/2) + t // 2 = t. At t = 0
-    and t = 1, m = 0 and c = 1, whose root is 1, not m: those, and a
-    height that is not whole, take _radius."""
-    if rem == 0 and t >= 2:
-        return t // 2 + 1, t + 1
-    top = t * den + rem
-    radius = _radius(half, top, den)
-    return radius, _ceil_div(top, 2 * den) + radius
-
-
-def _exceeds(p: int, a: int, b: int) -> bool:
-    """p > a b, for a, b >= 1, with no product where bit lengths decide.
-
-    Let l = bl(a) + bl(b), bl the bit length. Then 2**(l - 2) <= a b <
-    2**l, and a positive p of bit length m lies in [2**(m - 1), 2**m). So
-    p > a b when m > l, and not when m < l - 1: only m = l - 1 and m = l
-    take the product. draw_planar_spanner asks it of each attachment
-    line, at the least height so far, where the line mostly lies far
-    below."""
-    if p <= 0:
-        return False
-    k = p.bit_length() - a.bit_length() - b.bit_length()
-    return k > 0 or (k >= -1 and p > a * b)
-
-
-def _proper_radius(w: int, y_max: int) -> int:
-    """_radius(w, y_max), the radius of draw_proper_spanner's box [0, w] x
-    [0, y_max], with no square root where the box is far wider than high.
-
-    Write w = 2a + s, s in {0, 1}. As s**2 = s, (w**2 + y_max**2)/4 = a**2
-    + a s + (s + y_max**2)/4, so _radius takes isqrt(a**2 + a s + c) + 1,
-    c = ceil((s + y_max**2) / 4). When a >= c, a s + c <= 2a, so a**2 <=
-    a**2 + a s + c < (a + 1)**2 = a**2 + 2a + 1: the root is a, and the
-    test is on y_max, which stays below about k/2, and one shift of w."""
-    a, s = w >> 1, w & 1
-    if a >= (s + y_max * y_max + 3) >> 2:
+    A whole height takes no square root once t is large enough. Write
+    rem = 0 and t = 2a + s, s in {0, 1}. As s**2 = s, top**2 / (4 den**2)
+    = a**2 + a s + s/4, so c = a**2 + a s + C, C = ceil((s den**2 +
+    small**2) / (4 den**2)). When a >= C, a s + C <= 2a, so a**2 <= c <
+    (a + 1)**2 = a**2 + 2a + 1: the root is a, and the radius a + 1. When
+    small <= den, s den**2 + small**2 <= 2 den**2, so C is 0 where s =
+    small = 0 and 1 otherwise, with no division: the planar construction's
+    box, whose width is e/2 <= 1/2, tests a >= 1, t >= 2. Anything else
+    takes the square root."""
+    a, s = t >> 1, t & 1
+    if small <= den:
+        least = min(s + small, 1)
+    else:
+        least = _ceil_div(s * den * den + small * small, 4 * den * den)
+    if rem == 0 and a >= least:
         return a + 1
-    return _radius(w, y_max)
+    top = t * den + rem
+    return math.isqrt(_ceil_div(small * small + top * top, 4 * den * den)) + 1
 
 
 def draw_planar_spanner(h: Graph, eps: Epsilon) -> Drawing:
@@ -137,12 +103,12 @@ def draw_planar_spanner(h: Graph, eps: Epsilon) -> Drawing:
 
     A vertex's y is its gap above the least whole height at or above the
     top of the disk and each attachment line at its higher end. The
-    disk's top comes first (_planar_disk), and a line counts only where it
-    passes above the height so far: _exceeds decides that with no
-    division, mostly by bit lengths, and only such a line takes one. On
-    random planar graphs about one line in five does. The height is that
-    of the plain maximum of the disk's top and each line's, plus the
-    gap.
+    disk's top comes first (_radius, with no square root from the fifth
+    vertex on), and a line counts only where it passes above the height
+    so far: product_sign decides that with no division, mostly by bit
+    lengths, and only such a line takes one. On random planar graphs about
+    one line in five does. The height is that of the plain maximum of the
+    disk's top and each line's, plus the gap.
 
     NotConnectedError comes from the embedding's own walk from n = 3 on,
     and from is_connected below that.
@@ -176,20 +142,24 @@ def draw_planar_spanner(h: Graph, eps: Epsilon) -> Drawing:
     # the higher of those ends, and more than k*delta/e above the disk of
     # all placed vertices, of diameter delta. That disk is the disk of the
     # box spanned by (0, 0) and (half, t den + rem), the last vertex's
-    # height, which is whole (rem = 0) from the fourth vertex on
-    # (_planar_disk). y starts at the disk's top and rises to a line only
-    # where the line passes above it.
+    # height, which is whole (rem = 0) from the fourth vertex on. y starts
+    # at the least whole height on or above the disk's top, ceil((t den +
+    # rem) / (2 den)) + radius, with no division: at rem = 0 the ceiling is
+    # (t + 1) // 2, and at 0 < rem < den the quotient lies strictly between
+    # t/2 and t/2 + 1/2, so it is (t + 2) // 2 at either parity of t. It
+    # rises to a line only where the line passes above it.
     t, rem = divmod(top, den)
     for k in range(4, h.n + 1):
         att = [pts[w] for w in co.attachments[k]]
         xp, xq = att[0][0], att[-1][0]
-        radius, y = _planar_disk(half, t, rem, den)
+        radius = _radius(t, rem, half, den)
+        y = ((t + (rem > 0) + 1) >> 1) + radius
         for (x1, y1), (x2, y2) in zip(att, att[1:]):
             assert x1 < x2
             # xp <= x1 < x2 <= xq: the line is higher at xq where it rises
             x = xq if y2 >= y1 else xp
             num, dd = y1 * (x2 - x1) + (y2 - y1) * (x - x1), (x2 - x1) * den
-            if _exceeds(num, y, dd):
+            if product_sign(num, 1, y, dd) > 0:
                 y = _ceil_div(num, dd)
         t, rem = y + _ceil_div(2 * k * radius * e.denominator, e.numerator) + 1, 0
         pts[order[k - 1]] = ((xp + xq) // 2, t * den)
@@ -234,7 +204,7 @@ def draw_proper_spanner(g: Graph, eps: Epsilon) -> Drawing:
         # x_k = ceil(w/2 + radius + k*delta/eps) + 1: right of the disk of
         # that box, centered at x = w/2, by k*delta/eps, delta = 2*radius.
         w = placed[-1][0]
-        radius = _proper_radius(w, y_max)
+        radius = _radius(w, 0, y_max)
         x_k = radius + _ceil_div(w * e_num + 4 * k * radius * e_den, 2 * e_num) + 1
         box = (0, w, 0, y_max)
         while at_height[free] >= 2:

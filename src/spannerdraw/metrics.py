@@ -106,6 +106,7 @@ from .geometry import (
     coincident,
     dist_sq,
     orientation,
+    product_sign,
     segments_cross_improperly,
 )
 from .graph import Graph
@@ -742,12 +743,13 @@ def is_planar_drawing(d: Drawing) -> bool:
     which the proof says always holds (an assert), and gives False. That
     is O(m log m) orientations, and at most one crossing test. Only their
     signs are read, so where coordinates run past 53 bits every probe and
-    deletion check takes its sign from _orientation_sign, which decides
-    most of them on a far-placed drawing by bit lengths alone; within 53
-    bits each takes orientation's products. On a 2-core host the sweep of
-    the planar drawing of n = 8000 took 0.87-1.06 s, against 1.3-2.0 s
-    with the deletion checks' products inline, and that of the seed-301
-    tree-planar drawings 22.4 ms, against 21.4 ms, the cost of a call.
+    deletion check takes its sign from _orientation_sign, whose
+    product_sign decides most of them on a far-placed drawing by bit
+    lengths alone; within 53 bits each takes orientation's products. On a
+    2-core host the sweep of the planar drawing of n = 8000 took 0.87-1.06
+    s, against 1.3-2.0 s with the deletion checks' products inline, and
+    that of the seed-301 tree-planar drawings 22.4 ms, against 21.4 ms,
+    the cost of a call.
 
     Proof. (i) Every False is an improper meeting. Two segments become
     adjacent in the status only at an event p where the lower is strictly
@@ -830,22 +832,9 @@ def is_planar_drawing(d: Drawing) -> bool:
 
 
 def _orientation_sign(a: IntPoint, b: IntPoint, c: IntPoint) -> int:
-    """An int with the sign of orientation(a, b, c) = p q - r s, decided by
-    the factors' bit lengths bl where those of the products differ by 2 or
-    more, with no product. For x != 0, 2**(bl(x) - 1) <= |x| < 2**bl(x),
-    so bl(p) + bl(q) >= bl(r) + bl(s) + 2 gives |p q| >= 2**(bl(r) +
-    bl(s)) > |r s|, and the sign is p q's; the other way round, that of
-    -r s. A zero factor, or bit lengths closer than that, takes the
-    products."""
-    p, q = b[0] - a[0], c[1] - a[1]
-    r, s = b[1] - a[1], c[0] - a[0]
-    if p and q and r and s:
-        k = p.bit_length() + q.bit_length() - r.bit_length() - s.bit_length()
-        if k >= 2:
-            return 1 if (p < 0) == (q < 0) else -1
-        if k <= -2:
-            return -1 if (r < 0) == (s < 0) else 1
-    return p * q - r * s
+    """An int with the sign of orientation(a, b, c): product_sign of its
+    four differences."""
+    return product_sign(b[0] - a[0], c[1] - a[1], b[1] - a[1], c[0] - a[0])
 
 
 def _crossing(t: tuple[IntPoint, IntPoint], s: tuple[IntPoint, IntPoint]) -> bool:
@@ -893,16 +882,13 @@ def no_three_collinear(d: Drawing) -> bool:
     return not any_three_collinear(d.points)
 
 
-def bounding_box(d: Drawing) -> tuple[Fraction, Fraction, tuple]:
-    """(width, height, ((xmin, ymin), (xmax, ymax))) of the smallest enclosing axis-parallel box."""
+def bounding_box(d: Drawing) -> tuple[Fraction, Fraction]:
+    """(width, height) of the smallest enclosing axis-parallel box."""
     if d.graph.n < 1:
         raise ValueError("bounding box needs at least one vertex")
-    coords, L = d.points, d.den
-    xs = [p[0] for p in coords]
-    ys = [p[1] for p in coords]
-    xmin, xmax = Fraction(min(xs), L), Fraction(max(xs), L)
-    ymin, ymax = Fraction(min(ys), L), Fraction(max(ys), L)
-    return (xmax - xmin, ymax - ymin, ((xmin, ymin), (xmax, ymax)))
+    xs = [p[0] for p in d.points]
+    ys = [p[1] for p in d.points]
+    return Fraction(max(xs) - min(xs), d.den), Fraction(max(ys) - min(ys), d.den)
 
 
 def min_pairwise_distance_sq(d: Drawing) -> Fraction:
@@ -914,7 +900,7 @@ def min_pairwise_distance_sq(d: Drawing) -> Fraction:
 def compute_metrics(d: Drawing, rel_tol: Fraction = DEFAULT_REL_TOL) -> MetricReport:
     """Full report; spanning ratio omitted (None) when undefined by disconnection."""
     g = d.graph
-    width, height, _ = bounding_box(d) if g.n >= 1 else (Fraction(0), Fraction(0), None)
+    width, height = bounding_box(d) if g.n >= 1 else (Fraction(0), Fraction(0))
     # Coincident points count as collinear, and a vertex inside an edge is
     # collinear with the edge's ends: a drawing with no such triple is proper.
     # So is a planar drawing with distinct points and no isolated vertex: a

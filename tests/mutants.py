@@ -460,18 +460,30 @@ MUTANTS = [
            "count = len([u for u, k in zip(g.adj[v], annuli) if k == i])",
            ("tests/test_bounds.py::TestAnnulusBoundCheck::test_fan_witness_consistent_at_s_1",),
            "every neighbor counted again: the fan witness of spanning ratio 1 is overfull at s = 1"),
-    # The far-placed constructions' placements: radii with no square root
-    # (layout._planar_disk, _proper_radius), each attachment line read at
-    # its higher end and tested by bit lengths (layout._exceeds), the
-    # height search from the least free height; the edge-length ratio's
-    # candidate band (metrics.edge_length_ratio); and the closest pair's
-    # window (geometry.closest_pair_sq).
+    # The far-placed constructions' placements: the radius with no square
+    # root (layout._radius), the planar reach with no division, each
+    # attachment line read at its higher end and tested by the sign rule
+    # (geometry.product_sign), the height search from the least free
+    # height; the edge-length ratio's candidate band
+    # (metrics.edge_length_ratio); and the closest pair's window
+    # (geometry.closest_pair_sq).
     Mutant("src/spannerdraw/layout.py",
-           "    if rem == 0 and t >= 2:\n",
-           "    if rem == 0:\n",
+           "        least = min(s + small, 1)\n",
+           "        least = min(s + small, 0)\n",
            (CLOSED_FORM + "test_planar_disk_matches_radius", PLANAR + "test_whole_apex_height"),
-           "the planar closed form's t >= 2 dropped: a whole height of 1, the apex's at tiny epsilon, "
-           "gets a radius one short"),
+           "the closed form taken at a >= 0: a whole height of 1, the apex's at tiny epsilon, gets a radius "
+           "one short"),
+    Mutant("src/spannerdraw/layout.py",
+           "    if small <= den:\n",
+           "    if small <= 2 * den:\n",
+           (CLOSED_FORM + "test_general_bound_up_to_three_den",),
+           "the shortcut read as small <= 2 den: at odd t and small near 2 den the bound is 2, not 1, and "
+           "the radius one short"),
+    Mutant("src/spannerdraw/layout.py",
+           "y = ((t + (rem > 0) + 1) >> 1) + radius",
+           "y = ((t + 1) >> 1) + radius",
+           (PLANAR + "test_matches_oracle",),
+           "the reach not rounded up at a height that is not whole: the fourth vertex can sit a unit low"),
     Mutant("src/spannerdraw/layout.py",
            "        while at_height[free] >= 2:\n",
            "        while at_height[free] >= 1:\n",
@@ -484,17 +496,17 @@ MUTANTS = [
            (PLANAR + "test_matches_oracle",),
            "each attachment line read at its lower end: a vertex can sit below the line's other end"),
     Mutant("src/spannerdraw/layout.py",
-           "    if a >= (s + y_max * y_max + 3) >> 2:",
-           "    if 2 * a >= (s + y_max * y_max + 3) >> 2:",
+           "    if rem == 0 and a >= least:\n",
+           "    if rem == 0 and 2 * a >= least:\n",
            (CLOSED_FORM + "test_proper_radius_matches_radius",),
-           "the proper closed form's condition weakened to a s + c <= 2a only at s = 0: at odd w with "
-           "y_max**2 near 4a the root is a + 1, not a"),
-    Mutant("src/spannerdraw/layout.py",
-           "(k >= -1 and p > a * b)",
-           "(k >= -1 and p > (a + 1) * b)",
+           "the closed form's condition weakened to a s + C <= 2a only at s = 0: at odd w with y_max**2 "
+           "near 4a the root is a + 1, not a"),
+    Mutant("src/spannerdraw/geometry.py",
+           "    return p * q - r * s\n",
+           "    return p * q - r * s - 1\n",
            (PLANAR + "test_line_test_matches_the_product",),
-           "the planar placement's line test off by one unit: a line that passes the height so far by "
-           "less than one unit leaves the vertex one unit below its ceiling"),
+           "the products' difference off by one: a line that passes the height so far by one unit of its "
+           "numerator reads as a tie, and the vertex stays below its ceiling"),
     Mutant("src/spannerdraw/geometry.py",
            "while x - pts[tail][0] > r:",
            "while x - pts[tail][0] >= r:",
@@ -511,19 +523,20 @@ MUTANTS = [
            "if l <= low)",
            (ELR + "test_candidate_band_margins",),
            "the shortest-edge band narrowed to l = low: an axis edge one bit longer in span, yet shorter, is missed"),
-    # The sweep's orientation signs by bit lengths (metrics._orientation_sign).
-    Mutant("src/spannerdraw/metrics.py",
+    # The sign rule of products by bit lengths (geometry.product_sign), which
+    # the sweep's orientation (metrics._orientation_sign) reads.
+    Mutant("src/spannerdraw/geometry.py",
            "        if k >= 2:\n",
            "        if k >= 1:\n",
            (ORIENT + "test_matches_the_products",),
            "a gap of 1 in the products' bit lengths taken as decisive: 2**(j + 1) 2**j is taken for the larger "
            "of it and (2**(j + 1) - 1)**2"),
-    Mutant("src/spannerdraw/metrics.py",
+    Mutant("src/spannerdraw/geometry.py",
            "        if k <= -2:\n",
            "        if k <= -1:\n",
            (ORIENT + "test_matches_the_products",),
            "the same on the other side: r s taken as decisive one bit ahead"),
-    Mutant("src/spannerdraw/metrics.py",
+    Mutant("src/spannerdraw/geometry.py",
            "    if p and q and r and s:\n",
            "    if True:\n",
            (ORIENT + "test_zero_factors",),

@@ -4,10 +4,11 @@ embedding, a canonical-order validator, the canonical order by sorting its
 candidates at every step, the spanning ratio on Dijkstra and on
 Floyd–Warshall rows, interval containment and intersection, the
 breadth-first rooting of a tree and the depth-first tree path, the padded
-size of a planar tree drawing, the tree test, the segment-interior test
-and brute-force toughness, written apart from the package's own code so
-that the tests check it against independent code. Only the tests and
-bench/ import networkx; the package does not need it."""
+size of a planar tree drawing, the radius of a box's disk, the tree test,
+the segment-interior test and brute-force toughness, written apart from
+the package's own code so that the tests check it against independent
+code. Only the tests and bench/ import networkx; the package does not
+need it."""
 
 from __future__ import annotations
 
@@ -116,9 +117,9 @@ def faces(rs: RotationSystem) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
-def euler_ok(rs: RotationSystem) -> bool:
-    """True iff the faces of rs satisfy Euler's formula n - m + f = 2."""
-    g = rs.graph
+def euler_ok(g: Graph, rs: RotationSystem) -> bool:
+    """True iff the faces of rs, an embedding of g, satisfy Euler's formula
+    n - m + f = 2."""
     return g.n - g.m + len(faces(rs)) == 2
 
 
@@ -457,6 +458,12 @@ def contains(iv: Interval, x) -> bool:
 def intersects(a: Interval, b: Interval) -> bool:
     """True iff the closed intervals a and b meet."""
     return a.lo <= b.hi and b.lo <= a.hi
+
+
+def disk_radius(w: int, h: int, den: int = 1) -> int:
+    """An integer radius of a disk about the center of the box [0, w/den] x
+    [0, h/den] that strictly contains it, by one square root."""
+    return math.isqrt(-(-(w * w + h * h) // (4 * den * den))) + 1
 
 
 def tree_planar_size(g: Graph) -> int:

@@ -120,7 +120,7 @@ def test_acceptance_5_planar_tree_drawing(capsys):
         n = (30, 70, 120, 250, 500)[i % 5]
         g = random_tree(n, maxdeg, seed=5000 + i)
         d = draw_tree_planar(g, eps)
-        _, height, _ = bounding_box(d)
+        _, height = bounding_box(d)
         assert is_planar_drawing(d), i
         sr = spanning_ratio(d, REL_TOL)
         assert sr.hi <= F(3, 2), (i, sr)

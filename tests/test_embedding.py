@@ -193,12 +193,13 @@ class TestPlanarityTestEmbed:
         assert digest == "ae7241b45d559023aa22ead7afa631a8912459f7824d4742594f916f33a0c357"
 
     def test_k4_has_four_triangular_faces(self):
-        rs = planarity_test_embed(complete_graph(4))
+        g = complete_graph(4)
+        rs = planarity_test_embed(g)
         assert rs is not None
         found = faces(rs)
         assert len(found) == 4
         assert all(len(f) == 3 for f in found)
-        assert euler_ok(rs)
+        assert euler_ok(g, rs)
 
     def test_k5_nonplanar(self):
         assert planarity_test_embed(complete_graph(5)) is None
@@ -208,10 +209,11 @@ class TestPlanarityTestEmbed:
         assert planarity_test_embed(k33) is None
 
     def test_cycle_two_faces(self):
-        rs = planarity_test_embed(cycle_graph(5))
+        g = cycle_graph(5)
+        rs = planarity_test_embed(g)
         assert rs is not None
         assert len(faces(rs)) == 2
-        assert euler_ok(rs)
+        assert euler_ok(g, rs)
 
     def test_disconnected_rejected(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])

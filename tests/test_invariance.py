@@ -35,7 +35,7 @@ CERTIFICATES = {
     "no_three_collinear": no_three_collinear,
     "min_pairwise_distance_sq": min_pairwise_distance_sq,
     "edge_length_ratio": edge_length_ratio,
-    "width_height": lambda d: bounding_box(d)[:2],
+    "width_height": bounding_box,
 }
 
 

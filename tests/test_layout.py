@@ -4,17 +4,18 @@ import random
 import sys
 from fractions import Fraction
 from itertools import chain
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import KeyCount, bench_workloads, random_connected_graph, random_connected_planar_graph, random_tree
-from oracles import edge_separator, separator_scan, split_at_edge, tree_planar_size
+from oracles import disk_radius, edge_separator, separator_scan, split_at_edge, tree_planar_size
 from spannerdraw.bounds import planar_sr1_witness, sr1_witness
 from spannerdraw.drawing import Drawing
 from spannerdraw.embedding import augment_to_maximal_with_canonical_order
 from spannerdraw.errors import NotConnectedError
 from spannerdraw.exact import isqrt_scaled
-from spannerdraw.geometry import coord_bits, dist_sq
+from spannerdraw.geometry import coord_bits, dist_sq, product_sign
 from spannerdraw.graph import (
     Graph,
     RootedTree,
@@ -27,12 +28,9 @@ from spannerdraw.layout import (
     _LEG_BITS,
     Epsilon,
     _merge_tree_parts,
-    _planar_disk,
-    _proper_radius,
     _radius,
     _tree_proper_points,
     _TreePart,
-    _exceeds,
     draw_graph_via_tough_tree,
     draw_planar_spanner,
     draw_proper_spanner,
@@ -192,7 +190,7 @@ class TestPlanarSpanner:
     def test_whole_apex_height(self):
         # At epsilon = 10**-12 the apex height rounds up to exactly 1, so the
         # fourth vertex sees a whole height t = 1, where the closed form of
-        # _planar_disk does not hold: it takes _radius, as the oracle does.
+        # _radius does not hold: it takes the square root, as the oracle does.
         eps = Epsilon(F(1, 10**12))
         leg_sq = 1 - (eps.value / 4) ** 2
         assert isqrt_scaled(leg_sq.numerator, leg_sq.denominator, _LEG_BITS)[1] == 1 << _LEG_BITS
@@ -200,10 +198,11 @@ class TestPlanarSpanner:
             assert draw_planar_spanner(g, eps).coords == planar_spanner_oracle(g, eps)
 
     def test_line_test_matches_the_product(self):
-        # _exceeds(p, a, b) is p > a b by bit lengths where they decide: p's
-        # bit length 0, 1, 2 and 3 below a b's bound l = bl(a) + bl(b) and
-        # 1 above it, each band at its ends, and p next to a b, with a b of
-        # bit length l - 1 (a and b powers of two) and l.
+        # The line test, product_sign(p, 1, a, b) > 0, is p > a b by bit
+        # lengths where they decide: p's bit length 0, 1, 2 and 3 below a
+        # b's bound l = bl(a) + bl(b) and 1 above it, each band at its
+        # ends, and p next to a b, with a b of bit length l - 1 (a and b
+        # powers of two) and l.
         rng = random.Random(47)
         for la, lb in ((1, 1), (1, 60), (7, 9), (64, 64), (300, 2000), (2000, 2000)):
             pairs = [(1 << (la - 1), 1 << (lb - 1)), ((1 << la) - 1, (1 << lb) - 1)]
@@ -215,7 +214,7 @@ class TestPlanarSpanner:
                 for m in range(max(1, l - 3), l + 2):
                     ps |= {1 << (m - 1), (1 << m) - 1, rng.randrange(1 << (m - 1), 1 << m)}
                 for p in ps:
-                    assert _exceeds(p, a, b) == (p > ab), (p, a, b)
+                    assert (product_sign(p, 1, a, b) > 0) == (p > ab), (p, a, b)
 
     def test_drawings_pinned_at_scale(self):
         # The oracle is too slow at n = 1000, so the drawings are pinned by
@@ -393,15 +392,12 @@ class TestProperSpanner:
 
 
 class TestClosedFormRadii:
-    """The placements' radii without a square root, against _radius."""
-
-    @staticmethod
-    def planar_disk_oracle(half, t, rem, den):
-        top = t * den + rem
-        radius = _radius(half, top, den)
-        return radius, -(-top // (2 * den)) + radius
+    """_radius's closed form, with no square root, against disk_radius."""
 
     def test_planar_disk_matches_radius(self):
+        # The planar construction's boxes, [0, e/2] x [0, t + rem/den]. The
+        # closed form holds at every whole t >= 2, and the reach,
+        # ceil(top / (2 den)), takes no division at any rem.
         rng = random.Random(46)
         es = [F(1), F(1, 10), F(2, 3), F(1, 10**12)] + [F(rng.randrange(1, 1000), 1000) for _ in range(20)]
         for e in es:
@@ -410,18 +406,33 @@ class TestClosedFormRadii:
                 ts = list(range(8)) + [rng.randrange(2**k) for k in (10, 100, 3000) for _ in range(10)]
                 for t in ts:
                     for rem in (0, 1, den // 2, den - 1):
-                        assert _planar_disk(half, t, rem, den) == self.planar_disk_oracle(half, t, rem, den), (e, t, rem)
+                        top = t * den + rem
+                        assert _radius(t, rem, half, den) == disk_radius(half, top, den), (e, t, rem)
+                        assert (t + (rem > 0) + 1) >> 1 == -(-top // (2 * den)), (e, t, rem)
                     if t >= 2:
-                        assert _planar_disk(half, t, 0, den) == (t // 2 + 1, t + 1)
+                        assert _radius(t, 0, half, den) == t // 2 + 1
 
     def test_planar_closed_form_needs_two(self):
         # At a whole height below 2 the closed form is one short.
         for e in (F(1), F(1, 10**12)):
             half, den = e.numerator << (_LEG_BITS - 1), e.denominator << _LEG_BITS
             for t in (0, 1):
-                assert _radius(half, t * den, den) == t // 2 + 2
+                assert _radius(t, 0, half, den) == t // 2 + 2
+
+    def test_general_bound_up_to_three_den(self):
+        # Widths from 0 to 3 den, past the shortcut at den: the bound
+        # ceil((s den**2 + small**2) / (4 den**2)) runs at den > 1 and
+        # takes every value from 0 to 3, and t covers the a on either
+        # side of it.
+        for den in (1, 2, 3, 4, 7, 10):
+            for small in range(3 * den + 1):
+                for t in range(16):
+                    for rem in {0, 1 % den, den // 2, den - 1}:
+                        top = t * den + rem
+                        assert _radius(t, rem, small, den) == disk_radius(small, top, den), (den, small, t, rem)
 
     def test_proper_radius_matches_radius(self):
+        # The proper construction's boxes, [0, w] x [0, y_max] at den = 1.
         rng = random.Random(47)
         cases = []
         for a in list(range(12)) + [rng.randrange(2**k) for k in (8, 60, 2000) for _ in range(6)]:
@@ -430,17 +441,22 @@ class TestClosedFormRadii:
             ys = {0, 1, 2, 3, max(0, root - 2), max(0, root - 1), root, root + 1, root + 2, 2 * root + 3}
             cases += [(2 * a + s, y) for s in (0, 1) for y in ys]
         for w, y in cases:
-            assert _proper_radius(w, y) == _radius(w, y), (w, y)
+            assert _radius(w, 0, y) == disk_radius(w, y), (w, y)
 
     def test_radius_fallbacks_per_drawing(self, monkeypatch):
-        # Counted: each planar drawing of n >= 4 takes _radius once, for
-        # its fourth vertex, whose height is the apex's; every later height
-        # is whole and at least 2. The proper drawings of the benchmark's
-        # first seed take it never.
+        # Counted: each planar drawing of n >= 4 takes _radius's square
+        # root once, for its fourth vertex, whose height is the apex's;
+        # every later height is whole and at least 2. The proper drawings
+        # of the benchmark's first seed take it never.
         from spannerdraw import layout
 
         calls = [0]
-        monkeypatch.setattr(layout, "_radius", lambda *args: calls.__setitem__(0, calls[0] + 1) or _radius(*args))
+
+        def isqrt(x):
+            calls[0] += 1
+            return math.isqrt(x)
+
+        monkeypatch.setattr(layout, "math", SimpleNamespace(**{**vars(math), "isqrt": isqrt}))
         counts = {"planar": set(), "proper": set()}
         for op in bench_workloads().build("planar", 301) + bench_workloads().build("proper", 301):
             if op.kind in counts:

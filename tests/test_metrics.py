@@ -1420,10 +1420,10 @@ class TestSweepsMatchOracles:
 
     def test_sweep_reads_one_orientation(self, monkeypatch):
         # The planarity sweep picks one orientation routine per drawing, and
-        # its probes and deletion checks all call it: _orientation_sign past
-        # 53 bits (a planar spanner drawing of 40 vertices, 245 bits: 0 and
-        # 610 calls), orientation within them (a tree-planar drawing of 40
-        # vertices, 11 bits: 81 and 0 calls).
+        # its probes and deletion checks all call it: _orientation_sign, by
+        # product_sign, past 53 bits (a planar spanner drawing of 40
+        # vertices, 245 bits: 0 and 610 calls), orientation within them (a
+        # tree-planar drawing of 40 vertices, 11 bits: 81 and 0 calls).
         calls = Counter()
         sign = metrics._orientation_sign
         monkeypatch.setattr(metrics, "orientation", lambda *a: calls.update(["orientation"]) or orientation(*a))
@@ -1516,20 +1516,22 @@ class TestOrientationSign:
         values = [0] + [v for e in range(10) for v in {1 << e, (1 << e) - 1, rng.randrange(1 << e, 2 << e)} if v]
         values += [-v for v in values]
         for _ in range(20000):
-            a, b, c = self.points(*(rng.choice(values) for _ in range(4)))
+            factors = [rng.choice(values) for _ in range(4)]
+            a, b, c = self.points(*factors)
             assert sign(metrics._orientation_sign(a, b, c)) == sign(orientation(a, b, c))
+            assert sign(geometry.product_sign(*factors)) == sign(orientation(a, b, c))
         for j in range(1, 60):
-            a, b, c = self.points(2 << j, 1 << j, (2 << j) - 1, (2 << j) - 1)
-            assert metrics._orientation_sign(a, b, c) < 0
-            a, b, c = self.points((2 << j) - 1, (2 << j) - 1, 2 << j, 1 << j)
-            assert metrics._orientation_sign(a, b, c) > 0
+            for factors, want in (((2 << j, 1 << j, (2 << j) - 1, (2 << j) - 1), -1),
+                                  (((2 << j) - 1, (2 << j) - 1, 2 << j, 1 << j), 1)):
+                assert sign(metrics._orientation_sign(*self.points(*factors))) == want
+                assert sign(geometry.product_sign(*factors)) == want
 
     def test_zero_factors(self):
         # A zero factor leaves the other product's sign, whatever the bit
         # lengths say: 0 * 2**40 - 3 * 5 < 0, and 2**40 * 3 - 0 * 5 > 0.
-        assert metrics._orientation_sign(*self.points(0, 1 << 40, 3, 5)) < 0
-        assert metrics._orientation_sign(*self.points(3, 5, 0, 1 << 40)) > 0
-        assert metrics._orientation_sign(*self.points(1 << 40, 3, 5, 0)) > 0
+        for factors, want in (((0, 1 << 40, 3, 5), -1), ((3, 5, 0, 1 << 40), 1), ((1 << 40, 3, 5, 0), 1)):
+            assert sign(metrics._orientation_sign(*self.points(*factors))) == want
+            assert sign(geometry.product_sign(*factors)) == want
 
 
 class TestPlanarSweepCases:
@@ -1687,9 +1689,7 @@ class TestProperAndCollinear:
 
 class TestBoxAndDistance:
     def test_bounding_box(self):
-        w, h, ((x0, y0), (x1, y1)) = bounding_box(unit_square())
-        assert (w, h) == (1, 1)
-        assert (x0, y0, x1, y1) == (0, 0, 1, 1)
+        assert bounding_box(unit_square()) == (1, 1)
 
     def test_min_pairwise_distance_sq(self):
         d = drawing(3, [(0, 1)], [(0, 0), (3, 4), (1, 1)])
@@ -1836,7 +1836,7 @@ class TestMixedDenominators:
             )
             min_sq = min(dist_sq(c[i], c[j]) for i, j in pairs)
             xs, ys = [p[0] for p in c], [p[1] for p in c]
-            box = (max(xs) - min(xs), max(ys) - min(ys), ((min(xs), min(ys)), (max(xs), max(ys))))
+            box = (max(xs) - min(xs), max(ys) - min(ys))
             seen.add((planar, proper, collinear_triple, coincident))
 
             assert geometry.coincident(d.points) == coincident, seed

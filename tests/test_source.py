@@ -540,14 +540,15 @@ def test_spanning_ratio_pass_is_exact():
 
 
 def test_far_placed_drawing_arithmetic_is_exact():
-    # The placements' radii, the edge-length ratio's candidate band, the
-    # sweep's orientation signs and the closest pair's window, which rests
-    # on math.isqrt, run on integers alone: the drawings stay the ones that
-    # _radius's square root gave, and the bit-length bounds on squared
+    # The placements' radius, the edge-length ratio's candidate band, the
+    # sign rule of products that the planar line test and the sweep's
+    # orientation read, and the closest pair's window, which rests on
+    # math.isqrt, run on integers alone: the drawings stay the ones that
+    # the radius's square root gave, and the bit-length bounds on squared
     # lengths and products and the window's bound are exact.
-    for name, exact in (("layout.py", ["_radius", "_planar_disk", "_proper_radius"]),
+    for name, exact in (("layout.py", ["_radius"]),
                         ("metrics.py", ["edge_length_ratio", "_orientation_sign"]),
-                        ("geometry.py", ["closest_pair_sq"])):
+                        ("geometry.py", ["product_sign", "closest_pair_sq"])):
         source = (SRC / name).read_text(encoding="utf-8")
         defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
         assert set(exact) <= defined
@@ -574,7 +575,8 @@ def test_difference_products_found():
 def test_planarity_sweep_writes_out_no_cross_product():
     # Every check of the sweep calls its one orientation routine; the cross
     # product is written out in geometry.orientation, and
-    # metrics._orientation_sign multiplies named differences.
+    # metrics._orientation_sign hands its differences to
+    # geometry.product_sign.
     metrics = (SRC / "metrics.py").read_text(encoding="utf-8")
     geometry = (SRC / "geometry.py").read_text(encoding="utf-8")
     assert "is_planar_drawing" in {node.name for node in ast.parse(metrics).body
